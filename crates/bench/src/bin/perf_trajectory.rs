@@ -29,7 +29,9 @@
 //! Since PR 10 it includes `net_scale_p2`: the transfer mix served while
 //! the event-driven front end holds 1,000 idle connections open on its
 //! single reader thread — the connection-scale workload the `poll(2)`
-//! loop exists for (see EXPERIMENTS.md for the full metric table).
+//! loop exists for (see EXPERIMENTS.md for the full metric table). Since
+//! PR 13 `staged_point_lookup_p4` probes a B+tree under a pinned snapshot,
+//! the way every wire SELECT does (it used to scan an index-less table).
 //!
 //! Exit status 1 = at least one metric regressed more than the gate
 //! fraction below its baseline.
@@ -44,13 +46,15 @@ use staged_server::{ServerConfig, StagedServer};
 use staged_sql::binder::{BindContext, Binder};
 use staged_sql::parser::parse_statement;
 use staged_sql::Statement;
-use staged_storage::{BufferPool, Catalog, Column, DataType, MemDisk, Schema, Tuple, Value};
+use staged_storage::{
+    BufferPool, Catalog, Column, DataType, MemDisk, ReadView, Schema, Tuple, Value,
+};
 use staged_workload::load_wisconsin_table_partitioned;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SCAN_ROWS: usize = 20_000;
-const LOOKUPS: usize = 200;
+const LOOKUPS: usize = 2_000;
 const SESSIONS: usize = 4;
 const TRANSFERS: usize = 25;
 const ACCOUNTS: i64 = 64;
@@ -128,9 +132,14 @@ fn scan_agg(parts: usize, staged_exec: bool) -> f64 {
     }
 }
 
+/// Keyed lookups as the wire runs them: a B+tree on the probed column and
+/// every plan stamped with a pinned snapshot, so the metric prices the
+/// visibility-checked index probe (DESIGN.md §14).
 fn point_lookups(parts: usize) -> f64 {
     let catalog = mem_catalog(8192);
     load_wisconsin_table_partitioned(&catalog, "big", SCAN_ROWS, 5, parts).unwrap();
+    catalog.create_index("big_unique1", "big", "unique1").unwrap();
+    let pin = catalog.oracle().pin();
     let ctx = ExecContext::new(Arc::clone(&catalog));
     let engine = StagedEngine::new(
         ctx,
@@ -138,7 +147,11 @@ fn point_lookups(parts: usize) -> f64 {
     );
     let lookups: Vec<PhysicalPlan> = (0..LOOKUPS)
         .map(|i| {
-            plan(&catalog, &format!("SELECT * FROM big WHERE unique1 = {}", i * 37 % SCAN_ROWS))
+            let sql = format!("SELECT * FROM big WHERE unique1 = {}", i * 37 % SCAN_ROWS);
+            let mut p = plan(&catalog, &sql);
+            assert!(p.to_string().contains("IndexScan"), "{p}");
+            p.attach_snapshot(ReadView::new(pin.ts(), 0));
+            p
         })
         .collect();
     let rate = best_rate(LOOKUPS as f64, || {
@@ -794,7 +807,7 @@ fn main() {
     let flag = |name: &str| -> Option<String> {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
     };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_10.json".into());
+    let out_path = flag("--out").unwrap_or_else(|| "BENCH_13.json".into());
     let baseline_path = flag("--baseline");
     let gate: f64 = flag("--gate").and_then(|g| g.parse().ok()).unwrap_or(0.25);
 

@@ -4,6 +4,7 @@
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
+use crate::probe::index_probe;
 use crate::txn::{TxnManager, Undo};
 use staged_planner::{plan_table_filter, PhysicalPlan, PlannerConfig};
 use staged_sql::ast::Expr;
@@ -104,18 +105,9 @@ pub fn matching_rids(
     let plan = plan_table_filter(table, predicate.clone(), &ctx.catalog, &PlannerConfig::default());
     let mut out = Vec::new();
     match &plan {
+        // DML reads current state under its partition locks: no view.
         PhysicalPlan::IndexScan { index, lo, hi, predicate: residual, .. } => {
-            let pruned = table.pruned_partition(index.column, *lo, *hi);
-            for (_, rid) in index.range_in(pruned, *lo, *hi)? {
-                ctx.note_page_ref();
-                let t = table.heap.get(rid)?;
-                if match residual {
-                    Some(p) => eval_predicate(p, &t)?,
-                    None => true,
-                } {
-                    out.push((rid, t));
-                }
-            }
+            return index_probe(ctx, table, index, *lo, *hi, residual.as_ref(), None);
         }
         // A pruned partition scan (predicate pins the hash key): DML only
         // has to read the one partition that can hold matches. The scan

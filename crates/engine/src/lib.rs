@@ -17,8 +17,9 @@
 //!   reader.
 //!
 //! Both engines share [`expr`] (expression evaluation), [`agg`] (aggregate
-//! accumulators) and [`dml`] (INSERT/UPDATE/DELETE with WAL logging), so
-//! differential tests can compare them tuple-for-tuple.
+//! accumulators), [`probe`] (the snapshot-aware index probe) and [`dml`]
+//! (INSERT/UPDATE/DELETE with WAL logging), so differential tests can
+//! compare them tuple-for-tuple.
 
 #![deny(missing_docs)]
 
@@ -29,6 +30,7 @@ pub mod context;
 pub mod dml;
 pub mod error;
 pub mod expr;
+pub mod probe;
 pub mod staged;
 pub mod txn;
 pub mod volcano;

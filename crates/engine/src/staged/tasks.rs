@@ -9,11 +9,12 @@ use crate::agg::AggMerger;
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
+use crate::probe::index_probe;
 use crate::volcano::sort_tuples;
 use staged_planner::{AggSpec, PhysicalPlan};
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
-use staged_storage::{Rid, StorageResult, Tuple, Value};
+use staged_storage::{ReadView, Rid, StorageResult, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
@@ -269,21 +270,18 @@ fn build(
                 })
             });
         }
-        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
-            let mut ts = Vec::new();
-            if let Some(p) = predicate {
-                ts.push(Transform::filter(p.clone()));
-            }
-            ts.extend(transforms);
+        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
             let task = IndexScanTask {
                 ctx,
                 table: Arc::clone(table),
                 index: Arc::clone(index),
                 lo: *lo,
                 hi: *hi,
-                rids: None,
+                predicate: predicate.clone(),
+                snapshot: *snapshot,
+                rows: None,
                 pos: 0,
-                transforms: ts,
+                transforms,
                 emitter: Emitter::new(out, parent, engine.page_handle()),
             };
             engine.enqueue(StageKind::IScan, TaskPacket { ctl, task: Box::new(task) });
@@ -578,13 +576,18 @@ impl<S: Iterator<Item = StorageResult<Vec<(Rid, Tuple)>>> + Send> OperatorTask f
     }
 }
 
+/// Index scan task: the first visit to the `iscan` stage runs the whole
+/// probe (one overlay pass judges every fetched row together); later
+/// visits only drain the materialized rows into the exchange layer.
 pub(super) struct IndexScanTask {
     pub ctx: ExecContext,
     pub table: Arc<TableInfo>,
     pub index: Arc<IndexInfo>,
     pub lo: Option<i64>,
     pub hi: Option<i64>,
-    pub rids: Option<Vec<staged_storage::Rid>>,
+    pub predicate: Option<Expr>,
+    pub snapshot: Option<ReadView>,
+    pub rows: Option<Vec<Tuple>>,
     pub pos: usize,
     pub transforms: Vec<Transform>,
     pub emitter: Emitter,
@@ -592,39 +595,20 @@ pub(super) struct IndexScanTask {
 
 impl OperatorTask for IndexScanTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if self.rids.is_none() {
-            // A probe pinning the hash-key column only needs that
-            // partition's tree.
-            let pruned = self.table.pruned_partition(self.index.column, self.lo, self.hi);
-            let pairs = self.index.range_in(pruned, self.lo, self.hi)?;
-            self.ctx.note_page_ref();
-            self.rids = Some(pairs.into_iter().map(|(_, r)| r).collect());
+        if self.rows.is_none() {
+            let rows = index_probe(
+                &self.ctx,
+                &self.table,
+                &self.index,
+                self.lo,
+                self.hi,
+                self.predicate.as_ref(),
+                self.snapshot,
+            )?;
+            self.rows = Some(rows.into_iter().map(|(_, tuple)| tuple).collect());
         }
-        let rids = self.rids.as_ref().expect("materialized above");
-        let mut produced = 0usize;
-        while produced < quota {
-            if self.pos >= rids.len() {
-                return if self.emitter.finish() {
-                    Ok(StepResult::Done)
-                } else {
-                    Ok(StepResult::Blocked)
-                };
-            }
-            if !self.emitter.ready() {
-                return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
-            }
-            // Look up one exchange page worth of rids per readiness check.
-            let n = (rids.len() - self.pos).min(quota - produced).min(self.emitter.page_cap());
-            let mut page = Vec::with_capacity(n);
-            for rid in &rids[self.pos..self.pos + n] {
-                page.push(self.table.heap.get(*rid)?);
-                self.ctx.note_page_ref();
-            }
-            self.pos += n;
-            produced += n;
-            emit_batch_transformed(&mut self.emitter, &self.transforms, page)?;
-        }
-        Ok(StepResult::Working)
+        let rows = self.rows.as_deref().expect("materialized above");
+        drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)
     }
 }
 

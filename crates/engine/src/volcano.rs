@@ -10,10 +10,11 @@ use crate::agg::{Accumulator, AggMerger};
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
+use crate::probe::index_probe;
 use staged_planner::{AggSpec, PhysicalPlan};
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
-use staged_storage::{Rid, StorageResult, Tuple, Value};
+use staged_storage::{ReadView, Rid, StorageResult, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,16 +60,18 @@ pub fn build(plan: &PhysicalPlan, ctx: &ExecContext) -> EngineResult<Box<dyn Exe
                 pos: 0,
             })
         }
-        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
+        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
             ctx.note_module_entry(4096);
-            Box::new(IndexScanExec::new(
-                ctx.clone(),
-                Arc::clone(table),
-                Arc::clone(index),
-                *lo,
-                *hi,
-                predicate.clone(),
-            ))
+            Box::new(IndexScanExec {
+                ctx: ctx.clone(),
+                table: Arc::clone(table),
+                index: Arc::clone(index),
+                lo: *lo,
+                hi: *hi,
+                predicate: predicate.clone(),
+                snapshot: *snapshot,
+                rows: None,
+            })
         }
         PhysicalPlan::Filter { input, predicate } => {
             Box::new(FilterExec { input: build(input, ctx)?, predicate: predicate.clone() })
@@ -218,52 +221,34 @@ impl Executor for MergeAggExec {
     }
 }
 
+/// Index scan: the whole probe runs on the first `next()` (one overlay
+/// pass judges every fetched row together), then rows drain one by one.
 struct IndexScanExec {
     ctx: ExecContext,
     table: Arc<TableInfo>,
-    rids: Vec<staged_storage::Rid>,
-    pos: usize,
+    index: Arc<IndexInfo>,
+    lo: Option<i64>,
+    hi: Option<i64>,
     predicate: Option<Expr>,
-    err: Option<EngineError>,
-}
-
-impl IndexScanExec {
-    fn new(
-        ctx: ExecContext,
-        table: Arc<TableInfo>,
-        index: Arc<IndexInfo>,
-        lo: Option<i64>,
-        hi: Option<i64>,
-        predicate: Option<Expr>,
-    ) -> Self {
-        // A probe pinning the hash-key column only needs that partition's
-        // tree.
-        let pruned = table.pruned_partition(index.column, lo, hi);
-        let (rids, err) = match index.range_in(pruned, lo, hi) {
-            Ok(pairs) => (pairs.into_iter().map(|(_, r)| r).collect(), None),
-            Err(e) => (Vec::new(), Some(EngineError::Storage(e))),
-        };
-        ctx.note_page_ref(); // index traversal touches shared index pages
-        Self { ctx, table, rids, pos: 0, predicate, err }
-    }
+    snapshot: Option<ReadView>,
+    rows: Option<std::vec::IntoIter<(Rid, Tuple)>>,
 }
 
 impl Executor for IndexScanExec {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
+        if self.rows.is_none() {
+            let rows = index_probe(
+                &self.ctx,
+                &self.table,
+                &self.index,
+                self.lo,
+                self.hi,
+                self.predicate.as_ref(),
+                self.snapshot,
+            )?;
+            self.rows = Some(rows.into_iter());
         }
-        while self.pos < self.rids.len() {
-            let rid = self.rids[self.pos];
-            self.pos += 1;
-            self.ctx.note_page_ref();
-            let tuple = self.table.heap.get(rid)?;
-            match &self.predicate {
-                Some(p) if !eval_predicate(p, &tuple)? => continue,
-                _ => return Ok(Some(tuple)),
-            }
-        }
-        Ok(None)
+        Ok(self.rows.as_mut().and_then(Iterator::next).map(|(_, tuple)| tuple))
     }
 }
 

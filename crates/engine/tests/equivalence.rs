@@ -451,6 +451,63 @@ fn partitioned_index_scans_merge_per_partition_btrees() {
     }
 }
 
+/// The B+tree is the plan of record under a snapshot: `attach_snapshot`
+/// stamps the `IndexScan` instead of folding it into a scan, and both
+/// engines run the stamped plan to the same rows — the reader's view of an
+/// uncommitted writer's update and delete, and the writer's own.
+#[test]
+fn index_scan_survives_attach_snapshot_and_both_engines_honour_the_view() {
+    use staged_engine::dml::{self, DmlLog};
+    use staged_engine::txn::TxnManager;
+    use staged_sql::ast::{BinOp, ColumnRef, Expr};
+    use staged_storage::wal::Wal;
+    use staged_storage::ReadView;
+
+    for parts in [1usize, 4] {
+        let cat = setup_partitioned(parts, true);
+        let ctx = ExecContext::new(Arc::clone(&cat));
+        let w = cat.table("w").unwrap();
+        let unique1_is = |v: i64| {
+            let col = ColumnRef { table: None, name: "unique1".into(), index: Some(0) };
+            Some(Expr::binary(Expr::Column(col), BinOp::Eq, Expr::int(v)))
+        };
+        // An open writer: moves key 101 out of the probed range and
+        // deletes key 103.
+        let (mgr, wal) = (TxnManager::with_oracle(Arc::clone(cat.oracle())), Wal::in_memory());
+        let xid = mgr.begin(&wal).unwrap();
+        let log = DmlLog::txn(&wal, xid, &mgr);
+        dml::update_rows(&ctx, &w, &[(0, Expr::int(9101))], &unique1_is(101), Some(&log)).unwrap();
+        dml::delete_rows(&ctx, &w, &unique1_is(103), Some(&log)).unwrap();
+
+        let sql = "SELECT unique1 FROM w WHERE unique1 BETWEEN 100 AND 105";
+        let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!() };
+        let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
+        let plan = plan_select(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let ts = cat.oracle().latest();
+        let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
+        for (view_xid, expect) in
+            [(0, vec![100, 101, 102, 103, 104, 105]), (xid, vec![100, 102, 104, 105])]
+        {
+            let mut plan = plan.clone();
+            plan.attach_snapshot(ReadView::new(ts, view_xid));
+            let text = plan.to_string();
+            assert!(text.contains("IndexScan") && !text.contains("SeqScan"), "{text}");
+            let keys = |rows: Vec<Tuple>| {
+                let mut k: Vec<i64> = rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+                k.sort_unstable();
+                k
+            };
+            assert_eq!(keys(volcano::run(&plan, &ctx).unwrap()), expect, "volcano, {parts} parts");
+            assert_eq!(
+                keys(engine.execute(&plan).collect().unwrap()),
+                expect,
+                "staged, {parts} parts"
+            );
+        }
+        engine.shutdown();
+    }
+}
+
 #[test]
 fn partitioned_point_lookup_is_pruned_and_complete() {
     let cat = setup_partitioned(8, false);

@@ -4,8 +4,7 @@
 //! layout (column indexes filled by the binder or by the planner's
 //! rewrites), so executors never resolve names.
 
-use staged_sql::ast::{AggFunc, BinOp, ColumnRef, Expr};
-use staged_sql::rewrite::join_conjuncts;
+use staged_sql::ast::{AggFunc, ColumnRef, Expr};
 use staged_storage::catalog::{IndexInfo, TableInfo};
 use staged_storage::{ReadView, Schema};
 use std::fmt;
@@ -77,10 +76,10 @@ pub enum PhysicalPlan {
         hi: Option<i64>,
         /// Residual predicate evaluated per fetched tuple.
         predicate: Option<Expr>,
-        /// MVCC read view; `None` = current (locked) read. Index scans
-        /// never execute under a snapshot — [`PhysicalPlan::attach_snapshot`]
-        /// rewrites them to sequential scans — but the field keeps the
-        /// variant shape uniform for pattern matches.
+        /// MVCC read view; `None` = current (locked) read. Under a view the
+        /// probe still runs through the B+tree: the engine checks every
+        /// fetched rid against the table's version overlay and merges back
+        /// the dead versions whose key falls inside the bounds.
         snapshot: Option<ReadView>,
     },
     /// Filter.
@@ -187,34 +186,15 @@ impl PhysicalPlan {
     }
 
     /// Attach an MVCC read view to every table access in the plan, making
-    /// it a snapshot read (executed without locks; visibility filtered per
-    /// page against each table's version overlay).
-    ///
-    /// Index scans are rewritten to sequential scans first: a B+tree probe
-    /// resolves keys to rids without consulting the version overlay, so it
-    /// would miss deleted-but-still-visible rows and surface uncommitted
-    /// inserts. The key bounds fold back into the scan predicate, so the
-    /// rewrite changes the access path, never the result.
+    /// it a snapshot read (executed without locks; visibility filtered
+    /// against each table's version overlay — per page for scans, per
+    /// probe for index scans). The access path never changes: an
+    /// `IndexScan` stays an `IndexScan`.
     pub fn attach_snapshot(&mut self, view: ReadView) {
         match self {
             PhysicalPlan::SeqScan { snapshot, .. }
-            | PhysicalPlan::PartitionScan { snapshot, .. } => *snapshot = Some(view),
-            PhysicalPlan::IndexScan { table, index, lo, hi, predicate, .. } => {
-                let key = || col_at(index.column);
-                let mut conjuncts = Vec::new();
-                if let Some(a) = lo {
-                    conjuncts.push(Expr::binary(key(), BinOp::GtEq, Expr::int(*a)));
-                }
-                if let Some(b) = hi {
-                    conjuncts.push(Expr::binary(key(), BinOp::LtEq, Expr::int(*b)));
-                }
-                conjuncts.extend(predicate.take());
-                *self = PhysicalPlan::SeqScan {
-                    table: Arc::clone(table),
-                    predicate: join_conjuncts(conjuncts),
-                    snapshot: Some(view),
-                };
-            }
+            | PhysicalPlan::PartitionScan { snapshot, .. }
+            | PhysicalPlan::IndexScan { snapshot, .. } => *snapshot = Some(view),
             PhysicalPlan::Exchange { inputs } | PhysicalPlan::MergeAggregate { inputs, .. } => {
                 for i in inputs {
                     i.attach_snapshot(view);

@@ -9,8 +9,11 @@
 //! [`ReadView`] filters every page it decodes through the overlay: live rows
 //! whose creation the view cannot see are dropped, and dead versions (the
 //! before-images of deleted rows) the view can still see are merged back in.
-//! A row with no overlay entry is visible to everyone — the common case, and
-//! the reason an idle overlay costs one atomic load per page.
+//! An index probe does the same for the rows its B+tree resolved
+//! ([`VersionStore::filter_probe`]), merging dead versions by key instead of
+//! by page. A row with no overlay entry is visible to everyone — the common
+//! case, and the reason an idle overlay costs one atomic load per page or
+//! probe.
 //!
 //! Timestamps come from the [`CommitOracle`]: a monotonic counter advanced
 //! under a mutex at commit, with the visibility flip (`Pending(xid)` →
@@ -341,12 +344,53 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Is the row at `rid` (currently live in the heap) visible to `view`?
-    pub fn row_visible(&self, view: ReadView, rid: Rid) -> bool {
+    /// Filter the rows one index probe fetched through the overlay for
+    /// `view`.
+    ///
+    /// `rows` holds the rows the B+tree on column `key_col` resolved for
+    /// keys in `[lo, hi]` (either bound optional) and that were still live
+    /// in the heap; on return it holds exactly the rows with a key in the
+    /// bounds that `view` can see. Live rows whose creation the view
+    /// cannot see are dropped. Dead versions are merged back *by key*, not
+    /// by page: DML removes index entries eagerly, so a deleted row the
+    /// view still sees is reachable only from here, never from the tree.
+    /// The whole probe is judged under one lock acquisition, so it sees
+    /// one consistent overlay state. Merged versions follow the live rows;
+    /// callers that need key order sort above.
+    pub fn filter_probe(
+        &self,
+        view: ReadView,
+        key_col: usize,
+        lo: Option<i64>,
+        hi: Option<i64>,
+        rows: &mut Vec<(Rid, Tuple)>,
+    ) -> StorageResult<()> {
         if self.entries.load(Ordering::Acquire) == 0 {
-            return true;
+            return Ok(());
         }
-        begin_visible(self.inner.lock().created.get(&rid), view)
+        let inner = self.inner.lock();
+        rows.retain(|(rid, _)| begin_visible(inner.created.get(rid), view));
+        let live = rows.len();
+        for dv in inner.dead.values().flatten() {
+            // Stamps first: most retained dead versions ended at or below a
+            // fresh view's timestamp and are rejected without a decode.
+            if !begin_visible(dv.begin.as_ref(), view) || end_hides(dv.end, view) {
+                continue;
+            }
+            // NULL keys are never indexed and match no key bound.
+            let key = Tuple::decode_columns(&dv.bytes, &[key_col])?;
+            let Some(k) = key.get(0).as_int() else { continue };
+            if lo.is_some_and(|l| k < l) || hi.is_some_and(|h| k > h) {
+                continue;
+            }
+            // The register-then-delete window: the tree still named the
+            // rid and the heap still held it, so the live copy stands.
+            if rows[..live].iter().any(|(rid, _)| *rid == dv.rid) {
+                continue;
+            }
+            rows.push((dv.rid, Tuple::decode(&dv.bytes)?));
+        }
+        Ok(())
     }
 
     /// Overlay size counters for STATS.
@@ -720,7 +764,105 @@ mod tests {
         store.note_insert(rid, 5);
         let ts = oracle.commit(|t| store.commit(5, t));
         assert_eq!(ts, 1);
-        assert!(store.row_visible(ReadView::new(1, 0), rid));
-        assert!(!store.row_visible(ReadView::new(0, 0), rid));
+        assert_eq!(probe_keys(&store, ReadView::new(1, 0), None, None, &[(rid, 7)]), vec![7]);
+        assert_eq!(probe_keys(&store, ReadView::new(0, 0), None, None, &[(rid, 7)]), vec![]);
+    }
+
+    /// Run `filter_probe` over single-column rows keyed on column 0;
+    /// returns the surviving keys, sorted.
+    fn probe_keys(
+        store: &VersionStore,
+        view: ReadView,
+        lo: Option<i64>,
+        hi: Option<i64>,
+        live: &[(Rid, i64)],
+    ) -> Vec<i64> {
+        let mut rows: Vec<(Rid, Tuple)> = live.iter().map(|(r, n)| (*r, row(*n))).collect();
+        store.filter_probe(view, 0, lo, hi, &mut rows).unwrap();
+        let mut keys: Vec<i64> = rows.iter().map(|(_, t)| t.get(0).as_int().unwrap()).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn probe_through_an_empty_overlay_is_a_no_op() {
+        let store = VersionStore::new();
+        let live = [(Rid::new(PageId(1), 0), 10), (Rid::new(PageId(2), 3), 20)];
+        // Not even the key bounds are applied: the tree already did that.
+        assert_eq!(
+            probe_keys(&store, ReadView::new(0, 0), Some(15), Some(15), &live),
+            vec![10, 20]
+        );
+    }
+
+    #[test]
+    fn probe_hides_pending_inserts_from_other_views() {
+        let store = VersionStore::new();
+        let old = Rid::new(PageId(1), 0);
+        let new = Rid::new(PageId(1), 1);
+        store.note_insert(new, 7);
+        let live = [(old, 10), (new, 11)];
+        assert_eq!(probe_keys(&store, ReadView::new(5, 0), None, None, &live), vec![10]);
+        assert_eq!(probe_keys(&store, ReadView::new(5, 7), None, None, &live), vec![10, 11]);
+        store.commit(7, 6);
+        assert_eq!(probe_keys(&store, ReadView::new(5, 0), None, None, &live), vec![10]);
+        assert_eq!(probe_keys(&store, ReadView::new(6, 0), None, None, &live), vec![10, 11]);
+    }
+
+    #[test]
+    fn probe_merges_deletes_the_view_cannot_see() {
+        let store = VersionStore::new();
+        let rid = Rid::new(PageId(3), 0);
+        store.note_delete(rid, row(42).encode(), 9);
+        // The tree no longer names the rid: only the overlay finds the row.
+        assert_eq!(probe_keys(&store, ReadView::new(1, 0), Some(42), Some(42), &[]), vec![42]);
+        assert_eq!(probe_keys(&store, ReadView::new(1, 9), Some(42), Some(42), &[]), vec![]);
+        store.commit(9, 4);
+        assert_eq!(probe_keys(&store, ReadView::new(3, 0), Some(42), Some(42), &[]), vec![42]);
+        assert_eq!(probe_keys(&store, ReadView::new(4, 0), Some(42), Some(42), &[]), vec![]);
+    }
+
+    #[test]
+    fn probe_merges_only_dead_versions_inside_the_key_bounds() {
+        let store = VersionStore::new();
+        // Dead versions on three different pages: the merge is by key.
+        for (page, key) in [(1u64, 10), (2, 20), (3, 30)] {
+            store.note_delete(Rid::new(PageId(page), 0), row(key).encode(), 9);
+        }
+        store.note_delete(Rid::new(PageId(4), 0), Tuple::new(vec![Value::Null]).encode(), 9);
+        let view = ReadView::new(1, 0);
+        assert_eq!(probe_keys(&store, view, Some(20), Some(20), &[]), vec![20]);
+        assert_eq!(probe_keys(&store, view, Some(15), None, &[]), vec![20, 30]);
+        assert_eq!(probe_keys(&store, view, None, Some(20), &[]), vec![10, 20]);
+        assert_eq!(probe_keys(&store, view, Some(21), Some(29), &[]), vec![]);
+        // A NULL key matches no bound — not even the open one.
+        assert_eq!(probe_keys(&store, view, None, None, &[]), vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn probe_dedups_a_dead_version_against_its_still_live_rid() {
+        let store = VersionStore::new();
+        let rid = Rid::new(PageId(3), 0);
+        store.note_delete(rid, row(42).encode(), 9);
+        // Register-then-delete window: tree and heap still hold the row.
+        assert_eq!(
+            probe_keys(&store, ReadView::new(1, 0), Some(42), Some(42), &[(rid, 42)]),
+            vec![42]
+        );
+    }
+
+    #[test]
+    fn probe_sees_a_rolled_back_delete_once_through_its_anchor() {
+        let store = VersionStore::new();
+        let old = Rid::new(PageId(3), 0);
+        let twin = Rid::new(PageId(5), 2);
+        store.note_delete(old, row(42).encode(), 9);
+        store.note_restore(old, twin);
+        store.abort(9);
+        // The tree names the twin; it is dropped and the anchor merged.
+        let view = ReadView::new(1, 0);
+        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[(twin, 42)]), vec![42]);
+        store.vacuum(10, true, &HashSet::new());
+        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[(twin, 42)]), vec![42]);
     }
 }

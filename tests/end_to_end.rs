@@ -202,6 +202,40 @@ fn explain_reports_physical_plan() {
     server.shutdown();
 }
 
+/// The fold cannot silently come back: one keyed SELECT over the wire —
+/// which always runs under a snapshot — costs a tree descent plus one heap
+/// page, not a pass over the table's 100+ pages.
+#[test]
+fn wire_point_lookup_probes_the_index_instead_of_scanning() {
+    use staged_db::dbclient::Client;
+    use staged_db::server::net::{self, NetConfig};
+
+    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+    load_wisconsin_table(&cat, "big", 10_000, 1).unwrap();
+    let pages = cat.table("big").unwrap().heap.num_pages();
+    assert!(pages >= 100, "table too small to tell a probe from a scan: {pages} pages");
+
+    let server = StagedServer::new(Arc::clone(&cat), ServerConfig::default());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = net::serve(listener, Arc::clone(&server), NetConfig::default()).unwrap();
+    let mut client =
+        Client::connect_timeout(handle.local_addr(), std::time::Duration::from_secs(5)).unwrap();
+    let fetches = || {
+        let s = cat.pool().stats();
+        s.hits + s.misses
+    };
+    for key in [5, 4321] {
+        let before = fetches();
+        let out = client.query(&format!("SELECT * FROM big WHERE unique1 = {key}")).unwrap();
+        let moved = fetches() - before;
+        assert_eq!(out.rows.len(), 1, "key {key}");
+        assert!(moved <= 8, "key {key}: {moved} buffer fetches for one point lookup");
+    }
+    drop(client);
+    handle.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn errors_propagate_with_messages() {
     let cat = catalog();

@@ -2,14 +2,18 @@
 //! the snapshot-vs-quiesced differential at 1/2/4 partitions, the
 //! readers-never-block-writers acceptance path, DML refusal, checkpoint
 //! version GC, and a proptest that a reader opened mid-transfer always
-//! sees a balanced sum.
+//! sees a balanced sum. Index probes under a snapshot get the same
+//! treatment: a differential against an index-less twin table, a
+//! reader/writer race on the probed keys, and the balanced-sum proptest
+//! read back key by key.
 
 use proptest::prelude::*;
 use staged_db::planner::PlannerConfig;
 use staged_db::server::types::ExecutionMode;
-use staged_db::server::{ServerConfig, StagedServer, ThreadedServer};
+use staged_db::server::{Response, ServerConfig, StagedServer, ThreadedServer};
 use staged_db::storage::{BufferPool, Catalog, Column, DataType, MemDisk, Schema, Tuple, Value};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const ACCOUNTS: i64 = 16;
@@ -318,6 +322,359 @@ fn checkpoint_reclaims_dead_versions() {
     }
 }
 
+// ------------------------------------------------ index probes under a view --
+
+/// One statement runner bound to one session.
+type Exec<'a> = Box<dyn Fn(&str) -> Response + 'a>;
+
+/// A server under test, reduced to what the probe tests need of it.
+struct Sut<'a> {
+    open: Box<dyn Fn() -> Exec<'a> + Sync + 'a>,
+    checkpoint: Box<dyn Fn() + Sync + 'a>,
+}
+
+/// Run `body` once against a staged and once against a threaded server,
+/// each over its own catalog from `make_catalog`.
+fn on_both_servers(
+    parts: usize,
+    make_catalog: &dyn Fn() -> Arc<Catalog>,
+    body: &dyn Fn(&str, &Sut<'_>),
+) {
+    let cat = make_catalog();
+    let s = staged(&cat, parts);
+    body(
+        "staged",
+        &Sut {
+            open: Box::new(|| {
+                let sess = s.session();
+                Box::new(move |sql| sess.execute_sql(sql))
+            }),
+            checkpoint: Box::new(|| drop(s.checkpoint().unwrap())),
+        },
+    );
+    s.shutdown();
+    let cat = make_catalog();
+    let t = threaded(&cat);
+    body(
+        "threaded",
+        &Sut {
+            open: Box::new(|| {
+                let sess = t.session();
+                Box::new(move |sql| sess.execute_sql(sql))
+            }),
+            checkpoint: Box::new(|| drop(t.checkpoint().unwrap())),
+        },
+    );
+    t.shutdown();
+}
+
+fn rows_of(exec: &Exec<'_>, sql: &str) -> Vec<String> {
+    let out = exec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    out.rows.iter().map(|r| r.to_string()).collect()
+}
+
+fn plan_of(exec: &Exec<'_>, sql: &str) -> String {
+    rows_of(exec, &format!("EXPLAIN {sql}")).concat()
+}
+
+const TWIN_ROWS: i64 = 1200;
+
+/// Two tables with identical rows `(id, k = 10·id, bal = 100, pad)`: `ix`
+/// carries B+trees on `id` (the partition key) and `k`, `seq` carries
+/// none, so the same predicate probes on one and scans on the other. The
+/// pad makes the heap ~90 pages, enough for the cost model to prefer the
+/// tree for point and narrow-range predicates.
+fn catalog_with_twins(parts: usize) -> Arc<Catalog> {
+    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+    let pad = "p".repeat(600);
+    for name in ["ix", "seq"] {
+        let t = cat
+            .create_table_partitioned(
+                name,
+                Schema::new(vec![
+                    Column::new("id", DataType::Int),
+                    Column::new("k", DataType::Int),
+                    Column::new("bal", DataType::Int),
+                    Column::new("pad", DataType::Str),
+                ]),
+                parts,
+                0,
+            )
+            .unwrap();
+        for i in 0..TWIN_ROWS {
+            t.heap
+                .insert(&Tuple::new(vec![
+                    Value::Int(i),
+                    Value::Int(i * 10),
+                    Value::Int(BALANCE),
+                    Value::Str(pad.clone()),
+                ]))
+                .unwrap();
+        }
+    }
+    cat.create_index("ix_id", "ix", "id").unwrap();
+    cat.create_index("ix_k", "ix", "k").unwrap();
+    cat.analyze_table("ix").unwrap();
+    cat.analyze_table("seq").unwrap();
+    cat
+}
+
+/// The probe battery; `{t}` is the table. Every id and k the history below
+/// touches is probed, plus untouched and absent keys.
+fn twin_queries() -> Vec<String> {
+    let mut q = Vec::new();
+    for id in [9, 10, 11, 12, 5012, 13, 14, 15, 16, 17, 18, 21, 31, 1199, 9000, 9001, 77777] {
+        q.push(format!("SELECT id, k, bal FROM {{t}} WHERE id = {id}"));
+    }
+    for k in [90, 110, 115, 120, 140, 1, 150, 180, 183, 170, 90000, 90010] {
+        q.push(format!("SELECT id, k, bal FROM {{t}} WHERE k = {k}"));
+    }
+    q.extend(
+        [
+            "SELECT id, k, bal FROM {t} WHERE id BETWEEN 8 AND 22 ORDER BY id",
+            "SELECT COUNT(*), SUM(bal) FROM {t} WHERE id >= 28 AND id <= 34",
+            "SELECT id FROM {t} WHERE id BETWEEN 8 AND 26 AND bal > 100 ORDER BY id",
+            "SELECT id, k FROM {t} WHERE k BETWEEN 100 AND 190 ORDER BY id",
+            "SELECT id, bal FROM {t} WHERE id >= 1195 ORDER BY id",
+        ]
+        .map(String::from),
+    );
+    q
+}
+
+/// Every battery query answers byte-identically on `ix` and `seq`.
+fn assert_twins_agree(who: &str, exec: &Exec<'_>) {
+    for q in twin_queries() {
+        let probe = rows_of(exec, &q.replace("{t}", "ix"));
+        let scan = rows_of(exec, &q.replace("{t}", "seq"));
+        assert_eq!(probe, scan, "{who}: index probe diverged from seq scan on {q}");
+    }
+}
+
+/// Apply each statement to both twins.
+fn twin_apply(exec: &Exec<'_>, stmts: &[&str]) {
+    for stmt in stmts {
+        for t in ["ix", "seq"] {
+            let sql = stmt.replace("{t}", t);
+            exec(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+    }
+}
+
+/// Apply the same statements to both twins inside one transaction.
+fn twin_txn(exec: &Exec<'_>, stmts: &[&str], end: &str) {
+    exec("BEGIN").unwrap();
+    twin_apply(exec, stmts);
+    exec(end).unwrap();
+}
+
+/// The differential: an index probe under a snapshot answers exactly as a
+/// sequential scan of an index-less twin does — at 1, 2 and 4 partitions,
+/// on both servers, for point and range predicates, from views opened
+/// before, between and after committed updates (key-preserving,
+/// key-changing, partition-moving), committed deletes, rolled-back writes
+/// (`Restored` twins), from inside a write transaction with pending writes
+/// of its own, beside that pending writer, and after checkpoint vacuums
+/// with and without pinned readers.
+#[test]
+fn index_probe_under_snapshot_matches_seq_scan_twin() {
+    for parts in [1usize, 2, 4] {
+        on_both_servers(parts, &|| catalog_with_twins(parts), &|kind, sut| {
+            let who = |view: &str| format!("{kind}/{parts}p/{view}");
+            let writer = (sut.open)();
+            let fresh = (sut.open)();
+
+            // The test only means something if the twins plan differently.
+            for q in ["id = 10", "k = 110", "id BETWEEN 8 AND 22", "k BETWEEN 100 AND 190"] {
+                let ix = plan_of(&fresh, &format!("SELECT id FROM ix WHERE {q}"));
+                assert!(ix.contains("IndexScan"), "{kind}/{parts}p: ix {q} planned as {ix}");
+                let seq = plan_of(&fresh, &format!("SELECT id FROM seq WHERE {q}"));
+                assert!(!seq.contains("IndexScan"), "{kind}/{parts}p: seq {q} planned as {seq}");
+            }
+
+            let old = (sut.open)();
+            old("BEGIN READ ONLY").unwrap();
+            assert_twins_agree(&who("old, empty overlay"), &old);
+
+            twin_txn(
+                &writer,
+                &[
+                    "UPDATE {t} SET bal = bal + 7 WHERE id = 10",
+                    "UPDATE {t} SET k = k + 5 WHERE id = 11",
+                    "UPDATE {t} SET id = id + 5000 WHERE id = 12",
+                    "UPDATE {t} SET bal = bal - 1 WHERE id BETWEEN 20 AND 25",
+                ],
+                "COMMIT",
+            );
+            twin_txn(
+                &writer,
+                &["DELETE FROM {t} WHERE id = 13", "DELETE FROM {t} WHERE id BETWEEN 30 AND 32"],
+                "COMMIT",
+            );
+            twin_txn(
+                &writer,
+                &[
+                    "UPDATE {t} SET bal = 0, k = 1 WHERE id = 14",
+                    "DELETE FROM {t} WHERE id = 15",
+                    "INSERT INTO {t} VALUES (9000, 90000, 1, 'p')",
+                    "UPDATE {t} SET bal = 1 WHERE id BETWEEN 20 AND 22",
+                ],
+                "ROLLBACK",
+            );
+            // A committed update of a row a rollback relocated.
+            twin_txn(&writer, &["UPDATE {t} SET bal = bal + 1 WHERE id = 14"], "COMMIT");
+            assert_twins_agree(&who("old"), &old);
+            assert_twins_agree(&who("fresh"), &fresh);
+            // Absolute anchors, so the twins cannot be wrong together.
+            assert_eq!(rows_of(&old, "SELECT bal FROM ix WHERE id = 10"), ["[100]"]);
+            assert_eq!(rows_of(&fresh, "SELECT bal FROM ix WHERE id = 10"), ["[107]"]);
+            assert_eq!(rows_of(&old, "SELECT id FROM ix WHERE k = 110"), ["[11]"]);
+            assert_eq!(rows_of(&fresh, "SELECT id FROM ix WHERE k = 115"), ["[11]"]);
+            assert_eq!(rows_of(&old, "SELECT k FROM ix WHERE id = 13"), ["[130]"]);
+            assert!(rows_of(&fresh, "SELECT k FROM ix WHERE id = 13").is_empty());
+            assert_eq!(rows_of(&fresh, "SELECT bal FROM ix WHERE id = 14"), ["[101]"]);
+            assert_eq!(rows_of(&fresh, "SELECT bal FROM ix WHERE id = 15"), ["[100]"]);
+
+            let mid = (sut.open)();
+            mid("BEGIN READ ONLY").unwrap();
+
+            // A write transaction left open: its own view sees its pending
+            // writes, everyone else's does not.
+            writer("BEGIN").unwrap();
+            twin_apply(
+                &writer,
+                &[
+                    "UPDATE {t} SET bal = 555 WHERE id = 16",
+                    "DELETE FROM {t} WHERE id = 17",
+                    "INSERT INTO {t} VALUES (9001, 90010, 5, 'p')",
+                    "UPDATE {t} SET k = k + 3 WHERE id = 18",
+                ],
+            );
+            assert_twins_agree(&who("writer, own pending"), &writer);
+            assert_eq!(rows_of(&writer, "SELECT bal FROM ix WHERE id = 16"), ["[555]"]);
+            assert!(rows_of(&writer, "SELECT id FROM ix WHERE id = 17").is_empty());
+            assert_eq!(rows_of(&writer, "SELECT id FROM ix WHERE k = 183"), ["[18]"]);
+            for (view, exec) in [("old", &old), ("mid", &mid), ("fresh", &fresh)] {
+                assert_twins_agree(&who(&format!("{view}, beside a pending writer")), exec);
+                assert_eq!(rows_of(exec, "SELECT bal FROM ix WHERE id = 16"), ["[100]"]);
+                assert_eq!(rows_of(exec, "SELECT id FROM ix WHERE k = 180"), ["[18]"]);
+                assert!(rows_of(exec, "SELECT id FROM ix WHERE id = 9001").is_empty());
+            }
+            writer("COMMIT").unwrap();
+            assert_eq!(rows_of(&mid, "SELECT bal FROM ix WHERE id = 16"), ["[100]"]);
+            assert_eq!(rows_of(&fresh, "SELECT bal FROM ix WHERE id = 16"), ["[555]"]);
+
+            // Vacuum with readers pinned (timestamp-based reclamation
+            // only), then with none (anchor collapse, pending reaps).
+            (sut.checkpoint)();
+            for (view, exec) in [("old", &old), ("mid", &mid), ("fresh", &fresh)] {
+                assert_twins_agree(&who(&format!("{view}, after a pinned vacuum")), exec);
+            }
+            old("COMMIT").unwrap();
+            mid("COMMIT").unwrap();
+            (sut.checkpoint)();
+            assert_twins_agree(&who("fresh, after a full vacuum"), &fresh);
+            old("BEGIN READ ONLY").unwrap();
+            assert_twins_agree(&who("read-only, after a full vacuum"), &old);
+            old("COMMIT").unwrap();
+        });
+    }
+}
+
+const IX_ACCOUNTS: i64 = 48;
+
+/// An `accounts` table with a B+tree on `id`, padded to two rows per page
+/// so the planner probes the tree for `WHERE id = k` — for SELECTs and for
+/// the transfers' UPDATEs alike.
+fn catalog_with_indexed_accounts(parts: usize) -> Arc<Catalog> {
+    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+    let t = cat
+        .create_table_partitioned(
+            "accounts",
+            Schema::new(vec![
+                Column::new("id", DataType::Int),
+                Column::new("bal", DataType::Int),
+                Column::new("pad", DataType::Str),
+            ]),
+            parts,
+            0,
+        )
+        .unwrap();
+    let pad = "p".repeat(3000);
+    for i in 0..IX_ACCOUNTS {
+        t.heap
+            .insert(&Tuple::new(vec![Value::Int(i), Value::Int(BALANCE), Value::Str(pad.clone())]))
+            .unwrap();
+    }
+    cat.create_index("accounts_id", "accounts", "id").unwrap();
+    cat.analyze_table("accounts").unwrap();
+    cat
+}
+
+/// The reader/writer race the snapshot probe opened: a lock-free reader
+/// resolves a rid through the tree, and the writer deletes that slot
+/// before the reader fetches it. The reader must never get an error, and
+/// every answer must be the value at its pin — through committed updates,
+/// committed delete+insert pairs, and rolled-back updates and deletes of
+/// exactly the keys it is reading.
+#[test]
+fn point_reads_never_fail_while_a_writer_churns_the_same_keys() {
+    const HOT: i64 = 6;
+    on_both_servers(2, &|| catalog_with_indexed_accounts(2), &|kind, sut| {
+        let reader = (sut.open)();
+        let plan = plan_of(&reader, "SELECT bal FROM accounts WHERE id = 3");
+        assert!(plan.contains("IndexScan"), "{kind}: point read planned as {plan}");
+        reader("BEGIN READ ONLY").unwrap();
+        let pinned = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let writer = (sut.open)();
+                pinned.wait();
+                for round in 0..30 {
+                    for k in 0..HOT {
+                        let (write, end) = match round % 4 {
+                            0 => (
+                                format!("UPDATE accounts SET bal = bal + 1 WHERE id = {k}"),
+                                "COMMIT",
+                            ),
+                            1 => (format!("DELETE FROM accounts WHERE id = {k}"), "ROLLBACK"),
+                            2 => {
+                                (format!("UPDATE accounts SET bal = 0 WHERE id = {k}"), "ROLLBACK")
+                            }
+                            _ => (format!("DELETE FROM accounts WHERE id = {k}"), "COMMIT"),
+                        };
+                        writer("BEGIN").unwrap();
+                        writer(&write).unwrap();
+                        if round % 4 == 3 {
+                            writer(&format!("INSERT INTO accounts VALUES ({k}, {round}, 'p')"))
+                                .unwrap();
+                        }
+                        writer(end).unwrap();
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            pinned.wait();
+            let mut passes = 0;
+            while !done.load(Ordering::SeqCst) || passes < 3 {
+                for k in 0..HOT {
+                    let out = reader(&format!("SELECT bal FROM accounts WHERE id = {k}"))
+                        .unwrap_or_else(|e| panic!("{kind}: pinned point read of id {k}: {e}"));
+                    let rows: Vec<String> = out.rows.iter().map(|r| r.to_string()).collect();
+                    assert_eq!(
+                        rows,
+                        [format!("[{BALANCE}]")],
+                        "{kind}: id {k} drifted from its pin"
+                    );
+                }
+                passes += 1;
+            }
+        });
+        reader("COMMIT").unwrap();
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -348,6 +705,43 @@ proptest! {
             out.rows[0].to_string(),
             format!("[{}, {ACCOUNTS}]", ACCOUNTS * BALANCE)
         );
+        reader.execute_sql("COMMIT").unwrap();
+        drop(reader);
+        drop(writer);
+        s.shutdown();
+    }
+
+    /// The same invariant read back through the B+tree: a reader pinned
+    /// between any two transfers fetches every account by `WHERE id = k`,
+    /// and the point-read balances sum to what the transfers conserve.
+    #[test]
+    fn reader_opened_mid_transfer_point_reads_sum_to_the_invariant(
+        moves in prop::collection::vec((0..IX_ACCOUNTS, 0..IX_ACCOUNTS), 1..12),
+        open_at in 0usize..12,
+    ) {
+        let cat = catalog_with_indexed_accounts(2);
+        let s = staged(&cat, 2);
+        let writer = s.session();
+        let reader = s.session();
+        let plan = reader.execute_sql("EXPLAIN SELECT bal FROM accounts WHERE id = 3").unwrap();
+        prop_assert!(plan.rows.iter().any(|r| r.to_string().contains("IndexScan")));
+        let open_at = open_at.min(moves.len());
+        for (i, (from, to)) in moves.iter().enumerate() {
+            if i == open_at {
+                reader.execute_sql("BEGIN READ ONLY").unwrap();
+            }
+            apply_transfer(&|sql| writer.execute_sql(sql), *from, *to);
+        }
+        if open_at >= moves.len() {
+            reader.execute_sql("BEGIN READ ONLY").unwrap();
+        }
+        let mut sum = 0;
+        for k in 0..IX_ACCOUNTS {
+            let out = reader.execute_sql(&format!("SELECT bal FROM accounts WHERE id = {k}")).unwrap();
+            prop_assert_eq!(out.rows.len(), 1, "account {} read {} times", k, out.rows.len());
+            sum += out.rows[0].get(0).as_int().unwrap();
+        }
+        prop_assert_eq!(sum, IX_ACCOUNTS * BALANCE);
         reader.execute_sql("COMMIT").unwrap();
         drop(reader);
         drop(writer);
