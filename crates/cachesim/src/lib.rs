@@ -23,7 +23,7 @@ pub mod tracker;
 use parking_lot::Mutex;
 
 /// Configuration of a [`CacheSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity: usize,
@@ -50,7 +50,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters of a cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

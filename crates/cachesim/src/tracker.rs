@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Commonality class of a reference (Table 1 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefClass {
     /// Exclusive to a specific query instance.
     Private,
@@ -42,7 +42,7 @@ impl RefClass {
 }
 
 /// Kind of reference (Table 1 columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefKind {
     /// Data structure access.
     Data,
@@ -129,7 +129,7 @@ impl RefTracker {
 }
 
 /// One cell of the measured Table 1.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RefRow {
     /// Commonality class.
     pub class: RefClass,
@@ -142,7 +142,7 @@ pub struct RefRow {
 }
 
 /// Snapshot of a [`RefTracker`].
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct RefTable {
     /// Six cells (3 classes × 2 kinds) in Table-1 order.
     pub rows: Vec<RefRow>,

@@ -32,7 +32,7 @@ pub struct Job {
 }
 
 /// What a timeline segment represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegKind {
     /// Loading a module's common working set into the cache (`l_i`).
     Load,
@@ -43,7 +43,7 @@ pub enum SegKind {
 }
 
 /// One contiguous span of CPU time (for Figure-1 style timelines).
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Segment {
     /// Start time (seconds).
     pub start: f64,

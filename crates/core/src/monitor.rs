@@ -120,7 +120,7 @@ impl StageMonitor {
 /// interpretation — including how `idle_polls` and `retries` read as
 /// over-provisioning and contention signals — is documented in
 /// EXPERIMENTS.md ("Stage-stats schema").
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct StageStats {
     /// Stage name.
     pub name: String,

@@ -24,10 +24,8 @@
 //! technical report \[HA02\]; see DESIGN.md §4 for how we reconstructed them
 //! from the paper's own description of the policy search space.
 
-use serde::Serialize;
-
 /// A CPU scheduling policy for a staged (or thread-based) server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// Quantum-based round-robin over queries (thread-based baseline).
     ProcessorSharing {

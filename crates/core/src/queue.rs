@@ -24,7 +24,7 @@ pub struct QueueCounters {
 }
 
 /// Snapshot of [`QueueCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
     /// Packets accepted so far.
     pub enqueued: u64,

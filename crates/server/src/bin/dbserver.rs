@@ -6,8 +6,8 @@
 //!
 //! Serves the wire protocol of `PROTOCOL.md` over an in-memory catalog
 //! until killed (SIGINT/SIGTERM/kill); `--mode threaded` runs the
-//! monolithic thread-per-connection baseline instead, for apples-to-apples
-//! comparisons against the same client scripts.
+//! monolithic thread-pool baseline behind the same front end instead, for
+//! apples-to-apples comparisons against the same client scripts.
 //!
 //! `--replica-of HOST:PORT` starts a read-only replica instead: it
 //! subscribes to the primary's `REPLICATE` feed, applies shipped WAL, and
@@ -30,8 +30,8 @@ const USAGE: &str = "usage: dbserver [--port N] [--mode staged|threaded] [--part
   --partitions N       staged mode: hash partitions for tables created via DDL (default 1)
   --max-connections N  admission limit; extra clients get ERR OVERLOADED (default 64)
   --execute-workers N  staged mode: workers on the execute stage (default 4)
-  --pool N             threaded mode: worker-pool size for in-process submissions
-                       (network connections run thread-per-connection) (default 4)
+  --pool N             threaded mode: worker-pool size; every statement, from the
+                       network or in-process, runs on a pool worker (default 4)
   --replica-of ADDR    run as a read-only replica of the primary at ADDR
                        (ignores --mode; DDL allowed for schema bootstrap)";
 

@@ -55,13 +55,14 @@
 
 use crate::reactivity::ReactivityHub;
 use crate::replication::{ReplicaServer, ReplicaSession, ReplicationHub};
+use crate::server_core::{answered, mvcc_row, stats_output, stats_row};
 use crate::types::{QueryOutput, Response, ServerError};
 use crate::{StagedServer, StagedSession, ThreadedServer, ThreadedSession};
 use crossbeam::channel::{bounded, Receiver, TryRecvError, WakeHook};
 use parking_lot::Mutex;
 use polling::{Interest, PollFd};
 use staged_storage::wal::Lsn;
-use staged_storage::{Column, DataType, Schema, Tuple, Value};
+use staged_storage::Value;
 use staged_wire as wire;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -109,7 +110,7 @@ impl Default for NetConfig {
 }
 
 /// Front-end counters (monotonic except `active`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections accepted (including later-refused ones).
     pub accepted: u64,
@@ -171,196 +172,37 @@ pub trait WireBackend: Send + Sync + Clone + 'static {
     }
 }
 
-/// The result-set schema of the `STATS` wire command.
-fn stats_schema() -> Schema {
-    Schema::new(vec![
-        Column::new("stage", DataType::Str),
-        Column::new("processed", DataType::Int),
-        Column::new("errors", DataType::Int),
-        Column::new("retries", DataType::Int),
-        Column::new("idle_polls", DataType::Int),
-        Column::new("cohorts", DataType::Int),
-        Column::new("max_cohort", DataType::Int),
-        Column::new("preempts", DataType::Int),
-        Column::new("batch", DataType::Int),
-        Column::new("queued", DataType::Int),
-        Column::new("workers", DataType::Int),
-    ])
-}
-
-/// The synthetic `mvcc` STATS row, following the wal/exchange convention of
-/// reusing the stage columns for the layer's own quantities: `processed` =
-/// commit timestamps allocated, `cohorts` = tracked creation stamps,
-/// `max_cohort` = dead versions retained, `preempts` = writer transactions
-/// with unflipped entries, `batch` = dead versions reclaimed by vacuum so
-/// far, `queued` = snapshot pins currently held. See PROTOCOL.md §6.
-fn mvcc_row(catalog: &staged_storage::Catalog, txn: &crate::session::TxnRuntime) -> Tuple {
-    let mut created = 0u64;
-    let mut dead = 0u64;
-    let mut pending = 0u64;
-    let mut reclaimed = 0u64;
-    for table in catalog.list_tables() {
-        let s = table.versions.stats();
-        created += s.created;
-        dead += s.dead;
-        pending += s.pending_txns;
-        reclaimed += table.versions.gc_totals().0;
-    }
-    let oracle = txn.mgr().oracle();
-    Tuple::new(vec![
-        Value::Str("mvcc".into()),
-        Value::Int(oracle.latest() as i64),
-        Value::Int(0),
-        Value::Int(0),
-        Value::Int(0),
-        Value::Int(created as i64),
-        Value::Int(dead as i64),
-        Value::Int(pending as i64),
-        Value::Int(reclaimed as i64),
-        Value::Int(oracle.pins() as i64),
-        Value::Int(0),
-    ])
-}
-
-/// The synthetic `replication` STATS row of a **primary**, reusing the
-/// stage columns: `processed` = records shipped, `errors` = slow replicas
-/// evicted, `idle_polls`/`preempts` = shipped LSN (segment/offset),
-/// `cohorts` = connected replicas, `max_cohort` = worst per-replica lag in
-/// unacked records, `batch` = outbox capacity, `queued` = total unacked
-/// records. See PROTOCOL.md §6.
-fn replication_row(hub: &ReplicationHub) -> Tuple {
-    let s = hub.stats();
-    Tuple::new(vec![
-        Value::Str("replication".into()),
-        Value::Int(s.shipped_records as i64),
-        Value::Int(s.evicted as i64),
-        Value::Int(0),
-        Value::Int(s.shipped_lsn.segment as i64),
-        Value::Int(s.connected as i64),
-        Value::Int(s.max_lag_records as i64),
-        Value::Int(s.shipped_lsn.offset as i64),
-        Value::Int(s.outbox_capacity as i64),
-        Value::Int(s.unacked_records as i64),
-        Value::Int(0),
-    ])
-}
-
-/// The synthetic `subscriptions` STATS row (the `SUBSCRIBE` feed hub),
-/// reusing the stage columns: `processed` = `CHANGE` lines delivered to
-/// outboxes, `errors` = slow subscribers evicted, `cohorts` = live
-/// subscribers, `max_cohort` = worst single subscriber's overflow backlog,
-/// `batch` = outbox capacity, `queued` = committed lines queued beyond
-/// full outboxes. See PROTOCOL.md §6.
-fn subscriptions_row(hub: &ReactivityHub) -> Tuple {
-    let s = hub.stats();
-    Tuple::new(vec![
-        Value::Str("subscriptions".into()),
-        Value::Int(s.delivered_changes as i64),
-        Value::Int(s.evicted as i64),
-        Value::Int(0),
-        Value::Int(0),
-        Value::Int(s.connected as i64),
-        Value::Int(s.max_backlog as i64),
-        Value::Int(0),
-        Value::Int(s.outbox_capacity as i64),
-        Value::Int(s.queued_changes as i64),
-        Value::Int(0),
-    ])
-}
-
 // ---------------------------------------------------------------------------
 // Backend impls for the two servers
 // ---------------------------------------------------------------------------
 
-/// A staged-server wire session: statements enter through the `net`
-/// admission stage and flow down the full pipeline.
-pub struct StagedWireSession {
-    session: StagedSession,
+/// What a bounded backend queue made of a statement: admitted, or full
+/// (`Overloaded` is the queue's refusal, not the statement's answer).
+fn admitted(queued: Result<Receiver<Response>, ServerError>) -> Submission {
+    match queued {
+        Ok(rx) => Submission::Queued(rx),
+        Err(ServerError::Overloaded) => Submission::Busy,
+        Err(e) => Submission::Ready(Err(e)),
+    }
 }
 
-impl WireSession for StagedWireSession {
+impl WireSession for StagedSession {
+    /// Statements enter through the `net` admission stage and flow down
+    /// the full pipeline.
     fn submit(&self, sql: &str) -> Submission {
-        match self.session.try_submit_admitted(sql) {
-            Ok(rx) => Submission::Queued(rx),
-            Err(ServerError::Overloaded) => Submission::Busy,
-            Err(e) => Submission::Ready(Err(e)),
-        }
+        admitted(self.try_submit_admitted(sql))
     }
 }
 
 impl WireBackend for Arc<StagedServer> {
-    type Session = StagedWireSession;
+    type Session = StagedSession;
 
-    fn open_session(&self) -> StagedWireSession {
-        StagedWireSession { session: self.session() }
+    fn open_session(&self) -> StagedSession {
+        self.session()
     }
 
     fn stats_output(&self) -> QueryOutput {
-        let mut rows = self
-            .stage_stats()
-            .into_iter()
-            // The replication stage's only work is its idle-hook pump; its
-            // queue row would shadow the shipping summary row of the same
-            // name pushed below, which carries the useful counters.
-            .filter(|s| s.name != "replication")
-            .map(|s| {
-                Tuple::new(vec![
-                    Value::Str(s.name),
-                    Value::Int(s.processed as i64),
-                    Value::Int(s.errors as i64),
-                    Value::Int(s.retries as i64),
-                    Value::Int(s.idle_polls as i64),
-                    Value::Int(s.cohorts as i64),
-                    Value::Int(s.max_cohort as i64),
-                    Value::Int(s.cutoff_preempts as i64),
-                    Value::Int(s.batch_limit as i64),
-                    Value::Int(s.queue.depth as i64),
-                    Value::Int(s.spawned_workers as i64),
-                ])
-            })
-            .collect::<Vec<_>>();
-        // One synthetic row for the engine's exchange layer: the `batch`
-        // column carries the live exchange page size (§4.4 knob (c)), the
-        // same way stage rows carry their cohort bound (knob (b)). See
-        // PROTOCOL.md §6.
-        rows.push(Tuple::new(vec![
-            Value::Str("exchange".into()),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(self.engine().page_size() as i64),
-            Value::Int(0),
-            Value::Int(0),
-        ]));
-        // And one for the write-ahead log, following the same convention
-        // of reusing the stage columns for the layer's own quantities:
-        // `processed` = pages written, `queued` = live segments, `batch` =
-        // pages per segment (the rotation threshold). See PROTOCOL.md §6.
-        let wal = self.wal();
-        rows.push(Tuple::new(vec![
-            Value::Str("wal".into()),
-            Value::Int(wal.io_stats().writes as i64),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(wal.segment_pages() as i64),
-            Value::Int(wal.segments().map(|s| s.len()).unwrap_or(0) as i64),
-            Value::Int(0),
-        ]));
-        // And one for the MVCC layer (version overlays + commit oracle).
-        rows.push(mvcc_row(self.catalog(), self.txn_runtime()));
-        // And one for the WAL-shipping hub, one for the SUBSCRIBE hub.
-        rows.push(replication_row(self.replication_hub()));
-        rows.push(subscriptions_row(self.reactivity_hub()));
-        let n = rows.len();
-        QueryOutput { rows, schema: Some(stats_schema()), message: format!("STATS {n}") }
+        StagedServer::stats_output(self)
     }
 
     fn submit_checkpoint(&self) -> Receiver<Response> {
@@ -377,15 +219,11 @@ impl WireBackend for Arc<StagedServer> {
 }
 
 impl WireSession for ThreadedSession {
+    /// The monolithic baseline: a pool worker runs the whole pipeline. The
+    /// front end only enqueues — a full pool queue is `Busy`, and the
+    /// event loop stops reading the socket until it drains.
     fn submit(&self, sql: &str) -> Submission {
-        // The monolithic baseline: a pool worker runs the whole pipeline.
-        // The front end only enqueues — a full pool queue is `Busy`, and
-        // the event loop stops reading the socket until it drains.
-        match self.try_submit(sql) {
-            Ok(rx) => Submission::Queued(rx),
-            Err(ServerError::Overloaded) => Submission::Busy,
-            Err(e) => Submission::Ready(Err(e)),
-        }
+        admitted(self.try_submit(sql))
     }
 }
 
@@ -397,27 +235,7 @@ impl WireBackend for Arc<ThreadedServer> {
     }
 
     fn stats_output(&self) -> QueryOutput {
-        // The monolithic baseline has no per-stage monitors — one coarse
-        // row for the whole pool, same schema. It also has no cohorts:
-        // a thread runs one query start to finish (batch reads as 1).
-        let mut rows = vec![Tuple::new(vec![
-            Value::Str("pool".into()),
-            Value::Int(self.served() as i64),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(self.backlog() as i64),
-            Value::Int(self.pool_size() as i64),
-        ])];
-        rows.push(mvcc_row(self.catalog(), self.txn_runtime()));
-        rows.push(replication_row(self.replication_hub()));
-        rows.push(subscriptions_row(self.reactivity_hub()));
-        let n = rows.len();
-        QueryOutput { rows, schema: Some(stats_schema()), message: format!("STATS {n}") }
+        ThreadedServer::stats_output(self)
     }
 
     fn submit_checkpoint(&self) -> Receiver<Response> {
@@ -444,24 +262,19 @@ impl WireBackend for Arc<ThreadedServer> {
     }
 }
 
-/// A replica wire session: snapshot reads (and bootstrap DDL) only.
-pub struct ReplicaWireSession {
-    session: ReplicaSession,
-}
-
-impl WireSession for ReplicaWireSession {
+impl WireSession for ReplicaSession {
+    /// Replica statements are snapshot reads (and bootstrap DDL) answered
+    /// inline; there is no queue to overload.
     fn submit(&self, sql: &str) -> Submission {
-        // Replica statements are snapshot reads answered inline; there is
-        // no queue to overload.
-        Submission::Ready(self.session.execute_sql(sql))
+        Submission::Ready(self.execute_sql(sql))
     }
 }
 
 impl WireBackend for Arc<ReplicaServer> {
-    type Session = ReplicaWireSession;
+    type Session = ReplicaSession;
 
-    fn open_session(&self) -> ReplicaWireSession {
-        ReplicaWireSession { session: self.session() }
+    fn open_session(&self) -> ReplicaSession {
+        self.session()
     }
 
     fn stats_output(&self) -> QueryOutput {
@@ -473,32 +286,26 @@ impl WireBackend for Arc<ReplicaServer> {
         // records buffered behind their commit. See PROTOCOL.md §6.
         let feed = self.feed_stats();
         let status = self.status();
-        let rows = vec![
-            Tuple::new(vec![
-                Value::Str("replication".into()),
-                Value::Int(feed.applied_records as i64),
-                Value::Int(feed.stream_errors as i64),
-                Value::Int(feed.connects as i64),
-                Value::Int(status.applied_lsn.segment as i64),
-                Value::Int(feed.connected as i64),
-                Value::Int(status.lag_records as i64),
-                Value::Int(status.applied_lsn.offset as i64),
-                Value::Int(0),
-                Value::Int(status.lag_records as i64),
-                Value::Int(0),
-            ]),
-            mvcc_row(self.catalog(), self.txn_runtime()),
+        let (lsn, lag) = (status.applied_lsn, status.lag_records);
+        let counters = [
+            feed.applied_records,
+            feed.stream_errors,
+            feed.connects,
+            lsn.segment,
+            feed.connected as u64,
+            lag,
+            lsn.offset,
+            0,
+            lag,
+            0,
         ];
-        let n = rows.len();
-        QueryOutput { rows, schema: Some(stats_schema()), message: format!("STATS {n}") }
+        stats_output(vec![stats_row("replication", counters), mvcc_row(self.pipeline())])
     }
 
     fn submit_checkpoint(&self) -> Receiver<Response> {
         // The replica's WAL layout mirrors the primary's; truncating it
         // locally would break exactly-once resume.
-        let (tx, rx) = bounded(1);
-        let _ = tx.send(Err(ServerError::ReadOnlyReplica));
-        rx
+        answered(Err(ServerError::ReadOnlyReplica))
     }
 }
 
@@ -791,7 +598,7 @@ impl<S: WireSession> Conn<S> {
     fn release(&mut self) {
         match std::mem::replace(&mut self.mode, Mode::Closing) {
             Mode::Replicate { hub, id, .. } => hub.disconnect(id),
-            Mode::Subscribe { hub, id, .. } => hub.unsubscribe(id),
+            Mode::Subscribe { hub, id, .. } => hub.disconnect(id),
             _ => {}
         }
         self.session = None;
@@ -1398,6 +1205,7 @@ fn net_loop<B: WireBackend>(listener: TcpListener, backend: B, shared: Arc<NetSh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use staged_storage::{Column, DataType, Schema, Tuple};
 
     #[test]
     fn encode_ok_with_rows() {

@@ -1,8 +1,17 @@
 //! The query pipeline, factored into the stage bodies of Figure 3 so the
 //! staged server and the threaded baseline run byte-identical logic.
+//!
+//! The free functions are the stage bodies proper (parse, optimize,
+//! execute). `Pipeline` bundles them with the per-statement *policy* —
+//! may it run, which transaction does it join, what happens to that
+//! transaction afterwards — as five steps, `plan` → `admit` → `join_txn` →
+//! `run` → `settle`. The servers differ only in how they schedule those
+//! steps: the threaded baseline calls them in sequence on one worker, the
+//! staged server spreads them over its stages, the replica composes the
+//! read-only subset.
 
 use crate::session::{StatementCtx, TxnRuntime};
-use crate::types::{QueryOutput, ServerError};
+use crate::types::{QueryOutput, Response, ServerError};
 use staged_cachesim::tracker::RefTracker;
 use staged_engine::context::ExecContext;
 use staged_engine::dml::{self, DmlLog};
@@ -113,16 +122,10 @@ pub fn bind_statement(
             Ok(Parsed::NeedsPlan(Box::new(bound)))
         }
         Statement::Explain(inner) => match bind_statement(*inner, catalog, tracker)? {
-            Parsed::NeedsPlan(bound) => Ok(Parsed::NeedsPlan(
-                Box::new(BoundSelect {
-                    stmt: bound.stmt,
-                    tables: bound.tables,
-                    scope: bound.scope,
-                    output: bound.output,
-                    projections: bound.projections,
-                })
-                .explained(),
-            )),
+            Parsed::NeedsPlan(mut bound) => {
+                bound.explain = true;
+                Ok(Parsed::NeedsPlan(bound))
+            }
             Parsed::Action(_) => Ok(Parsed::Action(Box::new(PlannedAction::Explain {
                 text: "non-SELECT statements execute directly".into(),
             }))),
@@ -270,12 +273,6 @@ pub fn execute_txn_control(
     }
 }
 
-/// True when `action` writes — and so must be refused inside a
-/// `BEGIN READ ONLY` transaction.
-pub fn writes(action: &PlannedAction) -> bool {
-    action.is_dml() || matches!(action, PlannedAction::Ddl(_))
-}
-
 /// Give a SELECT action an MVCC read view, making its scans snapshot
 /// reads (lock-free, visibility-filtered): the core of the read-only fast
 /// path. The view's timestamp comes from the session's transaction state:
@@ -330,57 +327,14 @@ fn bind_filter(
     }
 }
 
-/// Marker wrapper: an EXPLAIN'd bound select. We piggyback on `BoundSelect`
-/// by setting a limit-0 sentinel; instead, the server tracks EXPLAIN out of
-/// band — see [`BoundSelectExt`].
-pub trait BoundSelectExt {
-    /// Tag this bound SELECT as explain-only.
-    fn explained(self) -> Box<BoundSelect>;
-    /// Was this tagged?
-    fn is_explain(&self) -> bool;
-}
-
-impl BoundSelectExt for Box<BoundSelect> {
-    fn explained(mut self) -> Box<BoundSelect> {
-        // A DISTINCT+LIMIT 0 combination cannot be produced by parsing
-        // `EXPLAIN`-less SQL through this path, but rather than a sentinel
-        // we use an explicit side flag carried in `stmt.limit`'s unused
-        // high bit — too clever. Keep it simple: a dedicated marker field
-        // would change the public sql AST, so the server wraps EXPLAIN
-        // before this point. This impl only exists to keep the pipeline
-        // uniform; it marks via an impossible limit value.
-        self.stmt.limit = Some(u64::MAX);
-        self
-    }
-
-    fn is_explain(&self) -> bool {
-        self.stmt.limit == Some(u64::MAX)
-    }
-}
-
 /// The optimize stage of Figure 3.
 pub fn optimize_stage(
     bound: &BoundSelect,
     catalog: &Catalog,
     config: &PlannerConfig,
 ) -> Result<PlannedAction, ServerError> {
-    let is_explain = {
-        let boxed: &BoundSelect = bound;
-        boxed.stmt.limit == Some(u64::MAX)
-    };
-    let mut bound_clone = BoundSelect {
-        stmt: bound.stmt.clone(),
-        tables: bound.tables.clone(),
-        scope: bound.scope.clone(),
-        output: bound.output.clone(),
-        projections: bound.projections.clone(),
-    };
-    if is_explain {
-        bound_clone.stmt.limit = None;
-    }
-    let plan =
-        plan_select(&bound_clone, catalog, config).map_err(|e| ServerError::Sql(e.to_string()))?;
-    if is_explain {
+    let plan = plan_select(bound, catalog, config).map_err(|e| ServerError::Sql(e.to_string()))?;
+    if bound.explain {
         Ok(PlannedAction::Explain { text: plan.to_string() })
     } else {
         Ok(PlannedAction::Select { plan, schema: bound.output.clone() })
@@ -480,5 +434,136 @@ fn execute_ddl(stmt: Statement, ctx: &ExecContext) -> Result<QueryOutput, Server
             Ok(QueryOutput::message("ANALYZE"))
         }
         other => Err(ServerError::Sql(format!("unsupported statement {other}"))),
+    }
+}
+
+/// The error a statement gets when its partition locks were not granted
+/// within the lock timeout; its transaction is aborted (timeout-abort
+/// deadlock resolution).
+pub(crate) fn lock_timeout_error() -> ServerError {
+    ServerError::Execution("lock timeout: transaction aborted (presumed deadlock)".into())
+}
+
+/// A DML statement's place in a transaction, decided by
+/// [`Pipeline::join_txn`]. The default is "no transaction" (reads, DDL,
+/// transaction control).
+#[derive(Default)]
+pub(crate) struct TxnSlot {
+    /// Transaction the statement runs under (0 = none).
+    pub xid: u64,
+    /// True when `xid` is a statement-scoped implicit transaction that
+    /// [`Pipeline::settle`] must commit.
+    pub implicit: bool,
+    /// Partition locks the statement needs, still to be granted.
+    pub keys: Vec<LockKey>,
+}
+
+/// The DBMS under a server — catalog, log, transactions, planner — and the
+/// statement policy over it, one step per method.
+pub(crate) struct Pipeline {
+    /// Execution context (catalog, DDL partitioning, instrumentation).
+    pub ctx: ExecContext,
+    /// The write-ahead log.
+    pub wal: Arc<Wal>,
+    /// Sessions and transactions.
+    pub txn: TxnRuntime,
+    /// Planner switches.
+    pub planner: PlannerConfig,
+}
+
+impl Pipeline {
+    /// A pipeline over `ctx`'s catalog, logging to `wal`.
+    pub fn new(ctx: ExecContext, wal: Arc<Wal>, planner: PlannerConfig) -> Self {
+        let txn = TxnRuntime::for_catalog(&ctx.catalog);
+        Self { ctx, wal, txn, planner }
+    }
+
+    /// Parse, bind and (for SELECTs) optimize one statement.
+    pub fn plan(&self, sql: &str) -> Result<PlannedAction, ServerError> {
+        match parse_stage(sql, &self.ctx.catalog, self.ctx.tracker.as_deref())? {
+            Parsed::NeedsPlan(bound) => optimize_stage(&bound, &self.ctx.catalog, &self.planner),
+            Parsed::Action(action) => Ok(*action),
+        }
+    }
+
+    /// May `action` run now, given the session's transaction state? A
+    /// session in the failed-transaction state refuses everything, a
+    /// `READ ONLY` transaction refuses writes (DML and DDL). Transaction
+    /// control is never put to this test — `COMMIT`/`ROLLBACK` are the way
+    /// out of the failed state.
+    pub fn admit(
+        &self,
+        session: Option<u64>,
+        action: &PlannedAction,
+    ) -> Result<StatementCtx, ServerError> {
+        let writes = action.is_dml() || matches!(action, PlannedAction::Ddl(_));
+        match self.txn.statement_ctx(session)? {
+            StatementCtx::ReadOnly(_) if writes => Err(ServerError::ReadOnly),
+            stmt => Ok(stmt),
+        }
+    }
+
+    /// Put a DML `action` into a transaction: the session's open one, or a
+    /// statement-scoped implicit one begun here. Also computes the lock
+    /// set the caller must acquire before [`run`](Self::run).
+    pub fn join_txn(
+        &self,
+        session: Option<u64>,
+        action: &PlannedAction,
+    ) -> Result<TxnSlot, ServerError> {
+        let (xid, implicit) = match self.admit(session, action)? {
+            StatementCtx::Write(xid) => (xid, false),
+            _ => {
+                let begun = self.txn.mgr().begin(&self.wal);
+                (begun.map_err(|e| ServerError::Execution(e.to_string()))?, true)
+            }
+        };
+        Ok(TxnSlot { xid, implicit, keys: dml_lock_keys(action, &self.ctx.catalog, &self.planner) })
+    }
+
+    /// Execute `action`: transaction control goes to the transaction
+    /// runtime; everything else is admitted, SELECTs are given a snapshot
+    /// view as of now (the pin outlives the execution), and the execute
+    /// stage runs it under `xid` (0 = no transaction).
+    pub fn run(
+        &self,
+        mut action: PlannedAction,
+        session: Option<u64>,
+        xid: u64,
+        exec: Exec<'_>,
+    ) -> Response {
+        if let PlannedAction::TxnControl(stmt) = &action {
+            return execute_txn_control(stmt, session, &self.txn, &self.ctx, &self.wal);
+        }
+        let stmt = self.admit(session, &action)?;
+        let _pin = snapshot_select(&mut action, &self.txn, &stmt);
+        let txn = (xid != 0).then(|| self.txn.mgr());
+        execute_stage(action, &self.ctx, &self.wal, xid, exec, txn)
+    }
+
+    /// End of statement: an implicit transaction commits on success (the
+    /// Commit record's forced flush is the durability point), any
+    /// transaction aborts on failure — leaving an explicit one's session in
+    /// the failed state — and an explicit transaction otherwise continues.
+    pub fn settle(&self, session: Option<u64>, slot: &TxnSlot, res: Response) -> Response {
+        if slot.xid == 0 {
+            return res;
+        }
+        match res {
+            Ok(out) if slot.implicit => {
+                let committed = self.txn.mgr().commit(slot.xid, &self.ctx, &self.wal);
+                committed.map(|()| out).map_err(|e| ServerError::Execution(e.to_string()))
+            }
+            Err(e) => {
+                self.txn.fail_txn(session, slot.xid, &self.ctx, &self.wal);
+                Err(e)
+            }
+            continues => continues,
+        }
+    }
+
+    /// Close a session, aborting its open transaction if it has one.
+    pub fn close_session(&self, sid: u64) {
+        self.txn.close_session(sid, &self.ctx, &self.wal);
     }
 }

@@ -1,124 +1,110 @@
 //! FluxDB-style reactivity: `SUBSCRIBE` change feeds sourced from the WAL.
 //!
-//! The [`ReactivityHub`] is the subscription twin of the replication hub
-//! (see `replication.rs`): a registry of subscribers, each with a
-//! *bounded* outbox of framed `CHANGE` lines and its own cursor into the
-//! primary's log. A pump walks the WAL from each subscriber's cursor,
-//! buffers row changes per transaction, and on that transaction's
-//! `Commit` enqueues the run — whole transactions at a time, in commit
-//! order, filtered down to the subscriber's table (and optional `WHERE`
-//! predicate). Aborted transactions are discarded unseen, so a feed can
-//! never show a change that did not commit, and because the WAL's
-//! `Commit` records *are* the commit order, every feed replays the
+//! The [`ReactivityHub`] is the server core's [`WalFeed`] with a
+//! [`ChangeSink`] per subscriber. The sink buffers a transaction's row
+//! changes as encoded `CHANGE` lines and releases the run when that
+//! transaction's `Commit` record goes by — whole transactions at a time,
+//! in commit order, filtered down to the subscriber's table (and optional
+//! `WHERE` predicate). Aborted transactions are discarded unseen, so a
+//! feed can never show a change that did not commit, and because the
+//! WAL's `Commit` records *are* the commit order, every feed replays the
 //! database's history in the exact order it happened.
 //!
-//! The flow-control policy is lifted verbatim from replication: a full
-//! outbox is back-pressure (the cursor simply stays put and the next pump
-//! visit retries), but a subscriber that accepts *nothing* across
-//! [`crate::replication::EVICTION_FULL_STRIKES`]
-//! consecutive full visits has stopped reading and is evicted — its
-//! sender drops, the network front end sees the hang-up and closes the
-//! socket. Commits never wait on a slow subscriber.
+//! Registry, cursors, bounded outboxes, flow control and the eviction of
+//! subscribers that stop reading are the feed's (see [`crate::feed`]), and
+//! are the same code that ships WAL to replicas: commits never wait on a
+//! slow subscriber.
 //!
 //! Subscriptions start *now*: the cursor begins at the WAL's append
 //! position at subscribe time, so a new feed sees only transactions that
 //! commit after it. There is no historical replay — a client that wants
 //! the current state runs a query first, then subscribes (the usual CDC
-//! bootstrap; PROTOCOL.md §8 spells out the guarantee).
+//! bootstrap; PROTOCOL.md §8 spells out the guarantee). An orderly
+//! `UNSUBSCRIBE` ends with [`WalFeed::drain`], so every transaction
+//! committed before it is delivered before the closing `OK`; transactions
+//! still in flight (no `Commit` record yet) are not waited for.
 
+use crate::feed::{Sink, WalFeed};
 use crate::types::ServerError;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
+use crossbeam::channel::Receiver;
 use staged_engine::expr::eval_predicate;
 use staged_sql::ast::Expr;
 use staged_sql::binder::{BindContext, Binder};
 use staged_sql::parser::Parser;
 use staged_sql::rewrite::fold;
-use staged_storage::catalog::TableId;
-use staged_storage::wal::{LogRecord, Lsn, Wal};
+use staged_storage::wal::{LogRecord, Lsn};
 use staged_storage::{Catalog, Tuple, Value};
 use staged_wire::ChangeOp;
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::replication::EVICTION_FULL_STRIKES;
-
-/// Point-in-time counters for the `subscriptions` STATS row and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubscriptionStats {
-    /// Subscribers currently connected.
-    pub connected: u64,
-    /// `CHANGE` lines delivered into subscriber outboxes, total (a change
-    /// matching two subscribers counts twice).
-    pub delivered_changes: u64,
-    /// Subscribers evicted because they stopped draining their bounded
-    /// outbox.
-    pub evicted: u64,
-    /// Committed-but-undelivered `CHANGE` lines currently buffered across
-    /// subscribers (each one's outbox overflow queue).
-    pub queued_changes: u64,
-    /// The worst single subscriber's overflow backlog (committed lines
-    /// beyond what its outbox could hold).
-    pub max_backlog: u64,
-    /// The bounded outbox capacity, in lines.
-    pub outbox_capacity: u64,
-}
-
-struct Subscriber {
-    tx: Sender<String>,
-    /// The subscribed table (changes to other tables never match).
-    table: TableId,
+/// One subscriber's side of the [`ReactivityHub`]: the table and predicate
+/// it filters by, and the changes of transactions still in flight.
+pub struct ChangeSink {
+    /// The subscribed table's id (changes to other tables never match) …
+    table: u32,
+    /// … and its name, as `CHANGE` lines spell it.
+    name: String,
     /// Bound `WHERE` predicate; `None` matches every row.
     predicate: Option<Expr>,
-    /// Next WAL record this subscriber's walk needs.
-    cursor: Lsn,
     /// Per-xid runs of encoded `CHANGE` lines awaiting their `Commit`.
     pending: HashMap<u64, Vec<String>>,
-    /// Committed lines that did not fit in the outbox yet, in commit
-    /// order. Bounded indirectly: the walk stops while this is non-empty,
-    /// so it never holds more than the in-flight transactions of one pump
-    /// visit.
-    ready: VecDeque<String>,
-    /// Consecutive pump visits that could deliver nothing into a full
-    /// outbox; [`EVICTION_FULL_STRIKES`] of them evict the subscriber.
-    full_strikes: u32,
 }
 
-struct HubInner {
-    next_id: u64,
-    subscribers: HashMap<u64, Subscriber>,
+impl ChangeSink {
+    /// Buffer the `CHANGE` line for a logged row image under its
+    /// transaction, when the record is for the subscriber's table and the
+    /// row passes the predicate. Rows that fail to decode or evaluate are
+    /// skipped — a feed filters, it never fails the pump.
+    fn buffer(&mut self, xid: u64, table: u32, row_bytes: &[u8], op: ChangeOp) {
+        if self.table != table {
+            return;
+        }
+        let Ok(tuple) = Tuple::decode(row_bytes) else { return };
+        if let Some(pred) = &self.predicate {
+            if !eval_predicate(pred, &tuple).unwrap_or(false) {
+                return;
+            }
+        }
+        let fields: Vec<Option<String>> = tuple
+            .values()
+            .iter()
+            .map(|v| match v {
+                Value::Null => None,
+                other => Some(other.to_string()),
+            })
+            .collect();
+        let line = staged_wire::encode_change(&self.name, op, &fields);
+        self.pending.entry(xid).or_default().push(line);
+    }
+}
+
+impl Sink for ChangeSink {
+    type Shared = Arc<Catalog>;
+
+    fn record(&mut self, _lsn: Lsn, rec: &LogRecord, out: &mut VecDeque<String>) {
+        match rec {
+            LogRecord::Begin { .. } => {}
+            LogRecord::Insert { xid, table, bytes, .. } => {
+                self.buffer(*xid, *table, bytes, ChangeOp::Insert)
+            }
+            LogRecord::Delete { xid, table, before, .. } => {
+                self.buffer(*xid, *table, before, ChangeOp::Delete)
+            }
+            LogRecord::Abort { xid } => {
+                self.pending.remove(xid);
+            }
+            LogRecord::Commit { xid } => out.extend(self.pending.remove(xid).unwrap_or_default()),
+        }
+    }
 }
 
 /// The primary's subscriber registry and change pump. One per server,
 /// shared by the network front end (which registers feeds and drains
-/// outboxes to sockets) and the pump drivers (the `replication` stage on
-/// the staged server, the pump thread on the threaded baseline).
-pub struct ReactivityHub {
-    wal: Arc<Wal>,
-    catalog: Arc<Catalog>,
-    outbox_capacity: usize,
-    inner: Mutex<HubInner>,
-    evicted: AtomicU64,
-    delivered: AtomicU64,
-}
+/// outboxes to sockets) and the pump drivers.
+pub type ReactivityHub = WalFeed<ChangeSink>;
 
-impl ReactivityHub {
-    /// A hub sourcing changes from `wal`, resolving tables and binding
-    /// predicates against `catalog`, with per-subscriber outboxes of
-    /// `outbox_capacity` framed lines.
-    pub fn new(wal: Arc<Wal>, catalog: Arc<Catalog>, outbox_capacity: usize) -> Self {
-        Self {
-            wal,
-            catalog,
-            outbox_capacity: outbox_capacity.max(2),
-            inner: Mutex::new(HubInner { next_id: 0, subscribers: HashMap::new() }),
-            evicted: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-        }
-    }
-
+impl WalFeed<ChangeSink> {
     /// Register a subscriber for committed changes to `table`, optionally
     /// filtered by a `WHERE` predicate (source text, without the
     /// keyword). Returns the feed id and the outbox receiver the caller
@@ -130,266 +116,34 @@ impl ReactivityHub {
         table: &str,
         predicate: Option<&str>,
     ) -> Result<(u64, Receiver<String>), ServerError> {
-        let info =
-            self.catalog.table(table).map_err(|e| ServerError::Sql(format!("SUBSCRIBE: {e}")))?;
+        let catalog = &self.shared;
+        let info = catalog.table(table).map_err(|e| ServerError::Sql(format!("SUBSCRIBE: {e}")))?;
         let predicate = match predicate {
             None => None,
             Some(src) => {
                 let mut expr = Parser::new(src, None)
                     .and_then(|mut p| p.parse_expr())
                     .map_err(|e| ServerError::Sql(format!("SUBSCRIBE WHERE: {e}")))?;
-                Binder::new(BindContext::new(&self.catalog))
+                Binder::new(BindContext::new(catalog))
                     .bind_table_predicate(&mut expr, &info)
                     .map_err(|e| ServerError::Sql(format!("SUBSCRIBE WHERE: {e}")))?;
                 Some(fold(expr))
             }
         };
-        let (tx, rx) = bounded(self.outbox_capacity);
-        let mut inner = self.inner.lock();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.subscribers.insert(
-            id,
-            Subscriber {
-                tx,
-                table: info.id,
-                predicate,
-                cursor: self.wal.next_lsn(),
-                pending: HashMap::new(),
-                ready: VecDeque::new(),
-                full_strikes: 0,
-            },
-        );
-        Ok((id, rx))
-    }
-
-    /// Drop a feed (orderly `UNSUBSCRIBE` or disconnect — not counted as
-    /// an eviction).
-    pub fn unsubscribe(&self, id: u64) {
-        self.inner.lock().subscribers.remove(&id);
-    }
-
-    /// True if the subscriber has no committed lines waiting beyond its
-    /// outbox (used by the front end to decide whether a drained feed is
-    /// fully caught up).
-    pub fn is_drained(&self, id: u64) -> bool {
-        self.inner.lock().subscribers.get(&id).is_none_or(|s| s.ready.is_empty())
-    }
-
-    /// Remove a feed and return every committed line it was still owed:
-    /// the overflow queue, plus a final walk of the WAL to the current
-    /// tail. This is the orderly-`UNSUBSCRIBE` path — together with a
-    /// drain of the outbox receiver it guarantees that every transaction
-    /// committed before the `UNSUBSCRIBE` is delivered before the closing
-    /// `OK` (PROTOCOL.md §8). Transactions still in flight (no `Commit`
-    /// record yet) are not waited for.
-    pub fn drain(&self, id: u64) -> Vec<String> {
-        let Some(mut s) = self.inner.lock().subscribers.remove(&id) else {
-            return Vec::new();
+        let sink = ChangeSink {
+            table: info.id.0,
+            name: info.name.clone(),
+            predicate,
+            pending: HashMap::new(),
         };
-        let mut out: Vec<String> = s.ready.drain(..).collect();
-        let store = self.wal.store();
-        let (records, _damage) = Wal::read_store_from(store.as_ref(), s.cursor);
-        for (lsn, rec) in &records {
-            if *lsn < s.cursor {
-                continue;
-            }
-            match rec {
-                LogRecord::Begin { .. } => {}
-                LogRecord::Insert { xid, table, bytes, .. } => {
-                    if let Some(line) = self.encode_match(&s, *table, bytes, ChangeOp::Insert) {
-                        s.pending.entry(*xid).or_default().push(line);
-                    }
-                }
-                LogRecord::Delete { xid, table, before, .. } => {
-                    if let Some(line) = self.encode_match(&s, *table, before, ChangeOp::Delete) {
-                        s.pending.entry(*xid).or_default().push(line);
-                    }
-                }
-                LogRecord::Abort { xid } => {
-                    s.pending.remove(xid);
-                }
-                LogRecord::Commit { xid } => {
-                    if let Some(run) = s.pending.remove(xid) {
-                        out.extend(run);
-                    }
-                }
-            }
-        }
-        self.delivered.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
-    }
-
-    /// Walk the log from each subscriber's cursor, emit committed changes
-    /// into its bounded outbox, and apply the replication hub's eviction
-    /// discipline to subscribers that stopped draining. Non-blocking;
-    /// safe to call from any thread, any time.
-    pub fn pump(&self) {
-        let mut inner = self.inner.lock();
-        if inner.subscribers.is_empty() {
-            return;
-        }
-        let store = self.wal.store();
-        let mut dropped: Vec<(u64, bool)> = Vec::new();
-        for (id, s) in inner.subscribers.iter_mut() {
-            // First drain what previous visits committed but couldn't fit.
-            let mut delivered_any = false;
-            let mut hit_full = false;
-            let mut gone: Option<bool> = None;
-            while let Some(line) = s.ready.front() {
-                match s.tx.try_send(line.clone()) {
-                    Ok(()) => {
-                        s.ready.pop_front();
-                        self.delivered.fetch_add(1, Ordering::Relaxed);
-                        delivered_any = true;
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        hit_full = true;
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        gone = Some(false);
-                        break;
-                    }
-                }
-            }
-            // Only advance the WAL walk while nothing committed is stuck:
-            // that keeps the overflow queue bounded by one visit's worth
-            // of commits and makes a stalled subscriber cheap to hold
-            // until the strikes evict it.
-            if gone.is_none() && s.ready.is_empty() {
-                let (records, _damage) = Wal::read_store_from(store.as_ref(), s.cursor);
-                for (lsn, rec) in &records {
-                    if *lsn < s.cursor {
-                        continue;
-                    }
-                    s.cursor = Lsn { segment: lsn.segment, offset: lsn.offset + 1 };
-                    match rec {
-                        LogRecord::Begin { .. } => {}
-                        LogRecord::Insert { xid, table, bytes, .. } => {
-                            if let Some(line) =
-                                self.encode_match(s, *table, bytes, ChangeOp::Insert)
-                            {
-                                s.pending.entry(*xid).or_default().push(line);
-                            }
-                        }
-                        LogRecord::Delete { xid, table, before, .. } => {
-                            if let Some(line) =
-                                self.encode_match(s, *table, before, ChangeOp::Delete)
-                            {
-                                s.pending.entry(*xid).or_default().push(line);
-                            }
-                        }
-                        LogRecord::Abort { xid } => {
-                            s.pending.remove(xid);
-                        }
-                        LogRecord::Commit { xid } => {
-                            let Some(run) = s.pending.remove(xid) else { continue };
-                            for line in run {
-                                if gone.is_some() || hit_full {
-                                    s.ready.push_back(line);
-                                    continue;
-                                }
-                                match s.tx.try_send(line) {
-                                    Ok(()) => {
-                                        self.delivered.fetch_add(1, Ordering::Relaxed);
-                                        delivered_any = true;
-                                    }
-                                    Err(TrySendError::Full(l)) => {
-                                        hit_full = true;
-                                        s.ready.push_back(l);
-                                    }
-                                    Err(TrySendError::Disconnected(_)) => gone = Some(false),
-                                }
-                            }
-                            // Stop walking once this visit is saturated;
-                            // the cursor already passed this commit, and
-                            // `ready` holds the overflow in order.
-                            if gone.is_some() || hit_full {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if gone.is_none() {
-                if hit_full && !delivered_any {
-                    s.full_strikes += 1;
-                    if s.full_strikes >= EVICTION_FULL_STRIKES {
-                        gone = Some(true);
-                    }
-                } else {
-                    s.full_strikes = 0;
-                }
-            }
-            if let Some(evicted) = gone {
-                dropped.push((*id, evicted));
-            }
-        }
-        for (id, evicted) in dropped {
-            inner.subscribers.remove(&id);
-            if evicted {
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Decode a logged row image and encode the `CHANGE` line, when the
-    /// record is for the subscriber's table and its row passes the
-    /// predicate. Rows that fail to decode or evaluate are skipped — a
-    /// feed filters, it never fails the pump.
-    fn encode_match(
-        &self,
-        s: &Subscriber,
-        table: u32,
-        row_bytes: &[u8],
-        op: ChangeOp,
-    ) -> Option<String> {
-        if s.table.0 != table {
-            return None;
-        }
-        let tuple = Tuple::decode(row_bytes).ok()?;
-        if let Some(pred) = &s.predicate {
-            if !eval_predicate(pred, &tuple).unwrap_or(false) {
-                return None;
-            }
-        }
-        let info = self.catalog.table_by_id(s.table).ok()?;
-        let fields: Vec<Option<String>> = tuple
-            .values()
-            .iter()
-            .map(|v| match v {
-                Value::Null => None,
-                other => Some(other.to_string()),
-            })
-            .collect();
-        Some(staged_wire::encode_change(&info.name, op, &fields))
-    }
-
-    /// Current subscription counters.
-    pub fn stats(&self) -> SubscriptionStats {
-        let inner = self.inner.lock();
-        let mut queued = 0u64;
-        let mut max_backlog = 0u64;
-        for s in inner.subscribers.values() {
-            let backlog = s.ready.len() as u64;
-            queued += s.ready.len() as u64;
-            max_backlog = max_backlog.max(backlog);
-        }
-        SubscriptionStats {
-            connected: inner.subscribers.len() as u64,
-            delivered_changes: self.delivered.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            queued_changes: queued,
-            max_backlog,
-            outbox_capacity: self.outbox_capacity as u64,
-        }
+        Ok(self.register(self.wal.next_lsn(), sink, None))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use staged_storage::wal::Wal;
     use staged_storage::{
         BufferPool, Column, DataType, MemDisk, MemSegmentStore, Schema, SegmentStore,
     };
@@ -411,7 +165,7 @@ mod tests {
     fn hub_with(catalog: Arc<Catalog>, capacity: usize) -> (ReactivityHub, Arc<Wal>) {
         let wal =
             Arc::new(Wal::open(Arc::new(MemSegmentStore::new()) as Arc<dyn SegmentStore>).unwrap());
-        let hub = ReactivityHub::new(Arc::clone(&wal), catalog, capacity);
+        let hub = ReactivityHub::new(Arc::clone(&wal), capacity, catalog);
         (hub, wal)
     }
 
@@ -449,7 +203,7 @@ mod tests {
                 "CHANGE t DELETE\t1\t10".to_string(),
             ]
         );
-        assert_eq!(hub.stats().delivered_changes, 3);
+        assert_eq!(hub.stats().delivered, 3);
     }
 
     #[test]
@@ -503,60 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn full_outbox_is_flow_control_then_strikes_evict() {
-        let cat = catalog();
-        let tid = table_id(&cat);
-        let (hub, wal) = hub_with(Arc::clone(&cat), 2);
-        let (id, rx) = hub.subscribe("t", None).unwrap();
-        let rid = staged_storage::Rid { page: staged_storage::PageId(0), slot: 0 };
-        wal.append(&LogRecord::Begin { xid: 1 }).unwrap();
-        for i in 0..6 {
-            wal.append(&LogRecord::Insert { xid: 1, table: tid, rid, bytes: row(i, i) }).unwrap();
-        }
-        wal.append(&LogRecord::Commit { xid: 1 }).unwrap();
-
-        // Visit 1 delivers what fits; the rest is queued, not dropped.
-        hub.pump();
-        assert_eq!(hub.stats().connected, 1);
-        assert_eq!(hub.stats().queued_changes, 4);
-
-        // A draining subscriber keeps receiving every line, in order.
-        let mut got = Vec::new();
-        for _ in 0..4 {
-            while let Ok(l) = rx.try_recv() {
-                got.push(l);
-            }
-            hub.pump();
-        }
-        while let Ok(l) = rx.try_recv() {
-            got.push(l);
-        }
-        assert_eq!(got.len(), 6);
-        assert!(got.iter().enumerate().all(|(i, l)| l == &format!("CHANGE t INSERT\t{i}\t{i}")));
-        assert_eq!(hub.stats().evicted, 0);
-        hub.unsubscribe(id);
-
-        // A subscriber that stops reading entirely: strikes, then eviction.
-        let (_id2, rx2) = hub.subscribe("t", None).unwrap();
-        wal.append(&LogRecord::Begin { xid: 2 }).unwrap();
-        for i in 0..6 {
-            wal.append(&LogRecord::Insert { xid: 2, table: tid, rid, bytes: row(i, i) }).unwrap();
-        }
-        wal.append(&LogRecord::Commit { xid: 2 }).unwrap();
-        hub.pump(); // fills the outbox (delivers 2) — not a strike yet
-        for _ in 0..EVICTION_FULL_STRIKES {
-            assert_eq!(hub.stats().connected, 1, "still connected while striking");
-            hub.pump();
-        }
-        assert_eq!(hub.stats().connected, 0);
-        assert_eq!(hub.stats().evicted, 1);
-        // The sender side dropped: the front end sees the hang-up.
-        let drained: Vec<String> = std::iter::from_fn(|| rx2.try_recv().ok()).collect();
-        assert_eq!(drained.len(), 2);
-        assert!(rx2.try_recv().is_err());
-    }
-
-    #[test]
     fn drain_returns_the_owed_tail_in_order() {
         let cat = catalog();
         let tid = table_id(&cat);
@@ -593,17 +293,6 @@ mod tests {
             ]
         );
         assert_eq!(hub.stats().connected, 0);
-        assert_eq!(hub.stats().delivered_changes, 5);
-    }
-
-    #[test]
-    fn unsubscribe_releases_the_feed() {
-        let cat = catalog();
-        let (hub, _wal) = hub_with(cat, 8);
-        let (id, rx) = hub.subscribe("t", None).unwrap();
-        assert_eq!(hub.stats().connected, 1);
-        hub.unsubscribe(id);
-        assert_eq!(hub.stats().connected, 0);
-        assert!(rx.try_recv().is_err());
+        assert_eq!(hub.stats().delivered, 5);
     }
 }

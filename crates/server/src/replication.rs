@@ -1,19 +1,15 @@
 //! WAL-shipping replication: a STAR-style asymmetric pair of roles.
 //!
 //! The **primary** (either server) runs transactions exactly as before and
-//! grows a [`ReplicationHub`]: a registry of connected replicas, each with
-//! a *bounded* outbox of framed protocol lines. A pump walks the primary's
-//! own log segments from each replica's cursor and enqueues `WALREC`
-//! frames plus a `WALEOF` watermark. A full outbox is ordinary flow
-//! control — a catch-up backlog larger than the outbox drains over
-//! several pump visits — but a replica that accepts *nothing* across
-//! [`EVICTION_FULL_STRIKES`] consecutive full visits has stopped
-//! draining and is **evicted** (disconnected) rather than buffered
-//! without bound, so a stalled replica can never hold memory — or commit
-//! latency — hostage. On the staged server the pump runs as a dedicated
-//! `replication` pipeline stage; on the threaded baseline it is a plain
-//! pump thread: the same asymmetry-of-policy the paper uses everywhere
-//! else.
+//! owns a [`ReplicationHub`]: the server core's [`WalFeed`] with a
+//! [`ReplicaSink`] per connected replica. The sink frames every log record
+//! verbatim as a `WALREC` line and closes each caught-up visit with a
+//! `WALEOF` watermark; registry, cursors, bounded outboxes, flow control
+//! and the eviction of replicas that stop draining are the feed's (see
+//! [`crate::feed`]). What the sink adds is the **ack bookkeeping**: which
+//! LSN each replica has confirmed durable, from which the checkpoint path
+//! takes its truncation floor ([`min_acked`](WalFeed::min_acked)) and the
+//! `replication` STATS row its lag.
 //!
 //! The **replica** ([`ReplicaServer`]) dials the primary, sends
 //! `REPLICATE <from-lsn>`, and from then on the connection is a one-way
@@ -38,7 +34,8 @@
 //! pending and visibility flips atomically through the commit oracle, so
 //! the replica's snapshot readers never observe a torn transaction.
 //!
-//! A replica serves reads only. DML is refused with the
+//! A replica serves reads only, through the same `Pipeline` steps the
+//! primaries run, minus the ones that write. DML is refused with the
 //! `READ_ONLY_REPLICA` wire code, and so is a plain `BEGIN`: a read-write
 //! transaction would append its own `Begin` record to the replica's WAL
 //! and break the mirror layout (nothing but shipped records may ever land
@@ -47,10 +44,10 @@
 //! WAL, and the operator must run the same DDL in the same creation order
 //! as the primary so table ids line up (see PROTOCOL.md §7).
 
-use crate::pipeline::{self, Parsed, PlannedAction};
-use crate::session::{StatementCtx, TxnRuntime};
+use crate::feed::{after, Sink, WalFeed};
+use crate::pipeline::{Exec, Pipeline, PlannedAction};
 use crate::types::{Response, ServerError};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use staged_engine::context::ExecContext;
 use staged_engine::dml;
@@ -66,106 +63,58 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default per-replica outbox capacity, in framed lines. The pump never
-/// buffers more than this per replica; a bigger backlog waits in the log
-/// and ships over later visits as the replica drains.
-pub const DEFAULT_OUTBOX_CAPACITY: usize = 1024;
-
-/// Consecutive pump visits that find a replica's outbox full without the
-/// replica having accepted a single frame before it is evicted. One full
-/// visit is flow control (the backlog may simply exceed the outbox); this
-/// many in a row with zero drain is a subscriber that stopped reading.
-pub const EVICTION_FULL_STRIKES: u32 = 4;
-
-fn after(lsn: Lsn) -> Lsn {
-    Lsn { segment: lsn.segment, offset: lsn.offset + 1 }
-}
-
 // ---------------------------------------------------------------------------
-// Primary side: the hub
+// Primary side: the replica sink
 // ---------------------------------------------------------------------------
 
-/// Point-in-time counters for the primary's `replication` STATS row and
-/// for tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicationStats {
-    /// Replicas currently subscribed.
-    pub connected: u64,
-    /// Records shipped to replicas, total (a record shipped to two
-    /// replicas counts twice).
-    pub shipped_records: u64,
-    /// Replicas evicted because they stopped draining their bounded
-    /// outbox ([`EVICTION_FULL_STRIKES`] consecutive full pump visits
-    /// with nothing accepted).
-    pub evicted: u64,
-    /// High-water shipping cursor across replicas (one past the last
-    /// record any replica has been handed).
-    pub shipped_lsn: Lsn,
-    /// Largest shipped-but-unacknowledged record count over the connected
-    /// replicas: the worst per-replica lag.
-    pub max_lag_records: u64,
-    /// Total shipped-but-unacknowledged records across replicas.
-    pub unacked_records: u64,
-    /// The bounded outbox capacity, in lines.
-    pub outbox_capacity: u64,
-}
-
-struct ReplicaHandle {
-    tx: Sender<String>,
-    /// Next record LSN this replica needs.
-    cursor: Lsn,
+/// One replica's side of the [`ReplicationHub`]: raw record framing plus
+/// the acknowledgement bookkeeping.
+pub struct ReplicaSink {
     /// Durability watermark the replica last acknowledged.
     acked: Lsn,
-    /// Records shipped so far.
+    /// Records framed so far.
     sent: u64,
     /// Records acknowledged so far.
     acked_records: u64,
     /// Outstanding `WALEOF` watermarks: `(watermark, sent-at-that-point)`,
     /// drained as `ACK`s arrive to keep `acked_records` honest.
     eofs: VecDeque<(Lsn, u64)>,
-    /// Records shipped without a trailing `WALEOF` yet (the watermark hit
-    /// a full outbox); the next visit with space retries it.
+    /// Records framed since the last `WALEOF`; the next caught-up visit
+    /// with outbox space sends one.
     eof_pending: bool,
-    /// Consecutive pump visits that found the outbox full with nothing
-    /// accepted; [`EVICTION_FULL_STRIKES`] of them evict the replica.
-    full_strikes: u32,
 }
 
-struct HubInner {
-    next_id: u64,
-    replicas: HashMap<u64, ReplicaHandle>,
-    shipped: Lsn,
+impl Sink for ReplicaSink {
+    type Shared = ();
+
+    fn record(&mut self, lsn: Lsn, rec: &LogRecord, out: &mut VecDeque<String>) {
+        out.push_back(staged_wire::encode_walrec(lsn.segment, lsn.offset, &rec.to_bytes()));
+        self.sent += 1;
+        self.eof_pending = true;
+    }
+
+    fn caught_up(&mut self, cursor: Lsn, tx: &Sender<String>) -> Result<(), TrySendError<String>> {
+        if self.eof_pending {
+            tx.try_send(staged_wire::encode_waleof(cursor.segment, cursor.offset))?;
+            self.eofs.push_back((cursor, self.sent));
+            self.eof_pending = false;
+        }
+        Ok(())
+    }
+
+    /// Shipped-but-unacknowledged records.
+    fn lag(&self, queued: usize) -> u64 {
+        (self.sent - queued as u64).saturating_sub(self.acked_records)
+    }
 }
 
 /// The primary's replica registry and shipping pump. One per server,
 /// shared by the network front end (which subscribes feeds and relays
-/// `ACK`s), the pump driver (stage or thread), and the checkpoint path
-/// (which clamps truncation to [`min_acked`](Self::min_acked)).
-pub struct ReplicationHub {
-    wal: Arc<Wal>,
-    outbox_capacity: usize,
-    inner: Mutex<HubInner>,
-    evicted: AtomicU64,
-    shipped_records: AtomicU64,
-}
+/// `ACK`s), the pump drivers, and the checkpoint path (which clamps
+/// truncation to [`min_acked`](WalFeed::min_acked)).
+pub type ReplicationHub = WalFeed<ReplicaSink>;
 
-impl ReplicationHub {
-    /// A hub shipping `wal`, with per-replica outboxes of `outbox_capacity`
-    /// framed lines.
-    pub fn new(wal: Arc<Wal>, outbox_capacity: usize) -> Self {
-        Self {
-            wal,
-            outbox_capacity: outbox_capacity.max(2),
-            inner: Mutex::new(HubInner {
-                next_id: 0,
-                replicas: HashMap::new(),
-                shipped: Lsn::ZERO,
-            }),
-            evicted: AtomicU64::new(0),
-            shipped_records: AtomicU64::new(0),
-        }
-    }
-
+impl WalFeed<ReplicaSink> {
     /// Register a replica that wants records from `from` on. Returns the
     /// feed id and the outbox receiver the caller must drain to the
     /// socket. Refused when the history below `from` — or the segment
@@ -184,47 +133,29 @@ impl ReplicationHub {
                 )));
             }
         }
-        let (tx, rx) = bounded(self.outbox_capacity);
+        let sink = ReplicaSink {
+            acked: from,
+            sent: 0,
+            acked_records: 0,
+            eofs: VecDeque::new(),
+            eof_pending: false,
+        };
         // An immediate watermark so a caught-up replica acks its position
         // right away and the checkpoint floor learns where it stands.
-        let _ = tx.try_send(staged_wire::encode_waleof(from.segment, from.offset));
-        let mut inner = self.inner.lock();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.replicas.insert(
-            id,
-            ReplicaHandle {
-                tx,
-                cursor: from,
-                acked: from,
-                sent: 0,
-                acked_records: 0,
-                eofs: VecDeque::new(),
-                eof_pending: false,
-                full_strikes: 0,
-            },
-        );
-        Ok((id, rx))
-    }
-
-    /// Drop a feed (orderly disconnect — not counted as an eviction).
-    pub fn disconnect(&self, id: u64) {
-        self.inner.lock().replicas.remove(&id);
+        let greeting = staged_wire::encode_waleof(from.segment, from.offset);
+        Ok(self.register(from, sink, Some(greeting)))
     }
 
     /// Record a replica's `ACK <lsn>`: everything below `lsn` is durable
     /// on that replica and will never need re-shipping.
     pub fn ack(&self, id: u64, lsn: Lsn) {
-        let mut inner = self.inner.lock();
-        if let Some(r) = inner.replicas.get_mut(&id) {
-            if lsn > r.acked {
-                r.acked = lsn;
-            }
+        self.with_sink(id, |r| {
+            r.acked = r.acked.max(lsn);
             while r.eofs.front().is_some_and(|(w, _)| *w <= lsn) {
                 let (_, sent) = r.eofs.pop_front().expect("front checked");
                 r.acked_records = sent;
             }
-        }
+        });
     }
 
     /// The minimum acknowledged LSN over the connected replicas — the
@@ -233,112 +164,7 @@ impl ReplicationHub {
     /// a disconnected or evicted replica does *not* pin the log, and may
     /// find its history gone when it returns).
     pub fn min_acked(&self) -> Option<Lsn> {
-        self.inner.lock().replicas.values().map(|r| r.acked).min()
-    }
-
-    /// Walk the log from each replica's cursor and enqueue what fits in
-    /// its outbox, followed by a `WALEOF` watermark. A full outbox is
-    /// flow control, not a failure: the visit stops there and the next
-    /// one resumes from the cursor, so a catch-up backlog larger than the
-    /// outbox drains over several visits. Eviction is reserved for a
-    /// subscriber that has stopped draining — [`EVICTION_FULL_STRIKES`]
-    /// consecutive full visits in which the replica accepted nothing drop
-    /// its handle (and sender), which hangs up the connection.
-    /// Non-blocking; safe to call from any thread, any time.
-    pub fn pump(&self) {
-        let mut inner = self.inner.lock();
-        if inner.replicas.is_empty() {
-            return;
-        }
-        let store = self.wal.store();
-        let mut dropped: Vec<(u64, bool)> = Vec::new();
-        for (id, r) in inner.replicas.iter_mut() {
-            let (records, _damage) = Wal::read_store_from(store.as_ref(), r.cursor);
-            let mut shipped_any = false;
-            let mut hit_full = false;
-            let mut gone: Option<bool> = None; // Some(true) = evicted (stalled)
-            for (lsn, rec) in &records {
-                let line = staged_wire::encode_walrec(lsn.segment, lsn.offset, &rec.to_bytes());
-                match r.tx.try_send(line) {
-                    Ok(()) => {
-                        r.cursor = after(*lsn);
-                        r.sent += 1;
-                        self.shipped_records.fetch_add(1, Ordering::Relaxed);
-                        shipped_any = true;
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        hit_full = true;
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        gone = Some(false);
-                        break;
-                    }
-                }
-            }
-            if gone.is_none() {
-                if shipped_any {
-                    r.eof_pending = true;
-                }
-                if !hit_full && r.eof_pending {
-                    let eof = staged_wire::encode_waleof(r.cursor.segment, r.cursor.offset);
-                    match r.tx.try_send(eof) {
-                        Ok(()) => {
-                            r.eofs.push_back((r.cursor, r.sent));
-                            r.eof_pending = false;
-                        }
-                        Err(TrySendError::Full(_)) => hit_full = true,
-                        Err(TrySendError::Disconnected(_)) => gone = Some(false),
-                    }
-                }
-            }
-            if gone.is_none() {
-                if hit_full && !shipped_any {
-                    r.full_strikes += 1;
-                    if r.full_strikes >= EVICTION_FULL_STRIKES {
-                        gone = Some(true);
-                    }
-                } else {
-                    r.full_strikes = 0;
-                }
-            }
-            if let Some(evicted) = gone {
-                dropped.push((*id, evicted));
-            }
-        }
-        for (id, evicted) in dropped {
-            inner.replicas.remove(&id);
-            if evicted {
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let max_cursor = inner.replicas.values().map(|r| r.cursor).max();
-        if let Some(m) = max_cursor {
-            if m > inner.shipped {
-                inner.shipped = m;
-            }
-        }
-    }
-
-    /// Current shipping counters.
-    pub fn stats(&self) -> ReplicationStats {
-        let inner = self.inner.lock();
-        let mut max_lag = 0u64;
-        let mut unacked = 0u64;
-        for r in inner.replicas.values() {
-            let lag = r.sent.saturating_sub(r.acked_records);
-            max_lag = max_lag.max(lag);
-            unacked += lag;
-        }
-        ReplicationStats {
-            connected: inner.replicas.len() as u64,
-            shipped_records: self.shipped_records.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            shipped_lsn: inner.shipped,
-            max_lag_records: max_lag,
-            unacked_records: unacked,
-            outbox_capacity: self.outbox_capacity as u64,
-        }
+        self.map_sinks(|r| r.acked).into_iter().min()
     }
 }
 
@@ -410,17 +236,13 @@ struct ApplyState {
 /// the streaming thread; read sessions come from
 /// [`session`](Self::session) or the network front end.
 pub struct ReplicaServer {
-    catalog: Arc<Catalog>,
-    ctx: ExecContext,
-    wal: Wal,
-    txn: TxnRuntime,
+    pipe: Pipeline,
     config: ReplicaConfig,
     apply: Mutex<ApplyState>,
     connected: AtomicBool,
     connects: AtomicU64,
     stream_errors: AtomicU64,
     applied_records: AtomicU64,
-    served: AtomicU64,
     stop: AtomicBool,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
@@ -484,12 +306,8 @@ impl ReplicaServer {
             .map(|(l, _)| after(*l))
             .max()
             .unwrap_or(Lsn::ZERO);
-        let txn = TxnRuntime::for_catalog(&catalog);
         Ok(Arc::new(Self {
-            catalog,
-            ctx,
-            wal,
-            txn,
+            pipe: Pipeline::new(ctx, Arc::new(wal), config.planner.clone()),
             config,
             apply: Mutex::new(ApplyState {
                 pending,
@@ -501,7 +319,6 @@ impl ReplicaServer {
             connects: AtomicU64::new(0),
             stream_errors: AtomicU64::new(0),
             applied_records: AtomicU64::new(0),
-            served: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             thread: Mutex::new(None),
         }))
@@ -561,27 +378,18 @@ impl ReplicaServer {
 
     /// The replica's own WAL (tests probe `next_lsn` and the store).
     pub fn wal(&self) -> &Wal {
-        &self.wal
+        &self.pipe.wal
     }
 
-    /// Statements served.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
-    }
-
-    pub(crate) fn txn_runtime(&self) -> &TxnRuntime {
-        &self.txn
+    pub(crate) fn pipeline(&self) -> &Pipeline {
+        &self.pipe
     }
 
     /// Open a read session. `BEGIN READ ONLY` pins a snapshot exactly as
     /// on the primary; DML and plain `BEGIN` are refused with
     /// [`ServerError::ReadOnlyReplica`].
     pub fn session(self: &Arc<Self>) -> ReplicaSession {
-        ReplicaSession { replica: Arc::clone(self), sid: self.txn.open_session() }
+        ReplicaSession { replica: Arc::clone(self), sid: self.pipe.txn.open_session() }
     }
 
     /// Run one statement outside any session (autocommit reads, bootstrap
@@ -594,42 +402,20 @@ impl ReplicaServer {
         // Transactions that shipped before their table's bootstrap DDL sit
         // in the deferred queue; give them a chance to land before this
         // statement runs (cheap no-op when the queue is empty).
+        self.drain_deferred(&mut self.apply.lock());
+        let action = self.pipe.plan(sql)?;
+        // A read-write BEGIN would allocate an xid and append its own
+        // Begin record to the replica's WAL — breaking the mirror layout.
+        // Only the snapshot flavour may open a transaction. DML is refused
+        // for the same reason.
+        if matches!(&action, PlannedAction::TxnControl(Statement::Begin { read_only: false }))
+            || action.is_dml()
         {
-            let mut st = self.apply.lock();
-            if !st.deferred.is_empty() {
-                self.drain_deferred(&mut st);
-            }
-        }
-        let action = match pipeline::parse_stage(sql, &self.catalog, None)? {
-            Parsed::NeedsPlan(bound) => {
-                pipeline::optimize_stage(&bound, &self.catalog, &self.config.planner)?
-            }
-            Parsed::Action(a) => *a,
-        };
-        if let PlannedAction::TxnControl(stmt) = &action {
-            // A read-write BEGIN would allocate an xid and append its own
-            // Begin record to the replica's WAL — breaking the mirror
-            // layout. Only the snapshot flavour may open a transaction.
-            if matches!(stmt, Statement::Begin { read_only: false }) {
-                return Err(ServerError::ReadOnlyReplica);
-            }
-            return pipeline::execute_txn_control(stmt, session, &self.txn, &self.ctx, &self.wal);
-        }
-        if action.is_dml() {
             return Err(ServerError::ReadOnlyReplica);
-        }
-        let stmt_ctx = self.txn.statement_ctx(session)?;
-        if matches!(stmt_ctx, StatementCtx::ReadOnly(_)) && pipeline::writes(&action) {
-            return Err(ServerError::ReadOnly);
         }
         // Reads and bootstrap DDL. DDL touches only the catalog (it is
         // not WAL-logged), so the mirror layout is safe.
-        let mut action = action;
-        let _pin = pipeline::snapshot_select(&mut action, &self.txn, &stmt_ctx);
-        let res =
-            pipeline::execute_stage(action, &self.ctx, &self.wal, 0, pipeline::Exec::Volcano, None);
-        self.served.fetch_add(1, Ordering::Relaxed);
-        res
+        self.pipe.run(action, session, 0, Exec::Volcano)
     }
 
     // -- the feed ----------------------------------------------------------
@@ -659,7 +445,7 @@ impl ReplicaServer {
         let mut stream = TcpStream::connect(primary).map_err(io_err)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.config.poll_interval)).map_err(io_err)?;
-        let from = self.wal.next_lsn();
+        let from = self.pipe.wal.next_lsn();
         stream
             .write_all(
                 format!("REPLICATE {}\n", staged_wire::format_lsn(from.segment, from.offset))
@@ -695,14 +481,9 @@ impl ReplicaServer {
                         self.ingest(Lsn { segment, offset }, rec)?;
                     }
                     staged_wire::ReplFrame::Eof { .. } => {
-                        {
-                            let mut st = self.apply.lock();
-                            if !st.deferred.is_empty() {
-                                self.drain_deferred(&mut st);
-                            }
-                        }
-                        self.wal.flush().map_err(|e| format!("replica WAL flush: {e}"))?;
-                        let durable = self.wal.flushed_lsn();
+                        self.drain_deferred(&mut self.apply.lock());
+                        self.pipe.wal.flush().map_err(|e| format!("replica WAL flush: {e}"))?;
+                        let durable = self.pipe.wal.flushed_lsn();
                         stream
                             .write_all(
                                 format!(
@@ -736,16 +517,16 @@ impl ReplicaServer {
     /// transaction if this record resolves it.
     fn ingest(&self, lsn: Lsn, rec: LogRecord) -> Result<(), String> {
         let mut st = self.apply.lock();
-        if lsn < self.wal.next_lsn() {
+        if lsn < self.pipe.wal.next_lsn() {
             // Already durable here (the primary re-shipped past our ack).
             return Ok(());
         }
         // Mirror the primary's explicit (checkpoint) rotations; in-segment
         // growth rotates by itself because the segment sizes match.
-        while self.wal.next_lsn().segment < lsn.segment {
-            self.wal.rotate().map_err(|e| format!("replica WAL rotate: {e}"))?;
+        while self.pipe.wal.next_lsn().segment < lsn.segment {
+            self.pipe.wal.rotate().map_err(|e| format!("replica WAL rotate: {e}"))?;
         }
-        let got = self.wal.append(&rec).map_err(|e| format!("replica WAL append: {e}"))?;
+        let got = self.pipe.wal.append(&rec).map_err(|e| format!("replica WAL append: {e}"))?;
         if got != lsn {
             return Err(format!(
                 "replica WAL diverged from the shipped layout: record {lsn} landed at {got} \
@@ -778,7 +559,7 @@ impl ReplicaServer {
     fn drain_deferred(&self, st: &mut ApplyState) {
         let mut applied = 0u64;
         while let Some(txn) = st.deferred.pop_front() {
-            match dml::apply_versioned_txn(&self.ctx, &txn, &mut st.rid_map) {
+            match dml::apply_versioned_txn(&self.pipe.ctx, &txn, &mut st.rid_map) {
                 Ok(n) => applied += n,
                 Err(_) => {
                     st.deferred.push_front(txn);
@@ -813,7 +594,7 @@ impl ReplicaSession {
 
 impl Drop for ReplicaSession {
     fn drop(&mut self) {
-        self.replica.txn.close_session(self.sid, &self.replica.ctx, &self.replica.wal);
+        self.replica.pipe.close_session(self.sid);
     }
 }
 
@@ -833,95 +614,44 @@ mod tests {
             wal.append(&LogRecord::Begin { xid }).unwrap();
             wal.append(&LogRecord::Commit { xid }).unwrap();
         }
-        let hub = ReplicationHub::new(Arc::clone(&wal), capacity);
+        let hub = ReplicationHub::new(Arc::clone(&wal), capacity, ());
         (wal, hub)
     }
 
+    /// Records ship verbatim and in log order, and the watermarks bracket
+    /// them: one at the resume point on subscribe, one just past the last
+    /// shipped record once the feed is caught up — in one visit when the
+    /// outbox is roomy, over several (flow control, `crate::feed`) when
+    /// the backlog is several times the outbox.
     #[test]
     fn pump_ships_in_order_and_watermarks() {
-        let (wal, hub) = hub_with_records(3, 64);
-        let (_id, rx) = hub.subscribe(Lsn::ZERO).unwrap();
-        hub.pump();
-        let mut lsns = Vec::new();
-        let mut eofs = Vec::new();
-        while let Ok(line) = rx.try_recv() {
-            match staged_wire::parse_repl_frame(&line).unwrap() {
-                staged_wire::ReplFrame::Record { segment, offset, payload } => {
-                    assert!(LogRecord::from_bytes(&payload).is_ok());
-                    lsns.push(Lsn { segment, offset });
-                }
-                staged_wire::ReplFrame::Eof { segment, offset } => {
-                    eofs.push(Lsn { segment, offset });
-                }
-            }
-        }
-        assert_eq!(lsns.len(), 6, "three Begin/Commit pairs");
-        assert!(lsns.windows(2).all(|w| w[0] < w[1]), "shipped in log order");
-        // Subscribe enqueues an immediate watermark at the resume point;
-        // the pump follows with one just past the last shipped record.
-        assert_eq!(eofs.first(), Some(&Lsn::ZERO));
-        assert_eq!(eofs.last(), Some(&after(*lsns.last().unwrap())));
-        assert!(*lsns.last().unwrap() < wal.next_lsn());
-        assert_eq!(hub.stats().shipped_records, 6);
-    }
-
-    #[test]
-    fn full_outbox_evicts_the_slow_replica() {
-        let (_wal, hub) = hub_with_records(16, 4);
-        let (_id, rx) = hub.subscribe(Lsn::ZERO).unwrap();
-        // The first visit fills the outbox — that alone is flow control,
-        // not an eviction. A subscriber that then accepts nothing across
-        // the whole strike window has stopped draining and is cut.
-        hub.pump();
-        assert_eq!(hub.stats().connected, 1, "one full visit is not an eviction");
-        for _ in 0..EVICTION_FULL_STRIKES {
-            hub.pump();
-        }
-        assert_eq!(hub.stats().connected, 0, "evicted, not buffered");
-        assert_eq!(hub.stats().evicted, 1);
-        // The feed is cut: the sender side is dropped.
-        while rx.try_recv().is_ok() {}
-        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
-    }
-
-    #[test]
-    fn catchup_backlog_larger_than_outbox_is_flow_controlled_not_evicted() {
-        // 32 records against a 4-line outbox: a draining subscriber must
-        // receive everything over several pump visits, never be evicted.
-        let (wal, hub) = hub_with_records(16, 4);
-        let (_id, rx) = hub.subscribe(Lsn::ZERO).unwrap();
-        let mut records = 0u32;
-        let mut last_eof = None;
-        while records < 32 {
-            hub.pump();
-            let mut progressed = false;
-            while let Ok(line) = rx.try_recv() {
-                progressed = true;
-                match staged_wire::parse_repl_frame(&line).unwrap() {
-                    staged_wire::ReplFrame::Record { .. } => records += 1,
-                    staged_wire::ReplFrame::Eof { segment, offset } => {
-                        last_eof = Some(Lsn { segment, offset });
+        for capacity in [64, 4] {
+            let (wal, hub) = hub_with_records(16, capacity);
+            let (_id, rx) = hub.subscribe(Lsn::ZERO).unwrap();
+            let mut lsns = Vec::new();
+            let mut eofs = Vec::new();
+            while eofs.len() < 2 {
+                hub.pump();
+                while let Ok(line) = rx.try_recv() {
+                    match staged_wire::parse_repl_frame(&line).unwrap() {
+                        staged_wire::ReplFrame::Record { segment, offset, payload } => {
+                            assert!(LogRecord::from_bytes(&payload).is_ok());
+                            lsns.push(Lsn { segment, offset });
+                        }
+                        staged_wire::ReplFrame::Eof { segment, offset } => {
+                            eofs.push(Lsn { segment, offset });
+                        }
                     }
                 }
             }
-            assert!(progressed, "pump stopped making progress mid-catch-up");
+            assert_eq!(lsns.len(), 32, "sixteen Begin/Commit pairs");
+            assert!(lsns.windows(2).all(|w| w[0] < w[1]), "shipped in log order");
+            assert_eq!(eofs, [Lsn::ZERO, after(*lsns.last().unwrap())]);
+            assert!(*lsns.last().unwrap() < wal.next_lsn());
+            // Watermarks are not records: they do not count as shipped.
+            assert_eq!(hub.stats().delivered, 32);
+            assert_eq!(hub.stats().high_water, after(*lsns.last().unwrap()));
         }
-        hub.pump(); // the trailing watermark, if the last visit was full
-        while let Ok(line) = rx.try_recv() {
-            if let staged_wire::ReplFrame::Eof { segment, offset } =
-                staged_wire::parse_repl_frame(&line).unwrap()
-            {
-                last_eof = Some(Lsn { segment, offset });
-            }
-        }
-        assert_eq!(hub.stats().connected, 1, "still subscribed");
-        assert_eq!(hub.stats().evicted, 0);
-        assert_eq!(hub.stats().shipped_records, 32);
-        // The watermark covers every shipped record (offset arithmetic of
-        // the final EOF is after(last record), at or below the append
-        // position — see pump_ships_in_order_and_watermarks).
-        let eof = last_eof.expect("a trailing watermark was shipped");
-        assert!(eof > Lsn::ZERO && eof <= wal.next_lsn());
     }
 
     #[test]
@@ -931,9 +661,10 @@ mod tests {
         hub.pump();
         drop(rx);
         assert_eq!(hub.min_acked(), Some(Lsn::ZERO));
+        assert_eq!(hub.stats().max_lag, 8, "shipped, not yet acked");
         hub.ack(id, wal.next_lsn());
         assert_eq!(hub.min_acked(), Some(wal.next_lsn()));
-        assert_eq!(hub.stats().max_lag_records, 0, "everything acked");
+        assert_eq!(hub.stats().max_lag, 0, "everything acked");
         hub.disconnect(id);
         assert_eq!(hub.min_acked(), None, "a departed replica pins nothing");
     }

@@ -51,7 +51,6 @@ pub enum StatementCtx {
 
 /// Session/transaction bookkeeping: the [`TxnManager`] plus the
 /// session → transaction-binding map. One instance per server.
-#[derive(Default)]
 pub struct TxnRuntime {
     mgr: TxnManager,
     active: Mutex<HashMap<u64, TxnBinding>>,
@@ -59,15 +58,6 @@ pub struct TxnRuntime {
 }
 
 impl TxnRuntime {
-    /// A fresh runtime.
-    pub fn new() -> Self {
-        Self {
-            mgr: TxnManager::new(),
-            active: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
-        }
-    }
-
     /// A runtime whose transactions commit against `catalog`'s shared
     /// timestamp oracle. Every server over a catalog must use this form:
     /// snapshot visibility only works when all writers stamp versions
@@ -102,15 +92,6 @@ impl TxnRuntime {
             // Dropping the binding releases the snapshot pin; a read-only
             // transaction has nothing to undo.
             Some(TxnBinding::ReadOnly(_)) | Some(TxnBinding::Aborted) | None => false,
-        }
-    }
-
-    /// The session's open transaction, if any (aborted-state sessions
-    /// report `None`).
-    pub fn active_xid(&self, session: Option<u64>) -> Option<u64> {
-        match self.active.lock().get(&session?) {
-            Some(TxnBinding::Open(xid)) => Some(*xid),
-            _ => None,
         }
     }
 

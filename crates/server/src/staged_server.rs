@@ -1,19 +1,24 @@
 //! The staged DBMS server (paper Figure 3, top row).
+//!
+//! Everything here is scheduling: nine stages, each a queue plus a worker
+//! pool, and the packets that hop between them. What a stage *does* to a
+//! statement is one `Pipeline` step, and what the server *is* underneath —
+//! recovery, log, feeds, checkpoint body — is the `ServerCore` it shares
+//! with the threaded baseline.
 
-use crate::pipeline::{self, Exec, Parsed, PlannedAction};
+use crate::pipeline::{self, Exec, Parsed, PlannedAction, TxnSlot};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
-use crate::session::{StatementCtx, TxnRuntime};
-use crate::types::{ExecutionMode, Response, ServerConfig, ServerError};
+use crate::server_core::{answered, queued, stats_row, ServerCore};
+use crate::types::{ExecutionMode, QueryOutput, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use staged_cachesim::tracker::RefTracker;
 use staged_core::monitor::StageStats;
 use staged_core::prelude::*;
 use staged_engine::checkpoint::{self, RecoveryReport, CHECKPOINT_XID};
-use staged_engine::context::ExecContext;
 use staged_engine::staged::StagedEngine;
-use staged_engine::txn::{LockKey, LockMode};
+use staged_engine::txn::{LockKey, LockMode, LockTable};
 use staged_planner::PhysicalPlan;
 use staged_sql::binder::BoundSelect;
 use staged_storage::wal::Wal;
@@ -21,23 +26,21 @@ use staged_storage::{
     Catalog, MemSegmentStore, MemSnapshotStore, Schema, SegmentStore, SnapshotStore,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A packet travelling through the six top-level stages (connect → parse →
-/// optimize → lock → execute → disconnect). The enum body is the query's
-/// *backpack* — its state at the current point of execution.
+/// A packet travelling through the nine top-level stages (net → connect →
+/// parse → optimize → lock → execute → disconnect for statements, plus the
+/// checkpoint and replication maintenance stages). The enum body is the
+/// query's *backpack* — its state at the current point of execution.
 pub struct SPacket {
-    /// Transaction the statement runs under (0 = none: reads, DDL).
-    xid: u64,
     /// Session the statement came from (None = one-shot autocommit).
     session: Option<u64>,
-    /// True when `xid` is a statement-scoped implicit transaction that the
-    /// disconnect stage must commit (success) or abort (failure).
-    implicit: bool,
-    /// Partition locks still to be granted by the lock stage.
-    lock_keys: Vec<LockKey>,
+    /// The transaction the statement runs under and the partition locks it
+    /// still needs (set by the lock stage; a checkpoint packet keeps its
+    /// quiesce set here).
+    slot: TxnSlot,
     /// Deadline for lock acquisition (timeout-abort deadlock resolution).
     lock_deadline: Option<Instant>,
     body: PacketBody,
@@ -45,20 +48,12 @@ pub struct SPacket {
 }
 
 impl SPacket {
-    fn new(
-        body: PacketBody,
-        session: Option<u64>,
-        reply: crossbeam::channel::Sender<Response>,
-    ) -> Self {
-        Self {
-            xid: 0,
-            session,
-            implicit: false,
-            lock_keys: Vec::new(),
-            lock_deadline: None,
-            body,
-            reply,
-        }
+    fn take_body(&mut self) -> PacketBody {
+        std::mem::replace(&mut self.body, PacketBody::Raw(String::new()))
+    }
+
+    fn timed_out(&self) -> bool {
+        self.lock_deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -84,32 +79,13 @@ enum PacketBody {
 }
 
 struct ServerShared {
-    catalog: Arc<Catalog>,
-    ctx: ExecContext,
-    wal: Arc<Wal>,
-    snapshots: Arc<dyn SnapshotStore>,
-    recovery: RecoveryReport,
+    core: ServerCore,
     engine: Arc<StagedEngine>,
     config: ServerConfig,
     prepared: Mutex<HashMap<String, Arc<(PhysicalPlan, Schema)>>>,
-    tracker: Option<Arc<RefTracker>>,
-    txn: TxnRuntime,
-    served: AtomicU64,
-    /// True while a checkpoint holds (or is acquiring) the quiesce locks:
-    /// checkpoints serialize on this claim, since they all lock under the
-    /// one [`CHECKPOINT_XID`].
-    checkpointing: AtomicBool,
     /// True while an idle-raised checkpoint packet is queued or running;
     /// stops the idle hook from stacking duplicates.
     auto_pending: AtomicBool,
-    /// WAL-shipping hub: the primary side of replication. Connected
-    /// replicas subscribe through the network front end; the dedicated
-    /// `replication` stage pumps committed records to them from its idle
-    /// hook.
-    replication: Arc<ReplicationHub>,
-    /// Subscription hub: `SUBSCRIBE` change feeds, sourced from the same
-    /// WAL and pumped from the same `replication` stage idle hook.
-    reactivity: Arc<ReactivityHub>,
 }
 
 /// The staged server.
@@ -150,30 +126,59 @@ fn finish(ctx: &StageCtx<'_, SPacket>, mut pkt: SPacket, res: Response) -> Resul
     forward(ctx, "disconnect", pkt)
 }
 
-stage_logic!(NetStage, shared, pkt, ctx, {
-    // The network admission stage. Statements arriving over TCP enter the
-    // pipeline here: connection readers enqueue one packet per decoded
-    // statement, and this stage's bounded queue is the server's admission
-    // buffer — when downstream stages fall behind, back-pressure propagates
-    // through this queue to the reader threads and from there, via unread
-    // socket bytes, to the clients themselves. Its StageStats therefore
-    // meter exactly the network-admitted load (in-process submissions
-    // enter at `connect` and are not counted here).
-    let _ = shared;
-    match std::mem::replace(&mut pkt.body, PacketBody::Raw(String::new())) {
-        PacketBody::Raw(sql) => {
-            pkt.body = PacketBody::Raw(sql);
-            forward(ctx, "connect", pkt)
-        }
-        other => {
-            pkt.body = other;
-            finish(ctx, pkt, Err(ServerError::Execution("bad packet at net".into())))
-        }
+/// A packet whose body is not what `stage` works on: answer with an error.
+fn misrouted(ctx: &StageCtx<'_, SPacket>, pkt: SPacket, stage: &str) -> Result<(), StageError> {
+    finish(ctx, pkt, Err(ServerError::Execution(format!("bad packet at {stage}"))))
+}
+
+/// Grant `xid` as many of `keys` as are free right now, in (sorted) order,
+/// removing the granted ones. True once none are left.
+fn try_acquire(locks: &LockTable, xid: u64, keys: &mut Vec<LockKey>) -> bool {
+    let mut granted = 0;
+    while granted < keys.len() && locks.try_lock(xid, keys[granted], LockMode::Exclusive) {
+        granted += 1;
     }
-});
+    keys.drain(..granted);
+    keys.is_empty()
+}
+
+/// Park-and-retry (case iii of §4.1.1): yield the worker briefly, then
+/// requeue the packet on its own stage. The retry counter makes contention
+/// visible in the stage's StageStats. The requeue must never block on the
+/// stage's own full queue (the only dequeuer is this worker — blocking
+/// here would deadlock the stage against itself), so it tries the back
+/// non-blocking and falls back to the capacity-exempt front slot under
+/// overload.
+fn park(ctx: &StageCtx<'_, SPacket>, pkt: SPacket) -> Result<(), StageError> {
+    ctx.record_retry();
+    std::thread::sleep(Duration::from_micros(100));
+    match ctx.try_send(ctx.stage_id, pkt) {
+        Ok(()) => Ok(()),
+        Err(EnqueueError::Full(pkt)) => {
+            ctx.requeue(pkt).map_err(|_| StageError::new("pipeline closed"))
+        }
+        Err(EnqueueError::Closed(_)) => Err(StageError::new("pipeline closed")),
+    }
+}
+
+/// The network admission stage. Statements arriving over TCP enter the
+/// pipeline here: the event loop enqueues one packet per decoded statement,
+/// and this stage's bounded queue is the server's admission buffer — when
+/// downstream stages fall behind, back-pressure propagates through this
+/// queue to the event loop and from there, via unread socket bytes, to the
+/// clients themselves. Its StageStats therefore meter exactly the
+/// network-admitted load (in-process submissions enter at `connect` and
+/// are not counted here).
+struct NetStage;
+
+impl StageLogic<SPacket> for NetStage {
+    fn process(&self, pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
+        forward(ctx, "connect", pkt)
+    }
+}
 
 stage_logic!(ConnectStage, shared, pkt, ctx, {
-    match std::mem::replace(&mut pkt.body, PacketBody::Raw(String::new())) {
+    match pkt.take_body() {
         PacketBody::Raw(sql) => {
             pkt.body = PacketBody::Raw(sql);
             forward(ctx, "parse", pkt)
@@ -192,42 +197,33 @@ stage_logic!(ConnectStage, shared, pkt, ctx, {
                 None => finish(ctx, pkt, Err(ServerError::UnknownPrepared(name))),
             }
         }
-        other => {
-            pkt.body = other;
-            finish(ctx, pkt, Err(ServerError::Execution("bad packet at connect".into())))
-        }
+        _ => misrouted(ctx, pkt, "connect"),
     }
 });
 
 stage_logic!(ParseStage, shared, pkt, ctx, {
-    let PacketBody::Raw(sql) = std::mem::replace(&mut pkt.body, PacketBody::Raw(String::new()))
-    else {
-        return finish(ctx, pkt, Err(ServerError::Execution("bad packet at parse".into())));
+    let PacketBody::Raw(sql) = pkt.take_body() else {
+        return misrouted(ctx, pkt, "parse");
     };
-    match pipeline::parse_stage(&sql, &shared.catalog, shared.tracker.as_deref()) {
-        Ok(Parsed::NeedsPlan(bound)) => {
-            if let Err(e) = shared.txn.statement_ctx(pkt.session) {
-                return finish(ctx, pkt, Err(e));
+    let pipe = &shared.core.pipe;
+    match pipeline::parse_stage(&sql, &pipe.ctx.catalog, pipe.ctx.tracker.as_deref()) {
+        Ok(Parsed::NeedsPlan(bound)) => match pipe.txn.statement_ctx(pkt.session) {
+            Ok(_) => {
+                pkt.body = PacketBody::Bound(bound);
+                forward(ctx, "optimize", pkt)
             }
-            pkt.body = PacketBody::Bound(bound);
-            forward(ctx, "optimize", pkt)
-        }
+            Err(e) => finish(ctx, pkt, Err(e)),
+        },
         Ok(Parsed::Action(action)) => {
             // DDL / DML bypass the optimizer (§4.1: "the query can route
             // itself from the connect stage directly to the execute stage").
             // DML makes one extra hop through the lock-manager stage first.
-            // A session in the failed-transaction state refuses everything
-            // except the COMMIT/ROLLBACK acknowledgement; a READ ONLY
-            // transaction refuses writes here, before they reach the lock
-            // stage — the per-statement policy decision of the read-only
-            // fast path.
-            if !matches!(action.as_ref(), PlannedAction::TxnControl(_)) {
-                match shared.txn.statement_ctx(pkt.session) {
-                    Err(e) => return finish(ctx, pkt, Err(e)),
-                    Ok(StatementCtx::ReadOnly(_)) if pipeline::writes(&action) => {
-                        return finish(ctx, pkt, Err(ServerError::ReadOnly));
-                    }
-                    Ok(_) => {}
+            // Statements the session's transaction state refuses are turned
+            // around here, before they cost a lock-stage visit — the
+            // per-statement policy decision of the read-only fast path.
+            if !matches!(*action, PlannedAction::TxnControl(_)) {
+                if let Err(e) = pipe.admit(pkt.session, &action) {
+                    return finish(ctx, pkt, Err(e));
                 }
             }
             let dest = if action.is_dml() { "lock" } else { "execute" };
@@ -244,191 +240,76 @@ stage_logic!(LockStage, shared, pkt, ctx, {
     // transaction — or starts a statement-scoped implicit one — and
     // computes its lock set; then it acquires locks incrementally in
     // sorted key order. A packet that hits a conflict requeues itself
-    // (case iii of §4.1.1) until its deadline, at which point the
-    // transaction is aborted: timeout-abort deadlock resolution.
+    // until its deadline, at which point the statement fails and the
+    // disconnect stage aborts its transaction: timeout-abort deadlock
+    // resolution.
+    let core = &shared.core;
     if pkt.lock_deadline.is_none() {
-        match shared.txn.statement_ctx(pkt.session) {
-            Err(e) => return finish(ctx, pkt, Err(e)),
-            // Parse already refuses writes in a READ ONLY transaction;
-            // refusing again here keeps the lock stage safe against any
-            // future routing change.
-            Ok(StatementCtx::ReadOnly(_)) => {
-                return finish(ctx, pkt, Err(ServerError::ReadOnly));
-            }
-            Ok(StatementCtx::Write(xid)) => {
-                pkt.xid = xid;
-                pkt.implicit = false;
-            }
-            Ok(StatementCtx::Autocommit) => match shared.txn.mgr().begin(&shared.wal) {
-                Ok(xid) => {
-                    pkt.xid = xid;
-                    pkt.implicit = true;
-                }
-                Err(e) => return finish(ctx, pkt, Err(ServerError::Execution(e.to_string()))),
-            },
-        }
-        let keys = match &pkt.body {
-            PacketBody::Action(action) => {
-                pipeline::dml_lock_keys(action, &shared.catalog, &shared.config.planner)
-            }
-            _ => return finish(ctx, pkt, Err(ServerError::Execution("bad packet at lock".into()))),
+        let PacketBody::Action(action) = &pkt.body else {
+            return misrouted(ctx, pkt, "lock");
         };
-        pkt.lock_keys = keys;
-        pkt.lock_deadline = Some(Instant::now() + shared.config.lock_timeout);
-    }
-    let locks = shared.txn.mgr().locks();
-    while let Some(key) = pkt.lock_keys.first().copied() {
-        if locks.try_lock(pkt.xid, key, LockMode::Exclusive) {
-            pkt.lock_keys.remove(0);
-        } else {
-            break;
+        match core.pipe.join_txn(pkt.session, action) {
+            Ok(slot) => pkt.slot = slot,
+            Err(e) => return finish(ctx, pkt, Err(e)),
         }
+        pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
     }
-    if pkt.lock_keys.is_empty() {
-        return forward(ctx, "execute", pkt);
-    }
-    if Instant::now() >= pkt.lock_deadline.unwrap_or_else(Instant::now) {
-        shared.txn.fail_txn(pkt.session, pkt.xid, &shared.ctx, &shared.wal);
-        return finish(
-            ctx,
-            pkt,
-            Err(ServerError::Execution(
-                "lock timeout: transaction aborted (presumed deadlock)".into(),
-            )),
-        );
-    }
-    // Parked behind a conflicting lock: yield and retry. The retry counter
-    // makes contention visible in this stage's StageStats. The requeue must
-    // never block on this stage's own full queue (the only dequeuer is this
-    // worker — blocking here would deadlock the stage against itself), so
-    // it tries the back non-blocking and falls back to the capacity-exempt
-    // front slot under overload.
-    ctx.record_retry();
-    std::thread::sleep(std::time::Duration::from_micros(100));
-    match ctx.try_send(ctx.stage_id, pkt) {
-        Ok(()) => Ok(()),
-        Err(EnqueueError::Full(pkt)) => {
-            ctx.requeue(pkt).map_err(|_| StageError::new("pipeline closed"))
-        }
-        Err(EnqueueError::Closed(_)) => Err(StageError::new("pipeline closed")),
+    if try_acquire(core.pipe.txn.mgr().locks(), pkt.slot.xid, &mut pkt.slot.keys) {
+        forward(ctx, "execute", pkt)
+    } else if pkt.timed_out() {
+        finish(ctx, pkt, Err(pipeline::lock_timeout_error()))
+    } else {
+        park(ctx, pkt)
     }
 });
 
 /// The checkpoint stage: the maintenance counterpart of the lock-manager
-/// stage. A checkpoint packet quiesces the writers by acquiring every
+/// stage. A checkpoint packet claims the core's checkpoint turn (parking
+/// while another holds it), quiesces the writers by acquiring every
 /// partition lock incrementally under [`CHECKPOINT_XID`] — requeueing
 /// itself on conflict exactly like a DML packet at the lock stage — and
-/// once the database is still, snapshots it, truncates the log, and
+/// once the database is still, runs the core's checkpoint body and
 /// releases the world. Its idle hook raises a checkpoint on its own when
 /// the live log grows past `config.checkpoint_segments`.
 struct CheckpointStage {
     shared: Arc<ServerShared>,
 }
 
-impl CheckpointStage {
-    /// Drop the claim flags after a checkpoint finishes (any way).
-    fn done(&self, auto: bool) {
-        self.shared.checkpointing.store(false, Ordering::Release);
+impl StageLogic<SPacket> for CheckpointStage {
+    fn process(&self, mut pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
+        let core = &self.shared.core;
+        let PacketBody::Checkpoint { auto } = pkt.body else {
+            return misrouted(ctx, pkt, "checkpoint");
+        };
+        if pkt.lock_deadline.is_none() {
+            if !core.try_claim_checkpoint() {
+                return park(ctx, pkt);
+            }
+            pkt.slot.keys = checkpoint::quiesce_keys(&core.pipe.ctx.catalog);
+            pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
+        }
+        let locks = core.pipe.txn.mgr().locks();
+        let res = if try_acquire(locks, CHECKPOINT_XID, &mut pkt.slot.keys) {
+            core.checkpoint_quiesced()
+        } else if pkt.timed_out() {
+            // Writers would not drain in time: give the locks back and
+            // report, leaving the log untouched.
+            Err(ServerError::Execution("checkpoint lock timeout: writers would not quiesce".into()))
+        } else {
+            return park(ctx, pkt);
+        };
+        locks.release_all(CHECKPOINT_XID);
+        core.release_checkpoint();
         if auto {
             self.shared.auto_pending.store(false, Ordering::Release);
         }
-    }
-
-    /// Park-and-retry: yield the worker briefly, then requeue the packet
-    /// (never blocking on this stage's own queue — same rule as the lock
-    /// stage).
-    fn park(&self, pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
-        ctx.record_retry();
-        std::thread::sleep(std::time::Duration::from_micros(100));
-        match ctx.try_send(ctx.stage_id, pkt) {
-            Ok(()) => Ok(()),
-            Err(EnqueueError::Full(pkt)) => {
-                ctx.requeue(pkt).map_err(|_| StageError::new("pipeline closed"))
-            }
-            Err(EnqueueError::Closed(_)) => Err(StageError::new("pipeline closed")),
-        }
-    }
-}
-
-impl StageLogic<SPacket> for CheckpointStage {
-    fn process(&self, mut pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
-        let shared = &self.shared;
-        let PacketBody::Checkpoint { auto } = pkt.body else {
-            return finish(
-                ctx,
-                pkt,
-                Err(ServerError::Execution("bad packet at checkpoint".into())),
-            );
-        };
-        if pkt.lock_deadline.is_none() {
-            // Checkpoints serialize on the claim: they all lock under the
-            // one CHECKPOINT_XID, so a second one must wait its turn.
-            if shared
-                .checkpointing
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                return self.park(pkt, ctx);
-            }
-            pkt.lock_keys = checkpoint::quiesce_keys(&shared.catalog);
-            pkt.lock_deadline = Some(Instant::now() + shared.config.lock_timeout);
-        }
-        let locks = shared.txn.mgr().locks();
-        while let Some(key) = pkt.lock_keys.first().copied() {
-            if locks.try_lock(CHECKPOINT_XID, key, LockMode::Exclusive) {
-                pkt.lock_keys.remove(0);
-            } else {
-                break;
-            }
-        }
-        if pkt.lock_keys.is_empty() {
-            // The database is still: every partition lock is ours, and
-            // in-flight writers hold theirs through commit (strict 2PL),
-            // so none are mid-statement.
-            // The truncation floor is clamped to the minimum replica-acked
-            // LSN: history a live replica has not yet confirmed durable
-            // stays on disk so a reconnect can resume, not re-seed.
-            let res = checkpoint::checkpoint_with_floor(
-                &shared.catalog,
-                &shared.wal,
-                shared.snapshots.as_ref(),
-                shared.replication.min_acked(),
-            );
-            // Writers are quiesced (we hold every partition lock), so dead
-            // versions can be reclaimed before the world is released.
-            let gc = checkpoint::vacuum(&shared.catalog, shared.txn.mgr());
-            locks.release_all(CHECKPOINT_XID);
-            self.done(auto);
-            let res = res
-                .map(|o| {
-                    crate::types::QueryOutput::message(format!(
-                        "CHECKPOINT {} rows={} segments_deleted={} versions_gc={}",
-                        o.lsn, o.rows, o.segments_deleted, gc.dead_removed
-                    ))
-                })
-                .map_err(|e| ServerError::Execution(e.to_string()));
-            return finish(ctx, pkt, res);
-        }
-        if Instant::now() >= pkt.lock_deadline.unwrap_or_else(Instant::now) {
-            // Writers would not drain in time: give the locks back and
-            // report, leaving the log untouched.
-            locks.release_all(CHECKPOINT_XID);
-            self.done(auto);
-            return finish(
-                ctx,
-                pkt,
-                Err(ServerError::Execution(
-                    "checkpoint lock timeout: writers would not quiesce".into(),
-                )),
-            );
-        }
-        self.park(pkt, ctx)
+        finish(ctx, pkt, res)
     }
 
     fn on_idle(&self, ctx: &StageCtx<'_, SPacket>) {
         let shared = &self.shared;
         let Some(limit) = shared.config.checkpoint_segments else { return };
-        let live = shared.wal.segments().map(|s| s.len() as u64).unwrap_or(0);
+        let live = shared.core.pipe.wal.segments().map(|s| s.len() as u64).unwrap_or(0);
         if live <= limit {
             return;
         }
@@ -440,22 +321,20 @@ impl StageLogic<SPacket> for CheckpointStage {
             return;
         }
         // The reply channel is a stub: nobody waits on an auto checkpoint.
-        let (tx, _rx) = bounded(1);
-        let pkt = SPacket::new(PacketBody::Checkpoint { auto: true }, None, tx);
+        let (pkt, _rx) = packet(PacketBody::Checkpoint { auto: true }, None);
         if ctx.try_send(ctx.stage_id, pkt).is_err() {
             shared.auto_pending.store(false, Ordering::Release);
         }
     }
 }
 
-/// The replication stage: the shipping side of the primary, run as its own
-/// bounded stage like everything else in the server. It receives no client
-/// packets — its work hook is `on_idle`, which pumps committed WAL records
-/// into every subscribed replica's bounded outbox (evicting replicas whose
-/// outbox is full rather than buffering without bound). Feed connection
-/// threads also pump on their own when caught up, so this stage's idle
-/// cadence only bounds the *eviction* latency of a stalled replica, not the
-/// shipping latency of a healthy one.
+/// The replication stage: the feed pump, run as its own bounded stage like
+/// everything else in the server. It receives no client packets — its work
+/// hook is `on_idle`, which pumps committed WAL into every replica's and
+/// subscriber's bounded outbox (evicting those that stopped draining). The
+/// network loop also pumps on its own when a feed is caught up, so this
+/// stage's idle cadence only bounds the *eviction* latency of a stalled
+/// peer, not the delivery latency of a healthy one.
 struct ReplicationStage {
     shared: Arc<ServerShared>,
 }
@@ -463,23 +342,20 @@ struct ReplicationStage {
 impl StageLogic<SPacket> for ReplicationStage {
     fn process(&self, pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
         // Nothing routes packets here; anything that arrives is a bug.
-        finish(ctx, pkt, Err(ServerError::Execution("bad packet at replication".into())))
+        misrouted(ctx, pkt, "replication")
     }
 
     fn on_idle(&self, _ctx: &StageCtx<'_, SPacket>) {
-        self.shared.replication.pump();
-        // The subscription hub shares the stage: same source (the WAL),
-        // same bounded-outbox discipline, same eviction cadence.
-        self.shared.reactivity.pump();
+        self.shared.core.pump_feeds();
     }
 }
 
 stage_logic!(OptimizeStage, shared, pkt, ctx, {
-    let PacketBody::Bound(bound) = std::mem::replace(&mut pkt.body, PacketBody::Raw(String::new()))
-    else {
-        return finish(ctx, pkt, Err(ServerError::Execution("bad packet at optimize".into())));
+    let PacketBody::Bound(bound) = pkt.take_body() else {
+        return misrouted(ctx, pkt, "optimize");
     };
-    match pipeline::optimize_stage(&bound, &shared.catalog, &shared.config.planner) {
+    let pipe = &shared.core.pipe;
+    match pipeline::optimize_stage(&bound, &pipe.ctx.catalog, &pipe.planner) {
         Ok(action) => {
             pkt.body = PacketBody::Action(Box::new(action));
             forward(ctx, "execute", pkt)
@@ -489,59 +365,54 @@ stage_logic!(OptimizeStage, shared, pkt, ctx, {
 });
 
 stage_logic!(ExecuteStage, shared, pkt, ctx, {
-    let PacketBody::Action(action) =
-        std::mem::replace(&mut pkt.body, PacketBody::Raw(String::new()))
-    else {
-        return finish(ctx, pkt, Err(ServerError::Execution("bad packet at execute".into())));
+    let PacketBody::Action(action) = pkt.take_body() else {
+        return misrouted(ctx, pkt, "execute");
     };
-    if let PlannedAction::TxnControl(stmt) = action.as_ref() {
-        let res =
-            pipeline::execute_txn_control(stmt, pkt.session, &shared.txn, &shared.ctx, &shared.wal);
-        return finish(ctx, pkt, res);
-    }
     let exec = match shared.config.mode {
         ExecutionMode::Volcano => Exec::Volcano,
         ExecutionMode::Staged => Exec::Staged(&shared.engine),
     };
-    let txn = (pkt.xid != 0).then(|| shared.txn.mgr());
-    // SELECTs run as snapshot reads; the statement context is re-read here
-    // (not at parse) so the view reflects commits up to this moment. The
-    // pin guard must outlive the execute call.
-    let mut action = *action;
-    let stmt_ctx = match shared.txn.statement_ctx(pkt.session) {
-        Ok(c) => c,
-        Err(e) => return finish(ctx, pkt, Err(e)),
-    };
-    let _pin = pipeline::snapshot_select(&mut action, &shared.txn, &stmt_ctx);
-    let res = pipeline::execute_stage(action, &shared.ctx, &shared.wal, pkt.xid, exec, txn);
+    let res = shared.core.pipe.run(*action, pkt.session, pkt.slot.xid, exec);
     finish(ctx, pkt, res)
 });
 
 stage_logic!(DisconnectStage, shared, pkt, _ctx, {
-    // "end Xaction, delete state, disconnect": statement-level commit for
-    // implicit transactions (the Commit record's forced flush is the
-    // atomic durability point), abort of the transaction on statement
-    // failure, then the reply.
-    let body = std::mem::replace(&mut pkt.body, PacketBody::Raw(String::new()));
-    let mut res = match body {
+    // "end Xaction, delete state, disconnect": settle the statement's
+    // transaction (commit an implicit one, abort on failure), then reply.
+    let res = match pkt.take_body() {
         PacketBody::Finished(r) => *r,
         _ => Err(ServerError::Execution("bad packet at disconnect".into())),
     };
-    if pkt.xid != 0 {
-        match (&res, pkt.implicit) {
-            (Ok(_), true) => {
-                if let Err(e) = shared.txn.mgr().commit(pkt.xid, &shared.ctx, &shared.wal) {
-                    res = Err(ServerError::Execution(e.to_string()));
-                }
-            }
-            (Err(_), _) => shared.txn.fail_txn(pkt.session, pkt.xid, &shared.ctx, &shared.wal),
-            (Ok(_), false) => {} // explicit txn continues; COMMIT ends it
-        }
-    }
-    shared.served.fetch_add(1, Ordering::Relaxed);
+    let res = shared.core.pipe.settle(pkt.session, &pkt.slot, res);
+    shared.core.served.fetch_add(1, Ordering::Relaxed);
     let _ = pkt.reply.send(res);
     Ok(())
 });
+
+/// A fresh packet and the channel its response arrives on.
+fn packet(body: PacketBody, session: Option<u64>) -> (SPacket, Receiver<Response>) {
+    let (reply, rx) = bounded(1);
+    (SPacket { session, slot: TxnSlot::default(), lock_deadline: None, body, reply }, rx)
+}
+
+/// One stage's spec. `cohorts` stages serve gated cohorts under the
+/// configured policy; the others serve one packet per visit.
+fn spec(
+    name: &str,
+    logic: impl StageLogic<SPacket>,
+    workers: usize,
+    cohorts: bool,
+    config: &ServerConfig,
+) -> StageSpec<SPacket> {
+    let spec = StageSpec::new(name, logic)
+        .with_queue_capacity(config.queue_capacity)
+        .with_workers(workers);
+    if cohorts {
+        spec.with_batch(config.batch).with_max_cohort(config.max_cohort)
+    } else {
+        spec.with_batch(BatchPolicy::Single)
+    }
+}
 
 impl StagedServer {
     /// Build and start the staged server over an existing catalog.
@@ -567,11 +438,9 @@ impl StagedServer {
     }
 
     /// Build the server over existing WAL-segment and snapshot stores,
-    /// running checkpointed recovery first: restore the latest snapshot
-    /// (if any) into the catalog, replay only the WAL tail at or after its
-    /// LSN, repair a torn log tail, then start the stages. The catalog
-    /// must be empty when a snapshot exists (recovery rebuilds the tables
-    /// it describes).
+    /// running checkpointed recovery first (see `ServerCore::open`), then
+    /// start the stages. The catalog must be empty when a snapshot exists
+    /// (recovery rebuilds the tables it describes).
     pub fn with_stores(
         catalog: Arc<Catalog>,
         config: ServerConfig,
@@ -579,44 +448,18 @@ impl StagedServer {
         segments: Arc<dyn SegmentStore>,
         snapshots: Arc<dyn SnapshotStore>,
     ) -> Result<Arc<Self>, ServerError> {
-        // Tables created through this server's DDL path inherit the
-        // configured partition count (scoped to this server's context).
-        let mut ctx = ExecContext::new(Arc::clone(&catalog)).with_partitions(config.partitions);
-        if let Some(t) = &tracker {
-            ctx = ctx.with_tracker(Arc::clone(t));
-        }
-        let (wal, recovery) =
-            checkpoint::recover(&ctx, segments, snapshots.as_ref(), config.wal_segment_pages)
-                .map_err(|e| ServerError::Execution(format!("recovery failed: {e}")))?;
-        let wal = Arc::new(wal);
-        let replication =
-            Arc::new(ReplicationHub::new(Arc::clone(&wal), config.replication_outbox));
-        let reactivity = Arc::new(ReactivityHub::new(
-            Arc::clone(&wal),
-            Arc::clone(&catalog),
-            config.subscription_outbox,
-        ));
-        let engine = StagedEngine::new(ctx.clone(), config.engine.clone());
-        let txn = TxnRuntime::for_catalog(&catalog);
+        let core = ServerCore::open(catalog, &config, tracker, segments, snapshots)?;
+        let engine = StagedEngine::new(core.pipe.ctx.clone(), config.engine.clone());
         let shared = Arc::new(ServerShared {
-            catalog,
-            ctx,
-            wal,
-            snapshots,
-            recovery,
+            core,
             engine,
             config: config.clone(),
             prepared: Mutex::new(HashMap::new()),
-            tracker,
-            txn,
-            served: AtomicU64::new(0),
-            checkpointing: AtomicBool::new(false),
             auto_pending: AtomicBool::new(false),
-            replication,
-            reactivity,
         });
+        let logic = || Arc::clone(&shared);
+        let control = config.control_workers;
         let mut b = StagedRuntime::<SPacket>::builder();
-        let cohort = config.max_cohort;
         // Registered first: registration order is pipeline order, which
         // shutdown uses as its drain order — network admissions must drain
         // before the stages they feed close.
@@ -624,145 +467,93 @@ impl StagedServer {
         // The `net` stage serves one packet per visit: its bounded queue
         // *is* the server's network admission limit, and a cohort held in
         // a worker's hands would be load admitted past that bound.
-        let net_id = b.add_stage(
-            StageSpec::new("net", NetStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.control_workers)
-                .with_batch(BatchPolicy::Single),
-        );
-        let connect_id = b.add_stage(
-            StageSpec::new("connect", ConnectStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.control_workers)
-                .with_batch(config.batch)
-                .with_max_cohort(cohort),
-        );
-        b.add_stage(
-            StageSpec::new("parse", ParseStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.control_workers)
-                .with_batch(config.batch)
-                .with_max_cohort(cohort),
-        );
-        b.add_stage(
-            StageSpec::new("optimize", OptimizeStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.control_workers)
-                .with_batch(config.batch)
-                .with_max_cohort(cohort),
-        );
+        let net_id = b.add_stage(spec("net", NetStage, control, false, &config));
+        let connect_id =
+            b.add_stage(spec("connect", ConnectStage { shared: logic() }, control, true, &config));
+        b.add_stage(spec("parse", ParseStage { shared: logic() }, control, true, &config));
+        b.add_stage(spec("optimize", OptimizeStage { shared: logic() }, control, true, &config));
         // One-at-a-time as well: a conflicted packet parks by sleeping and
         // requeueing inside `process`, which would stall every cohort-mate
         // still in the worker's hands behind a lock it may not even want.
-        b.add_stage(
-            StageSpec::new("lock", LockStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.control_workers)
-                .with_batch(BatchPolicy::Single),
-        );
+        b.add_stage(spec("lock", LockStage { shared: logic() }, control, false, &config));
         // One worker, one packet at a time: checkpoints serialize anyway
-        // (they share CHECKPOINT_XID), and a parked checkpoint requeues by
+        // (on the core's claim), and a parked checkpoint requeues by
         // sleeping inside `process` like a conflicted lock packet.
-        let checkpoint_id = b.add_stage(
-            StageSpec::new("checkpoint", CheckpointStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(1)
-                .with_batch(BatchPolicy::Single),
-        );
-        // One worker, one packet at a time: the replication stage does all
-        // of its work from the idle hook (no packets are ever routed here),
-        // pumping the shipping hub on the runtime's idle cadence.
-        b.add_stage(
-            StageSpec::new("replication", ReplicationStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(1)
-                .with_batch(BatchPolicy::Single),
-        );
-        b.add_stage(
-            StageSpec::new("execute", ExecuteStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.execute_workers)
-                .with_batch(config.batch)
-                .with_max_cohort(cohort),
-        );
-        b.add_stage(
-            StageSpec::new("disconnect", DisconnectStage { shared: Arc::clone(&shared) })
-                .with_queue_capacity(config.queue_capacity)
-                .with_workers(config.control_workers)
-                .with_batch(config.batch)
-                .with_max_cohort(cohort),
-        );
+        let checkpoint_id =
+            b.add_stage(spec("checkpoint", CheckpointStage { shared: logic() }, 1, false, &config));
+        // One worker: the replication stage does all of its work from the
+        // idle hook (no packets are ever routed here), pumping the feeds
+        // on the runtime's idle cadence.
+        b.add_stage(spec("replication", ReplicationStage { shared: logic() }, 1, false, &config));
+        let workers = config.execute_workers;
+        b.add_stage(spec("execute", ExecuteStage { shared: logic() }, workers, true, &config));
+        b.add_stage(spec(
+            "disconnect",
+            DisconnectStage { shared: logic() },
+            control,
+            true,
+            &config,
+        ));
         let runtime = b.build();
         Ok(Arc::new(Self { shared, runtime, net_id, connect_id, checkpoint_id }))
+    }
+
+    /// Put one packet on `stage`'s queue — waiting for room when `wait`,
+    /// else refusing with `Overloaded` when the queue is full — and return
+    /// the channel its response arrives on.
+    fn enqueue(
+        &self,
+        stage: StageId,
+        body: PacketBody,
+        session: Option<u64>,
+        wait: bool,
+    ) -> Result<Receiver<Response>, ServerError> {
+        let (pkt, rx) = packet(body, session);
+        let enqueued = if wait {
+            self.runtime.enqueue(stage, pkt)
+        } else {
+            self.runtime.try_enqueue(stage, pkt)
+        };
+        queued(enqueued, rx)
+    }
+
+    /// [`enqueue`](Self::enqueue) and wait for room; a refusal (shutdown)
+    /// is delivered on the returned channel.
+    fn enqueue_wait(
+        &self,
+        stage: StageId,
+        body: PacketBody,
+        session: Option<u64>,
+    ) -> Receiver<Response> {
+        self.enqueue(stage, body, session, true).unwrap_or_else(|e| answered(Err(e)))
     }
 
     /// Submit SQL; returns the response channel (blocking admission under
     /// back-pressure). One-shot autocommit; use [`session`](Self::session)
     /// for multi-statement transactions.
     pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        self.submit_in(sql, None)
-    }
-
-    fn submit_in(&self, sql: impl Into<String>, session: Option<u64>) -> Receiver<Response> {
-        self.submit_at(self.connect_id, sql, session)
-    }
-
-    /// Network admission: like [`submit`](Self::submit) but entering at the
-    /// `net` stage, so network traffic is metered (and back-pressured) by
-    /// the admission stage's own queue before it reaches `connect`.
-    pub fn submit_admitted(
-        &self,
-        sql: impl Into<String>,
-        session: Option<u64>,
-    ) -> Receiver<Response> {
-        self.submit_at(self.net_id, sql, session)
-    }
-
-    fn submit_at(
-        &self,
-        stage: StageId,
-        sql: impl Into<String>,
-        session: Option<u64>,
-    ) -> Receiver<Response> {
-        let (tx, rx) = bounded(1);
-        let pkt = SPacket::new(PacketBody::Raw(sql.into()), session, tx);
-        if let Err(e) = self.runtime.enqueue(stage, pkt) {
-            let _ = e.into_packet().reply.send(Err(ServerError::ShuttingDown));
-        }
-        rx
+        self.enqueue_wait(self.connect_id, PacketBody::Raw(sql.into()), None)
     }
 
     /// Non-blocking admission: `Err(Overloaded)` when the connect queue is
     /// full (paper §5.2 overload conditioning).
     pub fn try_submit(&self, sql: impl Into<String>) -> Result<Receiver<Response>, ServerError> {
-        let (tx, rx) = bounded(1);
-        let pkt = SPacket::new(PacketBody::Raw(sql.into()), None, tx);
-        match self.runtime.try_enqueue(self.connect_id, pkt) {
-            Ok(()) => Ok(rx),
-            Err(EnqueueError::Full(_)) => Err(ServerError::Overloaded),
-            Err(EnqueueError::Closed(_)) => Err(ServerError::ShuttingDown),
-        }
+        self.enqueue(self.connect_id, PacketBody::Raw(sql.into()), None, false)
     }
 
-    /// Non-blocking network admission: [`submit_admitted`] without the
-    /// blocking enqueue. `Err(Overloaded)` when the `net` stage's bounded
-    /// queue is full — the event-driven front end translates that into
-    /// *not reading the socket*, so the overload propagates to TCP flow
-    /// control instead of parking a thread (DESIGN.md §16).
-    ///
-    /// [`submit_admitted`]: Self::submit_admitted
+    /// Non-blocking network admission: enter at the `net` stage, so
+    /// network traffic is metered (and back-pressured) by the admission
+    /// stage's own queue before it reaches `connect`. `Err(Overloaded)`
+    /// when that bounded queue is full — the event-driven front end
+    /// translates that into *not reading the socket*, so the overload
+    /// propagates to TCP flow control instead of parking a thread
+    /// (DESIGN.md §16).
     pub fn try_submit_admitted(
         &self,
         sql: impl Into<String>,
         session: Option<u64>,
     ) -> Result<Receiver<Response>, ServerError> {
-        let (tx, rx) = bounded(1);
-        let pkt = SPacket::new(PacketBody::Raw(sql.into()), session, tx);
-        match self.runtime.try_enqueue(self.net_id, pkt) {
-            Ok(()) => Ok(rx),
-            Err(EnqueueError::Full(_)) => Err(ServerError::Overloaded),
-            Err(EnqueueError::Closed(_)) => Err(ServerError::ShuttingDown),
-        }
+        self.enqueue(self.net_id, PacketBody::Raw(sql.into()), session, false)
     }
 
     /// Open a client session: statements run through the handle share the
@@ -770,12 +561,12 @@ impl StagedServer {
     /// dropping the handle aborts any transaction still open, releasing
     /// its locks (abort-on-drop).
     pub fn session(self: &Arc<Self>) -> StagedSession {
-        StagedSession { server: Arc::clone(self), sid: self.shared.txn.open_session() }
+        StagedSession { server: Arc::clone(self), sid: self.shared.core.pipe.txn.open_session() }
     }
 
     /// Live transactions (diagnostics).
     pub fn active_txns(&self) -> usize {
-        self.shared.txn.mgr().active_count()
+        self.shared.core.pipe.txn.mgr().active_count()
     }
 
     /// Run one statement to completion.
@@ -787,14 +578,7 @@ impl StagedServer {
     /// [`execute_prepared`](Self::execute_prepared) calls route connect →
     /// execute directly.
     pub fn prepare(&self, name: &str, sql: &str) -> Result<(), ServerError> {
-        let parsed =
-            pipeline::parse_stage(sql, &self.shared.catalog, self.shared.tracker.as_deref())?;
-        let Parsed::NeedsPlan(bound) = parsed else {
-            return Err(ServerError::Sql("only SELECT can be prepared".into()));
-        };
-        let action =
-            pipeline::optimize_stage(&bound, &self.shared.catalog, &self.shared.config.planner)?;
-        let PlannedAction::Select { plan, schema } = action else {
+        let PlannedAction::Select { plan, schema } = self.shared.core.pipe.plan(sql)? else {
             return Err(ServerError::Sql("only plain SELECT can be prepared".into()));
         };
         self.shared.prepared.lock().insert(name.to_string(), Arc::new((plan, schema)));
@@ -803,12 +587,7 @@ impl StagedServer {
 
     /// Invoke a prepared statement (the fast path).
     pub fn execute_prepared(&self, name: &str) -> Receiver<Response> {
-        let (tx, rx) = bounded(1);
-        let pkt = SPacket::new(PacketBody::Prepared(name.to_string()), None, tx);
-        if let Err(e) = self.runtime.enqueue(self.connect_id, pkt) {
-            let _ = e.into_packet().reply.send(Err(ServerError::ShuttingDown));
-        }
-        rx
+        self.enqueue_wait(self.connect_id, PacketBody::Prepared(name.to_string()), None)
     }
 
     /// Run a checkpoint through the checkpoint stage and wait for it:
@@ -824,50 +603,70 @@ impl StagedServer {
     /// network front end's path — the event loop must never block behind
     /// a quiesce.
     pub fn submit_checkpoint(&self) -> Receiver<Response> {
-        let (tx, rx) = bounded(1);
-        let pkt = SPacket::new(PacketBody::Checkpoint { auto: false }, None, tx);
-        if let Err(e) = self.runtime.enqueue(self.checkpoint_id, pkt) {
-            let _ = e.into_packet().reply.send(Err(ServerError::ShuttingDown));
-        }
-        rx
+        self.enqueue_wait(self.checkpoint_id, PacketBody::Checkpoint { auto: false }, None)
     }
 
     /// What recovery found and did when this server was built (how many
     /// rows came from the snapshot, how many log records replayed, and
     /// whether the log tail was damaged).
     pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.shared.recovery
+        &self.shared.core.recovery
     }
 
     /// The write-ahead log (for monitoring: live segments, I/O counters).
     pub fn wal(&self) -> &Wal {
-        &self.shared.wal
+        &self.shared.core.pipe.wal
     }
 
     /// The WAL-shipping hub (primary side of replication): replica
     /// subscriptions, the shipping pump, and the acked-LSN floor that
     /// clamps checkpoint truncation.
     pub fn replication_hub(&self) -> &Arc<ReplicationHub> {
-        &self.shared.replication
+        &self.shared.core.replication
     }
 
     /// The subscription hub (`SUBSCRIBE` change feeds): registrations,
     /// bounded per-subscriber outboxes, and the change pump.
     pub fn reactivity_hub(&self) -> &Arc<ReactivityHub> {
-        &self.shared.reactivity
-    }
-
-    pub(crate) fn catalog(&self) -> &Arc<Catalog> {
-        &self.shared.catalog
-    }
-
-    pub(crate) fn txn_runtime(&self) -> &TxnRuntime {
-        &self.shared.txn
+        &self.shared.core.reactivity
     }
 
     /// Per-stage monitoring (the §5.2 "easy to tune" observability).
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.runtime.stats()
+    }
+
+    /// The `STATS` result: one row per stage, one for the engine's
+    /// exchange layer — its `batch` column carries the live exchange page
+    /// size (§4.4 knob (c)), the same way stage rows carry their cohort
+    /// bound (knob (b)) — then the core's synthetic rows.
+    pub(crate) fn stats_output(&self) -> QueryOutput {
+        let mut rows: Vec<_> = self
+            .stage_stats()
+            .into_iter()
+            // The replication stage's only work is its idle-hook pump; its
+            // queue row would shadow the core's shipping summary row of
+            // the same name, which carries the useful counters.
+            .filter(|s| s.name != "replication")
+            .map(|s| {
+                let counters = [
+                    s.processed,
+                    s.errors,
+                    s.retries,
+                    s.idle_polls,
+                    s.cohorts,
+                    s.max_cohort as u64,
+                    s.cutoff_preempts,
+                    s.batch_limit as u64,
+                    s.queue.depth as u64,
+                    s.spawned_workers as u64,
+                ];
+                stats_row(&s.name, counters)
+            })
+            .collect();
+        let page_size = self.engine().page_size() as u64;
+        rows.push(stats_row("exchange", [0, 0, 0, 0, 0, 0, 0, page_size, 0, 0]));
+        self.shared.core.stats_output(rows)
     }
 
     /// Execution-engine stage monitoring.
@@ -887,7 +686,7 @@ impl StagedServer {
 
     /// Queries completed.
     pub fn served(&self) -> u64 {
-        self.shared.served.load(Ordering::Relaxed)
+        self.shared.core.served.load(Ordering::Relaxed)
     }
 
     /// Stop all stage workers (drains in-flight requests first).
@@ -914,7 +713,8 @@ impl StagedSession {
 
     /// Submit SQL under this session.
     pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        self.server.submit_in(sql, Some(self.sid))
+        let server = &self.server;
+        server.enqueue_wait(server.connect_id, PacketBody::Raw(sql.into()), Some(self.sid))
     }
 
     /// Run one statement to completion under this session.
@@ -922,19 +722,9 @@ impl StagedSession {
         self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
     }
 
-    /// Run one statement to completion, entering the pipeline at the `net`
-    /// admission stage (the network front end's path; see [`crate::net`]).
-    pub fn execute_sql_admitted(&self, sql: &str) -> Response {
-        self.server
-            .submit_admitted(sql, Some(self.sid))
-            .recv()
-            .unwrap_or(Err(ServerError::ShuttingDown))
-    }
-
     /// Non-blocking admission at the `net` stage: `Err(Overloaded)` when
-    /// the admission queue is full. The event-driven front end turns that
-    /// refusal into *not reading the socket*, so overload propagates to
-    /// TCP flow control instead of parking a thread.
+    /// the admission queue is full (the network front end's path; see
+    /// [`StagedServer::try_submit_admitted`]).
     pub fn try_submit_admitted(
         &self,
         sql: impl Into<String>,
@@ -945,7 +735,6 @@ impl StagedSession {
 
 impl Drop for StagedSession {
     fn drop(&mut self) {
-        let shared = &self.server.shared;
-        shared.txn.close_session(self.sid, &shared.ctx, &shared.wal);
+        self.server.shared.core.pipe.close_session(self.sid);
     }
 }

@@ -2,79 +2,63 @@
 //!
 //! "A pool of threads that picks a client from the queue, works on the
 //! client until it exits the execution engine, puts it on an exit queue and
-//! picks another client from the input queue." Each worker runs the entire
-//! parse → optimize → execute pipeline as direct procedure calls on the
-//! Volcano engine; the pool size is the knob whose tuning dilemma Figure 2
-//! demonstrates.
+//! picks another client from the input queue." Each worker runs the whole
+//! `Pipeline` — plan, join a transaction, lock, run, settle — as direct
+//! procedure calls on the Volcano engine; the pool size is the knob whose
+//! tuning dilemma Figure 2 demonstrates. Everything that is not scheduling
+//! is the `ServerCore` shared with the staged server.
 
-use crate::pipeline::{self, Exec, Parsed, PlannedAction};
+use crate::pipeline::{self, Exec, TxnSlot};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
-use crate::session::{StatementCtx, TxnRuntime};
-use crate::types::{QueryOutput, Request, RequestBody, Response, ServerError};
-use crossbeam::channel::{bounded, Receiver};
+use crate::server_core::{answered, queued, stats_row, ServerCore};
+use crate::types::{QueryOutput, Response, ServerConfig, ServerError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use staged_core::error::EnqueueError;
 use staged_core::queue::{Dequeued, StageQueue};
-use staged_engine::checkpoint;
-use staged_engine::context::ExecContext;
+use staged_engine::checkpoint::{self, RecoveryReport};
 use staged_engine::txn::LockMode;
 use staged_planner::PlannerConfig;
 use staged_storage::wal::Wal;
 use staged_storage::{Catalog, MemSegmentStore, MemSnapshotStore, SegmentStore, SnapshotStore};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// One queued statement.
+struct Job {
+    sql: String,
+    session: Option<u64>,
+    reply: Sender<Response>,
+}
 
 struct Inner {
-    catalog: Arc<Catalog>,
-    ctx: ExecContext,
-    wal: Arc<Wal>,
-    snapshots: Arc<dyn SnapshotStore>,
-    planner: PlannerConfig,
-    queue: StageQueue<Request>,
-    txn: TxnRuntime,
-    lock_timeout: Duration,
-    served: AtomicU64,
+    core: ServerCore,
+    queue: StageQueue<Job>,
     pool_size: usize,
-    /// WAL-shipping hub (primary side of replication); pumped by the
-    /// dedicated `repl-pump` thread — the monolithic counterpart of the
-    /// staged server's `replication` stage.
-    replication: Arc<ReplicationHub>,
-    /// `SUBSCRIBE` change-feed hub, pumped by the same `repl-pump`
-    /// thread that drives WAL shipping.
-    reactivity: Arc<ReactivityHub>,
     /// Stops the `repl-pump` thread at shutdown.
     stop: AtomicBool,
 }
 
 impl Inner {
-    fn submit(&self, sql: String, session: Option<u64>) -> Receiver<Response> {
-        let (tx, rx) = bounded(1);
-        let req = Request { body: RequestBody::Sql(sql), session, reply: tx };
-        if let Err(e) = self.queue.enqueue(req) {
-            let _ = e.into_packet().reply.send(Err(ServerError::ShuttingDown));
-        }
-        rx
-    }
-
-    /// Non-blocking submission for the event-driven front end: a full
-    /// pool queue is reported as `Overloaded` instead of blocking the
-    /// caller, so the network loop can stop reading the socket and let
+    /// Queue one statement for the pool — waiting for room when `wait`,
+    /// else refusing with `Overloaded` when the queue is full, so the
+    /// event-driven front end can stop reading the socket and let
     /// back-pressure reach TCP.
-    fn try_submit(
+    fn enqueue(
         &self,
         sql: String,
         session: Option<u64>,
+        wait: bool,
     ) -> Result<Receiver<Response>, ServerError> {
-        let (tx, rx) = bounded(1);
-        let req = Request { body: RequestBody::Sql(sql), session, reply: tx };
-        match self.queue.try_enqueue(req) {
-            Ok(()) => Ok(rx),
-            Err(EnqueueError::Full(_)) => Err(ServerError::Overloaded),
-            Err(EnqueueError::Closed(_)) => Err(ServerError::ShuttingDown),
-        }
+        let (reply, rx) = bounded(1);
+        let job = Job { sql, session, reply };
+        queued(if wait { self.queue.enqueue(job) } else { self.queue.try_enqueue(job) }, rx)
+    }
+
+    fn submit(&self, sql: String, session: Option<u64>) -> Receiver<Response> {
+        self.enqueue(sql, session, true).unwrap_or_else(|e| answered(Err(e)))
     }
 }
 
@@ -111,9 +95,9 @@ impl ThreadedServer {
     }
 
     /// Build the pool over existing WAL-segment and snapshot stores,
-    /// running checkpointed recovery first (the same protocol as
-    /// `StagedServer::with_stores`: restore the snapshot, replay the WAL
-    /// tail, repair the log).
+    /// running checkpointed recovery first (the same `ServerCore::open` as
+    /// `StagedServer::with_stores`, under the default `ServerConfig` apart
+    /// from `planner` and `lock_timeout`).
     pub fn with_stores(
         catalog: Arc<Catalog>,
         pool_size: usize,
@@ -122,41 +106,14 @@ impl ThreadedServer {
         segments: Arc<dyn SegmentStore>,
         snapshots: Arc<dyn SnapshotStore>,
     ) -> Result<Self, ServerError> {
-        let ctx = ExecContext::new(Arc::clone(&catalog));
-        let (wal, _report) = checkpoint::recover(
-            &ctx,
-            segments,
-            snapshots.as_ref(),
-            staged_storage::DEFAULT_SEGMENT_PAGES,
-        )
-        .map_err(|e| ServerError::Execution(format!("recovery failed: {e}")))?;
-        let wal = Arc::new(wal);
-        let replication = Arc::new(ReplicationHub::new(
-            Arc::clone(&wal),
-            crate::replication::DEFAULT_OUTBOX_CAPACITY,
-        ));
-        let reactivity = Arc::new(ReactivityHub::new(
-            Arc::clone(&wal),
-            Arc::clone(&catalog),
-            crate::replication::DEFAULT_OUTBOX_CAPACITY,
-        ));
-        let txn = TxnRuntime::for_catalog(&catalog);
+        let config = ServerConfig { planner, lock_timeout, ..ServerConfig::default() };
         let inner = Arc::new(Inner {
-            ctx,
-            catalog,
-            wal,
-            snapshots,
-            planner,
+            core: ServerCore::open(catalog, &config, None, segments, snapshots)?,
             queue: StageQueue::new(1024),
-            txn,
-            lock_timeout,
-            served: AtomicU64::new(0),
             pool_size: pool_size.max(1),
-            replication,
-            reactivity,
             stop: AtomicBool::new(false),
         });
-        let workers = (0..pool_size.max(1))
+        let workers = (0..inner.pool_size)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -165,18 +122,17 @@ impl ThreadedServer {
                     .expect("spawn pool worker")
             })
             .collect();
-        // The shipping pump: in the monolithic server there is no stage to
-        // hang an idle hook on, so a dedicated thread pumps the hub. Feed
-        // connection threads still self-pump when caught up; this thread
-        // mainly bounds stalled-replica eviction latency.
+        // The feed pump: in the monolithic server there is no stage to
+        // hang an idle hook on, so a dedicated thread pumps the feeds. The
+        // network loop still pumps when a feed is caught up; this thread
+        // mainly bounds stalled-peer eviction latency.
         let pump = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("repl-pump".into())
                 .spawn(move || {
                     while !inner.stop.load(Ordering::Acquire) {
-                        inner.replication.pump();
-                        inner.reactivity.pump();
+                        inner.core.pump_feeds();
                         std::thread::sleep(Duration::from_millis(5));
                     }
                 })
@@ -186,30 +142,27 @@ impl ThreadedServer {
     }
 
     /// Run a checkpoint on the calling thread — the monolithic-server
-    /// shape of the staged server's checkpoint stage: block until every
-    /// partition lock is held (quiescing the writers), snapshot, truncate
-    /// the WAL below the snapshot's LSN, release.
+    /// shape of the staged server's checkpoint stage: wait for the core's
+    /// checkpoint turn, block until every partition lock is held
+    /// (quiescing the writers), run the core's checkpoint body, release.
+    /// Both waits are bounded by the lock timeout.
     pub fn checkpoint(&self) -> Response {
-        let inner = &self.inner;
-        let locks = inner.txn.mgr().locks();
-        let _guard = checkpoint::quiesce(locks, &inner.catalog, inner.lock_timeout)
-            .map_err(|e| ServerError::Execution(e.to_string()))?;
-        // Truncation holds back history a live replica has not yet acked,
-        // so a reconnect resumes instead of re-seeding.
-        let outcome = checkpoint::checkpoint_with_floor(
-            &inner.catalog,
-            &inner.wal,
-            inner.snapshots.as_ref(),
-            inner.replication.min_acked(),
-        )
-        .map_err(|e| ServerError::Execution(e.to_string()))?;
-        // The quiesce guard is still held: the database is still, so this
-        // is the one safe moment to reclaim dead versions.
-        let gc = checkpoint::vacuum(&inner.catalog, inner.txn.mgr());
-        Ok(QueryOutput::message(format!(
-            "CHECKPOINT {} rows={} segments_deleted={} versions_gc={}",
-            outcome.lsn, outcome.rows, outcome.segments_deleted, gc.dead_removed
-        )))
+        let core = &self.inner.core;
+        let deadline = Instant::now() + core.lock_timeout;
+        while !core.try_claim_checkpoint() {
+            if Instant::now() >= deadline {
+                return Err(ServerError::Execution(
+                    "checkpoint timeout: another checkpoint is still running".into(),
+                ));
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let locks = core.pipe.txn.mgr().locks();
+        let res = checkpoint::quiesce(locks, &core.pipe.ctx.catalog, core.lock_timeout)
+            .map_err(|e| ServerError::Execution(e.to_string()))
+            .and_then(|_quiesced| core.checkpoint_quiesced());
+        core.release_checkpoint();
+        res
     }
 
     /// Submit SQL for execution (one-shot autocommit; use
@@ -227,17 +180,18 @@ impl ThreadedServer {
     /// session's transaction state (`BEGIN` … `COMMIT`/`ROLLBACK`);
     /// dropping the handle aborts any transaction still open.
     pub fn session(&self) -> ThreadedSession {
-        ThreadedSession { inner: Arc::clone(&self.inner), sid: self.inner.txn.open_session() }
+        let sid = self.inner.core.pipe.txn.open_session();
+        ThreadedSession { inner: Arc::clone(&self.inner), sid }
     }
 
     /// Live transactions (diagnostics).
     pub fn active_txns(&self) -> usize {
-        self.inner.txn.mgr().active_count()
+        self.inner.core.pipe.txn.mgr().active_count()
     }
 
     /// Queries completed so far.
     pub fn served(&self) -> u64 {
-        self.inner.served.load(Ordering::Relaxed)
+        self.inner.core.served.load(Ordering::Relaxed)
     }
 
     /// Current input-queue depth.
@@ -250,25 +204,37 @@ impl ThreadedServer {
         self.inner.pool_size
     }
 
+    /// What recovery found and did when this server was built.
+    pub fn recovery_report(&self) -> &RecoveryReport {
+        &self.inner.core.recovery
+    }
+
+    /// The write-ahead log (for monitoring: live segments, I/O counters).
+    pub fn wal(&self) -> &Wal {
+        &self.inner.core.pipe.wal
+    }
+
     /// The WAL-shipping hub (primary side of replication): replica
     /// subscriptions, the shipping pump, and the acked-LSN floor that
     /// clamps checkpoint truncation.
     pub fn replication_hub(&self) -> &Arc<ReplicationHub> {
-        &self.inner.replication
+        &self.inner.core.replication
     }
 
     /// The subscription hub (`SUBSCRIBE` change feeds): registrations,
     /// bounded per-subscriber outboxes, and the change pump.
     pub fn reactivity_hub(&self) -> &Arc<ReactivityHub> {
-        &self.inner.reactivity
+        &self.inner.core.reactivity
     }
 
-    pub(crate) fn catalog(&self) -> &Arc<Catalog> {
-        &self.inner.catalog
-    }
-
-    pub(crate) fn txn_runtime(&self) -> &TxnRuntime {
-        &self.inner.txn
+    /// The `STATS` result. The monolithic baseline has no per-stage
+    /// monitors — one coarse row for the whole pool, same schema — and no
+    /// cohorts: a thread runs one query start to finish (batch reads as
+    /// 1). The core's synthetic rows follow.
+    pub(crate) fn stats_output(&self) -> QueryOutput {
+        let (backlog, pool) = (self.backlog() as u64, self.pool_size() as u64);
+        let row = stats_row("pool", [self.served(), 0, 0, 0, 0, 0, 0, 1, backlog, pool]);
+        self.inner.core.stats_output(vec![row])
     }
 
     /// Stop the pool, draining queued requests first. Takes `&self` —
@@ -291,10 +257,10 @@ impl ThreadedServer {
 fn worker_loop(inner: Arc<Inner>) {
     loop {
         match inner.queue.dequeue_timeout(Duration::from_millis(20)) {
-            Dequeued::Packet(req) => {
-                let res = process(&inner, &req);
-                inner.served.fetch_add(1, Ordering::Relaxed);
-                let _ = req.reply.send(res);
+            Dequeued::Packet(job) => {
+                let res = process(&inner.core, &job.sql, job.session);
+                inner.core.served.fetch_add(1, Ordering::Relaxed);
+                let _ = job.reply.send(res);
             }
             Dequeued::TimedOut => continue,
             Dequeued::Closed => return,
@@ -327,106 +293,38 @@ impl ThreadedSession {
     /// path — the refusal lets the network loop stop reading the socket
     /// instead of blocking a thread on the queue.
     pub fn try_submit(&self, sql: impl Into<String>) -> Result<Receiver<Response>, ServerError> {
-        self.inner.try_submit(sql.into(), Some(self.sid))
+        self.inner.enqueue(sql.into(), Some(self.sid), false)
     }
 
     /// Run one statement to completion under this session.
     pub fn execute_sql(&self, sql: &str) -> Response {
         self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
     }
-
-    /// Run one statement on the *calling* thread as a direct
-    /// procedure-call chain, bypassing the pool queue. This is the network
-    /// front end's thread-per-connection path: the connection's own thread
-    /// is the worker that carries the statement through the whole
-    /// pipeline — the classical monolithic shape the staged server is
-    /// measured against. Refused once the server is shutting down.
-    pub fn execute_sql_direct(&self, sql: &str) -> Response {
-        if self.inner.queue.is_closed() {
-            return Err(ServerError::ShuttingDown);
-        }
-        let (tx, _rx) = bounded(1);
-        let req =
-            Request { body: RequestBody::Sql(sql.to_string()), session: Some(self.sid), reply: tx };
-        let res = process(&self.inner, &req);
-        self.inner.served.fetch_add(1, Ordering::Relaxed);
-        res
-    }
 }
 
 impl Drop for ThreadedSession {
     fn drop(&mut self) {
-        self.inner.txn.close_session(self.sid, &self.inner.ctx, &self.inner.wal);
+        self.inner.core.pipe.close_session(self.sid);
     }
 }
 
 /// The whole pipeline as one procedure call chain — the monolithic model.
 /// Lock acquisition is *sequential* here (block, then execute), the
 /// baseline counterpart of the staged server's lock-manager stage.
-fn process(inner: &Inner, req: &Request) -> Response {
-    let RequestBody::Sql(sql) = &req.body else {
-        return Err(ServerError::Sql("threaded server accepts raw SQL only".into()));
-    };
-    let action = match pipeline::parse_stage(sql, &inner.catalog, None)? {
-        Parsed::NeedsPlan(bound) => {
-            pipeline::optimize_stage(&bound, &inner.catalog, &inner.planner)?
-        }
-        Parsed::Action(a) => *a,
-    };
-    if let PlannedAction::TxnControl(stmt) = &action {
-        return pipeline::execute_txn_control(
-            stmt,
-            req.session,
-            &inner.txn,
-            &inner.ctx,
-            &inner.wal,
-        );
+fn process(core: &ServerCore, sql: &str, session: Option<u64>) -> Response {
+    let pipe = &core.pipe;
+    let action = pipe.plan(sql)?;
+    let mut slot = TxnSlot::default();
+    let mut res = Ok(());
+    if action.is_dml() {
+        slot = pipe.join_txn(session, &action)?;
+        let locks = pipe.txn.mgr().locks();
+        res = locks
+            .lock_all(slot.xid, &mut slot.keys, LockMode::Exclusive, core.lock_timeout)
+            .map_err(|_| pipeline::lock_timeout_error());
     }
-    // A session whose transaction was aborted server-side refuses every
-    // statement until the client acknowledges with COMMIT/ROLLBACK.
-    let stmt_ctx = inner.txn.statement_ctx(req.session)?;
-    if matches!(stmt_ctx, StatementCtx::ReadOnly(_)) && pipeline::writes(&action) {
-        return Err(ServerError::ReadOnly);
-    }
-    let mut keys = pipeline::dml_lock_keys(&action, &inner.catalog, &inner.planner);
-    if keys.is_empty() {
-        // Reads and DDL bypass the transaction machinery entirely; SELECTs
-        // run as snapshot reads against the statement's MVCC view. The pin
-        // guard (when one is taken) lives across execution so vacuum
-        // cannot pass the view.
-        let mut action = action;
-        let _pin = pipeline::snapshot_select(&mut action, &inner.txn, &stmt_ctx);
-        return pipeline::execute_stage(action, &inner.ctx, &inner.wal, 0, Exec::Volcano, None);
-    }
-    let mgr = inner.txn.mgr();
-    let (xid, implicit) = match stmt_ctx {
-        StatementCtx::Write(xid) => (xid, false),
-        _ => (mgr.begin(&inner.wal).map_err(|e| ServerError::Execution(e.to_string()))?, true),
-    };
-    if mgr.locks().lock_all(xid, &mut keys, LockMode::Exclusive, inner.lock_timeout).is_err() {
-        inner.txn.fail_txn(req.session, xid, &inner.ctx, &inner.wal);
-        return Err(ServerError::Execution(
-            "lock timeout: transaction aborted (presumed deadlock)".into(),
-        ));
-    }
-    let res =
-        pipeline::execute_stage(action, &inner.ctx, &inner.wal, xid, Exec::Volcano, Some(mgr));
-    match &res {
-        Ok(_) if implicit => {
-            // Statement-level autocommit: the implicit transaction's commit
-            // record is what makes it visible to redo recovery.
-            if let Err(e) = mgr.commit(xid, &inner.ctx, &inner.wal) {
-                return Err(ServerError::Execution(e.to_string()));
-            }
-        }
-        Ok(_) => {}
-        Err(_) => {
-            // Failed statements abort the whole transaction (implicit or
-            // explicit): partial writes are undone, locks released.
-            inner.txn.fail_txn(req.session, xid, &inner.ctx, &inner.wal);
-        }
-    }
-    res
+    let res = res.and_then(|()| pipe.run(action, session, slot.xid, Exec::Volcano));
+    pipe.settle(session, &slot, res)
 }
 
 #[cfg(test)]
@@ -491,22 +389,22 @@ mod tests {
     }
 
     #[test]
-    fn direct_execution_matches_pooled_and_respects_shutdown() {
-        let s = server(2);
-        s.execute_sql("CREATE TABLE d2 (x INT)").unwrap();
-        let sess = s.session();
-        sess.execute_sql_direct("BEGIN").unwrap();
-        sess.execute_sql_direct("INSERT INTO d2 VALUES (7)").unwrap();
-        sess.execute_sql_direct("COMMIT").unwrap();
-        // Pooled and direct paths see the same state.
-        let out = sess.execute_sql("SELECT x FROM d2").unwrap();
-        assert_eq!(out.rows[0].to_string(), "[7]");
-        assert!(s.served() >= 5);
-        s.shutdown();
+    fn a_second_checkpoint_claim_is_refused_while_the_first_is_held() {
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256)));
+        let timeout = Duration::from_millis(20);
+        let s = ThreadedServer::with_lock_timeout(cat, 1, PlannerConfig::default(), timeout);
+        let core = &s.inner.core;
+        assert!(core.try_claim_checkpoint());
+        assert!(!core.try_claim_checkpoint(), "checkpoints serialize on the claim");
+        // A checkpoint that cannot get its turn within the lock timeout
+        // gives up instead of running beside the holder.
         assert!(matches!(
-            sess.execute_sql_direct("SELECT x FROM d2"),
-            Err(ServerError::ShuttingDown)
+            s.checkpoint(),
+            Err(ServerError::Execution(m)) if m.contains("another checkpoint")
         ));
+        core.release_checkpoint();
+        assert!(s.checkpoint().unwrap().message.starts_with("CHECKPOINT"));
+        s.shutdown();
     }
 
     #[test]

@@ -118,26 +118,6 @@ impl From<staged_engine::EngineError> for ServerError {
 /// A client response.
 pub type Response = Result<QueryOutput, ServerError>;
 
-/// A client request, as accepted by either server.
-pub struct Request {
-    /// SQL text, or a prepared-statement invocation.
-    pub body: RequestBody,
-    /// Session the statement belongs to (`None` = one-shot autocommit).
-    /// Session-bound DML joins the session's open transaction, if any.
-    pub session: Option<u64>,
-    /// Channel the response is delivered on.
-    pub reply: crossbeam::channel::Sender<Response>,
-}
-
-/// What the client asked for.
-pub enum RequestBody {
-    /// Run a SQL string.
-    Sql(String),
-    /// Run a previously prepared statement by name (routes connect →
-    /// execute, bypassing parse and optimize — paper §4.1).
-    Prepared(String),
-}
-
 /// Which engine executes SELECT plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
@@ -197,16 +177,11 @@ pub struct ServerConfig {
     /// during an idle moment. `None` disables automatic checkpoints
     /// (the `CHECKPOINT` command still works).
     pub checkpoint_segments: Option<u64>,
-    /// Per-replica outbox capacity in framed lines: how far a replica's
-    /// feed may fall behind the shipping pump before the replica is
-    /// evicted rather than buffered further (bounded-queue policy, like
-    /// every other stage).
-    pub replication_outbox: usize,
-    /// Per-subscriber outbox capacity in `CHANGE` lines: how far a
-    /// `SUBSCRIBE` feed may fall behind the commit stream before the
-    /// subscriber is evicted rather than buffered further (same
-    /// bounded-queue policy as replication).
-    pub subscription_outbox: usize,
+    /// Per-feed outbox capacity in framed lines, for `REPLICATE` and
+    /// `SUBSCRIBE` feeds alike: how far a feed may fall behind the pump
+    /// before its subscriber is evicted rather than buffered further
+    /// (bounded-queue policy, like every other stage).
+    pub feed_outbox: usize,
 }
 
 impl Default for ServerConfig {
@@ -224,8 +199,7 @@ impl Default for ServerConfig {
             lock_timeout: Duration::from_secs(2),
             wal_segment_pages: staged_storage::DEFAULT_SEGMENT_PAGES,
             checkpoint_segments: None,
-            replication_outbox: crate::replication::DEFAULT_OUTBOX_CAPACITY,
-            subscription_outbox: crate::replication::DEFAULT_OUTBOX_CAPACITY,
+            feed_outbox: crate::feed::DEFAULT_OUTBOX_CAPACITY,
         }
     }
 }

@@ -78,7 +78,7 @@ impl ProdlineConfig {
 }
 
 /// Result of one production-line run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProdlineResult {
     /// Policy label (e.g. `T-gated(2)`).
     pub policy: String,
@@ -129,7 +129,7 @@ pub fn run_prodline(cfg: &ProdlineConfig) -> ProdlineResult {
 }
 
 /// One policy's series over the Figure 5 x-axis.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicySeries {
     /// Policy label.
     pub policy: String,

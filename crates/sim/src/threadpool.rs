@@ -91,7 +91,7 @@ impl ThreadPoolConfig {
 }
 
 /// Outcome of one simulation.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadPoolResult {
     /// Threads simulated.
     pub threads: usize,
@@ -341,7 +341,7 @@ pub fn workload_b_query(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Per-workload knobs for Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Figure2Workload {
     /// I/O-bound short queries.
     A,

@@ -77,7 +77,7 @@ pub fn run_staged(cfg: &TimelineConfig) -> CoopReport {
 }
 
 /// CPU-time breakdown of a run (the quantity Figure 1 visualizes).
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Breakdown {
     /// Fraction of busy time doing useful work.
     pub work: f64,

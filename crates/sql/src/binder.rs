@@ -24,6 +24,9 @@ pub struct BoundSelect {
     pub output: Schema,
     /// Projection expressions after `*` expansion, aligned with `output`.
     pub projections: Vec<Expr>,
+    /// True under `EXPLAIN`: the statement is planned and the plan text is
+    /// the result; nothing executes.
+    pub explain: bool,
 }
 
 /// A resolved FROM entry.
@@ -180,7 +183,7 @@ impl<'a> Binder<'a> {
             return Err(SqlError::new("HAVING requires GROUP BY or aggregates"));
         }
 
-        Ok(BoundSelect { stmt, tables, scope, output, projections })
+        Ok(BoundSelect { stmt, tables, scope, output, projections, explain: false })
     }
 
     /// Bind a standalone predicate against one table (UPDATE/DELETE).

@@ -6,7 +6,7 @@ use crate::value::DataType;
 use std::fmt;
 
 /// One column of a schema.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name (case-insensitive lookups, stored lower-case).
     pub name: String,
@@ -30,7 +30,7 @@ impl Column {
 }
 
 /// An ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     columns: Vec<Column>,
 }

@@ -6,7 +6,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// Column data types supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,

@@ -181,13 +181,17 @@ fn subscription_and_front_end_docs_cover_the_surface() {
         "net-loop",
         "max_inflight",
         "ReactivityHub",
+        "WalFeed",
+        "ServerCore",
         "Back-pressure as dropped interest",
         "The completion waker",
     ] {
         assert!(design.contains(anchor), "DESIGN.md lost its {anchor:?} coverage");
     }
     let arch = std::fs::read_to_string(root.join("docs/ARCHITECTURE.md")).unwrap();
-    for anchor in ["reactivity.rs", "event-driven TCP front end", "net-loop"] {
+    for anchor in
+        ["reactivity.rs", "feed.rs", "server_core.rs", "event-driven TCP front end", "net-loop"]
+    {
         assert!(arch.contains(anchor), "ARCHITECTURE.md lost its {anchor:?} coverage");
     }
     let exp = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();

@@ -4,7 +4,9 @@
 use staged_db::planner::PlannerConfig;
 use staged_db::server::types::ExecutionMode;
 use staged_db::server::{QueryOutput, ServerConfig, StagedServer, ThreadedServer};
-use staged_db::storage::{BufferPool, Catalog, MemDisk};
+use staged_db::storage::{
+    BufferPool, Catalog, MemDisk, MemSegmentStore, MemSnapshotStore, SegmentStore, SnapshotStore,
+};
 use staged_db::workload::load_wisconsin_table;
 use std::sync::Arc;
 
@@ -195,11 +197,24 @@ fn prepared_statements_bypass_parse_and_optimize() {
 #[test]
 fn explain_reports_physical_plan() {
     let cat = catalog();
-    let server = StagedServer::new(cat, ServerConfig::default());
-    let out = server.execute_sql("EXPLAIN SELECT * FROM wisc1 WHERE unique1 = 5").unwrap();
-    let text: String = out.rows.iter().map(|r| r.to_string()).collect();
-    assert!(text.contains("IndexScan"), "expected index plan, got {text}");
-    server.shutdown();
+    let staged = StagedServer::new(Arc::clone(&cat), ServerConfig::default());
+    let threaded = ThreadedServer::new(cat, 2, PlannerConfig::default());
+    let explain = |sql: &str| -> [String; 2] {
+        [staged.execute_sql(sql), threaded.execute_sql(sql)].map(|out| {
+            let rows: Vec<String> = out.unwrap().rows.iter().map(|r| r.to_string()).collect();
+            rows.join("\n")
+        })
+    };
+    for text in explain("EXPLAIN SELECT * FROM wisc1 WHERE unique1 = 5") {
+        assert!(text.contains("IndexScan"), "expected index plan, got {text}");
+        assert!(!text.contains("Limit"), "no LIMIT in the statement, got {text}");
+    }
+    // EXPLAIN must not eat the statement's own LIMIT.
+    for text in explain("EXPLAIN SELECT unique2 FROM wisc1 WHERE two = 1 LIMIT 7") {
+        assert!(text.contains("Limit 7"), "expected a Limit 7 node, got {text}");
+    }
+    staged.shutdown();
+    threaded.shutdown();
 }
 
 /// The fold cannot silently come back: one keyed SELECT over the wire —
@@ -248,60 +263,68 @@ fn errors_propagate_with_messages() {
     server.shutdown();
 }
 
-#[test]
-fn staged_server_survives_a_restart_through_checkpoint_and_wal() {
-    use staged_db::storage::{MemSegmentStore, MemSnapshotStore, SegmentStore, SnapshotStore};
+/// The restart-persistence test, over whichever server `$boot` builds from
+/// `(catalog, segments, snapshots)`; both servers spell the calls alike.
+macro_rules! survives_a_restart_through_checkpoint_and_wal {
+    ($name:ident, $boot:expr) => {
+        #[test]
+        fn $name() {
+            let boot = $boot;
+            let segments: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
+            let snapshots: Arc<dyn SnapshotStore> = Arc::new(MemSnapshotStore::new());
+            let empty = || Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
 
-    let segments: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
-    let snapshots: Arc<dyn SnapshotStore> = Arc::new(MemSnapshotStore::new());
+            // First server lifetime: create data, checkpoint, then write
+            // more so that restart exercises both the snapshot and the
+            // WAL tail.
+            {
+                let server = boot(empty(), Arc::clone(&segments), Arc::clone(&snapshots));
+                server.execute_sql("CREATE TABLE survivors (id INT, name TEXT)").unwrap();
+                let insert = |i: i32, tag: &str| {
+                    let sql = format!("INSERT INTO survivors VALUES ({i}, '{tag}-{i}')");
+                    server.execute_sql(&sql).unwrap();
+                };
+                (0..50).for_each(|i| insert(i, "pre"));
+                let out = server.checkpoint().unwrap();
+                assert!(out.message.starts_with("CHECKPOINT"), "got {:?}", out.message);
+                (50..60).for_each(|i| insert(i, "post"));
+                // Simulated crash: no orderly flush of the catalog, just
+                // drop it.
+                server.shutdown();
+            }
 
-    // First server lifetime: create data, checkpoint, then write more so
-    // that restart exercises both the snapshot and the WAL tail.
-    {
-        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
-        let server = StagedServer::with_stores(
-            Arc::clone(&cat),
-            ServerConfig { partitions: 2, ..Default::default() },
-            None,
-            Arc::clone(&segments),
-            Arc::clone(&snapshots),
-        )
-        .unwrap();
-        server.execute_sql("CREATE TABLE survivors (id INT, name TEXT)").unwrap();
-        for i in 0..50 {
-            server.execute_sql(&format!("INSERT INTO survivors VALUES ({i}, 'pre-{i}')")).unwrap();
+            // Second lifetime: an empty catalog plus the same stores must
+            // come back with all sixty rows — fifty from the snapshot, ten
+            // replayed from the WAL tail.
+            let server = boot(empty(), segments, snapshots);
+            let report = server.recovery_report();
+            assert_eq!(report.snapshot_rows, 50, "snapshot carried the pre-checkpoint rows");
+            assert!(report.corruption.is_none(), "clean shutdown, clean log");
+            let count = server.execute_sql("SELECT COUNT(*) FROM survivors").unwrap();
+            assert_eq!(count.rows[0].to_string(), "[60]");
+            let tail = server.execute_sql("SELECT name FROM survivors WHERE id = 55").unwrap();
+            assert_eq!(tail.rows.len(), 1);
+            assert!(tail.rows[0].to_string().contains("post-55"));
+            server.shutdown();
         }
-        let out = StagedServer::checkpoint(&server).unwrap();
-        assert!(out.message.starts_with("CHECKPOINT"), "got {:?}", out.message);
-        for i in 50..60 {
-            server.execute_sql(&format!("INSERT INTO survivors VALUES ({i}, 'post-{i}')")).unwrap();
-        }
-        // Simulated crash: no orderly flush of the catalog, just drop it.
-        server.shutdown();
-    }
-
-    // Second lifetime: an empty catalog plus the same stores must come
-    // back with all sixty rows — fifty from the snapshot, ten replayed
-    // from the WAL tail.
-    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
-    let server = StagedServer::with_stores(
-        Arc::clone(&cat),
-        ServerConfig { partitions: 2, ..Default::default() },
-        None,
-        segments,
-        snapshots,
-    )
-    .unwrap();
-    let report = server.recovery_report();
-    assert_eq!(report.snapshot_rows, 50, "snapshot carried the pre-checkpoint rows");
-    assert!(report.corruption.is_none(), "clean shutdown, clean log");
-    let count = server.execute_sql("SELECT COUNT(*) FROM survivors").unwrap();
-    assert_eq!(count.rows[0].to_string(), "[60]");
-    let tail = server.execute_sql("SELECT name FROM survivors WHERE id = 55").unwrap();
-    assert_eq!(tail.rows.len(), 1);
-    assert!(tail.rows[0].to_string().contains("post-55"));
-    server.shutdown();
+    };
 }
+
+survives_a_restart_through_checkpoint_and_wal!(
+    staged_server_survives_a_restart_through_checkpoint_and_wal,
+    |cat, segments, snapshots| {
+        let config = ServerConfig { partitions: 2, ..Default::default() };
+        StagedServer::with_stores(cat, config, None, segments, snapshots).unwrap()
+    }
+);
+
+survives_a_restart_through_checkpoint_and_wal!(
+    threaded_server_survives_a_restart_through_checkpoint_and_wal,
+    |cat, segments, snapshots| {
+        let (planner, timeout) = (PlannerConfig::default(), std::time::Duration::from_secs(2));
+        ThreadedServer::with_stores(cat, 2, planner, timeout, segments, snapshots).unwrap()
+    }
+);
 
 #[test]
 fn idle_checkpoint_stage_trims_the_wal_automatically() {

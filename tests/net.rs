@@ -261,6 +261,17 @@ fn protocol_errors_are_reported_not_fatal() {
     server.shutdown();
 }
 
+/// The synthetic `wal` STATS row (processed = pages written, queued = live
+/// segments), which both servers emit.
+fn assert_wal_row(stats: &QueryResult) {
+    let wal_row =
+        stats.rows.iter().find(|r| r[0].as_deref() == Some("wal")).expect("wal row in STATS");
+    let pages_written: i64 = wal_row[1].as_ref().unwrap().parse().unwrap();
+    assert!(pages_written >= 1, "wal row counts written pages");
+    let live_segments: i64 = wal_row[9].as_ref().unwrap().parse().unwrap();
+    assert!(live_segments >= 1, "wal row reports live segments");
+}
+
 /// `CHECKPOINT` over the wire: both backends run it, answer `OK` with a
 /// `CHECKPOINT …` message, and the staged server's STATS afterwards shows
 /// the checkpoint stage plus the synthetic `wal` row with a truncated
@@ -293,12 +304,7 @@ fn checkpoint_command_works_on_both_backends() {
         .expect("checkpoint stage row in STATS");
     let processed: i64 = ck_row[1].as_ref().unwrap().parse().unwrap();
     assert!(processed >= 1, "the checkpoint stage served our packet");
-    let wal_row =
-        stats.rows.iter().find(|r| r[0].as_deref() == Some("wal")).expect("wal row in STATS");
-    let pages_written: i64 = wal_row[1].as_ref().unwrap().parse().unwrap();
-    assert!(pages_written >= 1, "wal row counts written pages");
-    let live_segments: i64 = wal_row[9].as_ref().unwrap().parse().unwrap();
-    assert!(live_segments >= 1, "wal row reports live segments");
+    assert_wal_row(&stats);
     c.quit().unwrap();
     handle.shutdown();
     server.shutdown();
@@ -312,6 +318,8 @@ fn checkpoint_command_works_on_both_backends() {
     assert!(out.tag.starts_with("CHECKPOINT"), "threaded: got {:?}", out.tag);
     let count = c.query("SELECT COUNT(*) FROM ck").unwrap();
     assert_eq!(count.rows[0][0].as_deref(), Some("2"));
+    // Same core, same synthetic rows: the pool's STATS carries `wal` too.
+    assert_wal_row(&c.stats().unwrap());
     c.quit().unwrap();
     handle.shutdown();
     threaded.shutdown();

@@ -583,3 +583,127 @@ fn wide_tuple_near_page_size_survives_wal_and_redo() {
         other => panic!("wrong value {other:?}"),
     }
 }
+
+/// A snapshot store that keeps every snapshot ever saved, so a test can
+/// inspect the ones a later checkpoint overwrote.
+#[derive(Default)]
+struct KeepAllSnapshots {
+    saved: std::sync::Mutex<Vec<Vec<u8>>>,
+}
+
+impl staged_db::storage::SnapshotStore for KeepAllSnapshots {
+    fn save(&self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.saved.lock().unwrap().push(bytes.to_vec());
+        Ok(())
+    }
+
+    fn load(&self) -> Result<Option<Vec<u8>>, StorageError> {
+        Ok(self.saved.lock().unwrap().last().cloned())
+    }
+}
+
+/// Two `ThreadedServer::checkpoint()` calls that overlap must serialize:
+/// both quiesce under the one `CHECKPOINT_XID`, so if the second could
+/// start while the first runs, the first to finish would release the
+/// second's locks mid-snapshot and writers would change the heap under its
+/// capture. Beside transfer writers, a second call is started at every
+/// phase of a first one (the offsets sweep the length of a solo run); every
+/// snapshot saved along the way, and what recovery finally makes of the
+/// stores, must show every transfer atomic and every row exactly once.
+#[test]
+fn overlapping_threaded_checkpoints_leave_a_consistent_snapshot() {
+    use staged_db::engine::checkpoint;
+    use staged_db::planner::PlannerConfig;
+    use staged_db::server::{ServerError, ThreadedServer};
+    use staged_db::storage::{
+        MemSegmentStore, SegmentStore, Snapshot, SnapshotStore, DEFAULT_SEGMENT_PAGES,
+    };
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    const ACCOUNTS: i64 = 6_000;
+    const BALANCE: i64 = 100;
+    const PHASES: u32 = 48;
+    let check = |balances: Vec<i64>, what: &str| {
+        assert_eq!(balances.len() as i64, ACCOUNTS, "{what}: every account exactly once");
+        assert_eq!(balances.iter().sum::<i64>(), ACCOUNTS * BALANCE, "{what}: transfers atomic");
+    };
+    let segments: Arc<dyn SegmentStore> = Arc::new(MemSegmentStore::new());
+    let snapshots = Arc::new(KeepAllSnapshots::default());
+    let server = ThreadedServer::with_stores(
+        empty_ctx().catalog,
+        4,
+        PlannerConfig::default(),
+        Duration::from_secs(2),
+        Arc::clone(&segments),
+        Arc::clone(&snapshots) as Arc<dyn SnapshotStore>,
+    )
+    .unwrap();
+    server.execute_sql("CREATE TABLE accounts (id INT, bal INT)").unwrap();
+    server.execute_sql("CREATE INDEX accounts_id ON accounts (id)").unwrap();
+    for chunk in (0..ACCOUNTS).collect::<Vec<_>>().chunks(500) {
+        let rows: Vec<String> = chunk.iter().map(|id| format!("({id}, {BALANCE})")).collect();
+        server.execute_sql(&format!("INSERT INTO accounts VALUES {}", rows.join(", "))).unwrap();
+    }
+
+    let stop = AtomicBool::new(false);
+    let overlapped = std::thread::scope(|scope| {
+        for w in 0..2i64 {
+            let (server, stop) = (&server, &stop);
+            scope.spawn(move || {
+                let session = server.session();
+                // Bounded waits: at the parent commit the race can wedge the
+                // pool for good, which must fail this test, not hang it.
+                let run = |sql: &str| {
+                    let reply = session.submit(sql).recv_timeout(Duration::from_secs(10));
+                    reply.expect("statement answered within the deadline")
+                };
+                let mut k = w;
+                while !stop.load(Ordering::Relaxed) {
+                    k += 7;
+                    let (from, to) = (k % ACCOUNTS, (k * 31 + 1) % ACCOUNTS);
+                    run("BEGIN").unwrap();
+                    let debit = format!("UPDATE accounts SET bal = bal - 1 WHERE id = {from}");
+                    let credit = format!("UPDATE accounts SET bal = bal + 1 WHERE id = {to}");
+                    let moved = run(&debit).and(run(&credit));
+                    run(if moved.is_ok() { "COMMIT" } else { "ROLLBACK" }).unwrap();
+                }
+            });
+        }
+        // The writers run until `stop`, so a failure in here is carried out
+        // of the scope as a value: a panic before `stop` is set would leave
+        // the scope waiting on them forever.
+        let overlapped = || -> Result<(), ServerError> {
+            let started = Instant::now();
+            server.checkpoint()?;
+            let solo = started.elapsed();
+            for phase in 0..PHASES {
+                let first = scope.spawn(|| server.checkpoint());
+                std::thread::sleep(solo * phase / PHASES);
+                let second = server.checkpoint();
+                first.join().expect("checkpoint thread")?;
+                second?;
+            }
+            Ok(())
+        };
+        let overlapped = overlapped();
+        stop.store(true, Ordering::Relaxed);
+        overlapped
+    });
+    server.shutdown();
+    overlapped.unwrap();
+
+    let saved = snapshots.saved.lock().unwrap().clone();
+    assert_eq!(saved.len() as u32, 1 + 2 * PHASES);
+    for bytes in &saved {
+        let accounts = Snapshot::decode(bytes).unwrap().tables.remove(0);
+        let bal = |row: &[u8]| Tuple::decode(row).unwrap().get(1).as_int().unwrap();
+        check(accounts.rows.iter().map(|(_, row)| bal(row)).collect(), "snapshot");
+    }
+    let ctx = empty_ctx();
+    let (_wal, report) =
+        checkpoint::recover(&ctx, segments, snapshots.as_ref(), DEFAULT_SEGMENT_PAGES).unwrap();
+    assert!(report.corruption.is_none());
+    let heap = &ctx.catalog.table("accounts").unwrap().heap;
+    check(heap.scan().map(|r| r.unwrap().1.get(1).as_int().unwrap()).collect(), "recovered");
+}

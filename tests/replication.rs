@@ -616,11 +616,8 @@ fn torn_replica_wal_tail_resumes_from_the_committed_prefix() {
 /// outbox capacity is evicted, metered in the `replication` STATS row.
 #[test]
 fn stalled_replica_never_blocks_primary_and_is_evicted() {
-    let (primary, ph) = primary_net(ServerConfig {
-        partitions: 1,
-        replication_outbox: 4,
-        ..ServerConfig::default()
-    });
+    let (primary, ph) =
+        primary_net(ServerConfig { partitions: 1, feed_outbox: 4, ..ServerConfig::default() });
     let mut pc = connect(&ph);
     pc.query(DDL[0]).unwrap();
     pc.query(DDL[1]).unwrap();

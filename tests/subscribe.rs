@@ -158,11 +158,8 @@ fn subscription_protocol_discipline() {
 /// suite's stalled-replica test).
 #[test]
 fn stalled_subscriber_never_blocks_commits_and_is_evicted() {
-    let (server, handle) = staged_net(ServerConfig {
-        partitions: 1,
-        subscription_outbox: 4,
-        ..ServerConfig::default()
-    });
+    let (server, handle) =
+        staged_net(ServerConfig { partitions: 1, feed_outbox: 4, ..ServerConfig::default() });
     let mut writer = connect(&handle);
     writer.query("CREATE TABLE t (k INT, v INT)").unwrap();
 
