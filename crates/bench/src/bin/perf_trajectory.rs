@@ -807,7 +807,7 @@ fn main() {
     let flag = |name: &str| -> Option<String> {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
     };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_13.json".into());
+    let out_path = flag("--out").unwrap_or_else(|| "BENCH_15.json".into());
     let baseline_path = flag("--baseline");
     let gate: f64 = flag("--gate").and_then(|g| g.parse().ok()).unwrap_or(0.25);
 

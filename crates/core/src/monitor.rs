@@ -23,7 +23,7 @@ pub struct StageMonitor {
     cohorts: AtomicU64,
     max_cohort: AtomicUsize,
     cutoff_preempts: AtomicU64,
-    pub(crate) active_workers: AtomicUsize,
+    followed: AtomicU64,
 }
 
 impl StageMonitor {
@@ -91,6 +91,14 @@ impl StageMonitor {
         self.max_cohort.fetch_max(served, Ordering::Relaxed);
     }
 
+    /// Record a packet this stage served on *another* stage's worker
+    /// thread (the runtime followed it here; DESIGN.md §11). It is a visit
+    /// of one, so `processed / cohorts` stays the mean cohort.
+    pub fn record_followed(&self) {
+        self.followed.fetch_add(1, Ordering::Relaxed);
+        self.record_cohort(1);
+    }
+
     /// Record a T-gated visit that hit its service cutoff and returned the
     /// unserved remainder of its cohort to the queue.
     pub fn record_cutoff_preempt(&self) {
@@ -147,6 +155,12 @@ pub struct StageStats {
     /// T-gated visits that hit their service cutoff and returned the
     /// unserved remainder of the cohort to the queue.
     pub cutoff_preempts: u64,
+    /// Packets served on another stage's worker thread: the sender's
+    /// worker followed a lone packet into this (idle, cheap) stage instead
+    /// of handing it over. They are included in `processed`/`errors` and
+    /// each counts as a visit of one in `cohorts`; they never passed
+    /// through the queue, so `queue.enqueued` does not count them.
+    pub followed: u64,
     /// Current cohort bound (the run-time batch knob, §4.4 knob (b)).
     pub batch_limit: usize,
     /// Workers currently allowed to dequeue.
@@ -200,6 +214,7 @@ pub(crate) fn snapshot(
         cohorts: monitor.cohorts(),
         max_cohort: monitor.max_cohort(),
         cutoff_preempts: monitor.cutoff_preempts(),
+        followed: monitor.followed.load(Ordering::Relaxed),
         batch_limit,
         target_workers,
         spawned_workers,

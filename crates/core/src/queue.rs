@@ -41,6 +41,12 @@ pub struct QueueStats {
 struct Inner<P> {
     items: VecDeque<P>,
     closed: bool,
+    /// Visits in progress: cohorts handed out by
+    /// [`StageQueue::dequeue_batch`] (or claimed by
+    /// [`StageQueue::try_begin_visit`]) and not yet closed with
+    /// [`StageQueue::end_visit`]. Kept under the queue lock so "nothing
+    /// queued and nobody serving" is one exact test.
+    serving: usize,
 }
 
 /// A bounded MPMC queue of packets.
@@ -90,7 +96,7 @@ impl<P> StageQueue<P> {
     /// Create a queue holding at most `capacity` packets (min 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
+            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false, serving: 0 }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
@@ -196,6 +202,17 @@ impl<P> StageQueue<P> {
         }
     }
 
+    /// [`requeue_back_batch`](Self::requeue_back_batch) for one packet,
+    /// without the `Vec`.
+    pub fn requeue_back(&self, packet: P) {
+        let mut inner = self.inner.lock();
+        inner.items.push_back(packet);
+        self.note_depth(inner.items.len());
+        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
+        drop(inner);
+        self.not_empty.notify_one();
+    }
+
     /// Append a batch to the *back* of this stage's own queue, exempt from
     /// the capacity check and the closed flag (like
     /// [`enqueue_front`](Self::enqueue_front), the packets were already
@@ -280,6 +297,9 @@ impl<P> StageQueue<P> {
     /// cohort is exactly the packets already queued when the grab happens
     /// (bounded by `max`), taken under a single lock acquisition, in FIFO
     /// order. Packets arriving after the grab wait for the next visit.
+    ///
+    /// A returned cohort opens a *visit*: the queue counts as being served
+    /// until the caller closes it with [`end_visit`](Self::end_visit).
     pub fn dequeue_batch(&self, max: usize, timeout: Duration) -> DequeuedCohort<P> {
         let max = max.max(1);
         let mut inner = self.inner.lock();
@@ -287,6 +307,7 @@ impl<P> StageQueue<P> {
             if !inner.items.is_empty() {
                 let n = inner.items.len().min(max);
                 let cohort: Vec<P> = inner.items.drain(..n).collect();
+                inner.serving += 1;
                 self.counters.dequeued.fetch_add(n as u64, Ordering::Relaxed);
                 drop(inner);
                 // A batch grab frees n slots: wake exactly n blocked
@@ -304,9 +325,36 @@ impl<P> StageQueue<P> {
         }
     }
 
+    /// Close a visit opened by [`dequeue_batch`](Self::dequeue_batch) or
+    /// [`try_begin_visit`](Self::try_begin_visit).
+    pub fn end_visit(&self) {
+        self.inner.lock().serving -= 1;
+    }
+
+    /// Open a visit with no packets, but only on an *idle* stage: nothing
+    /// queued and no visit in progress. The test and the claim are one
+    /// critical section, so two callers cannot both find the stage idle.
+    /// The runtime uses this to serve a lone packet on the sender's thread
+    /// (DESIGN.md §11, "following").
+    pub fn try_begin_visit(&self) -> bool {
+        let mut inner = self.inner.lock();
+        let idle = inner.items.is_empty() && inner.serving == 0;
+        if idle {
+            inner.serving = 1;
+        }
+        idle
+    }
+
+    /// True when nothing is queued and no visit is in progress.
+    pub fn is_quiet(&self) -> bool {
+        let inner = self.inner.lock();
+        inner.items.is_empty() && inner.serving == 0
+    }
+
     /// Non-blocking [`dequeue_batch`](Self::dequeue_batch): up to `max`
     /// packets already queued, or an empty vector. Used by exhaustive
-    /// (non-gated) visits to refill mid-visit without re-parking.
+    /// (non-gated) visits to refill mid-visit without re-parking (the
+    /// visit is already open, so this opens none).
     pub fn try_dequeue_batch(&self, max: usize) -> Vec<P> {
         let max = max.max(1);
         let mut inner = self.inner.lock();
@@ -510,6 +558,27 @@ mod tests {
         }
         assert_eq!(q.try_dequeue_batch(2), vec![0, 1]);
         assert_eq!(q.try_dequeue_batch(2), vec![2]);
+    }
+
+    #[test]
+    fn a_visit_can_be_claimed_only_on_an_idle_queue() {
+        let q = StageQueue::new(4);
+        assert!(q.is_quiet());
+        q.enqueue(1).unwrap();
+        assert!(!q.try_begin_visit(), "a packet is queued");
+        let DequeuedCohort::Cohort(_) = q.dequeue_batch(4, Duration::from_millis(5)) else {
+            panic!("expected cohort");
+        };
+        assert!(!q.is_quiet() && !q.try_begin_visit(), "empty, but a visit is open");
+        q.end_visit();
+        assert!(q.try_begin_visit(), "idle: claimed");
+        assert!(!q.try_begin_visit(), "only once");
+        q.end_visit();
+        assert!(q.is_quiet());
+        // A lone capacity-exempt requeue lands at the back.
+        q.enqueue(2).unwrap();
+        q.requeue_back(3);
+        assert_eq!((q.dequeue(), q.dequeue()), (Some(2), Some(3)));
     }
 
     #[test]

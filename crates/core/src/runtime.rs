@@ -16,6 +16,11 @@
 //! self-tuning knob (b) of §4.4). DESIGN.md §11 maps these semantics onto
 //! the five scheduling policies of [`crate::policy`].
 //!
+//! When no cohort forms — one packet in the visit, nothing waiting behind
+//! it — a hand-off buys no locality and costs a thread wake-up, so the
+//! worker *follows* a lone forward into an idle, cheap destination and
+//! runs that stage's code itself (`follow_lone_forward`, DESIGN.md §11).
+//!
 //! Worker pools are resizable at run time (`set_workers`), which is the
 //! mechanism behind self-tuning knob (a) of §4.4: "the number of threads at
 //! each stage".
@@ -194,6 +199,15 @@ impl<P: Send + 'static> StagedRuntime<P> {
         self.shared.try_enqueue(dest, packet)
     }
 
+    /// Put packets that were admitted once already back on `stage`'s queue
+    /// (at the back, exempt from the capacity bound and the closed flag).
+    /// This is how a stage that parked packets *outside* its queue to wait
+    /// on a condition (§4.1.1 case iii) re-admits them when the condition
+    /// changes — from whichever thread saw it change.
+    pub fn readmit(&self, stage: StageId, packets: Vec<P>) {
+        self.shared.stages[stage].queue.requeue_back_batch(packets);
+    }
+
     /// Change the number of active workers of a stage (self-tuning knob a).
     ///
     /// Shrinking pauses surplus workers (they stop dequeueing); growing
@@ -264,19 +278,9 @@ impl<P: Send + 'static> StagedRuntime<P> {
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         for s in &self.shared.stages {
-            // Wait until nothing is queued and no worker is mid-packet; the
-            // double check closes the dequeue→active-counter window.
-            loop {
-                let quiet = |stage: &StageInner<P>| {
-                    stage.queue.is_empty()
-                        && stage.monitor.active_workers.load(Ordering::SeqCst) == 0
-                };
-                if quiet(s) {
-                    std::thread::yield_now();
-                    if quiet(s) {
-                        break;
-                    }
-                }
+            // Wait until nothing is queued and no visit is open (a worker
+            // following a packet keeps its home visit open throughout).
+            while !s.queue.is_quiet() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             s.queue.close();
@@ -308,7 +312,7 @@ impl<P: Send + 'static> StagedRuntime<P> {
 const FLUSH_THRESHOLD: usize = 8;
 
 fn worker_loop<P: Send + 'static>(shared: Arc<RuntimeShared<P>>, stage: StageId, rank: usize) {
-    let ctx = StageCtx {
+    let mut ctx = StageCtx {
         shared: &shared,
         stage_id: stage,
         outbox: Some(std::cell::RefCell::new(Vec::new())),
@@ -329,7 +333,7 @@ fn worker_loop<P: Send + 'static>(shared: Arc<RuntimeShared<P>>, stage: StageId,
         match inner.queue.dequeue_batch(limit, idle_wait) {
             DequeuedCohort::Cohort(cohort) => {
                 idle_wait = IDLE_POLL;
-                serve_visit(inner, &ctx, cohort, limit);
+                serve_visit(inner, &mut ctx, cohort, limit);
             }
             DequeuedCohort::TimedOut => {
                 // The worker was parked on the condvar the whole time (an
@@ -337,49 +341,101 @@ fn worker_loop<P: Send + 'static>(shared: Arc<RuntimeShared<P>>, stage: StageId,
                 // idle hook, so back off exponentially while quiet.
                 inner.monitor.record_idle_poll();
                 inner.logic.on_idle(&ctx);
-                flush_outbox(&shared, stage, &ctx);
+                flush_outbox(&ctx);
                 idle_wait = (idle_wait * 2).min(IDLE_POLL_MAX);
             }
             DequeuedCohort::Closed => {
-                flush_outbox(&shared, stage, &ctx);
+                flush_outbox(&ctx);
                 return;
             }
         }
     }
 }
 
-/// Deliver a visit's buffered forwards: consecutive same-destination runs
-/// become one batched enqueue (a single downstream lock acquisition and a
-/// bounded wake-up), self-requeues rejoin this stage's queue capacity-
-/// exempt. Packets bound for a closed queue (shutdown) are dropped and
-/// counted as this stage's errors — the same fate a direct send's error
-/// return used to record.
-fn flush_outbox<P: Send + 'static>(
-    shared: &Arc<RuntimeShared<P>>,
-    stage: StageId,
-    ctx: &StageCtx<'_, P>,
-) {
+/// A stage is followed into only while its mean demand per packet stays
+/// under this: a few thread hand-offs' worth (one costs 20–35 µs on the
+/// boxes this was measured on). Past that, serving the packet on the
+/// sender's thread would hold the sender's own queue up for longer than
+/// the wake-ups it saves. It is a constant, not a knob: it compares two
+/// costs of the machine, not of a workload (DESIGN.md §11).
+const FOLLOW_MAX_DEMAND: Duration = Duration::from_micros(100);
+
+/// Deliver the buffered forwards of `ctx`'s stage: consecutive
+/// same-destination runs become one batched enqueue (a single downstream
+/// lock acquisition and a bounded wake-up), self-requeues rejoin this
+/// stage's queue capacity-exempt. Packets bound for a closed queue
+/// (shutdown) are dropped and counted as this stage's errors — the same
+/// fate a direct send's error return used to record.
+fn flush_outbox<P: Send + 'static>(ctx: &StageCtx<'_, P>) {
     let Some(cell) = &ctx.outbox else { return };
-    if cell.borrow().is_empty() {
-        return;
-    }
-    // Take the buffer before flushing: enqueue_batch may block under
+    // Take the buffer before flushing: an enqueue may block under
     // back-pressure and nothing may hold the borrow across that.
-    let items: Vec<(StageId, P)> = cell.borrow_mut().drain(..).collect();
-    let mut iter = items.into_iter().peekable();
+    let mut items = std::mem::take(&mut *cell.borrow_mut());
+    let (shared, stage) = (ctx.shared, ctx.stage_id);
+    let mut iter = items.drain(..).peekable();
     while let Some((dest, pkt)) = iter.next() {
-        let mut run = vec![pkt];
-        while iter.peek().is_some_and(|(d, _)| *d == dest) {
-            run.push(iter.next().expect("peeked").1);
-        }
-        if dest == stage {
-            shared.stage(stage).queue.requeue_back_batch(run);
-        } else if let Err(dropped) = shared.stage(dest).queue.enqueue_batch(run) {
-            for _ in 0..dropped {
-                shared.stage(stage).monitor.record_error();
+        let queue = &shared.stage(dest).queue;
+        let dropped = if iter.peek().is_none_or(|(d, _)| *d != dest) {
+            // A run of one — the common case — moves without a `Vec`.
+            if dest == stage {
+                queue.requeue_back(pkt);
+                0
+            } else {
+                queue.enqueue(pkt).map_or(1, |()| 0)
             }
+        } else {
+            let mut run = vec![pkt];
+            while iter.peek().is_some_and(|(d, _)| *d == dest) {
+                run.push(iter.next().expect("peeked").1);
+            }
+            if dest == stage {
+                queue.requeue_back_batch(run);
+                0
+            } else {
+                queue.enqueue_batch(run).err().unwrap_or(0)
+            }
+        };
+        for _ in 0..dropped {
+            shared.stage(stage).monitor.record_error();
         }
     }
+    drop(iter);
+    // Hand the emptied buffer back so its capacity is reused.
+    *cell.borrow_mut() = items;
+}
+
+/// The follow test (DESIGN.md §11). At the end of a visit, take the
+/// outbox's packet — and open a visit on its destination — when all of
+/// these hold:
+///
+/// 1. the outbox holds exactly one packet, bound for another stage;
+/// 2. the destination is not [`BatchPolicy::Single`];
+/// 3. the destination has a demand estimate and it is under
+///    [`FOLLOW_MAX_DEMAND`];
+/// 4. the worker's home queue is empty (nobody is waiting for it);
+/// 5. the destination is idle: nothing queued, no visit in progress.
+///
+/// Under load (4) and (5) fail, the packet is enqueued as always and
+/// cohorts form downstream.
+fn take_lone_forward<P: Send + 'static>(
+    home: &StageInner<P>,
+    ctx: &StageCtx<'_, P>,
+) -> Option<(StageId, P)> {
+    let mut out = ctx.outbox.as_ref()?.borrow_mut();
+    let &[(dest, _)] = out.as_slice() else { return None };
+    let to = ctx.shared.stage(dest);
+    if dest == ctx.stage_id || to.batch == BatchPolicy::Single {
+        return None;
+    }
+    let processed = to.monitor.processed();
+    if processed == 0 || to.monitor.busy_nanos() / processed >= FOLLOW_MAX_DEMAND.as_nanos() as u64
+    {
+        return None;
+    }
+    if !home.queue.is_empty() || !to.queue.try_begin_visit() {
+        return None;
+    }
+    out.pop()
 }
 
 /// Serve one queue visit: a cohort of packets processed back to back
@@ -391,13 +447,21 @@ fn flush_outbox<P: Send + 'static>(
 /// unserved remainder back to the head of the queue (cutoff preemption).
 /// The first packet of a visit is always served, so a visit makes
 /// progress even when one packet alone overruns the budget.
+///
+/// The visit ends by delivering what it buffered — or, for a lone forward
+/// into an idle cheap stage, by following it (see [`take_lone_forward`]):
+/// the worker runs the destination's code itself, under a context that
+/// carries the destination's id and books the service on the
+/// destination's monitor, and repeats until a condition fails. The home
+/// visit stays open throughout and each followed stage's visit stays open
+/// until the packet has moved on, so `shutdown` waits for the chain.
 fn serve_visit<P: Send + 'static>(
     inner: &StageInner<P>,
-    ctx: &StageCtx<'_, P>,
+    ctx: &mut StageCtx<'_, P>,
     cohort: Vec<P>,
     limit: usize,
 ) {
-    inner.monitor.active_workers.fetch_add(1, Ordering::Relaxed);
+    let home = ctx.stage_id;
     // T-gated budget, in nanoseconds per served packet. Until the stage
     // has a demand estimate (nothing processed yet) the cutoff is moot.
     let budget_per_packet = match inner.batch {
@@ -453,7 +517,7 @@ fn serve_visit<P: Send + 'static>(
             // block under back-pressure, so the timestamp chain restarts
             // after it — queue-wait must not read as service demand.
             if ctx.outbox.as_ref().is_some_and(|o| o.borrow().len() >= FLUSH_THRESHOLD) {
-                flush_outbox(ctx.shared, ctx.stage_id, ctx);
+                flush_outbox(ctx);
                 last = Instant::now();
             }
         }
@@ -469,13 +533,37 @@ fn serve_visit<P: Send + 'static>(
             break;
         }
     }
-    // Flush buffered forwards before the worker stops counting as active:
-    // shutdown's quiesce check must see these packets in their queues.
-    flush_outbox(ctx.shared, ctx.stage_id, ctx);
     if served > 0 {
         inner.monitor.record_cohort(served);
     }
-    inner.monitor.active_workers.fetch_sub(1, Ordering::Relaxed);
+    // Deliver or follow. Whatever the last stage served leaves in the
+    // outbox reaches a queue (or the next followed stage) before that
+    // stage's visit closes: shutdown's quiesce check must always find an
+    // in-flight packet either queued or under an open visit.
+    let mut serving: Option<&StageInner<P>> = None;
+    loop {
+        let next = take_lone_forward(inner, ctx);
+        if next.is_none() {
+            flush_outbox(ctx);
+        }
+        if let Some(done) = serving.take() {
+            done.queue.end_visit();
+        }
+        let Some((dest, pkt)) = next else { break };
+        let stage = ctx.shared.stage(dest);
+        ctx.stage_id = dest;
+        let res = stage.logic.process(pkt, ctx);
+        let now = Instant::now();
+        match res {
+            Ok(()) => stage.monitor.record_processed(now.duration_since(last)),
+            Err(_) => stage.monitor.record_error(),
+        }
+        stage.monitor.record_followed();
+        last = now;
+        serving = Some(stage);
+    }
+    ctx.stage_id = home;
+    inner.queue.end_visit();
 }
 
 #[cfg(test)]
@@ -864,5 +952,318 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 99);
         rt.shutdown();
         assert!(attempts.load(Ordering::SeqCst) >= 2);
+    }
+
+    // ---- Following a lone packet (DESIGN.md §11) -----------------------
+
+    const A: StageId = 0;
+    const B: StageId = 1;
+    const C: StageId = 2;
+    /// Packets numbered from here prime the demand estimates.
+    const PRIMER: u32 = 1_000_000;
+
+    /// A chain `a → b → c` whose stages log `(stage, packet, thread)`;
+    /// `b` calls `at_b(packet)` first (tests block or sleep there) and `c`
+    /// reports each packet on `done`.
+    struct Chain {
+        rt: StagedRuntime<u32>,
+        log: Log,
+        done: mpsc::Receiver<u32>,
+    }
+
+    type Log = Arc<Mutex<Vec<(StageId, u32, String)>>>;
+
+    fn chain(
+        workers: usize,
+        b_policy: BatchPolicy,
+        at_b: impl Fn(u32) + Send + Sync + 'static,
+    ) -> Chain {
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let (tx, done) = mpsc::channel::<u32>();
+        let tx = Mutex::new(tx);
+        fn spec(name: &str, workers: usize, logic: impl StageLogic<u32>) -> StageSpec<u32> {
+            StageSpec::new(name, logic).with_workers(workers).with_queue_capacity(4096)
+        }
+        let logged = |log: &Log| {
+            let log = Arc::clone(log);
+            move |p: u32, ctx: &StageCtx<'_, u32>| {
+                let thread = std::thread::current().name().unwrap_or("?").to_string();
+                log.lock().push((ctx.stage_id, p, thread));
+            }
+        };
+        let mut b = StagedRuntime::<u32>::builder();
+        let note = logged(&log);
+        b.add_stage(spec("a", workers, move |p: u32, ctx: &StageCtx<'_, u32>| -> StageResult {
+            note(p, ctx);
+            ctx.send(B, p).map_err(|_| crate::StageError::new("send"))
+        }));
+        let note = logged(&log);
+        b.add_stage(
+            spec("b", workers, move |p: u32, ctx: &StageCtx<'_, u32>| -> StageResult {
+                at_b(p);
+                note(p, ctx);
+                ctx.send(C, p).map_err(|_| crate::StageError::new("send"))
+            })
+            .with_batch(b_policy),
+        );
+        let note = logged(&log);
+        b.add_stage(spec("c", workers, move |p: u32, ctx: &StageCtx<'_, u32>| -> StageResult {
+            note(p, ctx);
+            tx.lock().send(p).unwrap();
+            Ok(())
+        }));
+        Chain { rt: b.build(), log, done }
+    }
+
+    impl Chain {
+        /// Wait until nothing is queued and no visit is open anywhere.
+        fn settle(&self) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.rt.shared.stages.iter().all(|s| s.queue.is_quiet()) {
+                assert!(Instant::now() < deadline, "runtime never went quiet");
+                std::thread::yield_now();
+            }
+        }
+
+        fn delivered(&self) -> u32 {
+            self.done.recv_timeout(Duration::from_secs(10)).expect("packet delivered")
+        }
+
+        /// Give `b` and `c` a demand estimate that one preempted sample
+        /// cannot push over the follow threshold.
+        fn prime(&self) {
+            for i in 0..64 {
+                self.rt.enqueue(A, PRIMER + i).unwrap();
+                self.delivered();
+            }
+            self.settle();
+        }
+
+        /// Send one packet through the idle chain and wait for it.
+        fn one(&self, p: u32) {
+            self.rt.enqueue(A, p).unwrap();
+            assert_eq!(self.delivered(), p);
+            self.settle();
+        }
+
+        fn threads_at(&self, stage: StageId, p: u32) -> Vec<String> {
+            let log = self.log.lock();
+            log.iter().filter(|e| e.0 == stage && e.1 == p).map(|e| e.2.clone()).collect()
+        }
+    }
+
+    #[test]
+    fn lone_packet_is_followed_through_an_idle_chain() {
+        let ch = chain(1, BatchPolicy::DGated, |_| {});
+        // No estimate yet: the very first packet is handed over, not
+        // followed, at both hops.
+        ch.one(PRIMER - 1);
+        let st = ch.rt.stats();
+        assert_eq!((st[B].followed, st[B].queue.enqueued), (0, 1));
+        assert_eq!((st[C].followed, st[C].queue.enqueued), (0, 1));
+        assert_eq!(ch.threads_at(C, PRIMER - 1), ["stage-c-0"]);
+        ch.prime();
+        let before = ch.rt.stats();
+        for p in 0..20 {
+            ch.one(p);
+            assert_eq!(ch.threads_at(B, p), ["stage-a-0"], "b ran on a's worker");
+            assert_eq!(ch.threads_at(C, p), ["stage-a-0"], "c ran on a's worker");
+        }
+        let st = ch.rt.stats();
+        for s in [B, C] {
+            assert_eq!(st[s].followed - before[s].followed, 20);
+            assert_eq!(st[s].queue.enqueued, before[s].queue.enqueued, "nothing went by queue");
+            assert_eq!(st[s].processed - before[s].processed, 20, "booked where the code ran");
+            assert_eq!(st[s].cohorts - before[s].cohorts, 20, "a followed packet is a visit");
+        }
+        assert_eq!(st[A].followed, 0);
+        ch.rt.shutdown();
+    }
+
+    #[test]
+    fn single_stage_is_never_followed_into() {
+        let ch = chain(1, BatchPolicy::Single, |_| {});
+        ch.prime();
+        for p in 0..10 {
+            ch.one(p);
+            assert_eq!(ch.threads_at(B, p), ["stage-b-0"]);
+            // ... but b's own worker follows on into c.
+            assert_eq!(ch.threads_at(C, p), ["stage-b-0"]);
+        }
+        assert_eq!(ch.rt.stats()[B].followed, 0);
+        ch.rt.shutdown();
+    }
+
+    #[test]
+    fn backlogged_destination_is_not_followed_into() {
+        // Packet 7 blocks b's own worker; packet 8 queues behind it.
+        let gate = Arc::new(AtomicBool::new(true));
+        let g = Arc::clone(&gate);
+        let ch = chain(1, BatchPolicy::DGated, move |p| {
+            while p == 7 && g.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        });
+        ch.prime();
+        ch.rt.enqueue(B, 7).unwrap();
+        while ch.rt.stats()[B].queue.depth > 0 {
+            std::thread::yield_now();
+        }
+        ch.rt.enqueue(B, 8).unwrap();
+        let before = ch.rt.stats()[B].queue.enqueued;
+        ch.rt.enqueue(A, 9).unwrap();
+        while ch.rt.stats()[A].processed < 65 {
+            std::thread::yield_now();
+        }
+        let st = ch.rt.stats();
+        assert_eq!(st[B].queue.enqueued, before + 1, "9 queued behind the backlog");
+        assert_eq!(st[B].queue.depth, 2);
+        gate.store(false, Ordering::SeqCst);
+        let got: Vec<u32> = (0..3).map(|_| ch.delivered()).collect();
+        assert_eq!(got, [7, 8, 9], "and kept its place");
+        ch.rt.shutdown();
+    }
+
+    #[test]
+    fn expensive_stage_is_not_followed_into_and_cannot_hold_the_sender_up() {
+        // b sleeps 2 ms per packet: far over the follow threshold. While
+        // it serves packet 1 — held there until a has served packet 2 —
+        // a's worker must be free to serve packet 2: had it followed 1
+        // into b, 2 would sit in a's queue until the gate timed out.
+        let a_served_2 = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&a_served_2);
+        let ch = chain(1, BatchPolicy::DGated, move |p| {
+            std::thread::sleep(Duration::from_millis(2));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while p == 1 && !seen.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        });
+        ch.one(PRIMER);
+        ch.rt.enqueue(A, 1).unwrap();
+        while ch.threads_at(B, 1).is_empty() && ch.rt.stats()[B].queue.dequeued < 2 {
+            std::thread::yield_now();
+        }
+        let sent = Instant::now();
+        ch.rt.enqueue(A, 2).unwrap();
+        while ch.threads_at(A, 2).is_empty() {
+            assert!(sent.elapsed() < Duration::from_secs(2), "a's worker is stuck inside b");
+            std::thread::yield_now();
+        }
+        a_served_2.store(true, Ordering::SeqCst);
+        assert_eq!((ch.delivered(), ch.delivered()), (1, 2));
+        assert_eq!(ch.threads_at(B, 1), ["stage-b-0"]);
+        assert_eq!(ch.rt.stats()[B].followed, 0);
+        ch.rt.shutdown();
+    }
+
+    #[test]
+    fn follower_goes_home_when_its_own_queue_fills() {
+        // a's worker follows packet 1 into b and is held there while
+        // packet 2 arrives in a's queue: at the next hop it must hand 1
+        // over to c's worker and go home for 2.
+        let gate = Arc::new(AtomicBool::new(true));
+        let g = Arc::clone(&gate);
+        let ch = chain(1, BatchPolicy::DGated, move |p| {
+            while p == 1 && g.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        });
+        ch.prime();
+        let before = ch.rt.stats();
+        ch.rt.enqueue(A, 1).unwrap();
+        while ch.rt.stats()[A].processed == before[A].processed {
+            std::thread::yield_now();
+        }
+        ch.rt.enqueue(A, 2).unwrap();
+        gate.store(false, Ordering::SeqCst);
+        assert_eq!(ch.delivered(), 1);
+        assert_eq!(ch.delivered(), 2);
+        ch.settle();
+        assert_eq!(ch.threads_at(B, 1), ["stage-a-0"], "1 was followed into b");
+        assert_eq!(ch.threads_at(C, 1), ["stage-c-0"], "and handed over at the next hop");
+        ch.rt.shutdown();
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_followed_chain_in_flight() {
+        let gate = Arc::new(AtomicBool::new(true));
+        let g = Arc::clone(&gate);
+        let ch = chain(1, BatchPolicy::DGated, move |p| {
+            while p == 1 && g.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        });
+        ch.prime();
+        let before = ch.rt.stats()[A].processed;
+        ch.rt.enqueue(A, 1).unwrap();
+        while ch.rt.stats()[A].processed == before {
+            std::thread::yield_now();
+        }
+        // a's worker is now inside b, on a's open visit and b's.
+        let rt = ch.rt.clone();
+        let stopper = std::thread::spawn(move || rt.shutdown());
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!stopper.is_finished(), "shutdown must wait for the chain");
+        gate.store(false, Ordering::SeqCst);
+        stopper.join().unwrap();
+        assert_eq!(ch.done.try_recv(), Ok(1), "the packet reached c before the stages closed");
+        assert_eq!(ch.threads_at(B, 1), ["stage-a-0"]);
+    }
+
+    /// 10k numbered packets through the chain, arriving in bursts with
+    /// idle gaps, so both delivery paths are taken many times over.
+    fn mixed_arrival(workers: usize) -> Chain {
+        const N: u32 = 10_000;
+        let ch = chain(workers, BatchPolicy::DGated, |_| {});
+        ch.prime();
+        ch.log.lock().clear();
+        let before = ch.rt.stats();
+        let (mut next, mut got, mut seed) = (0u32, 0u32, 0x9E37_79B9u32);
+        while next < N {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let burst = if seed >> 31 == 0 { 1 } else { 1 + (seed >> 8) % 40 };
+            for _ in 0..burst.min(N - next) {
+                ch.rt.enqueue(A, next).unwrap();
+                next += 1;
+            }
+            // Half the time let the chain drain and go idle.
+            if (seed >> 16) & 1 == 0 {
+                while got < next {
+                    ch.delivered();
+                    got += 1;
+                }
+            }
+        }
+        ch.rt.shutdown();
+        let st = ch.rt.stats();
+        for s in [B, C] {
+            let mut seen: Vec<u32> =
+                ch.log.lock().iter().filter(|e| e.0 == s).map(|e| e.1).collect();
+            if workers == 1 {
+                // One worker per stage, one source: a followed packet never
+                // overtakes a queued one and never runs beside the stage's
+                // own worker, so every stage sees strict FIFO.
+                assert!(seen.windows(2).all(|w| w[0] < w[1]), "stage {s} reordered");
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..N).collect::<Vec<_>>(), "stage {s}: exactly once");
+            assert_eq!(st[s].processed - before[s].processed, u64::from(N));
+            let followed = st[s].followed - before[s].followed;
+            let queued = st[s].queue.enqueued - before[s].queue.enqueued;
+            assert_eq!(followed + queued, u64::from(N), "stage {s}: followed or queued");
+            assert!(followed > 0 && queued > 0, "stage {s}: {followed} followed, {queued} queued");
+        }
+        ch
+    }
+
+    #[test]
+    fn mixed_arrival_is_fifo_and_exactly_once_with_one_worker() {
+        mixed_arrival(1);
+    }
+
+    #[test]
+    fn mixed_arrival_is_exactly_once_with_four_workers() {
+        mixed_arrival(4);
     }
 }

@@ -25,11 +25,18 @@ pub type StageId = usize;
 /// [`Single`]: BatchPolicy::Single
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchPolicy {
-    /// One packet per visit — the pre-cohort semantics. Kept by stages
-    /// whose correctness or fairness depends on not holding packets
-    /// outside the queue (the server's `net` admission stage, whose queue
-    /// bound *is* the admission limit, and the `lock` stage, whose
-    /// conflict-retry sleep would stall cohort-mates).
+    /// One packet per visit, taken from the stage's own queue by the
+    /// stage's own workers — and nothing else: the runtime never *follows*
+    /// a packet into a `Single` stage (see [`StageCtx::send`]), so every
+    /// packet it serves went through its bounded queue. Kept by stages
+    /// whose queue bound is itself the point (the server's `net` admission
+    /// stage: its queue *is* the admission limit, and load served past it
+    /// on another thread would be load admitted past it) or whose worker
+    /// may block for long inside `process` (the `checkpoint` stage, which
+    /// polls for its quiesce locks). A stage that merely needs its state
+    /// protected should lock it instead: a followed packet runs
+    /// concurrently with the stage's own workers, exactly as a second
+    /// worker would.
     Single,
     /// Non-gated (exhaustive) service: the visit keeps refilling from the
     /// queue, a cohort-bound packets at a time, until it finds the queue
@@ -189,6 +196,17 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
     /// at the latest at visit end — so the call itself always succeeds
     /// and a pipeline-closed failure is accounted as a stage error at
     /// flush time instead of here.
+    ///
+    /// Delivery is not always an enqueue. When a visit ends with exactly
+    /// one buffered forward, nobody is waiting in the worker's own queue,
+    /// and the destination is idle, cheap (mean demand under a fixed few
+    /// hand-offs' worth) and not [`BatchPolicy::Single`], the worker
+    /// *follows* the packet: it calls the destination's
+    /// [`StageLogic::process`] itself, with a context whose `stage_id` is
+    /// the destination's, and books the service on the destination's
+    /// monitor (`StageStats::followed`). Stage code cannot tell the
+    /// difference except by its thread name; what it must not assume is
+    /// that `workers` bounds how many threads run `process` at once.
     pub fn send(&self, dest: StageId, packet: P) -> Result<(), EnqueueError<P>> {
         if let Some(out) = &self.outbox {
             out.borrow_mut().push((dest, packet));

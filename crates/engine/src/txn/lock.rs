@@ -14,6 +14,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// One lockable unit: a hash partition of a table.
@@ -85,13 +86,17 @@ struct TableInnerState {
     held: HashMap<u64, Vec<LockKey>>,
 }
 
-/// The lock table: a map of partition locks plus a condvar the waiters
-/// park on. One condvar for the whole table is coarse but matches the
-/// scale of the stage (lock hold times are statement-sized).
+/// The lock table: a map of partition locks plus the two ways a waiter
+/// learns of a release — a condvar blocked threads park on
+/// ([`lock_until`](Self::lock_until)) and a hook for waiters that are not
+/// threads ([`set_release_hook`](Self::set_release_hook)). One condvar for
+/// the whole table is coarse but matches the scale of the stage (lock
+/// hold times are statement-sized).
 #[derive(Default)]
 pub struct LockTable {
     inner: Mutex<TableInnerState>,
     released: Condvar,
+    on_release: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl LockTable {
@@ -170,21 +175,40 @@ impl LockTable {
         Ok(())
     }
 
-    /// Release every lock `xid` holds and wake all waiters. Idempotent.
+    /// Install the release hook: `hook` runs after every
+    /// [`release_all`](Self::release_all) that freed at least one lock,
+    /// on the releasing thread, with the table's mutex already dropped (so
+    /// it may call back into the table). The staged lock stage uses it to
+    /// re-admit the packets it parked on a conflict. One hook per table;
+    /// a second call is ignored.
+    pub fn set_release_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let _ = self.on_release.set(Box::new(hook));
+    }
+
+    /// Release every lock `xid` holds. Idempotent. If that freed anything,
+    /// wake every waiter: threads blocked in
+    /// [`lock_until`](Self::lock_until), then the release hook. The table
+    /// is updated *before* either is told, so a waiter that retries on the
+    /// wake-up sees the freed locks; a waiter that was not yet waiting when
+    /// the release happened must make "try, then register as waiting" one
+    /// critical section against its own wake-up path (the lock stage does:
+    /// docs/CONCURRENCY.md, "Lock waits").
     pub fn release_all(&self, xid: u64) {
         let mut inner = self.inner.lock();
-        if let Some(keys) = inner.held.remove(&xid) {
-            for key in keys {
-                if let Some(state) = inner.locks.get_mut(&key) {
-                    state.owners.retain(|(o, _)| *o != xid);
-                    if state.owners.is_empty() {
-                        inner.locks.remove(&key);
-                    }
+        let Some(keys) = inner.held.remove(&xid) else { return };
+        for key in keys {
+            if let Some(state) = inner.locks.get_mut(&key) {
+                state.owners.retain(|(o, _)| *o != xid);
+                if state.owners.is_empty() {
+                    inner.locks.remove(&key);
                 }
             }
         }
         drop(inner);
         self.released.notify_all();
+        if let Some(hook) = self.on_release.get() {
+            hook();
+        }
     }
 
     /// Number of locks currently held by `xid`.
@@ -266,6 +290,26 @@ mod tests {
         lt.release_all(1);
         assert_eq!(waiter.join().unwrap(), Ok(()));
         assert_eq!(lt.held_by(2), 1);
+    }
+
+    #[test]
+    fn release_hook_fires_only_when_something_was_freed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let lt = std::sync::Arc::new(LockTable::new());
+        let fired = std::sync::Arc::new(AtomicUsize::new(0));
+        let (lt2, fired2) = (std::sync::Arc::clone(&lt), std::sync::Arc::clone(&fired));
+        lt.set_release_hook(move || {
+            // The table mutex is dropped and the table already updated:
+            // the hook may take the freed lock itself.
+            assert!(lt2.try_lock(99, k(0, 0), LockMode::Exclusive));
+            fired2.fetch_add(1, Ordering::SeqCst);
+        });
+        lt.release_all(1); // holds nothing: no wake-up
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        assert!(lt.try_lock(1, k(0, 0), LockMode::Exclusive));
+        lt.release_all(1);
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(lt.held_by(99), 1);
     }
 
     #[test]

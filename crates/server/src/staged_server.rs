@@ -52,8 +52,8 @@ impl SPacket {
         std::mem::replace(&mut self.body, PacketBody::Raw(String::new()))
     }
 
-    fn timed_out(&self) -> bool {
-        self.lock_deadline.is_some_and(|d| Instant::now() >= d)
+    fn timed_out(&self, now: Instant) -> bool {
+        self.lock_deadline.is_some_and(|d| now >= d)
     }
 }
 
@@ -86,16 +86,30 @@ struct ServerShared {
     /// True while an idle-raised checkpoint packet is queued or running;
     /// stops the idle hook from stacking duplicates.
     auto_pending: AtomicBool,
+    /// The lock stage's parked list: packets that hit a lock conflict
+    /// wait here, outside the stage's queue, until a release re-admits
+    /// them or their deadline passes (docs/CONCURRENCY.md, "Lock waits").
+    parked: Mutex<Vec<SPacket>>,
 }
 
 /// The staged server.
 pub struct StagedServer {
     shared: Arc<ServerShared>,
     runtime: StagedRuntime<SPacket>,
-    net_id: StageId,
-    connect_id: StageId,
-    checkpoint_id: StageId,
 }
+
+// The nine stages in registration order, which is pipeline order, which is
+// the order `shutdown` drains them in. A stage's `StageId` is its position
+// in that order; `with_stores` asserts each as it registers the stage.
+const NET: StageId = 0;
+const CONNECT: StageId = 1;
+const PARSE: StageId = 2;
+const OPTIMIZE: StageId = 3;
+const LOCK: StageId = 4;
+const CHECKPOINT: StageId = 5;
+const REPLICATION: StageId = 6;
+const EXECUTE: StageId = 7;
+const DISCONNECT: StageId = 8;
 
 macro_rules! stage_logic {
     ($name:ident, $shared:ident, $pkt:ident, $ctx:ident, $body:block) => {
@@ -115,15 +129,13 @@ macro_rules! stage_logic {
     };
 }
 
-fn forward(ctx: &StageCtx<'_, SPacket>, stage: &str, pkt: SPacket) -> Result<(), StageError> {
-    let id =
-        ctx.stage_id_of(stage).ok_or_else(|| StageError::new(format!("missing stage {stage}")))?;
-    ctx.send(id, pkt).map_err(|_| StageError::new("pipeline closed"))
+fn forward(ctx: &StageCtx<'_, SPacket>, stage: StageId, pkt: SPacket) -> Result<(), StageError> {
+    ctx.send(stage, pkt).map_err(|_| StageError::new("pipeline closed"))
 }
 
 fn finish(ctx: &StageCtx<'_, SPacket>, mut pkt: SPacket, res: Response) -> Result<(), StageError> {
     pkt.body = PacketBody::Finished(Box::new(res));
-    forward(ctx, "disconnect", pkt)
+    forward(ctx, DISCONNECT, pkt)
 }
 
 /// A packet whose body is not what `stage` works on: answer with an error.
@@ -142,23 +154,45 @@ fn try_acquire(locks: &LockTable, xid: u64, keys: &mut Vec<LockKey>) -> bool {
     keys.is_empty()
 }
 
-/// Park-and-retry (case iii of §4.1.1): yield the worker briefly, then
-/// requeue the packet on its own stage. The retry counter makes contention
-/// visible in the stage's StageStats. The requeue must never block on the
-/// stage's own full queue (the only dequeuer is this worker — blocking
-/// here would deadlock the stage against itself), so it tries the back
-/// non-blocking and falls back to the capacity-exempt front slot under
-/// overload.
-fn park(ctx: &StageCtx<'_, SPacket>, pkt: SPacket) -> Result<(), StageError> {
-    ctx.record_retry();
-    std::thread::sleep(Duration::from_micros(100));
-    match ctx.try_send(ctx.stage_id, pkt) {
-        Ok(()) => Ok(()),
-        Err(EnqueueError::Full(pkt)) => {
-            ctx.requeue(pkt).map_err(|_| StageError::new("pipeline closed"))
+/// Fail parked packets whose lock deadline has passed: the statement
+/// answers `lock timeout` and the disconnect stage aborts its transaction
+/// (timeout-abort deadlock resolution).
+///
+/// Sweeps are coarse (an idle tick can be hundreds of milliseconds), so
+/// both sides of a deadlock are usually overdue by the time one runs;
+/// failing both would resolve the deadlock with no survivor. A waiter
+/// whose transaction holds no lock is in no cycle and always fails. Of the
+/// overdue waiters that do hold locks, a sweep fails only the one with
+/// the earliest deadline: its abort releases its locks, the release hook
+/// re-admits the rest, and each of those either gets its lock or — still
+/// conflicted and overdue — fails on that retry.
+fn expire_parked(shared: &ServerShared, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
+    let now = Instant::now();
+    let locks = shared.core.pipe.txn.mgr().locks();
+    let mut expired = Vec::new();
+    {
+        let mut parked = shared.parked.lock();
+        let mut victim: Option<usize> = None;
+        let mut i = 0;
+        while i < parked.len() {
+            let pkt = &parked[i];
+            if pkt.timed_out(now) {
+                if locks.held_by(pkt.slot.xid) == 0 {
+                    expired.push(parked.remove(i));
+                    continue;
+                }
+                if victim.is_none_or(|v| pkt.lock_deadline < parked[v].lock_deadline) {
+                    victim = Some(i);
+                }
+            }
+            i += 1;
         }
-        Err(EnqueueError::Closed(_)) => Err(StageError::new("pipeline closed")),
+        // Still the right index: every removal above was at a later one.
+        if let Some(v) = victim {
+            expired.push(parked.remove(v));
+        }
     }
+    expired.into_iter().try_for_each(|pkt| finish(ctx, pkt, Err(pipeline::lock_timeout_error())))
 }
 
 /// The network admission stage. Statements arriving over TCP enter the
@@ -173,7 +207,7 @@ struct NetStage;
 
 impl StageLogic<SPacket> for NetStage {
     fn process(&self, pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
-        forward(ctx, "connect", pkt)
+        forward(ctx, CONNECT, pkt)
     }
 }
 
@@ -181,7 +215,7 @@ stage_logic!(ConnectStage, shared, pkt, ctx, {
     match pkt.take_body() {
         PacketBody::Raw(sql) => {
             pkt.body = PacketBody::Raw(sql);
-            forward(ctx, "parse", pkt)
+            forward(ctx, PARSE, pkt)
         }
         PacketBody::Prepared(name) => {
             // Precompiled queries bypass parser and optimizer (§4.1).
@@ -192,7 +226,7 @@ stage_logic!(ConnectStage, shared, pkt, ctx, {
                         plan: entry.0.clone(),
                         schema: entry.1.clone(),
                     }));
-                    forward(ctx, "execute", pkt)
+                    forward(ctx, EXECUTE, pkt)
                 }
                 None => finish(ctx, pkt, Err(ServerError::UnknownPrepared(name))),
             }
@@ -210,7 +244,7 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
         Ok(Parsed::NeedsPlan(bound)) => match pipe.txn.statement_ctx(pkt.session) {
             Ok(_) => {
                 pkt.body = PacketBody::Bound(bound);
-                forward(ctx, "optimize", pkt)
+                forward(ctx, OPTIMIZE, pkt)
             }
             Err(e) => finish(ctx, pkt, Err(e)),
         },
@@ -226,7 +260,7 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
                     return finish(ctx, pkt, Err(e));
                 }
             }
-            let dest = if action.is_dml() { "lock" } else { "execute" };
+            let dest = if action.is_dml() { LOCK } else { EXECUTE };
             pkt.body = PacketBody::Action(action);
             forward(ctx, dest, pkt)
         }
@@ -234,45 +268,83 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
     }
 });
 
-stage_logic!(LockStage, shared, pkt, ctx, {
-    // The lock-manager stage (paper Figure 3 names it as a first-class
-    // OLTP stage). On first visit the packet joins its session's open
-    // transaction — or starts a statement-scoped implicit one — and
-    // computes its lock set; then it acquires locks incrementally in
-    // sorted key order. A packet that hits a conflict requeues itself
-    // until its deadline, at which point the statement fails and the
-    // disconnect stage aborts its transaction: timeout-abort deadlock
-    // resolution.
-    let core = &shared.core;
-    if pkt.lock_deadline.is_none() {
-        let PacketBody::Action(action) = &pkt.body else {
-            return misrouted(ctx, pkt, "lock");
-        };
-        match core.pipe.join_txn(pkt.session, action) {
-            Ok(slot) => pkt.slot = slot,
-            Err(e) => return finish(ctx, pkt, Err(e)),
+/// The lock-manager stage (paper Figure 3 names it as a first-class OLTP
+/// stage). On first visit the packet joins its session's open transaction
+/// — or starts a statement-scoped implicit one — and computes its lock
+/// set; then it acquires locks incrementally in sorted key order. A packet
+/// that hits a conflict *parks*: it leaves the queue for the stage's
+/// parked list and the worker moves on. `LockTable::release_all` re-admits
+/// every parked packet when it frees something (the hook `with_stores`
+/// installs), and a packet still parked at its deadline fails with `lock
+/// timeout` — swept from the idle hook, and on every visit so a busy stage
+/// sweeps too. Nothing here sleeps or blocks, so the stage serves cohorts
+/// and can be followed into like any other.
+struct LockStage {
+    shared: Arc<ServerShared>,
+}
+
+impl StageLogic<SPacket> for LockStage {
+    fn process(&self, mut pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
+        let shared = &*self.shared;
+        let core = &shared.core;
+        expire_parked(shared, ctx)?;
+        if pkt.lock_deadline.is_none() {
+            let PacketBody::Action(action) = &pkt.body else {
+                return misrouted(ctx, pkt, "lock");
+            };
+            match core.pipe.join_txn(pkt.session, action) {
+                Ok(slot) => pkt.slot = slot,
+                Err(e) => return finish(ctx, pkt, Err(e)),
+            }
+            pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
         }
-        pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
+        // Try and park are one critical section of the parked list, and
+        // the release hook drains the list under the same mutex *after*
+        // the table was updated: a release either happens before the try
+        // (which then sees the freed lock) or finds the packet parked.
+        let mut parked = shared.parked.lock();
+        if try_acquire(core.pipe.txn.mgr().locks(), pkt.slot.xid, &mut pkt.slot.keys) {
+            drop(parked);
+            forward(ctx, EXECUTE, pkt)
+        } else if pkt.timed_out(Instant::now()) {
+            drop(parked);
+            finish(ctx, pkt, Err(pipeline::lock_timeout_error()))
+        } else {
+            ctx.record_retry();
+            parked.push(pkt);
+            Ok(())
+        }
     }
-    if try_acquire(core.pipe.txn.mgr().locks(), pkt.slot.xid, &mut pkt.slot.keys) {
-        forward(ctx, "execute", pkt)
-    } else if pkt.timed_out() {
-        finish(ctx, pkt, Err(pipeline::lock_timeout_error()))
-    } else {
-        park(ctx, pkt)
+
+    fn on_idle(&self, ctx: &StageCtx<'_, SPacket>) {
+        // `finish` only buffers into the worker's outbox; it cannot fail.
+        let _ = expire_parked(&self.shared, ctx);
     }
-});
+}
 
 /// The checkpoint stage: the maintenance counterpart of the lock-manager
-/// stage. A checkpoint packet claims the core's checkpoint turn (parking
-/// while another holds it), quiesces the writers by acquiring every
-/// partition lock incrementally under [`CHECKPOINT_XID`] — requeueing
-/// itself on conflict exactly like a DML packet at the lock stage — and
-/// once the database is still, runs the core's checkpoint body and
-/// releases the world. Its idle hook raises a checkpoint on its own when
-/// the live log grows past `config.checkpoint_segments`.
+/// stage. A checkpoint packet claims the core's checkpoint turn, quiesces
+/// the writers by acquiring every partition lock incrementally under
+/// [`CHECKPOINT_XID`], and once the database is still, runs the core's
+/// checkpoint body and releases the world (which re-admits the writers
+/// that parked behind it at the lock stage). While the turn or a lock is
+/// not to be had it *polls* ([`CheckpointStage::poll_again`]): the stage
+/// has its own single worker and nobody queues behind a checkpoint, so a
+/// sleeping worker stalls no one. Its idle hook raises a checkpoint on its
+/// own when the live log grows past `config.checkpoint_segments`.
 struct CheckpointStage {
     shared: Arc<ServerShared>,
+}
+
+impl CheckpointStage {
+    /// Wait-and-retry (case iii of §4.1.1): yield the worker briefly, then
+    /// put the packet back on the stage's own queue (capacity-exempt: it
+    /// was admitted once). The retry counter makes the waiting visible.
+    fn poll_again(ctx: &StageCtx<'_, SPacket>, pkt: SPacket) -> Result<(), StageError> {
+        ctx.record_retry();
+        std::thread::sleep(Duration::from_micros(100));
+        ctx.requeue_back(pkt).map_err(|_| StageError::new("pipeline closed"))
+    }
 }
 
 impl StageLogic<SPacket> for CheckpointStage {
@@ -283,7 +355,7 @@ impl StageLogic<SPacket> for CheckpointStage {
         };
         if pkt.lock_deadline.is_none() {
             if !core.try_claim_checkpoint() {
-                return park(ctx, pkt);
+                return Self::poll_again(ctx, pkt);
             }
             pkt.slot.keys = checkpoint::quiesce_keys(&core.pipe.ctx.catalog);
             pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
@@ -291,12 +363,12 @@ impl StageLogic<SPacket> for CheckpointStage {
         let locks = core.pipe.txn.mgr().locks();
         let res = if try_acquire(locks, CHECKPOINT_XID, &mut pkt.slot.keys) {
             core.checkpoint_quiesced()
-        } else if pkt.timed_out() {
+        } else if pkt.timed_out(Instant::now()) {
             // Writers would not drain in time: give the locks back and
             // report, leaving the log untouched.
             Err(ServerError::Execution("checkpoint lock timeout: writers would not quiesce".into()))
         } else {
-            return park(ctx, pkt);
+            return Self::poll_again(ctx, pkt);
         };
         locks.release_all(CHECKPOINT_XID);
         core.release_checkpoint();
@@ -358,7 +430,7 @@ stage_logic!(OptimizeStage, shared, pkt, ctx, {
     match pipeline::optimize_stage(&bound, &pipe.ctx.catalog, &pipe.planner) {
         Ok(action) => {
             pkt.body = PacketBody::Action(Box::new(action));
-            forward(ctx, "execute", pkt)
+            forward(ctx, EXECUTE, pkt)
         }
         Err(e) => finish(ctx, pkt, Err(e)),
     }
@@ -396,7 +468,8 @@ fn packet(body: PacketBody, session: Option<u64>) -> (SPacket, Receiver<Response
 }
 
 /// One stage's spec. `cohorts` stages serve gated cohorts under the
-/// configured policy; the others serve one packet per visit.
+/// configured policy (and a lone packet may be followed into them); the
+/// others are [`BatchPolicy::Single`].
 fn spec(
     name: &str,
     logic: impl StageLogic<SPacket>,
@@ -456,46 +529,53 @@ impl StagedServer {
             config: config.clone(),
             prepared: Mutex::new(HashMap::new()),
             auto_pending: AtomicBool::new(false),
+            parked: Mutex::new(Vec::new()),
         });
         let logic = || Arc::clone(&shared);
         let control = config.control_workers;
         let mut b = StagedRuntime::<SPacket>::builder();
-        // Registered first: registration order is pipeline order, which
-        // shutdown uses as its drain order — network admissions must drain
-        // before the stages they feed close.
+        let mut add = |id: StageId, spec: StageSpec<SPacket>| assert_eq!(b.add_stage(spec), id);
+        // Network admissions must drain before the stages they feed close.
         //
-        // The `net` stage serves one packet per visit: its bounded queue
-        // *is* the server's network admission limit, and a cohort held in
-        // a worker's hands would be load admitted past that bound.
-        let net_id = b.add_stage(spec("net", NetStage, control, false, &config));
-        let connect_id =
-            b.add_stage(spec("connect", ConnectStage { shared: logic() }, control, true, &config));
-        b.add_stage(spec("parse", ParseStage { shared: logic() }, control, true, &config));
-        b.add_stage(spec("optimize", OptimizeStage { shared: logic() }, control, true, &config));
-        // One-at-a-time as well: a conflicted packet parks by sleeping and
-        // requeueing inside `process`, which would stall every cohort-mate
-        // still in the worker's hands behind a lock it may not even want.
-        b.add_stage(spec("lock", LockStage { shared: logic() }, control, false, &config));
-        // One worker, one packet at a time: checkpoints serialize anyway
-        // (on the core's claim), and a parked checkpoint requeues by
-        // sleeping inside `process` like a conflicted lock packet.
-        let checkpoint_id =
-            b.add_stage(spec("checkpoint", CheckpointStage { shared: logic() }, 1, false, &config));
+        // The `net` stage serves one packet per visit and is never followed
+        // into: its bounded queue *is* the server's network admission
+        // limit, and a cohort held in a worker's hands would be load
+        // admitted past that bound.
+        add(NET, spec("net", NetStage, control, false, &config));
+        add(CONNECT, spec("connect", ConnectStage { shared: logic() }, control, true, &config));
+        add(PARSE, spec("parse", ParseStage { shared: logic() }, control, true, &config));
+        add(OPTIMIZE, spec("optimize", OptimizeStage { shared: logic() }, control, true, &config));
+        add(LOCK, spec("lock", LockStage { shared: logic() }, control, true, &config));
+        // One worker, one packet at a time, never followed into:
+        // checkpoints serialize anyway (on the core's claim), and a waiting
+        // checkpoint sleeps inside `process`.
+        add(CHECKPOINT, spec("checkpoint", CheckpointStage { shared: logic() }, 1, false, &config));
         // One worker: the replication stage does all of its work from the
         // idle hook (no packets are ever routed here), pumping the feeds
         // on the runtime's idle cadence.
-        b.add_stage(spec("replication", ReplicationStage { shared: logic() }, 1, false, &config));
+        add(
+            REPLICATION,
+            spec("replication", ReplicationStage { shared: logic() }, 1, false, &config),
+        );
         let workers = config.execute_workers;
-        b.add_stage(spec("execute", ExecuteStage { shared: logic() }, workers, true, &config));
-        b.add_stage(spec(
-            "disconnect",
-            DisconnectStage { shared: logic() },
-            control,
-            true,
-            &config,
-        ));
-        let runtime = b.build();
-        Ok(Arc::new(Self { shared, runtime, net_id, connect_id, checkpoint_id }))
+        add(EXECUTE, spec("execute", ExecuteStage { shared: logic() }, workers, true, &config));
+        add(
+            DISCONNECT,
+            spec("disconnect", DisconnectStage { shared: logic() }, control, true, &config),
+        );
+        let server = Arc::new(Self { shared, runtime: b.build() });
+        // The release hook: whichever thread frees a lock puts the parked
+        // packets back on the lock stage's queue. Weak, because the lock
+        // table lives inside the server the hook would otherwise own.
+        let weak = Arc::downgrade(&server);
+        server.shared.core.pipe.txn.mgr().locks().set_release_hook(move || {
+            let Some(server) = weak.upgrade() else { return };
+            let woken = std::mem::take(&mut *server.shared.parked.lock());
+            if !woken.is_empty() {
+                server.runtime.readmit(LOCK, woken);
+            }
+        });
+        Ok(server)
     }
 
     /// Put one packet on `stage`'s queue — waiting for room when `wait`,
@@ -532,13 +612,13 @@ impl StagedServer {
     /// back-pressure). One-shot autocommit; use [`session`](Self::session)
     /// for multi-statement transactions.
     pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        self.enqueue_wait(self.connect_id, PacketBody::Raw(sql.into()), None)
+        self.enqueue_wait(CONNECT, PacketBody::Raw(sql.into()), None)
     }
 
     /// Non-blocking admission: `Err(Overloaded)` when the connect queue is
     /// full (paper §5.2 overload conditioning).
     pub fn try_submit(&self, sql: impl Into<String>) -> Result<Receiver<Response>, ServerError> {
-        self.enqueue(self.connect_id, PacketBody::Raw(sql.into()), None, false)
+        self.enqueue(CONNECT, PacketBody::Raw(sql.into()), None, false)
     }
 
     /// Non-blocking network admission: enter at the `net` stage, so
@@ -553,7 +633,7 @@ impl StagedServer {
         sql: impl Into<String>,
         session: Option<u64>,
     ) -> Result<Receiver<Response>, ServerError> {
-        self.enqueue(self.net_id, PacketBody::Raw(sql.into()), session, false)
+        self.enqueue(NET, PacketBody::Raw(sql.into()), session, false)
     }
 
     /// Open a client session: statements run through the handle share the
@@ -587,7 +667,7 @@ impl StagedServer {
 
     /// Invoke a prepared statement (the fast path).
     pub fn execute_prepared(&self, name: &str) -> Receiver<Response> {
-        self.enqueue_wait(self.connect_id, PacketBody::Prepared(name.to_string()), None)
+        self.enqueue_wait(CONNECT, PacketBody::Prepared(name.to_string()), None)
     }
 
     /// Run a checkpoint through the checkpoint stage and wait for it:
@@ -603,7 +683,7 @@ impl StagedServer {
     /// network front end's path — the event loop must never block behind
     /// a quiesce.
     pub fn submit_checkpoint(&self) -> Receiver<Response> {
-        self.enqueue_wait(self.checkpoint_id, PacketBody::Checkpoint { auto: false }, None)
+        self.enqueue_wait(CHECKPOINT, PacketBody::Checkpoint { auto: false }, None)
     }
 
     /// What recovery found and did when this server was built (how many
@@ -689,9 +769,14 @@ impl StagedServer {
         self.shared.core.served.load(Ordering::Relaxed)
     }
 
-    /// Stop all stage workers (drains in-flight requests first).
+    /// Stop all stage workers (drains in-flight requests first). Packets
+    /// still parked behind a lock when the stages have drained — their
+    /// holders never finished — are refused rather than left unanswered.
     pub fn shutdown(&self) {
         self.runtime.shutdown();
+        for pkt in std::mem::take(&mut *self.shared.parked.lock()) {
+            let _ = pkt.reply.send(Err(ServerError::ShuttingDown));
+        }
         self.shared.engine.shutdown();
     }
 }
@@ -714,7 +799,7 @@ impl StagedSession {
     /// Submit SQL under this session.
     pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
         let server = &self.server;
-        server.enqueue_wait(server.connect_id, PacketBody::Raw(sql.into()), Some(self.sid))
+        server.enqueue_wait(CONNECT, PacketBody::Raw(sql.into()), Some(self.sid))
     }
 
     /// Run one statement to completion under this session.

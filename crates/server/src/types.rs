@@ -140,10 +140,10 @@ pub struct ServerConfig {
     /// the admission limit under overload).
     pub queue_capacity: usize,
     /// Packets a pipeline-stage worker may serve per queue visit (cohort
-    /// scheduling, paper §4.2): the connect/parse/optimize/execute/
+    /// scheduling, paper §4.2): the connect/parse/optimize/lock/execute/
     /// disconnect stages serve gated cohorts of at most this many packets,
     /// amortizing each stage's cache warm-up and queue synchronization
-    /// over the visit. The `net` and `lock` stages always serve
+    /// over the visit. The `net` and `checkpoint` stages always serve
     /// one-at-a-time (see DESIGN.md §11). Tunable at run time through
     /// [`StagedRuntime::set_batch`] on the server's runtime handle.
     ///
@@ -152,7 +152,8 @@ pub struct ServerConfig {
     /// Cohort discipline of the batched pipeline stages: gated by
     /// default; [`BatchPolicy::Exhaustive`] or [`BatchPolicy::TGated`]
     /// select non-gated or cutoff service (the §4.2 policy space). The
-    /// `net`/`lock` stages ignore this and stay [`BatchPolicy::Single`].
+    /// `net`/`checkpoint` stages ignore this and stay
+    /// [`BatchPolicy::Single`].
     pub batch: BatchPolicy,
     /// Hash partitions for tables created through this server's DDL path
     /// (1 = unpartitioned). Partitioned tables are scanned and aggregated

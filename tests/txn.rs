@@ -333,3 +333,221 @@ fn interleaved_transfers_preserve_the_sum_invariant_on_both_engines() {
         server.shutdown();
     }
 }
+
+// ---- Lock waits are event-driven (PR 15) -------------------------------
+//
+// A conflicted packet parks outside the lock stage's queue and is
+// re-admitted by the release that frees its lock; nothing polls. Each
+// scenario runs against both servers: the threaded baseline blocks a
+// pool thread on the lock table's condvar and must end in the same state.
+
+use staged_db::server::Response;
+use staged_db::storage::{partition_of_value, Value};
+use std::time::Instant;
+
+/// One statement on some session (dropping the closure drops the session,
+/// which is a client disconnect).
+type Exec<'a> = Box<dyn Fn(&str) -> Response + Send + Sync + 'a>;
+
+/// Either server, as the scenarios see it.
+struct Subject<'a> {
+    /// An autocommit statement outside any session.
+    one_shot: &'a (dyn Fn(&str) -> Response + Sync),
+    /// Open a client session.
+    session: &'a (dyn Fn() -> Exec<'a> + Sync),
+    /// `retries` of the `lock` stage, for the server that has one.
+    lock_retries: &'a (dyn Fn() -> Option<u64> + Sync),
+}
+
+fn with_both_servers(parts: usize, timeout: Duration, scenario: &dyn Fn(&Subject<'_>, &str)) {
+    let cat = catalog_with_accounts(parts, 8, 100);
+    let config = ServerConfig { partitions: parts, lock_timeout: timeout, ..Default::default() };
+    let s = StagedServer::new(Arc::clone(&cat), config);
+    let lock_retries = || s.stage_stats().iter().find(|st| st.name == "lock").map(|st| st.retries);
+    scenario(
+        &Subject {
+            one_shot: &|sql| s.execute_sql(sql),
+            session: &|| {
+                let sess = s.session();
+                Box::new(move |sql| sess.execute_sql(sql))
+            },
+            lock_retries: &lock_retries,
+        },
+        "staged",
+    );
+    assert_eq!(s.active_txns(), 0);
+    s.shutdown();
+
+    let cat = catalog_with_accounts(parts, 8, 100);
+    let t = ThreadedServer::with_lock_timeout(cat, 4, PlannerConfig::default(), timeout);
+    scenario(
+        &Subject {
+            one_shot: &|sql| t.execute_sql(sql),
+            session: &|| {
+                let sess = t.session();
+                Box::new(move |sql| sess.execute_sql(sql))
+            },
+            lock_retries: &|| None,
+        },
+        "threaded",
+    );
+    assert_eq!(t.active_txns(), 0);
+    t.shutdown();
+}
+
+fn balance(subject: &Subject<'_>, id: i64) -> String {
+    let out = (subject.one_shot)(&format!("SELECT bal FROM accounts WHERE id = {id}")).unwrap();
+    out.rows[0].to_string()
+}
+
+#[test]
+fn lock_waiter_parks_once_and_is_granted_by_the_release() {
+    for release in ["COMMIT", "ROLLBACK", "disconnect"] {
+        with_both_servers(2, Duration::from_secs(10), &|subject, server| {
+            let what = format!("{server}, holder ends with {release}");
+            (subject.one_shot)("CREATE TABLE other (id INT, v INT)").unwrap();
+            (subject.one_shot)("INSERT INTO other VALUES (1, 1)").unwrap();
+            let holder = (subject.session)();
+            holder("BEGIN").unwrap();
+            holder("UPDATE accounts SET bal = 1 WHERE id = 0").unwrap();
+            let retries_before = (subject.lock_retries)();
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| {
+                    let res = (subject.one_shot)("UPDATE accounts SET bal = bal + 5 WHERE id = 0");
+                    (res, Instant::now())
+                });
+                std::thread::sleep(Duration::from_millis(200));
+                assert!(!waiter.is_finished(), "{what}: the waiter must be blocked");
+                // The parked waiter is in nobody's way: the holder's next
+                // statement (through the same lock stage) and a stranger's
+                // write to another table go straight through.
+                let start = Instant::now();
+                holder("UPDATE accounts SET bal = 2 WHERE id = 0").unwrap();
+                (subject.one_shot)("UPDATE other SET v = v + 1 WHERE id = 1").unwrap();
+                assert!(start.elapsed() < Duration::from_millis(150), "{what}: held up");
+                if let (Some(before), Some(now)) = (retries_before, (subject.lock_retries)()) {
+                    // One park. The polling lock stage made ~1,500 retries
+                    // in these 200 ms.
+                    assert!(now - before <= 3, "{what}: {} lock retries", now - before);
+                }
+                let released = Instant::now();
+                match release {
+                    "disconnect" => drop(holder),
+                    end => drop(holder(end).unwrap()),
+                }
+                let (res, granted) = waiter.join().unwrap();
+                res.unwrap_or_else(|e| panic!("{what}: waiter failed: {e}"));
+                let waited = granted.saturating_duration_since(released);
+                assert!(waited < Duration::from_millis(150), "{what}: granted after {waited:?}");
+            });
+            let expect = if release == "COMMIT" { "[7]" } else { "[105]" };
+            assert_eq!(balance(subject, 0), expect, "{what}");
+        });
+    }
+}
+
+#[test]
+fn opposite_order_deadlock_fails_one_side_and_the_survivor_commits() {
+    // Two ids in different partitions, so each session can hold one lock
+    // and want the other.
+    let a = 0i64;
+    let b = (1..8)
+        .find(|id| partition_of_value(&Value::Int(*id), 2) != partition_of_value(&Value::Int(a), 2))
+        .expect("some id hashes to the other partition");
+    let timeout = Duration::from_millis(400);
+    // The staged lock stage enforces deadlines from its idle hook, whose
+    // tick backs off to at most 640 ms (`staged_core`'s IDLE_POLL_MAX);
+    // the rest is slack for a loaded test machine.
+    let bound = timeout + Duration::from_millis(640) + Duration::from_millis(800);
+    with_both_servers(2, timeout, &|subject, server| {
+        let (first, second) = ((subject.session)(), (subject.session)());
+        first("BEGIN").unwrap();
+        second("BEGIN").unwrap();
+        first(&format!("UPDATE accounts SET bal = bal - 10 WHERE id = {a}")).unwrap();
+        second(&format!("UPDATE accounts SET bal = bal - 20 WHERE id = {b}")).unwrap();
+        let start = Instant::now();
+        let (r1, r2) = std::thread::scope(|scope| {
+            let t1 = scope
+                .spawn(|| first(&format!("UPDATE accounts SET bal = bal + 10 WHERE id = {b}")));
+            // `first` waits first, so its deadline is the earlier one.
+            std::thread::sleep(Duration::from_millis(50));
+            let t2 = scope
+                .spawn(|| second(&format!("UPDATE accounts SET bal = bal + 20 WHERE id = {a}")));
+            (t1.join().unwrap(), t2.join().unwrap())
+        });
+        assert!(start.elapsed() < bound, "{server}: resolved after {:?}", start.elapsed());
+        let err = r1.expect_err("the earlier waiter is the victim");
+        assert!(err.to_string().contains("lock timeout"), "{server}: {err}");
+        r2.unwrap_or_else(|e| panic!("{server}: the survivor failed too: {e}"));
+        assert_eq!(first("ROLLBACK").unwrap().message, "ROLLBACK");
+        second("COMMIT").unwrap();
+        assert_eq!((balance(subject, a), balance(subject, b)), ("[120]".into(), "[80]".into()));
+    });
+}
+
+#[test]
+fn a_park_that_races_a_release_is_never_stranded() {
+    // Two writers, two rows in two partitions, always locked in the same
+    // order (no deadlock): nearly every transfer conflicts, so parks and
+    // releases race constantly. A stranded packet would sit out its 5 s
+    // deadline and fail.
+    let per_writer = if cfg!(debug_assertions) { 2_000 } else { 10_000 };
+    let a = 0i64;
+    let b = (1..8)
+        .find(|id| partition_of_value(&Value::Int(*id), 2) != partition_of_value(&Value::Int(a), 2))
+        .expect("some id hashes to the other partition");
+    with_both_servers(2, Duration::from_secs(5), &|subject, server| {
+        std::thread::scope(|scope| {
+            for w in 0..2 {
+                scope.spawn(move || {
+                    let sess = (subject.session)();
+                    let amount = w + 1;
+                    for i in 0..per_writer {
+                        for sql in [
+                            "BEGIN".to_string(),
+                            format!("UPDATE accounts SET bal = bal - {amount} WHERE id = {a}"),
+                            format!("UPDATE accounts SET bal = bal + {amount} WHERE id = {b}"),
+                            "COMMIT".to_string(),
+                        ] {
+                            sess(&sql)
+                                .unwrap_or_else(|e| panic!("{server}: writer {w} txn {i}: {e}"));
+                        }
+                    }
+                });
+            }
+        });
+        let moved = 3 * per_writer as i64;
+        assert_eq!(balance(subject, a), format!("[{}]", 100 - moved), "{server}");
+        assert_eq!(balance(subject, b), format!("[{}]", 100 + moved), "{server}");
+    });
+}
+
+#[test]
+fn cohorts_still_form_under_load() {
+    // Following is for the idle case. 32 clients submitting without
+    // waiting keep the queues non-empty, nothing is followed past them,
+    // and the parse stage serves real cohorts.
+    let cat = catalog_with_accounts(2, 8, 100);
+    let s = staged(&cat, 2, ExecutionMode::Staged);
+    std::thread::scope(|scope| {
+        for c in 0..32 {
+            let s = &s;
+            scope.spawn(move || {
+                let pending: Vec<_> = (0..40)
+                    .map(|i| {
+                        s.submit(format!("SELECT bal FROM accounts WHERE id = {}", (c + i) % 8))
+                    })
+                    .collect();
+                for rx in pending {
+                    rx.recv().unwrap().unwrap();
+                }
+            });
+        }
+    });
+    let stats = s.stage_stats();
+    let parse = stats.iter().find(|st| st.name == "parse").unwrap();
+    assert_eq!(parse.processed, 32 * 40);
+    assert!(parse.max_cohort > 1, "parse never served a cohort: {parse:?}");
+    assert!(parse.cohorts < parse.processed);
+    s.shutdown();
+}
