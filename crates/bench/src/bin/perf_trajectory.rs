@@ -32,6 +32,11 @@
 //! loop exists for (see EXPERIMENTS.md for the full metric table). Since
 //! PR 13 `staged_point_lookup_p4` probes a B+tree under a pinned snapshot,
 //! the way every wire SELECT does (it used to scan an index-less table).
+//! Each of those lookups is a lone probe that
+//! `StagedEngine::execute` runs on the submitting thread before it returns,
+//! so submitting every lookup before collecting no longer overlaps them on
+//! the `iscan` workers: the metric is the serial rate of one thread running
+//! visibility-checked B+tree probes plus their result channels.
 //!
 //! Exit status 1 = at least one metric regressed more than the gate
 //! fraction below its baseline.

@@ -91,9 +91,10 @@ impl StageMonitor {
         self.max_cohort.fetch_max(served, Ordering::Relaxed);
     }
 
-    /// Record a packet this stage served on *another* stage's worker
-    /// thread (the runtime followed it here; DESIGN.md §11). It is a visit
-    /// of one, so `processed / cohorts` stays the mean cohort.
+    /// Record a packet this stage served on any thread other than this
+    /// stage's worker (the runtime followed it here, or a caller served it
+    /// inline; DESIGN.md §11). It is a visit of one, so
+    /// `processed / cohorts` stays the mean cohort.
     pub fn record_followed(&self) {
         self.followed.fetch_add(1, Ordering::Relaxed);
         self.record_cohort(1);
@@ -155,9 +156,12 @@ pub struct StageStats {
     /// T-gated visits that hit their service cutoff and returned the
     /// unserved remainder of the cohort to the queue.
     pub cutoff_preempts: u64,
-    /// Packets served on another stage's worker thread: the sender's
-    /// worker followed a lone packet into this (idle, cheap) stage instead
-    /// of handing it over. They are included in `processed`/`errors` and
+    /// Packets served on any thread other than this stage's worker: the
+    /// sender's worker followed a lone packet into this (idle, cheap)
+    /// stage instead of handing it over, or a caller that would only have
+    /// blocked on the answer served it inline
+    /// ([`StagedRuntime::serve_inline`](crate::StagedRuntime::serve_inline)).
+    /// They are included in `processed`/`errors` and
     /// each counts as a visit of one in `cohorts`; they never passed
     /// through the queue, so `queue.enqueued` does not count them.
     pub followed: u64,

@@ -67,6 +67,17 @@ impl<P: Send + 'static> StageInner<P> {
             _ => self.batch_limit.load(Ordering::Relaxed),
         }
     }
+
+    /// Book one packet this stage served on a thread other than its own
+    /// workers': service time (or the error) plus a followed visit of one.
+    fn record_followed(&self, ok: bool, busy: Duration) {
+        if ok {
+            self.monitor.record_processed(busy);
+        } else {
+            self.monitor.record_error();
+        }
+        self.monitor.record_followed();
+    }
 }
 
 /// Shared state between the runtime handle and its workers.
@@ -206,6 +217,29 @@ impl<P: Send + 'static> StagedRuntime<P> {
     /// changes — from whichever thread saw it change.
     pub fn readmit(&self, stage: StageId, packets: Vec<P>) {
         self.shared.stages[stage].queue.requeue_back_batch(packets);
+    }
+
+    /// Run one packet's worth of `stage`'s work, `f`, on the calling thread
+    /// and book it on the stage's monitor exactly as a followed packet is
+    /// booked: service time (or an error), `followed`, a cohort of one. A
+    /// caller that would only block until the stage's answer came back
+    /// pays no hand-off this way and the stage's statistics stay whole.
+    ///
+    /// Returns `None` without running `f` once the stage's queue is closed
+    /// (`shutdown`), where an enqueue would have been refused.
+    pub fn serve_inline<T, E>(
+        &self,
+        stage: StageId,
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Option<Result<T, E>> {
+        let inner = &self.shared.stages[stage];
+        if inner.queue.is_closed() {
+            return None;
+        }
+        let start = Instant::now();
+        let res = f();
+        inner.record_followed(res.is_ok(), start.elapsed());
+        Some(res)
     }
 
     /// Change the number of active workers of a stage (self-tuning knob a).
@@ -552,13 +586,9 @@ fn serve_visit<P: Send + 'static>(
         let Some((dest, pkt)) = next else { break };
         let stage = ctx.shared.stage(dest);
         ctx.stage_id = dest;
-        let res = stage.logic.process(pkt, ctx);
+        let ok = stage.logic.process(pkt, ctx).is_ok();
         let now = Instant::now();
-        match res {
-            Ok(()) => stage.monitor.record_processed(now.duration_since(last)),
-            Err(_) => stage.monitor.record_error(),
-        }
-        stage.monitor.record_followed();
+        stage.record_followed(ok, now.duration_since(last));
         last = now;
         serving = Some(stage);
     }

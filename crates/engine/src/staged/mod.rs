@@ -17,8 +17,6 @@
 pub mod sharing;
 mod tasks;
 
-pub use tasks::compile;
-
 use crate::batch::TupleBatch;
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
@@ -268,11 +266,28 @@ impl Activator {
     /// Enqueue the parked packet, if any (idempotent).
     pub fn activate(&self) {
         if let Some((stage, packet)) = self.pending.lock().take() {
-            if self.runtime.enqueue(stage, packet).is_err() {
-                // Runtime shut down; the query sink will disconnect.
-            }
+            submit(&self.runtime, stage, packet);
         }
     }
+}
+
+/// Enqueue a task packet; `false` when refused. Once the engine is shut
+/// down its queues refuse packets, and the query fails with [`shut_down`]
+/// instead of ending silently short of rows.
+fn submit(runtime: &StagedRuntime<TaskPacket>, stage: StageId, packet: TaskPacket) -> bool {
+    match runtime.enqueue(stage, packet) {
+        Ok(()) => true,
+        Err(refused) => {
+            refused.into_packet().ctl.fail(shut_down());
+            false
+        }
+    }
+}
+
+/// The error a query submitted to (or still running in) a shut-down engine
+/// fails with, queued or served inline alike.
+pub(crate) fn shut_down() -> EngineError {
+    EngineError::Internal("staged engine is shut down".into())
 }
 
 /// A no-op activator for the root task (nothing above Send).
@@ -318,7 +333,6 @@ impl Default for EngineConfig {
 /// The staged execution engine: seven stages over a [`StagedRuntime`].
 pub struct StagedEngine {
     runtime: StagedRuntime<TaskPacket>,
-    stage_ids: Vec<(StageKind, StageId)>,
     /// Shared-scan groups, keyed by table.
     pub registry: Arc<SharedScanRegistry>,
     ctx: ExecContext,
@@ -332,7 +346,6 @@ impl StagedEngine {
     pub fn new(ctx: ExecContext, config: EngineConfig) -> Arc<Self> {
         let registry = Arc::new(SharedScanRegistry::new());
         let mut builder = StagedRuntime::<TaskPacket>::builder();
-        let mut stage_ids = Vec::new();
         for kind in StageKind::ALL {
             let logic =
                 EngineStageLogic { kind, blocked_streak: std::sync::atomic::AtomicUsize::new(0) };
@@ -347,24 +360,18 @@ impl StagedEngine {
                     .with_batch(BatchPolicy::DGated)
                     .with_max_cohort(config.cohort),
             );
-            stage_ids.push((kind, id));
+            // Registration follows `StageKind::ALL`, so a kind's
+            // discriminant is its stage id (`stage_id`).
+            assert_eq!(id, kind as StageId, "stages register in StageKind::ALL order");
         }
         let runtime = builder.build();
         let page = PageSize::new(config.batch_capacity);
-        Arc::new(Self {
-            runtime,
-            stage_ids,
-            registry,
-            ctx,
-            config,
-            page,
-            next_query: AtomicU64::new(0),
-        })
+        Arc::new(Self { runtime, registry, ctx, config, page, next_query: AtomicU64::new(0) })
     }
 
     /// Stage id for a kind.
     pub fn stage_id(&self, kind: StageKind) -> StageId {
-        self.stage_ids.iter().find(|(k, _)| *k == kind).expect("stage registered").1
+        kind as StageId
     }
 
     /// The underlying runtime (monitoring, worker tuning).
@@ -410,7 +417,9 @@ impl StagedEngine {
         }
     }
 
-    /// Submit a plan; returns a handle delivering result tuples.
+    /// Submit a plan; returns a handle delivering result tuples. A lone
+    /// index probe is answered on the calling thread before this returns;
+    /// every other plan runs on the stage workers (DESIGN.md §11).
     pub fn execute(self: &Arc<Self>, plan: &PhysicalPlan) -> StagedResult {
         let (tx, rx) = unbounded();
         let query = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
@@ -428,8 +437,10 @@ impl StagedEngine {
         Activator::new(self.runtime.clone())
     }
 
-    pub(crate) fn enqueue(&self, kind: StageKind, packet: TaskPacket) {
-        let _ = self.runtime.enqueue(self.stage_id(kind), packet);
+    /// Enqueue a task packet at `kind`'s stage; `false` when the engine
+    /// is shut down and refused it (the packet's query has been failed).
+    pub(crate) fn enqueue(&self, kind: StageKind, packet: TaskPacket) -> bool {
+        submit(&self.runtime, self.stage_id(kind), packet)
     }
 }
 

@@ -111,8 +111,20 @@ pub fn subscribe(engine: &Arc<StagedEngine>, table: &Arc<TableInfo>, mut sub: Su
     groups.insert(table.id.0, Arc::clone(&group));
     registry.stats.groups_started.fetch_add(1, Ordering::Relaxed);
     drop(groups);
-    let driver = DriverTask { group, registry: Arc::clone(&registry), ctx: engine.ctx().clone() };
-    engine.enqueue(StageKind::FScan, TaskPacket { ctl: detached_ctl(), task: Box::new(driver) });
+    let driver = DriverTask {
+        group: Arc::clone(&group),
+        registry: Arc::clone(&registry),
+        ctx: engine.ctx().clone(),
+    };
+    let packet = TaskPacket { ctl: detached_ctl(), task: Box::new(driver) };
+    if !engine.enqueue(StageKind::FScan, packet) {
+        // Shut down: no driver will ever serve this convoy, so fail its
+        // subscribers rather than leave them waiting in the registry.
+        registry.groups.lock().remove(&table.id.0);
+        for sub in group.inner.lock().subs.drain(..) {
+            sub.ctl.fail(super::shut_down());
+        }
+    }
 }
 
 /// A control block that never cancels: the driver outlives any single

@@ -2,8 +2,9 @@
 
 use super::sharing::{self, Subscriber};
 use super::{
-    apply_transforms, prune_scan_columns, Activator, EngineConfig, ExchangeBuffer, OperatorTask,
-    PageSize, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform, TupleBatch,
+    apply_transforms, prune_scan_columns, shut_down, Activator, EngineConfig, ExchangeBuffer,
+    OperatorTask, PageSize, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform,
+    TupleBatch,
 };
 use crate::agg::AggMerger;
 use crate::context::ExecContext;
@@ -143,9 +144,38 @@ impl Intake {
     }
 }
 
-/// Compile a plan into tasks and enqueue the leaves (bottom-up activation
-/// for everything else).
-pub fn compile_and_launch(engine: &Arc<StagedEngine>, plan: &PhysicalPlan, ctl: Arc<QueryCtl>) {
+/// The engine's one entry point: run `plan` for the query behind `ctl`.
+///
+/// A *lone probe* — an `IndexScan` under nothing but fused
+/// `Filter`/`Project`/`Limit` transforms — runs to completion on the
+/// calling thread: the submitter blocks in `collect()` until the answer
+/// arrives, so the probe could never join a cohort and the `iscan` → `send`
+/// hand-offs would buy nothing (DESIGN.md §3, §11). It runs the same
+/// [`Probe`] and transform chain the queued [`IndexScanTask`] runs and is
+/// booked on the `iscan` stage as a followed visit of one. Every other plan
+/// is compiled into tasks whose leaves are enqueued (bottom-up activation).
+pub(super) fn compile_and_launch(
+    engine: &Arc<StagedEngine>,
+    plan: &PhysicalPlan,
+    ctl: Arc<QueryCtl>,
+) {
+    let (plan, transforms) = fuse(plan, Vec::new());
+    if let PhysicalPlan::IndexScan { .. } = plan {
+        let probe = Probe::new(engine.ctx(), plan);
+        let rows = || -> EngineResult<Vec<Tuple>> {
+            let mut out = Vec::new();
+            for t in probe.run()? {
+                out.extend(apply_transforms(&transforms, t)?);
+            }
+            Ok(out)
+        };
+        match engine.runtime().serve_inline(engine.stage_id(StageKind::IScan), rows) {
+            Some(Ok(rows)) => rows.into_iter().for_each(|t| ctl.emit(t)),
+            Some(Err(e)) => ctl.fail(e),
+            None => ctl.fail(shut_down()),
+        }
+        return;
+    }
     let cfg = engine.config().clone();
     let root_buf = ExchangeBuffer::new(cfg.buffer_depth);
     let send_act = engine.make_activator();
@@ -159,13 +189,36 @@ pub fn compile_and_launch(engine: &Arc<StagedEngine>, plan: &PhysicalPlan, ctl: 
             }),
         },
     );
-    build(engine, plan, root_buf, Vec::new(), send_act, ctl, &cfg);
+    build(engine, plan, root_buf, transforms, send_act, ctl, &cfg);
 }
 
-/// The public compiler entry point: build the task graph for `plan` and
-/// launch its leaves (an alias of the crate-private `compile_and_launch`).
-pub fn compile(engine: &Arc<StagedEngine>, plan: &PhysicalPlan, ctl: Arc<QueryCtl>) {
-    compile_and_launch(engine, plan, ctl)
+/// Peel the fused per-tuple operators off the top of `plan`: filters,
+/// projections and limits get no stage of their own ("we group together
+/// operators which use a small portion of the common or shared data and
+/// code") and run inside the task producing their input. Returns that
+/// producing node and the compiled chain, innermost first, with `above`
+/// (the transforms fused from further up) appended.
+fn fuse(mut plan: &PhysicalPlan, above: Vec<Transform>) -> (&PhysicalPlan, Vec<Transform>) {
+    let mut outer_first = Vec::new();
+    loop {
+        let (t, input) = match plan {
+            PhysicalPlan::Filter { input, predicate } => {
+                (Transform::filter(predicate.clone()), input)
+            }
+            PhysicalPlan::Project { input, exprs, .. } => {
+                (Transform::project(exprs.clone()), input)
+            }
+            PhysicalPlan::Limit { input, n } => {
+                (Transform::Limit(Arc::new(AtomicI64::new(*n as i64))), input)
+            }
+            _ => break,
+        };
+        outer_first.push(t);
+        plan = input;
+    }
+    outer_first.reverse();
+    outer_first.extend(above);
+    (plan, outer_first)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -179,22 +232,10 @@ fn build(
     cfg: &EngineConfig,
 ) {
     let ctx = engine.ctx().clone();
+    let (plan, transforms) = fuse(plan, transforms);
     match plan {
-        // Fused per-tuple operators: no stage of their own.
-        PhysicalPlan::Filter { input, predicate } => {
-            let mut ts = vec![Transform::filter(predicate.clone())];
-            ts.extend(transforms);
-            build(engine, input, out, ts, parent, ctl, cfg);
-        }
-        PhysicalPlan::Project { input, exprs, .. } => {
-            let mut ts = vec![Transform::project(exprs.clone())];
-            ts.extend(transforms);
-            build(engine, input, out, ts, parent, ctl, cfg);
-        }
-        PhysicalPlan::Limit { input, n } => {
-            let mut ts = vec![Transform::Limit(Arc::new(AtomicI64::new(*n as i64)))];
-            ts.extend(transforms);
-            build(engine, input, out, ts, parent, ctl, cfg);
+        PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } | PhysicalPlan::Limit { .. } => {
+            unreachable!("fused into the producing task")
         }
         PhysicalPlan::SeqScan { table, predicate, snapshot } => {
             let mut ts = Vec::new();
@@ -270,15 +311,9 @@ fn build(
                 })
             });
         }
-        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
+        PhysicalPlan::IndexScan { .. } => {
             let task = IndexScanTask {
-                ctx,
-                table: Arc::clone(table),
-                index: Arc::clone(index),
-                lo: *lo,
-                hi: *hi,
-                predicate: predicate.clone(),
-                snapshot: *snapshot,
+                probe: Probe::new(&ctx, plan),
                 rows: None,
                 pos: 0,
                 transforms,
@@ -576,17 +611,55 @@ impl<S: Iterator<Item = StorageResult<Vec<(Rid, Tuple)>>> + Send> OperatorTask f
     }
 }
 
+/// One `IndexScan` node's probe, ready to run: the queued
+/// [`IndexScanTask`] and a lone probe served inline run exactly this.
+pub(super) struct Probe {
+    ctx: ExecContext,
+    table: Arc<TableInfo>,
+    index: Arc<IndexInfo>,
+    lo: Option<i64>,
+    hi: Option<i64>,
+    predicate: Option<Expr>,
+    snapshot: Option<ReadView>,
+}
+
+impl Probe {
+    /// The probe of `plan`, which must be an `IndexScan`.
+    fn new(ctx: &ExecContext, plan: &PhysicalPlan) -> Self {
+        let PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } = plan else {
+            unreachable!("a probe is built from an IndexScan node")
+        };
+        Self {
+            ctx: ctx.clone(),
+            table: Arc::clone(table),
+            index: Arc::clone(index),
+            lo: *lo,
+            hi: *hi,
+            predicate: predicate.clone(),
+            snapshot: *snapshot,
+        }
+    }
+
+    /// Every row the probe yields (one overlay pass judges them together).
+    fn run(&self) -> EngineResult<Vec<Tuple>> {
+        let rows = index_probe(
+            &self.ctx,
+            &self.table,
+            &self.index,
+            self.lo,
+            self.hi,
+            self.predicate.as_ref(),
+            self.snapshot,
+        )?;
+        Ok(rows.into_iter().map(|(_, tuple)| tuple).collect())
+    }
+}
+
 /// Index scan task: the first visit to the `iscan` stage runs the whole
-/// probe (one overlay pass judges every fetched row together); later
-/// visits only drain the materialized rows into the exchange layer.
+/// probe; later visits only drain the materialized rows into the exchange
+/// layer.
 pub(super) struct IndexScanTask {
-    pub ctx: ExecContext,
-    pub table: Arc<TableInfo>,
-    pub index: Arc<IndexInfo>,
-    pub lo: Option<i64>,
-    pub hi: Option<i64>,
-    pub predicate: Option<Expr>,
-    pub snapshot: Option<ReadView>,
+    pub probe: Probe,
     pub rows: Option<Vec<Tuple>>,
     pub pos: usize,
     pub transforms: Vec<Transform>,
@@ -596,16 +669,7 @@ pub(super) struct IndexScanTask {
 impl OperatorTask for IndexScanTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
         if self.rows.is_none() {
-            let rows = index_probe(
-                &self.ctx,
-                &self.table,
-                &self.index,
-                self.lo,
-                self.hi,
-                self.predicate.as_ref(),
-                self.snapshot,
-            )?;
-            self.rows = Some(rows.into_iter().map(|(_, tuple)| tuple).collect());
+            self.rows = Some(self.probe.run()?);
         }
         let rows = self.rows.as_deref().expect("materialized above");
         drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)

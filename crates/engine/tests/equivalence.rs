@@ -2,8 +2,9 @@
 //! same rows as the Volcano baseline for every supported query shape.
 
 use staged_engine::context::ExecContext;
-use staged_engine::staged::{EngineConfig, StagedEngine};
+use staged_engine::staged::{EngineConfig, StageKind, StagedEngine};
 use staged_engine::volcano;
+use staged_planner::PhysicalPlan;
 use staged_planner::{plan_select, PlannerConfig};
 use staged_sql::binder::{BindContext, Binder};
 use staged_sql::parser::parse_statement;
@@ -51,10 +52,14 @@ fn setup() -> Arc<Catalog> {
     cat
 }
 
-fn run_both(cat: &Arc<Catalog>, sql: &str, cfg: &EngineConfig) -> (Vec<Tuple>, Vec<Tuple>) {
+fn plan_sql(cat: &Arc<Catalog>, sql: &str) -> PhysicalPlan {
     let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!("not a select") };
     let bound = Binder::new(BindContext::new(cat)).bind_select(sel).unwrap();
-    let plan = plan_select(&bound, cat, &PlannerConfig::default()).unwrap();
+    plan_select(&bound, cat, &PlannerConfig::default()).unwrap()
+}
+
+fn run_both(cat: &Arc<Catalog>, sql: &str, cfg: &EngineConfig) -> (Vec<Tuple>, Vec<Tuple>) {
+    let plan = plan_sql(cat, sql);
     let ctx = ExecContext::new(Arc::clone(cat));
     let volcano_rows = volcano::run(&plan, &ctx).unwrap();
     let engine = StagedEngine::new(ctx, cfg.clone());
@@ -87,10 +92,87 @@ fn filtered_scan_and_projection() {
     assert_equivalent("SELECT a, a * 2 FROM t WHERE grp = 3 AND a < 100");
 }
 
+/// Which path a plan took, read off the engine's monitor: `iscan` packets
+/// served on a caller's thread (a lone probe run inline books a followed
+/// visit of one) and `send` stage visits (every quantum of a `SendTask`).
+fn probe_path(engine: &StagedEngine) -> (u64, u64) {
+    let st = engine.runtime().stats();
+    (st[engine.stage_id(StageKind::IScan)].followed, st[engine.stage_id(StageKind::Send)].processed)
+}
+
+/// Run `plan` on `engine` and require that it was a lone probe: answered on
+/// this thread, so `iscan` books one followed visit and the `send` stage
+/// never sees the query.
+fn run_inline(engine: &Arc<StagedEngine>, plan: &PhysicalPlan) -> Vec<Tuple> {
+    let (followed, sent) = probe_path(engine);
+    let rows = engine.execute(plan).collect().unwrap();
+    assert_eq!(probe_path(engine), (followed + 1, sent), "not served inline:\n{plan}");
+    rows
+}
+
+/// Run `plan` on `engine` and require that it went through the stage
+/// queues: the `send` stage delivers it and `iscan` follows nothing. The
+/// send stage books its last quantum just after the client's channel
+/// closes, so wait until it has booked every packet it dequeued.
+fn run_queued(engine: &Arc<StagedEngine>, plan: &PhysicalPlan) -> Vec<Tuple> {
+    let (followed, sent) = probe_path(engine);
+    let rows = engine.execute(plan).collect().unwrap();
+    let send = engine.stage_id(StageKind::Send);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let st = &engine.runtime().stats()[send];
+        if st.processed + st.errors == st.queue.dequeued || std::time::Instant::now() > deadline {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    let (followed_after, sent_after) = probe_path(engine);
+    assert!(followed_after == followed && sent_after > sent, "not queued:\n{plan}");
+    rows
+}
+
+/// Lone probes — an `IndexScan` under nothing but fused filters,
+/// projections and limits — run on the caller's thread: point hit, point
+/// miss, range, residual predicate, projection, limits over a range.
+const LONE_PROBES: &[&str] = &[
+    "SELECT * FROM w WHERE unique1 = 123",
+    "SELECT * FROM w WHERE unique1 = 99999",
+    "SELECT s4 FROM w WHERE unique1 BETWEEN 100 AND 105",
+    "SELECT unique1, s4 FROM w WHERE unique1 BETWEEN 100 AND 105 AND ten = 3",
+    "SELECT unique1 * 2, s4 FROM w WHERE unique1 = 77",
+    "SELECT unique1 FROM w WHERE unique1 BETWEEN 100 AND 105 LIMIT 0",
+    "SELECT unique1 FROM w WHERE unique1 BETWEEN 100 AND 105 LIMIT 1",
+];
+
+/// Index scans under a stage-owning operator (sort, aggregate, join) are
+/// compiled into queued tasks, so `IndexScanTask` keeps its coverage.
+const QUEUED_PROBES: &[&str] = &[
+    "SELECT unique1 FROM w WHERE unique1 BETWEEN 100 AND 105 ORDER BY unique1 DESC",
+    "SELECT ten, COUNT(*), SUM(unique2) FROM w WHERE unique1 BETWEEN 100 AND 105 GROUP BY ten",
+    "SELECT w.unique1, x.g FROM w, x WHERE w.unique1 = x.k AND w.unique1 BETWEEN 100 AND 105",
+];
+
 #[test]
 fn index_point_and_range() {
-    assert_equivalent("SELECT * FROM t WHERE a = 123");
-    assert_equivalent("SELECT s FROM t WHERE a BETWEEN 10 AND 40");
+    for parts in [1usize, 2, 4] {
+        let cat = setup_partitioned(parts, true);
+        let ctx = ExecContext::new(Arc::clone(&cat));
+        let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
+        for sql in LONE_PROBES {
+            let plan = plan_sql(&cat, sql);
+            assert!(plan.to_string().contains("IndexScan"), "{sql}:\n{plan}");
+            let v = volcano::run(&plan, &ctx).unwrap();
+            assert_eq!(v, run_inline(&engine, &plan), "{sql} at {parts} partitions");
+        }
+        for sql in QUEUED_PROBES {
+            let plan = plan_sql(&cat, sql);
+            assert!(plan.to_string().contains("IndexScan"), "{sql}:\n{plan}");
+            let v = volcano::run(&plan, &ctx).unwrap();
+            let s = run_queued(&engine, &plan);
+            assert_eq!(canonical(v), canonical(s), "{sql} at {parts} partitions");
+        }
+        engine.shutdown();
+    }
 }
 
 #[test]
@@ -285,22 +367,7 @@ const PARTITIONED_SHAPES: &[&str] = &[
 ];
 
 fn run_volcano_on(cat: &Arc<Catalog>, sql: &str) -> Vec<Tuple> {
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!("not a select") };
-    let bound = Binder::new(BindContext::new(cat)).bind_select(sel).unwrap();
-    let plan = plan_select(&bound, cat, &PlannerConfig::default()).unwrap();
-    volcano::run(&plan, &ExecContext::new(Arc::clone(cat))).unwrap()
-}
-
-fn run_both_on(cat: &Arc<Catalog>, sql: &str, cfg: &EngineConfig) -> (Vec<Tuple>, Vec<Tuple>) {
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!("not a select") };
-    let bound = Binder::new(BindContext::new(cat)).bind_select(sel).unwrap();
-    let plan = plan_select(&bound, cat, &PlannerConfig::default()).unwrap();
-    let ctx = ExecContext::new(Arc::clone(cat));
-    let volcano_rows = volcano::run(&plan, &ctx).unwrap();
-    let engine = StagedEngine::new(ctx, cfg.clone());
-    let staged_rows = engine.execute(&plan).collect().unwrap();
-    engine.shutdown();
-    (volcano_rows, staged_rows)
+    volcano::run(&plan_sql(cat, sql), &ExecContext::new(Arc::clone(cat))).unwrap()
 }
 
 #[test]
@@ -314,7 +381,7 @@ fn partitioned_differential_suite_matches_volcano_at_every_partition_count() {
         let cat = setup_partitioned(parts, false);
         let cfg = EngineConfig { workers_per_stage: 2, ..Default::default() };
         for (sql, expect) in PARTITIONED_SHAPES.iter().zip(&reference) {
-            let (v, s) = run_both_on(&cat, sql, &cfg);
+            let (v, s) = run_both(&cat, sql, &cfg);
             let (vc, sc) = (canonical(v), canonical(s));
             assert_eq!(vc, *expect, "volcano drifted at {parts} partitions for {sql}");
             assert_eq!(sc, *expect, "staged drifted at {parts} partitions for {sql}");
@@ -395,7 +462,7 @@ fn partitioned_two_phase_aggregation_matches_at_every_page_size() {
     for page in [1usize, 8, 256, 4096] {
         let cfg = EngineConfig { batch_capacity: page, workers_per_stage: 2, ..Default::default() };
         for (sql, expect) in shapes.iter().zip(&reference) {
-            let (v, s) = run_both_on(&cat, sql, &cfg);
+            let (v, s) = run_both(&cat, sql, &cfg);
             assert_eq!(canonical(v), *expect, "volcano drifted at page {page} for {sql}");
             assert_eq!(canonical(s), *expect, "staged drifted at page {page} for {sql}");
         }
@@ -427,34 +494,35 @@ fn page_size_is_adjustable_on_a_live_engine() {
 
 #[test]
 fn partitioned_index_scans_merge_per_partition_btrees() {
-    for parts in [1usize, 4] {
+    for parts in [1usize, 2, 4] {
         let cat = setup_partitioned(parts, true);
+        let ctx = ExecContext::new(Arc::clone(&cat));
+        let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
         let sqls = [
             "SELECT * FROM w WHERE unique1 = 77",
             "SELECT unique1, unique2 FROM w WHERE unique1 BETWEEN 100 AND 105",
         ];
         for sql in sqls {
-            let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!() };
-            let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
-            let plan = plan_select(&bound, &cat, &PlannerConfig::default()).unwrap();
+            let plan = plan_sql(&cat, sql);
             assert!(plan.to_string().contains("IndexScan"), "{plan}");
-            let ctx = ExecContext::new(Arc::clone(&cat));
             let v = volcano::run(&plan, &ctx).unwrap();
-            let engine = StagedEngine::new(ctx, EngineConfig::default());
-            let s = engine.execute(&plan).collect().unwrap();
-            engine.shutdown();
+            let s = run_inline(&engine, &plan);
             assert_eq!(canonical(v.clone()), canonical(s), "{sql} at {parts} partitions");
             if sql.contains("BETWEEN") {
                 assert_eq!(v.len(), 6, "index range must see every partition");
             }
         }
+        engine.shutdown();
     }
 }
 
 /// The B+tree is the plan of record under a snapshot: `attach_snapshot`
 /// stamps the `IndexScan` instead of folding it into a scan, and both
 /// engines run the stamped plan to the same rows — the reader's view of an
-/// uncommitted writer's update and delete, and the writer's own.
+/// uncommitted writer's update and delete, the writer's own, and a row
+/// whose new version committed after the reader's pin. Every probe runs
+/// three ways: Volcano, inline (the lone probe) and queued (the same probe
+/// under a sort).
 #[test]
 fn index_scan_survives_attach_snapshot_and_both_engines_honour_the_view() {
     use staged_engine::dml::{self, DmlLog};
@@ -478,31 +546,48 @@ fn index_scan_survives_attach_snapshot_and_both_engines_honour_the_view() {
         let log = DmlLog::txn(&wal, xid, &mgr);
         dml::update_rows(&ctx, &w, &[(0, Expr::int(9101))], &unique1_is(101), Some(&log)).unwrap();
         dml::delete_rows(&ctx, &w, &unique1_is(103), Some(&log)).unwrap();
+        let pin = cat.oracle().pin();
+        // After the pin a second writer moves key 104 out of the range and
+        // commits: the pinned reader still sees 104, a later one does not.
+        let late = mgr.begin(&wal).unwrap();
+        let late_log = DmlLog::txn(&wal, late, &mgr);
+        dml::update_rows(&ctx, &w, &[(0, Expr::int(9104))], &unique1_is(104), Some(&late_log))
+            .unwrap();
+        mgr.commit(late, &ctx, &wal).unwrap();
 
-        let sql = "SELECT unique1 FROM w WHERE unique1 BETWEEN 100 AND 105";
-        let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!() };
-        let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
-        let plan = plan_select(&bound, &cat, &PlannerConfig::default()).unwrap();
-        let ts = cat.oracle().latest();
+        let range = "SELECT unique1 FROM w WHERE unique1 BETWEEN 100 AND 105";
+        // (plan, served inline, the one key a point probe keeps)
+        let plans = [
+            (plan_sql(&cat, range), true, None),
+            (plan_sql(&cat, &format!("{range} ORDER BY unique1")), false, None),
+            (plan_sql(&cat, "SELECT unique1 FROM w WHERE unique1 = 101"), true, Some(101)),
+            (plan_sql(&cat, "SELECT unique1 FROM w WHERE unique1 = 104"), true, Some(104)),
+        ];
         let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
-        for (view_xid, expect) in
-            [(0, vec![100, 101, 102, 103, 104, 105]), (xid, vec![100, 102, 104, 105])]
-        {
-            let mut plan = plan.clone();
-            plan.attach_snapshot(ReadView::new(ts, view_xid));
-            let text = plan.to_string();
-            assert!(text.contains("IndexScan") && !text.contains("SeqScan"), "{text}");
-            let keys = |rows: Vec<Tuple>| {
-                let mut k: Vec<i64> = rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
-                k.sort_unstable();
-                k
-            };
-            assert_eq!(keys(volcano::run(&plan, &ctx).unwrap()), expect, "volcano, {parts} parts");
-            assert_eq!(
-                keys(engine.execute(&plan).collect().unwrap()),
-                expect,
-                "staged, {parts} parts"
-            );
+        let keys = |rows: Vec<Tuple>| {
+            let mut k: Vec<i64> = rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+            k.sort_unstable();
+            k
+        };
+        let cases = [
+            (ReadView::new(pin.ts(), 0), vec![100, 101, 102, 103, 104, 105]),
+            (ReadView::new(pin.ts(), xid), vec![100, 102, 104, 105]),
+            (ReadView::new(cat.oracle().latest(), 0), vec![100, 101, 102, 103, 105]),
+        ];
+        for (view, expect) in cases {
+            for (plan, inline, point) in &plans {
+                let mut plan = plan.clone();
+                plan.attach_snapshot(view);
+                let text = plan.to_string();
+                assert!(text.contains("IndexScan") && !text.contains("SeqScan"), "{text}");
+                let want: Vec<i64> =
+                    expect.iter().copied().filter(|k| point.is_none_or(|p| p == *k)).collect();
+                let at = format!("{view:?}, {parts} parts:\n{text}");
+                assert_eq!(keys(volcano::run(&plan, &ctx).unwrap()), want, "volcano, {at}");
+                let staged =
+                    if *inline { run_inline(&engine, &plan) } else { run_queued(&engine, &plan) };
+                assert_eq!(keys(staged), want, "staged (inline: {inline}), {at}");
+            }
         }
         engine.shutdown();
     }
@@ -528,16 +613,43 @@ fn partitioned_point_lookup_is_pruned_and_complete() {
 
 #[test]
 fn error_in_task_reaches_the_client() {
-    let cat = setup();
-    // Division by zero at run time (not foldable: depends on a column).
-    let sql = "SELECT 10 / (a - a) FROM t LIMIT 1";
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!() };
-    let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
-    let plan = plan_select(&bound, &cat, &PlannerConfig::default()).unwrap();
+    let cat = setup_partitioned(1, true);
     let ctx = ExecContext::new(Arc::clone(&cat));
-    assert!(volcano::run(&plan, &ctx).is_err());
-    let engine = StagedEngine::new(ctx, EngineConfig::default());
-    let res = engine.execute(&plan).collect();
-    assert!(res.is_err(), "staged engine must surface the evaluation error");
+    let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
+    // Division by zero at run time (not foldable: depends on a column), in
+    // a queued scan task and in a lone probe served inline.
+    for (sql, inline) in [
+        ("SELECT 10 / (unique2 - unique2) FROM w LIMIT 1", false),
+        ("SELECT 10 / (unique2 - unique2) FROM w WHERE unique1 = 5", true),
+    ] {
+        let plan = plan_sql(&cat, sql);
+        assert!(volcano::run(&plan, &ctx).is_err());
+        let (followed, _) = probe_path(&engine);
+        let res = engine.execute(&plan).collect();
+        assert!(res.is_err(), "staged engine must surface the evaluation error of {sql}");
+        let booked = probe_path(&engine).0 - followed;
+        assert_eq!(booked, u64::from(inline), "{sql}: an inline failure is still a visit");
+    }
+    let iscan = &engine.runtime().stats()[engine.stage_id(StageKind::IScan)];
+    assert_eq!(iscan.errors, 1, "the inline probe's error is booked on iscan");
     engine.shutdown();
+}
+
+/// After `shutdown` the engine refuses work the same way on both paths: a
+/// lone probe is not run inline behind the closed stage, and a queued plan
+/// is not silently answered with no rows — both fail.
+#[test]
+fn queries_after_shutdown_fail_inline_and_queued_alike() {
+    let cat = setup_partitioned(1, true);
+    let engine = StagedEngine::new(ExecContext::new(Arc::clone(&cat)), EngineConfig::default());
+    let lone = plan_sql(&cat, LONE_PROBES[0]);
+    let queued = plan_sql(&cat, QUEUED_PROBES[0]);
+    assert_eq!(run_inline(&engine, &lone).len(), 1);
+    engine.shutdown();
+    let before = probe_path(&engine);
+    for plan in [&lone, &queued, &plan_sql(&cat, "SELECT * FROM w")] {
+        let err = engine.execute(plan).collect().unwrap_err();
+        assert!(err.to_string().contains("shut down"), "{err} for\n{plan}");
+    }
+    assert_eq!(probe_path(&engine), before, "nothing ran after shutdown");
 }
