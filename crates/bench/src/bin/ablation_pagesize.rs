@@ -81,10 +81,8 @@ fn main() {
 
     let ctx = ExecContext::new(Arc::clone(&catalog));
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).clamp(2, 8);
-    let engine = StagedEngine::new(
-        ctx,
-        EngineConfig { workers_per_stage: workers, shared_scans: false, ..Default::default() },
-    );
+    let engine =
+        StagedEngine::new(ctx, EngineConfig { workers_per_stage: workers, ..Default::default() });
 
     println!(
         "exchange page size sweep, one live engine retuned between cells \

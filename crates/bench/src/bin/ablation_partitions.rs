@@ -49,7 +49,7 @@ fn main() {
         let ctx = ExecContext::new(Arc::clone(&catalog));
         let engine = StagedEngine::new(
             ctx,
-            EngineConfig { workers_per_stage: workers, shared_scans: false, ..Default::default() },
+            EngineConfig { workers_per_stage: workers, ..Default::default() },
         );
 
         // Scan-heavy grouped aggregate: N partial fscan→filter→agg

@@ -123,7 +123,7 @@ fn scan_agg(parts: usize, staged_exec: bool) -> f64 {
     if staged_exec {
         let engine = StagedEngine::new(
             ctx,
-            EngineConfig { workers_per_stage: workers, shared_scans: false, ..Default::default() },
+            EngineConfig { workers_per_stage: workers, ..Default::default() },
         );
         let rate = best_rate(SCAN_ROWS as f64, || {
             assert_eq!(engine.execute(&agg).collect().unwrap().len(), 5);
@@ -146,10 +146,8 @@ fn point_lookups(parts: usize) -> f64 {
     catalog.create_index("big_unique1", "big", "unique1").unwrap();
     let pin = catalog.oracle().pin();
     let ctx = ExecContext::new(Arc::clone(&catalog));
-    let engine = StagedEngine::new(
-        ctx,
-        EngineConfig { workers_per_stage: 4, shared_scans: false, ..Default::default() },
-    );
+    let engine =
+        StagedEngine::new(ctx, EngineConfig { workers_per_stage: 4, ..Default::default() });
     let lookups: Vec<PhysicalPlan> = (0..LOOKUPS)
         .map(|i| {
             let sql = format!("SELECT * FROM big WHERE unique1 = {}", i * 37 % SCAN_ROWS);

@@ -11,10 +11,10 @@
 //! output buffer full or input empty — requeues itself at the back of its
 //! stage queue, which is the cooperative yield of §4.3.
 //!
-//! Scans of the same table are shared across concurrent queries
-//! ([`sharing`], paper §5.4): one circular scan drives every subscriber.
+//! Every scan is a dedicated page scan owned by one query, filtered
+//! through that query's snapshot when it has one (DESIGN.md §3 on why the
+//! §5.4 shared scans are not implemented).
 
-pub mod sharing;
 mod tasks;
 
 use crate::batch::TupleBatch;
@@ -23,13 +23,12 @@ use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use sharing::SharedScanRegistry;
 use staged_core::prelude::*;
 use staged_planner::PhysicalPlan;
 use staged_sql::ast::{BinOp, Expr};
 use staged_storage::Tuple;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,7 +61,7 @@ impl PageSize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// Sequential file scans (replicated per table in the paper; one queue
-    /// with table-keyed shared-scan groups here).
+    /// for every table here).
     FScan,
     /// Index scans.
     IScan,
@@ -196,29 +195,13 @@ impl ExchangeBuffer {
 
 /// Per-query control block: result sink + cancellation.
 pub struct QueryCtl {
-    /// Query id (for diagnostics).
-    pub query: QueryId,
     sink: Sender<EngineResult<Tuple>>,
     cancelled: AtomicBool,
-    /// Live tasks, used to detect stuck queries in tests.
-    pub live_tasks: AtomicU64,
 }
 
 impl QueryCtl {
-    fn new(query: QueryId, sink: Sender<EngineResult<Tuple>>) -> Arc<Self> {
-        Arc::new(Self {
-            query,
-            sink,
-            cancelled: AtomicBool::new(false),
-            live_tasks: AtomicU64::new(0),
-        })
-    }
-
-    /// A control block not tied to any client (used by shared-scan drivers,
-    /// which outlive individual queries). Emits are discarded.
-    pub fn detached() -> Arc<Self> {
-        let (tx, _rx) = unbounded();
-        Self::new(QueryId(u64::MAX), tx)
+    fn new(sink: Sender<EngineResult<Tuple>>) -> Arc<Self> {
+        Arc::new(Self { sink, cancelled: AtomicBool::new(false) })
     }
 
     /// Deliver one result tuple.
@@ -302,8 +285,6 @@ pub struct EngineConfig {
     pub batch_capacity: usize,
     /// Batches each exchange buffer may hold before back-pressure.
     pub buffer_depth: usize,
-    /// Tuples processed per task quantum before yielding.
-    pub step_quota: usize,
     /// Worker threads per stage.
     pub workers_per_stage: usize,
     /// Task packets an engine-stage worker may serve per queue visit
@@ -313,38 +294,25 @@ pub struct EngineConfig {
     /// the back of the queue and joins the *next* visit, so a cohort never
     /// spins on its own yields.
     pub cohort: usize,
-    /// Enable shared table scans (§5.4).
-    pub shared_scans: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            batch_capacity: 256,
-            buffer_depth: 4,
-            step_quota: 4096,
-            workers_per_stage: 1,
-            cohort: 8,
-            shared_scans: true,
-        }
+        Self { batch_capacity: 256, buffer_depth: 4, workers_per_stage: 1, cohort: 8 }
     }
 }
 
 /// The staged execution engine: seven stages over a [`StagedRuntime`].
 pub struct StagedEngine {
     runtime: StagedRuntime<TaskPacket>,
-    /// Shared-scan groups, keyed by table.
-    pub registry: Arc<SharedScanRegistry>,
     ctx: ExecContext,
     config: EngineConfig,
     page: PageSize,
-    next_query: AtomicU64,
 }
 
 impl StagedEngine {
     /// Build the engine and spawn its stage workers.
     pub fn new(ctx: ExecContext, config: EngineConfig) -> Arc<Self> {
-        let registry = Arc::new(SharedScanRegistry::new());
         let mut builder = StagedRuntime::<TaskPacket>::builder();
         for kind in StageKind::ALL {
             let logic =
@@ -366,7 +334,7 @@ impl StagedEngine {
         }
         let runtime = builder.build();
         let page = PageSize::new(config.batch_capacity);
-        Arc::new(Self { runtime, registry, ctx, config, page, next_query: AtomicU64::new(0) })
+        Arc::new(Self { runtime, ctx, config, page })
     }
 
     /// Stage id for a kind.
@@ -422,9 +390,7 @@ impl StagedEngine {
     /// every other plan runs on the stage workers (DESIGN.md §11).
     pub fn execute(self: &Arc<Self>, plan: &PhysicalPlan) -> StagedResult {
         let (tx, rx) = unbounded();
-        let query = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
-        let ctl = QueryCtl::new(query, tx);
-        tasks::compile_and_launch(self, plan, ctl);
+        tasks::compile_and_launch(self, plan, QueryCtl::new(tx));
         StagedResult { rx }
     }
 
@@ -505,11 +471,6 @@ impl StagedResult {
             out.push(item?);
         }
         Ok(out)
-    }
-
-    /// The raw receiver (for streaming consumption).
-    pub fn receiver(&self) -> &Receiver<EngineResult<Tuple>> {
-        &self.rx
     }
 }
 

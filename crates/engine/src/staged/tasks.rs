@@ -1,6 +1,5 @@
 //! Operator tasks for the staged engine and the plan → task compiler.
 
-use super::sharing::{self, Subscriber};
 use super::{
     apply_transforms, prune_scan_columns, shut_down, Activator, EngineConfig, ExchangeBuffer,
     OperatorTask, PageSize, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform,
@@ -24,7 +23,7 @@ use std::sync::Arc;
 /// the exchange buffer, activates the parent bottom-up. The page size is
 /// read live from the engine's shared [`PageSize`] handle (knob (c)), so a
 /// `set_page_size` call changes the next page every in-flight emitter
-/// seals. All accounting — [`Emitter::backlog`], [`Emitter::ready`] — is
+/// seals. All accounting — the staged backlog, [`Emitter::ready`] — is
 /// denominated in *tuples*, never pages, so back-pressure thresholds mean
 /// the same thing at page size 1 and page size 4096.
 pub struct Emitter {
@@ -62,11 +61,6 @@ impl Emitter {
         if self.staging.len() >= self.page_cap() {
             self.pump();
         }
-    }
-
-    /// Tuples staged but not yet flushed.
-    pub fn backlog(&self) -> usize {
-        self.staging.len()
     }
 
     /// Producer-side readiness: stop producing once the backlog exceeds one
@@ -243,32 +237,24 @@ fn build(
                 ts.push(Transform::filter(p.clone()));
             }
             ts.extend(transforms);
-            let emitter = Emitter::new(out, parent, engine.page_handle());
-            // Snapshot scans never share a driver: each reader filters
-            // pages against its own view, so piggybacking subscribers with
-            // different views on one scan would cross-contaminate results.
-            if cfg.shared_scans && snapshot.is_none() {
-                // A shared driver serves every subscriber, so it must
-                // decode full rows; per-subscriber pruning does not apply.
-                let sub = Subscriber::new(emitter, ts, Arc::clone(&ctl));
-                sharing::subscribe(engine, table, sub);
-            } else {
-                let mut ts = ts;
-                let mut scan = match prune_scan_columns(&mut ts, table.schema.len()) {
-                    Some(cols) => table.heap.scan_pages().with_columns(cols),
-                    None => table.heap.scan_pages(),
-                };
-                if let Some(view) = snapshot {
-                    scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
-                }
-                let task = ScanTask { ctx, scan, transforms: ts, emitter, input_done: false };
-                engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
+            let mut scan = match prune_scan_columns(&mut ts, table.schema.len()) {
+                Some(cols) => table.heap.scan_pages().with_columns(cols),
+                None => table.heap.scan_pages(),
+            };
+            if let Some(view) = snapshot {
+                scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
             }
+            let task = ScanTask {
+                ctx,
+                scan,
+                transforms: ts,
+                emitter: Emitter::new(out, parent, engine.page_handle()),
+                input_done: false,
+            };
+            engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
         }
         PhysicalPlan::PartitionScan { table, partition, predicate, snapshot } => {
-            // A partial scan: one partition, one fscan packet. Partition
-            // pipelines are never shared — each belongs to exactly one
-            // Exchange (or is already pruned to a single partition).
+            // A partial scan: one partition, one fscan packet.
             let mut ts = Vec::new();
             if let Some(p) = predicate {
                 ts.push(Transform::filter(p.clone()));
@@ -340,15 +326,14 @@ fn build(
             build(engine, input, in_buf, Vec::new(), act, ctl, cfg);
         }
         PhysicalPlan::HashAggregate { input, group_by, aggs } => {
-            // When the aggregate sits directly on a prunable scan and reads
-            // only plain columns, project the scan down to exactly those
-            // columns and remap the aggregate; `prune_scan_columns` then
-            // stops the scan decoding the rest of the row at the page.
-            let prunable = match &**input {
-                PhysicalPlan::SeqScan { .. } => !cfg.shared_scans,
-                PhysicalPlan::PartitionScan { .. } => true,
-                _ => false,
-            };
+            // When the aggregate sits directly on a scan and reads only
+            // plain columns, project the scan down to exactly those columns
+            // and remap the aggregate; `prune_scan_columns` then stops the
+            // scan decoding the rest of the row at the page.
+            let prunable = matches!(
+                &**input,
+                PhysicalPlan::SeqScan { .. } | PhysicalPlan::PartitionScan { .. }
+            );
             let narrowed = if prunable { narrow_agg_input(group_by, aggs) } else { None };
             let (scan_ts, group_by, aggs) = match narrowed {
                 Some((proj, g, a)) => (vec![proj], g, a),
@@ -1400,12 +1385,12 @@ mod tests {
             assert!(e.ready());
             e.emit(tuple(i));
         }
-        assert_eq!(e.backlog(), 0, "a full page flushed into the free buffer");
+        assert_eq!(e.staging.len(), 0, "a full page flushed into the free buffer");
         assert_eq!(buf.queued_tuples(), 4);
         for i in 4..8 {
             e.emit(tuple(i));
         }
-        assert_eq!(e.backlog(), 4, "backlog reports staged tuples, not batches");
+        assert_eq!(e.staging.len(), 4, "backlog reports staged tuples, not batches");
         assert!(!e.ready(), "full downstream buffer must stall the producer");
         assert!(!e.finish(), "cannot close while a page is stuck behind the buffer");
         // The consumer drains one page; the producer unblocks and drains.
@@ -1431,7 +1416,7 @@ mod tests {
         e.emit_all((0..7).map(tuple));
         assert_eq!(buf.try_pop().unwrap().len(), 3, "new page size in effect");
         assert_eq!(buf.try_pop().unwrap().len(), 3);
-        assert_eq!(e.backlog(), 1, "partial page stays staged until finish");
+        assert_eq!(e.staging.len(), 1, "partial page stays staged until finish");
         assert!(e.finish());
         assert_eq!(buf.try_pop().unwrap().len(), 1);
         engine.shutdown();

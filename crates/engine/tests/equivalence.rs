@@ -251,14 +251,6 @@ fn small_exchange_pages_still_correct() {
 }
 
 #[test]
-fn shared_scans_disabled_still_correct() {
-    let cat = setup();
-    let cfg = EngineConfig { shared_scans: false, ..Default::default() };
-    let (v, s) = run_both(&cat, "SELECT COUNT(*) FROM t WHERE grp = 2", &cfg);
-    assert_eq!(canonical(v), canonical(s));
-}
-
-#[test]
 fn concurrent_queries_share_one_engine() {
     let cat = setup();
     let ctx = ExecContext::new(Arc::clone(&cat));
@@ -282,8 +274,6 @@ fn concurrent_queries_share_one_engine() {
         let rows = h.collect().unwrap();
         assert_eq!(canonical(rows), exp);
     }
-    // Shared scans should have kicked in for the t-scans.
-    assert!(engine.registry.stats.groups_started.load(std::sync::atomic::Ordering::Relaxed) >= 1);
     engine.shutdown();
 }
 
@@ -402,6 +392,7 @@ fn differential_suite_matches_volcano_at_every_cohort_size() {
         "SELECT grp, COUNT(*), SUM(a), AVG(v) FROM t GROUP BY grp",
         "SELECT DISTINCT grp FROM t ORDER BY grp",
         "SELECT s FROM t WHERE a BETWEEN 10 AND 40",
+        "SELECT COUNT(*) FROM t WHERE grp = 2",
     ];
     let cat = setup();
     let reference: Vec<Vec<String>> =
@@ -522,7 +513,9 @@ fn partitioned_index_scans_merge_per_partition_btrees() {
 /// uncommitted writer's update and delete, the writer's own, and a row
 /// whose new version committed after the reader's pin. Every probe runs
 /// three ways: Volcano, inline (the lone probe) and queued (the same probe
-/// under a sort).
+/// under a sort). The same views then feed scan aggregates, which the
+/// staged engine narrows to the columns they read: at one partition that
+/// is a column-pruned `SeqScan` filtered through the view page by page.
 #[test]
 fn index_scan_survives_attach_snapshot_and_both_engines_honour_the_view() {
     use staged_engine::dml::{self, DmlLog};
@@ -569,12 +562,24 @@ fn index_scan_survives_attach_snapshot_and_both_engines_honour_the_view() {
             k.sort_unstable();
             k
         };
+        // (view, probed keys, the view's `COUNT(*)` and `SUM(unique1)`):
+        // the writer's own view moves 101 by +9000 and drops 103, the later
+        // view moves 104 by +9000.
+        let total = (0..WIS_ROWS).sum::<i64>();
         let cases = [
-            (ReadView::new(pin.ts(), 0), vec![100, 101, 102, 103, 104, 105]),
-            (ReadView::new(pin.ts(), xid), vec![100, 102, 104, 105]),
-            (ReadView::new(cat.oracle().latest(), 0), vec![100, 101, 102, 103, 105]),
+            (ReadView::new(pin.ts(), 0), vec![100, 101, 102, 103, 104, 105], (2000, total)),
+            (ReadView::new(pin.ts(), xid), vec![100, 102, 104, 105], (1999, total + 9000 - 103)),
+            (
+                ReadView::new(cat.oracle().latest(), 0),
+                vec![100, 101, 102, 103, 105],
+                (2000, total + 9000),
+            ),
         ];
-        for (view, expect) in cases {
+        let aggs = [
+            "SELECT COUNT(*), SUM(unique1) FROM w",
+            "SELECT ten, COUNT(*), SUM(unique2), MAX(unique1) FROM w WHERE two = 1 GROUP BY ten",
+        ];
+        for (view, expect, (count, sum)) in cases {
             for (plan, inline, point) in &plans {
                 let mut plan = plan.clone();
                 plan.attach_snapshot(view);
@@ -587,6 +592,20 @@ fn index_scan_survives_attach_snapshot_and_both_engines_honour_the_view() {
                 let staged =
                     if *inline { run_inline(&engine, &plan) } else { run_queued(&engine, &plan) };
                 assert_eq!(keys(staged), want, "staged (inline: {inline}), {at}");
+            }
+            for sql in aggs {
+                let mut plan = plan_sql(&cat, sql);
+                plan.attach_snapshot(view);
+                let text = plan.to_string();
+                let scan = if parts == 1 { "SeqScan" } else { "PartitionScan" };
+                assert!(text.contains(scan), "{text}");
+                let at = format!("{view:?}, {parts} parts:\n{text}");
+                let v = volcano::run(&plan, &ctx).unwrap();
+                if sql == aggs[0] {
+                    assert_eq!(v, [Tuple::new(vec![Value::Int(count), Value::Int(sum)])], "{at}");
+                }
+                let s = run_queued(&engine, &plan);
+                assert_eq!(canonical(v), canonical(s), "staged, {at}");
             }
         }
         engine.shutdown();

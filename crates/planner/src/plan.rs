@@ -215,43 +215,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Names of all base tables in the plan (diagnostics, shared scans).
-    pub fn base_tables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out
-    }
-
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        match self {
-            PhysicalPlan::SeqScan { table, .. }
-            | PhysicalPlan::PartitionScan { table, .. }
-            | PhysicalPlan::IndexScan { table, .. } => out.push(table.name.clone()),
-            PhysicalPlan::Exchange { inputs } | PhysicalPlan::MergeAggregate { inputs, .. } => {
-                // One partial per partition scans the same table; report
-                // each table once.
-                let mut nested = Vec::new();
-                for i in inputs {
-                    i.collect_tables(&mut nested);
-                }
-                nested.dedup();
-                out.append(&mut nested);
-            }
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Project { input, .. } => input.collect_tables(out),
-            PhysicalPlan::NestedLoopJoin { left, right, .. }
-            | PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-            PhysicalPlan::HashAggregate { input, .. } => input.collect_tables(out),
-        }
-    }
-
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let pad = "  ".repeat(depth);
         match self {

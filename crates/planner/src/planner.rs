@@ -1009,9 +1009,18 @@ mod tests {
             "SELECT * FROM t, u, w3 WHERE t.a = u.a AND u.a = w3.a",
             &PlannerConfig::default(),
         );
-        let mut tables = p.base_tables();
-        tables.sort();
-        assert_eq!(tables, vec!["t", "u", "w3"]);
+        // One scan per table, read off the rendered plan.
+        let text = p.to_string();
+        let mut tables: Vec<&str> = text
+            .lines()
+            .filter_map(|l| {
+                let mut words = l.split_whitespace();
+                let op = words.next()?;
+                op.ends_with("Scan").then(|| words.next()).flatten()
+            })
+            .collect();
+        tables.sort_unstable();
+        assert_eq!(tables, ["t", "u", "w3"], "{text}");
         assert_eq!(p.output_arity(), 7);
     }
 
