@@ -17,9 +17,8 @@
 //! For each setting the table reports steady-state throughput, speedup
 //! over cohort 1, and the *observed* mean cohort at the parse stage (the
 //! knob is an upper bound; the workload decides how full visits run).
-//! Two policy rows close the table: non-gated (exhaustive) and
-//! T-gated(2) service at the best gated bound, the §4.2 policy space on
-//! real threads (cutoff preemptions included).
+//! The runtime serves D-gated cohorts only; the rest of the §4.2 policy
+//! space is swept in the simulator (`ablation_policies`, `repro_fig5`).
 //!
 //! Pass `quick` for the CI smoke run (small table, fewer rounds). The
 //! batching win needs per-visit overhead to be a visible fraction of
@@ -28,17 +27,14 @@
 //! result check still holds everywhere.
 
 use staged_bench::{drive_scan_bursts, mem_catalog};
-use staged_core::BatchPolicy;
 use staged_server::types::ExecutionMode;
 use staged_server::{ServerConfig, StagedServer};
 use staged_workload::load_wisconsin_table_partitioned;
 use std::sync::Arc;
 
 struct Cell {
-    label: String,
     qps: f64,
     mean_cohort: f64,
-    preempts: u64,
 }
 
 struct Knobs {
@@ -49,7 +45,7 @@ struct Knobs {
     burst: usize,
 }
 
-fn run_cell(k: &Knobs, label: &str, cohort: usize, batch: BatchPolicy) -> Cell {
+fn run_cell(k: &Knobs, cohort: usize) -> Cell {
     let catalog = mem_catalog(4096);
     load_wisconsin_table_partitioned(&catalog, "big", k.rows, 5, 1).unwrap();
     let server = StagedServer::new(
@@ -59,7 +55,6 @@ fn run_cell(k: &Knobs, label: &str, cohort: usize, batch: BatchPolicy) -> Cell {
             control_workers: 1,
             execute_workers: 4,
             max_cohort: cohort,
-            batch,
             ..Default::default()
         },
     );
@@ -69,12 +64,7 @@ fn run_cell(k: &Knobs, label: &str, cohort: usize, batch: BatchPolicy) -> Cell {
     }
     let stats = server.stage_stats();
     let parse = stats.iter().find(|s| s.name == "parse").expect("parse stage");
-    let cell = Cell {
-        label: label.to_string(),
-        qps,
-        mean_cohort: parse.mean_cohort(),
-        preempts: stats.iter().map(|s| s.cutoff_preempts).sum(),
-    };
+    let cell = Cell { qps, mean_cohort: parse.mean_cohort() };
     server.shutdown();
     cell
 }
@@ -93,44 +83,22 @@ fn main() {
          × {}-deep bursts, best of {} rep(s) per cell",
         k.rows, k.clients, k.burst, k.reps
     );
-    println!(
-        "{:>14} {:>12} {:>10} {:>12} {:>10}",
-        "policy", "queries/s", "speedup", "mean_cohort", "preempts"
-    );
+    println!("{:>14} {:>12} {:>10} {:>12}", "policy", "queries/s", "speedup", "mean_cohort");
     // Warm-up cell (discarded): pays the process's cold caches, page
     // faults and allocator growth so the measured sweep starts hot.
-    let _ = run_cell(&Knobs { reps: 1, ..k }, "warmup", 8, BatchPolicy::DGated);
+    let _ = run_cell(&Knobs { reps: 1, ..k }, 8);
     let mut base = 0.0f64;
-    let mut best = (1usize, 0.0f64);
     for cohort in [1usize, 2, 4, 8, 16, 32] {
-        let cell = run_cell(&k, &format!("D-gated({cohort})"), cohort, BatchPolicy::DGated);
+        let cell = run_cell(&k, cohort);
         if cohort == 1 {
             base = cell.qps;
         }
-        if cell.qps > best.1 {
-            best = (cohort, cell.qps);
-        }
         println!(
-            "{:>14} {:>12.0} {:>9.2}x {:>12.2} {:>10}",
-            cell.label,
+            "{:>14} {:>12.0} {:>9.2}x {:>12.2}",
+            format!("D-gated({cohort})"),
             cell.qps,
             cell.qps / base,
-            cell.mean_cohort,
-            cell.preempts
-        );
-    }
-    for (label, policy) in [
-        (format!("non-gated({})", best.0), BatchPolicy::Exhaustive),
-        (format!("T-gated(2)@{}", best.0), BatchPolicy::TGated { cutoff_factor: 2.0 }),
-    ] {
-        let cell = run_cell(&k, &label, best.0, policy);
-        println!(
-            "{:>14} {:>12.0} {:>9.2}x {:>12.2} {:>10}",
-            cell.label,
-            cell.qps,
-            cell.qps / base,
-            cell.mean_cohort,
-            cell.preempts
+            cell.mean_cohort
         );
     }
 }

@@ -2,17 +2,14 @@
 //! results among the execution engine stages … affects the time a stage
 //! spends working on a query before it switches to a different one."
 //!
-//! Since the batch-first dataflow refactor the page size is a *run-time*
-//! knob ([`StagedEngine::set_page_size`]), exactly like the pipeline
-//! cohort bound: the sweep below retunes **one live engine** between
-//! cells instead of rebuilding the stage set, which is also how the
-//! autotuner steers the knob in production (`staged_core::tune`,
-//! `PageKnob`). Two query shapes are swept — the hash join whose probe
-//! stream dominates exchange traffic, and a scan-heavy two-phase
-//! aggregate over 4 partitions (the `perf_trajectory` headline shape) —
-//! and each cell reports wall-clock time and speedup over the
-//! one-tuple-per-page degenerate cell, which reproduces the pre-batch
-//! per-tuple exchange semantics.
+//! The page size is fixed per engine (`EngineConfig::batch_capacity`),
+//! so each cell of the sweep builds its own engine at that size. Two
+//! query shapes are swept — the hash join whose probe stream dominates
+//! exchange traffic, and a scan-heavy two-phase aggregate over 4
+//! partitions (the `perf_trajectory` headline shape) — and each cell
+//! reports wall-clock time and speedup over the one-tuple-per-page
+//! degenerate cell, which reproduces the pre-batch per-tuple exchange
+//! semantics.
 //!
 //! Pass `quick` for the CI smoke run (smaller tables, fewer reps).
 
@@ -36,15 +33,18 @@ fn plan(catalog: &Arc<Catalog>, sql: &str) -> PhysicalPlan {
     plan_select(&bound, catalog, &PlannerConfig::default()).unwrap()
 }
 
-/// Sweep the live page-size knob over one engine, best-of-`reps` per cell.
-fn sweep(label: &str, engine: &Arc<StagedEngine>, plan: &PhysicalPlan, expect: usize, reps: usize) {
+/// Sweep the page size, one engine per cell, best-of-`reps` per cell.
+fn sweep(label: &str, ctx: &ExecContext, plan: &PhysicalPlan, expect: usize, reps: usize) {
     println!("\n{label}");
     println!("{:>12} {:>12} {:>10} {:>10}", "tuples/page", "time (ms)", "speedup", "rows");
-    // Warm once at the default so every cell starts from hot caches.
-    engine.execute(plan).collect().unwrap();
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).clamp(2, 8);
     let mut base = f64::MIN;
     for page in PAGES {
-        engine.set_page_size(page);
+        let cfg =
+            EngineConfig { batch_capacity: page, workers_per_stage: workers, ..Default::default() };
+        let engine = StagedEngine::new(ctx.clone(), cfg);
+        // Warm once so every cell starts from hot caches.
+        engine.execute(plan).collect().unwrap();
         let mut best = f64::MAX;
         let mut rows = 0;
         for _ in 0..reps {
@@ -52,6 +52,7 @@ fn sweep(label: &str, engine: &Arc<StagedEngine>, plan: &PhysicalPlan, expect: u
             rows = engine.execute(plan).collect().unwrap().len();
             best = best.min(start.elapsed().as_secs_f64() * 1000.0);
         }
+        engine.shutdown();
         assert_eq!(rows, expect, "page {page} changed the result set");
         if page == 1 {
             base = best;
@@ -80,17 +81,12 @@ fn main() {
     );
 
     let ctx = ExecContext::new(Arc::clone(&catalog));
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).clamp(2, 8);
-    let engine =
-        StagedEngine::new(ctx, EngineConfig { workers_per_stage: workers, ..Default::default() });
-
     println!(
-        "exchange page size sweep, one live engine retuned between cells \
-         (run-time knob c, {rows}-row tables, best of {reps})"
+        "exchange page size sweep, one engine per cell \
+         (knob c, {rows}-row tables, best of {reps})"
     );
-    sweep(&format!("hash join {rows} ⋈ {rows} + group"), &engine, &join, 10, reps);
-    sweep(&format!("scan-aggregate, {rows} rows × 4 partitions"), &engine, &agg, 5, reps);
-    engine.shutdown();
+    sweep(&format!("hash join {rows} ⋈ {rows} + group"), &ctx, &join, 10, reps);
+    sweep(&format!("scan-aggregate, {rows} rows × 4 partitions"), &ctx, &agg, 5, reps);
     println!(
         "\nExpected: one-tuple pages drown in per-page hand-off overhead (the\n\
          pre-batch semantics); throughput climbs steeply through the tens and\n\

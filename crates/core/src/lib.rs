@@ -11,13 +11,13 @@
 //! The crate provides two runtimes:
 //!
 //! * [`runtime::StagedRuntime`] — a production, OS-threaded runtime. Each
-//!   stage gets a bounded [`queue::StageQueue`] and a resizable worker pool.
-//!   Full queues exert **back-pressure**: `enqueue` blocks the producer, so
-//!   demand beyond capacity conditions the pipeline instead of collapsing it
-//!   (paper §4.1.1). Workers serve the queue in **cohorts** — gated batches
-//!   per queue visit ([`stage::BatchPolicy`], paper §4.2's cohort
-//!   scheduling), with the cohort bound tunable at run time
-//!   ([`runtime::StagedRuntime::set_batch`]). On an SMP this is the natural
+//!   stage gets a bounded [`queue::StageQueue`] and a worker pool fixed
+//!   when the runtime is built. Full queues exert **back-pressure**:
+//!   `enqueue` blocks the producer, so demand beyond capacity conditions
+//!   the pipeline instead of collapsing it (paper §4.1.1). Workers serve
+//!   the queue in **cohorts** — gated batches per queue visit
+//!   ([`stage::BatchPolicy`], paper §4.2's cohort scheduling), bounded by
+//!   the stage's build-time cohort bound. On an SMP this is the natural
 //!   "stage per CPU" mapping of paper §5.3.
 //! * [`coop::CoopExecutor`] — a deterministic, virtual-time, single-CPU
 //!   cooperative executor used to study the scheduling trade-off of paper
@@ -26,8 +26,9 @@
 //!   of the [`policy::Policy`] disciplines (PS, FCFS, non-gated, D-gated,
 //!   T-gated(k)).
 //!
-//! The [`tune`] module implements the self-tuning loop sketched in paper
-//! §4.4: per-stage monitoring feeds an autotuner that resizes worker pools.
+//! Per-stage monitoring ([`monitor`]) is the paper's §4.4 raw material;
+//! the self-tuning loop §4.4 sketches on top of it is not implemented —
+//! every stage's parameters are fixed when it is built (DESIGN.md §11).
 //!
 //! The crate is dependency-light and knows nothing about databases; the
 //! `staged-server` crate assembles an actual DBMS from it.
@@ -42,7 +43,6 @@ pub mod policy;
 pub mod queue;
 pub mod runtime;
 pub mod stage;
-pub mod tune;
 
 pub use error::{EnqueueError, StageError};
 pub use packet::{ClientInfo, Packet, QueryId, RouteInfo};
@@ -61,5 +61,4 @@ pub mod prelude {
     pub use crate::queue::StageQueue;
     pub use crate::runtime::{RuntimeBuilder, StagedRuntime};
     pub use crate::stage::{BatchPolicy, StageCtx, StageId, StageLogic, StageSpec};
-    pub use crate::tune::{AutoTuner, PageKnob, TuneConfig};
 }

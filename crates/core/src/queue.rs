@@ -214,8 +214,7 @@ impl<P> StageQueue<P> {
     }
 
     /// Append a batch to the *back* of this stage's own queue, exempt from
-    /// the capacity check and the closed flag (like
-    /// [`enqueue_front`](Self::enqueue_front), the packets were already
+    /// the capacity check and the closed flag (the packets were already
     /// admitted once — this is how a visit's buffered self-requeues
     /// rejoin the queue without deadlocking the stage against itself).
     pub fn requeue_back_batch(&self, packets: Vec<P>) {
@@ -231,25 +230,6 @@ impl<P> StageQueue<P> {
         self.counters.enqueued.fetch_add(n as u64, Ordering::Relaxed);
         drop(inner);
         notify_n(&self.not_empty, n);
-    }
-
-    /// Push to the *front* of the queue: used when a stage must requeue a
-    /// packet it cannot finish (paper §4.1.1 case iii) without losing its
-    /// position entirely.
-    pub fn enqueue_front(&self, packet: P) -> Result<(), EnqueueError<P>> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(EnqueueError::Closed(packet));
-        }
-        // Requeues are exempt from the capacity check: the packet was already
-        // admitted once, and blocking here could deadlock a stage against
-        // itself.
-        inner.items.push_front(packet);
-        self.note_depth(inner.items.len());
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Remove a packet, blocking while the queue is empty.
@@ -351,58 +331,6 @@ impl<P> StageQueue<P> {
         inner.items.is_empty() && inner.serving == 0
     }
 
-    /// Non-blocking [`dequeue_batch`](Self::dequeue_batch): up to `max`
-    /// packets already queued, or an empty vector. Used by exhaustive
-    /// (non-gated) visits to refill mid-visit without re-parking (the
-    /// visit is already open, so this opens none).
-    pub fn try_dequeue_batch(&self, max: usize) -> Vec<P> {
-        let max = max.max(1);
-        let mut inner = self.inner.lock();
-        let n = inner.items.len().min(max);
-        if n == 0 {
-            return Vec::new();
-        }
-        let cohort: Vec<P> = inner.items.drain(..n).collect();
-        self.counters.dequeued.fetch_add(n as u64, Ordering::Relaxed);
-        drop(inner);
-        notify_n(&self.not_full, n);
-        cohort
-    }
-
-    /// Return the unserved remainder of a cohort to the *head* of the
-    /// queue, preserving its internal order (a T-gated visit cutoff; paper
-    /// §4.2). Like [`enqueue_front`](Self::enqueue_front) this is exempt
-    /// from the capacity check and from the closed flag: the packets were
-    /// already admitted once, and dropping them on shutdown would lose
-    /// work that [`close`](Self::close)'s drain contract promises to
-    /// finish.
-    pub fn requeue_front_batch(&self, packets: Vec<P>) {
-        if packets.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let n = packets.len();
-        for p in packets.into_iter().rev() {
-            inner.items.push_front(p);
-        }
-        self.note_depth(inner.items.len());
-        self.counters.enqueued.fetch_add(n as u64, Ordering::Relaxed);
-        drop(inner);
-        notify_n(&self.not_empty, n);
-    }
-
-    /// Remove a packet without blocking.
-    pub fn try_dequeue(&self) -> Option<P> {
-        let mut inner = self.inner.lock();
-        let p = inner.items.pop_front();
-        if p.is_some() {
-            self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
-            drop(inner);
-            self.not_full.notify_one();
-        }
-        p
-    }
-
     /// Close the queue: pending packets can still be dequeued, new enqueues
     /// fail, blocked producers and consumers wake up.
     pub fn close(&self) {
@@ -495,16 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_front_bypasses_fifo() {
-        let q = StageQueue::new(4);
-        q.enqueue(1).unwrap();
-        q.enqueue(2).unwrap();
-        q.enqueue_front(0).unwrap();
-        assert_eq!(q.dequeue(), Some(0));
-        assert_eq!(q.dequeue(), Some(1));
-    }
-
-    #[test]
     fn stats_track_depth_high_water() {
         let q = StageQueue::new(16);
         for i in 0..7 {
@@ -550,17 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn try_dequeue_batch_refills_without_blocking() {
-        let q = StageQueue::new(8);
-        assert!(q.try_dequeue_batch(4).is_empty());
-        for i in 0..3 {
-            q.enqueue(i).unwrap();
-        }
-        assert_eq!(q.try_dequeue_batch(2), vec![0, 1]);
-        assert_eq!(q.try_dequeue_batch(2), vec![2]);
-    }
-
-    #[test]
     fn a_visit_can_be_claimed_only_on_an_idle_queue() {
         let q = StageQueue::new(4);
         assert!(q.is_quiet());
@@ -579,41 +486,6 @@ mod tests {
         q.enqueue(2).unwrap();
         q.requeue_back(3);
         assert_eq!((q.dequeue(), q.dequeue()), (Some(2), Some(3)));
-    }
-
-    #[test]
-    fn requeue_front_batch_preserves_order_and_position() {
-        let q = StageQueue::new(8);
-        for i in 0..5 {
-            q.enqueue(i).unwrap();
-        }
-        let DequeuedCohort::Cohort(mut cohort) = q.dequeue_batch(4, Duration::from_millis(5))
-        else {
-            panic!("expected cohort");
-        };
-        // Serve the first packet; a cutoff sends the rest back to the head.
-        assert_eq!(cohort.remove(0), 0);
-        q.requeue_front_batch(cohort);
-        // Global FIFO order is intact: 1, 2, 3 lead 4.
-        assert_eq!(q.dequeue(), Some(1));
-        assert_eq!(q.dequeue(), Some(2));
-        assert_eq!(q.dequeue(), Some(3));
-        assert_eq!(q.dequeue(), Some(4));
-    }
-
-    #[test]
-    fn requeue_front_batch_is_capacity_and_close_exempt() {
-        let q = StageQueue::new(1);
-        q.enqueue(10).unwrap();
-        let DequeuedCohort::Cohort(cohort) = q.dequeue_batch(1, Duration::from_millis(5)) else {
-            panic!("expected cohort");
-        };
-        q.enqueue(11).unwrap(); // queue full again
-        q.close();
-        q.requeue_front_batch(cohort); // must not block or drop
-        assert_eq!(q.dequeue(), Some(10));
-        assert_eq!(q.dequeue(), Some(11));
-        assert_eq!(q.dequeue(), None);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! other stages through a well-defined interface" (paper §4.1).
 
 use crate::error::{EnqueueError, StageError};
-use crate::policy::{BatchDiscipline, Policy};
 use crate::runtime::RuntimeShared;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -15,15 +14,11 @@ pub type StageId = usize;
 /// served during one queue visit (paper §4.2: cohort scheduling amortizes
 /// the module "load time" over a whole visit).
 ///
-/// This is the OS-threaded runtime's rendering of the gated-service
-/// vocabulary of [`crate::policy`]: the three staged policies map onto the
-/// three batched variants, while the two thread-centric policies (PS, FCFS)
-/// have no module-affine batch to speak of and map onto [`Single`]
-/// (see [`BatchPolicy::from`]). DESIGN.md §11 documents where the
-/// production semantics intentionally diverge from the simulator's.
-///
-/// [`Single`]: BatchPolicy::Single
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The production runtime serves one of the §4.2 disciplines, D-gated;
+/// the full policy space of [`crate::policy`] (non-gated and T-gated(k)
+/// included) is studied where it can be measured deterministically, in
+/// [`crate::coop`] and `staged-sim` (DESIGN.md §11).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
     /// One packet per visit, taken from the stage's own queue by the
     /// stage's own workers — and nothing else: the runtime never *follows*
@@ -38,43 +33,10 @@ pub enum BatchPolicy {
     /// concurrently with the stage's own workers, exactly as a second
     /// worker would.
     Single,
-    /// Non-gated (exhaustive) service: the visit keeps refilling from the
-    /// queue, a cohort-bound packets at a time, until it finds the queue
-    /// momentarily empty.
-    Exhaustive,
     /// Gated service: the visit serves only the packets already queued
     /// when it starts (up to the cohort bound); later arrivals wait for
     /// the next visit.
     DGated,
-    /// Gated service with a visit *cutoff* of `cutoff_factor ×` the
-    /// stage's mean per-packet demand, pro-rated over the packets served
-    /// so far. A worker cannot preempt OS-threaded stage code mid-packet,
-    /// so — unlike the simulator's T-gated(k), which requeues the long
-    /// packet itself — the overrunning packet completes and the *unserved
-    /// remainder* of the cohort is returned to the head of the queue,
-    /// recording a cutoff preemption.
-    TGated {
-        /// Multiple of the stage's observed mean demand each served
-        /// packet contributes to the visit budget.
-        cutoff_factor: f64,
-    },
-}
-
-impl From<Policy> for BatchPolicy {
-    /// Map the §4.2 scheduling vocabulary onto production cohort
-    /// semantics. The staged policies carry their discipline over; PS and
-    /// FCFS describe thread-centric servers with no per-module batching,
-    /// so they degrade to one-at-a-time service.
-    fn from(p: Policy) -> Self {
-        match p.discipline() {
-            Some(BatchDiscipline::Exhaustive) => BatchPolicy::Exhaustive,
-            Some(BatchDiscipline::Gated) => BatchPolicy::DGated,
-            Some(BatchDiscipline::GatedCutoff { cutoff_factor }) => {
-                BatchPolicy::TGated { cutoff_factor }
-            }
-            None => BatchPolicy::Single,
-        }
-    }
 }
 
 /// Outcome of processing one packet; mirrors the three cases of §4.1.1.
@@ -94,11 +56,11 @@ pub type StageResult = Result<(), StageError>;
 /// and sources".
 pub trait StageLogic<P: Send + 'static>: Send + Sync + 'static {
     /// Process one packet. Forward work with [`StageCtx::send`], requeue with
-    /// [`StageCtx::requeue`], or drop the packet to destroy it.
+    /// [`StageCtx::requeue_back`], or drop the packet to destroy it.
     fn process(&self, packet: P, ctx: &StageCtx<'_, P>) -> StageResult;
 
     /// Called when a worker finds the queue empty (after a poll timeout).
-    /// Stages use this for housekeeping (flushing buffers, tuning).
+    /// Stages use this for housekeeping (flushing buffers, pumping feeds).
     fn on_idle(&self, _ctx: &StageCtx<'_, P>) {}
 }
 
@@ -113,7 +75,8 @@ where
     }
 }
 
-/// Static description of a stage, handed to the runtime builder.
+/// Static description of a stage, handed to the runtime builder. Every
+/// parameter is fixed for the runtime's lifetime.
 pub struct StageSpec<P: Send + 'static> {
     /// Stage name (unique within a runtime).
     pub name: String,
@@ -121,13 +84,12 @@ pub struct StageSpec<P: Send + 'static> {
     pub logic: Arc<dyn StageLogic<P>>,
     /// Capacity of the incoming packet queue.
     pub queue_capacity: usize,
-    /// Initial number of worker threads.
+    /// Number of worker threads.
     pub workers: usize,
     /// How workers form cohorts during a queue visit.
     pub batch: BatchPolicy,
-    /// Upper bound on the packets a visit may take per queue grab (the
-    /// run-time-tunable batch knob, §4.4 knob (b); see
-    /// [`crate::runtime::StagedRuntime::set_batch`]).
+    /// Upper bound on the packets one visit serves (ignored by
+    /// [`BatchPolicy::Single`] stages, which serve one).
     pub max_cohort: usize,
 }
 
@@ -151,7 +113,7 @@ impl<P: Send + 'static> StageSpec<P> {
         self
     }
 
-    /// Set the initial worker count.
+    /// Set the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -163,7 +125,7 @@ impl<P: Send + 'static> StageSpec<P> {
         self
     }
 
-    /// Set the initial cohort bound (min 1).
+    /// Set the cohort bound (min 1).
     pub fn with_max_cohort(mut self, max: usize) -> Self {
         self.max_cohort = max.max(1);
         self
@@ -220,17 +182,13 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
         self.shared.try_enqueue(dest, packet)
     }
 
-    /// Put a packet back into this stage's own queue (paper case iii: "there
-    /// is more work but the client needs to wait on some condition").
-    pub fn requeue(&self, packet: P) -> Result<(), EnqueueError<P>> {
-        self.shared.stage(self.stage_id).queue.enqueue_front(packet)
-    }
-
-    /// Put a packet at the back of this stage's own queue (round-robin style
-    /// yield used by the staged execution engine when an output buffer is
-    /// full or input is empty, §4.3). Buffered like [`send`](Self::send)
-    /// during a visit; the flush appends self-requeues capacity-exempt, so
-    /// a yielding cohort can never deadlock its own stage.
+    /// Put a packet at the back of this stage's own queue (paper case iii:
+    /// "there is more work but the client needs to wait on some
+    /// condition"; the staged execution engine's round-robin yield when an
+    /// output buffer is full or input is empty, §4.3). Buffered like
+    /// [`send`](Self::send) during a visit; the flush appends self-requeues
+    /// capacity-exempt, so a yielding cohort can never deadlock its own
+    /// stage.
     pub fn requeue_back(&self, packet: P) -> Result<(), EnqueueError<P>> {
         if let Some(out) = &self.outbox {
             out.borrow_mut().push((self.stage_id, packet));
@@ -244,16 +202,10 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
         self.shared.stage_id(name)
     }
 
-    /// Depth of some stage's queue (used by routing decisions and tuning).
+    /// Depth of some stage's queue (the engine's stages pace their yield
+    /// back-off by it).
     pub fn queue_depth(&self, stage: StageId) -> usize {
         self.shared.stage(stage).queue.len()
-    }
-
-    /// Report time this worker spent blocked on I/O while processing the
-    /// current packet. Feeds the per-stage monitor so the autotuner can size
-    /// the pool by I/O frequency (§5.1(1)).
-    pub fn record_io_blocked(&self, blocked: std::time::Duration) {
-        self.shared.stage(self.stage_id).monitor.record_io_blocked(blocked);
     }
 
     /// Report that the current packet was requeued to wait on a condition

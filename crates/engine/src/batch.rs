@@ -4,9 +4,9 @@
 
 use staged_storage::Tuple;
 
-/// A page of tuples flowing between stages. The capacity is self-tuning
-/// knob (c) of paper §4.4: "the page size for exchanging intermediate
-/// results among the execution engine stages".
+/// A page of tuples flowing between stages. The capacity is knob (c) of
+/// paper §4.4, "the page size for exchanging intermediate results among
+/// the execution engine stages", fixed per engine.
 #[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
     tuples: Vec<Tuple>,

@@ -32,31 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Live value of the exchange page size — self-tuning knob (c) of §4.4
-/// ("the page size for exchanging intermediate results among the execution
-/// engine stages"). One handle is shared by the engine and every task
-/// emitter, so [`StagedEngine::set_page_size`] takes effect on the very
-/// next page each producer seals, even mid-query.
-#[derive(Clone, Debug)]
-pub struct PageSize(Arc<AtomicUsize>);
-
-impl PageSize {
-    /// A handle starting at `n` tuples per page (clamped to ≥ 1).
-    pub fn new(n: usize) -> Self {
-        Self(Arc::new(AtomicUsize::new(n.max(1))))
-    }
-
-    /// Current tuples-per-page value.
-    pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Change the page size (clamped to ≥ 1).
-    pub fn set(&self, n: usize) {
-        self.0.store(n.max(1), Ordering::Relaxed);
-    }
-}
-
 /// The execution-engine stages of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
@@ -124,8 +99,7 @@ pub trait OperatorTask: Send {
 }
 
 /// Bounded single-producer/single-consumer page buffer between stages.
-/// Capacity is counted in *pages* (a page's size is the live knob (c)
-/// value), while [`ExchangeBuffer::queued_tuples`] keeps the backlog
+/// Capacity is counted in *pages* (of the engine's page size), while [`ExchangeBuffer::queued_tuples`] keeps the backlog
 /// observable in tuples so back-pressure accounting stays denominated in
 /// rows regardless of the page size.
 pub struct ExchangeBuffer {
@@ -279,18 +253,15 @@ pub struct RootActivator;
 /// Tuning of the staged engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Initial tuples per exchanged page (knob (c) of §4.4). The live
-    /// value is a runtime knob — [`StagedEngine::set_page_size`] — that
-    /// every in-flight emitter observes on its next page.
+    /// Tuples per exchanged page (knob (c) of §4.4), fixed for the
+    /// engine's lifetime (DESIGN.md §12).
     pub batch_capacity: usize,
     /// Batches each exchange buffer may hold before back-pressure.
     pub buffer_depth: usize,
     /// Worker threads per stage.
     pub workers_per_stage: usize,
     /// Task packets an engine-stage worker may serve per queue visit
-    /// (cohort scheduling, §4.2; knob (b) of §4.4 — tunable later via
-    /// [`StagedRuntime::set_batch`] on [`StagedEngine::runtime`]). Gated
-    /// service: a task requeued mid-visit (Working/Blocked yields) goes to
+    /// (cohort scheduling, §4.2; knob (b) of §4.4). Gated service: a task requeued mid-visit (Working/Blocked yields) goes to
     /// the back of the queue and joins the *next* visit, so a cohort never
     /// spins on its own yields.
     pub cohort: usize,
@@ -307,7 +278,6 @@ pub struct StagedEngine {
     runtime: StagedRuntime<TaskPacket>,
     ctx: ExecContext,
     config: EngineConfig,
-    page: PageSize,
 }
 
 impl StagedEngine {
@@ -321,10 +291,9 @@ impl StagedEngine {
                 StageSpec::new(kind.name(), logic)
                     .with_queue_capacity(4096)
                     .with_workers(config.workers_per_stage)
-                    // Gated cohorts (not exhaustive): operator tasks yield
-                    // by requeueing themselves to the back, and exhaustive
-                    // refills would pull those yields straight back into
-                    // the same visit — a busy-spin over blocked tasks.
+                    // Gated cohorts: operator tasks yield by requeueing
+                    // themselves to the back, where the next visit finds
+                    // them — a visit never spins over its own yields.
                     .with_batch(BatchPolicy::DGated)
                     .with_max_cohort(config.cohort),
             );
@@ -333,8 +302,7 @@ impl StagedEngine {
             assert_eq!(id, kind as StageId, "stages register in StageKind::ALL order");
         }
         let runtime = builder.build();
-        let page = PageSize::new(config.batch_capacity);
-        Arc::new(Self { runtime, ctx, config, page })
+        Arc::new(Self { runtime, ctx, config })
     }
 
     /// Stage id for a kind.
@@ -342,7 +310,7 @@ impl StagedEngine {
         kind as StageId
     }
 
-    /// The underlying runtime (monitoring, worker tuning).
+    /// The underlying runtime (monitoring, inline service).
     pub fn runtime(&self) -> &StagedRuntime<TaskPacket> {
         &self.runtime
     }
@@ -357,32 +325,10 @@ impl StagedEngine {
         &self.config
     }
 
-    /// Change the exchange page size (knob (c)) at runtime, mirroring the
-    /// cohort knob (b) on [`StagedRuntime::set_batch`]. Clamped to ≥ 1;
-    /// in-flight queries pick the new size up on their next page.
-    pub fn set_page_size(&self, tuples: usize) {
-        self.page.set(tuples);
-    }
-
-    /// Current exchange page size in tuples.
+    /// Exchange page size in tuples: [`EngineConfig::batch_capacity`],
+    /// at least 1.
     pub fn page_size(&self) -> usize {
-        self.page.get()
-    }
-
-    /// The shared page-size handle (cloned into every emitter).
-    pub fn page_handle(&self) -> PageSize {
-        self.page.clone()
-    }
-
-    /// Package knob (c) for the [`staged_core::tune::AutoTuner`]: a
-    /// getter/setter pair over this engine's live page size.
-    pub fn page_knob(&self) -> staged_core::tune::PageKnob {
-        let get = self.page.clone();
-        let set = self.page.clone();
-        staged_core::tune::PageKnob {
-            get: Arc::new(move || get.get()),
-            set: Arc::new(move |n| set.set(n)),
-        }
+        self.config.batch_capacity.max(1)
     }
 
     /// Submit a plan; returns a handle delivering result tuples. A lone
@@ -819,17 +765,6 @@ mod tests {
         assert_eq!(b.queued_tuples(), 2);
         b.try_pop().unwrap();
         assert_eq!(b.queued_tuples(), 0);
-    }
-
-    #[test]
-    fn page_size_handle_is_shared_and_clamped() {
-        let p = PageSize::new(0);
-        assert_eq!(p.get(), 1, "page size clamps to >= 1");
-        let p2 = p.clone();
-        p.set(512);
-        assert_eq!(p2.get(), 512, "clones observe live updates");
-        p2.set(0);
-        assert_eq!(p.get(), 1);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use super::{
     apply_transforms, prune_scan_columns, shut_down, Activator, EngineConfig, ExchangeBuffer,
-    OperatorTask, PageSize, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform,
-    TupleBatch,
+    OperatorTask, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform, TupleBatch,
 };
 use crate::agg::AggMerger;
 use crate::context::ExecContext;
@@ -20,29 +19,28 @@ use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
 
 /// Batch-building output side of a task: stages tuples, flushes pages into
-/// the exchange buffer, activates the parent bottom-up. The page size is
-/// read live from the engine's shared [`PageSize`] handle (knob (c)), so a
-/// `set_page_size` call changes the next page every in-flight emitter
-/// seals. All accounting — the staged backlog, [`Emitter::ready`] — is
-/// denominated in *tuples*, never pages, so back-pressure thresholds mean
-/// the same thing at page size 1 and page size 4096.
+/// the exchange buffer, activates the parent bottom-up. Pages hold the
+/// engine's fixed page size ([`StagedEngine::page_size`]). All accounting
+/// — the staged backlog, [`Emitter::ready`] — is denominated in *tuples*,
+/// never pages, so back-pressure thresholds mean the same thing at page
+/// size 1 and page size 4096.
 pub struct Emitter {
     out: Arc<ExchangeBuffer>,
     parent: Arc<Activator>,
-    page: PageSize,
+    page: usize,
     staging: Vec<Tuple>,
     closed: bool,
 }
 
 impl Emitter {
-    /// Create an emitter sealing pages of the handle's live size.
-    pub fn new(out: Arc<ExchangeBuffer>, parent: Arc<Activator>, page: PageSize) -> Self {
-        Self { out, parent, page, staging: Vec::new(), closed: false }
+    /// Create an emitter sealing pages of `page` tuples (at least 1).
+    pub fn new(out: Arc<ExchangeBuffer>, parent: Arc<Activator>, page: usize) -> Self {
+        Self { out, parent, page: page.max(1), staging: Vec::new(), closed: false }
     }
 
-    /// The live tuples-per-page bound (knob (c)).
+    /// The tuples-per-page bound (knob (c)).
     pub fn page_cap(&self) -> usize {
-        self.page.get()
+        self.page
     }
 
     /// Queue a tuple and flush full pages opportunistically.
@@ -248,7 +246,7 @@ fn build(
                 ctx,
                 scan,
                 transforms: ts,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
                 input_done: false,
             };
             engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
@@ -271,7 +269,7 @@ fn build(
                 ctx,
                 scan,
                 transforms: ts,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
                 input_done: false,
             };
             engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
@@ -303,7 +301,7 @@ fn build(
                 rows: None,
                 pos: 0,
                 transforms,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
             };
             engine.enqueue(StageKind::IScan, TaskPacket { ctl, task: Box::new(task) });
         }
@@ -317,7 +315,7 @@ fn build(
                 sorted: false,
                 pos: 0,
                 transforms,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
             };
             act.park(
                 engine.stage_id(StageKind::Sort),
@@ -346,7 +344,7 @@ fn build(
                 group_by,
                 aggs,
                 transforms,
-                Emitter::new(out, parent, engine.page_handle()),
+                Emitter::new(out, parent, engine.page_size()),
             );
             act.park(
                 engine.stage_id(StageKind::Aggr),
@@ -361,7 +359,7 @@ fn build(
                 input: Intake::new(Arc::clone(&in_buf)),
                 seen: HashSet::new(),
                 transforms,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
             };
             act.park(
                 engine.stage_id(StageKind::Aggr),
@@ -381,7 +379,7 @@ fn build(
                 residual: residual.clone(),
                 table: HashMap::new(),
                 transforms,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
             };
             act.park(
                 engine.stage_id(StageKind::Join),
@@ -404,7 +402,7 @@ fn build(
                 output: None,
                 pos: 0,
                 transforms,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
             };
             act.park(
                 engine.stage_id(StageKind::Join),
@@ -427,7 +425,7 @@ fn build(
                 i: 0,
                 j: 0,
                 transforms,
-                emitter: Emitter::new(out, parent, engine.page_handle()),
+                emitter: Emitter::new(out, parent, engine.page_size()),
             };
             act.park(
                 engine.stage_id(StageKind::Join),
@@ -503,7 +501,7 @@ fn fan_in(
         intakes.push(Intake::new(Arc::clone(&b)));
         bufs.push(b);
     }
-    let task = make_task(intakes, Emitter::new(out, parent, engine.page_handle()));
+    let task = make_task(intakes, Emitter::new(out, parent, engine.page_size()));
     act.park(engine.stage_id(StageKind::Merge), TaskPacket { ctl: Arc::clone(&ctl), task });
     for (input, buf) in inputs.iter().zip(bufs) {
         build(engine, input, buf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl), cfg);
@@ -1380,7 +1378,7 @@ mod tests {
         // the stall threshold must count tuples, not pages.
         let engine = test_engine();
         let buf = ExchangeBuffer::new(1);
-        let mut e = Emitter::new(Arc::clone(&buf), engine.make_activator(), PageSize::new(4));
+        let mut e = Emitter::new(Arc::clone(&buf), engine.make_activator(), 4);
         for i in 0..4 {
             assert!(e.ready());
             e.emit(tuple(i));
@@ -1404,17 +1402,18 @@ mod tests {
     }
 
     #[test]
-    fn emitter_observes_live_page_size_changes() {
-        // Knob (c) applies to the next page an in-flight emitter seals.
-        let engine = test_engine();
+    fn emitter_seals_pages_of_the_engine_page_size() {
+        // Knob (c) is fixed per engine; a page size of 0 clamps to 1.
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 8)));
+        let cfg = |batch_capacity| EngineConfig { batch_capacity, ..Default::default() };
+        let tiny = StagedEngine::new(ExecContext::new(Arc::clone(&cat)), cfg(0));
+        assert_eq!(tiny.page_size(), 1);
+        tiny.shutdown();
+        let engine = StagedEngine::new(ExecContext::new(cat), cfg(3));
         let buf = ExchangeBuffer::new(8);
-        let page = PageSize::new(2);
-        let mut e = Emitter::new(Arc::clone(&buf), engine.make_activator(), page.clone());
-        e.emit_all((0..2).map(tuple));
-        assert_eq!(buf.try_pop().unwrap().len(), 2);
-        page.set(3);
+        let mut e = Emitter::new(Arc::clone(&buf), engine.make_activator(), engine.page_size());
         e.emit_all((0..7).map(tuple));
-        assert_eq!(buf.try_pop().unwrap().len(), 3, "new page size in effect");
+        assert_eq!(buf.try_pop().unwrap().len(), 3);
         assert_eq!(buf.try_pop().unwrap().len(), 3);
         assert_eq!(e.staging.len(), 1, "partial page stays staged until finish");
         assert!(e.finish());

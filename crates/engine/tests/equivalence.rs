@@ -461,29 +461,6 @@ fn partitioned_two_phase_aggregation_matches_at_every_page_size() {
 }
 
 #[test]
-fn page_size_is_adjustable_on_a_live_engine() {
-    // Knob (c) is a run-time knob: retuning the page size on a running
-    // engine must apply to subsequent queries without affecting results.
-    let cat = setup();
-    let ctx = ExecContext::new(Arc::clone(&cat));
-    let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
-    let mk_plan = |sql: &str| {
-        let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!() };
-        let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
-        plan_select(&bound, &cat, &PlannerConfig::default()).unwrap()
-    };
-    let sql = "SELECT grp, COUNT(*), SUM(a) FROM t GROUP BY grp";
-    let expect = canonical(volcano::run(&mk_plan(sql), &ctx).unwrap());
-    for page in [4096usize, 1, 64] {
-        engine.set_page_size(page);
-        assert_eq!(engine.page_size(), page);
-        let rows = engine.execute(&mk_plan(sql)).collect().unwrap();
-        assert_eq!(canonical(rows), expect, "retuned page {page} changed results");
-    }
-    engine.shutdown();
-}
-
-#[test]
 fn partitioned_index_scans_merge_per_partition_btrees() {
     for parts in [1usize, 2, 4] {
         let cat = setup_partitioned(parts, true);

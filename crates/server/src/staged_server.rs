@@ -467,9 +467,9 @@ fn packet(body: PacketBody, session: Option<u64>) -> (SPacket, Receiver<Response
     (SPacket { session, slot: TxnSlot::default(), lock_deadline: None, body, reply }, rx)
 }
 
-/// One stage's spec. `cohorts` stages serve gated cohorts under the
-/// configured policy (and a lone packet may be followed into them); the
-/// others are [`BatchPolicy::Single`].
+/// One stage's spec. `cohorts` stages serve gated cohorts of at most
+/// `config.max_cohort` packets (and a lone packet may be followed into
+/// them); the others are [`BatchPolicy::Single`].
 fn spec(
     name: &str,
     logic: impl StageLogic<SPacket>,
@@ -481,7 +481,7 @@ fn spec(
         .with_queue_capacity(config.queue_capacity)
         .with_workers(workers);
     if cohorts {
-        spec.with_batch(config.batch).with_max_cohort(config.max_cohort)
+        spec.with_batch(BatchPolicy::DGated).with_max_cohort(config.max_cohort)
     } else {
         spec.with_batch(BatchPolicy::Single)
     }
@@ -717,9 +717,10 @@ impl StagedServer {
     }
 
     /// The `STATS` result: one row per stage, one for the engine's
-    /// exchange layer — its `batch` column carries the live exchange page
-    /// size (§4.4 knob (c)), the same way stage rows carry their cohort
-    /// bound (knob (b)) — then the core's synthetic rows.
+    /// exchange layer — its `batch` column carries the exchange page size
+    /// (§4.4 knob (c)), the same way stage rows carry their cohort bound
+    /// (knob (b)) — then the core's synthetic rows. Stage rows read 0 in
+    /// `preempts`: gated visits are never cut off.
     pub(crate) fn stats_output(&self) -> QueryOutput {
         let mut rows: Vec<_> = self
             .stage_stats()
@@ -736,10 +737,10 @@ impl StagedServer {
                     s.idle_polls,
                     s.cohorts,
                     s.max_cohort as u64,
-                    s.cutoff_preempts,
+                    0,
                     s.batch_limit as u64,
                     s.queue.depth as u64,
-                    s.spawned_workers as u64,
+                    s.workers as u64,
                 ];
                 stats_row(&s.name, counters)
             })
@@ -752,11 +753,6 @@ impl StagedServer {
     /// Execution-engine stage monitoring.
     pub fn engine_stats(&self) -> Vec<StageStats> {
         self.shared.engine.runtime().stats()
-    }
-
-    /// The runtime, for autotuner attachment.
-    pub fn runtime(&self) -> &StagedRuntime<SPacket> {
-        &self.runtime
     }
 
     /// The inner staged execution engine.

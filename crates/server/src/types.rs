@@ -1,6 +1,5 @@
 //! Server-facing request/response types and configuration.
 
-use staged_core::BatchPolicy;
 use staged_engine::staged::EngineConfig;
 use staged_planner::PlannerConfig;
 use staged_storage::{Schema, Tuple};
@@ -144,17 +143,8 @@ pub struct ServerConfig {
     /// disconnect stages serve gated cohorts of at most this many packets,
     /// amortizing each stage's cache warm-up and queue synchronization
     /// over the visit. The `net` and `checkpoint` stages always serve
-    /// one-at-a-time (see DESIGN.md §11). Tunable at run time through
-    /// [`StagedRuntime::set_batch`] on the server's runtime handle.
-    ///
-    /// [`StagedRuntime::set_batch`]: staged_core::StagedRuntime::set_batch
+    /// one-at-a-time (see DESIGN.md §11).
     pub max_cohort: usize,
-    /// Cohort discipline of the batched pipeline stages: gated by
-    /// default; [`BatchPolicy::Exhaustive`] or [`BatchPolicy::TGated`]
-    /// select non-gated or cutoff service (the §4.2 policy space). The
-    /// `net`/`checkpoint` stages ignore this and stay
-    /// [`BatchPolicy::Single`].
-    pub batch: BatchPolicy,
     /// Hash partitions for tables created through this server's DDL path
     /// (1 = unpartitioned). Partitioned tables are scanned and aggregated
     /// partition-parallel by the staged engine (paper §6), and DML routes
@@ -193,7 +183,6 @@ impl Default for ServerConfig {
             execute_workers: 4,
             queue_capacity: 128,
             max_cohort: 16,
-            batch: BatchPolicy::DGated,
             partitions: 1,
             engine: EngineConfig::default(),
             planner: PlannerConfig::default(),

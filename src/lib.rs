@@ -26,7 +26,7 @@
 //! server.shutdown();
 //! ```
 
-/// The staging runtime (stages, queues, packets, policies, autotuning).
+/// The staging runtime (stages, queues, packets, policies, monitors).
 pub use staged_core as core;
 
 /// Software cache models and Table-1 reference classification.

@@ -251,6 +251,43 @@ fn wire_point_lookup_probes_the_index_instead_of_scanning() {
     server.shutdown();
 }
 
+/// Every stage's pool is fixed when the server is built: the `STATS`
+/// `workers` column is the configured size, and no gated visit is ever
+/// cut off, so `preempts` reads 0 on every stage row.
+#[test]
+fn stats_report_each_stage_fixed_pool_and_no_preemptions() {
+    use staged_db::dbclient::Client;
+    use staged_db::server::net::{self, NetConfig};
+
+    let config = ServerConfig { control_workers: 2, execute_workers: 3, ..Default::default() };
+    let server = StagedServer::new(catalog(), config);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let handle = net::serve(listener, Arc::clone(&server), NetConfig::default()).unwrap();
+    let mut client =
+        Client::connect_timeout(handle.local_addr(), std::time::Duration::from_secs(5)).unwrap();
+    client.query("SELECT COUNT(*) FROM wisc1").unwrap();
+    let stats = client.stats().unwrap();
+    let pools = [
+        ("net", 2),
+        ("connect", 2),
+        ("parse", 2),
+        ("optimize", 2),
+        ("lock", 2),
+        ("checkpoint", 1),
+        ("execute", 3),
+        ("disconnect", 2),
+    ];
+    for (stage, workers) in pools {
+        let row = stats.rows.iter().find(|r| r[0].as_deref() == Some(stage)).expect(stage);
+        let col = |i: usize| -> i64 { row[i].as_ref().unwrap().parse().unwrap() };
+        assert_eq!(col(10), workers, "{stage}: workers column");
+        assert_eq!(col(7), 0, "{stage}: preempts column");
+    }
+    drop(client);
+    handle.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn errors_propagate_with_messages() {
     let cat = catalog();
