@@ -168,8 +168,8 @@ pub fn checkpoint_with_floor(
 /// a transaction absent from [`TxnManager::active_xids`] is guaranteed
 /// finished — not mid-commit — so its leftover `Pending` stamps are dead
 /// and reapable. Timestamp-based reclamation is bounded by the oracle's
-/// oldest pinned snapshot; the position-dependent moves (rollback anchor
-/// collapses) additionally require that *no* snapshot is pinned at all.
+/// oldest pinned snapshot; reaping those `Pending` stamps additionally
+/// requires that *no* snapshot is pinned at all.
 /// Long-running `BEGIN READ ONLY` sessions therefore delay GC, never
 /// correctness.
 pub fn vacuum(catalog: &Catalog, mgr: &TxnManager) -> VacuumStats {

@@ -9,6 +9,8 @@
 //! - **Undo via before-images.** Every WAL-logged heap change also pushes
 //!   an [`Undo`] entry into the transaction's in-memory undo log; `ROLLBACK`
 //!   replays it in reverse, restoring heap *and* per-partition index state.
+//!   A deleted row comes back in place, at its own rid, so a row keeps one
+//!   rid for its whole life and the log never names a row that moved.
 //! - **Atomic commit.** `COMMIT` appends a `Commit` record, which forces
 //!   the log to disk; redo recovery ([`crate::dml::redo`]) replays only
 //!   transactions whose commit record is durable, so a crash between
@@ -39,14 +41,13 @@ pub enum Undo {
         /// Where it landed.
         rid: Rid,
     },
-    /// The transaction deleted a row; undo re-inserts the before-image
-    /// (re-routed through the hash partitioner, indexes restored).
+    /// The transaction deleted a row; undo restores the before-image in
+    /// place at `rid` (the tombstoned slot still holds its bytes) and
+    /// re-inserts its index entries.
     Delete {
         /// Table the row was removed from.
         table: u32,
-        /// Where it lived when the transaction deleted it. Undo may
-        /// re-insert it elsewhere; the rollback keeps a remap so earlier
-        /// undo entries referencing this rid still find the row.
+        /// Where it lived, and where undo puts it back.
         rid: Rid,
         /// Encoded before-image.
         before: Vec<u8>,
@@ -190,47 +191,34 @@ impl TxnManager {
     }
 
     fn apply_undo(&self, undo: &[Undo], ctx: &ExecContext) -> EngineResult<u64> {
-        // When a transaction touches the same logical row more than once
-        // (update then delete), the row's rid at undo time differs from
-        // the rid recorded earlier: undoing the delete re-inserts the row
-        // wherever the heap has space. The remap tracks those moves so
-        // older undo entries still resolve to the live copy.
-        let mut remap: HashMap<(u32, Rid), Rid> = HashMap::new();
         let mut applied = 0u64;
         for entry in undo.iter().rev() {
             match entry {
                 Undo::Insert { table, rid } => {
-                    let rid = remap.remove(&(*table, *rid)).unwrap_or(*rid);
                     let info = ctx.catalog.table_by_id(TableId(*table))?;
-                    let row = info.heap.get(rid)?;
+                    let row = info.heap.get(*rid)?;
                     let part = info.heap.partition_of(&row);
-                    info.heap.delete(rid)?;
+                    info.heap.delete(*rid)?;
                     for ix in ctx.catalog.indexes_for(info.id) {
                         if let Some(k) = row.get(ix.column).as_int() {
-                            ix.delete(part, k, rid)?;
+                            ix.delete(part, k, *rid)?;
                         }
                     }
                 }
                 Undo::Delete { table, rid, before } => {
+                    // The row comes back at its own rid, so the log, the
+                    // snapshot and a replica keep naming it. The dead
+                    // version at `rid` stays until GC: a scan that decoded
+                    // the page while the slot was tombstoned finds the row
+                    // there, and one that decodes it now deduplicates.
                     let info = ctx.catalog.table_by_id(TableId(*table))?;
                     let row = Tuple::decode(before)?;
-                    // Re-insert the before-image, anchoring the new copy to
-                    // the dead version at the old rid: the twin stays
-                    // invisible (a concurrent snapshot scan may already
-                    // have passed its page) and readers keep finding the
-                    // row through the dead version until GC collapses the
-                    // pair.
-                    let old = *rid;
-                    let versions = Arc::clone(&info.versions);
-                    let (part, new_rid) =
-                        info.heap.insert_routed_with(&row, |nr| versions.note_restore(old, nr))?;
+                    let part = info.heap.partition_of(&row);
+                    info.heap.restore(*rid, before)?;
                     for ix in ctx.catalog.indexes_for(info.id) {
                         if let Some(k) = row.get(ix.column).as_int() {
-                            ix.insert(part, k, new_rid)?;
+                            ix.insert(part, k, *rid)?;
                         }
-                    }
-                    if new_rid != *rid {
-                        remap.insert((*table, *rid), new_rid);
                     }
                 }
             }
@@ -294,13 +282,18 @@ mod tests {
         (lo..hi).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 10)])).collect()
     }
 
-    fn content(t: &staged_storage::catalog::TableInfo) -> Vec<Vec<Vec<u8>>> {
+    /// Each partition's `(rid, bytes)` pairs in scan order: equal only if
+    /// every row is back at its own rid.
+    fn content(t: &staged_storage::catalog::TableInfo) -> Vec<Vec<(Rid, Vec<u8>)>> {
         (0..t.heap.partitions())
             .map(|p| {
-                let mut v: Vec<Vec<u8>> =
-                    t.heap.scan_partition(p).map(|r| r.unwrap().1.encode()).collect();
-                v.sort();
-                v
+                t.heap
+                    .scan_partition(p)
+                    .map(|r| {
+                        let (rid, row) = r.unwrap();
+                        (rid, row.encode())
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -322,6 +315,8 @@ mod tests {
             dml::insert_rows(&ctx, &t, rows(0, 40), Some(&DmlLog::txn(&wal, base, &mgr))).unwrap();
             mgr.commit(base, &ctx, &wal).unwrap();
             let before = content(&t);
+            let ix = ctx.catalog.index_on(t.id, 0).unwrap();
+            let rid7 = ix.search(7).unwrap();
 
             let xid = mgr.begin(&wal).unwrap();
             let log = DmlLog::txn(&wal, xid, &mgr);
@@ -332,10 +327,10 @@ mod tests {
 
             let undone = mgr.rollback(xid, &ctx, &wal).unwrap();
             assert!(undone >= 23, "insert 20 + delete 1 + update 2, got {undone}");
-            assert_eq!(content(&t), before, "{parts}-partition rollback not byte-identical");
-            // Index state restored too.
-            let ix = ctx.catalog.index_on(t.id, 0).unwrap();
-            assert_eq!(ix.search(7).unwrap().len(), 1, "deleted row's index entry restored");
+            assert_eq!(content(&t), before, "{parts}-partition rollback moved or changed a row");
+            // Index state restored too, naming the row's original rid.
+            assert_eq!(ix.search(7).unwrap(), rid7, "deleted row's index entry restored");
+            assert_eq!(ix.search(9).unwrap().len(), 1, "updated row's index entry restored");
             assert!(ix.search(100).unwrap().is_empty(), "inserted row's index entry removed");
             assert_eq!(mgr.locks().held_by(xid), 0);
             assert!(!mgr.is_active(xid));

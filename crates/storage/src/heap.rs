@@ -98,10 +98,11 @@ impl HeapFile {
         page.write(|d| SlottedPage::delete(d, rid.page, rid.slot))
     }
 
-    /// Replace the tuple at `rid`; the rid may change (delete + insert).
-    pub fn update(&self, rid: Rid, tuple: &Tuple) -> StorageResult<Rid> {
-        self.delete(rid)?;
-        self.insert(tuple)
+    /// Undo a delete: bring `record` (the row's encoded before-image) back
+    /// at `rid`, under the page write latch (see [`SlottedPage::restore`]).
+    pub fn restore(&self, rid: Rid, record: &[u8]) -> StorageResult<()> {
+        let page = self.pool.fetch(rid.page)?;
+        page.write(|d| SlottedPage::restore(d, rid.page, rid.slot, record))
     }
 
     /// Full scan over `(rid, tuple)` pairs.
@@ -333,14 +334,6 @@ mod tests {
         let remaining: Vec<Tuple> = h.scan().map(|r| r.unwrap().1).collect();
         assert_eq!(remaining, vec![row(1)]);
         assert_eq!(h.count().unwrap(), 1);
-    }
-
-    #[test]
-    fn update_replaces_contents() {
-        let h = heap();
-        let rid = h.insert(&row(5)).unwrap();
-        let new_rid = h.update(rid, &row(99)).unwrap();
-        assert_eq!(h.get(new_rid).unwrap(), row(99));
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! case, and the reason an idle overlay costs one atomic load per page or
 //! probe.
 //!
+//! A rid names one row for its whole life. Rollback restores a deleted row
+//! in place, at the rid its dead version names, so the row and its dead
+//! version share a page and a rid: a reader that decoded the slot live
+//! deduplicates the dead version by rid, one that decoded it tombstoned
+//! merges it, and no interleaving yields the row twice or not at all.
+//!
 //! Timestamps come from the [`CommitOracle`]: a monotonic counter advanced
 //! under a mutex at commit, with the visibility flip (`Pending(xid)` →
 //! `At(ts)`) performed inside the same critical section so that "the latest
@@ -65,10 +71,6 @@ enum Begin {
     Pending(u64),
     /// Committed at this timestamp.
     At(u64),
-    /// A live twin created by rollback re-inserting a deleted row. Never
-    /// visible directly — readers see the row through the anchor dead
-    /// version at the original rid until GC collapses the pair.
-    Restored(Rid),
 }
 
 /// When a row version stopped existing.
@@ -85,8 +87,9 @@ enum End {
 /// read it.
 #[derive(Debug)]
 struct DeadVersion {
-    /// The rid the row occupied (slots are never reused, so the rid
-    /// uniquely names this version forever).
+    /// The rid the row occupied. Slots are never reused and rollback
+    /// restores a row at its own rid, so a rid holds at most one dead
+    /// version.
     rid: Rid,
     /// Encoded tuple bytes at deletion time.
     bytes: Vec<u8>,
@@ -95,10 +98,6 @@ struct DeadVersion {
     begin: Option<Begin>,
     /// Deletion stamp.
     end: End,
-    /// Rid of the live twin a rollback re-inserted, if the deleting
-    /// transaction aborted. GC collapses the pair once no snapshot is
-    /// positioned mid-scan.
-    restored: Option<Rid>,
 }
 
 /// Per-transaction handles to the overlay entries it must flip at commit.
@@ -142,8 +141,6 @@ pub struct VacuumStats {
     pub dead_removed: u64,
     /// Creation stamps reclaimed (rows now visible-to-all).
     pub created_removed: u64,
-    /// Rollback anchor pairs collapsed back to plain live rows.
-    pub anchors_collapsed: u64,
 }
 
 impl VacuumStats {
@@ -151,7 +148,6 @@ impl VacuumStats {
     pub fn add(&mut self, other: VacuumStats) {
         self.dead_removed += other.dead_removed;
         self.created_removed += other.created_removed;
-        self.anchors_collapsed += other.anchors_collapsed;
     }
 }
 
@@ -173,7 +169,6 @@ fn begin_visible(begin: Option<&Begin>, view: ReadView) -> bool {
         None => true,
         Some(Begin::At(t)) => *t <= view.ts,
         Some(Begin::Pending(x)) => view.xid != 0 && *x == view.xid,
-        Some(Begin::Restored(_)) => false,
     }
 }
 
@@ -216,53 +211,25 @@ impl VersionStore {
     /// that miss the live row find the dead version; readers that still see
     /// the live row deduplicate against it (the overlay keeps the live
     /// row's creation stamp as a tombstone until GC).
+    ///
+    /// A dead version already at `rid` with a `Pending` end is re-pointed
+    /// at this deleter rather than duplicated. Under 2PL the only way one
+    /// exists is a rolled-back delete of this same row, which rollback
+    /// restored in place; its stale end reads as "never deleted".
     pub fn note_delete(&self, rid: Rid, bytes: Vec<u8>, xid: u64) {
         let mut inner = self.inner.lock();
-        // Deleting a rollback-restored twin: the row's identity lives at
-        // the anchor dead version. Re-point the anchor's end at this
-        // deleter instead of minting a second version.
-        if let Some(Begin::Restored(anchor)) = inner.created.get(&rid).cloned() {
-            if let Some(list) = inner.dead.get_mut(&anchor.page) {
-                if let Some(dv) = list.iter_mut().find(|d| d.rid == anchor) {
-                    dv.end = End::Pending(xid);
-                    dv.restored = None;
-                    inner.pending.entry(xid).or_default().deletes.push(anchor);
-                    return;
-                }
+        let inner = &mut *inner;
+        let list = inner.dead.entry(rid.page).or_default();
+        match list.iter_mut().find(|d| d.rid == rid && matches!(d.end, End::Pending(_))) {
+            Some(dv) => dv.end = End::Pending(xid),
+            None => {
+                let begin = inner.created.get(&rid).cloned();
+                list.push(DeadVersion { rid, bytes, begin, end: End::Pending(xid) });
+                inner.dead_count += 1;
             }
         }
-        let begin = inner.created.get(&rid).cloned();
-        let dv = DeadVersion { rid, bytes, begin, end: End::Pending(xid), restored: None };
-        inner.dead.entry(rid.page).or_default().push(dv);
-        inner.dead_count += 1;
         inner.pending.entry(xid).or_default().deletes.push(rid);
-        self.publish_len(&inner);
-    }
-
-    /// Record that rollback re-inserted the row whose dead version sits at
-    /// `old_rid`, landing the bytes at `new_rid`.
-    ///
-    /// The twin at `new_rid` is marked never-visible (`Begin::Restored`)
-    /// and the dead version stays: a scan that already passed `new_rid`'s
-    /// page still finds the row through the dead version at `old_rid`. GC
-    /// collapses the pair once no snapshot is mid-scan.
-    ///
-    /// MUST be called from inside the page write latch of the re-insert.
-    pub fn note_restore(&self, old_rid: Rid, new_rid: Rid) {
-        let mut inner = self.inner.lock();
-        // If the deleted row was itself a restored twin, its version
-        // identity lives at the anchor (note_delete re-pointed the anchor's
-        // end rather than minting a new dead version) — chase it so the
-        // fresh twin anchors to the same place.
-        let target = match inner.created.get(&old_rid) {
-            Some(Begin::Restored(anchor)) => *anchor,
-            _ => old_rid,
-        };
-        let Some(list) = inner.dead.get_mut(&target.page) else { return };
-        let Some(dv) = list.iter_mut().find(|d| d.rid == target) else { return };
-        dv.restored = Some(new_rid);
-        inner.created.insert(new_rid, Begin::Restored(target));
-        self.publish_len(&inner);
+        self.publish_len(inner);
     }
 
     /// Flip all of `xid`'s pending entries to committed-at-`ts`.
@@ -413,12 +380,13 @@ impl VersionStore {
     /// `live_xids` is then guaranteed finished, not mid-commit.
     ///
     /// Timestamp-based reclamation (creation/deletion stamps at or below
-    /// `min_active_ts`, the oldest pinned snapshot) is always safe. The
-    /// position-dependent moves — collapsing a rollback anchor pair back to
-    /// a plain live row, and reaping dead transactions' pending stamps —
-    /// additionally require `pins_empty` (no reader is mid-scan at *any*
-    /// timestamp, because a scan's progress through pages is what the
-    /// anchor protects, not a timestamp).
+    /// `min_active_ts`, the oldest pinned snapshot) is always safe. Reaping
+    /// finished transactions' `Pending` stamps additionally requires
+    /// `pins_empty`: a reader that decoded a page while an aborted delete's
+    /// row was tombstoned finds the row only through its dead version, and
+    /// that reader's progress is a position, not a timestamp. One rule then
+    /// covers both aborted shapes — a delete whose row is back at the same
+    /// rid, and an insert-then-delete inside one transaction.
     pub fn vacuum(
         &self,
         min_active_ts: u64,
@@ -428,27 +396,14 @@ impl VersionStore {
         let mut inner = self.inner.lock();
         let mut stats = VacuumStats::default();
         let inner = &mut *inner;
+        let finished = |x: &u64| pins_empty && !live_xids.contains(x);
 
         // Dead versions.
-        let mut collapse: Vec<Rid> = Vec::new();
         for list in inner.dead.values_mut() {
             list.retain(|dv| {
                 let drop = match dv.end {
                     End::At(t) => t <= min_active_ts,
-                    End::Pending(x) => {
-                        if !pins_empty || live_xids.contains(&x) {
-                            false
-                        } else if let Some(nr) = dv.restored {
-                            // Aborted delete, row restored at `nr`: collapse
-                            // the pair — the twin becomes the plain row.
-                            collapse.push(nr);
-                            true
-                        } else {
-                            // Aborted insert-then-delete (begin also pending
-                            // and dead): invisible to everyone forever.
-                            matches!(dv.begin, Some(Begin::Pending(bx)) if !live_xids.contains(&bx))
-                        }
-                    }
+                    End::Pending(x) => finished(&x),
                 };
                 if drop {
                     stats.dead_removed += 1;
@@ -457,28 +412,12 @@ impl VersionStore {
             });
         }
         inner.dead.retain(|_, list| !list.is_empty());
-        for nr in collapse {
-            if matches!(inner.created.get(&nr), Some(Begin::Restored(_))) {
-                inner.created.remove(&nr);
-                stats.anchors_collapsed += 1;
-            }
-        }
 
-        // Creation stamps. (Destructure for disjoint borrows: the closure
-        // reads `dead` while retaining over `created`.)
-        let Inner { created, dead, .. } = inner;
-        created.retain(|_, b| {
+        // Creation stamps.
+        inner.created.retain(|_, b| {
             let drop = match b {
                 Begin::At(t) => *t <= min_active_ts,
-                Begin::Pending(x) => pins_empty && !live_xids.contains(x),
-                // A Restored twin whose anchor disappeared above is
-                // unreachable; reap it under the same conditions.
-                Begin::Restored(anchor) => {
-                    pins_empty
-                        && !dead
-                            .get(&anchor.page)
-                            .is_some_and(|l| l.iter().any(|d| d.rid == *anchor))
-                }
+                Begin::Pending(x) => finished(x),
             };
             if drop {
                 stats.created_removed += 1;
@@ -677,50 +616,57 @@ mod tests {
     }
 
     #[test]
-    fn aborted_delete_keeps_row_via_anchor() {
+    fn aborted_delete_keeps_row_in_place() {
         let store = VersionStore::new();
-        let old = Rid::new(PageId(3), 0);
-        let new = Rid::new(PageId(5), 2);
-        store.note_delete(old, row(42).encode(), 9);
-        // Rollback re-inserts on another page; twin is never visible live.
-        store.note_restore(old, new);
+        let rid = Rid::new(PageId(3), 0);
+        store.note_delete(rid, row(42).encode(), 9);
+        // Rollback restores the row at its own rid.
         store.abort(9);
-        assert_eq!(
-            page_rows(&store, ReadView::new(1, 0), PageId(5), &[(2, 42)]),
-            Vec::<i64>::new()
-        );
-        // ...but the anchor dead version serves every reader.
-        assert_eq!(page_rows(&store, ReadView::new(1, 0), PageId(3), &[]), vec![42]);
+        let view = ReadView::new(1, 0);
+        // A scan that decoded the slot live deduplicates the dead version;
+        // one that decoded it tombstoned finds the row through it.
+        assert_eq!(page_rows(&store, view, PageId(3), &[(0, 42)]), vec![42]);
+        assert_eq!(page_rows(&store, view, PageId(3), &[]), vec![42]);
 
-        // GC with pins outstanding must not collapse the pair.
+        // GC with pins outstanding keeps the dead version.
         let none = HashSet::new();
         let s = store.vacuum(10, false, &none);
         assert_eq!(s.dead_removed + s.created_removed, 0);
-        // With no pins, the pair collapses back to a plain row.
-        let s = store.vacuum(10, true, &none);
-        assert_eq!(s.dead_removed, 1);
-        assert_eq!(s.anchors_collapsed, 1);
-        assert_eq!(page_rows(&store, ReadView::new(1, 0), PageId(5), &[(2, 42)]), vec![42]);
+        // With no pins, it goes; the live row stands alone.
+        assert_eq!(store.vacuum(10, true, &none).dead_removed, 1);
+        assert_eq!(store.stats().dead, 0);
+        assert_eq!(page_rows(&store, view, PageId(3), &[(0, 42)]), vec![42]);
     }
 
     #[test]
-    fn delete_of_restored_twin_chases_anchor() {
+    fn vacuum_reaps_an_aborted_insert_then_delete() {
         let store = VersionStore::new();
-        let old = Rid::new(PageId(3), 0);
-        let new = Rid::new(PageId(5), 2);
-        store.note_delete(old, row(42).encode(), 9);
-        store.note_restore(old, new);
+        let rid = Rid::new(PageId(3), 0);
+        store.note_insert(rid, 9);
+        store.note_delete(rid, row(42).encode(), 9);
         store.abort(9);
-        // A second transaction deletes the twin: the anchor's end flips.
-        store.note_delete(new, row(42).encode(), 11);
-        assert_eq!(page_rows(&store, ReadView::new(1, 0), PageId(3), &[]), vec![42]);
+        assert_eq!(page_rows(&store, ReadView::new(1, 0), PageId(3), &[]), Vec::<i64>::new());
+        let s = store.vacuum(10, true, &HashSet::new());
+        assert_eq!((s.dead_removed, s.created_removed), (1, 1));
+    }
+
+    #[test]
+    fn delete_after_a_rolled_back_delete_keeps_one_dead_version() {
+        let store = VersionStore::new();
+        let rid = Rid::new(PageId(3), 0);
+        store.note_delete(rid, row(42).encode(), 9);
+        store.abort(9);
+        // A second transaction deletes the restored row: the dead version
+        // is re-pointed, not duplicated.
+        store.note_delete(rid, row(42).encode(), 11);
+        assert_eq!(store.stats().dead, 1);
         store.commit(11, 2);
-        assert_eq!(page_rows(&store, ReadView::new(1, 0), PageId(3), &[]), vec![42]);
-        assert_eq!(page_rows(&store, ReadView::new(2, 0), PageId(3), &[]), Vec::<i64>::new());
-        assert_eq!(
-            page_rows(&store, ReadView::new(2, 0), PageId(5), &[(2, 42)]),
-            Vec::<i64>::new()
-        );
+        let old = ReadView::new(1, 0);
+        assert_eq!(page_rows(&store, old, PageId(3), &[]), vec![42]);
+        assert_eq!(probe_keys(&store, old, Some(42), Some(42), &[]), vec![42]);
+        let new = ReadView::new(2, 0);
+        assert_eq!(page_rows(&store, new, PageId(3), &[]), Vec::<i64>::new());
+        assert_eq!(probe_keys(&store, new, Some(42), Some(42), &[]), vec![]);
     }
 
     #[test]
@@ -852,17 +798,17 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_a_rolled_back_delete_once_through_its_anchor() {
+    fn probe_sees_a_rolled_back_delete_once_in_place() {
         let store = VersionStore::new();
-        let old = Rid::new(PageId(3), 0);
-        let twin = Rid::new(PageId(5), 2);
-        store.note_delete(old, row(42).encode(), 9);
-        store.note_restore(old, twin);
+        let rid = Rid::new(PageId(3), 0);
+        store.note_delete(rid, row(42).encode(), 9);
         store.abort(9);
-        // The tree names the twin; it is dropped and the anchor merged.
         let view = ReadView::new(1, 0);
-        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[(twin, 42)]), vec![42]);
+        // The tree names the restored rid: the dead version deduplicates.
+        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[(rid, 42)]), vec![42]);
+        // The probe ran before the restore: the dead version stands in.
+        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[]), vec![42]);
         store.vacuum(10, true, &HashSet::new());
-        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[(twin, 42)]), vec![42]);
+        assert_eq!(probe_keys(&store, view, Some(42), Some(42), &[(rid, 42)]), vec![42]);
     }
 }

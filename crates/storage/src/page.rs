@@ -10,7 +10,8 @@
 //! free_end..PAGE_SIZE  record payloads
 //! ```
 //!
-//! A slot with `len == 0` is a tombstone (deleted record); slots are never
+//! A slot with `len == 0` is a tombstone (deleted record) whose offset and
+//! bytes stay put, so rollback can restore it in place. Slots are never
 //! reused so rids stay stable, and reclaiming space is left to a rebuild
 //! (the engine's workloads are read-mostly, like the paper's).
 
@@ -102,6 +103,27 @@ impl SlottedPage {
         }
         let slot_off = HEADER + slot as usize * SLOT;
         write_u16(data, slot_off + 2, 0);
+        Ok(())
+    }
+
+    /// Undo a [`Self::delete`]: bring `record` back at `slot`. A delete
+    /// only zeroes the slot length and the page never reclaims the bytes,
+    /// so the row returns at its own rid. The slot must be in range and
+    /// tombstoned (`InvalidSlot`) and its stored bytes must equal `record`
+    /// (`Corrupt`); on error the page is unchanged.
+    pub fn restore(data: &mut [u8], page: PageId, slot: u16, record: &[u8]) -> StorageResult<()> {
+        if slot >= Self::num_slots(data) {
+            return Err(StorageError::InvalidSlot { page: page.0, slot });
+        }
+        let slot_off = HEADER + slot as usize * SLOT;
+        if read_u16(data, slot_off + 2) != 0 {
+            return Err(StorageError::InvalidSlot { page: page.0, slot });
+        }
+        let off = read_u16(data, slot_off) as usize;
+        if data.get(off..off + record.len()) != Some(record) {
+            return Err(StorageError::Corrupt(format!("slot {slot} holds other bytes")));
+        }
+        write_u16(data, slot_off + 2, record.len() as u16);
         Ok(())
     }
 
@@ -201,6 +223,57 @@ mod tests {
         assert_eq!(SlottedPage::live_count(&d), 2);
         // Rids of other records stay stable.
         assert_eq!(SlottedPage::get(&d, PageId(0), 2).unwrap(), b"c");
+    }
+
+    #[test]
+    fn restore_brings_a_deleted_record_back_at_its_slot() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, b"a").unwrap();
+        SlottedPage::insert(&mut d, b"bee").unwrap();
+        SlottedPage::delete(&mut d, PageId(0), 1).unwrap();
+        SlottedPage::restore(&mut d, PageId(0), 1, b"bee").unwrap();
+        assert_eq!(SlottedPage::get(&d, PageId(0), 1).unwrap(), b"bee");
+        assert_eq!(SlottedPage::num_slots(&d), 2, "no new slot");
+    }
+
+    #[test]
+    fn restore_of_a_live_slot_is_an_error() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, b"a").unwrap();
+        let before = d.clone();
+        assert!(matches!(
+            SlottedPage::restore(&mut d, PageId(0), 0, b"a"),
+            Err(StorageError::InvalidSlot { page: 0, slot: 0 })
+        ));
+        assert_eq!(d, before);
+    }
+
+    #[test]
+    fn restore_of_mismatched_bytes_is_an_error() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, b"abc").unwrap();
+        SlottedPage::delete(&mut d, PageId(0), 0).unwrap();
+        let before = d.clone();
+        assert!(matches!(
+            SlottedPage::restore(&mut d, PageId(0), 0, b"abd"),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert_eq!(d, before);
+        // A longer record than the slot held runs past the page end.
+        assert!(SlottedPage::restore(&mut d, PageId(0), 0, b"abcd").is_err());
+        assert_eq!(d, before);
+    }
+
+    #[test]
+    fn restore_of_an_out_of_range_slot_is_an_error() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, b"a").unwrap();
+        let before = d.clone();
+        assert!(matches!(
+            SlottedPage::restore(&mut d, PageId(0), 1, b"a"),
+            Err(StorageError::InvalidSlot { page: 0, slot: 1 })
+        ));
+        assert_eq!(d, before);
     }
 
     #[test]

@@ -108,11 +108,10 @@ impl PartitionedHeap {
         self.parts[0].delete(rid)
     }
 
-    /// Replace the tuple at `rid`; the new rid may land in a different
-    /// partition when the key column changed.
-    pub fn update(&self, rid: Rid, tuple: &Tuple) -> StorageResult<Rid> {
-        self.delete(rid)?;
-        self.insert(tuple)
+    /// Undo a delete: bring the encoded row back at `rid` (see
+    /// [`HeapFile::restore`]).
+    pub fn restore(&self, rid: Rid, record: &[u8]) -> StorageResult<()> {
+        self.parts[0].restore(rid, record)
     }
 
     /// Full scan over every partition, in partition order.
@@ -309,25 +308,6 @@ mod tests {
         for p in 0..4 {
             assert!(h.scan_partition(p).count() > 0, "partition {p} empty");
         }
-    }
-
-    #[test]
-    fn update_moves_rows_between_partitions() {
-        let h = heap(8);
-        let rid = h.insert(&row(1)).unwrap();
-        // Rewrite the key until the row provably changes partition.
-        let mut rid = rid;
-        let from = partition_of_value(&Value::Int(1), 8);
-        let mut moved = false;
-        for k in 2..64 {
-            rid = h.update(rid, &row(k)).unwrap();
-            if partition_of_value(&Value::Int(k), 8) != from {
-                moved = true;
-                break;
-            }
-        }
-        assert!(moved);
-        assert_eq!(h.count().unwrap(), 1);
     }
 
     #[test]

@@ -473,7 +473,7 @@ fn twin_txn(exec: &Exec<'_>, stmts: &[&str], end: &str) {
 /// on both servers, for point and range predicates, from views opened
 /// before, between and after committed updates (key-preserving,
 /// key-changing, partition-moving), committed deletes, rolled-back writes
-/// (`Restored` twins), from inside a write transaction with pending writes
+/// (restored in place), from inside a write transaction with pending writes
 /// of its own, beside that pending writer, and after checkpoint vacuums
 /// with and without pinned readers.
 #[test]
@@ -521,7 +521,7 @@ fn index_probe_under_snapshot_matches_seq_scan_twin() {
                 ],
                 "ROLLBACK",
             );
-            // A committed update of a row a rollback relocated.
+            // A committed update of a row a rollback restored.
             twin_txn(&writer, &["UPDATE {t} SET bal = bal + 1 WHERE id = 14"], "COMMIT");
             assert_twins_agree(&who("old"), &old);
             assert_twins_agree(&who("fresh"), &fresh);
@@ -565,7 +565,7 @@ fn index_probe_under_snapshot_matches_seq_scan_twin() {
             assert_eq!(rows_of(&fresh, "SELECT bal FROM ix WHERE id = 16"), ["[555]"]);
 
             // Vacuum with readers pinned (timestamp-based reclamation
-            // only), then with none (anchor collapse, pending reaps).
+            // only), then with none (pending reaps).
             (sut.checkpoint)();
             for (view, exec) in [("old", &old), ("mid", &mid), ("fresh", &fresh)] {
                 assert_twins_agree(&who(&format!("{view}, after a pinned vacuum")), exec);
@@ -616,7 +616,9 @@ fn catalog_with_indexed_accounts(parts: usize) -> Arc<Catalog> {
 /// before the reader fetches it. The reader must never get an error, and
 /// every answer must be the value at its pin — through committed updates,
 /// committed delete+insert pairs, and rolled-back updates and deletes of
-/// exactly the keys it is reading.
+/// exactly the keys it is reading. Beside it, autocommit `COUNT(*)` scans
+/// (a fresh view each) race rollback restoring rows in place under them:
+/// every count must be the table's size, never a row twice or not at all.
 #[test]
 fn point_reads_never_fail_while_a_writer_churns_the_same_keys() {
     const HOT: i64 = 6;
@@ -625,9 +627,24 @@ fn point_reads_never_fail_while_a_writer_churns_the_same_keys() {
         let plan = plan_of(&reader, "SELECT bal FROM accounts WHERE id = 3");
         assert!(plan.contains("IndexScan"), "{kind}: point read planned as {plan}");
         reader("BEGIN READ ONLY").unwrap();
-        let pinned = Barrier::new(2);
+        let pinned = Barrier::new(3);
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let counter = (sut.open)();
+                pinned.wait();
+                let mut passes = 0;
+                while !done.load(Ordering::SeqCst) || passes < 3 {
+                    let out = counter("SELECT COUNT(*) FROM accounts")
+                        .unwrap_or_else(|e| panic!("{kind}: concurrent count: {e}"));
+                    assert_eq!(
+                        out.rows[0].to_string(),
+                        format!("[{IX_ACCOUNTS}]"),
+                        "{kind}: a scan beside the churn miscounted"
+                    );
+                    passes += 1;
+                }
+            });
             scope.spawn(|| {
                 let writer = (sut.open)();
                 pinned.wait();

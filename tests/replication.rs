@@ -150,7 +150,10 @@ fn run_workload(
                 exec("BEGIN");
                 exec(&format!("UPDATE accounts SET bal = bal - 10 WHERE id = {from}"));
                 exec(&format!("UPDATE accounts SET bal = bal + 10 WHERE id = {to}"));
-                exec("COMMIT");
+                // One transfer in three rolls back: the rows it touched must
+                // keep their rids, or a later committed UPDATE names a rid
+                // the replica never saw.
+                exec(if rng().is_multiple_of(3) { "ROLLBACK" } else { "COMMIT" });
             }
         }
     }
