@@ -59,7 +59,7 @@ fn bench_btree(c: &mut Criterion) {
 
 fn bench_buffer_pool(c: &mut Criterion) {
     let pool = BufferPool::new(Arc::new(MemDisk::new()), 128);
-    let pages: Vec<PageId> = (0..64).map(|_| pool.new_page().unwrap().page_id()).collect();
+    let pages: Vec<PageId> = (0..64).map(|_| pool.new_page(0).unwrap().page_id()).collect();
     c.bench_function("bufferpool_fetch_hit", |b| {
         let mut i = 0usize;
         b.iter(|| {

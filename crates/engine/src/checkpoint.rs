@@ -67,6 +67,11 @@ pub struct RecoveryReport {
     /// to the damage point was applied; a cleanly torn tail (the normal
     /// crash shape) reports `None`.
     pub corruption: Option<StorageError>,
+    /// The highest xid in the replayed log (0 if none). New transactions
+    /// must number past it ([`TxnManager::resume_after`]): a reused xid
+    /// would make an old aborted run's records replay under a new
+    /// `Commit`.
+    pub max_xid: u64,
 }
 
 /// Every partition lock in the catalog, in the deterministic (sorted)
@@ -183,10 +188,10 @@ pub fn vacuum(catalog: &Catalog, mgr: &TxnManager) -> VacuumStats {
 }
 
 /// Checkpointed recovery into an *empty* catalog: load the latest
-/// snapshot (if any), restore it, replay only the WAL tail at or after
-/// its LSN through [`apply_records`] — with the snapshot's old→new
-/// address maps, so tail records referring to snapshotted rows resolve —
-/// then open (and thereby tail-repair) the WAL for new appends.
+/// snapshot (if any), restore it — every table under its id, every row at
+/// its rid — replay only the WAL tail at or after its LSN through
+/// [`apply_records`], which finds snapshotted rows at the rids the tail
+/// names, then open (and thereby tail-repair) the WAL for new appends.
 ///
 /// The log is read with the tolerant store readers *before* the WAL is
 /// opened: a cleanly torn tail ends replay silently, while corruption in
@@ -199,16 +204,17 @@ pub fn recover(
     snapshots: &dyn SnapshotStore,
     segment_pages: u64,
 ) -> EngineResult<(Wal, RecoveryReport)> {
-    let (mut maps, checkpoint_lsn, snapshot_rows) = match snapshots.load()? {
+    let (checkpoint_lsn, snapshot_rows) = match snapshots.load()? {
         Some(bytes) => {
             let snap = Snapshot::decode(&bytes)?;
-            let maps = snap.restore(&ctx.catalog)?;
-            (maps, snap.lsn, snap.row_count())
+            snap.restore(&ctx.catalog)?;
+            (snap.lsn, snap.row_count())
         }
-        None => (Default::default(), Lsn::ZERO, 0),
+        None => (Lsn::ZERO, 0),
     };
     let (records, corruption) = Wal::read_store_from(segments.as_ref(), checkpoint_lsn);
-    let replayed = apply_records(ctx, &records, &mut maps.rids, &maps.tables)?;
+    let replayed = apply_records(ctx, &records)?;
+    let max_xid = records.iter().map(|(_, r)| r.xid()).max().unwrap_or(0);
     let wal = Wal::open_with_segment_pages(segments, segment_pages)?;
     // Only committed — visible-to-everyone — data survives a crash, so the
     // recovered overlay is empty. (The catalog object may persist across a
@@ -217,7 +223,7 @@ pub fn recover(
     for table in ctx.catalog.list_tables() {
         table.versions.reset();
     }
-    Ok((wal, RecoveryReport { snapshot_rows, replayed, checkpoint_lsn, corruption }))
+    Ok((wal, RecoveryReport { snapshot_rows, replayed, checkpoint_lsn, corruption, max_xid }))
 }
 
 #[cfg(test)]
@@ -296,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn tail_delete_of_a_snapshotted_row_applies_through_the_rid_map() {
+    fn tail_delete_of_a_snapshotted_row_finds_it_at_its_logged_rid() {
         let segments = Arc::new(MemSegmentStore::new());
         let snapshots = MemSnapshotStore::new();
         let ctx = ctx_with_table(2);

@@ -10,8 +10,8 @@ use staged_planner::{plan_table_filter, PhysicalPlan, PlannerConfig};
 use staged_sql::ast::Expr;
 use staged_storage::catalog::TableInfo;
 use staged_storage::wal::{LogRecord, Lsn, Wal};
-use staged_storage::{Rid, Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use staged_storage::{Rid, StorageError, Tuple, Value};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Where a DML statement's changes are recorded: the WAL (redo), and —
@@ -253,25 +253,13 @@ pub fn update_rows(
 /// into the catalog. A first pass over `records` collects the xids with a
 /// `Commit` record; the replay pass skips every record of an uncommitted
 /// or aborted transaction, so a crash between `Begin` and `Commit` erases
-/// that transaction entirely. Inserts re-route through the hash
-/// partitioner and rebuild per-partition index entries.
-///
-/// Addresses in the log are *capture-time* addresses: `table_map`
-/// translates table ids (identity where absent) and `rid_map` translates
-/// rids. Checkpointed recovery seeds both from
-/// [`RestoreMaps`](staged_storage::snapshot::RestoreMaps), which is what
-/// lets a tail-replayed `Delete` find a row that was restored from the
-/// snapshot rather than inserted during replay; plain full-log redo starts
-/// them empty. The maps are keyed by the ids *written in the log*, and
-/// `rid_map` is extended as inserts replay.
+/// that transaction entirely. Each change lands at the table id and rid
+/// the log names (see `apply_change`); nothing is translated, so the
+/// catalog must hold those tables — restored from a snapshot, or created
+/// by the same DDL in the same order.
 ///
 /// Returns the number of records applied.
-pub fn apply_records(
-    ctx: &ExecContext,
-    records: &[(Lsn, LogRecord)],
-    rid_map: &mut HashMap<(u32, Rid), Rid>,
-    table_map: &HashMap<u32, u32>,
-) -> EngineResult<u64> {
+pub fn apply_records(ctx: &ExecContext, records: &[(Lsn, LogRecord)]) -> EngineResult<u64> {
     let committed: HashSet<u64> = records
         .iter()
         .filter_map(|(_, r)| match r {
@@ -280,61 +268,24 @@ pub fn apply_records(
         })
         .collect();
     let mut applied = 0u64;
-    for (_, rec) in records {
-        if !committed.contains(&rec.xid()) {
-            continue;
-        }
-        match rec {
-            LogRecord::Insert { table, rid, bytes, .. } => {
-                let target = table_map.get(table).copied().unwrap_or(*table);
-                let info = ctx.catalog.table_by_id(staged_storage::catalog::TableId(target))?;
-                let row = Tuple::decode(bytes)?;
-                let (part, new_rid) = info.heap.insert_routed(&row)?;
-                for ix in ctx.catalog.indexes_for(info.id) {
-                    if let Some(k) = row.get(ix.column).as_int() {
-                        ix.insert(part, k, new_rid)?;
-                    }
-                }
-                rid_map.insert((*table, *rid), new_rid);
-                applied += 1;
-            }
-            LogRecord::Delete { table, rid, .. } => {
-                let target = table_map.get(table).copied().unwrap_or(*table);
-                let info = ctx.catalog.table_by_id(staged_storage::catalog::TableId(target))?;
-                let new_rid = match rid_map.remove(&(*table, *rid)) {
-                    Some(r) => r,
-                    // A delete of a row whose insert predates the log's
-                    // start (and isn't in a seeded snapshot map); nothing
-                    // to redo.
-                    None => continue,
-                };
-                let row = info.heap.get(new_rid)?;
-                let part = info.heap.partition_of(&row);
-                info.heap.delete(new_rid)?;
-                for ix in ctx.catalog.indexes_for(info.id) {
-                    if let Some(k) = row.get(ix.column).as_int() {
-                        ix.delete(part, k, new_rid)?;
-                    }
-                }
-                applied += 1;
-            }
-            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {}
+    for (_, rec) in records.iter().filter(|(_, r)| committed.contains(&r.xid())) {
+        if let Some((info, part)) = resolve(ctx, rec)? {
+            apply_change(ctx, &info, part, rec, None)?;
+            applied += 1;
         }
     }
     Ok(applied)
 }
 
 /// Redo recovery over the *whole* log: strict read (any corruption is an
-/// error, never a panic), then [`apply_records`] with empty address maps
-/// into the catalog's (freshly re-created, empty) tables. Checkpointed
-/// recovery lives in [`crate::checkpoint::recover`], which replays only
-/// the tail above the snapshot LSN.
+/// error, never a panic), then [`apply_records`] into the catalog's
+/// (freshly re-created, empty) tables. Checkpointed recovery lives in
+/// [`crate::checkpoint::recover`], which replays only the tail above the
+/// snapshot LSN.
 ///
 /// Returns the number of records applied.
 pub fn redo(ctx: &ExecContext, wal: &Wal) -> EngineResult<u64> {
-    let records = wal.read_all()?;
-    let mut rid_map = HashMap::new();
-    apply_records(ctx, &records, &mut rid_map, &HashMap::new())
+    apply_records(ctx, &wal.read_all()?)
 }
 
 /// Apply the records of *one committed transaction* with MVCC version
@@ -347,21 +298,17 @@ pub fn redo(ctx: &ExecContext, wal: &Wal) -> EngineResult<u64> {
 /// pinned on a replica therefore see the whole transaction or none of it.
 ///
 /// `records` must be the complete record run of a single transaction
-/// (its `Begin`/`Commit` markers are tolerated and skipped); `rid_map`
-/// translates primary rids to local rids exactly as in [`apply_records`]
-/// and is extended as inserts land.
+/// (its `Begin`/`Commit` markers are tolerated and skipped). Every
+/// record's table and partition is resolved before anything changes, so a
+/// transaction naming a table this catalog lacks fails whole and can be
+/// retried once the table exists.
 ///
 /// Returns the number of records applied.
-pub fn apply_versioned_txn(
-    ctx: &ExecContext,
-    records: &[LogRecord],
-    rid_map: &mut HashMap<(u32, Rid), Rid>,
-) -> EngineResult<u64> {
+pub fn apply_versioned_txn(ctx: &ExecContext, records: &[LogRecord]) -> EngineResult<u64> {
     let Some(xid) = records.first().map(|r| r.xid()) else {
         return Ok(0);
     };
-    let mut touched: HashMap<u32, Arc<TableInfo>> = HashMap::new();
-    let mut applied = 0u64;
+    let mut changes = Vec::new();
     for rec in records {
         if rec.xid() != xid {
             return Err(EngineError::Internal(format!(
@@ -369,60 +316,92 @@ pub fn apply_versioned_txn(
                 rec.xid()
             )));
         }
-        match rec {
-            LogRecord::Insert { table, rid, bytes, .. } => {
-                let info = ctx.catalog.table_by_id(staged_storage::catalog::TableId(*table))?;
-                let row = Tuple::decode(bytes)?;
-                let (part, new_rid) =
-                    info.heap.insert_routed_with(&row, |r| info.versions.note_insert(r, xid))?;
-                for ix in ctx.catalog.indexes_for(info.id) {
-                    if let Some(k) = row.get(ix.column).as_int() {
-                        ix.insert(part, k, new_rid)?;
-                    }
-                }
-                rid_map.insert((*table, *rid), new_rid);
-                touched.insert(*table, info);
-                applied += 1;
-            }
-            LogRecord::Delete { table, rid, before, .. } => {
-                let info = ctx.catalog.table_by_id(staged_storage::catalog::TableId(*table))?;
-                let new_rid = match rid_map.remove(&(*table, *rid)) {
-                    Some(r) => r,
-                    None => continue,
-                };
-                let row = info.heap.get(new_rid)?;
-                let part = info.heap.partition_of(&row);
-                // Dead version registered before the heap delete, so a
-                // concurrent snapshot reader either still sees the live
-                // row or finds the dead version — never neither.
-                info.versions.note_delete(new_rid, before.clone(), xid);
-                info.heap.delete(new_rid)?;
-                for ix in ctx.catalog.indexes_for(info.id) {
-                    if let Some(k) = row.get(ix.column).as_int() {
-                        ix.delete(part, k, new_rid)?;
-                    }
-                }
-                touched.insert(*table, info);
-                applied += 1;
-            }
-            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => {}
-        }
+        changes.extend(resolve(ctx, rec)?.map(|(info, part)| (info, part, rec)));
+    }
+    for (info, part, rec) in &changes {
+        apply_change(ctx, info, *part, rec, Some(xid))?;
     }
     // The atomic visibility flip: inside the oracle's publish section, so
     // a reader's snapshot either predates the whole transaction or covers
-    // all of it.
-    ctx.catalog.oracle().commit(|ts| {
-        for info in touched.values() {
-            info.versions.commit(xid, ts);
+    // all of it. (A table's commit is a no-op after its first.)
+    let publish = |ts| changes.iter().for_each(|(info, ..)| info.versions.commit(xid, ts));
+    ctx.catalog.oracle().commit(publish);
+    Ok(changes.len() as u64)
+}
+
+/// The table and partition a change record lands in, or `None` for a
+/// `Begin`/`Commit`/`Abort`. The rid's page file must be one of the
+/// table's partitions, and an inserted row must hash to that partition,
+/// so a catalog whose table ids or partition counts differ from the log's
+/// fails here instead of misplacing a row.
+fn resolve(ctx: &ExecContext, rec: &LogRecord) -> EngineResult<Option<(Arc<TableInfo>, usize)>> {
+    let (LogRecord::Insert { table, rid, .. } | LogRecord::Delete { table, rid, .. }) = rec else {
+        return Ok(None);
+    };
+    let info = ctx.catalog.table_by_id(staged_storage::catalog::TableId(*table))?;
+    let part = info.heap.partition_of_rid(*rid)?;
+    if let LogRecord::Insert { bytes, .. } = rec {
+        if info.heap.partition_of(&Tuple::decode(bytes)?) != part {
+            return Err(EngineError::Internal(format!("{rid} is not where its row hashes")));
         }
-    });
-    Ok(applied)
+    }
+    Ok(Some((info, part)))
+}
+
+/// Redo one change, resolved by [`resolve`], at the rid the log names: an
+/// `Insert` places its row there, a `Delete` checks that the slot holds
+/// the logged before-image (a missing or different row is an error) and
+/// removes it. With `versioned = Some(xid)` the change is stamped Pending
+/// in the table's version overlay.
+fn apply_change(
+    ctx: &ExecContext,
+    info: &TableInfo,
+    part: usize,
+    rec: &LogRecord,
+    versioned: Option<u64>,
+) -> EngineResult<()> {
+    let (rid, row, insert) = match rec {
+        LogRecord::Insert { rid, bytes, .. } => {
+            let row = Tuple::decode(bytes)?;
+            info.heap.partition(part).place_with(*rid, bytes, |r| {
+                if let Some(xid) = versioned {
+                    info.versions.note_insert(r, xid);
+                }
+            })?;
+            (*rid, row, true)
+        }
+        LogRecord::Delete { rid, before, .. } => {
+            let row = info.heap.get(*rid)?;
+            if row.encode() != *before {
+                let e = format!("{rid} of {} holds other bytes than the logged delete", info.name);
+                return Err(StorageError::Corrupt(e).into());
+            }
+            // Dead version registered before the heap delete, so a
+            // concurrent snapshot reader either still sees the live row
+            // or finds the dead version — never neither.
+            if let Some(xid) = versioned {
+                info.versions.note_delete(*rid, before.clone(), xid);
+            }
+            info.heap.delete(*rid)?;
+            (*rid, row, false)
+        }
+        _ => return Ok(()),
+    };
+    for ix in ctx.catalog.indexes_for(info.id) {
+        match row.get(ix.column).as_int() {
+            Some(k) if insert => ix.insert(part, k, rid)?,
+            Some(k) => drop(ix.delete(part, k, rid)?),
+            None => {}
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use staged_sql::ast::{BinOp, ColumnRef};
+    use staged_storage::partition::heap_file;
     use staged_storage::{BufferPool, Catalog, Column, DataType, MemDisk, PageId, Schema};
 
     fn setup() -> (ExecContext, Arc<TableInfo>) {
@@ -556,28 +535,80 @@ mod tests {
     fn versioned_apply_lands_rows_and_advances_the_oracle() {
         let (ctx, t) = setup();
         let row = |i: i64| Tuple::new(vec![Value::Int(i), Value::Int(i * 2)]).encode();
+        let at = |slot| Rid::new(PageId::new(heap_file(t.id.0, 0), 0), slot);
         let recs = vec![
             LogRecord::Begin { xid: 7 },
-            LogRecord::Insert { xid: 7, table: t.id.0, rid: Rid::new(PageId(1), 0), bytes: row(1) },
-            LogRecord::Insert { xid: 7, table: t.id.0, rid: Rid::new(PageId(1), 1), bytes: row(2) },
-            LogRecord::Delete {
-                xid: 7,
-                table: t.id.0,
-                rid: Rid::new(PageId(1), 0),
-                before: row(1),
-            },
+            LogRecord::Insert { xid: 7, table: t.id.0, rid: at(0), bytes: row(1) },
+            LogRecord::Insert { xid: 7, table: t.id.0, rid: at(1), bytes: row(2) },
+            LogRecord::Delete { xid: 7, table: t.id.0, rid: at(0), before: row(1) },
             LogRecord::Commit { xid: 7 },
         ];
         let before_ts = ctx.catalog.oracle().latest();
-        let mut rid_map = HashMap::new();
-        assert_eq!(apply_versioned_txn(&ctx, &recs, &mut rid_map).unwrap(), 3);
+        assert_eq!(apply_versioned_txn(&ctx, &recs).unwrap(), 3);
         assert_eq!(t.heap.count().unwrap(), 1);
+        assert_eq!(t.heap.get(at(1)).unwrap().encode(), row(2), "the row sits at its logged rid");
         assert!(ctx.catalog.oracle().latest() > before_ts, "commit must advance the oracle");
         // The surviving row is fully committed: no Pending stamps remain.
         assert_eq!(t.versions.stats().pending_txns, 0);
         // Mixed xids in one run are a caller bug, not silently applied.
         let mixed = vec![LogRecord::Begin { xid: 1 }, LogRecord::Commit { xid: 2 }];
-        assert!(apply_versioned_txn(&ctx, &mixed, &mut rid_map).is_err());
+        assert!(apply_versioned_txn(&ctx, &mixed).is_err());
+    }
+
+    #[test]
+    fn versioned_apply_changes_nothing_when_a_record_cannot_be_resolved() {
+        let (ctx, t) = setup();
+        let row = Tuple::new(vec![Value::Int(1), Value::Int(2)]).encode();
+        let ours = Rid::new(PageId::new(heap_file(t.id.0, 0), 0), 0);
+        let insert = |table, rid| LogRecord::Insert { xid: 3, table, rid, bytes: row.clone() };
+        let no_table =
+            vec![insert(t.id.0, ours), insert(9, Rid::new(PageId::new(heap_file(9, 0), 0), 0))];
+        // Partition 1 of a one-partition table: a log from a wider primary.
+        let no_partition = vec![
+            insert(t.id.0, ours),
+            insert(t.id.0, Rid::new(PageId::new(heap_file(t.id.0, 1), 0), 0)),
+        ];
+        for recs in [no_table, no_partition] {
+            assert!(apply_versioned_txn(&ctx, &recs).is_err());
+            assert_eq!(t.heap.count().unwrap(), 0, "the resolvable insert must not land");
+            assert_eq!(t.heap.num_pages(), 0);
+        }
+    }
+
+    #[test]
+    fn replay_refuses_a_row_outside_the_partition_it_hashes_to() {
+        // A log from a primary with fewer partitions: its rid names a file
+        // this two-partition table has, but not the one its key hashes to.
+        let catalog = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 64)));
+        let schema =
+            Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)]);
+        let t = catalog.create_table_partitioned("t", schema, 2, 0).unwrap();
+        let ctx = ExecContext::new(catalog);
+        let row = Tuple::new(vec![Value::Int(1), Value::Int(0)]);
+        let wrong = 1 - t.heap.partition_of(&row);
+        let rid = Rid::new(PageId::new(heap_file(t.id.0, wrong), 0), 0);
+        let insert = LogRecord::Insert { xid: 1, table: t.id.0, rid, bytes: row.encode() };
+        let recs = vec![(Lsn::ZERO, insert), (Lsn::ZERO, LogRecord::Commit { xid: 1 })];
+        assert!(apply_records(&ctx, &recs).is_err());
+        assert_eq!(t.heap.count().unwrap(), 0);
+    }
+
+    #[test]
+    fn redo_of_a_delete_whose_slot_is_missing_or_differs_is_an_error() {
+        let (ctx, t) = setup();
+        let row = |i: i64| Tuple::new(vec![Value::Int(i), Value::Int(0)]).encode();
+        let at = |block, slot| Rid::new(PageId::new(heap_file(t.id.0, 0), block), slot);
+        let committed =
+            |rec: LogRecord| vec![(Lsn::ZERO, rec), (Lsn::ZERO, LogRecord::Commit { xid: 1 })];
+        let insert = LogRecord::Insert { xid: 1, table: t.id.0, rid: at(0, 0), bytes: row(1) };
+        apply_records(&ctx, &committed(insert)).unwrap();
+        for (rid, before) in [(at(0, 0), row(2)), (at(0, 1), row(1)), (at(3, 0), row(1))] {
+            let delete = LogRecord::Delete { xid: 1, table: t.id.0, rid, before };
+            assert!(apply_records(&ctx, &committed(delete)).is_err(), "delete at {rid}");
+        }
+        assert_eq!(t.heap.get(at(0, 0)).unwrap().encode(), row(1), "the row is untouched");
+        let ix = ctx.catalog.index_on(t.id, 0).unwrap();
+        assert_eq!(ix.search(1).unwrap(), vec![at(0, 0)]);
     }
 
     #[test]

@@ -88,6 +88,12 @@ impl TxnManager {
         }
     }
 
+    /// Number every later transaction past `xid` — the highest xid
+    /// recovery found in the log — so no new transaction reuses one.
+    pub fn resume_after(&self, xid: u64) {
+        self.next_xid.fetch_max(xid.saturating_add(1), Ordering::Relaxed);
+    }
+
     /// The lock table (the lock-manager stage's data structure).
     pub fn locks(&self) -> &LockTable {
         &self.locks

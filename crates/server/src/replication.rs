@@ -32,7 +32,10 @@
 //! transaction's `Commit` arrives, through
 //! [`staged_engine::dml::apply_versioned_txn`] — heap changes are stamped
 //! pending and visibility flips atomically through the commit oracle, so
-//! the replica's snapshot readers never observe a torn transaction.
+//! the replica's snapshot readers never observe a torn transaction. Each
+//! row lands at the rid the primary logged (a rid names a block of one
+//! partition's own page file), so the replica's heaps are rid-for-rid
+//! copies of the primary's and nothing is translated.
 //!
 //! A replica serves reads only, through the same `Pipeline` steps the
 //! primaries run, minus the ones that write. DML is refused with the
@@ -42,7 +45,8 @@
 //! there). `BEGIN READ ONLY` / `COMMIT` / `ROLLBACK` work, and DDL is
 //! allowed as the *schema bootstrap* path — DDL appends nothing to the
 //! WAL, and the operator must run the same DDL in the same creation order
-//! as the primary so table ids line up (see PROTOCOL.md §7).
+//! as the primary, with the same partition count, so table ids and
+//! partition files line up (see PROTOCOL.md §7).
 
 use crate::feed::{after, Sink, WalFeed};
 use crate::pipeline::{Exec, Pipeline, PlannedAction};
@@ -54,7 +58,7 @@ use staged_engine::dml;
 use staged_planner::PlannerConfig;
 use staged_sql::ast::Statement;
 use staged_storage::wal::{LogRecord, Lsn, Wal};
-use staged_storage::{Catalog, Rid, SegmentStore};
+use staged_storage::{Catalog, SegmentStore};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -222,11 +226,10 @@ struct ApplyState {
     pending: HashMap<u64, Vec<LogRecord>>,
     /// Committed transactions whose apply failed — typically because they
     /// shipped before the operator mirrored the table's `CREATE TABLE`
-    /// here. They are durable in the replica WAL; the apply is retried in
-    /// commit order at every later commit, watermark, and read.
+    /// here. They are durable in the replica WAL; the apply, which fails
+    /// before changing anything, is retried in commit order at every later
+    /// commit, watermark, and read.
     deferred: VecDeque<Vec<LogRecord>>,
-    /// Primary rid → local rid, carried across restarts by boot replay.
-    rid_map: HashMap<(u32, Rid), Rid>,
     applied_lsn: Lsn,
 }
 
@@ -271,7 +274,8 @@ impl ReplicaServer {
     /// simply be shipped again.
     ///
     /// `catalog` must already hold the schema — created by the same DDL,
-    /// in the same order, as on the primary (see the module docs).
+    /// in the same order and with the same partition count as on the
+    /// primary (see the module docs).
     pub fn open(
         catalog: Arc<Catalog>,
         segments: Arc<dyn SegmentStore>,
@@ -282,9 +286,7 @@ impl ReplicaServer {
         let (records, _damage) = Wal::read_store(segments.as_ref());
         let wal = Wal::open_with_segment_pages(segments, config.wal_segment_pages)
             .map_err(|e| exec_err(&e))?;
-        let mut rid_map = HashMap::new();
-        dml::apply_records(&ctx, &records, &mut rid_map, &HashMap::new())
-            .map_err(|e| exec_err(&e))?;
+        dml::apply_records(&ctx, &records).map_err(|e| exec_err(&e))?;
         let resolved: HashSet<u64> = records
             .iter()
             .filter_map(|(_, r)| match r {
@@ -309,12 +311,7 @@ impl ReplicaServer {
         Ok(Arc::new(Self {
             pipe: Pipeline::new(ctx, Arc::new(wal), config.planner.clone()),
             config,
-            apply: Mutex::new(ApplyState {
-                pending,
-                deferred: VecDeque::new(),
-                rid_map,
-                applied_lsn,
-            }),
+            apply: Mutex::new(ApplyState { pending, deferred: VecDeque::new(), applied_lsn }),
             connected: AtomicBool::new(false),
             connects: AtomicU64::new(0),
             stream_errors: AtomicU64::new(0),
@@ -559,7 +556,7 @@ impl ReplicaServer {
     fn drain_deferred(&self, st: &mut ApplyState) {
         let mut applied = 0u64;
         while let Some(txn) = st.deferred.pop_front() {
-            match dml::apply_versioned_txn(&self.pipe.ctx, &txn, &mut st.rid_map) {
+            match dml::apply_versioned_txn(&self.pipe.ctx, &txn) {
                 Ok(n) => applied += n,
                 Err(_) => {
                     st.deferred.push_front(txn);

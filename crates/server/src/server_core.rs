@@ -144,10 +144,12 @@ impl ServerCore {
             checkpoint::recover(&ctx, segments, snapshots.as_ref(), config.wal_segment_pages)
                 .map_err(|e| ServerError::Execution(format!("recovery failed: {e}")))?;
         let wal = Arc::new(wal);
+        let pipe = Pipeline::new(ctx, Arc::clone(&wal), config.planner.clone());
+        pipe.txn.mgr().resume_after(recovery.max_xid);
         Ok(Self {
             replication: Arc::new(WalFeed::new(Arc::clone(&wal), config.feed_outbox, ())),
-            reactivity: Arc::new(WalFeed::new(Arc::clone(&wal), config.feed_outbox, catalog)),
-            pipe: Pipeline::new(ctx, wal, config.planner.clone()),
+            reactivity: Arc::new(WalFeed::new(wal, config.feed_outbox, catalog)),
+            pipe,
             snapshots,
             recovery,
             served: AtomicU64::new(0),

@@ -34,6 +34,10 @@ const HEADER: usize = 16;
 const LEAF_ENTRY: usize = 18;
 const INT_ENTRY: usize = 16;
 const NO_PAGE: u64 = u64::MAX;
+/// Every B+tree allocates its nodes in page file 0; heap files start at 256
+/// (see [`crate::partition`]). Neither the log nor a snapshot names an
+/// index page, so index pages need no stable ids.
+const BTREE_FILE: u32 = 0;
 
 /// Maximum entries per leaf node.
 pub const LEAF_CAP: usize = (PAGE_SIZE - HEADER) / LEAF_ENTRY;
@@ -56,7 +60,7 @@ impl BTree {
     /// Create an empty tree (a single empty leaf).
     pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
         let root = {
-            let guard = pool.new_page()?;
+            let guard = pool.new_page(BTREE_FILE)?;
             let node = Node::Leaf { keys: vec![], rids: vec![], next: None };
             guard.write(|d| encode_node(&node, d));
             guard.page_id()
@@ -74,7 +78,7 @@ impl BTree {
         let mut root = self.root.write();
         if let Some((sep, right)) = self.insert_rec(*root, key, rid)? {
             // Root split: grow the tree by one level.
-            let new_root = self.pool.new_page()?;
+            let new_root = self.pool.new_page(BTREE_FILE)?;
             let node = Node::Internal { keys: vec![sep], children: vec![*root, right] };
             new_root.write(|d| encode_node(&node, d));
             *root = new_root.page_id();
@@ -98,7 +102,7 @@ impl BTree {
                 let right_keys = keys.split_off(mid);
                 let right_rids = rids.split_off(mid);
                 let sep = right_keys[0];
-                let right_guard = self.pool.new_page()?;
+                let right_guard = self.pool.new_page(BTREE_FILE)?;
                 let right_id = right_guard.page_id();
                 let right = Node::Leaf { keys: right_keys, rids: right_rids, next: *next };
                 right_guard.write(|d| encode_node(&right, d));
@@ -124,7 +128,7 @@ impl BTree {
                 let right_keys = keys.split_off(mid + 1);
                 keys.pop(); // drop the promoted key from the left node
                 let right_children = children.split_off(mid + 1);
-                let right_guard = self.pool.new_page()?;
+                let right_guard = self.pool.new_page(BTREE_FILE)?;
                 let right_id = right_guard.page_id();
                 let right = Node::Internal { keys: right_keys, children: right_children };
                 right_guard.write(|d| encode_node(&right, d));

@@ -93,9 +93,10 @@ impl BufferPool {
         }
     }
 
-    /// Allocate a fresh page on disk and pin it (zeroed, not yet formatted).
-    pub fn new_page(self: &Arc<Self>) -> StorageResult<PageGuard> {
-        let page = self.disk.allocate()?;
+    /// Allocate a fresh page at the end of `file` on disk and pin it
+    /// (zeroed, not yet formatted).
+    pub fn new_page(self: &Arc<Self>, file: u32) -> StorageResult<PageGuard> {
+        let page = self.disk.allocate(file)?;
         // The zeroed page is "read" logically; install without disk read.
         let frame = self.install(page, false)?;
         Ok(PageGuard { pool: Arc::clone(self), frame, page })
@@ -278,7 +279,7 @@ mod tests {
     #[test]
     fn new_page_is_zeroed_and_writable() {
         let p = pool(4);
-        let g = p.new_page().unwrap();
+        let g = p.new_page(0).unwrap();
         g.read(|d| assert!(d.iter().all(|&b| b == 0)));
         g.write(|d| d[0] = 9);
         g.read(|d| assert_eq!(d[0], 9));
@@ -288,13 +289,13 @@ mod tests {
     fn eviction_writes_back_dirty_pages() {
         let p = pool(2);
         let id0 = {
-            let g = p.new_page().unwrap();
+            let g = p.new_page(0).unwrap();
             g.write(|d| d[0] = 111);
             g.page_id()
         };
         // Fill the pool with other pages to force eviction of page 0.
         for _ in 0..4 {
-            let g = p.new_page().unwrap();
+            let g = p.new_page(0).unwrap();
             g.write(|d| d[1] = 1);
         }
         let g = p.fetch(id0).unwrap();
@@ -305,20 +306,20 @@ mod tests {
     #[test]
     fn pinned_pages_are_not_evicted() {
         let p = pool(2);
-        let g0 = p.new_page().unwrap();
-        let _g1 = p.new_page().unwrap();
+        let g0 = p.new_page(0).unwrap();
+        let _g1 = p.new_page(0).unwrap();
         // Both frames pinned: a third page cannot be installed.
-        assert!(matches!(p.new_page(), Err(StorageError::PoolExhausted)));
+        assert!(matches!(p.new_page(0), Err(StorageError::PoolExhausted)));
         drop(g0);
         // Now one frame is free.
-        assert!(p.new_page().is_ok());
+        assert!(p.new_page(0).is_ok());
     }
 
     #[test]
     fn fetch_hit_does_not_touch_disk() {
         let disk = Arc::new(MemDisk::new());
         let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 4);
-        let id = p.new_page().unwrap().page_id();
+        let id = p.new_page(0).unwrap().page_id();
         let before = disk.stats().reads;
         for _ in 0..10 {
             let _ = p.fetch(id).unwrap();
@@ -332,7 +333,7 @@ mod tests {
         let disk = Arc::new(MemDisk::new());
         let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 4);
         let id = {
-            let g = p.new_page().unwrap();
+            let g = p.new_page(0).unwrap();
             g.write(|d| d[3] = 77);
             g.page_id()
         };
@@ -346,7 +347,7 @@ mod tests {
     fn guard_drop_unpins() {
         let p = pool(2);
         let id = {
-            let g = p.new_page().unwrap();
+            let g = p.new_page(0).unwrap();
             assert_eq!(p.pin_count(g.page_id()), Some(1));
             g.page_id()
         };
@@ -364,7 +365,7 @@ mod tests {
         let p = pool(8);
         let ids: Vec<PageId> = (0..16)
             .map(|i| {
-                let g = p.new_page().unwrap();
+                let g = p.new_page(0).unwrap();
                 g.write(|d| d[0] = i as u8);
                 g.page_id()
             })

@@ -9,7 +9,7 @@ use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::mvcc::{CommitOracle, VersionStore};
-use crate::partition::PartitionedHeap;
+use crate::partition::{PartitionedHeap, MAX_PARTITIONS};
 use crate::schema::Schema;
 use crate::stats::{analyze, TableStats};
 use crate::tuple::Rid;
@@ -204,24 +204,43 @@ impl Catalog {
         partitions: usize,
         key: usize,
     ) -> StorageResult<Arc<TableInfo>> {
+        self.create_table_as(None, name, schema, partitions, key)
+    }
+
+    /// [`Self::create_table_partitioned`] under a given id (`None` = the
+    /// next free one), so a restore can recreate a table whose rids name
+    /// its heap files. A taken id is `AlreadyExists`; later ids are
+    /// allocated past it.
+    pub fn create_table_as(
+        &self,
+        id: Option<TableId>,
+        name: &str,
+        schema: Schema,
+        partitions: usize,
+        key: usize,
+    ) -> StorageResult<Arc<TableInfo>> {
         let name = name.to_ascii_lowercase();
-        if key >= schema.len() {
+        if key >= schema.len() || partitions > MAX_PARTITIONS {
             return Err(StorageError::SchemaMismatch(format!(
-                "partition key column {key} out of range"
+                "partition key column {key} or {partitions} partitions out of range"
             )));
         }
         let mut inner = self.inner.write();
-        if inner.tables.contains_key(&name) {
-            return Err(StorageError::AlreadyExists(name));
+        let id = id.unwrap_or(TableId(inner.next_table));
+        if inner.tables.contains_key(&name) || inner.tables_by_id.contains_key(&id) {
+            return Err(StorageError::AlreadyExists(format!("{name} (table #{})", id.0)));
         }
-        let id = TableId(inner.next_table);
-        inner.next_table += 1;
+        // A table id is the high 24 bits of its heap files' ids.
+        if id.0 >= u32::MAX >> 8 {
+            return Err(StorageError::SchemaMismatch(format!("table id {} out of range", id.0)));
+        }
+        inner.next_table = inner.next_table.max(id.0 + 1);
         let ncols = schema.len();
         let info = Arc::new(TableInfo {
             id,
             name: name.clone(),
             schema,
-            heap: Arc::new(PartitionedHeap::create(Arc::clone(&self.pool), partitions, key)),
+            heap: Arc::new(PartitionedHeap::create(Arc::clone(&self.pool), id.0, partitions, key)),
             versions: VersionStore::new(),
             stats: RwLock::new(TableStats {
                 row_count: 0,
@@ -451,6 +470,39 @@ mod tests {
             c.create_table_partitioned("bad", two_col(), 2, 9),
             Err(StorageError::SchemaMismatch(_))
         ));
+    }
+
+    #[test]
+    fn create_table_as_refuses_a_taken_id_and_allocates_past_a_given_one() {
+        let c = catalog();
+        let t = c.create_table_as(Some(TableId(5)), "five", two_col(), 2, 0).unwrap();
+        assert_eq!(t.id, TableId(5));
+        assert!(matches!(
+            c.create_table_as(Some(TableId(5)), "other", two_col(), 1, 0),
+            Err(StorageError::AlreadyExists(_))
+        ));
+        assert_eq!(c.create_table("next", two_col()).unwrap().id, TableId(6));
+        assert_eq!(c.create_table_as(Some(TableId(2)), "two", two_col(), 1, 0).unwrap().id.0, 2);
+        assert_eq!(c.create_table("after", two_col()).unwrap().id, TableId(7));
+        let far = Some(TableId(u32::MAX >> 8));
+        assert!(matches!(
+            c.create_table_as(far, "far", two_col(), 1, 0),
+            Err(StorageError::SchemaMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn more_than_max_partitions_is_refused() {
+        let c = catalog();
+        assert!(matches!(
+            c.create_table_partitioned("wide", two_col(), MAX_PARTITIONS + 1, 0),
+            Err(StorageError::SchemaMismatch(_))
+        ));
+        assert!(c.table("wide").is_err());
+        assert_eq!(
+            c.create_table_partitioned("ok", two_col(), MAX_PARTITIONS, 0).unwrap().partitions(),
+            MAX_PARTITIONS
+        );
     }
 
     #[test]

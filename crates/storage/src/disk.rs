@@ -1,15 +1,21 @@
 //! Disk managers: where pages live when they are not in the buffer pool.
 //!
-//! Two implementations share the [`DiskManager`] trait: [`MemDisk`] (pages
-//! in a `Vec`, with optional *simulated* per-I/O latency so experiments can
-//! make a workload I/O-bound deterministically — DESIGN.md §4, substitution
-//! 3) and [`FileDisk`] (a real file, for durability-flavoured tests).
-//! Both count reads and writes; the Figure 2 calibration and the stage
-//! monitors consume those counters.
+//! A disk holds page *files*: each file numbers its blocks densely from 0
+//! (a [`PageId`] is a file id and a block). Heap partitions get a file each
+//! and B+trees share file 0, so a heap page's id depends only on its table,
+//! partition and position — not on what else the disk holds.
+//!
+//! Two implementations share the [`DiskManager`] trait: [`MemDisk`] (a page
+//! vector per file, with optional *simulated* per-I/O latency so experiments
+//! can make a workload I/O-bound deterministically — DESIGN.md §4,
+//! substitution 3) and [`FileDisk`] (a real file holding file 0 only, which
+//! is what a WAL segment needs). Both count reads and writes; the Figure 2
+//! calibration and the stage monitors consume those counters.
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageId, PAGE_SIZE};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -43,8 +49,9 @@ impl IoStats {
 
 /// Abstract page store.
 pub trait DiskManager: Send + Sync {
-    /// Allocate a fresh page (zeroed) and return its id.
-    fn allocate(&self) -> StorageResult<PageId>;
+    /// Allocate a fresh (zeroed) page at the end of `file` and return its
+    /// id: each file's blocks are numbered densely from 0.
+    fn allocate(&self, file: u32) -> StorageResult<PageId>;
 
     /// Read a page into `buf` (`buf.len() == PAGE_SIZE`).
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()>;
@@ -52,7 +59,7 @@ pub trait DiskManager: Send + Sync {
     /// Write a page from `buf`.
     fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()>;
 
-    /// Number of allocated pages.
+    /// Number of allocated pages, across all files.
     fn num_pages(&self) -> u64;
 
     /// Force previously written pages to stable storage (a durability
@@ -98,9 +105,11 @@ impl Counters {
     }
 }
 
+type Page = Box<[u8; PAGE_SIZE]>;
+
 /// In-memory disk with optional simulated latency and a capacity limit.
 pub struct MemDisk {
-    pages: Mutex<Vec<Box<[u8; PAGE_SIZE]>>>,
+    files: Mutex<BTreeMap<u32, Vec<Page>>>,
     counters: Counters,
     latency: Option<Duration>,
     max_pages: u64,
@@ -110,7 +119,7 @@ impl MemDisk {
     /// Unlimited in-memory disk with no latency.
     pub fn new() -> Self {
         Self {
-            pages: Mutex::new(Vec::new()),
+            files: Mutex::new(BTreeMap::new()),
             counters: Counters::new(),
             latency: None,
             max_pages: u64::MAX,
@@ -125,8 +134,9 @@ impl MemDisk {
         self
     }
 
-    /// Cap the disk at `max_pages` (allocation beyond it fails with
-    /// [`StorageError::DiskFull`] — used by failure-injection tests).
+    /// Cap the disk at `max_pages`, counted across all files (allocation
+    /// beyond it fails with [`StorageError::DiskFull`] — used by
+    /// failure-injection tests).
     pub fn with_capacity(mut self, max_pages: u64) -> Self {
         self.max_pages = max_pages;
         self
@@ -146,36 +156,37 @@ impl Default for MemDisk {
 }
 
 impl DiskManager for MemDisk {
-    fn allocate(&self) -> StorageResult<PageId> {
-        let mut pages = self.pages.lock();
-        if pages.len() as u64 >= self.max_pages {
+    fn allocate(&self, file: u32) -> StorageResult<PageId> {
+        let mut files = self.files.lock();
+        if files.values().map(|f| f.len() as u64).sum::<u64>() >= self.max_pages {
             return Err(StorageError::DiskFull);
         }
+        let pages = files.entry(file).or_default();
         pages.push(Box::new([0u8; PAGE_SIZE]));
         self.counters.allocations.fetch_add(1, Ordering::Relaxed);
-        Ok(PageId(pages.len() as u64 - 1))
+        Ok(PageId::new(file, pages.len() as u32 - 1))
     }
 
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
         self.pause();
-        let pages = self.pages.lock();
-        let src = pages.get(page.0 as usize).ok_or(StorageError::InvalidPage(page.0))?;
-        buf.copy_from_slice(&src[..]);
+        let files = self.files.lock();
+        let src = files.get(&page.file()).and_then(|f| f.get(page.block() as usize));
+        buf.copy_from_slice(&src.ok_or(StorageError::InvalidPage(page))?[..]);
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
         self.pause();
-        let mut pages = self.pages.lock();
-        let dst = pages.get_mut(page.0 as usize).ok_or(StorageError::InvalidPage(page.0))?;
-        dst.copy_from_slice(buf);
+        let mut files = self.files.lock();
+        let dst = files.get_mut(&page.file()).and_then(|f| f.get_mut(page.block() as usize));
+        dst.ok_or(StorageError::InvalidPage(page))?.copy_from_slice(buf);
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     fn num_pages(&self) -> u64 {
-        self.pages.lock().len() as u64
+        self.files.lock().values().map(|f| f.len() as u64).sum()
     }
 
     fn sync(&self) -> StorageResult<()> {
@@ -194,7 +205,8 @@ impl DiskManager for MemDisk {
     }
 }
 
-/// File-backed disk manager.
+/// File-backed disk manager. It holds file 0 only (its one user is a WAL
+/// segment) and refuses to allocate in any other file.
 pub struct FileDisk {
     file: Mutex<File>,
     num_pages: AtomicU64,
@@ -217,7 +229,10 @@ impl FileDisk {
 }
 
 impl DiskManager for FileDisk {
-    fn allocate(&self) -> StorageResult<PageId> {
+    fn allocate(&self, file: u32) -> StorageResult<PageId> {
+        if file != 0 {
+            return Err(StorageError::InvalidPage(PageId::new(file, 0)));
+        }
         let id = self.num_pages.fetch_add(1, Ordering::SeqCst);
         let mut f = self.file.lock();
         f.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
@@ -228,7 +243,7 @@ impl DiskManager for FileDisk {
 
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
         if page.0 >= self.num_pages.load(Ordering::SeqCst) {
-            return Err(StorageError::InvalidPage(page.0));
+            return Err(StorageError::InvalidPage(page));
         }
         let mut f = self.file.lock();
         f.seek(SeekFrom::Start(page.0 * PAGE_SIZE as u64))?;
@@ -239,7 +254,7 @@ impl DiskManager for FileDisk {
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
         if page.0 >= self.num_pages.load(Ordering::SeqCst) {
-            return Err(StorageError::InvalidPage(page.0));
+            return Err(StorageError::InvalidPage(page));
         }
         let mut f = self.file.lock();
         f.seek(SeekFrom::Start(page.0 * PAGE_SIZE as u64))?;
@@ -268,7 +283,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(disk: &dyn DiskManager) {
-        let p = disk.allocate().unwrap();
+        let p = disk.allocate(0).unwrap();
         let mut w = [0u8; PAGE_SIZE];
         w[0] = 0xAB;
         w[PAGE_SIZE - 1] = 0xCD;
@@ -308,7 +323,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let d = FileDisk::open(&path).unwrap();
-            let p = d.allocate().unwrap();
+            let p = d.allocate(0).unwrap();
             let mut w = [0u8; PAGE_SIZE];
             w[7] = 42;
             d.write_page(p, &w).unwrap();
@@ -330,11 +345,48 @@ mod tests {
     }
 
     #[test]
+    fn file_disk_refuses_a_nonzero_file() {
+        let dir = std::env::temp_dir().join(format!("staged-db-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("disk-file-ids.db");
+        let _ = std::fs::remove_file(&path);
+        let d = FileDisk::open(&path).unwrap();
+        assert!(matches!(d.allocate(3), Err(StorageError::InvalidPage(p)) if p.file() == 3));
+        assert_eq!(d.num_pages(), 0, "a refused allocation writes nothing");
+        assert_eq!(d.allocate(0).unwrap(), PageId::new(0, 0));
+        let mut buf = [0u8; PAGE_SIZE];
+        assert!(d.read_page(PageId::new(3, 0), &mut buf).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn mem_disk_numbers_blocks_densely_per_file() {
+        let d = MemDisk::new();
+        assert_eq!(d.allocate(7).unwrap(), PageId::new(7, 0));
+        assert_eq!(d.allocate(0).unwrap(), PageId::new(0, 0));
+        assert_eq!(d.allocate(7).unwrap(), PageId::new(7, 1));
+        assert_eq!(d.allocate(0).unwrap(), PageId::new(0, 1));
+        assert_eq!(d.num_pages(), 4);
+        let mut w = [0u8; PAGE_SIZE];
+        w[0] = 9;
+        d.write_page(PageId::new(7, 1), &w).unwrap();
+        let mut r = [0u8; PAGE_SIZE];
+        d.read_page(PageId::new(0, 1), &mut r).unwrap();
+        assert_eq!(r[0], 0, "files do not share blocks");
+        d.read_page(PageId::new(7, 1), &mut r).unwrap();
+        assert_eq!(r[0], 9);
+        assert!(d.read_page(PageId::new(7, 2), &mut r).is_err());
+        assert!(d.read_page(PageId::new(8, 0), &mut r).is_err());
+    }
+
+    #[test]
     fn capacity_limit_reports_disk_full() {
-        let d = MemDisk::new().with_capacity(2);
-        d.allocate().unwrap();
-        d.allocate().unwrap();
-        assert!(matches!(d.allocate(), Err(StorageError::DiskFull)));
+        let d = MemDisk::new().with_capacity(3);
+        d.allocate(0).unwrap();
+        d.allocate(256).unwrap();
+        d.allocate(257).unwrap();
+        assert!(matches!(d.allocate(0), Err(StorageError::DiskFull)), "counted across files");
+        assert!(matches!(d.allocate(258), Err(StorageError::DiskFull)));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Storage-layer errors.
 
+use crate::page::PageId;
 use std::fmt;
 
 /// Result alias for storage operations.
@@ -10,12 +11,13 @@ pub type StorageResult<T> = Result<T, StorageError>;
 pub enum StorageError {
     /// Underlying I/O failed (message from `std::io::Error`).
     Io(String),
-    /// A page id was out of range or not allocated.
-    InvalidPage(u64),
+    /// A page id was out of range or not allocated, or names a file the
+    /// caller does not own.
+    InvalidPage(PageId),
     /// A slot id did not exist or was deleted.
     InvalidSlot {
         /// Page the slot was looked up on.
-        page: u64,
+        page: PageId,
         /// The offending slot index.
         slot: u16,
     },
@@ -39,7 +41,7 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::Io(m) => write!(f, "i/o error: {m}"),
-            StorageError::InvalidPage(p) => write!(f, "invalid page id {p}"),
+            StorageError::InvalidPage(p) => write!(f, "invalid page {p}"),
             StorageError::InvalidSlot { page, slot } => {
                 write!(f, "invalid slot {slot} on page {page}")
             }

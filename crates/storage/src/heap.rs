@@ -1,4 +1,9 @@
 //! Heap files: unordered collections of tuples on slotted pages.
+//!
+//! A heap file owns one page file of the disk, so its `n`-th page is block
+//! `n` of that file in every catalog. That makes a rid portable: recovery
+//! and replica apply [`place`](HeapFile::place_with) each row at the rid
+//! the log or snapshot names, growing the file as needed.
 
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
@@ -12,15 +17,21 @@ use std::sync::Arc;
 /// on-disk directory pages are out of scope, see crate docs).
 pub struct HeapFile {
     pool: Arc<BufferPool>,
+    file: u32,
     pages: RwLock<Vec<PageId>>,
     /// Serializes the insert path so two inserters do not both allocate.
     insert_lock: Mutex<()>,
 }
 
 impl HeapFile {
-    /// An empty heap file over `pool`.
-    pub fn create(pool: Arc<BufferPool>) -> Self {
-        Self { pool, pages: RwLock::new(Vec::new()), insert_lock: Mutex::new(()) }
+    /// An empty heap file over `pool`, in page file `file`.
+    pub fn create(pool: Arc<BufferPool>, file: u32) -> Self {
+        Self { pool, file, pages: RwLock::new(Vec::new()), insert_lock: Mutex::new(()) }
+    }
+
+    /// The page file this heap owns.
+    pub fn file(&self) -> u32 {
+        self.file
     }
 
     /// Number of pages.
@@ -66,24 +77,37 @@ impl HeapFile {
                 return Ok(Rid::new(last, slot));
             }
         }
-        // Allocate a fresh page.
-        let page = self.pool.new_page()?;
-        let pid = page.page_id();
-        page.write(|d| {
-            SlottedPage::init(d);
-            let slot = SlottedPage::insert(d, &bytes);
-            if let Some(s) = slot {
-                if let Some(f) = note.take() {
-                    f(Rid::new(pid, s));
-                }
+        // Start a fresh page.
+        let rid = Rid::new(PageId::new(self.file, self.num_pages() as u32), 0);
+        self.place_locked(rid, &bytes, note.take().expect("note runs once"))?;
+        Ok(rid)
+    }
+
+    /// Store the encoded row `bytes` at `rid`, growing the file up to the
+    /// rid's block, and run `note` with the rid under the page write latch
+    /// (see [`Self::insert_with`]). A rid in another page file is
+    /// `InvalidPage`; see [`SlottedPage::place`] for the slot rules. This is
+    /// how replay puts a row back at the address the log names.
+    pub fn place_with<F: FnOnce(Rid)>(&self, rid: Rid, bytes: &[u8], note: F) -> StorageResult<()> {
+        let _guard = self.insert_lock.lock();
+        self.place_locked(rid, bytes, note)
+    }
+
+    fn place_locked<F: FnOnce(Rid)>(&self, rid: Rid, bytes: &[u8], note: F) -> StorageResult<()> {
+        if rid.page.file() != self.file {
+            return Err(StorageError::InvalidPage(rid.page));
+        }
+        while self.num_pages() <= rid.page.block() as usize {
+            let expected = PageId::new(self.file, self.num_pages() as u32);
+            let page = self.pool.new_page(self.file)?;
+            if page.page_id() != expected {
+                return Err(StorageError::Corrupt(format!("heap file {} out of step", self.file)));
             }
-            slot
-        })
-        .map(|slot| {
-            self.pages.write().push(pid);
-            Rid::new(pid, slot)
-        })
-        .ok_or(StorageError::RecordTooLarge(bytes.len()))
+            page.write(SlottedPage::init);
+            self.pages.write().push(expected);
+        }
+        let page = self.pool.fetch(rid.page)?;
+        page.write(|d| SlottedPage::place(d, rid.page, rid.slot, bytes).map(|()| note(rid)))
     }
 
     /// Read the tuple at `rid`.
@@ -295,7 +319,7 @@ mod tests {
     use crate::value::Value;
 
     fn heap() -> HeapFile {
-        HeapFile::create(BufferPool::new(Arc::new(MemDisk::new()), 64))
+        HeapFile::create(BufferPool::new(Arc::new(MemDisk::new()), 64), 256)
     }
 
     fn row(i: i64) -> Tuple {
@@ -334,6 +358,45 @@ mod tests {
         let remaining: Vec<Tuple> = h.scan().map(|r| r.unwrap().1).collect();
         assert_eq!(remaining, vec![row(1)]);
         assert_eq!(h.count().unwrap(), 1);
+    }
+
+    #[test]
+    fn insert_numbers_pages_from_block_zero_of_its_file() {
+        let h = heap();
+        let rid = h.insert(&row(0)).unwrap();
+        assert_eq!(rid, Rid::new(PageId::new(256, 0), 0));
+        for i in 1..300 {
+            h.insert(&row(i)).unwrap();
+        }
+        let want: Vec<PageId> = (0..h.num_pages() as u32).map(|b| PageId::new(256, b)).collect();
+        assert_eq!(h.page_ids(), want);
+    }
+
+    #[test]
+    fn place_grows_the_file_to_the_rids_block() {
+        let h = heap();
+        let far = Rid::new(PageId::new(256, 2), 5);
+        let mut noted = None;
+        h.place_with(far, &row(7).encode(), |r| noted = Some(r)).unwrap();
+        assert_eq!(noted, Some(far));
+        assert_eq!(h.num_pages(), 3, "blocks 0 and 1 come into being empty");
+        assert_eq!(h.get(far).unwrap(), row(7));
+        assert_eq!(h.scan().map(|r| r.unwrap()).collect::<Vec<_>>(), vec![(far, row(7))]);
+        // Later rows go after it; a taken slot is refused.
+        h.place_with(Rid::new(PageId::new(256, 0), 0), &row(1).encode(), |_| {}).unwrap();
+        assert!(h.place_with(far, &row(8).encode(), |_| {}).is_err());
+        assert_eq!(h.insert(&row(9)).unwrap(), Rid::new(PageId::new(256, 2), 6));
+    }
+
+    #[test]
+    fn place_of_a_rid_from_another_file_is_an_error() {
+        let h = heap();
+        let foreign = Rid::new(PageId::new(257, 0), 0);
+        assert!(matches!(
+            h.place_with(foreign, &row(1).encode(), |_| panic!("not placed")),
+            Err(StorageError::InvalidPage(p)) if p == foreign.page
+        ));
+        assert_eq!(h.num_pages(), 0, "nothing allocated");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use page::{PageId, PAGE_SIZE};
 pub use partition::{partition_of_value, PartitionedHeap};
 pub use schema::{Column, Schema};
 pub use segment::{FileSegmentStore, MemSegmentStore, SegmentStore};
-pub use snapshot::{FileSnapshotStore, MemSnapshotStore, RestoreMaps, Snapshot, SnapshotStore};
+pub use snapshot::{FileSnapshotStore, MemSnapshotStore, Snapshot, SnapshotStore};
 pub use tuple::{Rid, Tuple};
 pub use value::{DataType, Value};
 pub use wal::{LogRecord, Lsn, Wal, DEFAULT_SEGMENT_PAGES};

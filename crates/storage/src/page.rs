@@ -14,6 +14,10 @@
 //! bytes stay put, so rollback can restore it in place. Slots are never
 //! reused so rids stay stable, and reclaiming space is left to a rebuild
 //! (the engine's workloads are read-mostly, like the paper's).
+//!
+//! A [`PageId`] names a block of a page file, so a heap partition (one file
+//! each) numbers its pages from 0 in every catalog: replay can
+//! [`place`](SlottedPage::place) a row at the slot the log names.
 
 use crate::error::{StorageError, StorageResult};
 
@@ -23,13 +27,31 @@ pub const PAGE_SIZE: usize = 8192;
 const HEADER: usize = 4;
 const SLOT: usize = 4;
 
-/// Identifier of a page on a disk.
+/// Identifier of a page on a disk: a file id in the high 32 bits, a block
+/// number within that file in the low 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
+impl PageId {
+    /// Block `block` of file `file`.
+    pub const fn new(file: u32, block: u32) -> Self {
+        PageId((file as u64) << 32 | block as u64)
+    }
+
+    /// The file this page belongs to.
+    pub const fn file(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
+    /// The page's block number within its file.
+    pub const fn block(self) -> u32 {
+        self.0 as u32
+    }
+}
+
 impl std::fmt::Display for PageId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p{}", self.0)
+        write!(f, "{}.{}", self.file(), self.block())
     }
 }
 
@@ -60,34 +82,49 @@ impl SlottedPage {
         free_end.saturating_sub(slot_end).saturating_sub(SLOT)
     }
 
-    /// Insert a record; returns its slot id, or `None` if it does not fit.
+    /// Insert a record at the end of the slot array; returns its slot id,
+    /// or `None` if it does not fit.
     pub fn insert(data: &mut [u8], record: &[u8]) -> Option<u16> {
-        if record.len() > u16::MAX as usize || record.len() > Self::free_space(data) {
-            return None;
-        }
+        let slot = Self::num_slots(data);
+        Self::place(data, PageId(0), slot, record).ok().map(|()| slot)
+    }
+
+    /// Store `record` at `slot`, which must be at or past the end of the
+    /// slot array (`InvalidSlot` otherwise). The slots skipped in between
+    /// become tombstones: the bytes past the slot array are still the
+    /// page's initial zeroes, and a zero length is a tombstone.
+    /// `RecordTooLarge` when the record and the new slots do not fit. On
+    /// error the page is unchanged.
+    pub fn place(data: &mut [u8], page: PageId, slot: u16, record: &[u8]) -> StorageResult<()> {
         let slots = Self::num_slots(data);
+        if slot < slots {
+            return Err(StorageError::InvalidSlot { page, slot });
+        }
         let free_end = read_u16(data, 2) as usize;
+        if HEADER + (slot as usize + 1) * SLOT + record.len() > free_end {
+            return Err(StorageError::RecordTooLarge(record.len()));
+        }
         let new_end = free_end - record.len();
         data[new_end..free_end].copy_from_slice(record);
-        let slot_off = HEADER + slots as usize * SLOT;
+        let slot_off = HEADER + slot as usize * SLOT;
         write_u16(data, slot_off, new_end as u16);
         write_u16(data, slot_off + 2, record.len() as u16);
-        write_u16(data, 0, slots + 1);
+        write_u16(data, 0, slot + 1);
         write_u16(data, 2, new_end as u16);
-        Some(slots)
+        Ok(())
     }
 
     /// Read a record by slot; `InvalidSlot` for out-of-range or deleted.
     pub fn get(data: &[u8], page: PageId, slot: u16) -> StorageResult<&[u8]> {
         let slots = Self::num_slots(data);
         if slot >= slots {
-            return Err(StorageError::InvalidSlot { page: page.0, slot });
+            return Err(StorageError::InvalidSlot { page, slot });
         }
         let slot_off = HEADER + slot as usize * SLOT;
         let off = read_u16(data, slot_off) as usize;
         let len = read_u16(data, slot_off + 2) as usize;
         if len == 0 {
-            return Err(StorageError::InvalidSlot { page: page.0, slot });
+            return Err(StorageError::InvalidSlot { page, slot });
         }
         if off + len > PAGE_SIZE {
             return Err(StorageError::Corrupt(format!("slot {slot} out of bounds")));
@@ -99,7 +136,7 @@ impl SlottedPage {
     pub fn delete(data: &mut [u8], page: PageId, slot: u16) -> StorageResult<()> {
         let slots = Self::num_slots(data);
         if slot >= slots {
-            return Err(StorageError::InvalidSlot { page: page.0, slot });
+            return Err(StorageError::InvalidSlot { page, slot });
         }
         let slot_off = HEADER + slot as usize * SLOT;
         write_u16(data, slot_off + 2, 0);
@@ -113,11 +150,11 @@ impl SlottedPage {
     /// (`Corrupt`); on error the page is unchanged.
     pub fn restore(data: &mut [u8], page: PageId, slot: u16, record: &[u8]) -> StorageResult<()> {
         if slot >= Self::num_slots(data) {
-            return Err(StorageError::InvalidSlot { page: page.0, slot });
+            return Err(StorageError::InvalidSlot { page, slot });
         }
         let slot_off = HEADER + slot as usize * SLOT;
         if read_u16(data, slot_off + 2) != 0 {
-            return Err(StorageError::InvalidSlot { page: page.0, slot });
+            return Err(StorageError::InvalidSlot { page, slot });
         }
         let off = read_u16(data, slot_off) as usize;
         if data.get(off..off + record.len()) != Some(record) {
@@ -243,7 +280,7 @@ mod tests {
         let before = d.clone();
         assert!(matches!(
             SlottedPage::restore(&mut d, PageId(0), 0, b"a"),
-            Err(StorageError::InvalidSlot { page: 0, slot: 0 })
+            Err(StorageError::InvalidSlot { page: PageId(0), slot: 0 })
         ));
         assert_eq!(d, before);
     }
@@ -271,9 +308,54 @@ mod tests {
         let before = d.clone();
         assert!(matches!(
             SlottedPage::restore(&mut d, PageId(0), 1, b"a"),
-            Err(StorageError::InvalidSlot { page: 0, slot: 1 })
+            Err(StorageError::InvalidSlot { page: PageId(0), slot: 1 })
         ));
         assert_eq!(d, before);
+    }
+
+    #[test]
+    fn place_past_the_end_tombstones_the_gap() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, b"a").unwrap();
+        SlottedPage::place(&mut d, PageId(0), 3, b"dee").unwrap();
+        assert_eq!(SlottedPage::num_slots(&d), 4);
+        for gap in 1..3 {
+            assert!(SlottedPage::get(&d, PageId(0), gap).is_err(), "slot {gap} is a tombstone");
+        }
+        let live: Vec<(u16, &[u8])> = SlottedPage::iter(&d).collect();
+        assert_eq!(live, vec![(0, b"a".as_ref()), (3, b"dee".as_ref())]);
+        assert_eq!(SlottedPage::insert(&mut d, b"e"), Some(4), "insert places at the end");
+    }
+
+    #[test]
+    fn place_below_the_slot_count_is_an_error() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, b"a").unwrap();
+        SlottedPage::insert(&mut d, b"b").unwrap();
+        SlottedPage::delete(&mut d, PageId(0), 1).unwrap();
+        let before = d.clone();
+        for slot in [0, 1] {
+            assert!(matches!(
+                SlottedPage::place(&mut d, PageId::new(2, 5), slot, b"z"),
+                Err(StorageError::InvalidSlot { page, slot: s }) if page == PageId::new(2, 5) && s == slot
+            ));
+        }
+        assert_eq!(d, before);
+    }
+
+    #[test]
+    fn place_of_a_record_that_does_not_fit_is_an_error() {
+        let mut d = page();
+        SlottedPage::insert(&mut d, &[1u8; 4000]).unwrap();
+        let before = d.clone();
+        assert!(matches!(
+            SlottedPage::place(&mut d, PageId(0), 1, &[2u8; 4200]),
+            Err(StorageError::RecordTooLarge(4200))
+        ));
+        // The record alone fits, but not with 1,100 gap slots in front.
+        assert!(SlottedPage::place(&mut d, PageId(0), 1100, &[2u8; 100]).is_err());
+        assert_eq!(d, before);
+        SlottedPage::place(&mut d, PageId(0), 1, &[2u8; 4000]).unwrap();
     }
 
     #[test]
@@ -281,7 +363,7 @@ mod tests {
         let d = page();
         assert!(matches!(
             SlottedPage::get(&d, PageId(3), 0),
-            Err(StorageError::InvalidSlot { page: 3, slot: 0 })
+            Err(StorageError::InvalidSlot { page: PageId(3), slot: 0 })
         ));
         let mut d2 = page();
         assert!(SlottedPage::delete(&mut d2, PageId(0), 9).is_err());

@@ -7,9 +7,14 @@
 //! its *partition key* column; scans can read one partition or all of them.
 //! A single-partition heap degenerates to the old behaviour, so the rest of
 //! the system treats every table as partitioned (usually with N = 1).
+//!
+//! Partition `p` of table `t` lives in page file `(t + 1) << 8 | p`
+//! ([`heap_file`]), so a rid says which table and partition hold the row,
+//! and names the same slot in every catalog with the same table ids and
+//! partition counts.
 
 use crate::buffer::BufferPool;
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::heap::{HeapFile, HeapPageScan, HeapScan};
 use crate::mvcc::{ReadView, VersionStore};
 use crate::page::PageId;
@@ -35,6 +40,16 @@ pub fn partition_of_value(v: &Value, partitions: usize) -> usize {
     (h % partitions as u64) as usize
 }
 
+/// Most partitions a table can have: a partition is the low byte of its
+/// heap file id.
+pub const MAX_PARTITIONS: usize = 256;
+
+/// The page file of partition `partition` of table `table`. File 0 (table
+/// id −1) is left to the B+trees.
+pub fn heap_file(table: u32, partition: usize) -> u32 {
+    (table + 1) << 8 | partition as u32
+}
+
 /// N heap files behind one table, with hash routing on a key column.
 pub struct PartitionedHeap {
     parts: Vec<Arc<HeapFile>>,
@@ -42,12 +57,12 @@ pub struct PartitionedHeap {
 }
 
 impl PartitionedHeap {
-    /// An empty partitioned heap: `partitions` heap files over `pool`,
-    /// routing on column `key`.
-    pub fn create(pool: Arc<BufferPool>, partitions: usize, key: usize) -> Self {
-        let n = partitions.max(1);
-        let parts = (0..n).map(|_| Arc::new(HeapFile::create(Arc::clone(&pool)))).collect();
-        Self { parts, key }
+    /// An empty partitioned heap for table `table`: `partitions` heap files
+    /// (at most [`MAX_PARTITIONS`]) over `pool`, routing on column `key`.
+    pub fn create(pool: Arc<BufferPool>, table: u32, partitions: usize, key: usize) -> Self {
+        assert!(partitions <= MAX_PARTITIONS, "{partitions} partitions");
+        let part = |p| Arc::new(HeapFile::create(Arc::clone(&pool), heap_file(table, p)));
+        Self { parts: (0..partitions.max(1)).map(part).collect(), key }
     }
 
     /// Number of partitions (≥ 1).
@@ -95,6 +110,14 @@ impl PartitionedHeap {
         let p = self.partition_of(tuple);
         let rid = self.parts[p].insert_with(tuple, note)?;
         Ok((p, rid))
+    }
+
+    /// The partition whose heap file holds `rid`; `InvalidPage` when the
+    /// rid names a file outside this heap (another table's, or a partition
+    /// this heap does not have).
+    pub fn partition_of_rid(&self, rid: Rid) -> StorageResult<usize> {
+        let p = self.parts.iter().position(|h| h.file() == rid.page.file());
+        p.ok_or(StorageError::InvalidPage(rid.page))
     }
 
     /// Read the tuple at `rid` (rids are global page addresses, so any
@@ -268,7 +291,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn heap(parts: usize) -> PartitionedHeap {
-        PartitionedHeap::create(BufferPool::new(Arc::new(MemDisk::new()), 256), parts, 0)
+        PartitionedHeap::create(BufferPool::new(Arc::new(MemDisk::new()), 256), 0, parts, 0)
     }
 
     fn row(i: i64) -> Tuple {
@@ -307,6 +330,20 @@ mod tests {
         // A reasonable spread: no partition is empty at 400 rows.
         for p in 0..4 {
             assert!(h.scan_partition(p).count() > 0, "partition {p} empty");
+        }
+    }
+
+    #[test]
+    fn each_partition_owns_its_heap_file() {
+        let h = PartitionedHeap::create(BufferPool::new(Arc::new(MemDisk::new()), 64), 3, 4, 0);
+        for i in 0..40 {
+            let (p, rid) = h.insert_routed(&row(i)).unwrap();
+            assert_eq!(rid.page.file(), heap_file(3, p));
+            assert_eq!(h.partition_of_rid(rid).unwrap(), p);
+        }
+        for foreign in [heap_file(2, 0), heap_file(3, 4)] {
+            let rid = Rid::new(PageId::new(foreign, 0), 0);
+            assert!(h.partition_of_rid(rid).is_err());
         }
     }
 

@@ -207,7 +207,7 @@ mod tests {
     fn mem_store_stats_survive_deletion() {
         let s = MemSegmentStore::new();
         let d = s.open(0).unwrap();
-        d.allocate().unwrap();
+        d.allocate(0).unwrap();
         d.write_page(PageId(0), &[0u8; PAGE_SIZE]).unwrap();
         d.sync().unwrap();
         let before = s.io_stats();
@@ -227,7 +227,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let s = FileSegmentStore::open(&dir).unwrap();
         let d = s.open(3).unwrap();
-        let p = d.allocate().unwrap();
+        let p = d.allocate(0).unwrap();
         let mut page = [0u8; PAGE_SIZE];
         page[17] = 0xEE;
         d.write_page(p, &page).unwrap();

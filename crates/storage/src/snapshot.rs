@@ -9,19 +9,19 @@
 //! (same checksum as the WAL pages), so a half-written or bit-rotted
 //! snapshot is a detected [`StorageError::Corrupt`], never garbage tables.
 //!
-//! Restoring re-creates tables and indexes through the normal catalog
-//! paths, which assign *fresh* table ids and rids. [`RestoreMaps`] carries
-//! the old→new translations so WAL-tail replay can rewrite the addresses
-//! baked into its records.
+//! Restoring recreates each table under its captured id and places each
+//! row at its captured rid (a rid names a block of the partition's own page
+//! file, see [`crate::partition`]), so the WAL tail's table ids and rids
+//! mean the same thing before and after: replay translates nothing.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableId};
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{Column, Schema};
 use crate::tuple::{Rid, Tuple};
 use crate::value::DataType;
 use crate::wal::{crc32, Lsn};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"SDBSNAP1";
@@ -99,15 +99,15 @@ impl SnapshotStore for FileSnapshotStore {
 pub struct TableSnapshot {
     /// Lower-cased table name.
     pub name: String,
-    /// The table id at capture time — WAL records reference this id.
-    pub old_id: u32,
+    /// The table id — WAL records reference it, and restore reuses it.
+    pub id: u32,
     /// Hash-partition count.
     pub partitions: u32,
     /// Hash-key column.
     pub key: u32,
     /// Column layout.
     pub schema: Schema,
-    /// `(rid at capture time, encoded tuple)` for every live row.
+    /// `(rid, encoded tuple)` for every live row, in heap order.
     pub rows: Vec<(Rid, Vec<u8>)>,
 }
 
@@ -120,16 +120,6 @@ pub struct IndexSnapshot {
     pub table: String,
     /// Indexed column's name.
     pub column: String,
-}
-
-/// Old-address → new-address translations produced by a restore, for
-/// rewriting the WAL tail's table ids and rids during replay.
-#[derive(Default)]
-pub struct RestoreMaps {
-    /// Table id at capture time → table id in the restored catalog.
-    pub tables: HashMap<u32, u32>,
-    /// `(old table id, old rid)` → rid in the restored heap.
-    pub rids: HashMap<(u32, Rid), Rid>,
 }
 
 /// A point-in-time image of every table and index, anchored at a WAL LSN.
@@ -222,7 +212,7 @@ impl Snapshot {
             }
             tables.push(TableSnapshot {
                 name: info.name.clone(),
-                old_id: info.id.0,
+                id: info.id.0,
                 partitions: info.partitions() as u32,
                 key: info.partition_key() as u32,
                 schema: info.schema.clone(),
@@ -249,7 +239,7 @@ impl Snapshot {
         out.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
         for t in &self.tables {
             put_str(&mut out, &t.name);
-            out.extend_from_slice(&t.old_id.to_le_bytes());
+            out.extend_from_slice(&t.id.to_le_bytes());
             out.extend_from_slice(&t.partitions.to_le_bytes());
             out.extend_from_slice(&t.key.to_le_bytes());
             out.extend_from_slice(&(t.schema.len() as u32).to_le_bytes());
@@ -298,7 +288,7 @@ impl Snapshot {
         let mut tables = Vec::new();
         for _ in 0..n_tables {
             let name = c.string()?;
-            let old_id = c.u32()?;
+            let id = c.u32()?;
             let partitions = c.u32()?;
             let key = c.u32()?;
             let n_cols = c.u32()? as usize;
@@ -331,7 +321,7 @@ impl Snapshot {
                 let bytes = c.take(len)?.to_vec();
                 rows.push((Rid::new(crate::page::PageId(page), slot), bytes));
             }
-            tables.push(TableSnapshot { name, old_id, partitions, key, schema, rows });
+            tables.push(TableSnapshot { name, id, partitions, key, schema, rows });
         }
         let n_indexes = c.u32()? as usize;
         let mut indexes = Vec::new();
@@ -348,36 +338,34 @@ impl Snapshot {
         Ok(Snapshot { lsn, tables, indexes })
     }
 
-    /// Rebuild every table and index into an **empty** catalog. Rows are
-    /// re-inserted through normal hash routing (the partition hash is
-    /// deterministic, so each row lands in the same partition it was
-    /// captured from) and indexes are bulk-loaded from the restored heap.
-    /// Returns the old→new address maps for WAL-tail replay.
-    pub fn restore(&self, catalog: &Catalog) -> StorageResult<RestoreMaps> {
+    /// Rebuild every table and index into an **empty** catalog: each table
+    /// under its captured id and partitioning, each row at its captured rid
+    /// (so a WAL tail replays onto it unchanged); indexes are bulk-loaded
+    /// from the restored heap.
+    pub fn restore(&self, catalog: &Catalog) -> StorageResult<()> {
         if !catalog.list_tables().is_empty() {
             return Err(StorageError::AlreadyExists(
                 "snapshot restore needs an empty catalog".into(),
             ));
         }
-        let mut maps = RestoreMaps::default();
         for t in &self.tables {
-            let info = catalog.create_table_partitioned(
+            let info = catalog.create_table_as(
+                Some(TableId(t.id)),
                 &t.name,
                 t.schema.clone(),
                 t.partitions as usize,
                 t.key as usize,
             )?;
-            maps.tables.insert(t.old_id, info.id.0);
-            for (old_rid, bytes) in &t.rows {
-                let tuple = Tuple::decode(bytes)?;
-                let (_, new_rid) = info.heap.insert_routed(&tuple)?;
-                maps.rids.insert((t.old_id, *old_rid), new_rid);
+            for (rid, bytes) in &t.rows {
+                Tuple::decode(bytes)?; // a row must decode before it lands
+                let part = info.heap.partition(info.heap.partition_of_rid(*rid)?);
+                part.place_with(*rid, bytes, |_| {})?;
             }
         }
         for ix in &self.indexes {
             catalog.create_index(&ix.name, &ix.table, &ix.column)?;
         }
-        Ok(maps)
+        Ok(())
     }
 
     /// Total rows across all tables (reporting).
@@ -432,20 +420,47 @@ mod tests {
         assert_eq!(back.indexes.len(), 1);
 
         let dst = catalog();
-        let maps = back.restore(&dst).unwrap();
+        back.restore(&dst).unwrap();
         assert_eq!(sorted_rows(&dst, "t"), sorted_rows(&src, "t"));
         // Index came back and probes work.
         let t = dst.table("t").unwrap();
         let ix = dst.index_on(t.id, 0).unwrap();
         assert_eq!(ix.search(42).unwrap().len(), 1);
-        // The rid map resolves every captured row to its restored twin.
+        // Same table id, every row at its captured rid.
         let src_t = src.table("t").unwrap();
-        assert_eq!(maps.tables[&src_t.id.0], t.id.0);
-        for item in src_t.heap.scan() {
-            let (old_rid, tuple) = item.unwrap();
-            let new_rid = maps.rids[&(src_t.id.0, old_rid)];
-            assert_eq!(t.heap.get(new_rid).unwrap(), tuple);
+        assert_eq!(t.id, src_t.id);
+        let rows = |h: &crate::partition::PartitionedHeap| -> Vec<(Rid, Tuple)> {
+            h.scan().map(|r| r.unwrap()).collect()
+        };
+        assert_eq!(rows(&t.heap), rows(&src_t.heap));
+    }
+
+    #[test]
+    fn restore_keeps_table_ids_and_the_gaps_between_rows() {
+        let src = catalog();
+        src.create_table("a", two_col()).unwrap();
+        let b = src.create_table_partitioned("b", two_col(), 2, 0).unwrap();
+        src.drop_table("a").unwrap();
+        let rids: Vec<Rid> = (0..1500i64)
+            .map(|i| b.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Str("x".into())])))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        // Empty a whole page and punch holes elsewhere.
+        for (i, rid) in rids.iter().enumerate() {
+            if rid.page.block() == 0 || i % 7 == 0 {
+                b.heap.delete(*rid).unwrap();
+            }
         }
+        let snap = Snapshot::decode(&Snapshot::capture(&src, Lsn::ZERO).unwrap().encode()).unwrap();
+        let dst = catalog();
+        snap.restore(&dst).unwrap();
+        let b2 = dst.table("b").unwrap();
+        assert_eq!(b2.id, b.id, "the id survives the dropped table in front of it");
+        let scan = |h: &crate::partition::PartitionedHeap| -> Vec<(Rid, Tuple)> {
+            h.scan().map(|r| r.unwrap()).collect()
+        };
+        assert_eq!(scan(&b2.heap), scan(&b.heap));
+        assert_eq!(dst.create_table("c", two_col()).unwrap().id.0, b.id.0 + 1);
     }
 
     #[test]

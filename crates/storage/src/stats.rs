@@ -122,7 +122,7 @@ mod tests {
 
     fn setup() -> (PartitionedHeap, Schema) {
         let pool = BufferPool::new(Arc::new(MemDisk::new()), 64);
-        let heap = PartitionedHeap::create(pool, 1, 0);
+        let heap = PartitionedHeap::create(pool, 0, 1, 0);
         let schema = Schema::new(vec![
             Column::new("k", DataType::Int),
             Column::new("grp", DataType::Int),

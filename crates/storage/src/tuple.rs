@@ -22,7 +22,7 @@ impl Rid {
 
 impl std::fmt::Display for Rid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "({}, {})", self.page.0, self.slot)
+        write!(f, "({}, {})", self.page, self.slot)
     }
 }
 

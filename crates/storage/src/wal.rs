@@ -308,7 +308,7 @@ impl WalInner {
         let crc = crc32(&self.buf[4..]);
         self.buf[0..4].copy_from_slice(&crc.to_le_bytes());
         while self.disk.num_pages() <= self.page_idx {
-            self.disk.allocate()?;
+            self.disk.allocate(0)?;
         }
         self.disk.write_page(PageId(self.page_idx), &self.buf[..])
     }
@@ -981,7 +981,7 @@ mod tests {
         // An oversized fragment length behind a valid checksum, likewise.
         let store2 = mem_store();
         let disk2 = store2.open(0).unwrap();
-        disk2.allocate().unwrap();
+        disk2.allocate(0).unwrap();
         let mut page = [0u8; PAGE_SIZE];
         page[4..6].copy_from_slice(&16u16.to_le_bytes());
         page[8..12].copy_from_slice(&0x7FFF_FFF0u32.to_le_bytes());

@@ -106,9 +106,9 @@ proptest! {
         parts in 1usize..9,
     ) {
         let ph = PartitionedHeap::create(
-            BufferPool::new(Arc::new(MemDisk::new()), 256), parts, 0);
+            BufferPool::new(Arc::new(MemDisk::new()), 256), 0, parts, 0);
         let flat = PartitionedHeap::create(
-            BufferPool::new(Arc::new(MemDisk::new()), 256), 1, 0);
+            BufferPool::new(Arc::new(MemDisk::new()), 256), 0, 1, 0);
         for (i, k) in keys.iter().enumerate() {
             let row = Tuple::new(vec![Value::Int(*k), Value::Int(i as i64)]);
             let (p, _) = ph.insert_routed(&row).unwrap();
@@ -146,7 +146,7 @@ proptest! {
         parts in 1usize..9,
     ) {
         let ph = PartitionedHeap::create(
-            BufferPool::new(Arc::new(MemDisk::new()), 256), parts, 0);
+            BufferPool::new(Arc::new(MemDisk::new()), 256), 0, parts, 0);
         for (i, k) in keys.iter().enumerate() {
             ph.insert(&Tuple::new(vec![Value::Int(*k), Value::Int(i as i64)])).unwrap();
         }

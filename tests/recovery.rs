@@ -4,7 +4,7 @@ use staged_db::engine::context::ExecContext;
 use staged_db::engine::dml;
 use staged_db::storage::wal::{LogRecord, Wal};
 use staged_db::storage::{
-    BufferPool, Catalog, Column, DataType, MemDisk, Schema, StorageError, Tuple, Value,
+    BufferPool, Catalog, Column, DataType, MemDisk, Rid, Schema, StorageError, Tuple, Value,
 };
 use std::sync::Arc;
 
@@ -45,35 +45,16 @@ fn redo_replay_rebuilds_table_contents() {
     wal.append(&LogRecord::Commit { xid: 1 }).unwrap();
 
     // "Crash": replay the log into a fresh table and compare.
-    let pool2 = BufferPool::new(Arc::new(MemDisk::new()), 256);
-    let catalog2 = Arc::new(Catalog::new(pool2));
-    let t2 = catalog2
-        .create_table(
-            "t",
-            Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)]),
-        )
-        .unwrap();
-    let mut rid_map = std::collections::HashMap::new();
-    for (_, rec) in wal.read_all().unwrap() {
-        match rec {
-            LogRecord::Insert { rid, bytes, .. } => {
-                let tuple = Tuple::decode(&bytes).unwrap();
-                let new_rid = t2.heap.insert(&tuple).unwrap();
-                rid_map.insert(rid, new_rid);
-            }
-            LogRecord::Delete { rid, .. } => {
-                let new_rid = rid_map.remove(&rid).expect("delete of logged insert");
-                t2.heap.delete(new_rid).unwrap();
-            }
-            _ => {}
-        }
-    }
-    let survivors: Vec<i64> =
-        t2.heap.scan().map(|r| r.unwrap().1.get(0).as_int().unwrap()).collect();
+    let (ctx2, t2, _) = setup();
+    assert_eq!(dml::redo(&ctx2, &wal).unwrap(), 60);
+    let rows = |t: &staged_db::storage::catalog::TableInfo| -> Vec<(Rid, Tuple)> {
+        t.heap.scan().map(|r| r.unwrap()).collect()
+    };
+    let survivors = rows(&t2);
     assert_eq!(survivors.len(), 40);
-    assert!(survivors.iter().all(|&i| i >= 10));
-    // Matches the live table.
-    assert_eq!(t.heap.count().unwrap(), 40);
+    assert!(survivors.iter().all(|(_, row)| row.get(0).as_int().unwrap() >= 10));
+    // Every row is back at the rid it had in the live table.
+    assert_eq!(survivors, rows(&t));
 }
 
 #[test]
@@ -799,4 +780,233 @@ fn overlapping_threaded_checkpoints_leave_a_consistent_snapshot() {
     assert!(report.corruption.is_none());
     let heap = &ctx.catalog.table("accounts").unwrap().heap;
     check(heap.scan().map(|r| r.unwrap().1.get(1).as_int().unwrap()).collect(), "recovered");
+}
+
+/// Run `statements` through one session of a fresh staged or threaded
+/// server over `catalog` and the stores, then shut it down. `CHECKPOINT`
+/// runs the server's checkpoint; every statement must succeed.
+fn run_on_server(
+    staged: bool,
+    catalog: Arc<Catalog>,
+    stores: &(Arc<dyn SegmentStore>, Arc<dyn SnapshotStore>),
+    statements: &[String],
+) {
+    use staged_db::planner::PlannerConfig;
+    use staged_db::server::{ServerConfig, StagedServer, ThreadedServer};
+    use std::time::Duration;
+    let (segs, snaps) = (Arc::clone(&stores.0), Arc::clone(&stores.1));
+    let run = |sql: &str, execute: &dyn Fn(&str) -> staged_db::server::Response| {
+        execute(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+    };
+    if staged {
+        let server =
+            StagedServer::with_stores(catalog, ServerConfig::default(), None, segs, snaps).unwrap();
+        let session = server.session();
+        for sql in statements {
+            match sql.as_str() {
+                "CHECKPOINT" => run(sql, &|_| server.checkpoint()),
+                _ => run(sql, &|sql| session.execute_sql(sql)),
+            }
+        }
+        drop(session);
+        server.shutdown();
+    } else {
+        let (planner, timeout) = (PlannerConfig::default(), Duration::from_secs(2));
+        let server =
+            ThreadedServer::with_stores(catalog, 2, planner, timeout, segs, snaps).unwrap();
+        let session = server.session();
+        for sql in statements {
+            match sql.as_str() {
+                "CHECKPOINT" => run(sql, &|_| server.checkpoint()),
+                _ => run(sql, &|sql| session.execute_sql(sql)),
+            }
+        }
+        drop(session);
+        server.shutdown();
+    }
+}
+
+/// A table's name, `(rid, row)` heap scan and sorted `(key, rid)` index
+/// entries.
+type TableImage = (String, Vec<(Rid, Tuple)>, Vec<(i64, Rid)>);
+
+/// Every table's [`TableImage`], in name order.
+fn heap_image(catalog: &Catalog) -> Vec<TableImage> {
+    catalog
+        .list_tables()
+        .into_iter()
+        .map(|t| {
+            let rows = t.heap.scan().map(|r| r.unwrap()).collect();
+            let mut entries = Vec::new();
+            for ix in catalog.indexes_for(t.id) {
+                entries.extend(ix.range(None, None).unwrap());
+            }
+            entries.sort_unstable();
+            (t.name.clone(), rows, entries)
+        })
+        .collect()
+}
+
+/// Recovery must not let a new transaction reuse an old xid. Xids used to
+/// restart at 1, so after `CHECKPOINT; BEGIN; INSERT (1); ROLLBACK`, a
+/// restart and an autocommit `INSERT (2)`, the new insert's `Commit` also
+/// committed the rolled-back insert's records in the log: the second
+/// restart recovered ids [1, 2]. Both servers.
+#[test]
+fn a_rolled_back_insert_stays_rolled_back_across_two_restarts() {
+    for staged in [false, true] {
+        let stores: (Arc<dyn SegmentStore>, Arc<dyn SnapshotStore>) =
+            (Arc::new(MemSegmentStore::new()), Arc::new(MemSnapshotStore::new()));
+        let script = |sql: &[&str]| sql.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        run_on_server(
+            staged,
+            empty_ctx().catalog,
+            &stores,
+            &script(&[
+                "CREATE TABLE a (id INT)",
+                "CHECKPOINT",
+                "BEGIN",
+                "INSERT INTO a VALUES (1)",
+                "ROLLBACK",
+            ]),
+        );
+        run_on_server(staged, empty_ctx().catalog, &stores, &script(&["INSERT INTO a VALUES (2)"]));
+        let catalog = empty_ctx().catalog;
+        run_on_server(staged, Arc::clone(&catalog), &stores, &[]);
+        let heap = &catalog.table("a").unwrap().heap;
+        let ids: Vec<i64> = heap.scan().map(|r| r.unwrap().1.get(0).as_int().unwrap()).collect();
+        assert_eq!(ids, vec![2], "staged server: {staged}");
+    }
+}
+
+/// The randomized recovery differential: a seeded mix of autocommit
+/// INSERT/UPDATE/DELETE, multi-statement transactions that commit or roll
+/// back, and CHECKPOINTs over two tables, on both servers at 1/2/4
+/// partitions, with and without an index on `id`. Recovery from the stores
+/// must rebuild every table rid for rid and byte for byte, and every index
+/// entry for entry.
+#[test]
+fn randomized_recovery_rebuilds_every_table_rid_for_rid() {
+    const TABLES: [&str; 2] = ["a", "b"];
+    for parts in [1usize, 2, 4] {
+        for indexed in [false, true] {
+            for staged in [false, true] {
+                let what = format!("staged {staged}, {parts} partitions, index {indexed}");
+                let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (parts as u64 * 4 + indexed as u64);
+                let mut rng = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                let catalog = empty_ctx().catalog;
+                for name in TABLES {
+                    let schema = Schema::new(vec![
+                        Column::new("id", DataType::Int),
+                        Column::new("v", DataType::Int),
+                    ]);
+                    catalog.create_table_partitioned(name, schema, parts, 0).unwrap();
+                    if indexed {
+                        catalog.create_index(&format!("{name}_id"), name, "id").unwrap();
+                    }
+                }
+                // Live ids per table, kept in step with what commits.
+                let mut ids: Vec<Vec<i64>> = vec![Vec::new(); TABLES.len()];
+                let mut next_id = 0i64;
+                let mut statements = Vec::new();
+                for step in 0..120 {
+                    if step % 40 == 39 {
+                        statements.push("CHECKPOINT".to_string());
+                    }
+                    let txn = rng() % 3 == 0;
+                    let before = ids.clone();
+                    if txn {
+                        statements.push("BEGIN".to_string());
+                    }
+                    for _ in 0..if txn { 1 + rng() % 4 } else { 1 } {
+                        let t = (rng() % 2) as usize;
+                        let live = &mut ids[t];
+                        let pick = |r: u64, live: &Vec<i64>| live[(r % live.len() as u64) as usize];
+                        statements.push(match rng() % 5 {
+                            0 | 1 => {
+                                next_id += 1;
+                                live.push(next_id);
+                                format!(
+                                    "INSERT INTO {} VALUES ({next_id}, {})",
+                                    TABLES[t],
+                                    rng() % 100
+                                )
+                            }
+                            2 if !live.is_empty() => {
+                                let id = pick(rng(), live);
+                                format!(
+                                    "UPDATE {} SET v = {} WHERE id = {id}",
+                                    TABLES[t],
+                                    rng() % 100
+                                )
+                            }
+                            3 if !live.is_empty() => {
+                                // A new key can move the row to another partition.
+                                let id = pick(rng(), live);
+                                next_id += 1;
+                                *live.iter_mut().find(|k| **k == id).unwrap() = next_id;
+                                format!("UPDATE {} SET id = {next_id} WHERE id = {id}", TABLES[t])
+                            }
+                            _ if !live.is_empty() => {
+                                let id = pick(rng(), live);
+                                live.retain(|k| *k != id);
+                                format!("DELETE FROM {} WHERE id = {id}", TABLES[t])
+                            }
+                            _ => format!("SELECT COUNT(*) FROM {}", TABLES[t]),
+                        });
+                    }
+                    if txn {
+                        let commit = rng() % 2 == 0;
+                        statements.push(if commit { "COMMIT" } else { "ROLLBACK" }.to_string());
+                        if !commit {
+                            ids = before;
+                        }
+                    }
+                }
+                let stores: (Arc<dyn SegmentStore>, Arc<dyn SnapshotStore>) =
+                    (Arc::new(MemSegmentStore::new()), Arc::new(MemSnapshotStore::new()));
+                run_on_server(staged, Arc::clone(&catalog), &stores, &statements);
+
+                let live = heap_image(&catalog);
+                for (t, name) in TABLES.iter().enumerate() {
+                    let mut got: Vec<i64> =
+                        live[t].1.iter().map(|(_, r)| r.get(0).as_int().unwrap()).collect();
+                    got.sort_unstable();
+                    ids[t].sort_unstable();
+                    assert_eq!(got, ids[t], "{what}: the live {name} matches the model");
+                }
+                let ctx = empty_ctx();
+                let (_wal, report) = checkpoint::recover(
+                    &ctx,
+                    Arc::clone(&stores.0),
+                    stores.1.as_ref(),
+                    staged_db::storage::DEFAULT_SEGMENT_PAGES,
+                )
+                .unwrap();
+                assert!(report.corruption.is_none(), "{what}");
+                assert!(report.snapshot_rows > 0, "{what}: recovery started from a snapshot");
+                let recovered = heap_image(&ctx.catalog);
+                for (l, r) in live.iter().zip(&recovered) {
+                    assert_eq!(l.0, r.0, "{what}");
+                    if let Some(i) =
+                        (0..l.1.len().max(r.1.len())).find(|&i| l.1.get(i) != r.1.get(i))
+                    {
+                        panic!(
+                            "{what}, table {}: live row {i} {:?} vs recovered {:?}",
+                            l.0,
+                            l.1.get(i),
+                            r.1.get(i)
+                        );
+                    }
+                    assert_eq!(l.2, r.2, "{what}, table {}: index entries", l.0);
+                }
+                assert_eq!(live.len(), recovered.len(), "{what}");
+            }
+        }
+    }
 }

@@ -17,8 +17,8 @@ use staged_db::server::net::{self, NetConfig, NetHandle};
 use staged_db::server::{ReplicaConfig, ReplicaServer, ServerConfig, StagedServer};
 use staged_db::storage::wal::Lsn;
 use staged_db::storage::{
-    BufferPool, Catalog, Column, DataType, DiskManager, MemDisk, MemSegmentStore, PageId, Schema,
-    SegmentStore, PAGE_SIZE,
+    BufferPool, Catalog, Column, DataType, DiskManager, MemDisk, MemSegmentStore, PageId, Rid,
+    Schema, SegmentStore, PAGE_SIZE,
 };
 use staged_db::wire::ErrorCode;
 use std::io::Write;
@@ -218,6 +218,22 @@ fn assert_identical(primary: &mut Client, replica: &mut Client, ctx: &str) {
     }
 }
 
+/// Every table's heap scan is the same `(rid, row bytes)` sequence on both
+/// catalogs: replica apply puts each row at the primary's rid.
+fn assert_same_heaps(primary: &Catalog, replica: &Catalog, parts: usize) {
+    for t in primary.list_tables() {
+        let scan = |c: &Catalog| -> Vec<(Rid, Vec<u8>)> {
+            let heap = &c.table(&t.name).unwrap().heap;
+            heap.scan().map(|r| r.map(|(rid, row)| (rid, row.encode())).unwrap()).collect()
+        };
+        let (p, r) = (scan(primary), scan(replica));
+        if let Some(i) = (0..p.len().max(r.len())).find(|&i| p.get(i) != r.get(i)) {
+            let rid = |v: &Vec<(Rid, Vec<u8>)>| v.get(i).map_or("none".into(), |x| x.0.to_string());
+            panic!("{} {parts}: primary {} vs replica {}", t.name, rid(&p), rid(&r));
+        }
+    }
+}
+
 /// Sorted row images from an in-process response (for replicas served
 /// without a socket).
 fn sorted_rows(res: staged_db::server::Response) -> Vec<String> {
@@ -237,8 +253,10 @@ fn sorted_rows(res: staged_db::server::Response) -> Vec<String> {
 #[test]
 fn replica_answers_identically_after_randomized_workload() {
     for parts in [1usize, 2, 4] {
-        let (primary, ph) =
-            primary_net(ServerConfig { partitions: parts, ..ServerConfig::default() });
+        let pcat = fresh_catalog();
+        let config = ServerConfig { partitions: parts, ..ServerConfig::default() };
+        let primary = StagedServer::new(Arc::clone(&pcat), config);
+        let ph = net::serve(listener(), Arc::clone(&primary), NetConfig::default()).unwrap();
         let mut pc = connect(&ph);
         for ddl in DDL {
             pc.query(ddl).unwrap();
@@ -251,8 +269,9 @@ fn replica_answers_identically_after_randomized_workload() {
         // The replica boots empty and bootstraps its schema over its own
         // socket; transactions shipped before the DDL landed sit in the
         // deferred queue until it does.
+        let rcat = fresh_catalog();
         let replica = ReplicaServer::open(
-            fresh_catalog(),
+            Arc::clone(&rcat),
             Arc::new(MemSegmentStore::new()),
             replica_config(parts),
         )
@@ -273,6 +292,7 @@ fn replica_answers_identically_after_randomized_workload() {
         run_workload(&mut exec, &mut rng, 60, &mut keys, &mut next_key);
         drain_over_sockets(&mut pc, &mut rc, 1_000_000 + parts as i64);
         assert_identical(&mut pc, &mut rc, &format!("{parts} partitions"));
+        assert_same_heaps(&pcat, &rcat, parts);
 
         // Writes (and a read-write BEGIN) are refused with the stable code;
         // snapshot reads keep working on the same connection.
@@ -313,6 +333,52 @@ fn replica_answers_identically_after_randomized_workload() {
         ph.shutdown();
         primary.shutdown();
     }
+}
+
+/// A committed transaction that reaches the replica before one of its
+/// tables does is deferred whole and retried at every later commit,
+/// watermark and read. A retry must not half-apply it: the replica once
+/// landed the insert into the table it had, then failed on the other and
+/// kept the first insert, so each retry added another copy (table `a`
+/// held id 1 four times).
+#[test]
+fn a_deferred_transaction_lands_once_after_its_table_is_created() {
+    let (primary, ph) = primary_net(ServerConfig::default());
+    let mut pc = connect(&ph);
+    for ddl in ["CREATE TABLE a (id INT)", "CREATE TABLE b (id INT)"] {
+        pc.query(ddl).unwrap();
+    }
+    let replica =
+        ReplicaServer::open(fresh_catalog(), Arc::new(MemSegmentStore::new()), replica_config(1))
+            .unwrap();
+    replica.execute_sql("CREATE TABLE a (id INT)").unwrap();
+    replica.start(ph.local_addr().to_string());
+    for sql in ["BEGIN", "INSERT INTO a VALUES (1)", "INSERT INTO b VALUES (1)", "COMMIT"] {
+        pc.query(sql).unwrap();
+    }
+    // Wait until the commit is in (the transaction's two inserts deferred),
+    // then read a few times: each read retries the deferred queue.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replica.status().lag_records < 2 || replica.status().applied_lsn == Lsn::ZERO {
+        assert!(Instant::now() < deadline, "the commit never reached the replica");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for _ in 0..3 {
+        replica.execute_sql("SELECT COUNT(*) FROM a").unwrap();
+    }
+    replica.execute_sql("CREATE TABLE b (id INT)").unwrap();
+    pc.query("INSERT INTO a VALUES (2)").unwrap();
+    let ids = |table: &str| sorted_rows(replica.execute_sql(&format!("SELECT id FROM {table}")));
+    while ids("a").len() < 2 {
+        assert!(Instant::now() < deadline, "replica never caught up: a = {:?}", ids("a"));
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(ids("a"), vec!["[1]", "[2]"], "each row of a once");
+    assert_eq!(ids("b"), vec!["[1]"]);
+    pc.quit().unwrap();
+    replica.shutdown();
+    ph.shutdown();
+    primary.shutdown();
 }
 
 /// A replica that attaches mid-workload catches up from LSN zero — the
