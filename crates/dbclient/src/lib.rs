@@ -233,9 +233,10 @@ impl Client {
         self.read_result()
     }
 
-    /// Ask the server to checkpoint (`CHECKPOINT`): quiesce writers,
+    /// Ask the server to checkpoint (`CHECKPOINT`): lock every partition,
     /// snapshot the database, truncate the WAL below the snapshot's LSN.
-    /// Blocks until the server's checkpoint stage finishes; the result's
+    /// The same statement as `query("CHECKPOINT")`, refused inside a
+    /// transaction. Blocks until the checkpoint finishes; the result's
     /// message starts with `CHECKPOINT` on success.
     pub fn checkpoint(&mut self) -> ClientResult<QueryResult> {
         self.send_line("CHECKPOINT")?;

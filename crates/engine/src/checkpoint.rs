@@ -1,15 +1,15 @@
 //! Checkpointing and checkpointed recovery.
 //!
-//! A checkpoint is: quiesce writers (take every partition lock), rotate
-//! the WAL to a fresh segment, capture a [`Snapshot`] of every table and
-//! index, save it atomically, then delete the log segments below the
-//! rotation point. Recovery is the inverse: restore the snapshot, replay
+//! A checkpoint is: rotate the WAL to a fresh segment, capture a
+//! [`Snapshot`] of every table and index, save it atomically, then delete
+//! the log segments below the rotation point — all while the caller holds
+//! every partition lock, so no writer is mid-statement. The servers get
+//! those locks by running `CHECKPOINT` as a statement whose lock set is
+//! every partition, through the same lock path as any writer; this module
+//! does not lock. Recovery is the inverse: restore the snapshot, replay
 //! only the WAL *tail* at or after the snapshot's LSN, repair the log
-//! tail, and carry on. The servers run [`checkpoint`] from a dedicated
-//! `checkpoint` stage of the staged runtime (the paper's architecture
-//! treats maintenance work as just another stage with a queue and
-//! monitors), but every step is exposed here as a plain function so crash
-//! torture tests can kill the protocol between any two steps.
+//! tail, and carry on. Every step is a plain function so crash torture
+//! tests can kill the protocol between any two steps.
 //!
 //! Crash safety falls out of the step order — each step leaves a state
 //! recovery handles:
@@ -26,19 +26,12 @@
 
 use crate::context::ExecContext;
 use crate::dml::apply_records;
-use crate::error::{EngineError, EngineResult};
-use crate::txn::{LockKey, LockMode, LockTable, TxnManager};
+use crate::error::EngineResult;
+use crate::txn::TxnManager;
 use staged_storage::snapshot::Snapshot;
 use staged_storage::wal::{Lsn, Wal};
 use staged_storage::{Catalog, SegmentStore, SnapshotStore, StorageError, VacuumStats};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// The reserved transaction id the checkpointer owns locks under. It is
-/// never handed to a real transaction (xids count up from 1), and it
-/// deliberately never writes `Begin`/`Commit` records — a checkpoint is
-/// not a transaction, it just needs the writers parked.
-pub const CHECKPOINT_XID: u64 = u64::MAX;
 
 /// What a completed checkpoint did (reported on the wire as the
 /// `CHECKPOINT` command's result).
@@ -74,50 +67,6 @@ pub struct RecoveryReport {
     pub max_xid: u64,
 }
 
-/// Every partition lock in the catalog, in the deterministic (sorted)
-/// order the lock table wants — the checkpoint's quiesce set.
-pub fn quiesce_keys(catalog: &Catalog) -> Vec<LockKey> {
-    let mut keys = Vec::new();
-    for table in catalog.list_tables() {
-        for p in 0..table.partitions() {
-            keys.push(LockKey::new(table.id.0, p as u32));
-        }
-    }
-    keys.sort_unstable();
-    keys
-}
-
-/// Holds the checkpoint's locks; releases them all on drop, so an error
-/// anywhere in the checkpoint path cannot leave the database frozen.
-pub struct QuiesceGuard<'a> {
-    locks: &'a LockTable,
-}
-
-impl Drop for QuiesceGuard<'_> {
-    fn drop(&mut self) {
-        self.locks.release_all(CHECKPOINT_XID);
-    }
-}
-
-/// Park the writers: exclusively lock every partition of every table as
-/// [`CHECKPOINT_XID`], waiting up to `timeout` for in-flight transactions
-/// to drain. In-flight writers hold their locks until commit/abort
-/// (strict 2PL), so once this returns the heap and indexes are still.
-pub fn quiesce<'a>(
-    locks: &'a LockTable,
-    catalog: &Catalog,
-    timeout: Duration,
-) -> EngineResult<QuiesceGuard<'a>> {
-    let mut keys = quiesce_keys(catalog);
-    // The guard is constructed first so a timeout mid-acquisition releases
-    // the partial set on the error path.
-    let guard = QuiesceGuard { locks };
-    locks
-        .lock_all(CHECKPOINT_XID, &mut keys, LockMode::Exclusive, timeout)
-        .map_err(|e| EngineError::Txn(format!("checkpoint could not quiesce writers: {e:?}")))?;
-    Ok(guard)
-}
-
 /// Steps 1–2 of a checkpoint, under locks the *caller* already holds:
 /// flush and rotate the WAL, then capture a snapshot anchored at the new
 /// segment's start. Exposed separately so torture tests can crash between
@@ -129,8 +78,8 @@ pub fn snapshot_catalog(catalog: &Catalog, wal: &Wal) -> EngineResult<(Lsn, Snap
     Ok((lsn, snap))
 }
 
-/// A full checkpoint under locks the caller already holds (see
-/// [`quiesce`]): snapshot, save atomically, truncate the log below the
+/// A full checkpoint under locks the caller already holds (every
+/// partition's): snapshot, save atomically, truncate the log below the
 /// snapshot's LSN. On any error the log is left intact — at worst a
 /// saved snapshot goes unused until the next attempt.
 pub fn checkpoint(
@@ -169,7 +118,7 @@ pub fn checkpoint_with_floor(
 }
 
 /// Garbage-collect every table's MVCC version overlay. Must run while the
-/// caller holds the quiesce set (see [`quiesce`]): with no DML in flight,
+/// caller holds every partition lock: with no DML in flight,
 /// a transaction absent from [`TxnManager::active_xids`] is guaranteed
 /// finished — not mid-commit — so its leftover `Pending` stamps are dead
 /// and reapable. Timestamp-based reclamation is bounded by the oracle's
@@ -377,29 +326,4 @@ mod tests {
     }
 
     const DEFAULT_PAGES: u64 = staged_storage::DEFAULT_SEGMENT_PAGES;
-
-    #[test]
-    fn quiesce_locks_every_partition_and_releases_on_drop() {
-        let ctx = ctx_with_table(4);
-        let locks = LockTable::new();
-        {
-            let _guard = quiesce(&locks, &ctx.catalog, Duration::from_millis(100)).unwrap();
-            assert_eq!(locks.held_by(CHECKPOINT_XID), 4);
-            // A writer cannot sneak in while the checkpoint holds the set.
-            assert!(!locks.try_lock(1, LockKey::new(0, 0), LockMode::Exclusive));
-        }
-        assert_eq!(locks.held_by(CHECKPOINT_XID), 0, "guard must release on drop");
-        assert!(locks.try_lock(1, LockKey::new(0, 0), LockMode::Exclusive));
-    }
-
-    #[test]
-    fn quiesce_times_out_against_a_stuck_writer_and_leaves_nothing_held() {
-        let ctx = ctx_with_table(4);
-        let locks = LockTable::new();
-        assert!(locks.try_lock(7, LockKey::new(0, 2), LockMode::Exclusive));
-        let err = quiesce(&locks, &ctx.catalog, Duration::from_millis(20));
-        assert!(err.is_err());
-        assert_eq!(locks.held_by(CHECKPOINT_XID), 0, "partial quiesce must be released");
-        locks.release_all(7);
-    }
 }

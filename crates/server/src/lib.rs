@@ -10,7 +10,8 @@
 //!   parse → optimize → lock → execute → disconnect**, plus the
 //!   **checkpoint** and **replication** maintenance stages. DDL and
 //!   transaction-control statements bypass the optimizer, DML detours
-//!   through the lock-manager stage, and prepared statements route straight
+//!   through the lock-manager stage (and `CHECKPOINT` through it to the
+//!   checkpoint stage), and prepared statements route straight
 //!   from connect to execute, exactly the self-routing behaviours of §4.1.
 //!   SELECT plans are executed on the staged page-push engine (or on the
 //!   Volcano engine, configurable). Back-pressure on the connect queue

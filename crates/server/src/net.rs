@@ -55,10 +55,10 @@
 
 use crate::reactivity::ReactivityHub;
 use crate::replication::{ReplicaServer, ReplicaSession, ReplicationHub};
-use crate::server_core::{answered, mvcc_row, stats_output, stats_row};
+use crate::server_core::{mvcc_row, stats_output, stats_row};
 use crate::types::{QueryOutput, Response, ServerError};
 use crate::{StagedServer, StagedSession, ThreadedServer, ThreadedSession};
-use crossbeam::channel::{bounded, Receiver, TryRecvError, WakeHook};
+use crossbeam::channel::{Receiver, TryRecvError, WakeHook};
 use parking_lot::Mutex;
 use polling::{Interest, PollFd};
 use staged_storage::wal::Lsn;
@@ -155,10 +155,6 @@ pub trait WireBackend: Send + Sync + Clone + 'static {
     /// One row per stage (or pool) for the `STATS` command; schema
     /// documented in `PROTOCOL.md` §6.
     fn stats_output(&self) -> QueryOutput;
-    /// Start the `CHECKPOINT` admin command (quiesce, snapshot, truncate
-    /// the WAL) without blocking the caller; the receiver completes when
-    /// the checkpoint does.
-    fn submit_checkpoint(&self) -> Receiver<Response>;
     /// The WAL-shipping hub, when this backend can act as a replication
     /// primary. `None` (the default) refuses `REPLICATE` — a replica, for
     /// instance, does not re-ship its feed.
@@ -205,10 +201,6 @@ impl WireBackend for Arc<StagedServer> {
         StagedServer::stats_output(self)
     }
 
-    fn submit_checkpoint(&self) -> Receiver<Response> {
-        StagedServer::submit_checkpoint(self)
-    }
-
     fn replication(&self) -> Option<Arc<ReplicationHub>> {
         Some(Arc::clone(self.replication_hub()))
     }
@@ -236,21 +228,6 @@ impl WireBackend for Arc<ThreadedServer> {
 
     fn stats_output(&self) -> QueryOutput {
         ThreadedServer::stats_output(self)
-    }
-
-    fn submit_checkpoint(&self) -> Receiver<Response> {
-        // The monolithic checkpoint blocks its caller through the quiesce;
-        // an ephemeral thread keeps that contract away from the event
-        // loop. Rare (admin command), so the thread cost is irrelevant.
-        let (tx, rx) = bounded(1);
-        let server = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("ckpt".into())
-            .spawn(move || {
-                let _ = tx.send(ThreadedServer::checkpoint(&server));
-            })
-            .expect("spawn checkpoint thread");
-        rx
     }
 
     fn replication(&self) -> Option<Arc<ReplicationHub>> {
@@ -300,12 +277,6 @@ impl WireBackend for Arc<ReplicaServer> {
             0,
         ];
         stats_output(vec![stats_row("replication", counters), mvcc_row(self.pipeline())])
-    }
-
-    fn submit_checkpoint(&self) -> Receiver<Response> {
-        // The replica's WAL layout mirrors the primary's; truncating it
-        // locally would break exactly-once resume.
-        answered(Err(ServerError::ReadOnlyReplica))
     }
 }
 
@@ -772,13 +743,6 @@ fn dispatch_command<B: WireBackend>(
         Ok(wire::Command::Stats) => {
             let text = encode_response(&Ok(backend.stats_output()));
             conn.wbuf.extend_from_slice(text.as_bytes());
-        }
-        Ok(wire::Command::Checkpoint) => {
-            let rx = backend.submit_checkpoint();
-            waker.watch(&rx);
-            conn.inflight = Some(rx);
-            conn.inflight_effect = TxnEffect::Keep;
-            *budget = budget.saturating_sub(1);
         }
         Ok(wire::Command::Replicate { segment, offset }) => match backend.replication() {
             Some(hub) => match hub.subscribe(Lsn { segment, offset }) {

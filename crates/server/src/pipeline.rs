@@ -79,17 +79,22 @@ pub enum PlannedAction {
     TxnControl(Statement),
     /// DDL, executed directly.
     Ddl(Statement),
+    /// `CHECKPOINT`: run by the server's checkpoint body once its
+    /// transaction holds every partition lock (never reaches the execute
+    /// engine proper).
+    Checkpoint,
 }
 
 impl PlannedAction {
-    /// True for actions that write table data — the ones the lock-manager
-    /// stage must grant partition locks for before execution.
+    /// True for actions that need partition locks before they run — the
+    /// ones the lock-manager stage must grant first.
     pub fn is_dml(&self) -> bool {
         matches!(
             self,
             PlannedAction::Insert { .. }
                 | PlannedAction::Update { .. }
                 | PlannedAction::Delete { .. }
+                | PlannedAction::Checkpoint
         )
     }
 }
@@ -196,6 +201,7 @@ pub fn bind_statement(
             Ok(Parsed::Action(Box::new(PlannedAction::Delete { table: info, predicate })))
         }
         txn if txn.is_txn_control() => Ok(Parsed::Action(Box::new(PlannedAction::TxnControl(txn)))),
+        Statement::Checkpoint => Ok(Parsed::Action(Box::new(PlannedAction::Checkpoint))),
         ddl => Ok(Parsed::Action(Box::new(PlannedAction::Ddl(ddl)))),
     }
 }
@@ -209,8 +215,11 @@ pub fn bind_statement(
 ///   hash key.
 /// - UPDATE is like DELETE, except that an assignment to the partition-key
 ///   column can move rows anywhere, so it locks the whole table.
+/// - CHECKPOINT locks every partition of every table: with all writers
+///   parked behind it (strict 2PL), the heap and indexes hold still while
+///   it snapshots them.
 ///
-/// Non-DML actions need no locks (reads are not locked; see DESIGN.md §9).
+/// Other actions need no locks (reads are not locked; see DESIGN.md §9).
 /// Both engines acquire exactly this key set — the staged server in its
 /// lock stage, the Volcano baseline sequentially — so the two remain
 /// diffable under concurrency.
@@ -249,6 +258,7 @@ pub fn dml_lock_keys(
                 pruned_to(table, predicate)
             }
         }
+        PlannedAction::Checkpoint => catalog.list_tables().iter().flat_map(all).collect(),
         _ => Vec::new(),
     };
     keys.sort_unstable();
@@ -394,6 +404,9 @@ pub fn execute_stage(
         PlannedAction::TxnControl(stmt) => Err(ServerError::Execution(format!(
             "{stmt} must be dispatched through the transaction runtime"
         ))),
+        PlannedAction::Checkpoint => Err(ServerError::Execution(
+            "CHECKPOINT must be dispatched through the server's checkpoint body".into(),
+        )),
         PlannedAction::Ddl(stmt) => execute_ddl(stmt, ctx),
     }
 }
@@ -488,9 +501,10 @@ impl Pipeline {
 
     /// May `action` run now, given the session's transaction state? A
     /// session in the failed-transaction state refuses everything, a
-    /// `READ ONLY` transaction refuses writes (DML and DDL). Transaction
-    /// control is never put to this test — `COMMIT`/`ROLLBACK` are the way
-    /// out of the failed state.
+    /// `READ ONLY` transaction refuses writes (DML and DDL), and any open
+    /// transaction refuses `CHECKPOINT`, which would wait on the locks its
+    /// own transaction holds. Transaction control is never put to this
+    /// test — `COMMIT`/`ROLLBACK` are the way out of the failed state.
     pub fn admit(
         &self,
         session: Option<u64>,
@@ -498,14 +512,20 @@ impl Pipeline {
     ) -> Result<StatementCtx, ServerError> {
         let writes = action.is_dml() || matches!(action, PlannedAction::Ddl(_));
         match self.txn.statement_ctx(session)? {
+            StatementCtx::Autocommit => Ok(StatementCtx::Autocommit),
+            _ if matches!(action, PlannedAction::Checkpoint) => {
+                Err(ServerError::Execution("CHECKPOINT cannot run inside a transaction".into()))
+            }
             StatementCtx::ReadOnly(_) if writes => Err(ServerError::ReadOnly),
             stmt => Ok(stmt),
         }
     }
 
-    /// Put a DML `action` into a transaction: the session's open one, or a
-    /// statement-scoped implicit one begun here. Also computes the lock
-    /// set the caller must acquire before [`run`](Self::run).
+    /// Put a DML or `CHECKPOINT` `action` into a transaction: the session's
+    /// open one, or a statement-scoped implicit one begun here (always the
+    /// latter for a checkpoint, which writes no rows: its log shows `Begin`
+    /// and then `Commit`, or `Abort` on a lock timeout). Also computes the
+    /// lock set the caller must acquire before [`run`](Self::run).
     pub fn join_txn(
         &self,
         session: Option<u64>,
@@ -565,5 +585,30 @@ impl Pipeline {
     /// Close a session, aborting its open transaction if it has one.
     pub fn close_session(&self, sid: u64) {
         self.txn.close_session(sid, &self.ctx, &self.wal);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use staged_storage::{BufferPool, Column, MemDisk};
+
+    #[test]
+    fn checkpoint_locks_every_partition_of_every_table_sorted() {
+        for partitions in [1, 2, 4] {
+            let catalog = Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
+            let schema = || Schema::new(vec![Column::new("id", DataType::Int)]);
+            // Created in reverse name order, so the ids, not the names,
+            // decide the key order.
+            for name in ["b", "a"] {
+                catalog.create_table_partitioned(name, schema(), partitions, 0).unwrap();
+            }
+            let keys =
+                dml_lock_keys(&PlannedAction::Checkpoint, &catalog, &PlannerConfig::default());
+            let want: Vec<LockKey> = (0..2)
+                .flat_map(|t| (0..partitions as u32).map(move |p| LockKey::new(t, p)))
+                .collect();
+            assert_eq!(keys, want, "{partitions} partitions");
+        }
     }
 }

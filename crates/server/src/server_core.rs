@@ -4,10 +4,11 @@
 //! [`ServerCore`] is built once, by [`ServerCore::open`] — recovery, the
 //! log, the statement [`Pipeline`], the two WAL feeds — and owned by both
 //! the staged server and the threaded baseline. It also holds the parts of
-//! maintenance that are not scheduling: the checkpoint claim and body, the
-//! feed pump, and the synthetic `STATS` rows. What is left in
-//! `staged_server.rs` and `threaded.rs` is the paper's experimental
-//! variable: stages with queues versus a pool of threads.
+//! maintenance that are not scheduling: the checkpoint body, the feed
+//! pump, and the synthetic `STATS` rows. A checkpoint gets its locks the
+//! way every writer does, through each server's own lock path. What is
+//! left in `staged_server.rs` and `threaded.rs` is the paper's
+//! experimental variable: stages with queues versus a pool of threads.
 
 use crate::feed::{FeedStats, WalFeed};
 use crate::pipeline::Pipeline;
@@ -23,7 +24,7 @@ use staged_storage::wal::Lsn;
 use staged_storage::{
     Catalog, Column, DataType, Schema, SegmentStore, SnapshotStore, Tuple, Value,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,13 +112,8 @@ pub(crate) struct ServerCore {
     pub recovery: RecoveryReport,
     /// Statements completed.
     pub served: AtomicU64,
-    /// True while a checkpoint holds (or is acquiring) the quiesce locks.
-    /// Checkpoints serialize on this claim: they all lock re-entrantly
-    /// under the one `CHECKPOINT_XID`, so without it the first to finish
-    /// would release a concurrent one's locks mid-snapshot.
-    checkpointing: AtomicBool,
-    /// How long a statement may wait for its partition locks, and a
-    /// checkpoint for its turn and its quiesce.
+    /// How long a statement (a checkpoint included) may wait for its
+    /// partition locks.
     pub lock_timeout: Duration,
 }
 
@@ -153,29 +149,14 @@ impl ServerCore {
             snapshots,
             recovery,
             served: AtomicU64::new(0),
-            checkpointing: AtomicBool::new(false),
             lock_timeout: config.lock_timeout,
         })
     }
 
-    /// Try to become the one running checkpoint. `false` means another
-    /// holds the claim; the caller waits its turn however it schedules
-    /// waiting. Pairs with [`release_checkpoint`](Self::release_checkpoint).
-    pub fn try_claim_checkpoint(&self) -> bool {
-        self.checkpointing
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Give the claim back, after releasing the quiesce locks.
-    pub fn release_checkpoint(&self) {
-        self.checkpointing.store(false, Ordering::Release);
-    }
-
-    /// The checkpoint body. The caller holds the claim and every partition
-    /// lock under `CHECKPOINT_XID`, so the database is still: in-flight
-    /// writers hold their locks through commit (strict 2PL), so none are
-    /// mid-statement.
+    /// The checkpoint body. The caller's `CHECKPOINT` transaction holds
+    /// every partition lock, so the database is still: in-flight writers
+    /// hold their locks through commit (strict 2PL), so none are
+    /// mid-statement. Two checkpoints serialize on those locks.
     pub fn checkpoint_quiesced(&self) -> Response {
         let catalog = &self.pipe.ctx.catalog;
         // The truncation floor is clamped to the minimum replica-acked
@@ -245,5 +226,56 @@ impl ServerCore {
         rows.push(feed_row("replication", shipping, shipping.high_water));
         rows.push(feed_row("subscriptions", self.reactivity.stats(), Lsn::ZERO));
         stats_output(rows)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use staged_storage::wal::LogRecord;
+
+    /// Drive a `CHECKPOINT` into its lock timeout behind a writer that
+    /// holds the last key of its lock set, then check what it left: no
+    /// lock held, an `Abort` logged for its xid, the partitions it had
+    /// taken writable at once, and — after the writer goes — every
+    /// partition writable and the next checkpoint through. `execute` runs
+    /// autocommit statements; `writer` runs statements in one session.
+    /// The server's lock timeout must be short.
+    pub(crate) fn checkpoint_timeout_leaves_nothing_held(
+        core: &ServerCore,
+        execute: &dyn Fn(&str) -> Response,
+        writer: &dyn Fn(&str) -> Response,
+    ) {
+        execute("CREATE TABLE a (id INT, v INT)").unwrap();
+        execute("CREATE TABLE b (id INT, v INT)").unwrap();
+        execute("INSERT INTO a VALUES (1, 1), (2, 2), (3, 3)").unwrap();
+        // `b`'s keys sort after `a`'s: the checkpoint takes every partition
+        // of `a` before it waits on the writer's.
+        writer("BEGIN").unwrap();
+        writer("INSERT INTO b VALUES (0, 0)").unwrap();
+
+        let err = execute("CHECKPOINT").unwrap_err();
+        assert_eq!(err, crate::pipeline::lock_timeout_error());
+        let aborted: Vec<u64> = core
+            .pipe
+            .wal
+            .read_all()
+            .unwrap()
+            .into_iter()
+            .filter_map(|(_, r)| match r {
+                LogRecord::Abort { xid } => Some(xid),
+                _ => None,
+            })
+            .collect();
+        let [xid] = aborted[..] else { panic!("one Abort, the checkpoint's: {aborted:?}") };
+        assert_eq!(core.pipe.txn.mgr().locks().held_by(xid), 0, "the checkpoint holds no lock");
+        execute("UPDATE a SET v = v + 1").unwrap();
+
+        writer("ROLLBACK").unwrap();
+        execute("INSERT INTO b VALUES (1, 1), (2, 2), (3, 3)").unwrap();
+        execute("UPDATE b SET v = v + 1").unwrap();
+        let out = execute("CHECKPOINT").unwrap();
+        assert!(out.message.starts_with("CHECKPOINT"), "got {:?}", out.message);
+        assert!(out.message.contains("rows=6"), "got {:?}", out.message);
     }
 }

@@ -4,7 +4,9 @@
 //! pool, and the packets that hop between them. What a stage *does* to a
 //! statement is one `Pipeline` step, and what the server *is* underneath —
 //! recovery, log, feeds, checkpoint body — is the `ServerCore` it shares
-//! with the threaded baseline.
+//! with the threaded baseline. Maintenance rides the same stages: a
+//! `CHECKPOINT` is a statement that waits for its locks at the lock stage
+//! like any writer, then runs on the `checkpoint` stage.
 
 use crate::pipeline::{self, Exec, Parsed, PlannedAction, TxnSlot};
 use crate::reactivity::ReactivityHub;
@@ -16,7 +18,7 @@ use parking_lot::Mutex;
 use staged_cachesim::tracker::RefTracker;
 use staged_core::monitor::StageStats;
 use staged_core::prelude::*;
-use staged_engine::checkpoint::{self, RecoveryReport, CHECKPOINT_XID};
+use staged_engine::checkpoint::RecoveryReport;
 use staged_engine::staged::StagedEngine;
 use staged_engine::txn::{LockKey, LockMode, LockTable};
 use staged_planner::PhysicalPlan;
@@ -28,7 +30,7 @@ use staged_storage::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A packet travelling through the nine top-level stages (net → connect →
 /// parse → optimize → lock → execute → disconnect for statements, plus the
@@ -38,11 +40,13 @@ pub struct SPacket {
     /// Session the statement came from (None = one-shot autocommit).
     session: Option<u64>,
     /// The transaction the statement runs under and the partition locks it
-    /// still needs (set by the lock stage; a checkpoint packet keeps its
-    /// quiesce set here).
+    /// still needs (set by the lock stage).
     slot: TxnSlot,
     /// Deadline for lock acquisition (timeout-abort deadlock resolution).
     lock_deadline: Option<Instant>,
+    /// A checkpoint the checkpoint stage's idle hook raised itself (its
+    /// reply channel is a stub nobody reads).
+    auto: bool,
     body: PacketBody,
     reply: crossbeam::channel::Sender<Response>,
 }
@@ -67,13 +71,6 @@ enum PacketBody {
     Bound(Box<BoundSelect>),
     /// Ready to execute.
     Action(Box<PlannedAction>),
-    /// A checkpoint request heading for the checkpoint stage. `auto` marks
-    /// requests the stage raised itself from its idle hook (their reply
-    /// channel is a stub nobody reads).
-    Checkpoint {
-        /// Raised by the idle hook rather than a client.
-        auto: bool,
-    },
     /// Completed; heading to disconnect for commit + reply.
     Finished(Box<Response>),
 }
@@ -83,8 +80,8 @@ struct ServerShared {
     engine: Arc<StagedEngine>,
     config: ServerConfig,
     prepared: Mutex<HashMap<String, Arc<(PhysicalPlan, Schema)>>>,
-    /// True while an idle-raised checkpoint packet is queued or running;
-    /// stops the idle hook from stacking duplicates.
+    /// True from the moment the idle hook raises a checkpoint until the
+    /// disconnect stage settles it; stops the hook stacking duplicates.
     auto_pending: AtomicBool,
     /// The lock stage's parked list: packets that hit a lock conflict
     /// wait here, outside the stage's queue, until a release re-admits
@@ -251,7 +248,8 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
         Ok(Parsed::Action(action)) => {
             // DDL / DML bypass the optimizer (§4.1: "the query can route
             // itself from the connect stage directly to the execute stage").
-            // DML makes one extra hop through the lock-manager stage first.
+            // DML and CHECKPOINT make one extra hop through the lock-manager
+            // stage first.
             // Statements the session's transaction state refuses are turned
             // around here, before they cost a lock-stage visit — the
             // per-statement policy decision of the read-only fast path.
@@ -271,13 +269,14 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
 /// The lock-manager stage (paper Figure 3 names it as a first-class OLTP
 /// stage). On first visit the packet joins its session's open transaction
 /// — or starts a statement-scoped implicit one — and computes its lock
-/// set; then it acquires locks incrementally in sorted key order. A packet
-/// that hits a conflict *parks*: it leaves the queue for the stage's
-/// parked list and the worker moves on. `LockTable::release_all` re-admits
-/// every parked packet when it frees something (the hook `with_stores`
-/// installs), and a packet still parked at its deadline fails with `lock
-/// timeout` — swept from the idle hook, and on every visit so a busy stage
-/// sweeps too. Nothing here sleeps or blocks, so the stage serves cohorts
+/// set; then it acquires locks incrementally in sorted key order, and once
+/// it holds them all goes on to execute (a `CHECKPOINT`, to the checkpoint
+/// stage). A packet that hits a conflict *parks*: it leaves the queue for
+/// the stage's parked list and the worker moves on.
+/// `LockTable::release_all` re-admits every parked packet when it frees
+/// something (the hook `with_stores` installs), and a packet still parked
+/// at its deadline fails with `lock timeout` — swept from the idle hook,
+/// and on every visit so a busy stage sweeps too. Nothing here sleeps or blocks, so the stage serves cohorts
 /// and can be followed into like any other.
 struct LockStage {
     shared: Arc<ServerShared>,
@@ -305,7 +304,11 @@ impl StageLogic<SPacket> for LockStage {
         let mut parked = shared.parked.lock();
         if try_acquire(core.pipe.txn.mgr().locks(), pkt.slot.xid, &mut pkt.slot.keys) {
             drop(parked);
-            forward(ctx, EXECUTE, pkt)
+            let dest = match &pkt.body {
+                PacketBody::Action(a) if matches!(**a, PlannedAction::Checkpoint) => CHECKPOINT,
+                _ => EXECUTE,
+            };
+            forward(ctx, dest, pkt)
         } else if pkt.timed_out(Instant::now()) {
             drop(parked);
             finish(ctx, pkt, Err(pipeline::lock_timeout_error()))
@@ -322,59 +325,21 @@ impl StageLogic<SPacket> for LockStage {
     }
 }
 
-/// The checkpoint stage: the maintenance counterpart of the lock-manager
-/// stage. A checkpoint packet claims the core's checkpoint turn, quiesces
-/// the writers by acquiring every partition lock incrementally under
-/// [`CHECKPOINT_XID`], and once the database is still, runs the core's
-/// checkpoint body and releases the world (which re-admits the writers
-/// that parked behind it at the lock stage). While the turn or a lock is
-/// not to be had it *polls* ([`CheckpointStage::poll_again`]): the stage
-/// has its own single worker and nobody queues behind a checkpoint, so a
-/// sleeping worker stalls no one. Its idle hook raises a checkpoint on its
-/// own when the live log grows past `config.checkpoint_segments`.
+/// The checkpoint stage: the maintenance counterpart of the execute
+/// stage. A `CHECKPOINT` statement reaches it from the lock stage once its
+/// transaction holds every partition lock — it waited there like any
+/// writer, parked until a release re-admitted it — so the stage only runs
+/// the core's checkpoint body; the disconnect stage's commit then releases
+/// the locks, re-admitting the writers parked behind it. Its idle hook
+/// raises a checkpoint on its own when the live log grows past
+/// `config.checkpoint_segments`.
 struct CheckpointStage {
     shared: Arc<ServerShared>,
 }
 
-impl CheckpointStage {
-    /// Wait-and-retry (case iii of §4.1.1): yield the worker briefly, then
-    /// put the packet back on the stage's own queue (capacity-exempt: it
-    /// was admitted once). The retry counter makes the waiting visible.
-    fn poll_again(ctx: &StageCtx<'_, SPacket>, pkt: SPacket) -> Result<(), StageError> {
-        ctx.record_retry();
-        std::thread::sleep(Duration::from_micros(100));
-        ctx.requeue_back(pkt).map_err(|_| StageError::new("pipeline closed"))
-    }
-}
-
 impl StageLogic<SPacket> for CheckpointStage {
-    fn process(&self, mut pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
-        let core = &self.shared.core;
-        let PacketBody::Checkpoint { auto } = pkt.body else {
-            return misrouted(ctx, pkt, "checkpoint");
-        };
-        if pkt.lock_deadline.is_none() {
-            if !core.try_claim_checkpoint() {
-                return Self::poll_again(ctx, pkt);
-            }
-            pkt.slot.keys = checkpoint::quiesce_keys(&core.pipe.ctx.catalog);
-            pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
-        }
-        let locks = core.pipe.txn.mgr().locks();
-        let res = if try_acquire(locks, CHECKPOINT_XID, &mut pkt.slot.keys) {
-            core.checkpoint_quiesced()
-        } else if pkt.timed_out(Instant::now()) {
-            // Writers would not drain in time: give the locks back and
-            // report, leaving the log untouched.
-            Err(ServerError::Execution("checkpoint lock timeout: writers would not quiesce".into()))
-        } else {
-            return Self::poll_again(ctx, pkt);
-        };
-        locks.release_all(CHECKPOINT_XID);
-        core.release_checkpoint();
-        if auto {
-            self.shared.auto_pending.store(false, Ordering::Release);
-        }
+    fn process(&self, pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
+        let res = self.shared.core.checkpoint_quiesced();
         finish(ctx, pkt, res)
     }
 
@@ -393,8 +358,9 @@ impl StageLogic<SPacket> for CheckpointStage {
             return;
         }
         // The reply channel is a stub: nobody waits on an auto checkpoint.
-        let (pkt, _rx) = packet(PacketBody::Checkpoint { auto: true }, None);
-        if ctx.try_send(ctx.stage_id, pkt).is_err() {
+        let (mut pkt, _rx) = packet(PacketBody::Action(Box::new(PlannedAction::Checkpoint)), None);
+        pkt.auto = true;
+        if ctx.try_send(LOCK, pkt).is_err() {
             shared.auto_pending.store(false, Ordering::Release);
         }
     }
@@ -456,6 +422,9 @@ stage_logic!(DisconnectStage, shared, pkt, _ctx, {
         _ => Err(ServerError::Execution("bad packet at disconnect".into())),
     };
     let res = shared.core.pipe.settle(pkt.session, &pkt.slot, res);
+    if pkt.auto {
+        shared.auto_pending.store(false, Ordering::Release);
+    }
     shared.core.served.fetch_add(1, Ordering::Relaxed);
     let _ = pkt.reply.send(res);
     Ok(())
@@ -464,7 +433,8 @@ stage_logic!(DisconnectStage, shared, pkt, _ctx, {
 /// A fresh packet and the channel its response arrives on.
 fn packet(body: PacketBody, session: Option<u64>) -> (SPacket, Receiver<Response>) {
     let (reply, rx) = bounded(1);
-    (SPacket { session, slot: TxnSlot::default(), lock_deadline: None, body, reply }, rx)
+    let slot = TxnSlot::default();
+    (SPacket { session, slot, lock_deadline: None, auto: false, body, reply }, rx)
 }
 
 /// One stage's spec. `cohorts` stages serve gated cohorts of at most
@@ -547,8 +517,7 @@ impl StagedServer {
         add(OPTIMIZE, spec("optimize", OptimizeStage { shared: logic() }, control, true, &config));
         add(LOCK, spec("lock", LockStage { shared: logic() }, control, true, &config));
         // One worker, one packet at a time, never followed into:
-        // checkpoints serialize anyway (on the core's claim), and a waiting
-        // checkpoint sleeps inside `process`.
+        // checkpoints serialize anyway (on their locks).
         add(CHECKPOINT, spec("checkpoint", CheckpointStage { shared: logic() }, 1, false, &config));
         // One worker: the replication stage does all of its work from the
         // idle hook (no packets are ever routed here), pumping the feeds
@@ -670,20 +639,12 @@ impl StagedServer {
         self.enqueue_wait(CONNECT, PacketBody::Prepared(name.to_string()), None)
     }
 
-    /// Run a checkpoint through the checkpoint stage and wait for it:
-    /// quiesce the writers, snapshot every table and index, truncate the
-    /// WAL below the snapshot's LSN. The response message starts with
-    /// `CHECKPOINT` on success.
+    /// Run the `CHECKPOINT` statement and wait for it: lock every
+    /// partition, snapshot every table and index, truncate the WAL below
+    /// the snapshot's LSN. The response message starts with `CHECKPOINT`
+    /// on success.
     pub fn checkpoint(&self) -> Response {
-        self.submit_checkpoint().recv().unwrap_or(Err(ServerError::ShuttingDown))
-    }
-
-    /// Start a checkpoint through the checkpoint stage without waiting:
-    /// the receiver completes when the checkpoint does. This is the
-    /// network front end's path — the event loop must never block behind
-    /// a quiesce.
-    pub fn submit_checkpoint(&self) -> Receiver<Response> {
-        self.enqueue_wait(CHECKPOINT, PacketBody::Checkpoint { auto: false }, None)
+        self.execute_sql("CHECKPOINT")
     }
 
     /// What recovery found and did when this server was built (how many
@@ -817,5 +778,30 @@ impl StagedSession {
 impl Drop for StagedSession {
     fn drop(&mut self) {
         self.server.shared.core.pipe.close_session(self.sid);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use staged_storage::{BufferPool, MemDisk};
+    use std::time::Duration;
+
+    #[test]
+    fn a_checkpoint_that_times_out_leaves_nothing_held() {
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256)));
+        let lock_timeout = Duration::from_millis(100);
+        let s = StagedServer::new(
+            cat,
+            ServerConfig { partitions: 2, lock_timeout, ..Default::default() },
+        );
+        let writer = s.session();
+        crate::server_core::tests::checkpoint_timeout_leaves_nothing_held(
+            &s.shared.core,
+            &|sql| s.execute_sql(sql),
+            &|sql| writer.execute_sql(sql),
+        );
+        drop(writer);
+        s.shutdown();
     }
 }

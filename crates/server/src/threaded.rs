@@ -8,7 +8,7 @@
 //! tuning dilemma Figure 2 demonstrates. Everything that is not scheduling
 //! is the `ServerCore` shared with the staged server.
 
-use crate::pipeline::{self, Exec, TxnSlot};
+use crate::pipeline::{self, Exec, PlannedAction, TxnSlot};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
 use crate::server_core::{answered, queued, stats_row, ServerCore};
@@ -16,7 +16,7 @@ use crate::types::{QueryOutput, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use staged_core::queue::{Dequeued, StageQueue};
-use staged_engine::checkpoint::{self, RecoveryReport};
+use staged_engine::checkpoint::RecoveryReport;
 use staged_engine::txn::LockMode;
 use staged_planner::PlannerConfig;
 use staged_storage::wal::Wal;
@@ -24,7 +24,7 @@ use staged_storage::{Catalog, MemSegmentStore, MemSnapshotStore, SegmentStore, S
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One queued statement.
 struct Job {
@@ -141,28 +141,12 @@ impl ThreadedServer {
         Ok(Self { inner, workers: Mutex::new(workers), pump: Mutex::new(Some(pump)) })
     }
 
-    /// Run a checkpoint on the calling thread — the monolithic-server
-    /// shape of the staged server's checkpoint stage: wait for the core's
-    /// checkpoint turn, block until every partition lock is held
-    /// (quiescing the writers), run the core's checkpoint body, release.
-    /// Both waits are bounded by the lock timeout.
+    /// Run the `CHECKPOINT` statement and wait for it. A pool worker runs
+    /// it like any writer: it blocks until every partition lock is held
+    /// (bounded by the lock timeout), runs the core's checkpoint body, and
+    /// commits, which releases the locks.
     pub fn checkpoint(&self) -> Response {
-        let core = &self.inner.core;
-        let deadline = Instant::now() + core.lock_timeout;
-        while !core.try_claim_checkpoint() {
-            if Instant::now() >= deadline {
-                return Err(ServerError::Execution(
-                    "checkpoint timeout: another checkpoint is still running".into(),
-                ));
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        let locks = core.pipe.txn.mgr().locks();
-        let res = checkpoint::quiesce(locks, &core.pipe.ctx.catalog, core.lock_timeout)
-            .map_err(|e| ServerError::Execution(e.to_string()))
-            .and_then(|_quiesced| core.checkpoint_quiesced());
-        core.release_checkpoint();
-        res
+        self.execute_sql("CHECKPOINT")
     }
 
     /// Submit SQL for execution (one-shot autocommit; use
@@ -310,7 +294,9 @@ impl Drop for ThreadedSession {
 
 /// The whole pipeline as one procedure call chain — the monolithic model.
 /// Lock acquisition is *sequential* here (block, then execute), the
-/// baseline counterpart of the staged server's lock-manager stage.
+/// baseline counterpart of the staged server's lock-manager stage; a
+/// `CHECKPOINT` takes the same path and runs the core's checkpoint body in
+/// place of the execute step.
 fn process(core: &ServerCore, sql: &str, session: Option<u64>) -> Response {
     let pipe = &core.pipe;
     let action = pipe.plan(sql)?;
@@ -323,7 +309,10 @@ fn process(core: &ServerCore, sql: &str, session: Option<u64>) -> Response {
             .lock_all(slot.xid, &mut slot.keys, LockMode::Exclusive, core.lock_timeout)
             .map_err(|_| pipeline::lock_timeout_error());
     }
-    let res = res.and_then(|()| pipe.run(action, session, slot.xid, Exec::Volcano));
+    let res = res.and_then(|()| match action {
+        PlannedAction::Checkpoint => core.checkpoint_quiesced(),
+        action => pipe.run(action, session, slot.xid, Exec::Volcano),
+    });
     pipe.settle(session, &slot, res)
 }
 
@@ -389,21 +378,38 @@ mod tests {
     }
 
     #[test]
-    fn a_second_checkpoint_claim_is_refused_while_the_first_is_held() {
+    fn a_checkpoint_waits_for_a_writer_then_succeeds() {
+        let s = server(2);
+        s.execute_sql("CREATE TABLE w (x INT)").unwrap();
+        let writer = s.session();
+        writer.execute_sql("BEGIN").unwrap();
+        writer.execute_sql("INSERT INTO w VALUES (1)").unwrap();
+        // The checkpoint begins its transaction, then blocks one pool worker
+        // on the writer's lock; the other worker is free to run the
+        // writer's COMMIT.
+        let ckpt = s.submit("CHECKPOINT");
+        while s.active_txns() < 2 {
+            std::thread::yield_now();
+        }
+        assert!(ckpt.try_recv().is_err(), "checkpoint ran beside an open writer");
+        writer.execute_sql("COMMIT").unwrap();
+        let out = ckpt.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
+        assert!(out.message.starts_with("CHECKPOINT"), "got {:?}", out.message);
+        assert!(out.message.contains("rows=1"), "the committed row is in the snapshot");
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_checkpoint_that_times_out_leaves_nothing_held() {
         let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256)));
-        let timeout = Duration::from_millis(20);
-        let s = ThreadedServer::with_lock_timeout(cat, 1, PlannerConfig::default(), timeout);
-        let core = &s.inner.core;
-        assert!(core.try_claim_checkpoint());
-        assert!(!core.try_claim_checkpoint(), "checkpoints serialize on the claim");
-        // A checkpoint that cannot get its turn within the lock timeout
-        // gives up instead of running beside the holder.
-        assert!(matches!(
-            s.checkpoint(),
-            Err(ServerError::Execution(m)) if m.contains("another checkpoint")
-        ));
-        core.release_checkpoint();
-        assert!(s.checkpoint().unwrap().message.starts_with("CHECKPOINT"));
+        let timeout = Duration::from_millis(100);
+        let s = ThreadedServer::with_lock_timeout(cat, 2, PlannerConfig::default(), timeout);
+        let writer = s.session();
+        crate::server_core::tests::checkpoint_timeout_leaves_nothing_held(
+            &s.inner.core,
+            &|sql| s.execute_sql(sql),
+            &|sql| writer.execute_sql(sql),
+        );
         s.shutdown();
     }
 

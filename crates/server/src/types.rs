@@ -154,10 +154,10 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Planner switches.
     pub planner: PlannerConfig,
-    /// How long a DML statement may wait for its partition locks before
-    /// its transaction is aborted (timeout-abort deadlock resolution at
-    /// the lock-manager stage). The checkpoint stage quiesces writers
-    /// under the same deadline.
+    /// How long a DML or `CHECKPOINT` statement may wait for its
+    /// partition locks before its transaction is aborted (timeout-abort
+    /// deadlock resolution at the lock-manager stage, or in the baseline's
+    /// blocking lock wait).
     pub lock_timeout: Duration,
     /// Pages per WAL segment (the log rotates to a new segment file once
     /// the current one reaches this size; checkpoints truncate whole

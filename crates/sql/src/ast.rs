@@ -388,6 +388,9 @@ pub enum Statement {
         /// Table to analyze.
         table: String,
     },
+    /// `CHECKPOINT`: snapshot the database and truncate the log, under
+    /// every partition lock.
+    Checkpoint,
     /// `EXPLAIN stmt`.
     Explain(Box<Statement>),
 }
@@ -576,6 +579,7 @@ impl fmt::Display for Statement {
             Statement::Commit => write!(f, "COMMIT"),
             Statement::Rollback => write!(f, "ROLLBACK"),
             Statement::Analyze { table } => write!(f, "ANALYZE {table}"),
+            Statement::Checkpoint => write!(f, "CHECKPOINT"),
             Statement::Explain(s) => write!(f, "EXPLAIN {s}"),
         }
     }

@@ -214,6 +214,10 @@ impl<'a> Parser<'a> {
                     self.bump();
                     Ok(Statement::Analyze { table: self.expect_ident()? })
                 }
+                "CHECKPOINT" => {
+                    self.bump();
+                    Ok(Statement::Checkpoint)
+                }
                 "EXPLAIN" => {
                     self.bump();
                     Ok(Statement::Explain(Box::new(self.parse_stmt()?)))
@@ -728,6 +732,7 @@ mod tests {
         assert!(parse_statement("BEGIN READ").is_err());
         assert!(matches!(parse_statement("COMMIT").unwrap(), Statement::Commit));
         assert!(matches!(parse_statement("ANALYZE t").unwrap(), Statement::Analyze { .. }));
+        assert!(matches!(parse_statement("checkpoint;").unwrap(), Statement::Checkpoint));
         assert!(matches!(
             parse_statement("EXPLAIN SELECT * FROM t").unwrap(),
             Statement::Explain(_)

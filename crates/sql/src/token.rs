@@ -59,13 +59,14 @@ pub enum Sym {
 }
 
 /// All recognized keywords.
+#[rustfmt::skip]
 pub const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "ASC", "DESC", "INSERT",
     "INTO", "VALUES", "UPDATE", "SET", "DELETE", "CREATE", "TABLE", "INDEX", "DROP", "ON", "JOIN",
     "INNER", "AS", "AND", "OR", "NOT", "NULL", "IS", "IN", "BETWEEN", "LIKE", "TRUE", "FALSE",
     "INT", "INTEGER", "FLOAT", "VARCHAR", "TEXT", "BOOL", "BOOLEAN", "COUNT", "SUM", "AVG", "MIN",
     "MAX", "DISTINCT", "BEGIN", "COMMIT", "ROLLBACK", "ABORT", "ANALYZE", "EXPLAIN", "PREPARE",
-    "EXECUTE", "READ", "ONLY",
+    "EXECUTE", "READ", "ONLY", "CHECKPOINT",
 ];
 
 /// A token plus its byte offset.

@@ -193,28 +193,6 @@ impl BufferPool {
         Err(StorageError::PoolExhausted)
     }
 
-    /// Write every dirty frame back to disk (checkpoint).
-    pub fn flush_all(&self) -> StorageResult<()> {
-        for f in 0..self.frames.len() {
-            let page = {
-                let mut inner = self.inner.lock();
-                let m = &mut inner.meta[f];
-                match (m.page, m.dirty, m.io_pending) {
-                    (Some(p), true, false) => {
-                        m.dirty = false;
-                        Some(p)
-                    }
-                    _ => None,
-                }
-            };
-            if let Some(p) = page {
-                let data = self.frames[f].read();
-                self.disk.write_page(p, &data[..])?;
-            }
-        }
-        Ok(())
-    }
-
     fn unpin(&self, frame: usize) {
         let mut inner = self.inner.lock();
         let m = &mut inner.meta[frame];
@@ -326,21 +304,6 @@ mod tests {
         }
         assert_eq!(disk.stats().reads, before, "hits must not read disk");
         assert_eq!(p.stats().hits, 10);
-    }
-
-    #[test]
-    fn flush_all_persists_dirty_pages() {
-        let disk = Arc::new(MemDisk::new());
-        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 4);
-        let id = {
-            let g = p.new_page(0).unwrap();
-            g.write(|d| d[3] = 77);
-            g.page_id()
-        };
-        p.flush_all().unwrap();
-        let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(id, &mut buf).unwrap();
-        assert_eq!(buf[3], 77);
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! Reading back comes in two strengths. The strict readers
 //! ([`Wal::read_all`], [`Wal::read_from`]) error with
 //! [`StorageError::Corrupt`] — never panic — on any damage. The tolerant
-//! readers ([`Wal::read_store`], [`Wal::read_store_from`],
-//! [`Wal::read_prefix`]) return the longest valid prefix plus an optional
+//! readers ([`Wal::read_store`], [`Wal::read_store_from`]) return the
+//! longest valid prefix plus an optional
 //! error, which is what recovery wants: a torn tail is silently the end of
 //! the log, while corruption *in front of* valid data is reported.
 //! Recovery code must use the static store readers **before**
@@ -650,16 +650,6 @@ impl Wal {
             Some(e) => Err(e),
             None => Ok(records),
         }
-    }
-
-    /// Tolerant scan: flush, then return the longest valid record prefix
-    /// plus whatever damage (if any) cut it short. A cleanly torn tail is
-    /// not damage — it is the end of the log.
-    pub fn read_prefix(&self) -> (Vec<(Lsn, LogRecord)>, Option<StorageError>) {
-        if let Err(e) = self.flush() {
-            return (Vec::new(), Some(e));
-        }
-        Self::read_store(self.store.as_ref())
     }
 
     /// Tolerant scan of a segment store nobody has opened a [`Wal`] over

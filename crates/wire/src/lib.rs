@@ -109,12 +109,8 @@ pub enum Command {
     Quit,
     /// `STATS` — per-stage monitor snapshot as a result set.
     Stats,
-    /// `CHECKPOINT` — quiesce writers, snapshot the database, truncate
-    /// the WAL below the snapshot's LSN. Answered `OK` with a
-    /// `CHECKPOINT …` message once the checkpoint stage finishes.
-    Checkpoint,
-    /// `QUERY <sql>` (or the `BEGIN`/`COMMIT`/`ROLLBACK` shorthands) — run
-    /// one SQL statement under the connection's session.
+    /// `QUERY <sql>` (or the `BEGIN`/`COMMIT`/`ROLLBACK`/`CHECKPOINT`
+    /// shorthands) — run one SQL statement under the connection's session.
     Query(String),
     /// `REPLICATE <segment:offset>` — turn this connection into a WAL
     /// shipping feed. The server streams `WALREC` lines for every
@@ -148,8 +144,9 @@ pub enum Command {
 /// Parse one request line into a [`Command`].
 ///
 /// The command word is case-insensitive; everything after `QUERY ` is the
-/// SQL text, verbatim. `BEGIN`, `BEGIN READ ONLY`, `COMMIT` and `ROLLBACK`
-/// are accepted as bare commands and normalised to the equivalent `QUERY`;
+/// SQL text, verbatim. `BEGIN`, `BEGIN READ ONLY`, `COMMIT`, `ROLLBACK` and
+/// `CHECKPOINT` are accepted as bare commands and normalised to the
+/// equivalent `QUERY`;
 /// `READ ONLY` is the only argument `BEGIN` accepts.
 ///
 /// ```
@@ -181,8 +178,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         "PING" => Ok(Command::Ping),
         "QUIT" => Ok(Command::Quit),
         "STATS" => Ok(Command::Stats),
-        "CHECKPOINT" => Ok(Command::Checkpoint),
-        "BEGIN" | "COMMIT" | "ROLLBACK" => Ok(Command::Query(upper)),
+        "BEGIN" | "COMMIT" | "ROLLBACK" | "CHECKPOINT" => Ok(Command::Query(upper)),
         "QUERY" if rest.is_empty() => Err("QUERY requires a SQL statement".into()),
         "QUERY" => Ok(Command::Query(rest.to_string())),
         "REPLICATE" if rest.is_empty() => {
@@ -524,7 +520,7 @@ mod tests {
         assert_eq!(parse_command("ping\r\n").unwrap(), Command::Ping);
         assert_eq!(parse_command("Quit").unwrap(), Command::Quit);
         assert_eq!(parse_command("stats").unwrap(), Command::Stats);
-        assert_eq!(parse_command("checkpoint").unwrap(), Command::Checkpoint);
+        assert_eq!(parse_command("checkpoint").unwrap(), Command::Query("CHECKPOINT".into()));
         assert_eq!(parse_command("commit").unwrap(), Command::Query("COMMIT".into()));
         assert_eq!(
             parse_command("begin read only").unwrap(),
