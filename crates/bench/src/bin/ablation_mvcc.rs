@@ -68,7 +68,7 @@ fn build_server(rows: i64, parts: usize) -> (Arc<Catalog>, Arc<StagedServer>) {
 /// in canonical order (the bench measures throughput, not deadlock
 /// recovery). Returns false when a statement failed and rolled back.
 fn transfer(
-    sess: &staged_server::StagedSession,
+    sess: &staged_server::Session,
     parts: usize,
     rows: i64,
     next: &mut impl FnMut() -> u64,

@@ -10,7 +10,7 @@ use staged_bench::{headline, slow_catalog};
 use staged_planner::PlannerConfig;
 use staged_server::ThreadedServer;
 use staged_sim::threadpool::{figure2_sweep, Figure2Workload};
-use staged_workload::{drive_threaded, load_wisconsin_table, WorkloadA};
+use staged_workload::{drive, load_wisconsin_table, WorkloadA};
 
 fn main() {
     let sizes = [1usize, 2, 3, 5, 8, 10, 15, 20, 30, 50, 75, 100, 150, 200];
@@ -39,7 +39,7 @@ fn main() {
             load_wisconsin_table(&cat, "wisc", 20_000, 42).unwrap();
             let server = ThreadedServer::new(cat, m, PlannerConfig::default());
             let mut wa = WorkloadA::new("wisc", 20_000, 9);
-            let secs = drive_threaded(&server, || wa.next_query(), queries, m * 4);
+            let secs = drive(|sql| server.submit(sql), || wa.next_query(), queries, m * 4);
             server.shutdown();
             results.push((m, queries as f64 / secs));
         }

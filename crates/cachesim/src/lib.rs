@@ -39,11 +39,6 @@ impl CacheConfig {
         Self { capacity: 16 * 1024, line: 32, ways: 4 }
     }
 
-    /// A cache resembling the Pentium III's 256 KiB 8-way L2.
-    pub fn l2_like() -> Self {
-        Self { capacity: 256 * 1024, line: 32, ways: 8 }
-    }
-
     fn num_sets(&self) -> usize {
         (self.capacity / (self.line * self.ways)).max(1)
     }
@@ -56,18 +51,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Accesses that missed.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Miss ratio in [0, 1]; 0 when there were no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 /// A set-associative LRU cache simulator.

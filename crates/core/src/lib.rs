@@ -38,14 +38,12 @@
 pub mod coop;
 pub mod error;
 pub mod monitor;
-pub mod packet;
 pub mod policy;
 pub mod queue;
 pub mod runtime;
 pub mod stage;
 
 pub use error::{EnqueueError, StageError};
-pub use packet::{ClientInfo, Packet, QueryId, RouteInfo};
 pub use policy::Policy;
 pub use queue::StageQueue;
 pub use runtime::{RuntimeBuilder, StagedRuntime};
@@ -56,7 +54,6 @@ pub mod prelude {
     pub use crate::coop::{CoopConfig, CoopExecutor, Job, SegKind, Segment};
     pub use crate::error::{EnqueueError, StageError};
     pub use crate::monitor::StageStats;
-    pub use crate::packet::{ClientInfo, Packet, QueryId, RouteInfo};
     pub use crate::policy::Policy;
     pub use crate::queue::StageQueue;
     pub use crate::runtime::{RuntimeBuilder, StagedRuntime};

@@ -58,17 +58,6 @@ pub struct StageQueue<P> {
     counters: QueueCounters,
 }
 
-/// Result of [`StageQueue::dequeue_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Dequeued<P> {
-    /// A packet was obtained.
-    Packet(P),
-    /// The wait timed out; the queue is still open.
-    TimedOut,
-    /// The queue is closed and drained.
-    Closed,
-}
-
 /// Result of [`StageQueue::dequeue_batch`]: one gated queue visit.
 #[derive(Debug, PartialEq, Eq)]
 pub enum DequeuedCohort<P> {
@@ -251,25 +240,6 @@ impl<P> StageQueue<P> {
         }
     }
 
-    /// Remove a packet, waiting at most `timeout`.
-    pub fn dequeue_timeout(&self, timeout: Duration) -> Dequeued<P> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(p) = inner.items.pop_front() {
-                self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
-                drop(inner);
-                self.not_full.notify_one();
-                return Dequeued::Packet(p);
-            }
-            if inner.closed {
-                return Dequeued::Closed;
-            }
-            if self.not_empty.wait_for(&mut inner, timeout).timed_out() {
-                return Dequeued::TimedOut;
-            }
-        }
-    }
-
     /// Remove up to `max` packets in one queue visit, waiting at most
     /// `timeout` for the first one.
     ///
@@ -412,14 +382,6 @@ mod tests {
         assert!(producer.join().unwrap());
         assert_eq!(q.dequeue(), Some(1));
         assert!(q.stats().blocked_enqueues >= 1);
-    }
-
-    #[test]
-    fn dequeue_timeout_times_out() {
-        let q: StageQueue<u8> = StageQueue::new(1);
-        assert_eq!(q.dequeue_timeout(Duration::from_millis(10)), Dequeued::TimedOut);
-        q.close();
-        assert_eq!(q.dequeue_timeout(Duration::from_millis(10)), Dequeued::Closed);
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl<P: Send + 'static> StagedRuntime<P> {
         self.shared.stage_id(name)
     }
 
-    /// Name of a stage.
-    pub fn stage_name(&self, id: StageId) -> &str {
-        &self.shared.stages[id].name
-    }
-
     /// Inject a packet into a stage from outside the pipeline (blocking under
     /// back-pressure). This is how clients submit work.
     pub fn enqueue(&self, dest: StageId, packet: P) -> Result<(), EnqueueError<P>> {
@@ -233,11 +228,6 @@ impl<P: Send + 'static> StagedRuntime<P> {
                 snapshot(&s.name, id, &s.monitor, s.queue.stats(), s.batch_limit, s.workers)
             })
             .collect()
-    }
-
-    /// Total queued packets across all stages.
-    pub fn total_queued(&self) -> usize {
-        self.shared.stages.iter().map(|s| s.queue.len()).sum()
     }
 
     /// Drain and stop the runtime. Stages are drained and closed in

@@ -27,8 +27,9 @@ pub enum BatchPolicy {
     /// whose queue bound is itself the point (the server's `net` admission
     /// stage: its queue *is* the admission limit, and load served past it
     /// on another thread would be load admitted past it) or whose worker
-    /// may block for long inside `process` (the `checkpoint` stage, which
-    /// polls for its quiesce locks). A stage that merely needs its state
+    /// may block for long inside `process` (the threaded baseline's `pool`
+    /// stage, whose workers wait for partition locks in `lock_all`). A
+    /// stage that merely needs its state
     /// protected should lock it instead: a followed packet runs
     /// concurrently with the stage's own workers, exactly as a second
     /// worker would.

@@ -68,11 +68,4 @@ impl ExecContext {
             t.record(RefClass::Shared, RefKind::Code, code_footprint);
         }
     }
-
-    /// Record a *common* data reference (catalog/statistics lookups).
-    pub fn note_catalog_ref(&self, bytes: u64) {
-        if let Some(t) = &self.tracker {
-            t.record(RefClass::Common, RefKind::Data, bytes);
-        }
-    }
 }

@@ -247,9 +247,6 @@ pub(crate) fn shut_down() -> EngineError {
     EngineError::Internal("staged engine is shut down".into())
 }
 
-/// A no-op activator for the root task (nothing above Send).
-pub struct RootActivator;
-
 /// Tuning of the staged engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {

@@ -9,7 +9,7 @@ use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
 use crate::probe::index_probe;
-use crate::volcano::sort_tuples;
+use crate::volcano::{encode_key, merge_join, sort_tuples};
 use staged_planner::{AggSpec, PhysicalPlan};
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
@@ -1050,21 +1050,6 @@ impl OperatorTask for DistinctTask {
 
 // ---------------------------------------------------------------- joins --
 
-fn encode_key(exprs: &[&Expr], tuple: &Tuple) -> EngineResult<Option<Vec<u8>>> {
-    let mut out = Vec::new();
-    for e in exprs {
-        let v = eval(e, tuple)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        match v {
-            Value::Int(i) => Value::Float(i as f64).encode(&mut out),
-            other => other.encode(&mut out),
-        }
-    }
-    Ok(Some(out))
-}
-
 pub(super) struct HashJoinTask {
     pub build: Intake,
     pub probe: Intake,
@@ -1198,61 +1183,6 @@ impl OperatorTask for MergeJoinTask {
         let rows = self.output.as_ref().expect("computed above");
         drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)
     }
-}
-
-/// Sort-merge two materialized inputs (shared with the Volcano semantics).
-fn merge_join(
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
-    keys: &(Expr, Expr),
-    residual: &Option<Expr>,
-) -> EngineResult<Vec<Tuple>> {
-    let mut l: Vec<(Value, Tuple)> = Vec::with_capacity(lrows.len());
-    for t in lrows {
-        let k = eval(&keys.0, &t)?;
-        if !k.is_null() {
-            l.push((k, t));
-        }
-    }
-    let mut r: Vec<(Value, Tuple)> = Vec::with_capacity(rrows.len());
-    for t in rrows {
-        let k = eval(&keys.1, &t)?;
-        if !k.is_null() {
-            r.push((k, t));
-        }
-    }
-    l.sort_by(|a, b| a.0.total_cmp(&b.0));
-    r.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < l.len() && j < r.len() {
-        match l[i].0.sql_cmp(&r[j].0) {
-            Some(std::cmp::Ordering::Less) => i += 1,
-            Some(std::cmp::Ordering::Greater) => j += 1,
-            Some(std::cmp::Ordering::Equal) => {
-                let key = l[i].0.clone();
-                let i0 = i;
-                while i < l.len() && l[i].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal) {
-                    i += 1;
-                }
-                let j0 = j;
-                while j < r.len() && r[j].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal) {
-                    j += 1;
-                }
-                for (_, lt) in &l[i0..i] {
-                    for (_, rt) in &r[j0..j] {
-                        let joined = lt.concat(rt);
-                        match residual {
-                            Some(p) if !eval_predicate(p, &joined)? => continue,
-                            _ => out.push(joined),
-                        }
-                    }
-                }
-            }
-            None => return Err(EngineError::Eval("incomparable merge-join keys".into())),
-        }
-    }
-    Ok(out)
 }
 
 pub(super) struct NestedLoopTask {

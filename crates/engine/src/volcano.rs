@@ -332,7 +332,7 @@ impl Executor for NestedLoopJoinExec {
 
 /// Encode join/group keys byte-wise; `None` when any key is NULL (SQL
 /// equality never matches NULLs).
-fn encode_key(exprs: &[&Expr], tuple: &Tuple) -> EngineResult<Option<Vec<u8>>> {
+pub(crate) fn encode_key(exprs: &[&Expr], tuple: &Tuple) -> EngineResult<Option<Vec<u8>>> {
     let mut out = Vec::new();
     for e in exprs {
         let v = eval(e, tuple)?;
@@ -427,65 +427,78 @@ impl MergeJoinExec {
 
     /// Sort-merge both inputs and materialize the join output.
     fn compute(&mut self) -> EngineResult<()> {
-        let mut lrows = Vec::new();
-        let mut rrows = Vec::new();
-        if let Some(mut l) = self.left.take() {
-            while let Some(t) = l.next()? {
-                self.ctx.note_private_bytes(t.encoded_len() as u64);
-                let k = eval(&self.keys.0, &t)?;
-                if !k.is_null() {
-                    lrows.push((k, t));
+        let gather = |input: Option<Box<dyn Executor>>| -> EngineResult<Vec<Tuple>> {
+            let mut rows = Vec::new();
+            if let Some(mut input) = input {
+                while let Some(t) = input.next()? {
+                    self.ctx.note_private_bytes(t.encoded_len() as u64);
+                    rows.push(t);
                 }
             }
+            Ok(rows)
+        };
+        let lrows = gather(self.left.take())?;
+        let rrows = gather(self.right.take())?;
+        self.output = merge_join(lrows, rrows, &self.keys, &self.residual)?;
+        Ok(())
+    }
+}
+
+/// Sort-merge two materialized inputs on `keys`: the join kernel of both
+/// engines. Rows whose key is NULL never match.
+pub(crate) fn merge_join(
+    lrows: Vec<Tuple>,
+    rrows: Vec<Tuple>,
+    keys: &(Expr, Expr),
+    residual: &Option<Expr>,
+) -> EngineResult<Vec<Tuple>> {
+    let mut l: Vec<(Value, Tuple)> = Vec::with_capacity(lrows.len());
+    for t in lrows {
+        let k = eval(&keys.0, &t)?;
+        if !k.is_null() {
+            l.push((k, t));
         }
-        if let Some(mut r) = self.right.take() {
-            while let Some(t) = r.next()? {
-                self.ctx.note_private_bytes(t.encoded_len() as u64);
-                let k = eval(&self.keys.1, &t)?;
-                if !k.is_null() {
-                    rrows.push((k, t));
+    }
+    let mut r: Vec<(Value, Tuple)> = Vec::with_capacity(rrows.len());
+    for t in rrows {
+        let k = eval(&keys.1, &t)?;
+        if !k.is_null() {
+            r.push((k, t));
+        }
+    }
+    l.sort_by(|a, b| a.0.total_cmp(&b.0));
+    r.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < l.len() && j < r.len() {
+        match l[i].0.sql_cmp(&r[j].0) {
+            Some(std::cmp::Ordering::Less) => i += 1,
+            Some(std::cmp::Ordering::Greater) => j += 1,
+            Some(std::cmp::Ordering::Equal) => {
+                // Emit the cross product of the two equal-key groups.
+                let key = l[i].0.clone();
+                let i0 = i;
+                while i < l.len() && l[i].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal) {
+                    i += 1;
                 }
-            }
-        }
-        lrows.sort_by(|a, b| a.0.total_cmp(&b.0));
-        rrows.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (mut i, mut j) = (0, 0);
-        while i < lrows.len() && j < rrows.len() {
-            match lrows[i].0.sql_cmp(&rrows[j].0) {
-                Some(std::cmp::Ordering::Less) => i += 1,
-                Some(std::cmp::Ordering::Greater) => j += 1,
-                Some(std::cmp::Ordering::Equal) => {
-                    // Emit the cross product of the two equal-key groups.
-                    let key = lrows[i].0.clone();
-                    let li0 = i;
-                    while i < lrows.len()
-                        && lrows[i].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal)
-                    {
-                        i += 1;
-                    }
-                    let rj0 = j;
-                    while j < rrows.len()
-                        && rrows[j].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal)
-                    {
-                        j += 1;
-                    }
-                    for (_, lt) in &lrows[li0..i] {
-                        for (_, rt) in &rrows[rj0..j] {
-                            let joined = lt.concat(rt);
-                            match &self.residual {
-                                Some(p) if !eval_predicate(p, &joined)? => continue,
-                                _ => self.output.push(joined),
-                            }
+                let j0 = j;
+                while j < r.len() && r[j].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal) {
+                    j += 1;
+                }
+                for (_, lt) in &l[i0..i] {
+                    for (_, rt) in &r[j0..j] {
+                        let joined = lt.concat(rt);
+                        match residual {
+                            Some(p) if !eval_predicate(p, &joined)? => continue,
+                            _ => out.push(joined),
                         }
                     }
                 }
-                None => {
-                    return Err(EngineError::Eval("incomparable merge-join keys".into()));
-                }
             }
+            None => return Err(EngineError::Eval("incomparable merge-join keys".into())),
         }
-        Ok(())
     }
+    Ok(out)
 }
 
 impl Executor for MergeJoinExec {

@@ -236,9 +236,16 @@ fn merge_join_forced_by_config() {
     assert!(plan.to_string().contains("MergeJoin"));
     let ctx = ExecContext::new(Arc::clone(&cat));
     let v = volcano::run(&plan, &ctx).unwrap();
-    let engine = StagedEngine::new(ctx, EngineConfig::default());
+    let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
     let s = engine.execute(&plan).collect().unwrap();
     engine.shutdown();
+    // Both engines run the one merge-join kernel; the default hash-join
+    // plan is the independent reference it is checked against.
+    let hash = plan_select(&bound, &cat, &PlannerConfig::default()).unwrap();
+    assert!(hash.to_string().contains("HashJoin"));
+    let h = volcano::run(&hash, &ctx).unwrap();
+    assert!(!h.is_empty());
+    assert_eq!(canonical(v.clone()), canonical(h));
     assert_eq!(canonical(v), canonical(s));
 }
 

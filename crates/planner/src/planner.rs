@@ -3,7 +3,7 @@
 
 use crate::estimate::{conjunct_selectivity, sargable_bounds, CostModel, Estimate};
 use crate::plan::{col_at, partial_agg_specs, shift_columns, substitute, AggSpec, PhysicalPlan};
-use staged_sql::ast::{BinOp, Expr, SelectStmt};
+use staged_sql::ast::{BinOp, Expr};
 use staged_sql::binder::BoundSelect;
 use staged_sql::error::{SqlError, SqlResult};
 use staged_sql::rewrite::{join_conjuncts, split_conjuncts};
@@ -831,18 +831,6 @@ pub fn plan_table_filter(
         None => Vec::new(),
     };
     plan_access_path(table, &stats, conjuncts, catalog, config).0
-}
-
-/// Convenience used by EXPLAIN tests: is this statement's top note a given
-/// operator name?
-pub fn plan_summary(plan: &PhysicalPlan) -> String {
-    plan.to_string()
-}
-
-/// Re-export for the engine: does this statement need the optimizer at all?
-pub fn needs_optimizer(stmt: &SelectStmt) -> bool {
-    let _ = stmt;
-    true
 }
 
 #[cfg(test)]

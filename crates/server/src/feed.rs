@@ -18,8 +18,8 @@
 //! closes the socket. A stalled peer can never hold memory, or commit
 //! latency, hostage.
 //!
-//! The pump is driven by the staged server's `replication` stage (from its
-//! idle hook), by the threaded baseline's pump thread, and by the network
+//! The pump is driven by the `replication` stage both primaries register
+//! (its idle hook; `crate::server_core`'s `FeedPump`), and by the network
 //! loop whenever a feed connection is fully caught up.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};

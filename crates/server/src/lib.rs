@@ -18,24 +18,28 @@
 //!   gives the overload behaviour of §5.2 ([`StagedServer::try_submit`]).
 //! * [`ThreadedServer`] — the work-centric baseline of §3.1: a pool of N
 //!   threads, each picking a client from one input queue and running the
-//!   entire pipeline as direct procedure calls.
+//!   entire pipeline as direct procedure calls. The pool is one stage of
+//!   the same runtime, `pool`, beside the same `replication` stage.
 //!
 //! Everything that is not scheduling exists once. The statement steps
 //! (`plan` → `admit` → `join_txn` → `run` → `settle`) are the `Pipeline`
 //! of [`pipeline`]; recovery, the log, the checkpoint body, the feed pump
-//! and the synthetic `STATS` rows are the `ServerCore` both servers are
-//! built on. Correctness is identical by construction and the
-//! architectural comparison is apples-to-apples.
+//! stage and the `STATS` rows are the `ServerCore` both servers are built
+//! on; and every server, the [`ReplicaServer`] too, hands out the one
+//! [`Session`] handle. Correctness is identical by construction and the
+//! architectural comparison is apples-to-apples: the stage graph is the
+//! only difference.
 //!
 //! The [`net`] module opens both servers to real TCP traffic with the text
 //! wire protocol of `PROTOCOL.md`. The front end is **event-driven**: one
 //! reader thread multiplexes every connection with a `poll(2)` readiness
 //! loop, parses line frames incrementally from per-connection buffers, and
-//! submits statements without blocking — the staged server admits through
-//! its bounded `net` stage, the threaded baseline through its pool queue,
-//! and when either queue is full the loop simply stops reading that
-//! socket, so back-pressure reaches TCP. The two servers still answer
-//! byte-identical responses.
+//! submits statements through each connection's [`Session`] without
+//! blocking — the staged server admits through its bounded `net` stage,
+//! the threaded baseline through its `pool` stage's queue, and when
+//! either queue is full the loop simply stops reading that socket, so
+//! back-pressure reaches TCP. The two servers still answer byte-identical
+//! responses.
 //!
 //! The [`feed`] module is the one WAL feed both outbound streams are made
 //! of — per-feed cursor over the log, bounded outbox, eviction of peers
@@ -64,10 +68,8 @@ pub mod types;
 pub use feed::{FeedStats, WalFeed};
 pub use net::{serve, NetConfig, NetHandle, NetStats};
 pub use reactivity::ReactivityHub;
-pub use replication::{
-    ReplicaConfig, ReplicaServer, ReplicaSession, ReplicaStatus, ReplicationHub,
-};
-pub use session::TxnRuntime;
-pub use staged_server::{StagedServer, StagedSession};
-pub use threaded::{ThreadedServer, ThreadedSession};
+pub use replication::{ReplicaConfig, ReplicaServer, ReplicaStatus, ReplicationHub};
+pub use session::{Session, TxnRuntime};
+pub use staged_server::StagedServer;
+pub use threaded::ThreadedServer;
 pub use types::{QueryOutput, Response, ServerConfig, ServerError};

@@ -13,31 +13,33 @@
 //! thread-per-connection reader is gone for both servers; what remains
 //! per-connection is a few KB of buffer state, not a stack.
 //!
-//! The two servers keep their architectural identities behind the same
-//! loop:
+//! Every connection holds one [`Session`], whatever the server behind it,
+//! and submits each decoded statement with [`Session::try_submit`] — never
+//! blocking. The servers keep their architectural identities behind it:
 //!
-//! * **Staged** — each decoded statement is enqueued *without blocking*
-//!   into the staged server's dedicated `net` **admission stage**
-//!   ([`crate::StagedServer::try_submit_admitted`]); from there the packet
-//!   flows `net → connect → parse → (optimize | lock) → execute →
-//!   disconnect` exactly as an in-process submission would.
-//! * **Threaded** — statements enter the monolithic baseline's pool queue
-//!   and a pool worker runs the whole pipeline as direct procedure calls
+//! * **Staged** — the statement enters the staged server's dedicated `net`
+//!   **admission stage**; from there the packet flows `net → connect →
+//!   parse → (optimize | lock) → execute → disconnect` exactly as an
+//!   in-process submission would.
+//! * **Threaded** — the statement enters the baseline's `pool` stage, and
+//!   a pool worker runs the whole pipeline as direct procedure calls
 //!   (§3.1.1). The front end is pure I/O for both; the two answer
 //!   byte-identical responses for the same script (`tests/net.rs` diffs
 //!   them over real sockets).
+//! * **Replica** — the statement is answered inline, on an
+//!   already-answered channel the loop writes out on its next pass.
 //!
-//! **Back-pressure.** When a backend queue is full the submission returns
-//! [`Submission::Busy`]; the loop parks the decoded line and — crucially —
-//! stops registering read interest for that socket. The client's sends
+//! **Back-pressure.** When a server's admission queue is full the submit
+//! returns `Err(Overloaded)`; the loop parks the decoded line and —
+//! crucially — stops registering read interest for that socket. The
+//! client's sends
 //! accumulate in kernel buffers until TCP's own flow control pushes back:
 //! overload propagates to the wire with zero protocol machinery and zero
 //! parked threads (DESIGN.md §16). The same rule bounds the write side: a
 //! connection whose responses aren't draining stops being read.
 //!
-//! **Connection lifecycle.** Every connection owns one session
-//! ([`crate::StagedServer::session`] / [`crate::ThreadedServer::session`]),
-//! so `BEGIN` binds transactions to the connection and a disconnect —
+//! **Connection lifecycle.** Every connection owns one session, so `BEGIN`
+//! binds transactions to the connection and a disconnect —
 //! orderly `QUIT`, client crash, or read error — drops the session handle
 //! and aborts any open transaction (PR 3's abort-on-drop), releasing its
 //! locks. A connection beyond [`NetConfig::max_connections`] is greeted
@@ -54,10 +56,11 @@
 //! unbounded local buffer (PROTOCOL.md §7–8).
 
 use crate::reactivity::ReactivityHub;
-use crate::replication::{ReplicaServer, ReplicaSession, ReplicationHub};
+use crate::replication::{ReplicaServer, ReplicationHub};
 use crate::server_core::{mvcc_row, stats_output, stats_row};
+use crate::session::{Host, Session};
 use crate::types::{QueryOutput, Response, ServerError};
-use crate::{StagedServer, StagedSession, ThreadedServer, ThreadedSession};
+use crate::{StagedServer, ThreadedServer};
 use crossbeam::channel::{Receiver, TryRecvError, WakeHook};
 use parking_lot::Mutex;
 use polling::{Interest, PollFd};
@@ -79,10 +82,6 @@ pub struct NetConfig {
     /// Connections served concurrently; further clients are refused with
     /// `ERR OVERLOADED` at accept time.
     pub max_connections: usize,
-    /// The event loop's idle tick: the longest `poll(2)` sleep when no
-    /// statement is in flight. Bounds shutdown latency, feed-pump latency
-    /// and `Busy` retry latency. Purely an internal latency/CPU trade-off.
-    pub poll_interval: Duration,
     /// The loop-wide multiprogramming level: connections *doing work* —
     /// a statement in flight, or a transaction open — concurrently,
     /// across the whole fleet. The event loop parks any statement that
@@ -105,9 +104,14 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self { max_connections: 64, poll_interval: Duration::from_millis(25), max_inflight: 64 }
+        Self { max_connections: 64, max_inflight: 64 }
     }
 }
+
+/// The event loop's idle tick: the longest `poll(2)` sleep when no
+/// statement is in flight. Bounds shutdown latency and feed-pump latency.
+/// Purely an internal latency/CPU trade-off.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Front-end counters (monotonic except `active`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,38 +124,11 @@ pub struct NetStats {
     pub active: usize,
 }
 
-/// What a backend did with one submitted statement. The event loop never
-/// blocks on a statement; this is the three-way contract that makes that
-/// possible.
-pub enum Submission {
-    /// Answered synchronously (replica reads, refusals).
-    Ready(Response),
-    /// Admitted; the response arrives on the receiver when the pipeline
-    /// (or pool) finishes it.
-    Queued(Receiver<Response>),
-    /// The backend's bounded queue is full. The loop keeps the decoded
-    /// statement and retries; until it is admitted the connection's
-    /// socket is not read — back-pressure reaches TCP.
-    Busy,
-}
-
-/// One server-side wire session: a connection's statement executor.
-///
-/// Dropping the value must abort any transaction the connection left open
-/// (all impls wrap the servers' session handles, which already do).
-pub trait WireSession: Send + 'static {
-    /// Submit one SQL statement under the connection's session, without
-    /// blocking the caller.
-    fn submit(&self, sql: &str) -> Submission;
-}
-
 /// A server that can sit behind [`serve`]: it opens per-connection
 /// sessions and answers the `STATS` monitor command.
 pub trait WireBackend: Send + Sync + Clone + 'static {
-    /// The per-connection session type.
-    type Session: WireSession;
     /// Open a session for a newly accepted connection.
-    fn open_session(&self) -> Self::Session;
+    fn open_session(&self) -> Session;
     /// One row per stage (or pool) for the `STATS` command; schema
     /// documented in `PROTOCOL.md` §6.
     fn stats_output(&self) -> QueryOutput;
@@ -172,28 +149,8 @@ pub trait WireBackend: Send + Sync + Clone + 'static {
 // Backend impls for the two servers
 // ---------------------------------------------------------------------------
 
-/// What a bounded backend queue made of a statement: admitted, or full
-/// (`Overloaded` is the queue's refusal, not the statement's answer).
-fn admitted(queued: Result<Receiver<Response>, ServerError>) -> Submission {
-    match queued {
-        Ok(rx) => Submission::Queued(rx),
-        Err(ServerError::Overloaded) => Submission::Busy,
-        Err(e) => Submission::Ready(Err(e)),
-    }
-}
-
-impl WireSession for StagedSession {
-    /// Statements enter through the `net` admission stage and flow down
-    /// the full pipeline.
-    fn submit(&self, sql: &str) -> Submission {
-        admitted(self.try_submit_admitted(sql))
-    }
-}
-
 impl WireBackend for Arc<StagedServer> {
-    type Session = StagedSession;
-
-    fn open_session(&self) -> StagedSession {
+    fn open_session(&self) -> Session {
         self.session()
     }
 
@@ -210,19 +167,8 @@ impl WireBackend for Arc<StagedServer> {
     }
 }
 
-impl WireSession for ThreadedSession {
-    /// The monolithic baseline: a pool worker runs the whole pipeline. The
-    /// front end only enqueues — a full pool queue is `Busy`, and the
-    /// event loop stops reading the socket until it drains.
-    fn submit(&self, sql: &str) -> Submission {
-        admitted(self.try_submit(sql))
-    }
-}
-
 impl WireBackend for Arc<ThreadedServer> {
-    type Session = ThreadedSession;
-
-    fn open_session(&self) -> ThreadedSession {
+    fn open_session(&self) -> Session {
         self.session()
     }
 
@@ -239,18 +185,8 @@ impl WireBackend for Arc<ThreadedServer> {
     }
 }
 
-impl WireSession for ReplicaSession {
-    /// Replica statements are snapshot reads (and bootstrap DDL) answered
-    /// inline; there is no queue to overload.
-    fn submit(&self, sql: &str) -> Submission {
-        Submission::Ready(self.execute_sql(sql))
-    }
-}
-
 impl WireBackend for Arc<ReplicaServer> {
-    type Session = ReplicaSession;
-
-    fn open_session(&self) -> ReplicaSession {
+    fn open_session(&self) -> Session {
         self.session()
     }
 
@@ -276,7 +212,7 @@ impl WireBackend for Arc<ReplicaServer> {
             lag,
             0,
         ];
-        stats_output(vec![stats_row("replication", counters), mvcc_row(self.pipeline())])
+        stats_output(vec![stats_row("replication", counters), mvcc_row(Host::pipeline(&**self))])
     }
 }
 
@@ -444,18 +380,18 @@ enum Mode {
 /// Per-connection state: a nonblocking socket plus the buffers and
 /// in-flight bookkeeping the loop multiplexes over. This is the whole
 /// per-connection footprint — no thread, no stack.
-struct Conn<S> {
+struct Conn {
     stream: TcpStream,
-    session: Option<S>,
+    session: Option<Session>,
     mode: Mode,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     /// The admitted statement's reply channel, while one is running. At
     /// most one per connection: the protocol is sequential per client.
     inflight: Option<Receiver<Response>>,
-    /// A decoded statement the backend refused with [`Submission::Busy`]
-    /// (its queue was full); retried every pass. While set, the socket is
-    /// not read.
+    /// A decoded statement the server refused with `Overloaded` (its
+    /// admission queue was full); retried every pass. While set, the
+    /// socket is not read.
     pending: Option<String>,
     /// What the in-flight statement's completion does to [`Self::txn_open`]
     /// (classified from its leading keyword at dispatch).
@@ -498,8 +434,8 @@ fn txn_effect(sql: &str) -> TxnEffect {
     }
 }
 
-impl<S: WireSession> Conn<S> {
-    fn new(stream: TcpStream, session: S) -> Conn<S> {
+impl Conn {
+    fn new(stream: TcpStream, session: Session) -> Conn {
         Conn {
             stream,
             session: Some(session),
@@ -521,7 +457,7 @@ impl<S: WireSession> Conn<S> {
     /// closing connection takes; the drain keeps the refusal from being
     /// discarded by a TCP RST (PROTOCOL.md §2 promises the client sees
     /// `ERR OVERLOADED`, not ECONNRESET).
-    fn refused(stream: TcpStream) -> Conn<S> {
+    fn refused(stream: TcpStream) -> Conn {
         let mut wbuf = greeting().into_bytes();
         let err: Response = Err(ServerError::Overloaded);
         wbuf.extend_from_slice(encode_response(&err).as_bytes());
@@ -676,21 +612,16 @@ fn take_line(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
     Some(line)
 }
 
-/// Submit one statement; `Busy` parks it for retry (and, transitively,
-/// stops the socket being read).
-fn dispatch_query<S: WireSession>(
-    conn: &mut Conn<S>,
-    sql: String,
-    budget: &mut usize,
-    waker: &LoopWaker,
-) {
+/// Submit one statement; `Overloaded` parks it for retry (and,
+/// transitively, stops the socket being read).
+fn dispatch_query(conn: &mut Conn, sql: String, budget: &mut usize, waker: &LoopWaker) {
     let Some(session) = conn.session.as_ref() else {
         conn.push_err(ServerError::ShuttingDown);
         return;
     };
     // The loop-wide admission budget is exhausted and this statement
     // would acquire a new slot: park it without submitting (identical to
-    // the backend itself answering Busy). A connection with an open
+    // the server itself answering Overloaded). A connection with an open
     // transaction already holds its slot — its statements are the path
     // to releasing locks, so they are never parked here.
     if *budget == 0 && !conn.txn_open {
@@ -698,16 +629,8 @@ fn dispatch_query<S: WireSession>(
         return;
     }
     let effect = txn_effect(&sql);
-    match session.submit(&sql) {
-        Submission::Ready(resp) => {
-            match effect {
-                TxnEffect::Opens if resp.is_ok() => conn.txn_open = true,
-                TxnEffect::Closes => conn.txn_open = false,
-                _ => {}
-            }
-            conn.wbuf.extend_from_slice(encode_response(&resp).as_bytes());
-        }
-        Submission::Queued(rx) => {
+    match session.try_submit(sql.as_str()) {
+        Ok(rx) => {
             waker.watch(&rx);
             conn.inflight = Some(rx);
             conn.inflight_effect = effect;
@@ -715,13 +638,19 @@ fn dispatch_query<S: WireSession>(
                 *budget -= 1;
             }
         }
-        Submission::Busy => conn.pending = Some(sql),
+        Err(ServerError::Overloaded) => conn.pending = Some(sql),
+        Err(e) => {
+            if effect == TxnEffect::Closes {
+                conn.txn_open = false;
+            }
+            conn.push_err(e);
+        }
     }
 }
 
 /// Decode and act on one command line in request/response mode.
 fn dispatch_command<B: WireBackend>(
-    conn: &mut Conn<B::Session>,
+    conn: &mut Conn,
     backend: &B,
     raw: Vec<u8>,
     budget: &mut usize,
@@ -789,7 +718,7 @@ fn dispatch_command<B: WireBackend>(
 
 /// Decode one inbound line while a subscription is active: only
 /// `UNSUBSCRIBE`, `PING` and `QUIT` make sense mid-feed.
-fn dispatch_subscribed<S: WireSession>(conn: &mut Conn<S>, raw: Vec<u8>) {
+fn dispatch_subscribed(conn: &mut Conn, raw: Vec<u8>) {
     let Ok(text) = std::str::from_utf8(&raw) else {
         conn.push_err(ServerError::Protocol("request is not valid UTF-8".into()));
         return;
@@ -834,12 +763,7 @@ fn dispatch_subscribed<S: WireSession>(conn: &mut Conn<S>, raw: Vec<u8>) {
 /// One multiplexing pass over a single connection: consume a completed
 /// statement, retry a parked one, dispatch framed lines, relay feed
 /// outboxes, flush, advance the close handshake. Everything nonblocking.
-fn service<B: WireBackend>(
-    conn: &mut Conn<B::Session>,
-    backend: &B,
-    budget: &mut usize,
-    waker: &LoopWaker,
-) {
+fn service<B: WireBackend>(conn: &mut Conn, backend: &B, budget: &mut usize, waker: &LoopWaker) {
     conn.poll_completion();
     if conn.inflight.is_none() && (*budget > 0 || conn.txn_open) {
         if let Some(sql) = conn.pending.take() {
@@ -943,8 +867,8 @@ fn widen_backlog(listener: &TcpListener, config: &NetConfig) {
 /// Wakes the `net-loop` out of `poll(2)` the instant a watched channel
 /// becomes ready: a nonblocking socketpair whose read end sits in every
 /// poll set, and whose write end is shared (via the channel shim's
-/// [`WakeHook`]) with every completion channel, feed outbox and
-/// checkpoint the loop waits on. Without it, a completion landing after
+/// [`WakeHook`]) with every completion channel and feed outbox the loop
+/// waits on. Without it, a completion landing after
 /// the post-submit spin sleeps out the rest of the poll timeout — up to
 /// a millisecond of dead time per statement, which closed-loop clients
 /// pay on every round trip. A blocked reader thread got this wake-up
@@ -997,7 +921,7 @@ fn accept_ready<B: WireBackend>(
     listener: &TcpListener,
     backend: &B,
     shared: &NetShared,
-    conns: &mut Vec<Conn<B::Session>>,
+    conns: &mut Vec<Conn>,
 ) {
     loop {
         match listener.accept() {
@@ -1026,7 +950,7 @@ fn accept_ready<B: WireBackend>(
 /// readiness. Statements run elsewhere (stage workers / pool workers);
 /// this thread never blocks on any of them.
 fn net_loop<B: WireBackend>(listener: TcpListener, backend: B, shared: Arc<NetShared>) {
-    let mut conns: Vec<Conn<B::Session>> = Vec::new();
+    let mut conns: Vec<Conn> = Vec::new();
     let waker = LoopWaker::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -1112,7 +1036,7 @@ fn net_loop<B: WireBackend>(listener: TcpListener, backend: B, shared: Arc<NetSh
         } else if any_pending {
             2
         } else {
-            shared.config.poll_interval.as_millis().clamp(1, 1000) as i32
+            POLL_INTERVAL.as_millis() as i32
         };
         let mut fds = Vec::with_capacity(conns.len() + 1);
         fds.push(PollFd::new(listener.as_raw_fd(), Interest::READ));
@@ -1131,7 +1055,7 @@ fn net_loop<B: WireBackend>(listener: TcpListener, backend: B, shared: Arc<NetSh
             }
         }
         // The waker's read end goes last, past the `map` range: a wake
-        // byte (completion, feed line, checkpoint, disconnect) ends the
+        // byte (completion, feed line, disconnect) ends the
         // sleep immediately; the next pass consumes whatever landed.
         let wake_slot = waker.rx.as_ref().map(|w| {
             fds.push(PollFd::new(w.as_raw_fd(), Interest::READ));
@@ -1161,7 +1085,7 @@ fn net_loop<B: WireBackend>(listener: TcpListener, backend: B, shared: Arc<NetSh
             }
             // poll(2) only fails for structural reasons (EINVAL); back off
             // rather than spin.
-            Err(_) => std::thread::sleep(shared.config.poll_interval),
+            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }

@@ -50,6 +50,8 @@
 
 use crate::feed::{after, Sink, WalFeed};
 use crate::pipeline::{Exec, Pipeline, PlannedAction};
+use crate::server_core::answered;
+use crate::session::{Host, Session};
 use crate::types::{Response, ServerError};
 use crossbeam::channel::{Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
@@ -190,10 +192,11 @@ pub struct ReplicaConfig {
     pub planner: PlannerConfig,
     /// Pause between reconnect attempts after the feed drops.
     pub reconnect: Duration,
-    /// How often the streaming thread re-checks the shutdown flag while
-    /// the feed is quiet.
-    pub poll_interval: Duration,
 }
+
+/// How often the streaming thread re-checks the shutdown flag while the
+/// feed is quiet.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 impl Default for ReplicaConfig {
     fn default() -> Self {
@@ -202,7 +205,6 @@ impl Default for ReplicaConfig {
             partitions: 1,
             planner: PlannerConfig::default(),
             reconnect: Duration::from_millis(100),
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -378,15 +380,11 @@ impl ReplicaServer {
         &self.pipe.wal
     }
 
-    pub(crate) fn pipeline(&self) -> &Pipeline {
-        &self.pipe
-    }
-
     /// Open a read session. `BEGIN READ ONLY` pins a snapshot exactly as
     /// on the primary; DML and plain `BEGIN` are refused with
     /// [`ServerError::ReadOnlyReplica`].
-    pub fn session(self: &Arc<Self>) -> ReplicaSession {
-        ReplicaSession { replica: Arc::clone(self), sid: self.pipe.txn.open_session() }
+    pub fn session(self: &Arc<Self>) -> Session {
+        Session::open(Arc::clone(self) as Arc<dyn Host>)
     }
 
     /// Run one statement outside any session (autocommit reads, bootstrap
@@ -441,7 +439,7 @@ impl ReplicaServer {
         let io_err = |e: std::io::Error| format!("replica feed: {e}");
         let mut stream = TcpStream::connect(primary).map_err(io_err)?;
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.config.poll_interval)).map_err(io_err)?;
+        stream.set_read_timeout(Some(POLL_INTERVAL)).map_err(io_err)?;
         let from = self.pipe.wal.next_lsn();
         stream
             .write_all(
@@ -570,28 +568,20 @@ impl ReplicaServer {
     }
 }
 
-/// A read session on a replica. Dropping it aborts (unpins) any open
-/// `BEGIN READ ONLY` transaction, exactly like the primary's sessions.
-pub struct ReplicaSession {
-    replica: Arc<ReplicaServer>,
-    sid: u64,
-}
-
-impl ReplicaSession {
-    /// Session id.
-    pub fn id(&self) -> u64 {
-        self.sid
+/// Replica statements are snapshot reads (and bootstrap DDL) answered
+/// inline: there is no queue to wait for or to overload.
+impl Host for ReplicaServer {
+    fn enqueue(
+        &self,
+        sql: String,
+        sid: u64,
+        _wait: bool,
+    ) -> Result<Receiver<Response>, ServerError> {
+        Ok(answered(self.execute(&sql, Some(sid))))
     }
 
-    /// Run one statement under this session.
-    pub fn execute_sql(&self, sql: &str) -> Response {
-        self.replica.execute(sql, Some(self.sid))
-    }
-}
-
-impl Drop for ReplicaSession {
-    fn drop(&mut self) {
-        self.replica.pipe.close_session(self.sid);
+    fn pipeline(&self) -> &Pipeline {
+        &self.pipe
     }
 }
 

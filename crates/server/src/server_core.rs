@@ -5,10 +5,12 @@
 //! log, the statement [`Pipeline`], the two WAL feeds — and owned by both
 //! the staged server and the threaded baseline. It also holds the parts of
 //! maintenance that are not scheduling: the checkpoint body, the feed
-//! pump, and the synthetic `STATS` rows. A checkpoint gets its locks the
-//! way every writer does, through each server's own lock path. What is
+//! pump stage both servers register ([`FeedPump`]), and the `STATS` rows.
+//! A checkpoint gets its locks the way every writer does, through each
+//! server's own lock path. Both servers run on a `StagedRuntime`; what is
 //! left in `staged_server.rs` and `threaded.rs` is the paper's
-//! experimental variable: stages with queues versus a pool of threads.
+//! experimental variable: nine stages with queues versus one stage whose
+//! workers run a whole statement each.
 
 use crate::feed::{FeedStats, WalFeed};
 use crate::pipeline::Pipeline;
@@ -18,6 +20,8 @@ use crate::types::{QueryOutput, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver};
 use staged_cachesim::tracker::RefTracker;
 use staged_core::error::EnqueueError;
+use staged_core::monitor::StageStats;
+use staged_core::{StageCtx, StageError, StageLogic};
 use staged_engine::checkpoint::{self, RecoveryReport};
 use staged_engine::context::ExecContext;
 use staged_storage::wal::Lsn;
@@ -60,6 +64,33 @@ pub(crate) fn stats_row(name: &str, counters: [u64; 10]) -> Tuple {
     Tuple::new(values)
 }
 
+/// One `STATS` row per stage, from the runtime's monitors. Stage rows read
+/// 0 in `preempts`: gated visits are never cut off. The `replication`
+/// stage's row is left out: that stage's only work is its idle-hook pump,
+/// and its queue row would shadow the core's shipping row of the same
+/// name, which carries the useful counters.
+pub(crate) fn stats_rows(stages: Vec<StageStats>) -> Vec<Tuple> {
+    stages
+        .into_iter()
+        .filter(|s| s.name != "replication")
+        .map(|s| {
+            let counters = [
+                s.processed,
+                s.errors,
+                s.retries,
+                s.idle_polls,
+                s.cohorts,
+                s.max_cohort as u64,
+                0,
+                s.batch_limit as u64,
+                s.queue.depth as u64,
+                s.workers as u64,
+            ];
+            stats_row(&s.name, counters)
+        })
+        .collect()
+}
+
 /// The `STATS` result set over `rows`.
 pub(crate) fn stats_output(rows: Vec<Tuple>) -> QueryOutput {
     let int = |name| Column::new(name, DataType::Int);
@@ -97,6 +128,30 @@ pub(crate) fn mvcc_row(pipe: &Pipeline) -> Tuple {
     let oracle = pipe.txn.mgr().oracle();
     let (latest, pins) = (oracle.latest(), oracle.pins());
     stats_row("mvcc", [latest, 0, 0, 0, created, dead, pending, reclaimed, pins, 0])
+}
+
+/// The `replication` stage both primaries register: one worker, routed no
+/// packets, whose idle hook pumps committed WAL into every replica's and
+/// subscriber's bounded outbox, evicting those that stopped draining. The
+/// network loop also pumps when a feed is caught up, so the idle cadence
+/// only bounds the *eviction* latency of a stalled peer, not the delivery
+/// latency of a healthy one.
+pub(crate) struct FeedPump {
+    replication: Arc<ReplicationHub>,
+    reactivity: Arc<ReactivityHub>,
+}
+
+impl<P: Send + 'static> StageLogic<P> for FeedPump {
+    fn process(&self, _pkt: P, _ctx: &StageCtx<'_, P>) -> Result<(), StageError> {
+        Err(StageError::new("nothing routes packets to the replication stage"))
+    }
+
+    /// Each hub returns before touching the WAL store when it has no
+    /// subscriber, so an idle server pays two uncontended locks.
+    fn on_idle(&self, _ctx: &StageCtx<'_, P>) {
+        self.replication.pump();
+        self.reactivity.pump();
+    }
 }
 
 /// What both primaries are made of. See the module docs.
@@ -178,11 +233,12 @@ impl ServerCore {
         )))
     }
 
-    /// Pump both feeds. Each returns before touching the WAL store when it
-    /// has no subscriber, so an idle server pays two uncontended locks.
-    pub fn pump_feeds(&self) {
-        self.replication.pump();
-        self.reactivity.pump();
+    /// The `replication` stage's logic over this core's two feeds.
+    pub fn feed_pump(&self) -> FeedPump {
+        FeedPump {
+            replication: Arc::clone(&self.replication),
+            reactivity: Arc::clone(&self.reactivity),
+        }
     }
 
     /// The `STATS` result: the caller's scheduling rows followed by the

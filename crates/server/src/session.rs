@@ -1,4 +1,5 @@
-//! Session-scoped transaction state shared by both servers.
+//! Client sessions and the session-scoped transaction state every server
+//! shares.
 //!
 //! A *session* is one client's sequential statement stream. Sessions are
 //! what `BEGIN` attaches a transaction to: every later statement from the
@@ -6,12 +7,20 @@
 //! submitted without a session (the plain `execute_sql` path) run in
 //! autocommit mode — each DML statement is its own implicit transaction.
 //!
+//! [`Session`] is the one handle all three servers hand out — staged,
+//! threaded and replica — and the one the network front end holds per
+//! connection. What differs is only where a statement enters the server,
+//! which each server says through the crate-private `Host` trait.
+//!
 //! Dropping a session handle with a transaction still open **aborts** it
 //! (abort-on-drop): the undo log restores the heap and the lock manager
 //! releases everything the transaction held, so a disconnected client can
 //! never wedge the server.
 
-use crate::types::{QueryOutput, ServerError};
+use crate::pipeline::Pipeline;
+use crate::server_core::answered;
+use crate::types::{QueryOutput, Response, ServerError};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use staged_engine::context::ExecContext;
 use staged_engine::txn::TxnManager;
@@ -19,6 +28,65 @@ use staged_storage::wal::Wal;
 use staged_storage::SnapshotGuard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// A server a [`Session`] submits to.
+pub(crate) trait Host: Send + Sync {
+    /// Put `sql` from session `sid` where the server admits statements and
+    /// return the channel its response arrives on. With `wait` the call
+    /// waits for room in a full queue; without it a full queue refuses
+    /// with `Overloaded` — the network front end's admission path, which
+    /// then stops reading the socket so back-pressure reaches TCP.
+    fn enqueue(&self, sql: String, sid: u64, wait: bool)
+        -> Result<Receiver<Response>, ServerError>;
+
+    /// The pipeline whose session table `sid` lives in.
+    fn pipeline(&self) -> &Pipeline;
+}
+
+/// A client session. Statements submitted here run in order under the
+/// session's transaction state (`BEGIN` … `COMMIT`/`ROLLBACK`). Dropping
+/// the handle aborts a transaction still open (abort-on-drop), releasing
+/// its locks and undoing its writes.
+pub struct Session {
+    host: Arc<dyn Host>,
+    sid: u64,
+}
+
+impl Session {
+    pub(crate) fn open(host: Arc<dyn Host>) -> Self {
+        let sid = host.pipeline().txn.open_session();
+        Self { host, sid }
+    }
+
+    /// Session id.
+    pub fn id(&self) -> u64 {
+        self.sid
+    }
+
+    /// Submit SQL under this session (blocking admission under
+    /// back-pressure; a refusal arrives on the returned channel).
+    pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
+        self.host.enqueue(sql.into(), self.sid, true).unwrap_or_else(|e| answered(Err(e)))
+    }
+
+    /// Non-blocking submit under this session: `Err(Overloaded)` when the
+    /// server's admission queue is full.
+    pub fn try_submit(&self, sql: impl Into<String>) -> Result<Receiver<Response>, ServerError> {
+        self.host.enqueue(sql.into(), self.sid, false)
+    }
+
+    /// Run one statement to completion under this session.
+    pub fn execute_sql(&self, sql: &str) -> Response {
+        self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.host.pipeline().close_session(self.sid);
+    }
+}
 
 /// A session's transaction binding. `Aborted` is the Postgres-style
 /// failed-transaction state: the transaction was already rolled back

@@ -8,10 +8,11 @@
 //! `CHECKPOINT` is a statement that waits for its locks at the lock stage
 //! like any writer, then runs on the `checkpoint` stage.
 
-use crate::pipeline::{self, Exec, Parsed, PlannedAction, TxnSlot};
+use crate::pipeline::{self, Exec, Parsed, Pipeline, PlannedAction, TxnSlot};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
-use crate::server_core::{answered, queued, stats_row, ServerCore};
+use crate::server_core::{answered, queued, stats_row, stats_rows, ServerCore};
+use crate::session::{Host, Session};
 use crate::types::{ExecutionMode, QueryOutput, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
@@ -19,7 +20,7 @@ use staged_cachesim::tracker::RefTracker;
 use staged_core::monitor::StageStats;
 use staged_core::prelude::*;
 use staged_engine::checkpoint::RecoveryReport;
-use staged_engine::staged::StagedEngine;
+use staged_engine::staged::{EngineConfig, StagedEngine};
 use staged_engine::txn::{LockKey, LockMode, LockTable};
 use staged_planner::PhysicalPlan;
 use staged_sql::binder::BoundSelect;
@@ -366,28 +367,6 @@ impl StageLogic<SPacket> for CheckpointStage {
     }
 }
 
-/// The replication stage: the feed pump, run as its own bounded stage like
-/// everything else in the server. It receives no client packets — its work
-/// hook is `on_idle`, which pumps committed WAL into every replica's and
-/// subscriber's bounded outbox (evicting those that stopped draining). The
-/// network loop also pumps on its own when a feed is caught up, so this
-/// stage's idle cadence only bounds the *eviction* latency of a stalled
-/// peer, not the delivery latency of a healthy one.
-struct ReplicationStage {
-    shared: Arc<ServerShared>,
-}
-
-impl StageLogic<SPacket> for ReplicationStage {
-    fn process(&self, pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
-        // Nothing routes packets here; anything that arrives is a bug.
-        misrouted(ctx, pkt, "replication")
-    }
-
-    fn on_idle(&self, _ctx: &StageCtx<'_, SPacket>) {
-        self.shared.core.pump_feeds();
-    }
-}
-
 stage_logic!(OptimizeStage, shared, pkt, ctx, {
     let PacketBody::Bound(bound) = pkt.take_body() else {
         return misrouted(ctx, pkt, "optimize");
@@ -492,7 +471,7 @@ impl StagedServer {
         snapshots: Arc<dyn SnapshotStore>,
     ) -> Result<Arc<Self>, ServerError> {
         let core = ServerCore::open(catalog, &config, tracker, segments, snapshots)?;
-        let engine = StagedEngine::new(core.pipe.ctx.clone(), config.engine.clone());
+        let engine = StagedEngine::new(core.pipe.ctx.clone(), EngineConfig::default());
         let shared = Arc::new(ServerShared {
             core,
             engine,
@@ -522,10 +501,8 @@ impl StagedServer {
         // One worker: the replication stage does all of its work from the
         // idle hook (no packets are ever routed here), pumping the feeds
         // on the runtime's idle cadence.
-        add(
-            REPLICATION,
-            spec("replication", ReplicationStage { shared: logic() }, 1, false, &config),
-        );
+        let pump = shared.core.feed_pump();
+        add(REPLICATION, spec("replication", pump, 1, false, &config));
         let workers = config.execute_workers;
         add(EXECUTE, spec("execute", ExecuteStage { shared: logic() }, workers, true, &config));
         add(
@@ -550,7 +527,7 @@ impl StagedServer {
     /// Put one packet on `stage`'s queue — waiting for room when `wait`,
     /// else refusing with `Overloaded` when the queue is full — and return
     /// the channel its response arrives on.
-    fn enqueue(
+    fn enter(
         &self,
         stage: StageId,
         body: PacketBody,
@@ -566,51 +543,31 @@ impl StagedServer {
         queued(enqueued, rx)
     }
 
-    /// [`enqueue`](Self::enqueue) and wait for room; a refusal (shutdown)
-    /// is delivered on the returned channel.
-    fn enqueue_wait(
-        &self,
-        stage: StageId,
-        body: PacketBody,
-        session: Option<u64>,
-    ) -> Receiver<Response> {
-        self.enqueue(stage, body, session, true).unwrap_or_else(|e| answered(Err(e)))
+    /// [`enter`](Self::enter) and wait for room; a refusal (shutdown) is
+    /// delivered on the returned channel.
+    fn enter_wait(&self, stage: StageId, body: PacketBody) -> Receiver<Response> {
+        self.enter(stage, body, None, true).unwrap_or_else(|e| answered(Err(e)))
     }
 
     /// Submit SQL; returns the response channel (blocking admission under
     /// back-pressure). One-shot autocommit; use [`session`](Self::session)
     /// for multi-statement transactions.
     pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        self.enqueue_wait(CONNECT, PacketBody::Raw(sql.into()), None)
+        self.enter_wait(CONNECT, PacketBody::Raw(sql.into()))
     }
 
     /// Non-blocking admission: `Err(Overloaded)` when the connect queue is
     /// full (paper §5.2 overload conditioning).
     pub fn try_submit(&self, sql: impl Into<String>) -> Result<Receiver<Response>, ServerError> {
-        self.enqueue(CONNECT, PacketBody::Raw(sql.into()), None, false)
-    }
-
-    /// Non-blocking network admission: enter at the `net` stage, so
-    /// network traffic is metered (and back-pressured) by the admission
-    /// stage's own queue before it reaches `connect`. `Err(Overloaded)`
-    /// when that bounded queue is full — the event-driven front end
-    /// translates that into *not reading the socket*, so the overload
-    /// propagates to TCP flow control instead of parking a thread
-    /// (DESIGN.md §16).
-    pub fn try_submit_admitted(
-        &self,
-        sql: impl Into<String>,
-        session: Option<u64>,
-    ) -> Result<Receiver<Response>, ServerError> {
-        self.enqueue(NET, PacketBody::Raw(sql.into()), session, false)
+        self.enter(CONNECT, PacketBody::Raw(sql.into()), None, false)
     }
 
     /// Open a client session: statements run through the handle share the
     /// session's transaction state (`BEGIN` … `COMMIT`/`ROLLBACK`), and
     /// dropping the handle aborts any transaction still open, releasing
     /// its locks (abort-on-drop).
-    pub fn session(self: &Arc<Self>) -> StagedSession {
-        StagedSession { server: Arc::clone(self), sid: self.shared.core.pipe.txn.open_session() }
+    pub fn session(self: &Arc<Self>) -> Session {
+        Session::open(Arc::clone(self) as Arc<dyn Host>)
     }
 
     /// Live transactions (diagnostics).
@@ -636,7 +593,7 @@ impl StagedServer {
 
     /// Invoke a prepared statement (the fast path).
     pub fn execute_prepared(&self, name: &str) -> Receiver<Response> {
-        self.enqueue_wait(CONNECT, PacketBody::Prepared(name.to_string()), None)
+        self.enter_wait(CONNECT, PacketBody::Prepared(name.to_string()))
     }
 
     /// Run the `CHECKPOINT` statement and wait for it: lock every
@@ -680,32 +637,9 @@ impl StagedServer {
     /// The `STATS` result: one row per stage, one for the engine's
     /// exchange layer — its `batch` column carries the exchange page size
     /// (§4.4 knob (c)), the same way stage rows carry their cohort bound
-    /// (knob (b)) — then the core's synthetic rows. Stage rows read 0 in
-    /// `preempts`: gated visits are never cut off.
+    /// (knob (b)) — then the core's synthetic rows.
     pub(crate) fn stats_output(&self) -> QueryOutput {
-        let mut rows: Vec<_> = self
-            .stage_stats()
-            .into_iter()
-            // The replication stage's only work is its idle-hook pump; its
-            // queue row would shadow the core's shipping summary row of
-            // the same name, which carries the useful counters.
-            .filter(|s| s.name != "replication")
-            .map(|s| {
-                let counters = [
-                    s.processed,
-                    s.errors,
-                    s.retries,
-                    s.idle_polls,
-                    s.cohorts,
-                    s.max_cohort as u64,
-                    0,
-                    s.batch_limit as u64,
-                    s.queue.depth as u64,
-                    s.workers as u64,
-                ];
-                stats_row(&s.name, counters)
-            })
-            .collect();
+        let mut rows = stats_rows(self.stage_stats());
         let page_size = self.engine().page_size() as u64;
         rows.push(stats_row("exchange", [0, 0, 0, 0, 0, 0, 0, page_size, 0, 0]));
         self.shared.core.stats_output(rows)
@@ -738,46 +672,24 @@ impl StagedServer {
     }
 }
 
-/// A client session on the staged server. Statements submitted here flow
-/// through the normal stage pipeline but share the session's transaction
-/// state. Dropping the handle aborts an in-flight transaction
-/// (abort-on-drop), releasing its locks and undoing its writes.
-pub struct StagedSession {
-    server: Arc<StagedServer>,
-    sid: u64,
-}
-
-impl StagedSession {
-    /// Session id.
-    pub fn id(&self) -> u64 {
-        self.sid
-    }
-
-    /// Submit SQL under this session.
-    pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        let server = &self.server;
-        server.enqueue_wait(CONNECT, PacketBody::Raw(sql.into()), Some(self.sid))
-    }
-
-    /// Run one statement to completion under this session.
-    pub fn execute_sql(&self, sql: &str) -> Response {
-        self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
-    }
-
-    /// Non-blocking admission at the `net` stage: `Err(Overloaded)` when
-    /// the admission queue is full (the network front end's path; see
-    /// [`StagedServer::try_submit_admitted`]).
-    pub fn try_submit_admitted(
+/// Sessions enter where in-process statements do, at `connect`, when they
+/// wait for room; the network front end's non-blocking admissions enter
+/// at the `net` stage, so network traffic is metered (and back-pressured)
+/// by the admission stage's own queue before it reaches `connect`
+/// (DESIGN.md §16).
+impl Host for StagedServer {
+    fn enqueue(
         &self,
-        sql: impl Into<String>,
+        sql: String,
+        sid: u64,
+        wait: bool,
     ) -> Result<Receiver<Response>, ServerError> {
-        self.server.try_submit_admitted(sql, Some(self.sid))
+        let stage = if wait { CONNECT } else { NET };
+        self.enter(stage, PacketBody::Raw(sql), Some(sid), wait)
     }
-}
 
-impl Drop for StagedSession {
-    fn drop(&mut self) {
-        self.server.shared.core.pipe.close_session(self.sid);
+    fn pipeline(&self) -> &Pipeline {
+        &self.shared.core.pipe
     }
 }
 

@@ -2,28 +2,32 @@
 //!
 //! "A pool of threads that picks a client from the queue, works on the
 //! client until it exits the execution engine, puts it on an exit queue and
-//! picks another client from the input queue." Each worker runs the whole
-//! `Pipeline` — plan, join a transaction, lock, run, settle — as direct
-//! procedure calls on the Volcano engine; the pool size is the knob whose
-//! tuning dilemma Figure 2 demonstrates. Everything that is not scheduling
-//! is the `ServerCore` shared with the staged server.
+//! picks another client from the input queue." That pool is one §4.1
+//! stage: the `pool` stage of a [`StagedRuntime`], one bounded queue and
+//! `pool_size` workers serving one statement per visit. Each worker runs
+//! the whole `Pipeline` — plan, join a transaction, lock, run, settle — as
+//! direct procedure calls on the Volcano engine; the pool size is the knob
+//! whose tuning dilemma Figure 2 demonstrates. Beside it runs the same
+//! `replication` stage the staged server registers. The scheduling
+//! substrate is the staged server's, so the stage graph is the only
+//! difference between the two; everything that is not scheduling is the
+//! `ServerCore` they share.
 
-use crate::pipeline::{self, Exec, PlannedAction, TxnSlot};
+use crate::pipeline::{self, Exec, Pipeline, PlannedAction, TxnSlot};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
-use crate::server_core::{answered, queued, stats_row, ServerCore};
+use crate::server_core::{answered, queued, stats_rows, ServerCore};
+use crate::session::{Host, Session};
 use crate::types::{QueryOutput, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
-use staged_core::queue::{Dequeued, StageQueue};
+use staged_core::prelude::*;
 use staged_engine::checkpoint::RecoveryReport;
 use staged_engine::txn::LockMode;
 use staged_planner::PlannerConfig;
 use staged_storage::wal::Wal;
 use staged_storage::{Catalog, MemSegmentStore, MemSnapshotStore, SegmentStore, SnapshotStore};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One queued statement.
@@ -33,20 +37,29 @@ struct Job {
     reply: Sender<Response>,
 }
 
+const POOL: StageId = 0;
+const REPLICATION: StageId = 1;
+
+/// The `pool` stage: a worker runs one statement start to finish.
+struct Pool(Arc<ServerCore>);
+
+impl StageLogic<Job> for Pool {
+    fn process(&self, job: Job, _ctx: &StageCtx<'_, Job>) -> Result<(), StageError> {
+        let res = process(&self.0, &job.sql, job.session);
+        self.0.served.fetch_add(1, Ordering::Relaxed);
+        let _ = job.reply.send(res);
+        Ok(())
+    }
+}
+
 struct Inner {
-    core: ServerCore,
-    queue: StageQueue<Job>,
-    pool_size: usize,
-    /// Stops the `repl-pump` thread at shutdown.
-    stop: AtomicBool,
+    core: Arc<ServerCore>,
+    runtime: StagedRuntime<Job>,
 }
 
 impl Inner {
-    /// Queue one statement for the pool — waiting for room when `wait`,
-    /// else refusing with `Overloaded` when the queue is full, so the
-    /// event-driven front end can stop reading the socket and let
-    /// back-pressure reach TCP.
-    fn enqueue(
+    /// Queue one statement for the pool (see [`Host::enqueue`]).
+    fn submit(
         &self,
         sql: String,
         session: Option<u64>,
@@ -54,19 +67,30 @@ impl Inner {
     ) -> Result<Receiver<Response>, ServerError> {
         let (reply, rx) = bounded(1);
         let job = Job { sql, session, reply };
-        queued(if wait { self.queue.enqueue(job) } else { self.queue.try_enqueue(job) }, rx)
+        let rt = &self.runtime;
+        queued(if wait { rt.enqueue(POOL, job) } else { rt.try_enqueue(POOL, job) }, rx)
+    }
+}
+
+impl Host for Inner {
+    fn enqueue(
+        &self,
+        sql: String,
+        sid: u64,
+        wait: bool,
+    ) -> Result<Receiver<Response>, ServerError> {
+        self.submit(sql, Some(sid), wait)
     }
 
-    fn submit(&self, sql: String, session: Option<u64>) -> Receiver<Response> {
-        self.enqueue(sql, session, true).unwrap_or_else(|e| answered(Err(e)))
+    fn pipeline(&self) -> &Pipeline {
+        &self.core.pipe
     }
 }
 
 /// The thread-pool server.
 pub struct ThreadedServer {
     inner: Arc<Inner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    pump: Mutex<Option<JoinHandle<()>>>,
+    pool_size: usize,
 }
 
 impl ThreadedServer {
@@ -107,38 +131,19 @@ impl ThreadedServer {
         snapshots: Arc<dyn SnapshotStore>,
     ) -> Result<Self, ServerError> {
         let config = ServerConfig { planner, lock_timeout, ..ServerConfig::default() };
-        let inner = Arc::new(Inner {
-            core: ServerCore::open(catalog, &config, None, segments, snapshots)?,
-            queue: StageQueue::new(1024),
-            pool_size: pool_size.max(1),
-            stop: AtomicBool::new(false),
-        });
-        let workers = (0..inner.pool_size)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("pool-worker-{i}"))
-                    .spawn(move || worker_loop(inner))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        // The feed pump: in the monolithic server there is no stage to
-        // hang an idle hook on, so a dedicated thread pumps the feeds. The
-        // network loop still pumps when a feed is caught up; this thread
-        // mainly bounds stalled-peer eviction latency.
-        let pump = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("repl-pump".into())
-                .spawn(move || {
-                    while !inner.stop.load(Ordering::Acquire) {
-                        inner.core.pump_feeds();
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                })
-                .expect("spawn replication pump")
-        };
-        Ok(Self { inner, workers: Mutex::new(workers), pump: Mutex::new(Some(pump)) })
+        let core = Arc::new(ServerCore::open(catalog, &config, None, segments, snapshots)?);
+        let pool_size = pool_size.max(1);
+        let mut b = StagedRuntime::<Job>::builder();
+        // One statement per visit, never followed into: a worker may block
+        // in `lock_all` for as long as the lock timeout.
+        let pool = StageSpec::new("pool", Pool(Arc::clone(&core)))
+            .with_queue_capacity(1024)
+            .with_workers(pool_size)
+            .with_batch(BatchPolicy::Single);
+        assert_eq!(b.add_stage(pool), POOL);
+        let pump = StageSpec::new("replication", core.feed_pump()).with_batch(BatchPolicy::Single);
+        assert_eq!(b.add_stage(pump), REPLICATION);
+        Ok(Self { inner: Arc::new(Inner { core, runtime: b.build() }), pool_size })
     }
 
     /// Run the `CHECKPOINT` statement and wait for it. A pool worker runs
@@ -152,7 +157,7 @@ impl ThreadedServer {
     /// Submit SQL for execution (one-shot autocommit; use
     /// [`session`](Self::session) for multi-statement transactions).
     pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        self.inner.submit(sql.into(), None)
+        self.inner.submit(sql.into(), None, true).unwrap_or_else(|e| answered(Err(e)))
     }
 
     /// Run one statement to completion.
@@ -160,12 +165,9 @@ impl ThreadedServer {
         self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
     }
 
-    /// Open a client session. Statements run through the handle share the
-    /// session's transaction state (`BEGIN` … `COMMIT`/`ROLLBACK`);
-    /// dropping the handle aborts any transaction still open.
-    pub fn session(&self) -> ThreadedSession {
-        let sid = self.inner.core.pipe.txn.open_session();
-        ThreadedSession { inner: Arc::clone(&self.inner), sid }
+    /// Open a client session on the pool queue.
+    pub fn session(&self) -> Session {
+        Session::open(Arc::clone(&self.inner) as Arc<dyn Host>)
     }
 
     /// Live transactions (diagnostics).
@@ -178,14 +180,9 @@ impl ThreadedServer {
         self.inner.core.served.load(Ordering::Relaxed)
     }
 
-    /// Current input-queue depth.
-    pub fn backlog(&self) -> usize {
-        self.inner.queue.len()
-    }
-
     /// Size of the worker pool, as configured at construction.
     pub fn pool_size(&self) -> usize {
-        self.inner.pool_size
+        self.pool_size
     }
 
     /// What recovery found and did when this server was built.
@@ -211,84 +208,19 @@ impl ThreadedServer {
         &self.inner.core.reactivity
     }
 
-    /// The `STATS` result. The monolithic baseline has no per-stage
-    /// monitors — one coarse row for the whole pool, same schema — and no
-    /// cohorts: a thread runs one query start to finish (batch reads as
-    /// 1). The core's synthetic rows follow.
+    /// The `STATS` result: the `pool` stage's row — one statement per
+    /// visit, so `batch` and `max_cohort` read 1 — then the core's
+    /// synthetic rows.
     pub(crate) fn stats_output(&self) -> QueryOutput {
-        let (backlog, pool) = (self.backlog() as u64, self.pool_size() as u64);
-        let row = stats_row("pool", [self.served(), 0, 0, 0, 0, 0, 0, 1, backlog, pool]);
-        self.inner.core.stats_output(vec![row])
+        self.inner.core.stats_output(stats_rows(self.inner.runtime.stats()))
     }
 
     /// Stop the pool, draining queued requests first. Takes `&self` —
     /// the same shutdown contract as `StagedServer::shutdown` — and is
-    /// idempotent: every request admitted before the call is answered
-    /// (closing the queue lets workers drain pending packets and then
-    /// observe `Closed`), later submissions get `ShuttingDown`.
+    /// idempotent: every request admitted before the call is answered,
+    /// later submissions get `ShuttingDown`.
     pub fn shutdown(&self) {
-        self.inner.queue.close();
-        self.inner.stop.store(true, Ordering::Release);
-        for w in self.workers.lock().drain(..) {
-            let _ = w.join();
-        }
-        if let Some(p) = self.pump.lock().take() {
-            let _ = p.join();
-        }
-    }
-}
-
-fn worker_loop(inner: Arc<Inner>) {
-    loop {
-        match inner.queue.dequeue_timeout(Duration::from_millis(20)) {
-            Dequeued::Packet(job) => {
-                let res = process(&inner.core, &job.sql, job.session);
-                inner.core.served.fetch_add(1, Ordering::Relaxed);
-                let _ = job.reply.send(res);
-            }
-            Dequeued::TimedOut => continue,
-            Dequeued::Closed => return,
-        }
-    }
-}
-
-/// A client session on the thread-pool server. Statements submitted here
-/// run sequentially under the session's transaction state. Dropping the
-/// handle aborts an in-flight transaction (abort-on-drop), releasing its
-/// locks and undoing its writes.
-pub struct ThreadedSession {
-    inner: Arc<Inner>,
-    sid: u64,
-}
-
-impl ThreadedSession {
-    /// Session id.
-    pub fn id(&self) -> u64 {
-        self.sid
-    }
-
-    /// Submit SQL under this session.
-    pub fn submit(&self, sql: impl Into<String>) -> Receiver<Response> {
-        self.inner.submit(sql.into(), Some(self.sid))
-    }
-
-    /// Non-blocking submit under this session: `Err(Overloaded)` when the
-    /// pool queue is full. This is the event-driven front end's admission
-    /// path — the refusal lets the network loop stop reading the socket
-    /// instead of blocking a thread on the queue.
-    pub fn try_submit(&self, sql: impl Into<String>) -> Result<Receiver<Response>, ServerError> {
-        self.inner.enqueue(sql.into(), Some(self.sid), false)
-    }
-
-    /// Run one statement to completion under this session.
-    pub fn execute_sql(&self, sql: &str) -> Response {
-        self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
-    }
-}
-
-impl Drop for ThreadedSession {
-    fn drop(&mut self) {
-        self.inner.core.pipe.close_session(self.sid);
+        self.inner.runtime.shutdown();
     }
 }
 
@@ -319,7 +251,9 @@ fn process(core: &ServerCore, sql: &str, session: Option<u64>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staged_storage::{BufferPool, MemDisk};
+    use staged_storage::wal::Lsn;
+    use staged_storage::{BufferPool, MemDisk, Value};
+    use std::time::Instant;
 
     fn server(pool: usize) -> ThreadedServer {
         let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256)));
@@ -410,6 +344,64 @@ mod tests {
             &|sql| s.execute_sql(sql),
             &|sql| writer.execute_sql(sql),
         );
+        s.shutdown();
+    }
+
+    /// The `pool` row is the runtime's monitor row: one cohort per
+    /// statement, and the pool's own worker count.
+    #[test]
+    fn stats_pool_row_carries_the_runtime_counters() {
+        let s = server(3);
+        s.execute_sql("CREATE TABLE m (x INT)").unwrap();
+        for i in 0..8 {
+            s.execute_sql(&format!("INSERT INTO m VALUES ({i})")).unwrap();
+        }
+        // Shut down first: every visit is then closed and booked.
+        s.shutdown();
+        let out = s.stats_output();
+        let name = |r: &staged_storage::Tuple| match &r.values()[0] {
+            Value::Str(n) => n.clone(),
+            v => panic!("stage name {v:?}"),
+        };
+        let names: Vec<String> = out.rows.iter().map(name).collect();
+        assert_eq!(names, ["pool", "wal", "mvcc", "replication", "subscriptions"]);
+        let pool: Vec<i64> = out.rows[0].values()[1..]
+            .iter()
+            .map(|v| match v {
+                Value::Int(n) => *n,
+                v => panic!("counter {v:?}"),
+            })
+            .collect();
+        let [processed, _, _, _, cohorts, max_cohort, _, batch, _, workers] = pool[..] else {
+            panic!("ten counters: {pool:?}");
+        };
+        assert_eq!(processed, 9, "every statement booked on the pool stage");
+        assert!(cohorts >= 9, "one visit per statement: {cohorts}");
+        assert_eq!((max_cohort, batch, workers), (1, 1, 3));
+    }
+
+    /// With no front end to pump, the `replication` stage's idle hook alone
+    /// fills an undrained subscription's outbox and evicts it.
+    #[test]
+    fn the_replication_stage_evicts_an_undrained_subscription() {
+        let s = server(1);
+        let hub = s.replication_hub();
+        let (_id, rx) = hub.subscribe(Lsn::ZERO).unwrap();
+        // The outbox's wake hook fires on every delivery and on the
+        // hang-up an eviction makes; the test never drains the outbox.
+        let (woke, wake) = crossbeam::channel::unbounded();
+        rx.set_wake_hook(Arc::new(move || {
+            let _ = woke.send(());
+        }));
+        s.execute_sql("CREATE TABLE e (x INT)").unwrap();
+        let rows: Vec<String> = (0..1100).map(|i| format!("({i})")).collect();
+        s.execute_sql(&format!("INSERT INTO e VALUES {}", rows.join(", "))).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while hub.stats().evicted == 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            wake.recv_timeout(left).expect("the stalled subscription was never evicted");
+        }
+        assert_eq!(rx.len(), crate::feed::DEFAULT_OUTBOX_CAPACITY, "the outbox filled, undrained");
         s.shutdown();
     }
 

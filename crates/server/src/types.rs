@@ -1,6 +1,5 @@
 //! Server-facing request/response types and configuration.
 
-use staged_engine::staged::EngineConfig;
 use staged_planner::PlannerConfig;
 use staged_storage::{Schema, Tuple};
 use std::fmt;
@@ -150,8 +149,6 @@ pub struct ServerConfig {
     /// partition-parallel by the staged engine (paper §6), and DML routes
     /// rows by hash key through the normal WAL-logged path.
     pub partitions: usize,
-    /// Staged-engine tuning.
-    pub engine: EngineConfig,
     /// Planner switches.
     pub planner: PlannerConfig,
     /// How long a DML or `CHECKPOINT` statement may wait for its
@@ -184,7 +181,6 @@ impl Default for ServerConfig {
             queue_capacity: 128,
             max_cohort: 16,
             partitions: 1,
-            engine: EngineConfig::default(),
             planner: PlannerConfig::default(),
             lock_timeout: Duration::from_secs(2),
             wal_segment_pages: staged_storage::DEFAULT_SEGMENT_PAGES,

@@ -43,11 +43,6 @@ impl BinOp {
         matches!(self, BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq)
     }
 
-    /// True for arithmetic operators.
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
-    }
-
     /// SQL spelling.
     pub fn sql(&self) -> &'static str {
         match self {
@@ -396,12 +391,6 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// True for statements that bypass the optimizer in the staged pipeline
-    /// (DDL and transaction control route connect → execute, paper §4.1).
-    pub fn bypasses_optimizer(&self) -> bool {
-        !matches!(self, Statement::Select(_) | Statement::Update { .. } | Statement::Delete { .. })
-    }
-
     /// True for `BEGIN` / `COMMIT` / `ROLLBACK` — statements that drive the
     /// session's transaction state rather than touching any table.
     pub fn is_txn_control(&self) -> bool {

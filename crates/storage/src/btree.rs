@@ -68,11 +68,6 @@ impl BTree {
         Ok(Self { pool, root: RwLock::new(root) })
     }
 
-    /// Page id of the root (for diagnostics).
-    pub fn root_page(&self) -> PageId {
-        *self.root.read()
-    }
-
     /// Insert a `(key, rid)` pair; duplicate keys are allowed.
     pub fn insert(&self, key: i64, rid: Rid) -> StorageResult<()> {
         let mut root = self.root.write();

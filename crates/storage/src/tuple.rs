@@ -48,11 +48,6 @@ impl Tuple {
         &self.values[idx]
     }
 
-    /// Consume into the value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Concatenate two tuples (join output).
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let mut values = Vec::with_capacity(self.values.len() + other.values.len());

@@ -15,9 +15,10 @@
 
 #![deny(missing_docs)]
 
+use crossbeam::channel::Receiver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use staged_server::{StagedServer, ThreadedServer};
+use staged_server::Response;
 use staged_storage::{Catalog, Column, DataType, Schema, Tuple, Value};
 use std::sync::Arc;
 
@@ -219,10 +220,11 @@ impl WorkloadB {
     }
 }
 
-/// Drive `count` queries through a server, round-robin from a generator
-/// closure; returns elapsed seconds (closed loop, `clients` in flight).
-pub fn drive_threaded(
-    server: &ThreadedServer,
+/// Drive `count` queries, round-robin from a generator closure, through
+/// `submit` — either server's `submit`; returns elapsed seconds (closed
+/// loop, `clients` in flight).
+pub fn drive(
+    submit: impl Fn(String) -> Receiver<Response>,
     mut gen: impl FnMut() -> GeneratedQuery,
     count: usize,
     clients: usize,
@@ -231,34 +233,10 @@ pub fn drive_threaded(
     let mut in_flight = std::collections::VecDeque::new();
     for _ in 0..count {
         while in_flight.len() >= clients.max(1) {
-            let rx: crossbeam::channel::Receiver<staged_server::Response> =
-                in_flight.pop_front().expect("non-empty");
+            let rx: Receiver<Response> = in_flight.pop_front().expect("non-empty");
             let _ = rx.recv();
         }
-        in_flight.push_back(server.submit(gen().sql));
-    }
-    while let Some(rx) = in_flight.pop_front() {
-        let _ = rx.recv();
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Same closed-loop driver for the staged server.
-pub fn drive_staged(
-    server: &StagedServer,
-    mut gen: impl FnMut() -> GeneratedQuery,
-    count: usize,
-    clients: usize,
-) -> f64 {
-    let start = std::time::Instant::now();
-    let mut in_flight = std::collections::VecDeque::new();
-    for _ in 0..count {
-        while in_flight.len() >= clients.max(1) {
-            let rx: crossbeam::channel::Receiver<staged_server::Response> =
-                in_flight.pop_front().expect("non-empty");
-            let _ = rx.recv();
-        }
-        in_flight.push_back(server.submit(gen().sql));
+        in_flight.push_back(submit(gen().sql));
     }
     while let Some(rx) = in_flight.pop_front() {
         let _ = rx.recv();
@@ -269,6 +247,7 @@ pub fn drive_staged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use staged_server::ThreadedServer;
     use staged_storage::{BufferPool, MemDisk};
 
     #[test]

@@ -9,9 +9,7 @@
 use staged_db::planner::PlannerConfig;
 use staged_db::server::{ServerConfig, StagedServer, ThreadedServer};
 use staged_db::storage::{BufferPool, Catalog, MemDisk};
-use staged_db::workload::{
-    drive_staged, drive_threaded, load_wisconsin_table, WorkloadA, WorkloadB,
-};
+use staged_db::workload::{drive, load_wisconsin_table, WorkloadA, WorkloadB};
 use std::sync::Arc;
 
 fn fresh_catalog() -> Arc<Catalog> {
@@ -28,13 +26,13 @@ fn main() {
     println!("Workload A: short selections/aggregations ({queries} queries, {clients} clients)");
     let threaded = ThreadedServer::new(fresh_catalog(), 8, PlannerConfig::default());
     let mut wa = WorkloadA::new("wisc1", 10_000, 7);
-    let t = drive_threaded(&threaded, || wa.next_query(), queries, clients);
+    let t = drive(|sql| threaded.submit(sql), || wa.next_query(), queries, clients);
     threaded.shutdown();
     println!("  thread-pool baseline: {:>7.1} q/s", queries as f64 / t);
 
     let staged = StagedServer::new(fresh_catalog(), ServerConfig::default());
     let mut wa = WorkloadA::new("wisc1", 10_000, 7);
-    let t = drive_staged(&staged, || wa.next_query(), queries, clients);
+    let t = drive(|sql| staged.submit(sql), || wa.next_query(), queries, clients);
     println!("  staged server:        {:>7.1} q/s", queries as f64 / t);
     staged.shutdown();
 
@@ -42,13 +40,13 @@ fn main() {
     println!("\nWorkload B: join queries ({join_queries} queries, {clients} clients)");
     let threaded = ThreadedServer::new(fresh_catalog(), 8, PlannerConfig::default());
     let mut wb = WorkloadB::new("wisc1", "wisc2", 7);
-    let t = drive_threaded(&threaded, || wb.next_query(), join_queries, clients);
+    let t = drive(|sql| threaded.submit(sql), || wb.next_query(), join_queries, clients);
     threaded.shutdown();
     println!("  thread-pool baseline: {:>7.1} q/s", join_queries as f64 / t);
 
     let staged = StagedServer::new(fresh_catalog(), ServerConfig::default());
     let mut wb = WorkloadB::new("wisc1", "wisc2", 7);
-    let t = drive_staged(&staged, || wb.next_query(), join_queries, clients);
+    let t = drive(|sql| staged.submit(sql), || wb.next_query(), join_queries, clients);
     println!("  staged server:        {:>7.1} q/s", join_queries as f64 / t);
 
     println!("\nExecution-engine stage activity during workload B on the staged server:");
