@@ -21,11 +21,9 @@
 //!
 //! Pass `quick` for the CI smoke run (smaller table, fewer scans).
 
-use staged_server::types::ExecutionMode;
-use staged_server::{ServerConfig, StagedServer};
-use staged_storage::{
-    partition_of_value, BufferPool, Catalog, Column, DataType, MemDisk, Schema, Tuple, Value,
-};
+use staged_bench::{accounts_catalog, client_rng, transfer, BALANCE};
+use staged_server::{ServerConfig, Session, StagedServer};
+use staged_storage::Catalog;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,71 +36,22 @@ struct Knobs {
 }
 
 fn build_server(rows: i64, parts: usize) -> (Arc<Catalog>, Arc<StagedServer>) {
-    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 4096)));
-    cat.create_table_partitioned(
-        "accounts",
-        Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]),
-        parts,
-        0,
-    )
-    .unwrap();
-    let t = cat.table("accounts").unwrap();
-    for i in 0..rows {
-        t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(100)])).unwrap();
-    }
-    cat.create_index("accounts_id", "accounts", "id").unwrap();
-    cat.analyze_table("accounts").unwrap();
-    let server = StagedServer::new(
-        Arc::clone(&cat),
-        ServerConfig {
-            mode: ExecutionMode::Staged,
-            partitions: parts,
-            lock_timeout: Duration::from_secs(2),
-            ..Default::default()
-        },
-    );
-    (cat, server)
+    let cat = accounts_catalog(rows, parts, 4096);
+    let config = ServerConfig { partitions: parts, ..Default::default() };
+    (Arc::clone(&cat), StagedServer::new(cat, config))
 }
 
-/// One committed transfer between two random accounts, partitions locked
-/// in canonical order (the bench measures throughput, not deadlock
-/// recovery). Returns false when a statement failed and rolled back.
-fn transfer(
-    sess: &staged_server::Session,
+/// One transfer between two random accounts, meant to commit. Returns
+/// false when a statement failed and it rolled back.
+fn random_transfer(
+    sess: &Session,
     parts: usize,
     rows: i64,
     next: &mut impl FnMut() -> u64,
 ) -> bool {
     let from = (next() % rows as u64) as i64;
     let to = (next() % rows as u64) as i64;
-    if sess.execute_sql("BEGIN").is_err() {
-        return false;
-    }
-    let mut stmts = [
-        (partition_of_value(&Value::Int(from), parts), from, "-"),
-        (partition_of_value(&Value::Int(to), parts), to, "+"),
-    ];
-    stmts.sort_unstable();
-    for (_, id, op) in stmts {
-        if sess
-            .execute_sql(&format!("UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"))
-            .is_err()
-        {
-            let _ = sess.execute_sql("ROLLBACK");
-            return false;
-        }
-    }
-    sess.execute_sql("COMMIT").is_ok()
-}
-
-fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut state = 0x9e3779b97f4a7c15u64 ^ (seed + 1);
-    move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    }
+    transfer(|sql| sess.execute_sql(sql).is_ok(), parts, from, to, true).1
 }
 
 /// Reader scans/second with `writers` transfer sessions running (0 for
@@ -118,9 +67,9 @@ fn reader_rate(k: &Knobs, parts: usize, writers: usize, snapshot: bool) -> f64 {
             let rows = k.rows;
             scope.spawn(move || {
                 let sess = server.session();
-                let mut next = xorshift(sid as u64);
+                let mut next = client_rng(sid);
                 while !stop.load(Ordering::Relaxed) {
-                    transfer(&sess, parts, rows, &mut next);
+                    random_transfer(&sess, parts, rows, &mut next);
                 }
             });
         }
@@ -134,7 +83,7 @@ fn reader_rate(k: &Knobs, parts: usize, writers: usize, snapshot: bool) -> f64 {
             if snapshot {
                 assert_eq!(
                     out.rows[0].to_string(),
-                    format!("[{}, {}]", k.rows * 100, k.rows),
+                    format!("[{}, {}]", k.rows * BALANCE, k.rows),
                     "snapshot scan saw a torn transfer"
                 );
                 sess.execute_sql("COMMIT").unwrap();
@@ -167,9 +116,9 @@ fn writers_under_pin(k: &Knobs, parts: usize) -> (f64, u64) {
             let rows = k.rows;
             scope.spawn(move || {
                 let sess = server.session();
-                let mut next = xorshift(100 + sid as u64);
+                let mut next = client_rng(100 + sid);
                 while !stop.load(Ordering::Relaxed) {
-                    if transfer(&sess, parts, rows, &mut next) {
+                    if random_transfer(&sess, parts, rows, &mut next) {
                         committed.fetch_add(1, Ordering::Relaxed);
                     }
                 }

@@ -13,25 +13,15 @@
 //!
 //! Pass `quick` for the CI smoke run (smaller tables, fewer reps).
 
-use staged_bench::mem_catalog;
+use staged_bench::{mem_catalog, plan};
 use staged_engine::context::ExecContext;
 use staged_engine::staged::{EngineConfig, StagedEngine};
-use staged_planner::{plan_select, PhysicalPlan, PlannerConfig};
-use staged_sql::binder::{BindContext, Binder};
-use staged_sql::parser::parse_statement;
-use staged_sql::Statement;
-use staged_storage::Catalog;
+use staged_planner::PhysicalPlan;
 use staged_workload::{load_wisconsin_table, load_wisconsin_table_partitioned};
 use std::sync::Arc;
 use std::time::Instant;
 
 const PAGES: [usize; 7] = [1, 4, 16, 64, 256, 1024, 4096];
-
-fn plan(catalog: &Arc<Catalog>, sql: &str) -> PhysicalPlan {
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!("not a select") };
-    let bound = Binder::new(BindContext::new(catalog)).bind_select(sel).unwrap();
-    plan_select(&bound, catalog, &PlannerConfig::default()).unwrap()
-}
 
 /// Sweep the page size, one engine per cell, best-of-`reps` per cell.
 fn sweep(label: &str, ctx: &ExecContext, plan: &PhysicalPlan, expect: usize, reps: usize) {

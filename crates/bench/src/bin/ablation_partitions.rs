@@ -10,23 +10,13 @@
 //! every layout should land within noise of 1×, while correctness (the
 //! printed result check) holds everywhere.
 
-use staged_bench::mem_catalog;
+use staged_bench::{mem_catalog, plan};
 use staged_engine::context::ExecContext;
 use staged_engine::staged::{EngineConfig, StagedEngine};
-use staged_planner::{plan_select, PhysicalPlan, PlannerConfig};
-use staged_sql::binder::{BindContext, Binder};
-use staged_sql::parser::parse_statement;
-use staged_sql::Statement;
-use staged_storage::Catalog;
+use staged_planner::PhysicalPlan;
 use staged_workload::load_wisconsin_table_partitioned;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn plan(catalog: &Arc<Catalog>, sql: &str) -> PhysicalPlan {
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!("not a select") };
-    let bound = Binder::new(BindContext::new(catalog)).bind_select(sel).unwrap();
-    plan_select(&bound, catalog, &PlannerConfig::default()).unwrap()
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");

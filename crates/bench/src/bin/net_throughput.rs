@@ -23,112 +23,36 @@
 //! correctness smoke test too. EXPERIMENTS.md documents how to read the
 //! output.
 
+use staged_bench::{accounts_catalog, drive_tcp_transfers, BALANCE};
 use staged_dbclient::Client;
 use staged_planner::PlannerConfig;
-use staged_server::net::{self, NetConfig};
+use staged_server::net::{self, NetConfig, NetHandle, WireBackend};
 use staged_server::{ServerConfig, StagedServer, ThreadedServer};
-use staged_storage::{
-    partition_of_value, BufferPool, Catalog, Column, DataType, MemDisk, Schema, Tuple, Value,
-};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ACCOUNTS: i64 = 128;
-const BALANCE: i64 = 100;
 
-fn accounts_catalog(parts: usize) -> Arc<Catalog> {
-    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
-    cat.create_table_partitioned(
-        "accounts",
-        Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]),
-        parts,
-        0,
-    )
-    .unwrap();
-    let t = cat.table("accounts").unwrap();
-    for i in 0..ACCOUNTS {
-        t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(BALANCE)])).unwrap();
-    }
-    cat.create_index("accounts_id", "accounts", "id").unwrap();
-    cat.analyze_table("accounts").unwrap();
-    cat
+/// Serve `backend` on an ephemeral loopback port with room for `clients`.
+fn serve<B: WireBackend>(backend: B, clients: usize) -> NetHandle {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = NetConfig { max_connections: clients + 4, ..Default::default() };
+    net::serve(listener, backend, config).unwrap()
 }
 
 /// Drive `clients` closed-loop TCP clients for `transfers` transactions
-/// each; returns (txns/sec, statements/sec).
-fn drive(addr: std::net::SocketAddr, clients: usize, transfers: usize, parts: usize) -> (f64, f64) {
+/// each (canonical partition order avoids deadlocks, as in
+/// `perf_trajectory::oltp_transfers` — this bench measures the wire +
+/// pipeline, not timeout-abort); returns (txns/sec, statements/sec).
+fn drive(addr: SocketAddr, clients: usize, transfers: usize, parts: usize) -> (f64, f64) {
     let start = Instant::now();
-    let stmts: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|cid| {
-                scope.spawn(move || {
-                    // A connect storm can overflow even a widened accept
-                    // queue; with the greeting covered by the timeout a
-                    // dropped connection errors instead of hanging, so
-                    // retrying is safe and keeps the fleet at full size.
-                    let mut db = None;
-                    for attempt in 0..6 {
-                        match Client::connect_timeout(addr, Duration::from_secs(10)) {
-                            Ok(c) => {
-                                db = Some(c);
-                                break;
-                            }
-                            Err(e) if attempt == 5 => panic!("bench client connect: {e:?}"),
-                            Err(_) => std::thread::sleep(Duration::from_millis(50 << attempt)),
-                        }
-                    }
-                    let mut db = db.expect("bench client connect");
-                    let mut stmts = 0u64;
-                    let mut state = 0x9e3779b97f4a7c15u64 ^ (cid as u64 + 1);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
-                    for _ in 0..transfers {
-                        let from = (next() % ACCOUNTS as u64) as i64;
-                        let to = (next() % ACCOUNTS as u64) as i64;
-                        let commit = next() % 4 != 0;
-                        if db.begin().is_err() {
-                            continue;
-                        }
-                        stmts += 1;
-                        // Canonical partition order avoids deadlocks, as in
-                        // perf_trajectory::oltp_transfers — this bench
-                        // measures the wire + pipeline, not timeout-abort.
-                        let part_of = |id: i64| partition_of_value(&Value::Int(id), parts);
-                        let mut ops = [(part_of(from), from, "-"), (part_of(to), to, "+")];
-                        ops.sort_unstable();
-                        let mut failed = false;
-                        for (_, id, op) in ops {
-                            stmts += 1;
-                            if db
-                                .query(&format!(
-                                    "UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"
-                                ))
-                                .is_err()
-                            {
-                                failed = true;
-                                break;
-                            }
-                        }
-                        stmts += 1;
-                        let _ = if failed || !commit { db.rollback() } else { db.commit() };
-                    }
-                    let _ = db.quit();
-                    stmts
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("bench client")).sum()
-    });
+    let stmts = drive_tcp_transfers(addr, clients, transfers, parts, ACCOUNTS);
     let secs = start.elapsed().as_secs_f64();
     ((clients * transfers) as f64 / secs, stmts as f64 / secs)
 }
 
-fn check_invariant(addr: std::net::SocketAddr) {
+fn check_invariant(addr: SocketAddr) {
     let mut db = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
     let out = db.query("SELECT SUM(bal) FROM accounts").expect("sum query");
     let sum: i64 = out.rows[0][0].as_ref().unwrap().parse().unwrap();
@@ -136,18 +60,14 @@ fn check_invariant(addr: std::net::SocketAddr) {
     let _ = db.quit();
 }
 
+fn staged(parts: usize) -> Arc<StagedServer> {
+    let config = ServerConfig { partitions: parts, ..Default::default() };
+    StagedServer::new(accounts_catalog(ACCOUNTS, parts, 2048), config)
+}
+
 fn bench_staged(clients: usize, transfers: usize, parts: usize) -> (f64, f64) {
-    let server = StagedServer::new(
-        accounts_catalog(parts),
-        ServerConfig { partitions: parts, ..Default::default() },
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = net::serve(
-        listener,
-        Arc::clone(&server),
-        NetConfig { max_connections: clients + 4, ..Default::default() },
-    )
-    .unwrap();
+    let server = staged(parts);
+    let handle = serve(Arc::clone(&server), clients);
     let rates = drive(handle.local_addr(), clients, transfers, parts);
     check_invariant(handle.local_addr());
     handle.shutdown();
@@ -156,18 +76,9 @@ fn bench_staged(clients: usize, transfers: usize, parts: usize) -> (f64, f64) {
 }
 
 fn bench_threaded(clients: usize, transfers: usize, parts: usize) -> (f64, f64) {
-    let server = Arc::new(ThreadedServer::new(
-        accounts_catalog(parts),
-        clients.max(2),
-        PlannerConfig::default(),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = net::serve(
-        listener,
-        Arc::clone(&server),
-        NetConfig { max_connections: clients + 4, ..Default::default() },
-    )
-    .unwrap();
+    let catalog = accounts_catalog(ACCOUNTS, parts, 2048);
+    let server = Arc::new(ThreadedServer::new(catalog, clients.max(2), PlannerConfig::default()));
+    let handle = serve(Arc::clone(&server), clients);
     let rates = drive(handle.local_addr(), clients, transfers, parts);
     check_invariant(handle.local_addr());
     handle.shutdown();
@@ -189,17 +100,8 @@ fn thread_count() -> usize {
 /// post-join thread surplus.
 fn bench_scale(clients: usize, transfers: usize, parts: usize) {
     let _ = polling::raise_nofile_limit();
-    let server = StagedServer::new(
-        accounts_catalog(parts),
-        ServerConfig { partitions: parts, ..Default::default() },
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = net::serve(
-        listener,
-        Arc::clone(&server),
-        NetConfig { max_connections: clients + 4, ..Default::default() },
-    )
-    .unwrap();
+    let server = staged(parts);
+    let handle = serve(Arc::clone(&server), clients);
     let before = thread_count();
     eprintln!("listening on {}", handle.local_addr());
     let (txns, stmts) = drive(handle.local_addr(), clients, transfers, parts);

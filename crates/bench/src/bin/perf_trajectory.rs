@@ -41,19 +41,18 @@
 //! Exit status 1 = at least one metric regressed more than the gate
 //! fraction below its baseline.
 
-use staged_bench::mem_catalog;
+use staged_bench::{
+    accounts_catalog, client_rng, drive_tcp_transfers, mem_catalog, plan, transfer, xorshift,
+    BALANCE,
+};
 use staged_engine::context::ExecContext;
 use staged_engine::staged::{EngineConfig, StagedEngine};
 use staged_engine::volcano;
-use staged_planner::{plan_select, PhysicalPlan, PlannerConfig};
+use staged_planner::PhysicalPlan;
+use staged_server::net::{self, NetConfig};
 use staged_server::types::ExecutionMode;
 use staged_server::{ServerConfig, StagedServer};
-use staged_sql::binder::{BindContext, Binder};
-use staged_sql::parser::parse_statement;
-use staged_sql::Statement;
-use staged_storage::{
-    BufferPool, Catalog, Column, DataType, MemDisk, ReadView, Schema, Tuple, Value,
-};
+use staged_storage::{Catalog, Column, DataType, ReadView, Schema, Tuple, Value};
 use staged_workload::load_wisconsin_table_partitioned;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,12 +69,6 @@ struct Metric {
     unit: &'static str,
     raw: f64,
     normalized: f64,
-}
-
-fn plan(catalog: &Arc<Catalog>, sql: &str) -> PhysicalPlan {
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!("not a select") };
-    let bound = Binder::new(BindContext::new(catalog)).bind_select(sel).unwrap();
-    plan_select(&bound, catalog, &PlannerConfig::default()).unwrap()
 }
 
 /// Fixed CPU work whose throughput calibrates the machine: FNV-1a over a
@@ -166,179 +159,61 @@ fn point_lookups(parts: usize) -> f64 {
     rate
 }
 
+/// The transfer workload's staged server over `accounts_catalog`.
+fn transfer_server(rows: i64, parts: usize, frames: usize) -> Arc<StagedServer> {
+    let config = ServerConfig { partitions: parts, ..Default::default() };
+    StagedServer::new(accounts_catalog(rows, parts, frames), config)
+}
+
+/// Assert the transfer workload's invariant: no transfer created or
+/// destroyed money.
+fn assert_balanced(server: &StagedServer, rows: i64, what: &str) {
+    let out = server.execute_sql("SELECT SUM(bal) FROM accounts").unwrap();
+    assert_eq!(out.rows[0].to_string(), format!("[{}]", rows * BALANCE), "{what}");
+}
+
 /// The new OLTP workload class: concurrent transfer transactions through
 /// the staged server's lock-manager stage. Reports committed+aborted
 /// transactions per second (fixed-seed streams, sum invariant asserted).
 fn oltp_transfers(parts: usize) -> f64 {
     best_rate((SESSIONS * TRANSFERS) as f64, || {
-        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
-        cat.create_table_partitioned(
-            "accounts",
-            Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]),
-            parts,
-            0,
-        )
-        .unwrap();
-        let t = cat.table("accounts").unwrap();
-        for i in 0..ACCOUNTS {
-            t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(100)])).unwrap();
-        }
-        cat.create_index("accounts_id", "accounts", "id").unwrap();
-        cat.analyze_table("accounts").unwrap();
-        let server = StagedServer::new(
-            Arc::clone(&cat),
-            ServerConfig {
-                mode: ExecutionMode::Staged,
-                partitions: parts,
-                lock_timeout: Duration::from_secs(2),
-                ..Default::default()
-            },
-        );
+        let server = transfer_server(ACCOUNTS, parts, 2048);
         std::thread::scope(|scope| {
             for sid in 0..SESSIONS {
                 let server = &server;
                 scope.spawn(move || {
                     let sess = server.session();
-                    let mut state = 0x9e3779b97f4a7c15u64 ^ (sid as u64 + 1);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
+                    let mut next = client_rng(sid);
                     for _ in 0..TRANSFERS {
                         let from = (next() % ACCOUNTS as u64) as i64;
                         let to = (next() % ACCOUNTS as u64) as i64;
-                        let commit = next() % 4 != 0;
-                        if sess.execute_sql("BEGIN").is_err() {
-                            continue;
-                        }
-                        // Application-level deadlock avoidance: touch the
-                        // two accounts in canonical partition order, so the
-                        // throughput measured is lock-stage + engine work,
-                        // not timeout-abort recovery (tests exercise the
-                        // deadlock path; this bench measures the fast one).
-                        let part_of =
-                            |id: i64| staged_storage::partition_of_value(&Value::Int(id), parts);
-                        let mut stmts = [(part_of(from), from, "-"), (part_of(to), to, "+")];
-                        stmts.sort_unstable();
-                        let mut failed = false;
-                        for (_, id, op) in stmts {
-                            if sess
-                                .execute_sql(&format!(
-                                    "UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"
-                                ))
-                                .is_err()
-                            {
-                                failed = true;
-                                break;
-                            }
-                        }
-                        if failed {
-                            let _ = sess.execute_sql("ROLLBACK");
-                            continue;
-                        }
-                        let _ = sess.execute_sql(if commit { "COMMIT" } else { "ROLLBACK" });
+                        let commit = !next().is_multiple_of(4);
+                        transfer(|sql| sess.execute_sql(sql).is_ok(), parts, from, to, commit);
                     }
                 });
             }
         });
-        let out = server.execute_sql("SELECT SUM(bal) FROM accounts").unwrap();
-        assert_eq!(
-            out.rows[0].to_string(),
-            format!("[{}]", ACCOUNTS * 100),
-            "sum invariant broken"
-        );
+        assert_balanced(&server, ACCOUNTS, "sum invariant broken");
         server.shutdown();
     })
+}
+
+/// Serve `server` on an ephemeral loopback port for up to `connections`.
+fn serve(server: &Arc<StagedServer>, connections: usize) -> net::NetHandle {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = NetConfig { max_connections: connections, ..Default::default() };
+    net::serve(listener, Arc::clone(server), config).unwrap()
 }
 
 /// The transfer workload again, but through the TCP front end with real
 /// `staged-dbclient` connections: the delta against `oltp_transfers_*`
 /// prices the wire (framing, syscalls, the `net` admission stage).
 fn net_transfers(parts: usize) -> f64 {
-    use staged_dbclient::Client;
-    use staged_server::net::{self, NetConfig};
-
     best_rate((SESSIONS * TRANSFERS) as f64, || {
-        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
-        cat.create_table_partitioned(
-            "accounts",
-            Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]),
-            parts,
-            0,
-        )
-        .unwrap();
-        let t = cat.table("accounts").unwrap();
-        for i in 0..ACCOUNTS {
-            t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(100)])).unwrap();
-        }
-        cat.create_index("accounts_id", "accounts", "id").unwrap();
-        cat.analyze_table("accounts").unwrap();
-        let server = StagedServer::new(
-            Arc::clone(&cat),
-            ServerConfig {
-                mode: ExecutionMode::Staged,
-                partitions: parts,
-                lock_timeout: Duration::from_secs(2),
-                ..Default::default()
-            },
-        );
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = net::serve(
-            listener,
-            Arc::clone(&server),
-            NetConfig { max_connections: SESSIONS + 2, ..Default::default() },
-        )
-        .unwrap();
-        let addr = handle.local_addr();
-        std::thread::scope(|scope| {
-            for sid in 0..SESSIONS {
-                scope.spawn(move || {
-                    let mut db =
-                        Client::connect_timeout(addr, Duration::from_secs(10)).expect("connect");
-                    let mut state = 0x9e3779b97f4a7c15u64 ^ (sid as u64 + 1);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
-                    for _ in 0..TRANSFERS {
-                        let from = (next() % ACCOUNTS as u64) as i64;
-                        let to = (next() % ACCOUNTS as u64) as i64;
-                        let commit = next() % 4 != 0;
-                        if db.begin().is_err() {
-                            continue;
-                        }
-                        let part_of =
-                            |id: i64| staged_storage::partition_of_value(&Value::Int(id), parts);
-                        let mut stmts = [(part_of(from), from, "-"), (part_of(to), to, "+")];
-                        stmts.sort_unstable();
-                        let mut failed = false;
-                        for (_, id, op) in stmts {
-                            if db
-                                .query(&format!(
-                                    "UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"
-                                ))
-                                .is_err()
-                            {
-                                failed = true;
-                                break;
-                            }
-                        }
-                        let _ = if failed || !commit { db.rollback() } else { db.commit() };
-                    }
-                    let _ = db.quit();
-                });
-            }
-        });
-        let out = server.execute_sql("SELECT SUM(bal) FROM accounts").unwrap();
-        assert_eq!(
-            out.rows[0].to_string(),
-            format!("[{}]", ACCOUNTS * 100),
-            "sum invariant broken over TCP"
-        );
+        let server = transfer_server(ACCOUNTS, parts, 2048);
+        let handle = serve(&server, SESSIONS + 2);
+        drive_tcp_transfers(handle.local_addr(), SESSIONS, TRANSFERS, parts, ACCOUNTS);
+        assert_balanced(&server, ACCOUNTS, "sum invariant broken over TCP");
         handle.shutdown();
         server.shutdown();
     })
@@ -351,93 +226,18 @@ fn net_transfers(parts: usize) -> f64 {
 /// event-driven front end this workload needed a thread per socket.
 fn net_scale(parts: usize, idle_conns: usize) -> f64 {
     use staged_dbclient::Client;
-    use staged_server::net::{self, NetConfig};
 
     let _ = polling::raise_nofile_limit();
-    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
-    cat.create_table_partitioned(
-        "accounts",
-        Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]),
-        parts,
-        0,
-    )
-    .unwrap();
-    let t = cat.table("accounts").unwrap();
-    for i in 0..ACCOUNTS {
-        t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(100)])).unwrap();
-    }
-    cat.create_index("accounts_id", "accounts", "id").unwrap();
-    cat.analyze_table("accounts").unwrap();
-    let server = StagedServer::new(
-        Arc::clone(&cat),
-        ServerConfig {
-            mode: ExecutionMode::Staged,
-            partitions: parts,
-            lock_timeout: Duration::from_secs(2),
-            ..Default::default()
-        },
-    );
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = net::serve(
-        listener,
-        Arc::clone(&server),
-        NetConfig { max_connections: idle_conns + SESSIONS + 2, ..Default::default() },
-    )
-    .unwrap();
+    let server = transfer_server(ACCOUNTS, parts, 2048);
+    let handle = serve(&server, idle_conns + SESSIONS + 2);
     let addr = handle.local_addr();
     let idle: Vec<Client> = (0..idle_conns)
         .map(|_| Client::connect_timeout(addr, Duration::from_secs(10)).expect("idle connect"))
         .collect();
-
     let rate = best_rate((SESSIONS * TRANSFERS) as f64, || {
-        std::thread::scope(|scope| {
-            for sid in 0..SESSIONS {
-                scope.spawn(move || {
-                    let mut db =
-                        Client::connect_timeout(addr, Duration::from_secs(10)).expect("connect");
-                    let mut state = 0x9e3779b97f4a7c15u64 ^ (sid as u64 + 1);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
-                    for _ in 0..TRANSFERS {
-                        let from = (next() % ACCOUNTS as u64) as i64;
-                        let to = (next() % ACCOUNTS as u64) as i64;
-                        let commit = next() % 4 != 0;
-                        if db.begin().is_err() {
-                            continue;
-                        }
-                        let part_of =
-                            |id: i64| staged_storage::partition_of_value(&Value::Int(id), parts);
-                        let mut stmts = [(part_of(from), from, "-"), (part_of(to), to, "+")];
-                        stmts.sort_unstable();
-                        let mut failed = false;
-                        for (_, id, op) in stmts {
-                            if db
-                                .query(&format!(
-                                    "UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"
-                                ))
-                                .is_err()
-                            {
-                                failed = true;
-                                break;
-                            }
-                        }
-                        let _ = if failed || !commit { db.rollback() } else { db.commit() };
-                    }
-                    let _ = db.quit();
-                });
-            }
-        });
+        drive_tcp_transfers(addr, SESSIONS, TRANSFERS, parts, ACCOUNTS);
     });
-    let out = server.execute_sql("SELECT SUM(bal) FROM accounts").unwrap();
-    assert_eq!(
-        out.rows[0].to_string(),
-        format!("[{}]", ACCOUNTS * 100),
-        "sum invariant broken through the idle fleet"
-    );
+    assert_balanced(&server, ACCOUNTS, "sum invariant broken through the idle fleet");
     drop(idle);
     handle.shutdown();
     server.shutdown();
@@ -491,7 +291,7 @@ fn wal_recovery(parts: usize) -> f64 {
     const RECOVERIES: usize = 20;
 
     let build_ctx = || {
-        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+        let cat = mem_catalog(2048);
         cat.create_table_partitioned(
             "r",
             Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)]),
@@ -524,10 +324,7 @@ fn wal_recovery(parts: usize) -> f64 {
 
     best_rate(RECOVERIES as f64, || {
         for _ in 0..RECOVERIES {
-            let fresh = ExecContext::new(Arc::new(Catalog::new(BufferPool::new(
-                Arc::new(MemDisk::new()),
-                2048,
-            ))));
+            let fresh = ExecContext::new(mem_catalog(2048));
             let (_wal, report) = checkpoint::recover(
                 &fresh,
                 Arc::clone(&segments),
@@ -558,29 +355,7 @@ fn mixed_htap(parts: usize) -> f64 {
     const SCANS: usize = 15;
     const WRITERS: usize = 2;
 
-    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 4096)));
-    cat.create_table_partitioned(
-        "accounts",
-        Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]),
-        parts,
-        0,
-    )
-    .unwrap();
-    let t = cat.table("accounts").unwrap();
-    for i in 0..ROWS {
-        t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(100)])).unwrap();
-    }
-    cat.create_index("accounts_id", "accounts", "id").unwrap();
-    cat.analyze_table("accounts").unwrap();
-    let server = StagedServer::new(
-        Arc::clone(&cat),
-        ServerConfig {
-            mode: ExecutionMode::Staged,
-            partitions: parts,
-            lock_timeout: Duration::from_secs(2),
-            ..Default::default()
-        },
-    );
+    let server = transfer_server(ROWS, parts, 4096);
 
     let mut best = f64::MIN;
     for _ in 0..REPS {
@@ -591,36 +366,11 @@ fn mixed_htap(parts: usize) -> f64 {
                 let stop = &stop;
                 scope.spawn(move || {
                     let sess = server.session();
-                    let mut state = 0x9e3779b97f4a7c15u64 ^ (sid as u64 + 1);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
+                    let mut next = client_rng(sid);
                     while !stop.load(Ordering::Relaxed) {
                         let from = (next() % ROWS as u64) as i64;
                         let to = (next() % ROWS as u64) as i64;
-                        if sess.execute_sql("BEGIN").is_err() {
-                            continue;
-                        }
-                        let part_of =
-                            |id: i64| staged_storage::partition_of_value(&Value::Int(id), parts);
-                        let mut stmts = [(part_of(from), from, "-"), (part_of(to), to, "+")];
-                        stmts.sort_unstable();
-                        let mut failed = false;
-                        for (_, id, op) in stmts {
-                            if sess
-                                .execute_sql(&format!(
-                                    "UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"
-                                ))
-                                .is_err()
-                            {
-                                failed = true;
-                                break;
-                            }
-                        }
-                        let _ = sess.execute_sql(if failed { "ROLLBACK" } else { "COMMIT" });
+                        transfer(|sql| sess.execute_sql(sql).is_ok(), parts, from, to, true);
                     }
                 });
             }
@@ -631,7 +381,7 @@ fn mixed_htap(parts: usize) -> f64 {
                 let out = sess.execute_sql("SELECT SUM(bal), COUNT(*) FROM accounts").unwrap();
                 assert_eq!(
                     out.rows[0].to_string(),
-                    format!("[{}, {ROWS}]", ROWS * 100),
+                    format!("[{}, {ROWS}]", ROWS * BALANCE),
                     "snapshot saw a torn transfer"
                 );
                 sess.execute_sql("COMMIT").unwrap();
@@ -653,7 +403,6 @@ fn mixed_htap(parts: usize) -> f64 {
 /// DESIGN.md §15. Result-set parity (balance sum + row count) is
 /// asserted on the replica before the number is accepted.
 fn repl_catchup(parts: usize) -> f64 {
-    use staged_server::net::{self, NetConfig};
     use staged_server::{ReplicaConfig, ReplicaServer};
     use staged_storage::MemSegmentStore;
 
@@ -662,55 +411,34 @@ fn repl_catchup(parts: usize) -> f64 {
 
     // The primary: seed in one transaction, then a committed transfer
     // history — all of it WAL-logged, all of it shipped on subscription.
-    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+    let cat = mem_catalog(2048);
     let schema =
         Schema::new(vec![Column::new("id", DataType::Int), Column::new("bal", DataType::Int)]);
     cat.create_table_partitioned("accounts", schema.clone(), parts, 0).unwrap();
-    let server = StagedServer::new(
-        Arc::clone(&cat),
-        ServerConfig {
-            mode: ExecutionMode::Staged,
-            partitions: parts,
-            lock_timeout: Duration::from_secs(2),
-            ..Default::default()
-        },
-    );
+    let config = ServerConfig { partitions: parts, ..Default::default() };
+    let server = StagedServer::new(Arc::clone(&cat), config);
     let sess = server.session();
     sess.execute_sql("BEGIN").unwrap();
     for i in 0..ROWS {
-        sess.execute_sql(&format!("INSERT INTO accounts VALUES ({i}, 100)")).unwrap();
+        sess.execute_sql(&format!("INSERT INTO accounts VALUES ({i}, {BALANCE})")).unwrap();
     }
     sess.execute_sql("COMMIT").unwrap();
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = xorshift(0x9e3779b97f4a7c15);
     for _ in 0..HISTORY {
         let from = (next() % ROWS as u64) as i64;
         let to = (next() % ROWS as u64) as i64;
-        sess.execute_sql("BEGIN").unwrap();
-        let part_of = |id: i64| staged_storage::partition_of_value(&Value::Int(id), parts);
-        let mut stmts = [(part_of(from), from, "-"), (part_of(to), to, "+")];
-        stmts.sort_unstable();
-        for (_, id, op) in stmts {
-            sess.execute_sql(&format!("UPDATE accounts SET bal = bal {op} 1 WHERE id = {id}"))
-                .unwrap();
-        }
-        sess.execute_sql("COMMIT").unwrap();
+        let (_, committed) = transfer(|sql| sess.execute_sql(sql).is_ok(), parts, from, to, true);
+        assert!(committed, "a history transfer failed");
     }
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = net::serve(listener, Arc::clone(&server), NetConfig::default()).unwrap();
+    let handle = serve(&server, NetConfig::default().max_connections);
     let addr = handle.local_addr().to_string();
-    let expected = format!("[{}, {ROWS}]", ROWS * 100);
+    let expected = format!("[{}, {ROWS}]", ROWS * BALANCE);
 
     // Each rep is one cold catch-up: fresh replica, same DDL in the same
     // creation order (table ids must align), feed from LSN zero.
     let mut best = f64::MIN;
     for _ in 0..REPS {
-        let rcat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 2048)));
+        let rcat = mem_catalog(2048);
         rcat.create_table_partitioned("accounts", schema.clone(), parts, 0).unwrap();
         let replica = ReplicaServer::open(
             rcat,

@@ -33,13 +33,13 @@ impl LockKey {
     }
 }
 
-/// Lock modes. Shared locks are compatible with each other; exclusive
-/// locks are compatible with nothing (except locks of the same owner).
+/// Lock modes. Every lock is exclusive: writers lock the partitions they
+/// touch, and readers take no locks at all — they read MVCC snapshots
+/// (docs/CONCURRENCY.md §1). The one-variant enum keeps the mode explicit
+/// at [`LockTable::try_lock`]'s call sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
-    /// Read lock.
-    Shared,
-    /// Write lock.
+    /// Write lock: compatible with nothing but locks of the same owner.
     Exclusive,
 }
 
@@ -51,39 +51,26 @@ pub enum LockError {
 }
 
 #[derive(Default)]
-struct LockState {
-    /// Current owners; all `Shared`, or exactly one `Exclusive`.
-    owners: Vec<(u64, LockMode)>,
-}
-
-impl LockState {
-    fn grantable(&self, xid: u64, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Shared => {
-                self.owners.iter().all(|(o, m)| *o == xid || *m == LockMode::Shared)
-            }
-            LockMode::Exclusive => self.owners.iter().all(|(o, _)| *o == xid),
-        }
-    }
-
-    fn grant(&mut self, xid: u64, mode: LockMode) {
-        match self.owners.iter_mut().find(|(o, _)| *o == xid) {
-            Some(entry) => {
-                // Re-acquisition; upgrade S→X in place when requested.
-                if mode == LockMode::Exclusive {
-                    entry.1 = LockMode::Exclusive;
-                }
-            }
-            None => self.owners.push((xid, mode)),
-        }
-    }
-}
-
-#[derive(Default)]
 struct TableInnerState {
-    locks: HashMap<LockKey, LockState>,
+    /// Each held key's one owner.
+    locks: HashMap<LockKey, u64>,
     /// Reverse map: which keys each transaction holds (for release_all).
     held: HashMap<u64, Vec<LockKey>>,
+}
+
+impl TableInnerState {
+    /// Grant `key` to `xid` unless another transaction owns it. True on
+    /// grant (idempotent for a lock `xid` already holds).
+    fn grant(&mut self, xid: u64, key: LockKey) -> bool {
+        match self.locks.get(&key) {
+            Some(owner) => *owner == xid,
+            None => {
+                self.locks.insert(key, xid);
+                self.held.entry(xid).or_default().push(key);
+                true
+            }
+        }
+    }
 }
 
 /// The lock table: a map of partition locks plus the two ways a waiter
@@ -105,54 +92,28 @@ impl LockTable {
         Self::default()
     }
 
-    /// Try to acquire `key` in `mode` for `xid` without waiting. Returns
-    /// `true` on grant (idempotent for locks already held).
-    pub fn try_lock(&self, xid: u64, key: LockKey, mode: LockMode) -> bool {
-        let mut inner = self.inner.lock();
-        let state = inner.locks.entry(key).or_default();
-        if !state.grantable(xid, mode) {
-            return false;
-        }
-        let newly = !state.owners.iter().any(|(o, _)| *o == xid);
-        state.grant(xid, mode);
-        if newly {
-            inner.held.entry(xid).or_default().push(key);
-        }
-        true
+    /// Try to acquire `key` for `xid` without waiting. Returns `true` on
+    /// grant (idempotent for locks already held).
+    pub fn try_lock(&self, xid: u64, key: LockKey, _mode: LockMode) -> bool {
+        self.inner.lock().grant(xid, key)
     }
 
-    /// Acquire `key` in `mode` for `xid`, waiting up to the `deadline`.
-    /// This is the *sequential* acquisition path used by the Volcano
-    /// engine; the staged lock stage uses [`try_lock`](Self::try_lock) and
-    /// requeues its packet instead of blocking a stage worker.
-    pub fn lock_until(
-        &self,
-        xid: u64,
-        key: LockKey,
-        mode: LockMode,
-        deadline: Instant,
-    ) -> Result<(), LockError> {
+    /// Acquire `key` for `xid`, waiting up to the `deadline`. This is the
+    /// *sequential* acquisition path used by the Volcano engine; the
+    /// staged lock stage uses [`try_lock`](Self::try_lock) and parks its
+    /// packet instead of blocking a stage worker.
+    pub fn lock_until(&self, xid: u64, key: LockKey, deadline: Instant) -> Result<(), LockError> {
         let mut inner = self.inner.lock();
-        loop {
-            let state = inner.locks.entry(key).or_default();
-            if state.grantable(xid, mode) {
-                let newly = !state.owners.iter().any(|(o, _)| *o == xid);
-                state.grant(xid, mode);
-                if newly {
-                    inner.held.entry(xid).or_default().push(key);
-                }
-                return Ok(());
-            }
+        while !inner.grant(xid, key) {
             let now = Instant::now();
             if now >= deadline {
                 return Err(LockError::Timeout(key));
             }
-            let res = self.released.wait_for(&mut inner, deadline - now);
-            if res.timed_out() {
-                // Fall through: one last grantability check above, then the
-                // deadline test fails the request.
-            }
+            // A timed-out wait falls through to one last grant attempt,
+            // then the deadline test fails the request.
+            self.released.wait_for(&mut inner, deadline - now);
         }
+        Ok(())
     }
 
     /// Acquire a set of keys in deterministic (sorted) order with one
@@ -163,14 +124,13 @@ impl LockTable {
         &self,
         xid: u64,
         keys: &mut Vec<LockKey>,
-        mode: LockMode,
         timeout: Duration,
     ) -> Result<(), LockError> {
         keys.sort_unstable();
         keys.dedup();
         let deadline = Instant::now() + timeout;
         for key in keys.iter() {
-            self.lock_until(xid, *key, mode, deadline)?;
+            self.lock_until(xid, *key, deadline)?;
         }
         Ok(())
     }
@@ -197,12 +157,7 @@ impl LockTable {
         let mut inner = self.inner.lock();
         let Some(keys) = inner.held.remove(&xid) else { return };
         for key in keys {
-            if let Some(state) = inner.locks.get_mut(&key) {
-                state.owners.retain(|(o, _)| *o != xid);
-                if state.owners.is_empty() {
-                    inner.locks.remove(&key);
-                }
-            }
+            inner.locks.remove(&key);
         }
         drop(inner);
         self.released.notify_all();
@@ -231,31 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_locks_coexist_exclusive_does_not() {
+    fn an_owner_reacquires_idempotently_and_excludes_every_other() {
         let lt = LockTable::new();
-        assert!(lt.try_lock(1, k(0, 0), LockMode::Shared));
-        assert!(lt.try_lock(2, k(0, 0), LockMode::Shared));
-        assert!(!lt.try_lock(3, k(0, 0), LockMode::Exclusive));
-        lt.release_all(1);
-        assert!(!lt.try_lock(3, k(0, 0), LockMode::Exclusive), "xid 2 still holds S");
-        lt.release_all(2);
-        assert!(lt.try_lock(3, k(0, 0), LockMode::Exclusive));
-        assert!(!lt.try_lock(1, k(0, 0), LockMode::Shared), "X blocks S");
-    }
-
-    #[test]
-    fn reacquisition_and_upgrade_are_idempotent() {
-        let lt = LockTable::new();
-        assert!(lt.try_lock(7, k(1, 0), LockMode::Shared));
-        assert!(lt.try_lock(7, k(1, 0), LockMode::Shared));
-        assert_eq!(lt.held_by(7), 1);
-        // Sole owner may upgrade in place.
         assert!(lt.try_lock(7, k(1, 0), LockMode::Exclusive));
-        assert!(!lt.try_lock(8, k(1, 0), LockMode::Shared));
-        // Upgrade with another reader present must wait.
-        assert!(lt.try_lock(7, k(1, 1), LockMode::Shared));
-        assert!(lt.try_lock(8, k(1, 1), LockMode::Shared));
-        assert!(!lt.try_lock(7, k(1, 1), LockMode::Exclusive));
+        assert!(lt.try_lock(7, k(1, 0), LockMode::Exclusive));
+        assert_eq!(lt.held_by(7), 1);
+        assert!(!lt.try_lock(8, k(1, 0), LockMode::Exclusive));
+        lt.release_all(7);
+        assert!(lt.try_lock(8, k(1, 0), LockMode::Exclusive));
+        assert!(!lt.try_lock(7, k(1, 0), LockMode::Exclusive), "the new owner excludes the old");
     }
 
     #[test]
@@ -272,8 +211,7 @@ mod tests {
         let lt = LockTable::new();
         assert!(lt.try_lock(1, k(0, 0), LockMode::Exclusive));
         let start = Instant::now();
-        let res =
-            lt.lock_until(2, k(0, 0), LockMode::Shared, Instant::now() + Duration::from_millis(30));
+        let res = lt.lock_until(2, k(0, 0), Instant::now() + Duration::from_millis(30));
         assert_eq!(res, Err(LockError::Timeout(k(0, 0))));
         assert!(start.elapsed() >= Duration::from_millis(25));
     }
@@ -284,7 +222,7 @@ mod tests {
         assert!(lt.try_lock(1, k(0, 0), LockMode::Exclusive));
         let lt2 = std::sync::Arc::clone(&lt);
         let waiter = std::thread::spawn(move || {
-            lt2.lock_until(2, k(0, 0), LockMode::Exclusive, Instant::now() + Duration::from_secs(5))
+            lt2.lock_until(2, k(0, 0), Instant::now() + Duration::from_secs(5))
         });
         std::thread::sleep(Duration::from_millis(20));
         lt.release_all(1);
@@ -316,7 +254,7 @@ mod tests {
     fn lock_all_sorts_and_dedups() {
         let lt = LockTable::new();
         let mut keys = vec![k(0, 3), k(0, 1), k(0, 3), k(0, 0)];
-        lt.lock_all(5, &mut keys, LockMode::Exclusive, Duration::from_millis(50)).unwrap();
+        lt.lock_all(5, &mut keys, Duration::from_millis(50)).unwrap();
         assert_eq!(keys, vec![k(0, 0), k(0, 1), k(0, 3)]);
         assert_eq!(lt.held_by(5), 3);
         lt.release_all(5);

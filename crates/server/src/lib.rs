@@ -22,8 +22,10 @@
 //!   the same runtime, `pool`, beside the same `replication` stage.
 //!
 //! Everything that is not scheduling exists once. The statement steps
-//! (`plan` → `admit` → `join_txn` → `run` → `settle`) are the `Pipeline`
-//! of [`pipeline`]; recovery, the log, the checkpoint body, the feed pump
+//! (`plan` → `admit` → `run` → `settle`) are the `Pipeline` of
+//! [`pipeline`], and the session table its `admit` step reads — once per
+//! statement — is the one owner of every session's transaction state;
+//! recovery, the log, the checkpoint body, the feed pump
 //! stage and the `STATS` rows are the `ServerCore` both servers are built
 //! on; and every server, the [`ReplicaServer`] too, hands out the one
 //! [`Session`] handle. Correctness is identical by construction and the

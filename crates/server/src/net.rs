@@ -36,7 +36,11 @@
 //! accumulate in kernel buffers until TCP's own flow control pushes back:
 //! overload propagates to the wire with zero protocol machinery and zero
 //! parked threads (DESIGN.md §16). The same rule bounds the write side: a
-//! connection whose responses aren't draining stops being read.
+//! connection whose responses aren't draining stops being read. The
+//! loop-wide [`NetConfig::max_inflight`] budget counts a connection while
+//! a statement is in flight or its session has a transaction open. That
+//! state is the server's, not the front end's: the loop asks the session
+//! when a statement is done with, and never reads the statement's text.
 //!
 //! **Connection lifecycle.** Every connection owns one session, so `BEGIN`
 //! binds transactions to the connection and a disconnect —
@@ -393,45 +397,18 @@ struct Conn {
     /// admission queue was full); retried every pass. While set, the
     /// socket is not read.
     pending: Option<String>,
-    /// What the in-flight statement's completion does to [`Self::txn_open`]
-    /// (classified from its leading keyword at dispatch).
-    inflight_effect: TxnEffect,
-    /// The session has an open transaction: this connection holds an
-    /// admission slot ([`NetConfig::max_inflight`]) until it closes, and
-    /// its statements bypass the budget — they finish work the pipeline
-    /// has already invested locks in.
+    /// The session has a transaction open (or failed, awaiting
+    /// `COMMIT`/`ROLLBACK`): this connection holds an admission slot
+    /// ([`NetConfig::max_inflight`]) until it closes, and its statements
+    /// bypass the budget — they finish work the pipeline has already
+    /// invested locks in. A cache of [`Session::in_txn`], so counting busy
+    /// connections takes no lock; refreshed wherever a statement of this
+    /// connection is done with, the only points its transaction state can
+    /// change.
     txn_open: bool,
     write_closed: bool,
     drain_deadline: Option<Instant>,
     dead: bool,
-}
-
-/// How a statement's completion changes the connection's transaction
-/// state. Tracked at the front end (the session does not expose it) so
-/// admission can distinguish new work from work a held slot is finishing.
-#[derive(Clone, Copy, PartialEq)]
-enum TxnEffect {
-    /// Ordinary statement: no change.
-    Keep,
-    /// `BEGIN …`: success opens a transaction (failure means one was
-    /// already open, so the state is true either way on error-inside-txn;
-    /// a failed BEGIN outside a transaction leaves it closed).
-    Opens,
-    /// `COMMIT` / `ROLLBACK`: the transaction is closed whatever the
-    /// outcome — committing a failed transaction rolls it back.
-    Closes,
-}
-
-/// Classify a statement's transaction effect from its leading keyword.
-fn txn_effect(sql: &str) -> TxnEffect {
-    let word = sql.split_whitespace().next().unwrap_or("");
-    if word.eq_ignore_ascii_case("BEGIN") {
-        TxnEffect::Opens
-    } else if word.eq_ignore_ascii_case("COMMIT") || word.eq_ignore_ascii_case("ROLLBACK") {
-        TxnEffect::Closes
-    } else {
-        TxnEffect::Keep
-    }
 }
 
 impl Conn {
@@ -444,7 +421,6 @@ impl Conn {
             wbuf: greeting().into_bytes(),
             inflight: None,
             pending: None,
-            inflight_effect: TxnEffect::Keep,
             txn_open: false,
             write_closed: false,
             drain_deadline: None,
@@ -469,7 +445,6 @@ impl Conn {
             wbuf,
             inflight: None,
             pending: None,
-            inflight_effect: TxnEffect::Keep,
             txn_open: false,
             write_closed: false,
             drain_deadline: None,
@@ -586,12 +561,7 @@ impl Conn {
         let Some(rx) = &self.inflight else { return };
         match rx.try_recv() {
             Ok(resp) => {
-                match self.inflight_effect {
-                    TxnEffect::Opens if resp.is_ok() => self.txn_open = true,
-                    TxnEffect::Closes => self.txn_open = false,
-                    _ => {}
-                }
-                self.inflight_effect = TxnEffect::Keep;
+                self.txn_open = self.session.as_ref().is_some_and(Session::in_txn);
                 self.wbuf.extend_from_slice(encode_response(&resp).as_bytes());
                 self.inflight = None;
             }
@@ -628,21 +598,17 @@ fn dispatch_query(conn: &mut Conn, sql: String, budget: &mut usize, waker: &Loop
         conn.pending = Some(sql);
         return;
     }
-    let effect = txn_effect(&sql);
     match session.try_submit(sql.as_str()) {
         Ok(rx) => {
             waker.watch(&rx);
             conn.inflight = Some(rx);
-            conn.inflight_effect = effect;
             if !conn.txn_open {
                 *budget -= 1;
             }
         }
         Err(ServerError::Overloaded) => conn.pending = Some(sql),
         Err(e) => {
-            if effect == TxnEffect::Closes {
-                conn.txn_open = false;
-            }
+            conn.txn_open = session.in_txn();
             conn.push_err(e);
         }
     }

@@ -4,11 +4,13 @@
 //! The free functions are the stage bodies proper (parse, optimize,
 //! execute). `Pipeline` bundles them with the per-statement *policy* —
 //! may it run, which transaction does it join, what happens to that
-//! transaction afterwards — as five steps, `plan` → `admit` → `join_txn` →
-//! `run` → `settle`. The servers differ only in how they schedule those
-//! steps: the threaded baseline calls them in sequence on one worker, the
-//! staged server spreads them over its stages, the replica composes the
-//! read-only subset.
+//! transaction afterwards — as four steps, `plan` → `admit` → `run` →
+//! `settle`. `admit` is the only step that reads the session's
+//! transaction state; it returns its decision as a `TxnSlot`, and the
+//! later steps take that slot instead of asking again. The servers differ
+//! only in how they schedule those steps: the threaded baseline calls them
+//! in sequence on one worker, the staged server spreads them over its
+//! stages, the replica composes the read-only subset.
 
 use crate::session::{StatementCtx, TxnRuntime};
 use crate::types::{QueryOutput, Response, ServerError};
@@ -457,11 +459,13 @@ pub(crate) fn lock_timeout_error() -> ServerError {
     ServerError::Execution("lock timeout: transaction aborted (presumed deadlock)".into())
 }
 
-/// A DML statement's place in a transaction, decided by
-/// [`Pipeline::join_txn`]. The default is "no transaction" (reads, DDL,
-/// transaction control).
+/// A statement's place in its session's transaction state, decided once
+/// by [`Pipeline::admit`]. The default is autocommit with no transaction
+/// (transaction control, prepared statements).
 #[derive(Default)]
 pub(crate) struct TxnSlot {
+    /// The session's transaction state, as read at admission.
+    pub ctx: StatementCtx,
     /// Transaction the statement runs under (0 = none).
     pub xid: u64,
     /// True when `xid` is a statement-scoped implicit transaction that
@@ -499,66 +503,68 @@ impl Pipeline {
         }
     }
 
-    /// May `action` run now, given the session's transaction state? A
-    /// session in the failed-transaction state refuses everything, a
-    /// `READ ONLY` transaction refuses writes (DML and DDL), and any open
-    /// transaction refuses `CHECKPOINT`, which would wait on the locks its
-    /// own transaction holds. Transaction control is never put to this
-    /// test — `COMMIT`/`ROLLBACK` are the way out of the failed state.
+    /// Admit `action` from `session`: the one place that reads the
+    /// session's transaction state and decides how the statement runs.
+    /// Transaction control is never put to the test — `COMMIT`/`ROLLBACK`
+    /// are the way out of the failed state — and gets the default slot.
+    /// Everything else is refused in the failed-transaction state, writes
+    /// (DML and DDL) are refused in a `READ ONLY` transaction, and
+    /// `CHECKPOINT` is refused in any open transaction, since it would
+    /// wait on the locks its own transaction holds. A DML or `CHECKPOINT`
+    /// action then joins the session's open transaction or begins a
+    /// statement-scoped implicit one (always the latter for a checkpoint,
+    /// which writes no rows: its log shows `Begin` and then `Commit`, or
+    /// `Abort` on a lock timeout), and gets the lock set the caller must
+    /// acquire before [`run`](Self::run).
     pub fn admit(
         &self,
         session: Option<u64>,
         action: &PlannedAction,
-    ) -> Result<StatementCtx, ServerError> {
-        let writes = action.is_dml() || matches!(action, PlannedAction::Ddl(_));
-        match self.txn.statement_ctx(session)? {
-            StatementCtx::Autocommit => Ok(StatementCtx::Autocommit),
-            _ if matches!(action, PlannedAction::Checkpoint) => {
-                Err(ServerError::Execution("CHECKPOINT cannot run inside a transaction".into()))
-            }
-            StatementCtx::ReadOnly(_) if writes => Err(ServerError::ReadOnly),
-            stmt => Ok(stmt),
-        }
-    }
-
-    /// Put a DML or `CHECKPOINT` `action` into a transaction: the session's
-    /// open one, or a statement-scoped implicit one begun here (always the
-    /// latter for a checkpoint, which writes no rows: its log shows `Begin`
-    /// and then `Commit`, or `Abort` on a lock timeout). Also computes the
-    /// lock set the caller must acquire before [`run`](Self::run).
-    pub fn join_txn(
-        &self,
-        session: Option<u64>,
-        action: &PlannedAction,
     ) -> Result<TxnSlot, ServerError> {
-        let (xid, implicit) = match self.admit(session, action)? {
-            StatementCtx::Write(xid) => (xid, false),
-            _ => {
-                let begun = self.txn.mgr().begin(&self.wal);
-                (begun.map_err(|e| ServerError::Execution(e.to_string()))?, true)
-            }
-        };
-        Ok(TxnSlot { xid, implicit, keys: dml_lock_keys(action, &self.ctx.catalog, &self.planner) })
+        if matches!(action, PlannedAction::TxnControl(_)) {
+            return Ok(TxnSlot::default());
+        }
+        let ctx = self.txn.statement_ctx(session)?;
+        let writes = action.is_dml() || matches!(action, PlannedAction::Ddl(_));
+        if ctx != StatementCtx::Autocommit && matches!(action, PlannedAction::Checkpoint) {
+            return Err(ServerError::Execution(
+                "CHECKPOINT cannot run inside a transaction".into(),
+            ));
+        }
+        if matches!(ctx, StatementCtx::ReadOnly(_)) && writes {
+            return Err(ServerError::ReadOnly);
+        }
+        let mut slot = TxnSlot { ctx, ..TxnSlot::default() };
+        if action.is_dml() {
+            (slot.xid, slot.implicit) = match ctx {
+                StatementCtx::Write(xid) => (xid, false),
+                _ => {
+                    let begun = self.txn.mgr().begin(&self.wal);
+                    (begun.map_err(|e| ServerError::Execution(e.to_string()))?, true)
+                }
+            };
+            slot.keys = dml_lock_keys(action, &self.ctx.catalog, &self.planner);
+        }
+        Ok(slot)
     }
 
-    /// Execute `action`: transaction control goes to the transaction
-    /// runtime; everything else is admitted, SELECTs are given a snapshot
-    /// view as of now (the pin outlives the execution), and the execute
-    /// stage runs it under `xid` (0 = no transaction).
+    /// Execute an admitted `action`: transaction control goes to the
+    /// transaction runtime; a SELECT is given a snapshot view from
+    /// `slot.ctx`, pinned as of now (the pin outlives the execution); and
+    /// the execute stage runs it under `slot.xid` (0 = no transaction).
     pub fn run(
         &self,
         mut action: PlannedAction,
         session: Option<u64>,
-        xid: u64,
+        slot: &TxnSlot,
         exec: Exec<'_>,
     ) -> Response {
         if let PlannedAction::TxnControl(stmt) = &action {
             return execute_txn_control(stmt, session, &self.txn, &self.ctx, &self.wal);
         }
-        let stmt = self.admit(session, &action)?;
-        let _pin = snapshot_select(&mut action, &self.txn, &stmt);
-        let txn = (xid != 0).then(|| self.txn.mgr());
-        execute_stage(action, &self.ctx, &self.wal, xid, exec, txn)
+        let _pin = snapshot_select(&mut action, &self.txn, &slot.ctx);
+        let txn = (slot.xid != 0).then(|| self.txn.mgr());
+        execute_stage(action, &self.ctx, &self.wal, slot.xid, exec, txn)
     }
 
     /// End of statement: an implicit transaction commits on success (the

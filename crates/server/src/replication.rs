@@ -410,7 +410,8 @@ impl ReplicaServer {
         }
         // Reads and bootstrap DDL. DDL touches only the catalog (it is
         // not WAL-logged), so the mirror layout is safe.
-        self.pipe.run(action, session, 0, Exec::Volcano)
+        let slot = self.pipe.admit(session, &action)?;
+        self.pipe.run(action, session, &slot, Exec::Volcano)
     }
 
     // -- the feed ----------------------------------------------------------

@@ -80,6 +80,15 @@ impl Session {
     pub fn execute_sql(&self, sql: &str) -> Response {
         self.submit(sql).recv().unwrap_or(Err(ServerError::ShuttingDown))
     }
+
+    /// True while the session table holds a transaction binding for this
+    /// session — open, `READ ONLY`, or failed and awaiting
+    /// `COMMIT`/`ROLLBACK` — whatever the statements that made it so were
+    /// spelled.
+    pub(crate) fn in_txn(&self) -> bool {
+        let ctx = self.host.pipeline().txn.statement_ctx(Some(self.sid));
+        !matches!(ctx, Ok(StatementCtx::Autocommit))
+    }
 }
 
 impl Drop for Session {
@@ -106,9 +115,10 @@ enum TxnBinding {
 }
 
 /// How a new statement from a session must run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StatementCtx {
     /// No open transaction: the statement is its own implicit transaction.
+    #[default]
     Autocommit,
     /// An open read-write transaction under this xid.
     Write(u64),

@@ -40,8 +40,9 @@ use std::time::Instant;
 pub struct SPacket {
     /// Session the statement came from (None = one-shot autocommit).
     session: Option<u64>,
-    /// The transaction the statement runs under and the partition locks it
-    /// still needs (set by the lock stage).
+    /// The statement's admission: the session's transaction state, the
+    /// transaction the statement runs under and the partition locks it
+    /// still needs (set by the parse stage).
     slot: TxnSlot,
     /// Deadline for lock acquisition (timeout-abort deadlock resolution).
     lock_deadline: Option<Instant>,
@@ -240,7 +241,8 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
     let pipe = &shared.core.pipe;
     match pipeline::parse_stage(&sql, &pipe.ctx.catalog, pipe.ctx.tracker.as_deref()) {
         Ok(Parsed::NeedsPlan(bound)) => match pipe.txn.statement_ctx(pkt.session) {
-            Ok(_) => {
+            Ok(stmt) => {
+                pkt.slot.ctx = stmt;
                 pkt.body = PacketBody::Bound(bound);
                 forward(ctx, OPTIMIZE, pkt)
             }
@@ -250,14 +252,13 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
             // DDL / DML bypass the optimizer (§4.1: "the query can route
             // itself from the connect stage directly to the execute stage").
             // DML and CHECKPOINT make one extra hop through the lock-manager
-            // stage first.
-            // Statements the session's transaction state refuses are turned
-            // around here, before they cost a lock-stage visit — the
-            // per-statement policy decision of the read-only fast path.
-            if !matches!(*action, PlannedAction::TxnControl(_)) {
-                if let Err(e) = pipe.admit(pkt.session, &action) {
-                    return finish(ctx, pkt, Err(e));
-                }
+            // stage first. Admission happens here, once: statements the
+            // session's transaction state refuses are turned around before
+            // they cost a lock-stage visit, and the rest carry the decision
+            // — their transaction and lock set — in the packet.
+            match pipe.admit(pkt.session, &action) {
+                Ok(slot) => pkt.slot = slot,
+                Err(e) => return finish(ctx, pkt, Err(e)),
             }
             let dest = if action.is_dml() { LOCK } else { EXECUTE };
             pkt.body = PacketBody::Action(action);
@@ -268,17 +269,18 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
 });
 
 /// The lock-manager stage (paper Figure 3 names it as a first-class OLTP
-/// stage). On first visit the packet joins its session's open transaction
-/// — or starts a statement-scoped implicit one — and computes its lock
-/// set; then it acquires locks incrementally in sorted key order, and once
+/// stage). A packet arrives with its transaction and lock set already in
+/// its slot (the parse stage admitted it); its first visit stamps its lock
+/// deadline. It acquires locks incrementally in sorted key order, and once
 /// it holds them all goes on to execute (a `CHECKPOINT`, to the checkpoint
 /// stage). A packet that hits a conflict *parks*: it leaves the queue for
 /// the stage's parked list and the worker moves on.
 /// `LockTable::release_all` re-admits every parked packet when it frees
 /// something (the hook `with_stores` installs), and a packet still parked
 /// at its deadline fails with `lock timeout` — swept from the idle hook,
-/// and on every visit so a busy stage sweeps too. Nothing here sleeps or blocks, so the stage serves cohorts
-/// and can be followed into like any other.
+/// and on every visit so a busy stage sweeps too. Nothing here sleeps or
+/// blocks, so the stage serves cohorts and can be followed into like any
+/// other.
 struct LockStage {
     shared: Arc<ServerShared>,
 }
@@ -288,16 +290,7 @@ impl StageLogic<SPacket> for LockStage {
         let shared = &*self.shared;
         let core = &shared.core;
         expire_parked(shared, ctx)?;
-        if pkt.lock_deadline.is_none() {
-            let PacketBody::Action(action) = &pkt.body else {
-                return misrouted(ctx, pkt, "lock");
-            };
-            match core.pipe.join_txn(pkt.session, action) {
-                Ok(slot) => pkt.slot = slot,
-                Err(e) => return finish(ctx, pkt, Err(e)),
-            }
-            pkt.lock_deadline = Some(Instant::now() + core.lock_timeout);
-        }
+        pkt.lock_deadline.get_or_insert_with(|| Instant::now() + core.lock_timeout);
         // Try and park are one critical section of the parked list, and
         // the release hook drains the list under the same mutex *after*
         // the table was updated: a release either happens before the try
@@ -358,10 +351,12 @@ impl StageLogic<SPacket> for CheckpointStage {
         {
             return;
         }
-        // The reply channel is a stub: nobody waits on an auto checkpoint.
-        let (mut pkt, _rx) = packet(PacketBody::Action(Box::new(PlannedAction::Checkpoint)), None);
+        // The statement enters at `parse`, where it is admitted like any
+        // other. The reply channel is a stub: nobody waits on an auto
+        // checkpoint.
+        let (mut pkt, _rx) = packet(PacketBody::Raw("CHECKPOINT".into()), None);
         pkt.auto = true;
-        if ctx.try_send(LOCK, pkt).is_err() {
+        if ctx.try_send(PARSE, pkt).is_err() {
             shared.auto_pending.store(false, Ordering::Release);
         }
     }
@@ -389,7 +384,7 @@ stage_logic!(ExecuteStage, shared, pkt, ctx, {
         ExecutionMode::Volcano => Exec::Volcano,
         ExecutionMode::Staged => Exec::Staged(&shared.engine),
     };
-    let res = shared.core.pipe.run(*action, pkt.session, pkt.slot.xid, exec);
+    let res = shared.core.pipe.run(*action, pkt.session, &pkt.slot, exec);
     finish(ctx, pkt, res)
 });
 
@@ -437,22 +432,13 @@ fn spec(
 }
 
 impl StagedServer {
-    /// Build and start the staged server over an existing catalog.
+    /// Build and start the staged server over an existing catalog, backed
+    /// by fresh in-memory WAL-segment and snapshot stores.
     pub fn new(catalog: Arc<Catalog>, config: ServerConfig) -> Arc<Self> {
-        Self::with_tracker(catalog, config, None)
-    }
-
-    /// Like [`new`](Self::new), with Table-1 reference instrumentation.
-    /// Backed by fresh in-memory WAL-segment and snapshot stores.
-    pub fn with_tracker(
-        catalog: Arc<Catalog>,
-        config: ServerConfig,
-        tracker: Option<Arc<RefTracker>>,
-    ) -> Arc<Self> {
         Self::with_stores(
             catalog,
             config,
-            tracker,
+            None,
             Arc::new(MemSegmentStore::new()),
             Arc::new(MemSnapshotStore::new()),
         )

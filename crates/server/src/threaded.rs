@@ -5,7 +5,7 @@
 //! picks another client from the input queue." That pool is one §4.1
 //! stage: the `pool` stage of a [`StagedRuntime`], one bounded queue and
 //! `pool_size` workers serving one statement per visit. Each worker runs
-//! the whole `Pipeline` — plan, join a transaction, lock, run, settle — as
+//! the whole `Pipeline` — plan, admit, lock, run, settle — as
 //! direct procedure calls on the Volcano engine; the pool size is the knob
 //! whose tuning dilemma Figure 2 demonstrates. Beside it runs the same
 //! `replication` stage the staged server registers. The scheduling
@@ -13,7 +13,7 @@
 //! difference between the two; everything that is not scheduling is the
 //! `ServerCore` they share.
 
-use crate::pipeline::{self, Exec, Pipeline, PlannedAction, TxnSlot};
+use crate::pipeline::{self, Exec, Pipeline, PlannedAction};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
 use crate::server_core::{answered, queued, stats_rows, ServerCore};
@@ -22,7 +22,6 @@ use crate::types::{QueryOutput, Response, ServerConfig, ServerError};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use staged_core::prelude::*;
 use staged_engine::checkpoint::RecoveryReport;
-use staged_engine::txn::LockMode;
 use staged_planner::PlannerConfig;
 use staged_storage::wal::Wal;
 use staged_storage::{Catalog, MemSegmentStore, MemSnapshotStore, SegmentStore, SnapshotStore};
@@ -232,19 +231,15 @@ impl ThreadedServer {
 fn process(core: &ServerCore, sql: &str, session: Option<u64>) -> Response {
     let pipe = &core.pipe;
     let action = pipe.plan(sql)?;
-    let mut slot = TxnSlot::default();
-    let mut res = Ok(());
-    if action.is_dml() {
-        slot = pipe.join_txn(session, &action)?;
-        let locks = pipe.txn.mgr().locks();
-        res = locks
-            .lock_all(slot.xid, &mut slot.keys, LockMode::Exclusive, core.lock_timeout)
-            .map_err(|_| pipeline::lock_timeout_error());
-    }
-    let res = res.and_then(|()| match action {
-        PlannedAction::Checkpoint => core.checkpoint_quiesced(),
-        action => pipe.run(action, session, slot.xid, Exec::Volcano),
-    });
+    let mut slot = pipe.admit(session, &action)?;
+    let locks = pipe.txn.mgr().locks();
+    let res = locks
+        .lock_all(slot.xid, &mut slot.keys, core.lock_timeout)
+        .map_err(|_| pipeline::lock_timeout_error())
+        .and_then(|()| match action {
+            PlannedAction::Checkpoint => core.checkpoint_quiesced(),
+            action => pipe.run(action, session, &slot, Exec::Volcano),
+        });
     pipe.settle(session, &slot, res)
 }
 

@@ -324,3 +324,67 @@ fn checkpoint_command_works_on_both_backends() {
     handle.shutdown();
     threaded.shutdown();
 }
+
+/// Run `sql` on `c` from a helper thread and hand the client back with its
+/// answer, failing the test if no answer arrives within two seconds.
+fn answered_within_2s(c: Client, sql: &'static str) -> (Client, Result<QueryResult, ClientError>) {
+    pending(c, sql).recv_timeout(Duration::from_secs(2)).unwrap_or_else(|_| {
+        panic!("{sql:?} got no answer within 2 s");
+    })
+}
+
+/// Send `sql` on `c` from a helper thread; the client and its answer
+/// arrive on the returned channel.
+fn pending(
+    mut c: Client,
+    sql: &'static str,
+) -> std::sync::mpsc::Receiver<(Client, Result<QueryResult, ClientError>)> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let res = c.query(sql);
+        let _ = tx.send((c, res));
+    });
+    rx
+}
+
+/// The two slot cases on one backend served with a single admission slot.
+fn slot_follows_the_session<B: net::WireBackend>(backend: B) {
+    let handle =
+        net::serve(listener(), backend, NetConfig { max_inflight: 1, ..Default::default() })
+            .expect("serve");
+    let (mut a, mut b) = (connect(&handle), connect(&handle));
+    a.query("CREATE TABLE slot (k INT)").unwrap();
+    // (a) However the transaction is closed, closing it frees A's slot.
+    for close in ["ABORT", "COMMIT;", "ROLLBACK;", "rollback"] {
+        a.query("BEGIN").unwrap();
+        a.query(close).unwrap_or_else(|e| panic!("{close:?}: {e}"));
+        let (back, res) = answered_within_2s(b, "SELECT COUNT(*) FROM slot");
+        res.unwrap_or_else(|e| panic!("after {close:?}: {e}"));
+        b = back;
+    }
+    // (b) However it was opened, an open transaction holds A's slot: B's
+    // BEGIN waits for it, and A's COMMIT is never parked behind B.
+    a.query("BEGIN;").unwrap();
+    a.query("INSERT INTO slot VALUES (1)").unwrap();
+    let b_begin = pending(b, "BEGIN");
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(b_begin.try_recv().is_err(), "B was admitted while A's transaction held the slot");
+    let (a, res) = answered_within_2s(a, "COMMIT");
+    assert_eq!(res.unwrap().tag, "COMMIT");
+    let (mut b, res) = b_begin.recv_timeout(Duration::from_secs(2)).expect("B's BEGIN answered");
+    assert_eq!(res.unwrap().tag, "BEGIN");
+    b.rollback().unwrap();
+    a.quit().unwrap();
+    b.quit().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn the_admission_slot_follows_the_session_whatever_the_spelling() {
+    let staged = StagedServer::new(fresh_catalog(), ServerConfig::default());
+    slot_follows_the_session(Arc::clone(&staged));
+    staged.shutdown();
+    let threaded = Arc::new(ThreadedServer::new(fresh_catalog(), 4, PlannerConfig::default()));
+    slot_follows_the_session(Arc::clone(&threaded));
+    threaded.shutdown();
+}
