@@ -92,8 +92,9 @@ fn main() {
     println!(
         "\nHow to read this: point lookups speed up ~Nx on any host — partition pruning\n\
          scans 1/N of the table per query. The scan/aggregate column needs real cores:\n\
-         on a multi-core host the N partial pipelines spread across fscan/aggr workers\n\
-         and converge at the merge stage for >= 2x at 4 partitions; on a single core\n\
-         the same plan costs a few percent of exchange overhead instead."
+         on a multi-core host the N partial aggregates (one fscan packet each, which\n\
+         scans and folds its partition) spread across the fscan workers and converge\n\
+         at the merge stage; on a single core the same plan costs a few percent of\n\
+         exchange overhead instead."
     );
 }

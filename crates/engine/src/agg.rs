@@ -1,9 +1,12 @@
-//! Aggregate accumulators, shared by the Volcano and staged engines.
+//! Aggregate accumulators and hash grouping, shared by the Volcano and
+//! staged engines.
 
 use crate::error::{EngineError, EngineResult};
+use crate::expr::eval;
 use staged_planner::AggSpec;
-use staged_sql::ast::AggFunc;
+use staged_sql::ast::{AggFunc, Expr};
 use staged_storage::{Tuple, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Running state of one aggregate.
@@ -109,6 +112,140 @@ impl Accumulator {
             }
             AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// Where a group key or an aggregate argument comes from, resolved once
+/// per plan so the per-row loop reads plain columns straight off the tuple
+/// and runs the expression interpreter only for computed expressions.
+enum Source {
+    /// A bound column reference.
+    Col(usize),
+    /// Anything else: interpreted per row.
+    Expr(Expr),
+}
+
+impl Source {
+    fn of(e: &Expr) -> Self {
+        match e {
+            Expr::Column(c) if c.index.is_some() => Source::Col(c.index.expect("checked")),
+            e => Source::Expr(e.clone()),
+        }
+    }
+
+    /// The value for row `t`: borrowed from the row for a column,
+    /// evaluated for an expression.
+    fn read<'t>(&self, t: &'t Tuple) -> EngineResult<Cow<'t, Value>> {
+        match self {
+            Source::Col(i) => t
+                .values()
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EngineError::Internal(format!("column {i} out of arity"))),
+            Source::Expr(e) => eval(e, t).map(Cow::Owned),
+        }
+    }
+}
+
+/// The state of one hash aggregate: groups in first-seen order, each with
+/// its key values and one [`Accumulator`] per aggregate. Rows are absorbed
+/// one at a time and [`finish`](Self::finish) yields `key values ⧺
+/// aggregate values` per group. The Volcano `HashAggExec`, the staged
+/// `AggTask` and a scan folding its rows into an aggregate all run this.
+///
+/// A row's key is encoded into a reused scratch buffer; key values are
+/// copied out of the row (or evaluated again) only when its group is first
+/// seen, so absorbing a row into an existing group allocates nothing.
+pub struct GroupTable {
+    keys: Vec<Source>,
+    aggs: Vec<AggSpec>,
+    /// One per aggregate; `None` for `COUNT(*)`.
+    args: Vec<Option<Source>>,
+    key_scratch: Vec<u8>,
+    groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
+    index: HashMap<Vec<u8>, usize>,
+}
+
+impl GroupTable {
+    /// An empty table grouping by `group_by` and computing `aggs`.
+    pub fn new(group_by: &[Expr], aggs: &[AggSpec]) -> Self {
+        Self {
+            keys: group_by.iter().map(Source::of).collect(),
+            aggs: aggs.to_vec(),
+            args: aggs.iter().map(|a| a.arg.as_ref().map(Source::of)).collect(),
+            key_scratch: Vec::new(),
+            groups: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    /// Fold one row into its group.
+    pub fn absorb(&mut self, t: &Tuple) -> EngineResult<()> {
+        self.key_scratch.clear();
+        for k in &self.keys {
+            k.read(t)?.encode(&mut self.key_scratch);
+        }
+        let slot = match self.index.get(self.key_scratch.as_slice()) {
+            Some(&s) => s,
+            None => {
+                let vals = self
+                    .keys
+                    .iter()
+                    .map(|k| k.read(t).map(Cow::into_owned))
+                    .collect::<EngineResult<_>>()?;
+                self.groups.push((vals, self.aggs.iter().map(Accumulator::new).collect()));
+                self.index.insert(self.key_scratch.clone(), self.groups.len() - 1);
+                self.groups.len() - 1
+            }
+        };
+        for (acc, arg) in self.groups[slot].1.iter_mut().zip(&self.args) {
+            match arg {
+                Some(a) => acc.update(&*a.read(t)?)?,
+                None => acc.update_star(),
+            }
+        }
+        Ok(())
+    }
+
+    /// One row per group: `key values ⧺ aggregate values`. A global
+    /// aggregate (no grouping) over zero rows still yields one row.
+    pub fn finish(mut self) -> Vec<Tuple> {
+        if self.groups.is_empty() && self.keys.is_empty() {
+            self.groups.push((Vec::new(), self.aggs.iter().map(Accumulator::new).collect()));
+        }
+        self.groups
+            .into_iter()
+            .map(|(mut vals, accs)| {
+                vals.extend(accs.iter().map(Accumulator::finish));
+                Tuple::new(vals)
+            })
+            .collect()
+    }
+
+    /// Every column the keys and arguments read, sorted and deduplicated,
+    /// when each is a plain column; `None` when any is computed.
+    pub(crate) fn plain_cols(&self) -> Option<Vec<usize>> {
+        let mut cols = Vec::new();
+        for src in self.keys.iter().chain(self.args.iter().flatten()) {
+            match src {
+                Source::Col(i) => cols.push(*i),
+                Source::Expr(_) => return None,
+            }
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        Some(cols)
+    }
+
+    /// Rewrite column indexes through `pos` (old slot → pruned slot). Only
+    /// meaningful when [`plain_cols`](Self::plain_cols) is `Some`.
+    pub(crate) fn remap_columns(&mut self, pos: &dyn Fn(usize) -> usize) {
+        for src in self.keys.iter_mut().chain(self.args.iter_mut().flatten()) {
+            match src {
+                Source::Col(i) => *i = pos(*i),
+                Source::Expr(_) => debug_assert!(false, "remap is only valid on plain columns"),
+            }
         }
     }
 }

@@ -13,7 +13,8 @@
 //!
 //! Every scan is a dedicated page scan owned by one query, filtered
 //! through that query's snapshot when it has one (DESIGN.md §3 on why the
-//! §5.4 shared scans are not implemented).
+//! §5.4 shared scans are not implemented). A hash aggregate directly on a
+//! scan is folded into the scan's packet (DESIGN.md §12).
 
 mod tasks;
 
@@ -44,7 +45,9 @@ pub enum StageKind {
     Sort,
     /// All three join algorithms.
     Join,
-    /// Aggregation (and duplicate elimination).
+    /// Aggregation over inputs other than a scan, and duplicate
+    /// elimination. An aggregate directly on a scan runs inside the scan's
+    /// `fscan` packet instead.
     Aggr,
     /// Partition-parallel convergence: exchange unions and partial-
     /// aggregate merges (paper §6).
@@ -445,12 +448,6 @@ impl Transform {
     /// Compile a projection list.
     pub fn project(exprs: Vec<Expr>) -> Self {
         Transform::Project(Proj::compile(exprs))
-    }
-
-    /// A projection that gathers raw column indexes — used by the scan
-    /// narrowing in the task compiler, where no source expressions exist.
-    pub fn project_cols(cols: Vec<usize>) -> Self {
-        Transform::Project(Proj { exprs: Vec::new(), cols: Some(cols) })
     }
 }
 

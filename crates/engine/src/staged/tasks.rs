@@ -2,18 +2,20 @@
 
 use super::{
     apply_transforms, prune_scan_columns, shut_down, Activator, EngineConfig, ExchangeBuffer,
-    OperatorTask, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform, TupleBatch,
+    OperatorTask, Pred, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform,
+    TupleBatch,
 };
-use crate::agg::AggMerger;
+use crate::agg::{AggMerger, GroupTable};
 use crate::context::ExecContext;
-use crate::error::{EngineError, EngineResult};
-use crate::expr::{eval, eval_predicate};
+use crate::error::EngineResult;
+use crate::expr::eval_predicate;
 use crate::probe::index_probe;
 use crate::volcano::{encode_key, merge_join, sort_tuples};
-use staged_planner::{AggSpec, PhysicalPlan};
+use staged_planner::PhysicalPlan;
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
-use staged_storage::{ReadView, Rid, StorageResult, Tuple, Value};
+use staged_storage::partition::PartitionedPageScan;
+use staged_storage::{ReadView, Rid, Tuple};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
@@ -229,50 +231,8 @@ fn build(
         PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } | PhysicalPlan::Limit { .. } => {
             unreachable!("fused into the producing task")
         }
-        PhysicalPlan::SeqScan { table, predicate, snapshot } => {
-            let mut ts = Vec::new();
-            if let Some(p) = predicate {
-                ts.push(Transform::filter(p.clone()));
-            }
-            ts.extend(transforms);
-            let mut scan = match prune_scan_columns(&mut ts, table.schema.len()) {
-                Some(cols) => table.heap.scan_pages().with_columns(cols),
-                None => table.heap.scan_pages(),
-            };
-            if let Some(view) = snapshot {
-                scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
-            }
-            let task = ScanTask {
-                ctx,
-                scan,
-                transforms: ts,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-                input_done: false,
-            };
-            engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
-        }
-        PhysicalPlan::PartitionScan { table, partition, predicate, snapshot } => {
-            // A partial scan: one partition, one fscan packet.
-            let mut ts = Vec::new();
-            if let Some(p) = predicate {
-                ts.push(Transform::filter(p.clone()));
-            }
-            ts.extend(transforms);
-            let mut scan = match prune_scan_columns(&mut ts, table.schema.len()) {
-                Some(cols) => table.heap.scan_partition_pages(*partition).with_columns(cols),
-                None => table.heap.scan_partition_pages(*partition),
-            };
-            if let Some(view) = snapshot {
-                scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
-            }
-            let task = ScanTask {
-                ctx,
-                scan,
-                transforms: ts,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-                input_done: false,
-            };
-            engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
+        PhysicalPlan::SeqScan { .. } | PhysicalPlan::PartitionScan { .. } => {
+            launch_scan(engine, plan, None, transforms, out, parent, ctl);
         }
         PhysicalPlan::Exchange { inputs } => {
             // N independent partial pipelines converge at one union task on
@@ -282,8 +242,9 @@ fn build(
             });
         }
         PhysicalPlan::MergeAggregate { inputs, group_by_len, aggs } => {
-            // Partial-aggregate pipelines (each a full fscan→filter→agg
-            // chain) converge at the combining task on the merge stage.
+            // Partial-aggregate pipelines (over a partition scan, each one
+            // fscan packet folding its rows) converge at the combining task
+            // on the merge stage.
             fan_in(engine, inputs, out, parent, ctl, cfg, |intakes, emitter| {
                 Box::new(MergeAggTask {
                     inputs: intakes,
@@ -323,34 +284,38 @@ fn build(
             );
             build(engine, input, in_buf, Vec::new(), act, ctl, cfg);
         }
-        PhysicalPlan::HashAggregate { input, group_by, aggs } => {
-            // When the aggregate sits directly on a scan and reads only
-            // plain columns, project the scan down to exactly those columns
-            // and remap the aggregate; `prune_scan_columns` then stops the
-            // scan decoding the rest of the row at the page.
-            let prunable = matches!(
+        PhysicalPlan::HashAggregate { input, group_by, aggs }
+            if matches!(
                 &**input,
                 PhysicalPlan::SeqScan { .. } | PhysicalPlan::PartitionScan { .. }
+            ) =>
+        {
+            // An aggregate directly on a scan gets no packet of its own: the
+            // scan folds its rows into the groups where it decodes them.
+            launch_scan(
+                engine,
+                input,
+                Some(GroupTable::new(group_by, aggs)),
+                transforms,
+                out,
+                parent,
+                ctl,
             );
-            let narrowed = if prunable { narrow_agg_input(group_by, aggs) } else { None };
-            let (scan_ts, group_by, aggs) = match narrowed {
-                Some((proj, g, a)) => (vec![proj], g, a),
-                None => (Vec::new(), group_by.clone(), aggs.clone()),
-            };
+        }
+        PhysicalPlan::HashAggregate { input, group_by, aggs } => {
             let in_buf = ExchangeBuffer::new(cfg.buffer_depth);
             let act = engine.make_activator();
-            let task = AggTask::new(
-                Intake::new(Arc::clone(&in_buf)),
-                group_by,
-                aggs,
+            let task = AggTask {
+                input: Intake::new(Arc::clone(&in_buf)),
+                groups: Some(GroupTable::new(group_by, aggs)),
                 transforms,
-                Emitter::new(out, parent, engine.page_size()),
-            );
+                emitter: Emitter::new(out, parent, engine.page_size()),
+            };
             act.park(
                 engine.stage_id(StageKind::Aggr),
                 TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
             );
-            build(engine, input, in_buf, scan_ts, act, ctl, cfg);
+            build(engine, input, in_buf, Vec::new(), act, ctl, cfg);
         }
         PhysicalPlan::Distinct { input } => {
             let in_buf = ExchangeBuffer::new(cfg.buffer_depth);
@@ -437,47 +402,93 @@ fn build(
     }
 }
 
-/// When every grouping expression and aggregate argument is a bound column
-/// reference, compute the column set the aggregate reads and return (a) a
-/// plain-column projection narrowing its input to exactly that set and (b)
-/// the group/agg lists rewritten against the narrowed layout. `None` when
-/// any expression needs the full row. A `COUNT(*)` with no grouping
-/// narrows to the empty projection: the scan then decodes nothing at all.
-fn narrow_agg_input(
-    group_by: &[Expr],
-    aggs: &[AggSpec],
-) -> Option<(Transform, Vec<Expr>, Vec<AggSpec>)> {
-    let mut cols: Vec<usize> = Vec::new();
-    for e in group_by {
-        match e {
-            Expr::Column(c) => cols.push(c.index?),
-            _ => return None,
+/// Compile a `SeqScan` or `PartitionScan` into one `fscan` packet. Without
+/// `groups` the scan's predicate and `transforms` run on each row and the
+/// survivors flow on to `out`. With `groups` the node is the input of a
+/// `HashAggregate`: the predicate is tested on each row, survivors are
+/// folded into `groups`, and only the finished groups — through
+/// `transforms`, the operators fused above the aggregate — flow on to
+/// `out`. Either way the scan decodes only the columns that are read
+/// (`prune_scan_columns`, [`prune_fold_columns`]).
+fn launch_scan(
+    engine: &Arc<StagedEngine>,
+    plan: &PhysicalPlan,
+    groups: Option<GroupTable>,
+    transforms: Vec<Transform>,
+    out: Arc<ExchangeBuffer>,
+    parent: Arc<Activator>,
+    ctl: Arc<QueryCtl>,
+) {
+    let (table, partition, predicate, snapshot) = match plan {
+        PhysicalPlan::SeqScan { table, predicate, snapshot } => (table, None, predicate, snapshot),
+        PhysicalPlan::PartitionScan { table, partition, predicate, snapshot } => {
+            (table, Some(*partition), predicate, snapshot)
         }
-    }
-    for s in aggs {
-        match &s.arg {
-            None => {}
-            Some(Expr::Column(c)) => cols.push(c.index?),
-            Some(_) => return None,
-        }
-    }
-    cols.sort_unstable();
-    cols.dedup();
-    let remap = |e: &Expr| match e {
-        Expr::Column(c) => {
-            let mut c = c.clone();
-            let idx = c.index.expect("collected above");
-            c.index = Some(cols.binary_search(&idx).expect("collected above"));
-            Expr::Column(c)
-        }
-        _ => unreachable!("only plain columns reach here"),
+        _ => unreachable!("launch_scan takes a scan node"),
     };
-    let group_by = group_by.iter().map(remap).collect();
-    let aggs = aggs
-        .iter()
-        .map(|s| AggSpec { func: s.func, arg: s.arg.as_ref().map(remap), distinct: s.distinct })
-        .collect();
-    Some((Transform::project_cols(cols), group_by, aggs))
+    let arity = table.schema.len();
+    let mut filter = predicate.clone().map(Pred::compile);
+    let (cols, transforms, fold) = match groups {
+        None => {
+            let mut ts: Vec<Transform> =
+                filter.map(Transform::Filter).into_iter().chain(transforms).collect();
+            (prune_scan_columns(&mut ts, arity), ts, None)
+        }
+        Some(mut groups) => {
+            let cols = prune_fold_columns(filter.as_mut(), &mut groups, arity);
+            (cols, transforms, Some(Fold { filter, groups }))
+        }
+    };
+    let mut scan = match partition {
+        Some(p) => table.heap.scan_partition_pages(p),
+        None => table.heap.scan_pages(),
+    };
+    if let Some(cols) = cols {
+        scan = scan.with_columns(cols);
+    }
+    if let Some(view) = snapshot {
+        scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
+    }
+    let task = ScanTask {
+        ctx: engine.ctx().clone(),
+        scan,
+        page: Vec::new(),
+        transforms,
+        fold,
+        emitter: Emitter::new(out, parent, engine.page_size()),
+    };
+    engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
+}
+
+/// Column pruning for a scan that folds its rows into `groups`: when the
+/// filter (if any) provably reads one column and every group key and
+/// aggregate argument is a plain column, the scan decodes only the union
+/// of those columns, and the filter and the table are rewritten in place
+/// to address that pruned layout directly — no projection in between. A
+/// `COUNT(*)` with no grouping and no filter decodes nothing at all.
+///
+/// Returns the sorted column set, or `None` (nothing rewritten) when a
+/// computed expression needs the full row or every column is read anyway.
+fn prune_fold_columns(
+    filter: Option<&mut Pred>,
+    groups: &mut GroupTable,
+    arity: usize,
+) -> Option<Vec<usize>> {
+    let mut needed = groups.plain_cols()?;
+    if let Some(p) = &filter {
+        needed.push(p.fast_col()?);
+        needed.sort_unstable();
+        needed.dedup();
+    }
+    if needed.len() >= arity {
+        return None;
+    }
+    let pos = |c: usize| needed.binary_search(&c).expect("every read column is in `needed`");
+    if let Some(p) = filter {
+        p.remap_columns(&pos);
+    }
+    groups.remap_columns(&pos);
+    Some(needed)
 }
 
 /// Shared fan-in wiring for the merge-stage tasks: one exchange buffer +
@@ -548,46 +559,66 @@ fn emit_batch_transformed<I: IntoIterator<Item = Tuple>>(
 
 // ---------------------------------------------------------------- scans --
 
-/// Sequential scan task, generic over the *page* source so it serves both
-/// whole-table scans ([`staged_storage::partition::PartitionedPageScan`])
-/// and single-partition partial scans
-/// ([`staged_storage::heap::HeapPageScan`]). Each iteration moves one heap
-/// page of tuples straight into the exchange layer — the storage page is
-/// the unit of production, the exchange page the unit of shipment.
-pub(super) struct ScanTask<S> {
-    pub ctx: ExecContext,
-    pub scan: S,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-    pub input_done: bool,
+/// Sequential scan task over one partition or all of them. Each step
+/// refills one storage page in place ([`PartitionedPageScan::next_into`]):
+/// the storage page is the unit of production, the exchange page the unit
+/// of shipment. Rows either flow on through the transform chain, or — when
+/// the task [`Fold`]s them into an aggregate — stay in the page buffer,
+/// whose tuples the next refill overwrites, and only the finished groups
+/// flow on.
+pub(super) struct ScanTask {
+    ctx: ExecContext,
+    scan: PartitionedPageScan,
+    page: Vec<(Rid, Tuple)>,
+    /// Applied to each row, or with a fold to each finished group.
+    transforms: Vec<Transform>,
+    fold: Option<Fold>,
+    emitter: Emitter,
 }
 
-impl<S: Iterator<Item = StorageResult<Vec<(Rid, Tuple)>>> + Send> OperatorTask for ScanTask<S> {
+/// The aggregate a scan folds its rows into: the scan's predicate and the
+/// table of groups the rows it passes are absorbed into.
+struct Fold {
+    filter: Option<Pred>,
+    groups: GroupTable,
+}
+
+impl OperatorTask for ScanTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
         let mut produced = 0usize;
         while produced < quota {
-            if self.input_done {
-                return if self.emitter.finish() {
-                    Ok(StepResult::Done)
-                } else {
-                    Ok(StepResult::Blocked)
-                };
-            }
             if !self.emitter.ready() {
                 return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
             }
-            match self.scan.next() {
-                Some(page) => {
-                    let page = page?;
-                    self.ctx.note_page_ref();
-                    produced += page.len().max(1);
+            if !self.scan.next_into(&mut self.page)? {
+                if let Some(fold) = self.fold.take() {
                     emit_batch_transformed(
                         &mut self.emitter,
                         &self.transforms,
-                        page.into_iter().map(|(_, t)| t),
+                        fold.groups.finish(),
                     )?;
                 }
-                None => self.input_done = true,
+                return Ok(if self.emitter.finish() {
+                    StepResult::Done
+                } else {
+                    StepResult::Blocked
+                });
+            }
+            self.ctx.note_page_ref();
+            produced += self.page.len();
+            match &mut self.fold {
+                Some(fold) => {
+                    for (_, t) in &self.page {
+                        if fold.filter.as_ref().map_or(Ok(true), |p| p.test(t))? {
+                            fold.groups.absorb(t)?;
+                        }
+                    }
+                }
+                None => emit_batch_transformed(
+                    &mut self.emitter,
+                    &self.transforms,
+                    self.page.drain(..).map(|(_, t)| t),
+                )?,
             }
         }
         Ok(StepResult::Working)
@@ -837,136 +868,19 @@ impl OperatorTask for MergeAggTask {
 
 // ------------------------------------------------------------ aggregate --
 
-/// One aggregate's argument, resolved once when the task is built so the
-/// per-tuple loop skips the expression interpreter for plain columns.
-enum ArgSource {
-    /// `COUNT(*)`.
-    Star,
-    /// A bound column reference: update straight off the tuple slot.
-    Col(usize),
-    /// Anything else: interpret per tuple.
-    Expr(Expr),
-}
-
+/// A hash aggregate over an input that is not a scan (a join, a sort, an
+/// index probe, a union): absorbs whole pages from the `aggr` stage queue,
+/// then emits the finished groups.
 pub(super) struct AggTask {
     input: Intake,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggSpec>,
-    /// Fast path: every group expression is a plain bound column, so group
-    /// keys encode straight off tuple slots into a reused scratch buffer —
-    /// no per-tuple allocations, values cloned only when a group is first
-    /// seen.
-    group_cols: Option<Vec<usize>>,
-    args: Vec<ArgSource>,
-    key_scratch: Vec<u8>,
-    groups: Vec<(Vec<Value>, Vec<crate::agg::Accumulator>)>,
-    index: HashMap<Vec<u8>, usize>,
-    saw_row: bool,
-    results: Option<Vec<Tuple>>,
-    pos: usize,
+    groups: Option<GroupTable>,
     transforms: Vec<Transform>,
     emitter: Emitter,
 }
 
-impl AggTask {
-    pub(super) fn new(
-        input: Intake,
-        group_by: Vec<Expr>,
-        aggs: Vec<AggSpec>,
-        transforms: Vec<Transform>,
-        emitter: Emitter,
-    ) -> Self {
-        let group_cols = group_by
-            .iter()
-            .map(|e| match e {
-                Expr::Column(c) => c.index,
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>();
-        let args = aggs
-            .iter()
-            .map(|s| match &s.arg {
-                None => ArgSource::Star,
-                Some(Expr::Column(c)) if c.index.is_some() => {
-                    ArgSource::Col(c.index.expect("checked"))
-                }
-                Some(e) => ArgSource::Expr(e.clone()),
-            })
-            .collect();
-        Self {
-            input,
-            group_by,
-            aggs,
-            group_cols,
-            args,
-            key_scratch: Vec::new(),
-            groups: Vec::new(),
-            index: HashMap::new(),
-            saw_row: false,
-            results: None,
-            pos: 0,
-            transforms,
-            emitter,
-        }
-    }
-
-    fn absorb(&mut self, t: &Tuple) -> EngineResult<()> {
-        self.saw_row = true;
-        let slot = if let Some(cols) = &self.group_cols {
-            self.key_scratch.clear();
-            for &i in cols {
-                t.values()
-                    .get(i)
-                    .ok_or_else(|| EngineError::Internal(format!("column {i} out of arity")))?
-                    .encode(&mut self.key_scratch);
-            }
-            match self.index.get(self.key_scratch.as_slice()) {
-                Some(&s) => s,
-                None => {
-                    let key_vals = cols.iter().map(|&i| t.values()[i].clone()).collect();
-                    let accs = self.aggs.iter().map(crate::agg::Accumulator::new).collect();
-                    self.groups.push((key_vals, accs));
-                    self.index.insert(self.key_scratch.clone(), self.groups.len() - 1);
-                    self.groups.len() - 1
-                }
-            }
-        } else {
-            let mut key_bytes = Vec::new();
-            let mut key_vals = Vec::with_capacity(self.group_by.len());
-            for g in &self.group_by {
-                let v = eval(g, t)?;
-                v.encode(&mut key_bytes);
-                key_vals.push(v);
-            }
-            match self.index.get(&key_bytes) {
-                Some(&s) => s,
-                None => {
-                    let accs = self.aggs.iter().map(crate::agg::Accumulator::new).collect();
-                    self.groups.push((key_vals, accs));
-                    self.index.insert(key_bytes, self.groups.len() - 1);
-                    self.groups.len() - 1
-                }
-            }
-        };
-        for (k, src) in self.args.iter().enumerate() {
-            let acc = &mut self.groups[slot].1[k];
-            match src {
-                ArgSource::Star => acc.update_star(),
-                ArgSource::Col(i) => {
-                    acc.update(t.values().get(*i).ok_or_else(|| {
-                        EngineError::Internal(format!("column {i} out of arity"))
-                    })?)?
-                }
-                ArgSource::Expr(e) => acc.update(&eval(e, t)?)?,
-            }
-        }
-        Ok(())
-    }
-}
-
 impl OperatorTask for AggTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if self.results.is_none() {
+        if let Some(groups) = &mut self.groups {
             let mut consumed = 0usize;
             loop {
                 if consumed >= quota {
@@ -976,7 +890,7 @@ impl OperatorTask for AggTask {
                     Some(batch) => {
                         consumed += batch.len().max(1);
                         for t in &batch {
-                            self.absorb(t)?;
+                            groups.absorb(t)?;
                         }
                     }
                     None if self.input.finished() => break,
@@ -989,22 +903,10 @@ impl OperatorTask for AggTask {
                     }
                 }
             }
-            if !self.saw_row && self.group_by.is_empty() {
-                let accs: Vec<crate::agg::Accumulator> =
-                    self.aggs.iter().map(crate::agg::Accumulator::new).collect();
-                self.groups.push((Vec::new(), accs));
-            }
-            let results = std::mem::take(&mut self.groups)
-                .into_iter()
-                .map(|(mut vals, accs)| {
-                    vals.extend(accs.iter().map(crate::agg::Accumulator::finish));
-                    Tuple::new(vals)
-                })
-                .collect();
-            self.results = Some(results);
+            let rows = self.groups.take().expect("absorbing until here").finish();
+            emit_batch_transformed(&mut self.emitter, &self.transforms, rows)?;
         }
-        let rows = self.results.as_ref().expect("computed above");
-        drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)
+        Ok(if self.emitter.finish() { StepResult::Done } else { StepResult::Blocked })
     }
 }
 
@@ -1289,7 +1191,7 @@ impl OperatorTask for SendTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use staged_storage::{BufferPool, Catalog, MemDisk};
+    use staged_storage::{BufferPool, Catalog, MemDisk, Value};
 
     fn tuple(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i)])

@@ -6,12 +6,12 @@
 //! design improves on. Correctness-wise both engines are equivalent and the
 //! integration tests diff them query-by-query.
 
-use crate::agg::{Accumulator, AggMerger};
+use crate::agg::{AggMerger, GroupTable};
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval, eval_predicate};
 use crate::probe::index_probe;
-use staged_planner::{AggSpec, PhysicalPlan};
+use staged_planner::PhysicalPlan;
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
 use staged_storage::{ReadView, Rid, StorageResult, Tuple, Value};
@@ -127,9 +127,7 @@ pub fn build(plan: &PhysicalPlan, ctx: &ExecContext) -> EngineResult<Box<dyn Exe
             ctx.note_operator_code(4096);
             Box::new(HashAggExec {
                 ctx: ctx.clone(),
-                input: Some(build(input, ctx)?),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
+                input: Some((build(input, ctx)?, GroupTable::new(group_by, aggs))),
                 results: Vec::new(),
                 pos: 0,
             })
@@ -568,64 +566,20 @@ impl Executor for SortExec {
 
 struct HashAggExec {
     ctx: ExecContext,
-    input: Option<Box<dyn Executor>>,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggSpec>,
+    /// The input and the groups it feeds, until the first `next()`.
+    input: Option<(Box<dyn Executor>, GroupTable)>,
     results: Vec<Tuple>,
     pos: usize,
 }
 
-impl HashAggExec {
-    fn compute(&mut self, mut input: Box<dyn Executor>) -> EngineResult<()> {
-        // Group key (raw values for output) → accumulators. Insertion order
-        // is preserved for deterministic output before any Sort above.
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut saw_row = false;
-        while let Some(t) = input.next()? {
-            saw_row = true;
-            self.ctx.note_private_bytes(t.encoded_len() as u64);
-            let mut key_bytes = Vec::new();
-            let mut key_vals = Vec::with_capacity(self.group_by.len());
-            for g in &self.group_by {
-                let v = eval(g, &t)?;
-                v.encode(&mut key_bytes);
-                key_vals.push(v);
-            }
-            let slot = match index.get(&key_bytes) {
-                Some(&s) => s,
-                None => {
-                    let accs = self.aggs.iter().map(Accumulator::new).collect();
-                    groups.push((key_vals, accs));
-                    index.insert(key_bytes, groups.len() - 1);
-                    groups.len() - 1
-                }
-            };
-            for (acc, spec) in groups[slot].1.iter_mut().zip(&self.aggs) {
-                match &spec.arg {
-                    Some(a) => acc.update(&eval(a, &t)?)?,
-                    None => acc.update_star(),
-                }
-            }
-        }
-        // Global aggregation over zero rows still yields one row.
-        if !saw_row && self.group_by.is_empty() {
-            let accs: Vec<Accumulator> = self.aggs.iter().map(Accumulator::new).collect();
-            groups.push((Vec::new(), accs));
-        }
-        for (key_vals, accs) in groups {
-            let mut vals = key_vals;
-            vals.extend(accs.iter().map(Accumulator::finish));
-            self.results.push(Tuple::new(vals));
-        }
-        Ok(())
-    }
-}
-
 impl Executor for HashAggExec {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if let Some(input) = self.input.take() {
-            self.compute(input)?;
+        if let Some((mut input, mut groups)) = self.input.take() {
+            while let Some(t) = input.next()? {
+                self.ctx.note_private_bytes(t.encoded_len() as u64);
+                groups.absorb(&t)?;
+            }
+            self.results = groups.finish();
         }
         if self.pos < self.results.len() {
             self.pos += 1;

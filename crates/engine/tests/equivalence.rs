@@ -110,22 +110,26 @@ fn run_inline(engine: &Arc<StagedEngine>, plan: &PhysicalPlan) -> Vec<Tuple> {
     rows
 }
 
+/// Wait until every stage has booked each packet it dequeued: a stage
+/// books a quantum just after running it, which can be after the query's
+/// client has seen its last row. (Packets served inline are booked but
+/// never dequeued.)
+fn settle(engine: &StagedEngine) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let busy = |st: &staged_core::prelude::StageStats| {
+        st.processed + st.errors != st.queue.dequeued + st.followed
+    };
+    while engine.runtime().stats().iter().any(busy) && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
 /// Run `plan` on `engine` and require that it went through the stage
-/// queues: the `send` stage delivers it and `iscan` follows nothing. The
-/// send stage books its last quantum just after the client's channel
-/// closes, so wait until it has booked every packet it dequeued.
+/// queues: the `send` stage delivers it and `iscan` follows nothing.
 fn run_queued(engine: &Arc<StagedEngine>, plan: &PhysicalPlan) -> Vec<Tuple> {
     let (followed, sent) = probe_path(engine);
     let rows = engine.execute(plan).collect().unwrap();
-    let send = engine.stage_id(StageKind::Send);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let st = &engine.runtime().stats()[send];
-        if st.processed + st.errors == st.queue.dequeued || std::time::Instant::now() > deadline {
-            break;
-        }
-        std::thread::yield_now();
-    }
+    settle(engine);
     let (followed_after, sent_after) = probe_path(engine);
     assert!(followed_after == followed && sent_after > sent, "not queued:\n{plan}");
     rows
@@ -464,6 +468,103 @@ fn partitioned_two_phase_aggregation_matches_at_every_page_size() {
             assert_eq!(canonical(v), *expect, "volcano drifted at page {page} for {sql}");
             assert_eq!(canonical(s), *expect, "staged drifted at page {page} for {sql}");
         }
+    }
+}
+
+/// Scan aggregates the fscan packet folds, on shapes the suites above do
+/// not reach: computed group keys and arguments under a filter with no
+/// interval fast path (so no column pruning), and HAVING plus LIMIT fused
+/// above the aggregate.
+const FOLDED_SHAPES: &[&str] = &[
+    "SELECT ten % 3, COUNT(*), SUM(unique2 + 1), MAX(s4) FROM w WHERE twenty <> 5 GROUP BY ten % 3",
+    "SELECT twenty, COUNT(*), MIN(unique2) FROM w WHERE two = 0 GROUP BY twenty \
+     HAVING COUNT(*) > 40 LIMIT 3",
+];
+
+#[test]
+fn scan_aggregates_fold_like_volcano_at_every_partition_count_and_page_size() {
+    for parts in [1usize, 2, 4] {
+        let cat = setup_partitioned(parts, false);
+        for page in [1usize, 256] {
+            let cfg =
+                EngineConfig { batch_capacity: page, workers_per_stage: 2, ..Default::default() };
+            let at = format!("at {parts} partitions, page {page}");
+            for sql in FOLDED_SHAPES {
+                let (v, s) = run_both(&cat, sql, &cfg);
+                if sql.contains("LIMIT") {
+                    // Which groups a LIMIT keeps depends on arrival order;
+                    // how many, and that each passed HAVING, does not.
+                    let all = canonical(run_volcano_on(&cat, &sql.replace(" LIMIT 3", "")));
+                    assert!(all.len() > 3, "the limit must cut: {all:?}");
+                    assert_eq!((v.len(), s.len()), (3, 3), "{sql} {at}");
+                    assert!(canonical(s).iter().all(|r| all.contains(r)), "{sql} {at}");
+                } else {
+                    assert_eq!(canonical(s), canonical(v), "{sql} {at}");
+                }
+            }
+            // A global aggregate whose predicate matches nothing: one row.
+            let (v, s) = run_both(&cat, "SELECT COUNT(*), SUM(unique2) FROM w WHERE two = 7", &cfg);
+            let empty = vec![Tuple::new(vec![Value::Int(0), Value::Null])];
+            assert_eq!((v, s), (empty.clone(), empty), "{at}");
+            // A SUM overflow fails the query, on a deadline so a hang fails too.
+            let plan = plan_sql(&cat, "SELECT SUM(unique2 * 1000000000000000) FROM w");
+            let ctx = ExecContext::new(Arc::clone(&cat));
+            assert!(volcano::run(&plan, &ctx).is_err());
+            let engine = StagedEngine::new(ctx, cfg.clone());
+            let result = engine.execute(&plan);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(result.collect().map_err(|e| e.to_string())));
+            let outcome = rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert!(
+                matches!(&outcome, Ok(Err(e)) if e.contains("SUM overflow")),
+                "{outcome:?} {at}"
+            );
+            engine.shutdown();
+        }
+    }
+}
+
+/// The work a scan aggregate books: no `aggr` packet at all, and on
+/// `fscan` one packet per quantum of rows (the engine's 4096-row quota,
+/// overshot by at most a heap page) plus the one that finds its scan
+/// exhausted, per partition.
+#[test]
+fn a_scan_aggregate_books_no_aggr_packet_and_one_fscan_packet_per_quantum() {
+    const ROWS: i64 = 20_000;
+    for parts in [1usize, 2, 4] {
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256)));
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("g", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]);
+        let big = cat.create_table_partitioned("big", schema, parts, 0).unwrap();
+        for i in 0..ROWS {
+            big.heap
+                .insert(&Tuple::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(i)]))
+                .unwrap();
+        }
+        cat.analyze_table("big").unwrap();
+        let engine = StagedEngine::new(ExecContext::new(Arc::clone(&cat)), EngineConfig::default());
+        let plan = plan_sql(&cat, "SELECT g, COUNT(*), SUM(v) FROM big WHERE k >= 0 GROUP BY g");
+        assert_eq!(engine.execute(&plan).collect().unwrap().len(), 10);
+        settle(&engine);
+        let st = engine.runtime().stats();
+        let booked = |k: StageKind| {
+            let s = &st[engine.stage_id(k)];
+            (s.processed + s.errors, s.queue.enqueued)
+        };
+        assert_eq!(booked(StageKind::Aggr), (0, 0), "at {parts} partitions");
+        let quanta: u64 = (0..parts)
+            .map(|p| big.heap.partition(p).count().unwrap().div_ceil(4096) as u64 + 1)
+            .sum();
+        let fscan = booked(StageKind::FScan).0;
+        assert!(
+            (parts as u64..=quanta).contains(&fscan),
+            "{fscan} fscan packets at {parts} partitions"
+        );
+        assert!(quanta <= (parts * ((ROWS as usize).div_ceil(4096) + 1)) as u64);
+        engine.shutdown();
     }
 }
 

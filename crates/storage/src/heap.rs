@@ -131,13 +131,7 @@ impl HeapFile {
 
     /// Full scan over `(rid, tuple)` pairs.
     pub fn scan(&self) -> HeapScan {
-        HeapScan {
-            pool: Arc::clone(&self.pool),
-            pages: self.page_ids(),
-            next_page: 0,
-            buffered: Vec::new(),
-            mvcc: None,
-        }
+        HeapScan { pages: self.scan_pages(), buffered: Vec::new() }
     }
 
     /// Page-granular scan: each item is one decoded page of `(rid, tuple)`
@@ -165,27 +159,25 @@ impl HeapFile {
     }
 }
 
-/// Streaming scan over a heap file; buffers one page of tuples at a time so
-/// no page stays pinned between `next` calls.
+/// Streaming scan over a heap file: a [`HeapPageScan`] handing out one
+/// tuple at a time. It buffers one page of tuples, so no page stays pinned
+/// between `next` calls.
 pub struct HeapScan {
-    pool: Arc<BufferPool>,
-    pages: Vec<PageId>,
-    next_page: usize,
+    pages: HeapPageScan,
     buffered: Vec<(Rid, Tuple)>,
-    mvcc: Option<(Arc<VersionStore>, ReadView)>,
 }
 
 impl HeapScan {
     /// Pages this scan will visit (for I/O accounting in experiments).
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.num_pages()
     }
 
     /// Filter every page through `store`'s version overlay for `view`:
     /// uncommitted rows the view cannot see are dropped, dead versions it
     /// can still see are merged back in.
     pub fn with_snapshot(mut self, store: Arc<VersionStore>, view: ReadView) -> Self {
-        self.mvcc = Some((store, view));
+        self.pages = self.pages.with_snapshot(store, view);
         self
     }
 }
@@ -194,47 +186,20 @@ impl Iterator for HeapScan {
     type Item = StorageResult<(Rid, Tuple)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buffered.pop() {
-                return Some(Ok(item));
-            }
-            if self.next_page >= self.pages.len() {
-                return None;
-            }
-            let pid = self.pages[self.next_page];
-            self.next_page += 1;
-            let page = match self.pool.fetch(pid) {
-                Ok(p) => p,
+        if self.buffered.is_empty() {
+            match self.pages.next_into(&mut self.buffered) {
+                Ok(true) => self.buffered.reverse(), // so pop() yields in slot order
+                Ok(false) => return None,
                 Err(e) => return Some(Err(e)),
-            };
-            let mut decoded: Vec<(Rid, Tuple)> = Vec::new();
-            let res = page.read(|d| {
-                for (slot, bytes) in SlottedPage::iter(d) {
-                    match Tuple::decode(bytes) {
-                        Ok(t) => decoded.push((Rid::new(pid, slot), t)),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            });
-            if let Err(e) = res {
-                return Some(Err(e));
             }
-            if let Some((store, view)) = &self.mvcc {
-                if let Err(e) = store.filter_page(*view, pid, &mut decoded, None) {
-                    return Some(Err(e));
-                }
-            }
-            // Reverse so pop() yields in slot order.
-            decoded.reverse();
-            self.buffered = decoded;
         }
+        self.buffered.pop().map(Ok)
     }
 }
 
 /// Page-granular heap scan: yields one decoded page of `(rid, tuple)` pairs
 /// per `next` call (empty pages are skipped). No page stays pinned between
-/// calls.
+/// calls. [`next_into`](Self::next_into) refills a caller's page in place.
 pub struct HeapPageScan {
     pool: Arc<BufferPool>,
     pages: Vec<PageId>,
@@ -266,49 +231,66 @@ impl HeapPageScan {
         self.mvcc = Some((store, view));
         self
     }
+
+    /// Refill `page` with the next non-empty page of `(rid, tuple)` pairs,
+    /// in slot order; `Ok(false)` (and an empty `page`) once the scan is
+    /// exhausted. The tuples already in `page` are overwritten in place
+    /// ([`Tuple::decode_columns_into`]), so a caller that keeps its page
+    /// across calls reuses their value buffers instead of allocating a
+    /// fresh row per slot. On an error `page` is left empty; the next call
+    /// moves on to the page after the failed one.
+    pub fn next_into(&mut self, page: &mut Vec<(Rid, Tuple)>) -> StorageResult<bool> {
+        while self.next_page < self.pages.len() {
+            let pid = self.pages[self.next_page];
+            self.next_page += 1;
+            if let Err(e) = self.fill(pid, page) {
+                page.clear();
+                return Err(e);
+            }
+            if !page.is_empty() {
+                return Ok(true);
+            }
+        }
+        page.clear();
+        Ok(false)
+    }
+
+    /// Decode the rows of page `pid` into `page`, then filter them through
+    /// the snapshot, if the scan has one.
+    fn fill(&self, pid: PageId, page: &mut Vec<(Rid, Tuple)>) -> StorageResult<()> {
+        let frame = self.pool.fetch(pid)?;
+        let mut n = 0;
+        let res: StorageResult<()> = frame.read(|d| {
+            for (slot, bytes) in SlottedPage::iter(d) {
+                let rid = Rid::new(pid, slot);
+                match page.get_mut(n) {
+                    Some(row) => row.0 = rid,
+                    None => page.push((rid, Tuple::default())),
+                }
+                page[n].1.decode_columns_into(bytes, self.cols.as_deref())?;
+                n += 1;
+            }
+            Ok(())
+        });
+        // Rows beyond this page's slots belong to an earlier page.
+        page.truncate(n);
+        res?;
+        if let Some((store, view)) = &self.mvcc {
+            // The overlay can both drop rows and resurrect deleted ones
+            // (even on pages whose live rows are all filtered away), so
+            // the caller's emptiness check must come after.
+            store.filter_page(*view, pid, page, self.cols.as_deref())?;
+        }
+        Ok(())
+    }
 }
 
 impl Iterator for HeapPageScan {
     type Item = StorageResult<Vec<(Rid, Tuple)>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.next_page < self.pages.len() {
-            let pid = self.pages[self.next_page];
-            self.next_page += 1;
-            let page = match self.pool.fetch(pid) {
-                Ok(p) => p,
-                Err(e) => return Some(Err(e)),
-            };
-            let mut decoded: Vec<(Rid, Tuple)> = Vec::new();
-            let res = page.read(|d| {
-                for (slot, bytes) in SlottedPage::iter(d) {
-                    let t = match &self.cols {
-                        Some(cols) => Tuple::decode_columns(bytes, cols),
-                        None => Tuple::decode(bytes),
-                    };
-                    match t {
-                        Ok(t) => decoded.push((Rid::new(pid, slot), t)),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            });
-            if let Err(e) = res {
-                return Some(Err(e));
-            }
-            if let Some((store, view)) = &self.mvcc {
-                // The overlay can both drop rows and resurrect deleted ones
-                // (even on pages whose live rows are all filtered away), so
-                // the emptiness check must come after.
-                if let Err(e) = store.filter_page(*view, pid, &mut decoded, self.cols.as_deref()) {
-                    return Some(Err(e));
-                }
-            }
-            if !decoded.is_empty() {
-                return Some(Ok(decoded));
-            }
-        }
-        None
+        let mut page = Vec::new();
+        self.next_into(&mut page).map(|more| more.then_some(page)).transpose()
     }
 }
 
@@ -460,6 +442,74 @@ mod tests {
             assert_eq!(rid_p, rid_f);
             assert_eq!(t.values(), &f.values()[..1]);
         }
+    }
+
+    #[test]
+    fn next_into_refills_match_fresh_pages_rid_for_rid() {
+        let h = heap();
+        let store = VersionStore::new();
+        let mut rids = Vec::new();
+        for i in 0..700 {
+            rids.push(h.insert(&row(i)).unwrap());
+        }
+        // Under the view the overlay drops a row whose writer has not
+        // committed, and merges back a row deleted after the view's time.
+        let pending = h.insert_with(&row(700), |rid| store.note_insert(rid, 5)).unwrap();
+        let gone = rids[3];
+        store.note_delete(gone, h.get(gone).unwrap().encode(), 6);
+        h.delete(gone).unwrap();
+        store.commit(6, 10);
+        let view = ReadView::new(5, 0);
+        // Every column (a string among them), the string alone, both.
+        for cols in [None, Some(vec![1]), Some(vec![0, 1])] {
+            for snap in [false, true] {
+                let scan = || {
+                    let mut s = h.scan_pages();
+                    if let Some(c) = &cols {
+                        s = s.with_columns(c.clone());
+                    }
+                    if snap {
+                        s = s.with_snapshot(Arc::clone(&store), view);
+                    }
+                    s
+                };
+                let fresh: Vec<Vec<(Rid, Tuple)>> = scan().map(|p| p.unwrap()).collect();
+                let (mut reused, mut page, mut refilled) = (scan(), Vec::new(), Vec::new());
+                while reused.next_into(&mut page).unwrap() {
+                    refilled.push(page.clone());
+                }
+                assert!(page.is_empty(), "an exhausted scan leaves an empty page");
+                assert_eq!(refilled, fresh, "cols {cols:?}, snapshot {snap}");
+                let lens: Vec<usize> = fresh.iter().map(Vec::len).collect();
+                assert!(lens.windows(2).any(|w| w[1] < w[0]), "no shorter page: {lens:?}");
+                let has = |rid| fresh.iter().flatten().any(|(r, _)| *r == rid);
+                assert_eq!(has(gone), snap, "the dead version is merged back under the view");
+                assert_eq!(has(pending), !snap, "the uncommitted row is dropped under the view");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_row_fails_its_page_and_the_scan_moves_on() {
+        let h = heap();
+        for i in 0..3 {
+            h.insert(&row(i)).unwrap();
+        }
+        // A record claiming five values but holding two bytes of them.
+        h.place_with(Rid::new(PageId::new(256, 0), 3), &[5, 0, 1, 2], |_| {}).unwrap();
+        let next = Rid::new(PageId::new(256, 1), 0);
+        h.place_with(next, &row(9).encode(), |_| {}).unwrap();
+        let (mut scan, mut page) = (h.scan_pages(), Vec::new());
+        assert!(scan.next_into(&mut page).is_err());
+        assert!(page.is_empty(), "no row of the failed page is handed out");
+        assert!(scan.next_into(&mut page).unwrap());
+        assert_eq!(page, vec![(next, row(9))]);
+        let rows: Vec<_> = h.scan().collect();
+        assert!(rows[0].is_err());
+        assert_eq!(
+            rows[1..].iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>(),
+            [&(next, row(9))]
+        );
     }
 
     #[test]

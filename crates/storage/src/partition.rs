@@ -149,18 +149,12 @@ impl PartitionedHeap {
 
     /// Page-granular scan over every partition, in partition order.
     pub fn scan_pages(&self) -> PartitionedPageScan {
-        PartitionedPageScan {
-            parts: self.parts.clone(),
-            next: 0,
-            current: None,
-            cols: None,
-            mvcc: None,
-        }
+        PartitionedPageScan::over(self.parts.clone())
     }
 
     /// Page-granular scan of one partition only.
-    pub fn scan_partition_pages(&self, p: usize) -> HeapPageScan {
-        self.parts[p].scan_pages()
+    pub fn scan_partition_pages(&self, p: usize) -> PartitionedPageScan {
+        PartitionedPageScan::over(vec![Arc::clone(&self.parts[p])])
     }
 
     /// Total pages across partitions.
@@ -228,7 +222,8 @@ impl Iterator for PartitionedScan {
     }
 }
 
-/// Page-granular scan chaining each partition's [`HeapPageScan`].
+/// Page-granular scan chaining the [`HeapPageScan`]s of some partitions
+/// (all of them, or one).
 pub struct PartitionedPageScan {
     parts: Vec<Arc<HeapFile>>,
     next: usize,
@@ -238,6 +233,10 @@ pub struct PartitionedPageScan {
 }
 
 impl PartitionedPageScan {
+    fn over(parts: Vec<Arc<HeapFile>>) -> Self {
+        Self { parts, next: 0, current: None, cols: None, mvcc: None }
+    }
+
     /// Pages this scan will visit (for I/O accounting).
     pub fn num_pages(&self) -> usize {
         self.parts.iter().map(|h| h.num_pages()).sum()
@@ -256,20 +255,18 @@ impl PartitionedPageScan {
         self.mvcc = Some((store, view));
         self
     }
-}
 
-impl Iterator for PartitionedPageScan {
-    type Item = StorageResult<Vec<(Rid, Tuple)>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Refill `page` with the next non-empty page, partition after
+    /// partition (see [`HeapPageScan::next_into`]).
+    pub fn next_into(&mut self, page: &mut Vec<(Rid, Tuple)>) -> StorageResult<bool> {
         loop {
             if let Some(scan) = &mut self.current {
-                if let Some(item) = scan.next() {
-                    return Some(item);
+                if scan.next_into(page)? {
+                    return Ok(true);
                 }
             }
             if self.next >= self.parts.len() {
-                return None;
+                return Ok(false);
             }
             let mut scan = self.parts[self.next].scan_pages();
             if let Some(cols) = &self.cols {
@@ -281,6 +278,15 @@ impl Iterator for PartitionedPageScan {
             self.current = Some(scan);
             self.next += 1;
         }
+    }
+}
+
+impl Iterator for PartitionedPageScan {
+    type Item = StorageResult<Vec<(Rid, Tuple)>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut page = Vec::new();
+        self.next_into(&mut page).map(|more| more.then_some(page)).transpose()
     }
 }
 

@@ -73,46 +73,62 @@ impl Tuple {
     }
 
     /// Decode from bytes produced by [`encode`](Self::encode).
-    pub fn decode(mut bytes: &[u8]) -> StorageResult<Tuple> {
-        use crate::error::StorageError;
-        if bytes.len() < 2 {
-            return Err(StorageError::Corrupt("tuple too short".into()));
-        }
-        let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        bytes = &bytes[2..];
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(Value::decode(&mut bytes)?);
-        }
-        Ok(Tuple::new(values))
+    pub fn decode(bytes: &[u8]) -> StorageResult<Tuple> {
+        let mut t = Tuple::default();
+        t.decode_columns_into(bytes, None)?;
+        Ok(t)
     }
 
     /// Decode only the columns in `cols` (strictly increasing slot
-    /// indexes); the result holds those values in the same order. Skipped
+    /// indexes); the result holds those values in the same order (see
+    /// [`decode_columns_into`](Self::decode_columns_into)).
+    pub fn decode_columns(bytes: &[u8], cols: &[usize]) -> StorageResult<Tuple> {
+        let mut t = Tuple::default();
+        t.decode_columns_into(bytes, Some(cols))?;
+        Ok(t)
+    }
+
+    /// Overwrite this tuple with the row in `bytes`, reusing its value
+    /// buffer: every column when `cols` is `None`, else only the columns in
+    /// `cols` (strictly increasing slot indexes), in that order. Skipped
     /// columns are stepped over without being materialized, so pruning a
     /// wide row down to the columns a query touches avoids the allocation
-    /// cost of the unread ones (string columns in particular). A requested
-    /// slot beyond the stored arity is a corruption error.
-    pub fn decode_columns(mut bytes: &[u8], cols: &[usize]) -> StorageResult<Tuple> {
+    /// cost of the unread ones (string columns in particular), and a page
+    /// scan refilling the same tuples allocates nothing for integer
+    /// columns. A requested slot beyond the stored arity is a corruption
+    /// error; on any error the tuple's contents are unspecified.
+    pub fn decode_columns_into(
+        &mut self,
+        mut bytes: &[u8],
+        cols: Option<&[usize]>,
+    ) -> StorageResult<()> {
         use crate::error::StorageError;
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be strictly increasing");
         if bytes.len() < 2 {
             return Err(StorageError::Corrupt("tuple too short".into()));
         }
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         bytes = &bytes[2..];
+        self.values.clear();
+        let Some(cols) = cols else {
+            self.values.reserve(n);
+            for _ in 0..n {
+                self.values.push(Value::decode(&mut bytes)?);
+            }
+            return Ok(());
+        };
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be strictly increasing");
         if cols.last().is_some_and(|&c| c >= n) {
             return Err(StorageError::Corrupt(format!(
                 "column {:?} out of arity {n}",
                 cols.last()
             )));
         }
-        let mut values = Vec::with_capacity(cols.len());
+        self.values.reserve(cols.len());
         let mut wanted = cols.iter().peekable();
         for slot in 0..n {
             match wanted.peek() {
                 Some(&&c) if c == slot => {
-                    values.push(Value::decode(&mut bytes)?);
+                    self.values.push(Value::decode(&mut bytes)?);
                     wanted.next();
                 }
                 Some(_) => Value::skip(&mut bytes)?,
@@ -120,7 +136,7 @@ impl Tuple {
                 None => break,
             }
         }
-        Ok(Tuple::new(values))
+        Ok(())
     }
 }
 
@@ -196,5 +212,16 @@ mod tests {
         assert!(Tuple::decode_columns(&bytes, &[]).unwrap().values().is_empty());
         // Out-of-arity column is corruption, not a panic.
         assert!(Tuple::decode_columns(&bytes, &[5]).is_err());
+    }
+
+    #[test]
+    fn decode_columns_into_overwrites_a_wider_tuple() {
+        let wide = Tuple::new(vec![Value::Int(1), Value::Str("a".into()), Value::Int(3)]);
+        let narrow = Tuple::new(vec![Value::Int(9)]);
+        let mut t = wide.clone();
+        t.decode_columns_into(&narrow.encode(), None).unwrap();
+        assert_eq!(t, narrow, "no value of the earlier row survives");
+        t.decode_columns_into(&wide.encode(), Some(&[1, 2])).unwrap();
+        assert_eq!(t.values(), &[Value::Str("a".into()), Value::Int(3)]);
     }
 }
