@@ -3,6 +3,8 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::expr::eval;
+use crate::kernel::Blocking;
+use staged_planner::plan::col_at;
 use staged_planner::AggSpec;
 use staged_sql::ast::{AggFunc, Expr};
 use staged_storage::{Tuple, Value};
@@ -151,8 +153,8 @@ impl Source {
 /// The state of one hash aggregate: groups in first-seen order, each with
 /// its key values and one [`Accumulator`] per aggregate. Rows are absorbed
 /// one at a time and [`finish`](Self::finish) yields `key values ⧺
-/// aggregate values` per group. The Volcano `HashAggExec`, the staged
-/// `AggTask` and a scan folding its rows into an aggregate all run this.
+/// aggregate values` per group. Both engines' `HashAggregate`, a scan
+/// folding its rows into an aggregate and the [`AggMerger`] all run this.
 ///
 /// A row's key is encoded into a reused scratch buffer; key values are
 /// copied out of the row (or evaluated again) only when its group is first
@@ -250,120 +252,89 @@ impl GroupTable {
     }
 }
 
-/// Combines partially-aggregated rows into final aggregate values — the
-/// merge half of two-phase (partition-parallel) aggregation, shared by the
-/// Volcano `MergeAggExec` and the staged `MergeAggTask`.
+/// Combines partially-aggregated rows into final aggregate values: the
+/// merge half of two-phase (partition-parallel) aggregation, which the
+/// Volcano and staged `MergeAggregate` both run.
 ///
 /// Input rows have the layout `group values ⧺ partial values`, where the
-/// partial columns follow [`staged_planner::plan::partial_agg_specs`]'s expansion
-/// of the final aggregate list (COUNT/SUM/MIN/MAX → one column, AVG → SUM
-/// then COUNT). Combination reuses [`Accumulator`]s: partial COUNTs are
-/// summed, partial SUMs summed, partial MIN/MAX re-minimized/-maximized.
+/// partial columns follow [`staged_planner::plan::partial_agg_specs`]'s
+/// expansion of the final aggregate list (COUNT/SUM/MIN/MAX → one column,
+/// AVG → SUM then COUNT). They are grouped by a [`GroupTable`] whose
+/// aggregates combine the partial columns: partial COUNTs and SUMs are
+/// summed, partial MIN/MAX re-minimized/-maximized.
 pub struct AggMerger {
-    group_len: usize,
     aggs: Vec<AggSpec>,
-    groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
-    index: HashMap<Vec<u8>, usize>,
+    group_len: usize,
+    width: usize,
+    groups: GroupTable,
 }
 
 impl AggMerger {
     /// A merger for `aggs` final aggregates under `group_len` group keys.
     pub fn new(group_len: usize, aggs: Vec<AggSpec>) -> Self {
-        Self { group_len, aggs, groups: Vec::new(), index: HashMap::new() }
+        let combine = aggs.iter().flat_map(|a| match a.func {
+            // Final COUNT = sum of partial counts; AVG carries (sum, count).
+            AggFunc::Count | AggFunc::Sum => &[AggFunc::Sum][..],
+            AggFunc::Min => &[AggFunc::Min],
+            AggFunc::Max => &[AggFunc::Max],
+            AggFunc::Avg => &[AggFunc::Sum, AggFunc::Sum],
+        });
+        let specs: Vec<AggSpec> = combine
+            .enumerate()
+            .map(|(j, &func)| AggSpec { func, arg: Some(col_at(group_len + j)), distinct: false })
+            .collect();
+        let keys: Vec<Expr> = (0..group_len).map(col_at).collect();
+        let width = group_len + specs.len();
+        Self { groups: GroupTable::new(&keys, &specs), aggs, group_len, width }
     }
+}
 
-    /// One combine accumulator per *partial* column.
-    fn combine_accs(&self) -> Vec<Accumulator> {
-        let mut accs = Vec::new();
-        for a in &self.aggs {
-            let acc = |func| Accumulator::new(&AggSpec { func, arg: None, distinct: false });
-            match a.func {
-                // Final COUNT = sum of partial counts.
-                AggFunc::Count | AggFunc::Sum => accs.push(acc(AggFunc::Sum)),
-                AggFunc::Min => accs.push(acc(AggFunc::Min)),
-                AggFunc::Max => accs.push(acc(AggFunc::Max)),
-                // AVG carries (partial sum, partial count).
-                AggFunc::Avg => {
-                    accs.push(acc(AggFunc::Sum));
-                    accs.push(acc(AggFunc::Sum));
-                }
-            }
-        }
-        accs
-    }
-
-    /// Absorb one partially-aggregated row.
-    pub fn absorb(&mut self, t: &Tuple) -> EngineResult<()> {
-        let vals = t.values();
-        if vals.len() < self.group_len {
-            return Err(EngineError::Internal("short partial-aggregate row".into()));
-        }
-        let key_vals = &vals[..self.group_len];
-        let mut key_bytes = Vec::new();
-        for v in key_vals {
-            v.encode(&mut key_bytes);
-        }
-        let slot = match self.index.get(&key_bytes) {
-            Some(&s) => s,
-            None => {
-                self.groups.push((key_vals.to_vec(), self.combine_accs()));
-                self.index.insert(key_bytes, self.groups.len() - 1);
-                self.groups.len() - 1
-            }
-        };
-        let accs = &mut self.groups[slot].1;
-        if vals.len() != self.group_len + accs.len() {
+impl Blocking for AggMerger {
+    fn push(&mut self, _: usize, t: Tuple) -> EngineResult<()> {
+        if t.values().len() != self.width {
             return Err(EngineError::Internal(format!(
                 "partial-aggregate row has {} columns, expected {}",
-                vals.len(),
-                self.group_len + accs.len()
+                t.values().len(),
+                self.width
             )));
         }
-        for (acc, v) in accs.iter_mut().zip(&vals[self.group_len..]) {
-            acc.update(v)?;
-        }
-        Ok(())
+        self.groups.absorb(&t)
     }
 
     /// Finish every group: `group values ⧺ final aggregate values`.
-    pub fn finish(mut self) -> Vec<Tuple> {
-        // Global aggregation over zero partial rows still yields one row
-        // (cannot normally happen — every partial emits its global row —
-        // but keep the semantics aligned with HashAggregate).
-        if self.groups.is_empty() && self.group_len == 0 {
-            self.groups.push((Vec::new(), self.combine_accs()));
-        }
-        let mut out = Vec::with_capacity(self.groups.len());
-        for (mut vals, accs) in self.groups {
-            let mut c = 0usize;
+    fn output(self) -> EngineResult<Vec<Tuple>> {
+        let finals = |t: Tuple| {
+            let (keys, partials) = t.values().split_at(self.group_len);
+            let mut vals = keys.to_vec();
+            let mut partials = partials.iter();
+            let mut next = || partials.next().expect("a partial column per combine aggregate");
             for a in &self.aggs {
-                match a.func {
-                    AggFunc::Count => {
-                        // Sum of partial counts; an all-skipped sum is NULL,
-                        // which COUNT semantics map back to 0.
-                        let v = accs[c].finish();
-                        vals.push(Value::Int(v.as_int().unwrap_or(0)));
-                        c += 1;
-                    }
-                    AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
-                        vals.push(accs[c].finish());
-                        c += 1;
-                    }
+                vals.push(match a.func {
+                    // A sum of no partial counts is NULL; COUNT maps it to 0.
+                    AggFunc::Count => Value::Int(next().as_int().unwrap_or(0)),
                     AggFunc::Avg => {
-                        let sum = accs[c].finish();
-                        let count = accs[c + 1].finish().as_int().unwrap_or(0);
-                        vals.push(if count == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(sum.as_float().unwrap_or(0.0) / count as f64)
-                        });
-                        c += 2;
+                        let sum = next().as_float();
+                        match next().as_int().unwrap_or(0) {
+                            0 => Value::Null,
+                            count => Value::Float(sum.unwrap_or(0.0) / count as f64),
+                        }
                     }
-                }
+                    AggFunc::Sum | AggFunc::Min | AggFunc::Max => next().clone(),
+                });
             }
-            out.push(Tuple::new(vals));
-        }
-        out
+            Tuple::new(vals)
+        };
+        Ok(self.groups.finish().into_iter().map(finals).collect())
+    }
+}
+
+impl Blocking for GroupTable {
+    fn push(&mut self, _: usize, t: Tuple) -> EngineResult<()> {
+        self.absorb(&t)
+    }
+
+    fn output(self) -> EngineResult<Vec<Tuple>> {
+        Ok(self.finish())
     }
 }
 
@@ -431,58 +402,91 @@ mod tests {
         assert_eq!(s.finish(), Value::Float(1.5));
     }
 
+    fn int_row(vals: &[i64]) -> Tuple {
+        Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect())
+    }
+
+    /// Merge `rows` of partial aggregates under `group_len` group keys.
+    fn merge(group_len: usize, aggs: &[AggFunc], rows: Vec<Tuple>) -> EngineResult<Vec<Tuple>> {
+        let mut m = AggMerger::new(group_len, aggs.iter().map(|&f| spec(f, false)).collect());
+        for t in rows {
+            m.push(0, t)?;
+        }
+        m.output()
+    }
+
     #[test]
     fn merger_combines_partial_states_per_group() {
         // Final aggs: COUNT(*), SUM(x), MIN(x), AVG(x) → partial layout
         // count | sum | min | avg-sum | avg-count after one group column.
-        let aggs = vec![
-            spec(AggFunc::Count, false),
-            spec(AggFunc::Sum, false),
-            spec(AggFunc::Min, false),
-            spec(AggFunc::Avg, false),
-        ];
-        let mut m = AggMerger::new(1, aggs);
-        // Partition 1: group 7 saw rows {1, 3}; partition 2: group 7 saw {5}.
-        m.absorb(&Tuple::new(vec![
-            Value::Int(7),
-            Value::Int(2),
-            Value::Int(4),
-            Value::Int(1),
-            Value::Int(4),
-            Value::Int(2),
-        ]))
+        let aggs = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Avg];
+        // Partition 1: group 7 saw rows {1, 3}; partition 2: group 7 saw
+        // {5}; partition 2 also saw group 8 = {2}.
+        let rows = merge(
+            1,
+            &aggs,
+            vec![
+                int_row(&[7, 2, 4, 1, 4, 2]),
+                int_row(&[8, 1, 2, 2, 2, 1]),
+                int_row(&[7, 1, 5, 5, 5, 1]),
+            ],
+        )
         .unwrap();
-        m.absorb(&Tuple::new(vec![
-            Value::Int(7),
-            Value::Int(1),
-            Value::Int(5),
-            Value::Int(5),
-            Value::Int(5),
-            Value::Int(1),
-        ]))
-        .unwrap();
-        let rows = m.finish();
-        assert_eq!(rows.len(), 1);
         assert_eq!(
-            rows[0].values(),
-            &[Value::Int(7), Value::Int(3), Value::Int(9), Value::Int(1), Value::Float(3.0)]
+            rows,
+            [
+                Tuple::new(vec![
+                    Value::Int(7),
+                    Value::Int(3),
+                    Value::Int(9),
+                    Value::Int(1),
+                    Value::Float(3.0)
+                ]),
+                Tuple::new(vec![
+                    Value::Int(8),
+                    Value::Int(1),
+                    Value::Int(2),
+                    Value::Int(2),
+                    Value::Float(2.0)
+                ]),
+            ]
         );
     }
 
     #[test]
     fn merger_global_aggregate_handles_empty_partials() {
-        let aggs =
-            vec![spec(AggFunc::Count, false), spec(AggFunc::Sum, false), spec(AggFunc::Avg, false)];
-        let mut m = AggMerger::new(0, aggs);
+        let aggs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg];
         // Two partitions, both empty: each partial emits COUNT 0, SUM NULL,
         // AVG partials (NULL, 0).
-        for _ in 0..2 {
-            m.absorb(&Tuple::new(vec![Value::Int(0), Value::Null, Value::Null, Value::Int(0)]))
-                .unwrap();
+        let empty = || Tuple::new(vec![Value::Int(0), Value::Null, Value::Null, Value::Int(0)]);
+        let rows = merge(0, &aggs, vec![empty(), empty()]).unwrap();
+        assert_eq!(rows, [Tuple::new(vec![Value::Int(0), Value::Null, Value::Null])]);
+        // No partial row at all still yields the one global row.
+        assert_eq!(merge(0, &aggs, Vec::new()).unwrap(), rows);
+    }
+
+    #[test]
+    fn merger_finishes_count_over_null_partials_as_zero_and_avg_from_sum_and_count() {
+        // A COUNT whose partial column is NULL everywhere sums to NULL, and
+        // finishes as 0; AVG is (sum of sums) / (sum of counts), a float
+        // even over integer sums.
+        let partial = |sum, count| {
+            Tuple::new(vec![Value::Int(1), Value::Null, Value::Int(sum), Value::Int(count)])
+        };
+        let rows = merge(1, &[AggFunc::Count, AggFunc::Avg], vec![partial(7, 2), partial(0, 3)]);
+        let want = Tuple::new(vec![Value::Int(1), Value::Int(0), Value::Float(7.0 / 5.0)]);
+        assert_eq!(rows.unwrap(), [want]);
+    }
+
+    #[test]
+    fn merger_refuses_a_row_of_the_wrong_width() {
+        // One group key and COUNT + AVG: 1 + 1 + 2 = 4 columns.
+        let aggs = [AggFunc::Count, AggFunc::Avg];
+        for width in [0usize, 1, 3, 5] {
+            let row = int_row(&vec![1; width]);
+            let err = merge(1, &aggs, vec![int_row(&[1, 1, 1, 1]), row]).unwrap_err();
+            assert!(err.to_string().contains("expected 4"), "width {width}: {err}");
         }
-        let rows = m.finish();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].values(), &[Value::Int(0), Value::Null, Value::Null]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # staged-engine — the relational execution engine
 //!
-//! Two complete implementations of the same physical plans:
+//! Two engines run the same physical plans with the same operator code:
 //!
 //! * [`volcano`] — classic pull-based iterators (open/next/close). This is
 //!   the *monolithic baseline*: the whole query executes as one call chain
@@ -8,33 +8,41 @@
 //!   behaviour §3.1 of the paper criticizes.
 //! * [`staged`] — the paper's staged execution engine (§4.1.2, §4.3):
 //!   operators are packets queued at stages (fscan, iscan, sort, join,
-//!   aggregate, send), activated bottom-up, exchanging **pages of tuples**
-//!   through bounded producer/consumer buffers; a task that cannot proceed
-//!   requeues itself ("a stage thread that cannot momentarily continue
-//!   execution enqueues the current packet in the same stage's queue").
-//!   Scans of the same table can be **shared** (§5.4 multi-query
-//!   optimization): a circular scan multicasts pages to every concurrent
-//!   reader.
+//!   aggregate, merge, send), activated bottom-up, exchanging **pages of
+//!   tuples** through bounded producer/consumer buffers; a task that cannot
+//!   proceed requeues itself ("a stage thread that cannot momentarily
+//!   continue execution enqueues the current packet in the same stage's
+//!   queue"). Every scan is one query's own page scan; the §5.4 shared
+//!   scans are not implemented (DESIGN.md §3).
 //!
-//! Both engines share [`expr`] (expression evaluation), [`agg`] (aggregate
-//! accumulators), [`probe`] (the snapshot-aware index probe) and [`dml`]
-//! (INSERT/UPDATE/DELETE with WAL logging), so differential tests can
-//! compare them tuple-for-tuple.
+//! Staging changes when an operator's code runs, not what it is (§4.1), so
+//! each operator has one kernel both engines call, and an engine keeps only
+//! its control flow — pulling rows, or moving pages under a quota:
+//!
+//! * [`kernel`] — the hash join table, the join pair (concat, then the
+//!   residual) of all three joins, the merge join, sort and distinct;
+//! * [`transform`] — filters, projections and limits, compiled once and
+//!   fused into whatever produces their input;
+//! * [`agg`] — aggregate accumulators, the group table and the merge of
+//!   partial aggregates;
+//! * [`probe`] — the snapshot-aware index probe;
+//! * [`expr`] — expression evaluation; [`dml`] — INSERT/UPDATE/DELETE with
+//!   WAL logging.
 
 #![deny(missing_docs)]
 
 pub mod agg;
-pub mod batch;
 pub mod checkpoint;
 pub mod context;
 pub mod dml;
 pub mod error;
 pub mod expr;
+pub mod kernel;
 pub mod probe;
 pub mod staged;
+pub mod transform;
 pub mod txn;
 pub mod volcano;
 
-pub use batch::TupleBatch;
 pub use context::ExecContext;
 pub use error::{EngineError, EngineResult};

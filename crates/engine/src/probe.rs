@@ -1,17 +1,19 @@
 //! The index probe: the one place `(index, lo, hi, view)` becomes tuples.
 //!
-//! The staged `iscan` stage, the Volcano `IndexScan` executor and DML's
-//! victim search all call [`index_probe`]; none of them reads a B+tree or
-//! resolves a rid on its own. Snapshot correctness therefore has exactly
-//! one implementation (visibility rule and race analysis:
-//! `docs/CONCURRENCY.md` §3).
+//! Both engines' `IndexScan` (through `Probe`) and DML's victim search
+//! call [`index_probe`]; none of them reads a B+tree or resolves a rid on
+//! its own. Snapshot correctness therefore has exactly one implementation
+//! (visibility rule and race analysis: `docs/CONCURRENCY.md` §3).
 
 use crate::context::ExecContext;
 use crate::error::EngineResult;
 use crate::expr::eval_predicate;
+use crate::kernel::Blocking;
+use staged_planner::PhysicalPlan;
 use staged_sql::ast::Expr;
 use staged_storage::catalog::{IndexInfo, TableInfo};
 use staged_storage::{ReadView, Rid, StorageError, Tuple};
+use std::sync::Arc;
 
 /// Resolve the keys in `[lo, hi]` (either bound optional) through `index`
 /// to the rows of `table` that `view` can see and that satisfy `residual`.
@@ -62,6 +64,61 @@ pub fn index_probe(
         rows = kept;
     }
     Ok(rows)
+}
+
+/// One `IndexScan` node's probe, ready to run: the Volcano executor, the
+/// queued `iscan` task and a lone probe served inline all run exactly
+/// this. As a [`Blocking`] operator it has no inputs.
+pub(crate) struct Probe {
+    ctx: ExecContext,
+    table: Arc<TableInfo>,
+    index: Arc<IndexInfo>,
+    lo: Option<i64>,
+    hi: Option<i64>,
+    predicate: Option<Expr>,
+    snapshot: Option<ReadView>,
+}
+
+impl Probe {
+    /// The probe of `plan`, which must be an `IndexScan`.
+    pub(crate) fn new(ctx: &ExecContext, plan: &PhysicalPlan) -> Self {
+        let PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } = plan else {
+            unreachable!("a probe is built from an IndexScan node")
+        };
+        Self {
+            ctx: ctx.clone(),
+            table: Arc::clone(table),
+            index: Arc::clone(index),
+            lo: *lo,
+            hi: *hi,
+            predicate: predicate.clone(),
+            snapshot: *snapshot,
+        }
+    }
+
+    /// Every row the probe yields (one overlay pass judges them together).
+    pub(crate) fn run(&self) -> EngineResult<Vec<Tuple>> {
+        let rows = index_probe(
+            &self.ctx,
+            &self.table,
+            &self.index,
+            self.lo,
+            self.hi,
+            self.predicate.as_ref(),
+            self.snapshot,
+        )?;
+        Ok(rows.into_iter().map(|(_, tuple)| tuple).collect())
+    }
+}
+
+impl Blocking for Probe {
+    fn push(&mut self, _: usize, _: Tuple) -> EngineResult<()> {
+        unreachable!("a probe has no inputs")
+    }
+
+    fn output(self) -> EngineResult<Vec<Tuple>> {
+        self.run()
+    }
 }
 
 #[cfg(test)]

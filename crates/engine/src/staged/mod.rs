@@ -3,7 +3,7 @@
 //! Each relational operator runs as a *task* carried by a packet queued at
 //! one of the execution-engine stages of Figure 3 — fscan, iscan, sort,
 //! join, aggregate, send. Dataflow is page-based: bounded
-//! [`ExchangeBuffer`]s of [`TupleBatch`]es connect producers to consumers.
+//! [`ExchangeBuffer`]s of tuple pages connect producers to consumers.
 //! Activation is bottom-up: leaf (scan) packets are enqueued when the query
 //! arrives; an operator packet enters its stage's queue only when its first
 //! input page is ready ("activation occurs in a bottom-up fashion with
@@ -18,18 +18,16 @@
 
 mod tasks;
 
-use crate::batch::TupleBatch;
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
-use crate::expr::{eval, eval_predicate};
+use crate::transform::Transform;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use staged_core::prelude::*;
 use staged_planner::PhysicalPlan;
-use staged_sql::ast::{BinOp, Expr};
 use staged_storage::Tuple;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -101,19 +99,21 @@ pub trait OperatorTask: Send {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult>;
 }
 
-/// Bounded single-producer/single-consumer page buffer between stages.
-/// Capacity is counted in *pages* (of the engine's page size), while [`ExchangeBuffer::queued_tuples`] keeps the backlog
-/// observable in tuples so back-pressure accounting stays denominated in
-/// rows regardless of the page size.
+/// Bounded single-producer/single-consumer page buffer between stages. A
+/// page is a `Vec` of at most the engine's page size tuples (knob (c) of
+/// §4.4). Capacity is counted in *pages*, while
+/// [`ExchangeBuffer::queued_tuples`] keeps the backlog observable in tuples
+/// so back-pressure accounting stays denominated in rows regardless of the
+/// page size.
 pub struct ExchangeBuffer {
-    inner: Mutex<VecDeque<TupleBatch>>,
+    inner: Mutex<VecDeque<Vec<Tuple>>>,
     capacity: usize,
     closed: AtomicBool,
     tuples: AtomicUsize,
 }
 
 impl ExchangeBuffer {
-    /// A buffer holding at most `capacity` batches.
+    /// A buffer holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(VecDeque::new()),
@@ -123,25 +123,25 @@ impl ExchangeBuffer {
         })
     }
 
-    /// True when another batch fits.
+    /// True when another page fits.
     pub fn has_space(&self) -> bool {
         self.inner.lock().len() < self.capacity
     }
 
-    /// Non-blocking push; hands the batch back when full.
-    pub fn try_push(&self, batch: TupleBatch) -> Result<(), TupleBatch> {
+    /// Non-blocking push; hands the page back when full.
+    pub fn try_push(&self, page: Vec<Tuple>) -> Result<(), Vec<Tuple>> {
         let mut q = self.inner.lock();
         if q.len() >= self.capacity {
-            Err(batch)
+            Err(page)
         } else {
-            self.tuples.fetch_add(batch.len(), Ordering::Relaxed);
-            q.push_back(batch);
+            self.tuples.fetch_add(page.len(), Ordering::Relaxed);
+            q.push_back(page);
             Ok(())
         }
     }
 
     /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<TupleBatch> {
+    pub fn try_pop(&self) -> Option<Vec<Tuple>> {
         let popped = self.inner.lock().pop_front();
         if let Some(b) = &popped {
             self.tuples.fetch_sub(b.len(), Ordering::Relaxed);
@@ -159,12 +159,12 @@ impl ExchangeBuffer {
         self.closed.store(true, Ordering::SeqCst);
     }
 
-    /// No more batches will ever arrive.
+    /// No more pages will ever arrive.
     pub fn is_finished(&self) -> bool {
         self.closed.load(Ordering::SeqCst) && self.inner.lock().is_empty()
     }
 
-    /// Producer has closed (batches may still be queued).
+    /// Producer has closed (pages may still be queued).
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
     }
@@ -420,224 +420,6 @@ impl StagedResult {
     }
 }
 
-/// Per-tuple transforms fused into a producing task (filters, projections
-/// and limits do not get their own stage: "we group together operators
-/// which use a small portion of the common or shared data and code").
-///
-/// Transforms are *compiled* when the task is built: expression shapes the
-/// batch inner loops hit constantly — constant integer comparisons, plain
-/// column projections — are analyzed once per plan and run as direct
-/// index/compare code per tuple, falling back to the general expression
-/// interpreter (which the Volcano baseline pays on every `next()`) only
-/// for shapes the fast paths do not cover.
-pub enum Transform {
-    /// Drop tuples failing the predicate.
-    Filter(Pred),
-    /// Re-map through expressions.
-    Project(Proj),
-    /// Emit at most the shared remaining count (cross-task counter).
-    Limit(Arc<AtomicI64>),
-}
-
-impl Transform {
-    /// Compile a filter predicate.
-    pub fn filter(expr: Expr) -> Self {
-        Transform::Filter(Pred::compile(expr))
-    }
-
-    /// Compile a projection list.
-    pub fn project(exprs: Vec<Expr>) -> Self {
-        Transform::Project(Proj::compile(exprs))
-    }
-}
-
-/// A compiled predicate: the generic expression plus an optional fast
-/// path. Constant integer comparisons on one column — `c = k`, `c < k`,
-/// `c BETWEEN a AND b`, in either orientation — compile to one inclusive
-/// interval test `lo <= c <= hi` with no interpreter dispatch and no
-/// `Value` clones.
-pub struct Pred {
-    expr: Expr,
-    fast: Option<IntRange>,
-}
-
-#[derive(Clone, Copy)]
-struct IntRange {
-    idx: usize,
-    lo: i64,
-    hi: i64,
-}
-
-/// `(column index, constant)` when `e` is `Column <op> IntLiteral` in the
-/// given orientation.
-fn col_int(a: &Expr, b: &Expr) -> Option<(usize, i64)> {
-    match (a, b) {
-        (Expr::Column(c), Expr::Literal(staged_storage::Value::Int(k))) => Some((c.index?, *k)),
-        _ => None,
-    }
-}
-
-impl Pred {
-    /// Analyze `expr` once; tuples then take the cheapest path it admits.
-    pub fn compile(expr: Expr) -> Self {
-        let range =
-            |idx: usize, lo: Option<i64>, hi: Option<i64>| Some(IntRange { idx, lo: lo?, hi: hi? });
-        // `k <op> column` mirrors to `column <flip(op)> k`.
-        let flip = |op: BinOp| match op {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::LtEq => BinOp::GtEq,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::GtEq => BinOp::LtEq,
-            other => other,
-        };
-        let fast = match &expr {
-            Expr::Binary { left, op, right } => {
-                // Normalize to `column <op> constant`.
-                let norm = col_int(left, right)
-                    .map(|(idx, k)| (idx, k, *op))
-                    .or_else(|| col_int(right, left).map(|(idx, k)| (idx, k, flip(*op))));
-                norm.and_then(|(idx, k, op)| match op {
-                    BinOp::Eq => range(idx, Some(k), Some(k)),
-                    BinOp::Lt => range(idx, Some(i64::MIN), k.checked_sub(1)),
-                    BinOp::LtEq => range(idx, Some(i64::MIN), Some(k)),
-                    BinOp::Gt => range(idx, k.checked_add(1), Some(i64::MAX)),
-                    BinOp::GtEq => range(idx, Some(k), Some(i64::MAX)),
-                    _ => None,
-                })
-            }
-            Expr::Between { expr: e, lo, hi, negated: false } => match (&**e, &**lo, &**hi) {
-                (
-                    Expr::Column(c),
-                    Expr::Literal(staged_storage::Value::Int(a)),
-                    Expr::Literal(staged_storage::Value::Int(b)),
-                ) => c.index.and_then(|idx| range(idx, Some(*a), Some(*b))),
-                _ => None,
-            },
-            _ => None,
-        };
-        Self { expr, fast }
-    }
-
-    /// SQL WHERE semantics: NULL is false.
-    #[inline]
-    pub fn test(&self, t: &Tuple) -> EngineResult<bool> {
-        if let Some(r) = self.fast {
-            match t.values().get(r.idx) {
-                Some(staged_storage::Value::Int(v)) => return Ok(r.lo <= *v && *v <= r.hi),
-                Some(staged_storage::Value::Null) => return Ok(false),
-                // Non-integer value (numeric coercion): interpreter path.
-                _ => {}
-            }
-        }
-        eval_predicate(&self.expr, t)
-    }
-
-    /// The single column the fast path reads, when one exists. A `Some`
-    /// here guarantees the whole predicate (fast path *and* interpreter
-    /// fallback) touches no other column, which is what makes it safe to
-    /// prune the rest of the row underneath it.
-    pub(crate) fn fast_col(&self) -> Option<usize> {
-        self.fast.map(|r| r.idx)
-    }
-
-    /// Rewrite column indexes through `pos` (old slot → pruned slot). Only
-    /// meaningful when [`fast_col`](Self::fast_col) is `Some`: the
-    /// expression then has the comparison/BETWEEN shape the walker below
-    /// covers, so the interpreter fallback stays consistent with the
-    /// remapped fast path.
-    pub(crate) fn remap_columns(&mut self, pos: &dyn Fn(usize) -> usize) {
-        debug_assert!(self.fast.is_some(), "remap is only valid on fast predicates");
-        if let Some(r) = &mut self.fast {
-            r.idx = pos(r.idx);
-        }
-        fn walk(e: &mut Expr, pos: &dyn Fn(usize) -> usize) {
-            match e {
-                Expr::Column(c) => {
-                    if let Some(i) = c.index {
-                        c.index = Some(pos(i));
-                    }
-                }
-                Expr::Binary { left, right, .. } => {
-                    walk(left, pos);
-                    walk(right, pos);
-                }
-                Expr::Between { expr, lo, hi, .. } => {
-                    walk(expr, pos);
-                    walk(lo, pos);
-                    walk(hi, pos);
-                }
-                _ => {}
-            }
-        }
-        walk(&mut self.expr, pos);
-    }
-}
-
-/// A compiled projection: when every output expression is a plain bound
-/// column reference, tuples are re-mapped by direct index gather instead
-/// of per-expression interpretation.
-pub struct Proj {
-    exprs: Vec<Expr>,
-    cols: Option<Vec<usize>>,
-}
-
-impl Proj {
-    /// Analyze the projection list once.
-    pub fn compile(exprs: Vec<Expr>) -> Self {
-        let cols = exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Column(c) => c.index,
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>();
-        Self { exprs, cols }
-    }
-
-    /// Re-map one tuple.
-    #[inline]
-    pub fn apply(&self, t: Tuple) -> EngineResult<Tuple> {
-        if let Some(cols) = &self.cols {
-            let vals = t.values();
-            let out = cols
-                .iter()
-                .map(|&i| {
-                    vals.get(i)
-                        .cloned()
-                        .ok_or_else(|| EngineError::Internal(format!("column {i} out of arity")))
-                })
-                .collect::<EngineResult<Vec<_>>>()?;
-            return Ok(Tuple::new(out));
-        }
-        let vals = self.exprs.iter().map(|e| eval(e, &t)).collect::<EngineResult<Vec<_>>>()?;
-        Ok(Tuple::new(vals))
-    }
-
-    /// The gathered column indexes when every output is a plain column.
-    pub(crate) fn plain_cols(&self) -> Option<&[usize]> {
-        self.cols.as_deref()
-    }
-
-    /// Rewrite column indexes through `pos` (old slot → pruned slot). Only
-    /// meaningful when [`plain_cols`](Self::plain_cols) is `Some`, so every
-    /// expression is a bound column reference.
-    pub(crate) fn remap_columns(&mut self, pos: &dyn Fn(usize) -> usize) {
-        debug_assert!(self.cols.is_some(), "remap is only valid on plain-column projections");
-        if let Some(cols) = &mut self.cols {
-            for c in cols.iter_mut() {
-                *c = pos(*c);
-            }
-        }
-        for e in &mut self.exprs {
-            if let Expr::Column(c) = e {
-                if let Some(i) = c.index {
-                    c.index = Some(pos(i));
-                }
-            }
-        }
-    }
-}
-
 /// Column pruning for scan-side transform chains. When the chain starts
 /// with fast-path filters (each provably touching one column) and reaches
 /// a plain-column projection, the scan only needs to decode the union of
@@ -701,28 +483,6 @@ pub(crate) fn prune_scan_columns(ts: &mut Vec<Transform>, arity: usize) -> Optio
     Some(needed)
 }
 
-/// Apply a transform chain; `None` means the tuple was filtered out.
-pub fn apply_transforms(ts: &[Transform], mut t: Tuple) -> EngineResult<Option<Tuple>> {
-    for tr in ts {
-        match tr {
-            Transform::Filter(p) => {
-                if !p.test(&t)? {
-                    return Ok(None);
-                }
-            }
-            Transform::Project(proj) => {
-                t = proj.apply(t)?;
-            }
-            Transform::Limit(left) => {
-                if left.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                    return Ok(None);
-                }
-            }
-        }
-    }
-    Ok(Some(t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,12 +491,12 @@ mod tests {
     #[test]
     fn exchange_buffer_backpressure_and_close() {
         let b = ExchangeBuffer::new(2);
-        assert!(b.try_push(TupleBatch::default()).is_ok());
-        assert!(b.try_push(TupleBatch::default()).is_ok());
-        assert!(b.try_push(TupleBatch::default()).is_err(), "full at depth 2");
+        assert!(b.try_push(Vec::new()).is_ok());
+        assert!(b.try_push(Vec::new()).is_ok());
+        assert!(b.try_push(Vec::new()).is_err(), "full at depth 2");
         assert!(!b.is_finished());
         b.close();
-        assert!(!b.is_finished(), "still has queued batches");
+        assert!(!b.is_finished(), "still has queued pages");
         b.try_pop().unwrap();
         b.try_pop().unwrap();
         assert!(b.is_finished());
@@ -745,11 +505,7 @@ mod tests {
 
     #[test]
     fn exchange_buffer_counts_queued_tuples() {
-        let mk = |n: usize| {
-            TupleBatch::from_tuples(
-                (0..n).map(|i| Tuple::new(vec![Value::Int(i as i64)])).collect(),
-            )
-        };
+        let mk = |n: usize| (0..n).map(|i| Tuple::new(vec![Value::Int(i as i64)])).collect();
         let b = ExchangeBuffer::new(3);
         assert_eq!(b.queued_tuples(), 0);
         b.try_push(mk(5)).unwrap();
@@ -759,88 +515,5 @@ mod tests {
         assert_eq!(b.queued_tuples(), 2);
         b.try_pop().unwrap();
         assert_eq!(b.queued_tuples(), 0);
-    }
-
-    #[test]
-    fn transforms_compose_in_order() {
-        use staged_sql::ast::ColumnRef;
-        let col0 = Expr::Column(ColumnRef { table: None, name: "#0".into(), index: Some(0) });
-        let ts = vec![
-            Transform::filter(Expr::binary(col0.clone(), BinOp::Gt, Expr::int(1))),
-            Transform::project(vec![Expr::binary(col0.clone(), BinOp::Mul, Expr::int(10))]),
-        ];
-        let keep = apply_transforms(&ts, Tuple::new(vec![Value::Int(5)])).unwrap();
-        assert_eq!(keep.unwrap().values(), &[Value::Int(50)]);
-        let drop = apply_transforms(&ts, Tuple::new(vec![Value::Int(0)])).unwrap();
-        assert!(drop.is_none());
-    }
-
-    #[test]
-    fn compiled_predicates_agree_with_the_interpreter() {
-        use staged_sql::ast::ColumnRef;
-        let col =
-            |i: usize| Expr::Column(ColumnRef { table: None, name: "#0".into(), index: Some(i) });
-        let t = |v: Value| Tuple::new(vec![v]);
-        let cases: Vec<(Expr, &[(Value, bool)])> = vec![
-            (
-                Expr::binary(col(0), BinOp::Eq, Expr::int(5)),
-                &[(Value::Int(5), true), (Value::Int(4), false), (Value::Null, false)],
-            ),
-            (
-                // Mirrored orientation: `10 > c` is `c < 10`.
-                Expr::binary(Expr::int(10), BinOp::Gt, col(0)),
-                &[(Value::Int(9), true), (Value::Int(10), false)],
-            ),
-            (
-                Expr::Between {
-                    expr: Box::new(col(0)),
-                    lo: Box::new(Expr::int(2)),
-                    hi: Box::new(Expr::int(4)),
-                    negated: false,
-                },
-                &[(Value::Int(2), true), (Value::Int(4), true), (Value::Int(5), false)],
-            ),
-        ];
-        for (expr, table) in cases {
-            let pred = Pred::compile(expr.clone());
-            assert!(pred.fast.is_some(), "{expr:?} should compile to an interval");
-            for (v, want) in table {
-                assert_eq!(pred.test(&t(v.clone())).unwrap(), *want, "{expr:?} on {v:?}");
-                // The fast path must agree with the interpreter exactly.
-                assert_eq!(
-                    pred.test(&t(v.clone())).unwrap(),
-                    eval_predicate(&expr, &t(v.clone())).unwrap()
-                );
-            }
-        }
-        // Float value through an Int-compiled interval: interpreter path.
-        let pred = Pred::compile(Expr::binary(col(0), BinOp::Eq, Expr::int(5)));
-        assert!(pred.test(&t(Value::Float(5.0))).unwrap(), "numeric coercion preserved");
-    }
-
-    #[test]
-    fn compiled_projection_gathers_columns() {
-        use staged_sql::ast::ColumnRef;
-        let col =
-            |i: usize| Expr::Column(ColumnRef { table: None, name: "#0".into(), index: Some(i) });
-        let proj = Proj::compile(vec![col(2), col(0)]);
-        assert!(proj.cols.is_some(), "plain column list compiles to a gather");
-        let out =
-            proj.apply(Tuple::new(vec![Value::Int(1), Value::Int(2), Value::Int(3)])).unwrap();
-        assert_eq!(out.values(), &[Value::Int(3), Value::Int(1)]);
-        let mixed = Proj::compile(vec![Expr::binary(col(0), BinOp::Mul, Expr::int(2))]);
-        assert!(mixed.cols.is_none(), "computed expressions stay on the interpreter");
-        let out = mixed.apply(Tuple::new(vec![Value::Int(4)])).unwrap();
-        assert_eq!(out.values(), &[Value::Int(8)]);
-    }
-
-    #[test]
-    fn limit_transform_is_shared_across_producers() {
-        let left = Arc::new(AtomicI64::new(2));
-        let ts = vec![Transform::Limit(Arc::clone(&left))];
-        let t = Tuple::new(vec![Value::Int(1)]);
-        assert!(apply_transforms(&ts, t.clone()).unwrap().is_some());
-        assert!(apply_transforms(&ts, t.clone()).unwrap().is_some());
-        assert!(apply_transforms(&ts, t).unwrap().is_none(), "limit exhausted");
     }
 }

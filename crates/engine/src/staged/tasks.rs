@@ -1,23 +1,23 @@
-//! Operator tasks for the staged engine and the plan → task compiler.
+//! Operator tasks for the staged engine and the plan → task compiler. A task
+//! owns only its packet's control flow — exchange pages in and out, and the
+//! quota of one visit; the operator's algorithm is the kernel Volcano runs
+//! too ([`crate::kernel`], [`crate::transform`], [`crate::agg`],
+//! [`crate::probe`]).
 
 use super::{
-    apply_transforms, prune_scan_columns, shut_down, Activator, EngineConfig, ExchangeBuffer,
-    OperatorTask, Pred, QueryCtl, StageKind, StagedEngine, StepResult, TaskPacket, Transform,
-    TupleBatch,
+    prune_scan_columns, shut_down, Activator, ExchangeBuffer, OperatorTask, QueryCtl, StageKind,
+    StagedEngine, StepResult, TaskPacket,
 };
 use crate::agg::{AggMerger, GroupTable};
 use crate::context::ExecContext;
 use crate::error::EngineResult;
-use crate::expr::eval_predicate;
-use crate::probe::index_probe;
-use crate::volcano::{encode_key, merge_join, sort_tuples};
+use crate::kernel::{join_pair, Blocking, DistinctSet, JoinTable, MergeJoin, Sort};
+use crate::probe::Probe;
+use crate::transform::{apply_transforms, fuse, spent, Pred, Transform};
 use staged_planner::PhysicalPlan;
 use staged_sql::ast::Expr;
-use staged_storage::catalog::{IndexInfo, TableInfo};
 use staged_storage::partition::PartitionedPageScan;
-use staged_storage::{ReadView, Rid, Tuple};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicI64;
+use staged_storage::{Rid, Tuple};
 use std::sync::Arc;
 
 /// Batch-building output side of a task: stages tuples, flushes pages into
@@ -75,14 +75,13 @@ impl Emitter {
             return true;
         }
         let n = self.staging.len().min(cap);
-        let batch = TupleBatch::from_tuples(self.staging.drain(..n).collect());
-        match self.out.try_push(batch) {
+        match self.out.try_push(self.staging.drain(..n).collect()) {
             Ok(()) => {
                 self.parent.activate();
                 true
             }
-            Err(b) => {
-                self.staging.splice(0..0, b.into_tuples());
+            Err(page) => {
+                self.staging.splice(0..0, page);
                 false
             }
         }
@@ -97,12 +96,12 @@ impl Emitter {
         }
     }
 
-    /// Flush everything and close the stream; `false` if the buffer is
-    /// still full (retry next quantum).
-    pub fn finish(&mut self) -> bool {
+    /// Flush everything and close the stream: `Done`, or `Blocked` while
+    /// the buffer is still full (retry next quantum).
+    pub fn finish(&mut self) -> StepResult {
         while !self.staging.is_empty() {
             if !self.flush_one(true) {
-                return false;
+                return StepResult::Blocked;
             }
         }
         if !self.closed {
@@ -110,31 +109,7 @@ impl Emitter {
             self.parent.activate();
             self.closed = true;
         }
-        true
-    }
-}
-
-/// Input side of a task: pulls whole pages off the exchange buffer —
-/// one lock per page, never one per tuple. Consumers run tight inner
-/// loops over the returned run.
-pub struct Intake {
-    buf: Arc<ExchangeBuffer>,
-}
-
-impl Intake {
-    /// Wrap a buffer.
-    pub fn new(buf: Arc<ExchangeBuffer>) -> Self {
-        Self { buf }
-    }
-
-    /// Next available page of tuples, if any.
-    pub fn next_batch(&mut self) -> Option<Vec<Tuple>> {
-        self.buf.try_pop().map(TupleBatch::into_tuples)
-    }
-
-    /// True when the producer closed and everything was consumed.
-    pub fn finished(&self) -> bool {
-        self.buf.is_finished()
+        StepResult::Done
     }
 }
 
@@ -145,7 +120,7 @@ impl Intake {
 /// calling thread: the submitter blocks in `collect()` until the answer
 /// arrives, so the probe could never join a cohort and the `iscan` → `send`
 /// hand-offs would buy nothing (DESIGN.md §3, §11). It runs the same
-/// [`Probe`] and transform chain the queued [`IndexScanTask`] runs and is
+/// [`Probe`] and transform chain the queued `iscan` task runs and is
 /// booked on the `iscan` stage as a followed visit of one. Every other plan
 /// is compiled into tasks whose leaves are enqueued (bottom-up activation).
 pub(super) fn compile_and_launch(
@@ -170,52 +145,13 @@ pub(super) fn compile_and_launch(
         }
         return;
     }
-    let cfg = engine.config().clone();
-    let root_buf = ExchangeBuffer::new(cfg.buffer_depth);
+    let root_buf = ExchangeBuffer::new(engine.config().buffer_depth);
     let send_act = engine.make_activator();
-    send_act.park(
-        engine.stage_id(StageKind::Send),
-        TaskPacket {
-            ctl: Arc::clone(&ctl),
-            task: Box::new(SendTask {
-                input: Intake::new(Arc::clone(&root_buf)),
-                ctl: Arc::clone(&ctl),
-            }),
-        },
-    );
-    build(engine, plan, root_buf, transforms, send_act, ctl, &cfg);
+    let task = Box::new(SendTask { inputs: vec![Arc::clone(&root_buf)], ctl: Arc::clone(&ctl) });
+    send_act.park(engine.stage_id(StageKind::Send), TaskPacket { ctl: Arc::clone(&ctl), task });
+    build(engine, plan, root_buf, transforms, send_act, ctl);
 }
 
-/// Peel the fused per-tuple operators off the top of `plan`: filters,
-/// projections and limits get no stage of their own ("we group together
-/// operators which use a small portion of the common or shared data and
-/// code") and run inside the task producing their input. Returns that
-/// producing node and the compiled chain, innermost first, with `above`
-/// (the transforms fused from further up) appended.
-fn fuse(mut plan: &PhysicalPlan, above: Vec<Transform>) -> (&PhysicalPlan, Vec<Transform>) {
-    let mut outer_first = Vec::new();
-    loop {
-        let (t, input) = match plan {
-            PhysicalPlan::Filter { input, predicate } => {
-                (Transform::filter(predicate.clone()), input)
-            }
-            PhysicalPlan::Project { input, exprs, .. } => {
-                (Transform::project(exprs.clone()), input)
-            }
-            PhysicalPlan::Limit { input, n } => {
-                (Transform::Limit(Arc::new(AtomicI64::new(*n as i64))), input)
-            }
-            _ => break,
-        };
-        outer_first.push(t);
-        plan = input;
-    }
-    outer_first.reverse();
-    outer_first.extend(above);
-    (plan, outer_first)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn build(
     engine: &Arc<StagedEngine>,
     plan: &PhysicalPlan,
@@ -223,66 +159,48 @@ fn build(
     transforms: Vec<Transform>,
     parent: Arc<Activator>,
     ctl: Arc<QueryCtl>,
-    cfg: &EngineConfig,
 ) {
-    let ctx = engine.ctx().clone();
     let (plan, transforms) = fuse(plan, transforms);
+    let emitter = Emitter::new(out, parent, engine.page_size());
     match plan {
         PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } | PhysicalPlan::Limit { .. } => {
             unreachable!("fused into the producing task")
         }
         PhysicalPlan::SeqScan { .. } | PhysicalPlan::PartitionScan { .. } => {
-            launch_scan(engine, plan, None, transforms, out, parent, ctl);
+            launch_scan(engine, plan, None, transforms, emitter, ctl);
         }
         PhysicalPlan::Exchange { inputs } => {
             // N independent partial pipelines converge at one union task on
             // the merge stage; the first page from any child activates it.
-            fan_in(engine, inputs, out, parent, ctl, cfg, |intakes, emitter| {
-                Box::new(UnionTask { inputs: intakes, transforms, emitter })
+            wire(engine, StageKind::Merge, inputs.iter().collect(), ctl, |inputs| {
+                Box::new(ForwardTask { inputs, distinct: None, transforms, emitter })
             });
         }
         PhysicalPlan::MergeAggregate { inputs, group_by_len, aggs } => {
             // Partial-aggregate pipelines (over a partition scan, each one
             // fscan packet folding its rows) converge at the combining task
             // on the merge stage.
-            fan_in(engine, inputs, out, parent, ctl, cfg, |intakes, emitter| {
-                Box::new(MergeAggTask {
-                    inputs: intakes,
-                    merger: Some(AggMerger::new(*group_by_len, aggs.clone())),
-                    results: None,
-                    pos: 0,
-                    transforms,
-                    emitter,
-                })
-            });
+            let merger = AggMerger::new(*group_by_len, aggs.clone());
+            wire(
+                engine,
+                StageKind::Merge,
+                inputs.iter().collect(),
+                ctl,
+                blocking(merger, transforms, emitter),
+            );
         }
         PhysicalPlan::IndexScan { .. } => {
-            let task = IndexScanTask {
-                probe: Probe::new(&ctx, plan),
-                rows: None,
-                pos: 0,
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            engine.enqueue(StageKind::IScan, TaskPacket { ctl, task: Box::new(task) });
+            let task = blocking(Probe::new(engine.ctx(), plan), transforms, emitter)(Vec::new());
+            engine.enqueue(StageKind::IScan, TaskPacket { ctl, task });
         }
         PhysicalPlan::Sort { input, keys } => {
-            let in_buf = ExchangeBuffer::new(cfg.buffer_depth);
-            let act = engine.make_activator();
-            let task = SortTask {
-                input: Intake::new(Arc::clone(&in_buf)),
-                keys: keys.clone(),
-                rows: Vec::new(),
-                sorted: false,
-                pos: 0,
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            act.park(
-                engine.stage_id(StageKind::Sort),
-                TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
+            wire(
+                engine,
+                StageKind::Sort,
+                vec![&**input],
+                ctl,
+                blocking(Sort::new(keys), transforms, emitter),
             );
-            build(engine, input, in_buf, Vec::new(), act, ctl, cfg);
         }
         PhysicalPlan::HashAggregate { input, group_by, aggs }
             if matches!(
@@ -292,131 +210,96 @@ fn build(
         {
             // An aggregate directly on a scan gets no packet of its own: the
             // scan folds its rows into the groups where it decodes them.
-            launch_scan(
-                engine,
-                input,
-                Some(GroupTable::new(group_by, aggs)),
-                transforms,
-                out,
-                parent,
-                ctl,
-            );
+            let groups = Some(GroupTable::new(group_by, aggs));
+            launch_scan(engine, input, groups, transforms, emitter, ctl);
         }
         PhysicalPlan::HashAggregate { input, group_by, aggs } => {
-            let in_buf = ExchangeBuffer::new(cfg.buffer_depth);
-            let act = engine.make_activator();
-            let task = AggTask {
-                input: Intake::new(Arc::clone(&in_buf)),
-                groups: Some(GroupTable::new(group_by, aggs)),
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            act.park(
-                engine.stage_id(StageKind::Aggr),
-                TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
+            let groups = GroupTable::new(group_by, aggs);
+            wire(
+                engine,
+                StageKind::Aggr,
+                vec![&**input],
+                ctl,
+                blocking(groups, transforms, emitter),
             );
-            build(engine, input, in_buf, Vec::new(), act, ctl, cfg);
         }
         PhysicalPlan::Distinct { input } => {
-            let in_buf = ExchangeBuffer::new(cfg.buffer_depth);
-            let act = engine.make_activator();
-            let task = DistinctTask {
-                input: Intake::new(Arc::clone(&in_buf)),
-                seen: HashSet::new(),
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            act.park(
-                engine.stage_id(StageKind::Aggr),
-                TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
-            );
-            build(engine, input, in_buf, Vec::new(), act, ctl, cfg);
+            wire(engine, StageKind::Aggr, vec![&**input], ctl, |inputs| {
+                Box::new(ForwardTask {
+                    inputs,
+                    distinct: Some(DistinctSet::default()),
+                    transforms,
+                    emitter,
+                })
+            });
         }
         PhysicalPlan::HashJoin { left, right, keys, residual } => {
-            let build_buf = ExchangeBuffer::new(cfg.buffer_depth);
-            let probe_buf = ExchangeBuffer::new(cfg.buffer_depth);
-            let act = engine.make_activator();
-            let task = HashJoinTask {
-                build: Intake::new(Arc::clone(&build_buf)),
-                probe: Intake::new(Arc::clone(&probe_buf)),
-                building: true,
-                keys: keys.clone(),
-                residual: residual.clone(),
-                table: HashMap::new(),
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            act.park(
-                engine.stage_id(StageKind::Join),
-                TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
-            );
-            build(engine, left, build_buf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl), cfg);
-            build(engine, right, probe_buf, Vec::new(), act, ctl, cfg);
+            let table = JoinTable::new(keys, residual);
+            wire(engine, StageKind::Join, vec![&**left, &**right], ctl, |inputs| {
+                Box::new(HashJoinTask { inputs, building: true, table, transforms, emitter })
+            });
         }
         PhysicalPlan::MergeJoin { left, right, keys, residual } => {
-            let lbuf = ExchangeBuffer::new(cfg.buffer_depth);
-            let rbuf = ExchangeBuffer::new(cfg.buffer_depth);
-            let act = engine.make_activator();
-            let task = MergeJoinTask {
-                left: Intake::new(Arc::clone(&lbuf)),
-                right: Intake::new(Arc::clone(&rbuf)),
-                keys: keys.clone(),
-                residual: residual.clone(),
-                lrows: Vec::new(),
-                rrows: Vec::new(),
-                output: None,
-                pos: 0,
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            act.park(
-                engine.stage_id(StageKind::Join),
-                TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
+            let join = MergeJoin::new(keys, residual);
+            wire(
+                engine,
+                StageKind::Join,
+                vec![&**left, &**right],
+                ctl,
+                blocking(join, transforms, emitter),
             );
-            build(engine, left, lbuf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl), cfg);
-            build(engine, right, rbuf, Vec::new(), act, ctl, cfg);
         }
         PhysicalPlan::NestedLoopJoin { left, right, predicate } => {
-            let lbuf = ExchangeBuffer::new(cfg.buffer_depth);
-            let rbuf = ExchangeBuffer::new(cfg.buffer_depth);
-            let act = engine.make_activator();
-            let task = NestedLoopTask {
-                left: Intake::new(Arc::clone(&lbuf)),
-                right: Intake::new(Arc::clone(&rbuf)),
-                predicate: predicate.clone(),
-                lrows: Vec::new(),
-                rrows: Vec::new(),
-                gathered: false,
-                i: 0,
-                j: 0,
-                transforms,
-                emitter: Emitter::new(out, parent, engine.page_size()),
-            };
-            act.park(
-                engine.stage_id(StageKind::Join),
-                TaskPacket { ctl: Arc::clone(&ctl), task: Box::new(task) },
-            );
-            build(engine, left, lbuf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl), cfg);
-            build(engine, right, rbuf, Vec::new(), act, ctl, cfg);
+            wire(engine, StageKind::Join, vec![&**left, &**right], ctl, |inputs| {
+                Box::new(NestedLoopTask {
+                    inputs,
+                    predicate: predicate.clone(),
+                    rows: Default::default(),
+                    i: 0,
+                    j: 0,
+                    transforms,
+                    emitter,
+                })
+            });
         }
+    }
+}
+
+/// Wire an operator that has inputs: one exchange buffer per input, the
+/// task parked on `kind`'s stage behind one activator (the first page from
+/// any input wakes it), then every input's pipeline built against its
+/// buffer.
+fn wire(
+    engine: &Arc<StagedEngine>,
+    kind: StageKind,
+    inputs: Vec<&PhysicalPlan>,
+    ctl: Arc<QueryCtl>,
+    make_task: impl FnOnce(Vec<Arc<ExchangeBuffer>>) -> Box<dyn OperatorTask>,
+) {
+    let act = engine.make_activator();
+    let bufs: Vec<_> =
+        inputs.iter().map(|_| ExchangeBuffer::new(engine.config().buffer_depth)).collect();
+    let task = make_task(bufs.clone());
+    act.park(engine.stage_id(kind), TaskPacket { ctl: Arc::clone(&ctl), task });
+    for (input, buf) in inputs.into_iter().zip(bufs) {
+        build(engine, input, buf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl));
     }
 }
 
 /// Compile a `SeqScan` or `PartitionScan` into one `fscan` packet. Without
 /// `groups` the scan's predicate and `transforms` run on each row and the
-/// survivors flow on to `out`. With `groups` the node is the input of a
-/// `HashAggregate`: the predicate is tested on each row, survivors are
-/// folded into `groups`, and only the finished groups — through
-/// `transforms`, the operators fused above the aggregate — flow on to
-/// `out`. Either way the scan decodes only the columns that are read
+/// survivors flow on through `emitter`. With `groups` the node is the
+/// input of a `HashAggregate`: the predicate is tested on each row,
+/// survivors are folded into `groups`, and only the finished groups —
+/// through `transforms`, the operators fused above the aggregate — flow
+/// on. Either way the scan decodes only the columns that are read
 /// (`prune_scan_columns`, [`prune_fold_columns`]).
 fn launch_scan(
     engine: &Arc<StagedEngine>,
     plan: &PhysicalPlan,
     groups: Option<GroupTable>,
     transforms: Vec<Transform>,
-    out: Arc<ExchangeBuffer>,
-    parent: Arc<Activator>,
+    emitter: Emitter,
     ctl: Arc<QueryCtl>,
 ) {
     let (table, partition, predicate, snapshot) = match plan {
@@ -449,14 +332,8 @@ fn launch_scan(
     if let Some(view) = snapshot {
         scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
     }
-    let task = ScanTask {
-        ctx: engine.ctx().clone(),
-        scan,
-        page: Vec::new(),
-        transforms,
-        fold,
-        emitter: Emitter::new(out, parent, engine.page_size()),
-    };
+    let task =
+        ScanTask { ctx: engine.ctx().clone(), scan, page: Vec::new(), transforms, fold, emitter };
     engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
 }
 
@@ -491,47 +368,37 @@ fn prune_fold_columns(
     Some(needed)
 }
 
-/// Shared fan-in wiring for the merge-stage tasks: one exchange buffer +
-/// intake per partial pipeline, the convergence task parked on the merge
-/// stage behind a single activator (first page from any child wakes it),
-/// then every child pipeline built against its buffer.
-fn fan_in(
-    engine: &Arc<StagedEngine>,
-    inputs: &[PhysicalPlan],
-    out: Arc<ExchangeBuffer>,
-    parent: Arc<Activator>,
-    ctl: Arc<QueryCtl>,
-    cfg: &EngineConfig,
-    make_task: impl FnOnce(Vec<Intake>, Emitter) -> Box<dyn OperatorTask>,
-) {
-    let act = engine.make_activator();
-    let mut intakes = Vec::with_capacity(inputs.len());
-    let mut bufs = Vec::with_capacity(inputs.len());
-    for _ in inputs {
-        let b = ExchangeBuffer::new(cfg.buffer_depth);
-        intakes.push(Intake::new(Arc::clone(&b)));
-        bufs.push(b);
-    }
-    let task = make_task(intakes, Emitter::new(out, parent, engine.page_size()));
-    act.park(engine.stage_id(StageKind::Merge), TaskPacket { ctl: Arc::clone(&ctl), task });
-    for (input, buf) in inputs.iter().zip(bufs) {
-        build(engine, input, buf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl), cfg);
-    }
-}
-
-/// Emit through the transform chain; returns `Ok(true)` if a tuple reached
-/// the emitter.
-fn emit_transformed(
-    emitter: &mut Emitter,
-    transforms: &[Transform],
-    t: Tuple,
-) -> EngineResult<bool> {
-    match apply_transforms(transforms, t)? {
-        Some(t) => {
-            emitter.emit(t);
-            Ok(true)
+/// The intake loop of every task with inputs: round-robin over `inputs`,
+/// handing each page that is ready to `take` with its input's index, until
+/// `quota` tuples have moved or `take` answers `false` (its output is
+/// full). `None` once every input is closed and drained; otherwise the
+/// step's result.
+fn pull(
+    inputs: &[Arc<ExchangeBuffer>],
+    quota: usize,
+    mut take: impl FnMut(usize, Vec<Tuple>) -> EngineResult<bool>,
+) -> EngineResult<Option<StepResult>> {
+    let mut moved = 0usize;
+    loop {
+        let mut any = false;
+        for (i, input) in inputs.iter().enumerate() {
+            while let Some(page) = input.try_pop() {
+                moved += page.len().max(1);
+                any = true;
+                if !take(i, page)? || moved >= quota {
+                    return Ok(Some(StepResult::Working));
+                }
+            }
         }
-        None => Ok(false),
+        if !any {
+            return Ok(if inputs.iter().all(|b| b.is_finished()) {
+                None
+            } else if moved > 0 {
+                Some(StepResult::Working)
+            } else {
+                Some(StepResult::Blocked)
+            });
+        }
     }
 }
 
@@ -590,7 +457,10 @@ impl OperatorTask for ScanTask {
             if !self.emitter.ready() {
                 return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
             }
-            if !self.scan.next_into(&mut self.page)? {
+            // A spent LIMIT ends the scan, unless it sits above a fold,
+            // where it counts groups, not rows.
+            let done = self.fold.is_none() && spent(&self.transforms);
+            if done || !self.scan.next_into(&mut self.page)? {
                 if let Some(fold) = self.fold.take() {
                     emit_batch_transformed(
                         &mut self.emitter,
@@ -598,11 +468,7 @@ impl OperatorTask for ScanTask {
                         fold.groups.finish(),
                     )?;
                 }
-                return Ok(if self.emitter.finish() {
-                    StepResult::Done
-                } else {
-                    StepResult::Blocked
-                });
+                return Ok(self.emitter.finish());
             }
             self.ctx.note_page_ref();
             produced += self.page.len();
@@ -625,536 +491,169 @@ impl OperatorTask for ScanTask {
     }
 }
 
-/// One `IndexScan` node's probe, ready to run: the queued
-/// [`IndexScanTask`] and a lone probe served inline run exactly this.
-pub(super) struct Probe {
-    ctx: ExecContext,
-    table: Arc<TableInfo>,
-    index: Arc<IndexInfo>,
-    lo: Option<i64>,
-    hi: Option<i64>,
-    predicate: Option<Expr>,
-    snapshot: Option<ReadView>,
-}
+// ------------------------------------------------------------- blocking --
 
-impl Probe {
-    /// The probe of `plan`, which must be an `IndexScan`.
-    fn new(ctx: &ExecContext, plan: &PhysicalPlan) -> Self {
-        let PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } = plan else {
-            unreachable!("a probe is built from an IndexScan node")
-        };
-        Self {
-            ctx: ctx.clone(),
-            table: Arc::clone(table),
-            index: Arc::clone(index),
-            lo: *lo,
-            hi: *hi,
-            predicate: predicate.clone(),
-            snapshot: *snapshot,
-        }
-    }
-
-    /// Every row the probe yields (one overlay pass judges them together).
-    fn run(&self) -> EngineResult<Vec<Tuple>> {
-        let rows = index_probe(
-            &self.ctx,
-            &self.table,
-            &self.index,
-            self.lo,
-            self.hi,
-            self.predicate.as_ref(),
-            self.snapshot,
-        )?;
-        Ok(rows.into_iter().map(|(_, tuple)| tuple).collect())
-    }
-}
-
-/// Index scan task: the first visit to the `iscan` stage runs the whole
-/// probe; later visits only drain the materialized rows into the exchange
-/// layer.
-pub(super) struct IndexScanTask {
-    pub probe: Probe,
-    pub rows: Option<Vec<Tuple>>,
-    pub pos: usize,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-}
-
-impl OperatorTask for IndexScanTask {
-    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if self.rows.is_none() {
-            self.rows = Some(self.probe.run()?);
-        }
-        let rows = self.rows.as_deref().expect("materialized above");
-        drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)
-    }
-}
-
-// ----------------------------------------------------------------- sort --
-
-pub(super) struct SortTask {
-    pub input: Intake,
-    pub keys: Vec<(Expr, bool)>,
-    pub rows: Vec<Tuple>,
-    pub sorted: bool,
-    pub pos: usize,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-}
-
-impl OperatorTask for SortTask {
-    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if !self.sorted {
-            let mut consumed = 0usize;
-            while consumed < quota {
-                match self.input.next_batch() {
-                    Some(batch) => {
-                        consumed += batch.len().max(1);
-                        self.rows.extend(batch);
-                    }
-                    None if self.input.finished() => {
-                        sort_tuples(&mut self.rows, &self.keys)?;
-                        self.sorted = true;
-                        break;
-                    }
-                    None => {
-                        return Ok(if consumed > 0 {
-                            StepResult::Working
-                        } else {
-                            StepResult::Blocked
-                        })
-                    }
-                }
-            }
-            if !self.sorted {
-                return Ok(StepResult::Working);
-            }
-        }
-        drain_materialized(&mut self.pos, &self.rows, &self.transforms, &mut self.emitter, quota)
-    }
-}
-
-/// Shared drain phase: emit `rows[pos..]` through transforms, one exchange
-/// page per readiness check.
-fn drain_materialized(
-    pos: &mut usize,
-    rows: &[Tuple],
-    transforms: &[Transform],
-    emitter: &mut Emitter,
-    quota: usize,
-) -> EngineResult<StepResult> {
-    let mut produced = 0usize;
-    while produced < quota {
-        if *pos >= rows.len() {
-            return if emitter.finish() { Ok(StepResult::Done) } else { Ok(StepResult::Blocked) };
-        }
-        if !emitter.ready() {
-            return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
-        }
-        let n = (rows.len() - *pos).min(quota - produced).min(emitter.page_cap());
-        emit_batch_transformed(emitter, transforms, rows[*pos..*pos + n].iter().cloned())?;
-        *pos += n;
-        produced += n;
-    }
-    Ok(StepResult::Working)
-}
-
-// ---------------------------------------------------------------- merge --
-
-/// Bag union of N partial pipelines (the staged `Exchange`): forwards
-/// whatever any input has ready, so fast partitions never wait for slow
-/// ones.
-pub(super) struct UnionTask {
-    pub inputs: Vec<Intake>,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-}
-
-impl OperatorTask for UnionTask {
-    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        let mut moved = 0usize;
-        loop {
-            let mut any = false;
-            for i in 0..self.inputs.len() {
-                loop {
-                    if moved >= quota {
-                        return Ok(StepResult::Working);
-                    }
-                    if !self.emitter.ready() {
-                        return Ok(if moved > 0 {
-                            StepResult::Working
-                        } else {
-                            StepResult::Blocked
-                        });
-                    }
-                    match self.inputs[i].next_batch() {
-                        Some(batch) => {
-                            moved += batch.len().max(1);
-                            emit_batch_transformed(&mut self.emitter, &self.transforms, batch)?;
-                            any = true;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if !any {
-                if self.inputs.iter().all(Intake::finished) {
-                    return if self.emitter.finish() {
-                        Ok(StepResult::Done)
-                    } else {
-                        Ok(StepResult::Blocked)
-                    };
-                }
-                return Ok(if moved > 0 { StepResult::Working } else { StepResult::Blocked });
-            }
-        }
-    }
-}
-
-/// Combine N partial-aggregation pipelines into final aggregate rows (the
-/// staged `MergeAggregate`): absorbs partial rows as they arrive from any
-/// partition, finishes once every input closes.
-pub(super) struct MergeAggTask {
-    pub inputs: Vec<Intake>,
-    pub merger: Option<AggMerger>,
-    pub results: Option<Vec<Tuple>>,
-    pub pos: usize,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-}
-
-impl OperatorTask for MergeAggTask {
-    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if self.results.is_none() {
-            let merger = self.merger.as_mut().expect("merger present until finish");
-            let mut consumed = 0usize;
-            loop {
-                let mut any = false;
-                for i in 0..self.inputs.len() {
-                    loop {
-                        if consumed >= quota {
-                            return Ok(StepResult::Working);
-                        }
-                        match self.inputs[i].next_batch() {
-                            Some(batch) => {
-                                consumed += batch.len().max(1);
-                                for t in &batch {
-                                    merger.absorb(t)?;
-                                }
-                                any = true;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                if !any {
-                    if self.inputs.iter().all(Intake::finished) {
-                        break;
-                    }
-                    return Ok(if consumed > 0 {
-                        StepResult::Working
-                    } else {
-                        StepResult::Blocked
-                    });
-                }
-            }
-            let merger = self.merger.take().expect("merger present until finish");
-            self.results = Some(merger.finish());
-        }
-        let rows = self.results.as_ref().expect("computed above");
-        drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)
-    }
-}
-
-// ------------------------------------------------------------ aggregate --
-
-/// A hash aggregate over an input that is not a scan (a join, a sort, an
-/// index probe, a union): absorbs whole pages from the `aggr` stage queue,
-/// then emits the finished groups.
-pub(super) struct AggTask {
-    input: Intake,
-    groups: Option<GroupTable>,
+/// A [`Blocking`] operator's task — sort, merge join, hash aggregate over a
+/// non-scan input, partial-aggregate merge, queued index probe: absorbs
+/// every page of its inputs as it arrives, then drains the operator's rows
+/// one exchange page per readiness check.
+struct BlockingTask<K> {
+    inputs: Vec<Arc<ExchangeBuffer>>,
+    op: Option<K>,
+    rows: std::vec::IntoIter<Tuple>,
     transforms: Vec<Transform>,
     emitter: Emitter,
 }
 
-impl OperatorTask for AggTask {
-    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if let Some(groups) = &mut self.groups {
-            let mut consumed = 0usize;
-            loop {
-                if consumed >= quota {
-                    return Ok(StepResult::Working);
-                }
-                match self.input.next_batch() {
-                    Some(batch) => {
-                        consumed += batch.len().max(1);
-                        for t in &batch {
-                            groups.absorb(t)?;
-                        }
-                    }
-                    None if self.input.finished() => break,
-                    None => {
-                        return Ok(if consumed > 0 {
-                            StepResult::Working
-                        } else {
-                            StepResult::Blocked
-                        })
-                    }
-                }
-            }
-            let rows = self.groups.take().expect("absorbing until here").finish();
-            emit_batch_transformed(&mut self.emitter, &self.transforms, rows)?;
-        }
-        Ok(if self.emitter.finish() { StepResult::Done } else { StepResult::Blocked })
+/// The task maker [`wire`] calls for a [`BlockingTask`] running `op`.
+fn blocking<K: Blocking + Send + 'static>(
+    op: K,
+    transforms: Vec<Transform>,
+    emitter: Emitter,
+) -> impl FnOnce(Vec<Arc<ExchangeBuffer>>) -> Box<dyn OperatorTask> {
+    move |inputs| {
+        let rows = Vec::new().into_iter();
+        Box::new(BlockingTask { inputs, op: Some(op), rows, transforms, emitter })
     }
 }
 
-pub(super) struct DistinctTask {
-    pub input: Intake,
-    pub seen: HashSet<Vec<u8>>,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-}
-
-impl OperatorTask for DistinctTask {
+impl<K: Blocking + Send> OperatorTask for BlockingTask<K> {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        let mut moved = 0usize;
-        while moved < quota {
+        if let Some(op) = &mut self.op {
+            let absorb = |i, page: Vec<Tuple>| {
+                page.into_iter().try_for_each(|t| op.push(i, t)).map(|()| true)
+            };
+            if let Some(r) = pull(&self.inputs, quota, absorb)? {
+                return Ok(r);
+            }
+            self.rows = self.op.take().expect("absorbing until here").output()?.into_iter();
+        }
+        let mut produced = 0usize;
+        while produced < quota {
+            if self.rows.as_slice().is_empty() {
+                return Ok(self.emitter.finish());
+            }
             if !self.emitter.ready() {
-                return Ok(if moved > 0 { StepResult::Working } else { StepResult::Blocked });
+                return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
             }
-            match self.input.next_batch() {
-                Some(batch) => {
-                    moved += batch.len().max(1);
-                    for t in batch {
-                        if self.seen.insert(t.encode()) {
-                            emit_transformed(&mut self.emitter, &self.transforms, t)?;
-                        }
-                    }
-                    self.emitter.pump();
-                }
-                None if self.input.finished() => {
-                    return if self.emitter.finish() {
-                        Ok(StepResult::Done)
-                    } else {
-                        Ok(StepResult::Blocked)
-                    };
-                }
-                None => {
-                    return Ok(if moved > 0 { StepResult::Working } else { StepResult::Blocked })
-                }
-            }
+            let n = self.rows.len().min(quota - produced).min(self.emitter.page_cap());
+            emit_batch_transformed(
+                &mut self.emitter,
+                &self.transforms,
+                self.rows.by_ref().take(n),
+            )?;
+            produced += n;
         }
         Ok(StepResult::Working)
     }
 }
 
-// ---------------------------------------------------------------- joins --
+// ------------------------------------------------------------ streaming --
 
-pub(super) struct HashJoinTask {
-    pub build: Intake,
-    pub probe: Intake,
-    pub building: bool,
-    pub keys: Vec<(Expr, Expr)>,
-    pub residual: Option<Expr>,
-    pub table: HashMap<Vec<u8>, Vec<Tuple>>,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
+/// Forwards every page of its inputs through the transform chain as it
+/// arrives, so fast inputs never wait for slow ones: the staged `Exchange`
+/// (a bag union of N partial pipelines) and, with a seen-set, `DISTINCT`.
+struct ForwardTask {
+    inputs: Vec<Arc<ExchangeBuffer>>,
+    distinct: Option<DistinctSet>,
+    transforms: Vec<Transform>,
+    emitter: Emitter,
+}
+
+impl OperatorTask for ForwardTask {
+    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
+        if !self.emitter.ready() {
+            return Ok(StepResult::Blocked);
+        }
+        let r = pull(&self.inputs, quota, |_, page| {
+            let seen = &mut self.distinct;
+            let new = page.into_iter().filter(|t| seen.as_mut().is_none_or(|s| s.first(t)));
+            emit_batch_transformed(&mut self.emitter, &self.transforms, new)?;
+            Ok(self.emitter.ready())
+        })?;
+        Ok(r.unwrap_or_else(|| self.emitter.finish()))
+    }
+}
+
+/// Hash join: hashes the whole build (left) input, then streams the probe
+/// input through the table.
+struct HashJoinTask {
+    inputs: Vec<Arc<ExchangeBuffer>>,
+    building: bool,
+    table: JoinTable,
+    transforms: Vec<Transform>,
+    emitter: Emitter,
 }
 
 impl OperatorTask for HashJoinTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        let mut work = 0usize;
         if self.building {
-            let key_exprs: Vec<&Expr> = self.keys.iter().map(|(l, _)| l).collect();
-            loop {
-                if work >= quota {
-                    return Ok(StepResult::Working);
-                }
-                match self.build.next_batch() {
-                    Some(batch) => {
-                        work += batch.len().max(1);
-                        for t in batch {
-                            if let Some(k) = encode_key(&key_exprs, &t)? {
-                                self.table.entry(k).or_default().push(t);
-                            }
-                        }
-                    }
-                    None if self.build.finished() => {
-                        self.building = false;
-                        break;
-                    }
-                    None => {
-                        return Ok(if work > 0 { StepResult::Working } else { StepResult::Blocked })
-                    }
-                }
+            let hash = |_, page: Vec<Tuple>| {
+                page.into_iter().try_for_each(|t| self.table.build(t)).map(|()| true)
+            };
+            if let Some(r) = pull(&self.inputs[..1], quota, hash)? {
+                return Ok(r);
             }
+            self.building = false;
         }
         // Probe phase: one probe page per readiness check; every match the
         // page produces goes straight out through the transform chain (the
         // page is the granularity of back-pressure, so the staging run may
         // overshoot by one page's join fan-out before the task yields).
-        let key_exprs: Vec<&Expr> = self.keys.iter().map(|(_, r)| r).collect();
-        while work < quota {
-            if !self.emitter.ready() {
-                return Ok(if work > 0 { StepResult::Working } else { StepResult::Blocked });
-            }
-            match self.probe.next_batch() {
-                Some(batch) => {
-                    work += batch.len().max(1);
-                    for probe in batch {
-                        let Some(k) = encode_key(&key_exprs, &probe)? else { continue };
-                        if let Some(matches) = self.table.get(&k) {
-                            for m in matches {
-                                let joined = m.concat(&probe);
-                                match &self.residual {
-                                    Some(p) if !eval_predicate(p, &joined)? => continue,
-                                    _ => {
-                                        emit_transformed(
-                                            &mut self.emitter,
-                                            &self.transforms,
-                                            joined,
-                                        )?;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    self.emitter.pump();
-                }
-                None if self.probe.finished() => {
-                    return if self.emitter.finish() {
-                        Ok(StepResult::Done)
-                    } else {
-                        Ok(StepResult::Blocked)
-                    };
-                }
-                None => {
-                    return Ok(if work > 0 { StepResult::Working } else { StepResult::Blocked })
-                }
-            }
+        if !self.emitter.ready() {
+            return Ok(StepResult::Blocked);
         }
-        Ok(StepResult::Working)
+        let r = pull(&self.inputs[1..], quota, |_, page| {
+            let mut joined = Vec::new();
+            for t in &page {
+                self.table.probe(t, &mut joined)?;
+            }
+            emit_batch_transformed(&mut self.emitter, &self.transforms, joined)?;
+            Ok(self.emitter.ready())
+        })?;
+        Ok(r.unwrap_or_else(|| self.emitter.finish()))
     }
 }
 
-pub(super) struct MergeJoinTask {
-    pub left: Intake,
-    pub right: Intake,
-    pub keys: (Expr, Expr),
-    pub residual: Option<Expr>,
-    pub lrows: Vec<Tuple>,
-    pub rrows: Vec<Tuple>,
-    pub output: Option<Vec<Tuple>>,
-    pub pos: usize,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
-}
-
-impl OperatorTask for MergeJoinTask {
-    fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if self.output.is_none() {
-            let mut moved = 0usize;
-            while moved < quota {
-                if let Some(batch) = self.left.next_batch() {
-                    moved += batch.len().max(1);
-                    self.lrows.extend(batch);
-                    continue;
-                }
-                if let Some(batch) = self.right.next_batch() {
-                    moved += batch.len().max(1);
-                    self.rrows.extend(batch);
-                    continue;
-                }
-                if self.left.finished() && self.right.finished() {
-                    break;
-                }
-                return Ok(if moved > 0 { StepResult::Working } else { StepResult::Blocked });
-            }
-            if !(self.left.finished() && self.right.finished()) {
-                return Ok(StepResult::Working);
-            }
-            self.output = Some(merge_join(
-                std::mem::take(&mut self.lrows),
-                std::mem::take(&mut self.rrows),
-                &self.keys,
-                &self.residual,
-            )?);
-        }
-        let rows = self.output.as_ref().expect("computed above");
-        drain_materialized(&mut self.pos, rows, &self.transforms, &mut self.emitter, quota)
-    }
-}
-
-pub(super) struct NestedLoopTask {
-    pub left: Intake,
-    pub right: Intake,
-    pub predicate: Option<Expr>,
-    pub lrows: Vec<Tuple>,
-    pub rrows: Vec<Tuple>,
-    pub gathered: bool,
-    pub i: usize,
-    pub j: usize,
-    pub transforms: Vec<Transform>,
-    pub emitter: Emitter,
+/// Nested-loop join: gathers both inputs whole, then walks the (outer,
+/// inner) pairs, `quota` pairs per visit.
+struct NestedLoopTask {
+    inputs: Vec<Arc<ExchangeBuffer>>,
+    predicate: Option<Expr>,
+    rows: [Vec<Tuple>; 2],
+    i: usize,
+    j: usize,
+    transforms: Vec<Transform>,
+    emitter: Emitter,
 }
 
 impl OperatorTask for NestedLoopTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        if !self.gathered {
-            let mut moved = 0usize;
-            while moved < quota {
-                if let Some(batch) = self.left.next_batch() {
-                    moved += batch.len().max(1);
-                    self.lrows.extend(batch);
-                    continue;
-                }
-                if let Some(batch) = self.right.next_batch() {
-                    moved += batch.len().max(1);
-                    self.rrows.extend(batch);
-                    continue;
-                }
-                if self.left.finished() && self.right.finished() {
-                    self.gathered = true;
-                    break;
-                }
-                return Ok(if moved > 0 { StepResult::Working } else { StepResult::Blocked });
-            }
-            if !self.gathered {
-                return Ok(StepResult::Working);
-            }
+        let gather = |side: usize, page: Vec<Tuple>| {
+            self.rows[side].extend(page);
+            Ok(true)
+        };
+        if let Some(r) = pull(&self.inputs, quota, gather)? {
+            return Ok(r);
         }
-        if self.rrows.is_empty() {
-            // Inner relation empty: no output at all.
-            self.i = self.lrows.len();
-        }
+        let [outer, inner] = &self.rows;
         let mut produced = 0usize;
         while produced < quota {
-            if self.i >= self.lrows.len() {
-                return if self.emitter.finish() {
-                    Ok(StepResult::Done)
-                } else {
-                    Ok(StepResult::Blocked)
-                };
+            if inner.is_empty() || self.i >= outer.len() {
+                return Ok(self.emitter.finish());
             }
             if !self.emitter.ready() {
                 return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
             }
-            let joined = self.lrows[self.i].concat(&self.rrows[self.j]);
+            let pair = join_pair(&outer[self.i], &inner[self.j], &self.predicate)?;
             // Advance the (i, j) cursor.
             self.j += 1;
-            if self.j >= self.rrows.len() {
+            if self.j == inner.len() {
                 self.j = 0;
                 self.i += 1;
             }
             produced += 1;
-            match &self.predicate {
-                Some(p) if !eval_predicate(p, &joined)? => continue,
-                _ => {
-                    emit_transformed(&mut self.emitter, &self.transforms, joined)?;
-                }
-            }
+            emit_batch_transformed(&mut self.emitter, &self.transforms, pair)?;
         }
         Ok(StepResult::Working)
     }
@@ -1162,35 +661,25 @@ impl OperatorTask for NestedLoopTask {
 
 // ----------------------------------------------------------------- send --
 
-pub(super) struct SendTask {
-    pub input: Intake,
-    pub ctl: Arc<QueryCtl>,
+struct SendTask {
+    inputs: Vec<Arc<ExchangeBuffer>>,
+    ctl: Arc<QueryCtl>,
 }
 
 impl OperatorTask for SendTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        let mut moved = 0usize;
-        while moved < quota {
-            match self.input.next_batch() {
-                Some(batch) => {
-                    moved += batch.len().max(1);
-                    for t in batch {
-                        self.ctl.emit(t);
-                    }
-                }
-                None if self.input.finished() => return Ok(StepResult::Done),
-                None => {
-                    return Ok(if moved > 0 { StepResult::Working } else { StepResult::Blocked })
-                }
-            }
-        }
-        Ok(StepResult::Working)
+        let deliver = |_, page: Vec<Tuple>| {
+            page.into_iter().for_each(|t| self.ctl.emit(t));
+            Ok(true)
+        };
+        Ok(pull(&self.inputs, quota, deliver)?.unwrap_or(StepResult::Done))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::staged::EngineConfig;
     use staged_storage::{BufferPool, Catalog, MemDisk, Value};
 
     fn tuple(i: i64) -> Tuple {
@@ -1222,12 +711,12 @@ mod tests {
         }
         assert_eq!(e.staging.len(), 4, "backlog reports staged tuples, not batches");
         assert!(!e.ready(), "full downstream buffer must stall the producer");
-        assert!(!e.finish(), "cannot close while a page is stuck behind the buffer");
+        assert_eq!(e.finish(), StepResult::Blocked, "a page is stuck behind the full buffer");
         // The consumer drains one page; the producer unblocks and drains.
         let page = buf.try_pop().expect("one page queued");
         assert_eq!(page.len(), 4);
         assert!(e.ready());
-        assert!(e.finish());
+        assert_eq!(e.finish(), StepResult::Done);
         assert_eq!(buf.queued_tuples(), 4);
         assert!(buf.is_closed());
         engine.shutdown();
@@ -1248,7 +737,7 @@ mod tests {
         assert_eq!(buf.try_pop().unwrap().len(), 3);
         assert_eq!(buf.try_pop().unwrap().len(), 3);
         assert_eq!(e.staging.len(), 1, "partial page stays staged until finish");
-        assert!(e.finish());
+        assert_eq!(e.finish(), StepResult::Done);
         assert_eq!(buf.try_pop().unwrap().len(), 1);
         engine.shutdown();
     }

@@ -3,19 +3,21 @@
 //! `build` compiles a [`PhysicalPlan`] into a tree of [`Executor`]s; the
 //! whole query then runs as one call chain on the calling thread — the
 //! work-centric execution model of §3.1 whose cache behaviour the staged
-//! design improves on. Correctness-wise both engines are equivalent and the
-//! integration tests diff them query-by-query.
+//! design improves on. The executors own only the pull control flow: every
+//! operator's algorithm is the kernel the staged engine runs too
+//! ([`crate::kernel`], [`crate::transform`], [`crate::agg`],
+//! [`crate::probe`]).
 
 use crate::agg::{AggMerger, GroupTable};
 use crate::context::ExecContext;
-use crate::error::{EngineError, EngineResult};
-use crate::expr::{eval, eval_predicate};
-use crate::probe::index_probe;
+use crate::error::EngineResult;
+use crate::expr::eval_predicate;
+use crate::kernel::{join_pair, Blocking, DistinctSet, JoinTable, MergeJoin, Sort};
+use crate::probe::Probe;
+use crate::transform::{apply_transforms, fuse, spent, Transform};
 use staged_planner::PhysicalPlan;
 use staged_sql::ast::Expr;
-use staged_storage::catalog::{IndexInfo, TableInfo};
-use staged_storage::{ReadView, Rid, StorageResult, Tuple, Value};
-use std::collections::HashMap;
+use staged_storage::{Rid, StorageResult, Tuple};
 use std::sync::Arc;
 
 /// A pull-based operator.
@@ -26,6 +28,9 @@ pub trait Executor {
 
 /// Compile a physical plan into an executor tree.
 pub fn build(plan: &PhysicalPlan, ctx: &ExecContext) -> EngineResult<Box<dyn Executor>> {
+    let all = |inputs: &[PhysicalPlan]| -> EngineResult<Vec<_>> {
+        inputs.iter().map(|i| build(i, ctx)).collect()
+    };
     Ok(match plan {
         PhysicalPlan::SeqScan { table, predicate, snapshot } => {
             ctx.note_module_entry(4096);
@@ -47,46 +52,28 @@ pub fn build(plan: &PhysicalPlan, ctx: &ExecContext) -> EngineResult<Box<dyn Exe
             // The Volcano equivalent of the staged engine's parallel merge:
             // a *sequential* union over the same partial plans, so the
             // differential tests compare identical plan shapes.
-            let children = inputs.iter().map(|i| build(i, ctx)).collect::<EngineResult<_>>()?;
-            Box::new(ExchangeExec { children, cur: 0 })
+            Box::new(ExchangeExec { children: all(inputs)?, cur: 0 })
         }
         PhysicalPlan::MergeAggregate { inputs, group_by_len, aggs } => {
             ctx.note_operator_code(4096);
-            let children = inputs.iter().map(|i| build(i, ctx)).collect::<EngineResult<_>>()?;
-            Box::new(MergeAggExec {
-                inputs: Some(children),
-                merger: Some(AggMerger::new(*group_by_len, aggs.clone())),
-                results: Vec::new(),
-                pos: 0,
-            })
+            drain(ctx, false, all(inputs)?, AggMerger::new(*group_by_len, aggs.clone()))
         }
-        PhysicalPlan::IndexScan { table, index, lo, hi, predicate, snapshot } => {
+        PhysicalPlan::IndexScan { .. } => {
             ctx.note_module_entry(4096);
-            Box::new(IndexScanExec {
-                ctx: ctx.clone(),
-                table: Arc::clone(table),
-                index: Arc::clone(index),
-                lo: *lo,
-                hi: *hi,
-                predicate: predicate.clone(),
-                snapshot: *snapshot,
-                rows: None,
-            })
+            drain(ctx, false, Vec::new(), Probe::new(ctx, plan))
         }
-        PhysicalPlan::Filter { input, predicate } => {
-            Box::new(FilterExec { input: build(input, ctx)?, predicate: predicate.clone() })
-        }
-        PhysicalPlan::Project { input, exprs, .. } => {
-            Box::new(ProjectExec { input: build(input, ctx)?, exprs: exprs.clone() })
+        PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } | PhysicalPlan::Limit { .. } => {
+            let (input, transforms) = fuse(plan, Vec::new());
+            Box::new(TransformExec { input: build(input, ctx)?, transforms })
         }
         PhysicalPlan::NestedLoopJoin { left, right, predicate } => {
             ctx.note_operator_code(8192);
             Box::new(NestedLoopJoinExec {
                 ctx: ctx.clone(),
                 left: build(left, ctx)?,
-                right: build(right, ctx)?,
+                right: Some(build(right, ctx)?),
                 predicate: predicate.clone(),
-                inner: None,
+                inner: Vec::new(),
                 outer: None,
                 inner_pos: 0,
             })
@@ -95,49 +82,27 @@ pub fn build(plan: &PhysicalPlan, ctx: &ExecContext) -> EngineResult<Box<dyn Exe
             ctx.note_operator_code(8192);
             Box::new(HashJoinExec {
                 ctx: ctx.clone(),
-                left: Some(build(left, ctx)?),
-                right: build(right, ctx)?,
-                keys: keys.clone(),
-                residual: residual.clone(),
-                table: HashMap::new(),
+                build: Some(build(left, ctx)?),
+                probe: build(right, ctx)?,
+                table: JoinTable::new(keys, residual),
                 pending: Vec::new(),
             })
         }
         PhysicalPlan::MergeJoin { left, right, keys, residual } => {
             ctx.note_operator_code(8192);
-            Box::new(MergeJoinExec::new(
-                ctx.clone(),
-                build(left, ctx)?,
-                build(right, ctx)?,
-                keys.clone(),
-                residual.clone(),
-            ))
+            let inputs = vec![build(left, ctx)?, build(right, ctx)?];
+            drain(ctx, true, inputs, MergeJoin::new(keys, residual))
         }
         PhysicalPlan::Sort { input, keys } => {
             ctx.note_operator_code(4096);
-            Box::new(SortExec {
-                ctx: ctx.clone(),
-                input: Some(build(input, ctx)?),
-                keys: keys.clone(),
-                sorted: Vec::new(),
-                pos: 0,
-            })
+            drain(ctx, true, vec![build(input, ctx)?], Sort::new(keys))
         }
         PhysicalPlan::HashAggregate { input, group_by, aggs } => {
             ctx.note_operator_code(4096);
-            Box::new(HashAggExec {
-                ctx: ctx.clone(),
-                input: Some((build(input, ctx)?, GroupTable::new(group_by, aggs))),
-                results: Vec::new(),
-                pos: 0,
-            })
+            drain(ctx, true, vec![build(input, ctx)?], GroupTable::new(group_by, aggs))
         }
-        PhysicalPlan::Distinct { input } => Box::new(DistinctExec {
-            input: build(input, ctx)?,
-            seen: std::collections::HashSet::new(),
-        }),
-        PhysicalPlan::Limit { input, n } => {
-            Box::new(LimitExec { input: build(input, ctx)?, remaining: *n })
+        PhysicalPlan::Distinct { input } => {
+            Box::new(DistinctExec { input: build(input, ctx)?, seen: DistinctSet::default() })
         }
     })
 }
@@ -190,97 +155,60 @@ impl Executor for ExchangeExec {
     }
 }
 
-/// Drain every partial-aggregation input, combine the partial states, then
-/// emit final rows.
-struct MergeAggExec {
-    inputs: Option<Vec<Box<dyn Executor>>>,
-    merger: Option<AggMerger>,
-    results: Vec<Tuple>,
-    pos: usize,
+/// A [`Blocking`] operator: the first `next()` pulls every row of every
+/// input into the kernel, in input order; later calls hand out its rows.
+struct DrainExec<K> {
+    ctx: ExecContext,
+    /// Book each input row as private data (the operator holds it).
+    note_rows: bool,
+    inputs: Vec<Box<dyn Executor>>,
+    op: Option<K>,
+    rows: std::vec::IntoIter<Tuple>,
 }
 
-impl Executor for MergeAggExec {
+fn drain<K: Blocking + 'static>(
+    ctx: &ExecContext,
+    note_rows: bool,
+    inputs: Vec<Box<dyn Executor>>,
+    op: K,
+) -> Box<dyn Executor> {
+    let rows = Vec::new().into_iter();
+    Box::new(DrainExec { ctx: ctx.clone(), note_rows, inputs, op: Some(op), rows })
+}
+
+impl<K: Blocking> Executor for DrainExec<K> {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if let Some(mut inputs) = self.inputs.take() {
-            let mut merger = self.merger.take().expect("merger set at build");
-            for input in inputs.iter_mut() {
+        if let Some(mut op) = self.op.take() {
+            for (i, input) in self.inputs.iter_mut().enumerate() {
                 while let Some(t) = input.next()? {
-                    merger.absorb(&t)?;
+                    if self.note_rows {
+                        self.ctx.note_private_bytes(t.encoded_len() as u64);
+                    }
+                    op.push(i, t)?;
                 }
             }
-            self.results = merger.finish();
+            self.rows = op.output()?.into_iter();
         }
-        if self.pos < self.results.len() {
-            self.pos += 1;
-            Ok(Some(self.results[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(self.rows.next())
     }
 }
 
-/// Index scan: the whole probe runs on the first `next()` (one overlay
-/// pass judges every fetched row together), then rows drain one by one.
-struct IndexScanExec {
-    ctx: ExecContext,
-    table: Arc<TableInfo>,
-    index: Arc<IndexInfo>,
-    lo: Option<i64>,
-    hi: Option<i64>,
-    predicate: Option<Expr>,
-    snapshot: Option<ReadView>,
-    rows: Option<std::vec::IntoIter<(Rid, Tuple)>>,
-}
-
-impl Executor for IndexScanExec {
-    fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if self.rows.is_none() {
-            let rows = index_probe(
-                &self.ctx,
-                &self.table,
-                &self.index,
-                self.lo,
-                self.hi,
-                self.predicate.as_ref(),
-                self.snapshot,
-            )?;
-            self.rows = Some(rows.into_iter());
-        }
-        Ok(self.rows.as_mut().and_then(Iterator::next).map(|(_, tuple)| tuple))
-    }
-}
-
-struct FilterExec {
+/// The fused filters, projections and limits above one input: the chain a
+/// staged task runs on its rows. Pulls nothing more once a limit is spent.
+struct TransformExec {
     input: Box<dyn Executor>,
-    predicate: Expr,
+    transforms: Vec<Transform>,
 }
 
-impl Executor for FilterExec {
+impl Executor for TransformExec {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        while let Some(t) = self.input.next()? {
-            if eval_predicate(&self.predicate, &t)? {
+        while !spent(&self.transforms) {
+            let Some(t) = self.input.next()? else { break };
+            if let Some(t) = apply_transforms(&self.transforms, t)? {
                 return Ok(Some(t));
             }
         }
         Ok(None)
-    }
-}
-
-struct ProjectExec {
-    input: Box<dyn Executor>,
-    exprs: Vec<Expr>,
-}
-
-impl Executor for ProjectExec {
-    fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        match self.input.next()? {
-            Some(t) => {
-                let vals =
-                    self.exprs.iter().map(|e| eval(e, &t)).collect::<EngineResult<Vec<_>>>()?;
-                Ok(Some(Tuple::new(vals)))
-            }
-            None => Ok(None),
-        }
     }
 }
 
@@ -288,39 +216,36 @@ impl Executor for ProjectExec {
 struct NestedLoopJoinExec {
     ctx: ExecContext,
     left: Box<dyn Executor>,
-    right: Box<dyn Executor>,
+    /// The inner input, until it is materialized into `inner`.
+    right: Option<Box<dyn Executor>>,
     predicate: Option<Expr>,
-    inner: Option<Vec<Tuple>>,
+    inner: Vec<Tuple>,
     outer: Option<Tuple>,
     inner_pos: usize,
 }
 
 impl Executor for NestedLoopJoinExec {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if self.inner.is_none() {
-            let mut inner = Vec::new();
-            while let Some(t) = self.right.next()? {
+        if let Some(mut right) = self.right.take() {
+            while let Some(t) = right.next()? {
                 self.ctx.note_private_bytes(t.encoded_len() as u64);
-                inner.push(t);
+                self.inner.push(t);
             }
-            self.inner = Some(inner);
         }
         loop {
-            if self.outer.is_none() {
+            let Some(outer) = &self.outer else {
                 self.outer = self.left.next()?;
                 self.inner_pos = 0;
                 if self.outer.is_none() {
                     return Ok(None);
                 }
-            }
-            let outer = self.outer.as_ref().expect("outer set above");
-            let inner = self.inner.as_ref().expect("inner materialized");
-            while self.inner_pos < inner.len() {
-                let joined = outer.concat(&inner[self.inner_pos]);
+                continue;
+            };
+            while self.inner_pos < self.inner.len() {
                 self.inner_pos += 1;
-                match &self.predicate {
-                    Some(p) if !eval_predicate(p, &joined)? => continue,
-                    _ => return Ok(Some(joined)),
+                let pair = join_pair(outer, &self.inner[self.inner_pos - 1], &self.predicate)?;
+                if pair.is_some() {
+                    return Ok(pair);
                 }
             }
             self.outer = None;
@@ -328,300 +253,46 @@ impl Executor for NestedLoopJoinExec {
     }
 }
 
-/// Encode join/group keys byte-wise; `None` when any key is NULL (SQL
-/// equality never matches NULLs).
-pub(crate) fn encode_key(exprs: &[&Expr], tuple: &Tuple) -> EngineResult<Option<Vec<u8>>> {
-    let mut out = Vec::new();
-    for e in exprs {
-        let v = eval(e, tuple)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        // Normalize Int/Float so 1 = 1.0 joins match.
-        match v {
-            Value::Int(i) => Value::Float(i as f64).encode(&mut out),
-            other => other.encode(&mut out),
-        }
-    }
-    Ok(Some(out))
-}
-
+/// Hash join: the build (left) input is hashed on the first `next()`, then
+/// probe rows stream through.
 struct HashJoinExec {
     ctx: ExecContext,
-    left: Option<Box<dyn Executor>>,
-    right: Box<dyn Executor>,
-    keys: Vec<(Expr, Expr)>,
-    residual: Option<Expr>,
-    table: HashMap<Vec<u8>, Vec<Tuple>>,
+    build: Option<Box<dyn Executor>>,
+    probe: Box<dyn Executor>,
+    table: JoinTable,
     pending: Vec<Tuple>,
 }
 
 impl Executor for HashJoinExec {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        // Build phase.
-        if let Some(mut left) = self.left.take() {
-            let key_exprs: Vec<&Expr> = self.keys.iter().map(|(l, _)| l).collect();
-            while let Some(t) = left.next()? {
+        if let Some(mut build) = self.build.take() {
+            while let Some(t) = build.next()? {
                 self.ctx.note_private_bytes(t.encoded_len() as u64);
-                if let Some(k) = encode_key(&key_exprs, &t)? {
-                    self.table.entry(k).or_default().push(t);
-                }
+                self.table.build(t)?;
             }
         }
         loop {
             if let Some(t) = self.pending.pop() {
                 return Ok(Some(t));
             }
-            let Some(probe) = self.right.next()? else {
-                return Ok(None);
-            };
-            let key_exprs: Vec<&Expr> = self.keys.iter().map(|(_, r)| r).collect();
-            let Some(k) = encode_key(&key_exprs, &probe)? else {
-                continue;
-            };
-            if let Some(matches) = self.table.get(&k) {
-                for m in matches {
-                    let joined = m.concat(&probe);
-                    match &self.residual {
-                        Some(p) if !eval_predicate(p, &joined)? => continue,
-                        _ => self.pending.push(joined),
-                    }
-                }
-            }
-        }
-    }
-}
-
-struct MergeJoinExec {
-    ctx: ExecContext,
-    left: Option<Box<dyn Executor>>,
-    right: Option<Box<dyn Executor>>,
-    keys: (Expr, Expr),
-    residual: Option<Expr>,
-    output: Vec<Tuple>,
-    pos: usize,
-    done: bool,
-}
-
-impl MergeJoinExec {
-    fn new(
-        ctx: ExecContext,
-        left: Box<dyn Executor>,
-        right: Box<dyn Executor>,
-        keys: (Expr, Expr),
-        residual: Option<Expr>,
-    ) -> Self {
-        Self {
-            ctx,
-            left: Some(left),
-            right: Some(right),
-            keys,
-            residual,
-            output: Vec::new(),
-            pos: 0,
-            done: false,
-        }
-    }
-
-    /// Sort-merge both inputs and materialize the join output.
-    fn compute(&mut self) -> EngineResult<()> {
-        let gather = |input: Option<Box<dyn Executor>>| -> EngineResult<Vec<Tuple>> {
-            let mut rows = Vec::new();
-            if let Some(mut input) = input {
-                while let Some(t) = input.next()? {
-                    self.ctx.note_private_bytes(t.encoded_len() as u64);
-                    rows.push(t);
-                }
-            }
-            Ok(rows)
-        };
-        let lrows = gather(self.left.take())?;
-        let rrows = gather(self.right.take())?;
-        self.output = merge_join(lrows, rrows, &self.keys, &self.residual)?;
-        Ok(())
-    }
-}
-
-/// Sort-merge two materialized inputs on `keys`: the join kernel of both
-/// engines. Rows whose key is NULL never match.
-pub(crate) fn merge_join(
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
-    keys: &(Expr, Expr),
-    residual: &Option<Expr>,
-) -> EngineResult<Vec<Tuple>> {
-    let mut l: Vec<(Value, Tuple)> = Vec::with_capacity(lrows.len());
-    for t in lrows {
-        let k = eval(&keys.0, &t)?;
-        if !k.is_null() {
-            l.push((k, t));
-        }
-    }
-    let mut r: Vec<(Value, Tuple)> = Vec::with_capacity(rrows.len());
-    for t in rrows {
-        let k = eval(&keys.1, &t)?;
-        if !k.is_null() {
-            r.push((k, t));
-        }
-    }
-    l.sort_by(|a, b| a.0.total_cmp(&b.0));
-    r.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < l.len() && j < r.len() {
-        match l[i].0.sql_cmp(&r[j].0) {
-            Some(std::cmp::Ordering::Less) => i += 1,
-            Some(std::cmp::Ordering::Greater) => j += 1,
-            Some(std::cmp::Ordering::Equal) => {
-                // Emit the cross product of the two equal-key groups.
-                let key = l[i].0.clone();
-                let i0 = i;
-                while i < l.len() && l[i].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal) {
-                    i += 1;
-                }
-                let j0 = j;
-                while j < r.len() && r[j].0.sql_cmp(&key) == Some(std::cmp::Ordering::Equal) {
-                    j += 1;
-                }
-                for (_, lt) in &l[i0..i] {
-                    for (_, rt) in &r[j0..j] {
-                        let joined = lt.concat(rt);
-                        match residual {
-                            Some(p) if !eval_predicate(p, &joined)? => continue,
-                            _ => out.push(joined),
-                        }
-                    }
-                }
-            }
-            None => return Err(EngineError::Eval("incomparable merge-join keys".into())),
-        }
-    }
-    Ok(out)
-}
-
-impl Executor for MergeJoinExec {
-    fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if !self.done {
-            self.compute()?;
-            self.done = true;
-        }
-        if self.pos < self.output.len() {
-            self.pos += 1;
-            Ok(Some(self.output[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-struct SortExec {
-    ctx: ExecContext,
-    input: Option<Box<dyn Executor>>,
-    keys: Vec<(Expr, bool)>,
-    sorted: Vec<Tuple>,
-    pos: usize,
-}
-
-/// Sort tuples by key expressions (stable; NULLs first on ASC).
-pub fn sort_tuples(rows: &mut [Tuple], keys: &[(Expr, bool)]) -> EngineResult<()> {
-    // Precompute key values to avoid re-evaluating during comparisons.
-    let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::with_capacity(rows.len());
-    for t in rows.iter() {
-        let ks = keys.iter().map(|(e, _)| eval(e, t)).collect::<EngineResult<Vec<_>>>()?;
-        keyed.push((ks, t.clone()));
-    }
-    keyed.sort_by(|a, b| {
-        for (idx, (_, asc)) in keys.iter().enumerate() {
-            let ord = a.0[idx].total_cmp(&b.0[idx]);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    for (slot, (_, t)) in rows.iter_mut().zip(keyed) {
-        *slot = t;
-    }
-    Ok(())
-}
-
-impl Executor for SortExec {
-    fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if let Some(mut input) = self.input.take() {
-            while let Some(t) = input.next()? {
-                self.ctx.note_private_bytes(t.encoded_len() as u64);
-                self.sorted.push(t);
-            }
-            sort_tuples(&mut self.sorted, &self.keys)?;
-        }
-        if self.pos < self.sorted.len() {
-            self.pos += 1;
-            Ok(Some(self.sorted[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-struct HashAggExec {
-    ctx: ExecContext,
-    /// The input and the groups it feeds, until the first `next()`.
-    input: Option<(Box<dyn Executor>, GroupTable)>,
-    results: Vec<Tuple>,
-    pos: usize,
-}
-
-impl Executor for HashAggExec {
-    fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if let Some((mut input, mut groups)) = self.input.take() {
-            while let Some(t) = input.next()? {
-                self.ctx.note_private_bytes(t.encoded_len() as u64);
-                groups.absorb(&t)?;
-            }
-            self.results = groups.finish();
-        }
-        if self.pos < self.results.len() {
-            self.pos += 1;
-            Ok(Some(self.results[self.pos - 1].clone()))
-        } else {
-            Ok(None)
+            let Some(t) = self.probe.next()? else { return Ok(None) };
+            self.table.probe(&t, &mut self.pending)?;
         }
     }
 }
 
 struct DistinctExec {
     input: Box<dyn Executor>,
-    seen: std::collections::HashSet<Vec<u8>>,
+    seen: DistinctSet,
 }
 
 impl Executor for DistinctExec {
     fn next(&mut self) -> EngineResult<Option<Tuple>> {
         while let Some(t) = self.input.next()? {
-            if self.seen.insert(t.encode()) {
+            if self.seen.first(&t) {
                 return Ok(Some(t));
             }
         }
         Ok(None)
-    }
-}
-
-struct LimitExec {
-    input: Box<dyn Executor>,
-    remaining: u64,
-}
-
-impl Executor for LimitExec {
-    fn next(&mut self) -> EngineResult<Option<Tuple>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(t) => {
-                self.remaining -= 1;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
     }
 }

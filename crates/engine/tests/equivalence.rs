@@ -757,3 +757,89 @@ fn queries_after_shutdown_fail_inline_and_queued_alike() {
     }
     assert_eq!(probe_path(&engine), before, "nothing ran after shutdown");
 }
+
+/// Equi-join keys compare exactly: two integers above 2^53 that share an
+/// `f64` never match, nor does such an integer match the float it rounds
+/// to, while an integral float still matches its integer. The `HashJoin`,
+/// `MergeJoin` and `NestedLoopJoin` plans must agree on both engines.
+#[test]
+fn hash_and_merge_joins_agree_on_integers_above_2_pow_53_and_on_integral_floats() {
+    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 64)));
+    // Each table also holds 300 rows that match nothing, so that the
+    // planner costs a nested loop above a hash or merge join.
+    let load = |name: &str, col: &str, ty: DataType, vals: Vec<Value>| {
+        let t = cat.create_table(name, Schema::new(vec![Column::new(col, ty)])).unwrap();
+        let sign = if matches!(name, "a" | "c") { 1 } else { -1 };
+        let filler = (0..300).map(|i| match ty {
+            DataType::Float => Value::Float((sign * (10_000 + i)) as f64),
+            _ => Value::Int(sign * (10_000 + i)),
+        });
+        for v in vals.into_iter().chain(filler) {
+            t.heap.insert(&Tuple::new(vec![v])).unwrap();
+        }
+        cat.analyze_table(name).unwrap();
+    };
+    let (big, big_less_one) = (9_007_199_254_740_993, 9_007_199_254_740_992);
+    assert_eq!(big as f64, big_less_one as f64, "the pair shares an f64");
+    load("a", "x", DataType::Int, vec![Value::Int(big), Value::Int(5)]);
+    load("b", "y", DataType::Int, vec![Value::Int(big_less_one), Value::Int(5)]);
+    // An INT above 2^53 against the FLOAT it rounds to: no match either.
+    load("c", "x", DataType::Int, vec![Value::Int(1), Value::Int(2), Value::Int(big)]);
+    let near = Value::Float(big_less_one as f64);
+    load("d", "y", DataType::Float, vec![Value::Float(1.0), Value::Float(2.5), near]);
+    let ctx = ExecContext::new(Arc::clone(&cat));
+    let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
+    let cases = [
+        ("SELECT x, y FROM a, b WHERE a.x = b.y", vec![Value::Int(5), Value::Int(5)]),
+        ("SELECT x, y FROM c, d WHERE c.x = d.y", vec![Value::Int(1), Value::Float(1.0)]),
+    ];
+    for (sql, want) in cases {
+        let Statement::Select(sel) = parse_statement(sql).unwrap() else { panic!() };
+        let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
+        let methods =
+            [("HashJoin", true, false), ("MergeJoin", false, true), ("NestedLoop", false, false)];
+        for (method, hash, merge) in methods {
+            let cfg = PlannerConfig {
+                enable_hash_join: hash,
+                enable_merge_join: merge,
+                ..Default::default()
+            };
+            let plan = plan_select(&bound, &cat, &cfg).unwrap();
+            assert!(plan.to_string().contains(method), "{sql}:\n{plan}");
+            let want = vec![Tuple::new(want.clone())];
+            assert_eq!(volcano::run(&plan, &ctx).unwrap(), want, "volcano {method}: {sql}");
+            let staged = engine.execute(&plan).collect().unwrap();
+            assert_eq!(staged, want, "staged {method}: {sql}");
+        }
+    }
+    engine.shutdown();
+}
+
+/// A scan whose own chain holds a spent LIMIT stops reading pages: over a
+/// 100k-row table `SELECT x FROM a LIMIT 5` fetches the first page or so,
+/// not the whole heap, on both engines.
+#[test]
+fn a_spent_limit_stops_the_scan_under_it() {
+    let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 64)));
+    let a = cat.create_table("a", Schema::new(vec![Column::new("x", DataType::Int)])).unwrap();
+    for i in 0..100_000i64 {
+        a.heap.insert(&Tuple::new(vec![Value::Int(i)])).unwrap();
+    }
+    cat.analyze_table("a").unwrap();
+    let fetches = || {
+        let st = cat.pool().stats();
+        st.hits + st.misses
+    };
+    let ctx = ExecContext::new(Arc::clone(&cat));
+    let plan = plan_sql(&cat, "SELECT x FROM a LIMIT 5");
+    let engine = StagedEngine::new(ctx.clone(), EngineConfig::default());
+    let before = fetches();
+    assert_eq!(engine.execute(&plan).collect().unwrap().len(), 5);
+    let staged = fetches() - before;
+    engine.shutdown();
+    let before = fetches();
+    assert_eq!(volcano::run(&plan, &ctx).unwrap().len(), 5);
+    let volcano = fetches() - before;
+    assert!(staged <= 3, "the staged scan fetched {staged} pages for LIMIT 5");
+    assert!(volcano <= 3, "the Volcano scan fetched {volcano} pages for LIMIT 5");
+}

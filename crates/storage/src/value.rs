@@ -96,18 +96,18 @@ impl Value {
     }
 
     /// SQL comparison: NULL compares as unknown (`None`); numeric types
-    /// compare across Int/Float.
+    /// compare across Int/Float exactly, so an `Int` above 2^53 is not equal
+    /// to the nearest `Float` (the hash-join key agrees).
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            _ => {
-                let a = self.as_float()?;
-                let b = other.as_float()?;
-                a.partial_cmp(&b)
-            }
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Int(i), Value::Float(f)) => int_float_cmp(*i, *f),
+            (Value::Float(f), Value::Int(i)) => int_float_cmp(*i, *f).map(Ordering::reverse),
+            _ => None,
         }
     }
 
@@ -250,6 +250,23 @@ impl fmt::Display for Value {
     }
 }
 
+/// `i` against `f` without rounding `i` to `f64`: `f`'s integer part is
+/// exact in `i64` whenever it lies in range, and its fraction breaks a tie.
+fn int_float_cmp(i: i64, f: f64) -> Option<Ordering> {
+    /// `2^63`: the first `f64` above every `i64`.
+    const I64_END: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        None
+    } else if f >= I64_END {
+        Some(Ordering::Less)
+    } else if f < -I64_END {
+        Some(Ordering::Greater)
+    } else {
+        let whole = f.trunc();
+        Some(i.cmp(&(whole as i64)).then(0.0.partial_cmp(&(f - whole))?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,6 +313,23 @@ mod tests {
     fn sql_cmp_mixed_numeric() {
         assert_eq!(Value::Int(2).sql_cmp(&Value::Float(2.5)), Some(Ordering::Less));
         assert_eq!(Value::Float(2.0).sql_cmp(&Value::Int(2)), Some(Ordering::Equal));
+        assert_eq!(Value::Int(-3).sql_cmp(&Value::Float(-2.5)), Some(Ordering::Less));
+        assert_eq!(Value::Int(-2).sql_cmp(&Value::Float(-2.5)), Some(Ordering::Greater));
+        assert_eq!(Value::Int(3).sql_cmp(&Value::Float(2.5)), Some(Ordering::Greater));
+        // Above 2^53 the two would share an f64; the comparison stays exact.
+        let (big, f) = (Value::Int((1 << 53) + 1), Value::Float((1u64 << 53) as f64));
+        assert_eq!(big.sql_cmp(&f), Some(Ordering::Greater));
+        assert_eq!(f.sql_cmp(&big), Some(Ordering::Less));
+        assert_eq!(
+            Value::Int(i64::MAX).sql_cmp(&Value::Float(2f64.powi(63))),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).sql_cmp(&Value::Float(-(2f64.powi(63)))),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(Value::Int(i64::MIN).sql_cmp(&Value::Float(-1e300)), Some(Ordering::Greater));
+        assert_eq!(Value::Int(0).sql_cmp(&Value::Float(f64::NAN)), None);
         assert_eq!(Value::Null.sql_cmp(&Value::Int(1)), None);
         assert_eq!(Value::Str("a".into()).sql_cmp(&Value::Str("b".into())), Some(Ordering::Less));
     }
