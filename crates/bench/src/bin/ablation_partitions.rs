@@ -6,9 +6,10 @@
 //! a partition-pruned point-lookup mix.
 //!
 //! Pass `quick` for the CI smoke run (small table, one repetition).
-//! Speedup on the scan workload needs real cores: on a single-core host
-//! every layout should land within noise of 1×, while correctness (the
-//! printed result check) holds everywhere.
+//! Speedup on the scan workload needs real cores: the `fscan` stage serves
+//! one packet per visit, so its workers take one partition packet each.
+//! On a single-core host every layout should land within noise of 1×,
+//! while correctness (the printed result check) holds everywhere.
 
 use staged_bench::{mem_catalog, plan};
 use staged_engine::context::ExecContext;
@@ -92,9 +93,11 @@ fn main() {
     println!(
         "\nHow to read this: point lookups speed up ~Nx on any host — partition pruning\n\
          scans 1/N of the table per query. The scan/aggregate column needs real cores:\n\
-         on a multi-core host the N partial aggregates (one fscan packet each, which\n\
-         scans and folds its partition) spread across the fscan workers and converge\n\
-         at the merge stage; on a single core the same plan costs a few percent of\n\
-         exchange overhead instead."
+         the N partial aggregates (one fscan packet each, which scans and folds its\n\
+         partition) are served one packet per visit, so they spread across the fscan\n\
+         workers and converge at the merge stage; on a single core the same plan\n\
+         costs a few percent of exchange overhead instead. EXPERIMENTS.md, \"Partition\n\
+         scans in parallel\", has this table before and after fscan stopped taking\n\
+         all of a scan's partition packets to one worker in one visit."
     );
 }

@@ -258,18 +258,36 @@ pub struct EngineConfig {
     pub batch_capacity: usize,
     /// Batches each exchange buffer may hold before back-pressure.
     pub buffer_depth: usize,
-    /// Worker threads per stage.
+    /// Worker threads of every stage but `fscan`, and the least `fscan`
+    /// runs ([`EngineConfig::scan_workers`]).
     pub workers_per_stage: usize,
-    /// Task packets an engine-stage worker may serve per queue visit
-    /// (cohort scheduling, §4.2; knob (b) of §4.4). Gated service: a task requeued mid-visit (Working/Blocked yields) goes to
-    /// the back of the queue and joins the *next* visit, so a cohort never
-    /// spins on its own yields.
+    /// Task packets a worker of every stage but `fscan` may serve per
+    /// queue visit (cohort scheduling, §4.2; knob (b) of §4.4); `fscan`
+    /// serves one. Gated service: a task requeued mid-visit
+    /// (Working/Blocked yields) goes to the back of the queue and joins
+    /// the *next* visit, so a cohort never spins on its own yields.
     pub cohort: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self { batch_capacity: 256, buffer_depth: 4, workers_per_stage: 1, cohort: 8 }
+    }
+}
+
+/// Most `fscan` workers one engine starts, however many cores the host
+/// has. Every engine a process builds starts its own, so without a cap a
+/// test binary running one engine per core would start cores² scan
+/// threads (DESIGN.md §11).
+pub const SCAN_MAX_WORKERS: usize = 8;
+
+impl EngineConfig {
+    /// Workers of the `fscan` stage: one per available core, at most
+    /// [`SCAN_MAX_WORKERS`], and never fewer than `workers_per_stage`.
+    /// A scan's partition packets spread over them (DESIGN.md §8).
+    pub fn scan_workers(&self) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        cores.min(SCAN_MAX_WORKERS).max(self.workers_per_stage)
     }
 }
 
@@ -287,15 +305,23 @@ impl StagedEngine {
         for kind in StageKind::ALL {
             let logic =
                 EngineStageLogic { kind, blocked_streak: std::sync::atomic::AtomicUsize::new(0) };
+            // A scan quantum is thousands of rows, far longer than the
+            // queue work a cohort would amortize (§4.2), so `fscan` serves
+            // one packet per visit: a query's partition packets then go to
+            // as many workers as are free, not all to the first one.
+            let (workers, cohort) = match kind {
+                StageKind::FScan => (config.scan_workers(), 1),
+                _ => (config.workers_per_stage, config.cohort),
+            };
             let id = builder.add_stage(
                 StageSpec::new(kind.name(), logic)
                     .with_queue_capacity(4096)
-                    .with_workers(config.workers_per_stage)
+                    .with_workers(workers)
                     // Gated cohorts: operator tasks yield by requeueing
                     // themselves to the back, where the next visit finds
                     // them — a visit never spins over its own yields.
                     .with_batch(BatchPolicy::DGated)
-                    .with_max_cohort(config.cohort),
+                    .with_max_cohort(cohort),
             );
             // Registration follows `StageKind::ALL`, so a kind's
             // discriminant is its stage id (`stage_id`).

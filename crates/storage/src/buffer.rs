@@ -109,13 +109,19 @@ impl BufferPool {
     }
 
     /// Map `page` to a pinned frame; `read_from_disk` controls miss filling.
+    ///
+    /// A dirty victim's page stays mapped to its frame, `io_pending`, until
+    /// its write-back has landed: a concurrent fetch of it waits for the
+    /// write and then reads the new bytes back, where an unmapped page
+    /// would have been read from its stale disk copy.
     fn install(&self, page: PageId, read_from_disk: bool) -> StorageResult<usize> {
         loop {
             let victim = {
                 let mut inner = self.inner.lock();
                 if let Some(&f) = inner.page_table.get(&page) {
                     if inner.meta[f].io_pending {
-                        // Another thread is filling this frame; wait briefly.
+                        // Another thread is filling or writing back this
+                        // frame; wait briefly.
                         drop(inner);
                         std::thread::yield_now();
                         continue;
@@ -135,7 +141,7 @@ impl BufferPool {
                     ref_bit: true,
                     io_pending: true,
                 };
-                if let Some(old_page) = old.page {
+                if let Some(old_page) = old.page.filter(|_| !old.dirty) {
                     inner.page_table.remove(&old_page);
                 }
                 inner.page_table.insert(page, f);
@@ -144,22 +150,28 @@ impl BufferPool {
             };
             let (f, old) = victim;
             // I/O outside the mapping lock.
-            let io_result = (|| -> StorageResult<()> {
-                let mut data = self.frames[f].write();
-                if old.dirty {
-                    let old_page = old.page.expect("dirty frame must hold a page");
-                    self.disk.write_page(old_page, &data[..])?;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+            let mut data = self.frames[f].write();
+            if let Some(old_page) = old.page.filter(|_| old.dirty) {
+                let written = self.disk.write_page(old_page, &data[..]);
+                let mut inner = self.inner.lock();
+                if let Err(e) = written {
+                    // The victim keeps its page and its unwritten bytes.
+                    inner.page_table.remove(&page);
+                    inner.meta[f] = old;
+                    return Err(e);
                 }
-                if read_from_disk {
-                    self.disk.read_page(page, &mut data[..])?;
-                } else {
-                    data.fill(0);
-                }
+                inner.page_table.remove(&old_page);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            let filled = if read_from_disk {
+                self.disk.read_page(page, &mut data[..])
+            } else {
+                data.fill(0);
                 Ok(())
-            })();
+            };
+            drop(data);
             let mut inner = self.inner.lock();
-            match io_result {
+            match filled {
                 Ok(()) => {
                     inner.meta[f].io_pending = false;
                     return Ok(f);
@@ -248,7 +260,9 @@ impl Drop for PageGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::{IoStats, MemDisk};
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         BufferPool::new(Arc::new(MemDisk::new()), frames)
@@ -321,6 +335,101 @@ mod tests {
         drop(g1);
         drop(g2);
         assert_eq!(p.pin_count(id), Some(0));
+    }
+
+    /// A disk whose every page write fails at once while `refuse` is set,
+    /// and otherwise announces itself on `writing` and then waits until
+    /// `fetched` is set — at most `HOLD`.
+    #[derive(Default)]
+    struct HeldWrites {
+        disk: MemDisk,
+        refuse: AtomicBool,
+        writing: AtomicBool,
+        fetched: AtomicBool,
+    }
+
+    const HOLD: Duration = Duration::from_millis(300);
+
+    impl DiskManager for HeldWrites {
+        fn allocate(&self, file: u32) -> StorageResult<PageId> {
+            self.disk.allocate(file)
+        }
+        fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
+            self.disk.read_page(page, buf)
+        }
+        fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+            if self.refuse.load(Ordering::SeqCst) {
+                return Err(StorageError::Io("write refused".into()));
+            }
+            self.writing.store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + HOLD;
+            while !self.fetched.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.disk.write_page(page, buf)
+        }
+        fn num_pages(&self) -> u64 {
+            self.disk.num_pages()
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.disk.sync()
+        }
+        fn stats(&self) -> IoStats {
+            self.disk.stats()
+        }
+    }
+
+    #[test]
+    fn a_page_fetched_during_its_write_back_reads_the_new_bytes() {
+        let disk = Arc::new(HeldWrites::default());
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 2);
+        // Page `a` is dirty in frame 0, its disk copy still zeroed; `c`
+        // holds frame 1 pinned, so the next miss evicts `a`.
+        let a = p.new_page(0).unwrap();
+        let c = p.new_page(0).unwrap();
+        a.write(|d| d[0] = 7);
+        let a = {
+            let id = a.page_id();
+            drop(a);
+            id
+        };
+        let b = disk.allocate(0).unwrap();
+        let evictor = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.fetch(b).map(|g| g.page_id()))
+        };
+        // `a`'s write-back is under way: fetch `a` from this thread (with
+        // `c`'s frame free for a miss) while the write is held.
+        while !disk.writing.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        drop(c);
+        let seen = p.fetch(a).unwrap().read(|d| d[0]);
+        disk.fetched.store(true, Ordering::SeqCst);
+        assert_eq!(evictor.join().unwrap().unwrap(), b);
+        assert_eq!(seen, 7, "a fetch during the write-back read the stale disk copy");
+        assert_eq!(p.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_failed_write_back_keeps_the_victims_bytes() {
+        let disk = Arc::new(HeldWrites::default());
+        disk.fetched.store(true, Ordering::SeqCst);
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 1);
+        let a = p.new_page(0).unwrap();
+        a.write(|d| d[0] = 7);
+        let a = {
+            let id = a.page_id();
+            drop(a);
+            id
+        };
+        let b = disk.allocate(0).unwrap();
+        disk.refuse.store(true, Ordering::SeqCst);
+        assert!(matches!(p.fetch(b), Err(StorageError::Io(_))));
+        assert_eq!(p.fetch(a).unwrap().read(|d| d[0]), 7, "the failed write lost the page");
+        disk.refuse.store(false, Ordering::SeqCst);
+        assert_eq!(p.fetch(b).unwrap().page_id(), b);
+        assert_eq!(p.fetch(a).unwrap().read(|d| d[0]), 7, "written back on the retry");
     }
 
     #[test]
