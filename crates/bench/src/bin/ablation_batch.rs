@@ -10,9 +10,9 @@
 //! pre-cohort one-packet-per-visit semantics; every other column is pure
 //! batching, same threads, same queues, same queries. SELECTs run in
 //! Volcano mode on the execute stage's workers, deliberately: the sweep
-//! isolates the *pipeline* cohorts being ablated (the engine's own
-//! `EngineConfig::cohort` stages are covered by the differential suite
-//! at cohorts 1/4/16, `crates/engine/tests/equivalence.rs`).
+//! isolates the *pipeline* cohorts being ablated (the engine's stages
+//! run the fixed `staged::COHORT`, covered by the differential suite in
+//! `crates/engine/tests/equivalence.rs`).
 //!
 //! For each setting the table reports steady-state throughput, speedup
 //! over cohort 1, and the *observed* mean cohort at the parse stage (the

@@ -30,8 +30,7 @@ fn sweep(label: &str, ctx: &ExecContext, plan: &PhysicalPlan, expect: usize, rep
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).clamp(2, 8);
     let mut base = f64::MIN;
     for page in PAGES {
-        let cfg =
-            EngineConfig { batch_capacity: page, workers_per_stage: workers, ..Default::default() };
+        let cfg = EngineConfig { batch_capacity: page, workers_per_stage: workers };
         let engine = StagedEngine::new(ctx.clone(), cfg);
         // Warm once so every cell starts from hot caches.
         engine.execute(plan).collect().unwrap();

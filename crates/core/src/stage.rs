@@ -185,8 +185,8 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
 
     /// Put a packet at the back of this stage's own queue (paper case iii:
     /// "there is more work but the client needs to wait on some
-    /// condition"; the staged execution engine's round-robin yield when an
-    /// output buffer is full or input is empty, §4.3). Buffered like
+    /// condition"; the staged execution engine's yield after a quantum
+    /// that made progress, §4.3). Buffered like
     /// [`send`](Self::send) during a visit; the flush appends self-requeues
     /// capacity-exempt, so a yielding cohort can never deadlock its own
     /// stage.
@@ -201,12 +201,6 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
     /// Look up a stage id by name.
     pub fn stage_id_of(&self, name: &str) -> Option<StageId> {
         self.shared.stage_id(name)
-    }
-
-    /// Depth of some stage's queue (the engine's stages pace their yield
-    /// back-off by it).
-    pub fn queue_depth(&self, stage: StageId) -> usize {
-        self.shared.stage(stage).queue.len()
     }
 
     /// Report that the current packet was requeued to wait on a condition

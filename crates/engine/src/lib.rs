@@ -9,11 +9,11 @@
 //! * [`staged`] — the paper's staged execution engine (§4.1.2, §4.3):
 //!   operators are packets queued at stages (fscan, iscan, sort, join,
 //!   aggregate, merge, send), activated bottom-up, exchanging **pages of
-//!   tuples** through bounded producer/consumer buffers; a task that cannot
-//!   proceed requeues itself ("a stage thread that cannot momentarily
-//!   continue execution enqueues the current packet in the same stage's
-//!   queue"). Every scan is one query's own page scan; the §5.4 shared
-//!   scans are not implemented (DESIGN.md §3).
+//!   tuples** through bounded producer/consumer buffers; a task with more
+//!   work yields by requeueing itself, and a task that cannot proceed parks,
+//!   out of every queue, until a buffer it waits on moves (§4.1.1 case
+//!   iii). Every scan is one query's own page scan; the §5.4 shared scans
+//!   are not implemented (DESIGN.md §3).
 //!
 //! Staging changes when an operator's code runs, not what it is (§4.1), so
 //! each operator has one kernel both engines call, and an engine keeps only

@@ -4,12 +4,18 @@
 //! one of the execution-engine stages of Figure 3 — fscan, iscan, sort,
 //! join, aggregate, send. Dataflow is page-based: bounded
 //! [`ExchangeBuffer`]s of tuple pages connect producers to consumers.
-//! Activation is bottom-up: leaf (scan) packets are enqueued when the query
-//! arrives; an operator packet enters its stage's queue only when its first
-//! input page is ready ("activation occurs in a bottom-up fashion with
-//! respect to the operator tree"). A task that cannot make progress —
-//! output buffer full or input empty — requeues itself at the back of its
-//! stage queue, which is the cooperative yield of §4.3.
+//!
+//! A task waits in one way only. When it cannot make progress — output
+//! buffer full or every input empty — its packet leaves the queues (§4.1.1
+//! case iii) and parks in the task's [`WakeCell`]; the buffer end that
+//! moves — a page pushed into an empty input, an input closed, a page
+//! popped from a full output — re-admits it to its stage's queue.
+//! Activation is the first use of the same cell: leaf (scan) packets are
+//! enqueued when the query arrives, and every operator above them starts
+//! out parked until its first input page or close ("activation occurs in
+//! a bottom-up fashion with respect to the operator tree", §4.3). A task
+//! that made progress and has more to do requeues itself at the back of
+//! its stage queue, which is the cooperative yield of §4.3.
 //!
 //! Every scan is a dedicated page scan owned by one query, filtered
 //! through that query's snapshot when it has one (DESIGN.md §3 on why the
@@ -22,14 +28,13 @@ use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::transform::Transform;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use staged_core::prelude::*;
 use staged_planner::PhysicalPlan;
 use staged_storage::Tuple;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The execution-engine stages of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,7 +90,8 @@ impl StageKind {
 pub enum StepResult {
     /// Made progress; more work remains.
     Working,
-    /// Could not progress (input empty / output full); retry later.
+    /// Could not progress (input empty / output full): park until a
+    /// buffer end moves.
     Blocked,
     /// Finished; destroy the packet.
     Done,
@@ -99,27 +105,97 @@ pub trait OperatorTask: Send {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult>;
 }
 
+/// A task's one wake cell: where its packet waits, in no queue, whenever
+/// the task cannot progress — for its first input at activation (§4.3)
+/// and every time it blocks after that (§4.1.1 case iii). A wake
+/// re-admits the parked packet to its stage's queue or, when nothing is
+/// parked, leaves a *notified* mark that the next park consumes at once,
+/// so a wake that races ahead of the park is never lost. The buffers on
+/// either side of a task wake its cell ([`ExchangeBuffer`]), and a failing
+/// query wakes every cell it has ([`QueryCtl::fail`]).
+pub struct WakeCell {
+    state: Mutex<Wake>,
+    runtime: StagedRuntime<TaskPacket>,
+}
+
+enum Wake {
+    /// Nothing parked, no wake pending.
+    Idle,
+    /// The task's packet and the stage it re-enters.
+    Parked(StageId, TaskPacket),
+    /// Woken while nothing was parked: the next park re-admits at once.
+    Notified,
+}
+
+impl WakeCell {
+    /// A cell for one task of the query behind `ctl`, registered with it
+    /// so a failure wakes it; a cell made after the failure starts out
+    /// notified. One critical section with `fail`'s taking of the list, so
+    /// no cell misses both.
+    fn new(runtime: &StagedRuntime<TaskPacket>, ctl: &QueryCtl) -> Arc<Self> {
+        let cell = Arc::new(Self { state: Mutex::new(Wake::Idle), runtime: runtime.clone() });
+        let mut cells = ctl.cells.lock();
+        if ctl.is_cancelled() {
+            cell.wake();
+        } else {
+            cells.push(Arc::clone(&cell));
+        }
+        drop(cells);
+        cell
+    }
+
+    /// Park `packet` until the next wake — or re-admit it to `stage` now
+    /// if a wake came since the last park.
+    fn park(&self, stage: StageId, packet: TaskPacket) {
+        let mut state = self.state.lock();
+        match std::mem::replace(&mut *state, Wake::Idle) {
+            Wake::Idle => *state = Wake::Parked(stage, packet),
+            Wake::Notified => {
+                drop(state);
+                submit(&self.runtime, stage, packet);
+            }
+            Wake::Parked(..) => unreachable!("a task has one packet"),
+        }
+    }
+
+    /// Re-admit the parked packet, or mark the cell notified when none is
+    /// parked.
+    pub fn wake(&self) {
+        let mut state = self.state.lock();
+        if let Wake::Parked(stage, packet) = std::mem::replace(&mut *state, Wake::Notified) {
+            *state = Wake::Idle;
+            drop(state);
+            submit(&self.runtime, stage, packet);
+        }
+    }
+}
+
 /// Bounded single-producer/single-consumer page buffer between stages. A
 /// page is a `Vec` of at most the engine's page size tuples (knob (c) of
-/// §4.4). Capacity is counted in *pages*, while
-/// [`ExchangeBuffer::queued_tuples`] keeps the backlog observable in tuples
-/// so back-pressure accounting stays denominated in rows regardless of the
-/// page size.
+/// §4.4); capacity is counted in pages.
+///
+/// Each end wakes the task on the other end when it leaves the state that
+/// task waits on: a push into an empty buffer and the close (which rides
+/// on the last push) wake the consumer's cell, a pop from a full buffer
+/// wakes the producer's.
 pub struct ExchangeBuffer {
     inner: Mutex<VecDeque<Vec<Tuple>>>,
     capacity: usize,
     closed: AtomicBool,
-    tuples: AtomicUsize,
+    producer: Arc<WakeCell>,
+    consumer: Arc<WakeCell>,
 }
 
 impl ExchangeBuffer {
-    /// A buffer holding at most `capacity` pages.
-    pub fn new(capacity: usize) -> Arc<Self> {
+    /// A buffer holding at most `capacity` pages from `producer`'s task to
+    /// `consumer`'s.
+    pub fn new(capacity: usize, producer: Arc<WakeCell>, consumer: Arc<WakeCell>) -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
             closed: AtomicBool::new(false),
-            tuples: AtomicUsize::new(0),
+            producer,
+            consumer,
         })
     }
 
@@ -128,68 +204,90 @@ impl ExchangeBuffer {
         self.inner.lock().len() < self.capacity
     }
 
-    /// Non-blocking push; hands the page back when full.
-    pub fn try_push(&self, page: Vec<Tuple>) -> Result<(), Vec<Tuple>> {
+    /// Non-blocking push of `page` (nothing when it is empty), closing
+    /// the stream with it when `last`; hands the page back when full.
+    pub fn try_push(&self, page: Vec<Tuple>, last: bool) -> Result<(), Vec<Tuple>> {
         let mut q = self.inner.lock();
-        if q.len() >= self.capacity {
-            Err(page)
-        } else {
-            self.tuples.fetch_add(page.len(), Ordering::Relaxed);
-            q.push_back(page);
-            Ok(())
+        if !page.is_empty() && q.len() >= self.capacity {
+            return Err(page);
         }
+        let wake = last || (q.is_empty() && !page.is_empty());
+        if !page.is_empty() {
+            q.push_back(page);
+        }
+        if last {
+            self.closed.store(true, Ordering::SeqCst);
+        }
+        drop(q);
+        if wake {
+            self.consumer.wake();
+        }
+        Ok(())
     }
 
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<Vec<Tuple>> {
-        let popped = self.inner.lock().pop_front();
-        if let Some(b) = &popped {
-            self.tuples.fetch_sub(b.len(), Ordering::Relaxed);
+        let mut q = self.inner.lock();
+        let was_full = q.len() >= self.capacity;
+        let page = q.pop_front()?;
+        drop(q);
+        if was_full {
+            self.producer.wake();
         }
-        popped
-    }
-
-    /// Tuples currently queued (across all buffered pages).
-    pub fn queued_tuples(&self) -> usize {
-        self.tuples.load(Ordering::Relaxed)
-    }
-
-    /// Producer signals end of stream.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
+        Some(page)
     }
 
     /// No more pages will ever arrive.
     pub fn is_finished(&self) -> bool {
         self.closed.load(Ordering::SeqCst) && self.inner.lock().is_empty()
     }
+}
 
-    /// Producer has closed (pages may still be queued).
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
+/// The queries of one engine that still have a packet — queued, in
+/// service or parked. A parked packet is in no queue, so
+/// [`StagedEngine::shutdown`] waits for this count, not for quiet queues,
+/// before it stops the stages.
+#[derive(Default)]
+struct LiveQueries {
+    count: Mutex<usize>,
+    none: Condvar,
 }
 
 /// Per-query control block: result sink + cancellation.
 pub struct QueryCtl {
-    sink: Sender<EngineResult<Tuple>>,
+    sink: Sender<EngineResult<Vec<Tuple>>>,
     cancelled: AtomicBool,
+    /// Every task's cell, so a failure can wake whatever is parked.
+    cells: Mutex<Vec<Arc<WakeCell>>>,
+    live: Arc<LiveQueries>,
 }
 
 impl QueryCtl {
-    fn new(sink: Sender<EngineResult<Tuple>>) -> Arc<Self> {
-        Arc::new(Self { sink, cancelled: AtomicBool::new(false) })
+    fn new(sink: Sender<EngineResult<Vec<Tuple>>>, live: &Arc<LiveQueries>) -> Arc<Self> {
+        *live.count.lock() += 1;
+        Arc::new(Self {
+            sink,
+            cancelled: AtomicBool::new(false),
+            cells: Mutex::new(Vec::new()),
+            live: Arc::clone(live),
+        })
     }
 
-    /// Deliver one result tuple.
-    pub fn emit(&self, t: Tuple) {
-        let _ = self.sink.send(Ok(t));
+    /// Deliver a page of result tuples: one hand-off to the client for
+    /// the whole page.
+    pub fn emit(&self, rows: Vec<Tuple>) {
+        let _ = self.sink.send(Ok(rows));
     }
 
-    /// Abort the query with an error (first error wins).
+    /// Abort the query with an error (first error wins). The query's
+    /// parked packets wait for buffers that will not move now, so every
+    /// cell is woken: each packet is re-admitted, finds the query
+    /// cancelled and is dropped.
     pub fn fail(&self, e: EngineError) {
         if !self.cancelled.swap(true, Ordering::SeqCst) {
             let _ = self.sink.send(Err(e));
+            let cells = std::mem::take(&mut *self.cells.lock());
+            cells.iter().for_each(|c| c.wake());
         }
     }
 
@@ -199,48 +297,33 @@ impl QueryCtl {
     }
 }
 
+impl Drop for QueryCtl {
+    fn drop(&mut self) {
+        let mut live = self.live.count.lock();
+        *live -= 1;
+        if *live == 0 {
+            self.live.none.notify_all();
+        }
+    }
+}
+
 /// A packet: one operator task plus its query control block.
 pub struct TaskPacket {
     /// Control block.
     pub ctl: Arc<QueryCtl>,
     /// The operator state machine.
     pub task: Box<dyn OperatorTask>,
+    /// Where the packet parks while the task is blocked.
+    cell: Arc<WakeCell>,
 }
 
-/// Parent-activation cell: the parent's packet parks here until a child
-/// produces its first page (bottom-up activation).
-pub struct Activator {
-    pending: Mutex<Option<(StageId, TaskPacket)>>,
-    runtime: StagedRuntime<TaskPacket>,
-}
-
-impl Activator {
-    fn new(runtime: StagedRuntime<TaskPacket>) -> Arc<Self> {
-        Arc::new(Self { pending: Mutex::new(None), runtime })
-    }
-
-    fn park(&self, stage: StageId, packet: TaskPacket) {
-        *self.pending.lock() = Some((stage, packet));
-    }
-
-    /// Enqueue the parked packet, if any (idempotent).
-    pub fn activate(&self) {
-        if let Some((stage, packet)) = self.pending.lock().take() {
-            submit(&self.runtime, stage, packet);
-        }
-    }
-}
-
-/// Enqueue a task packet; `false` when refused. Once the engine is shut
-/// down its queues refuse packets, and the query fails with [`shut_down`]
-/// instead of ending silently short of rows.
-fn submit(runtime: &StagedRuntime<TaskPacket>, stage: StageId, packet: TaskPacket) -> bool {
-    match runtime.enqueue(stage, packet) {
-        Ok(()) => true,
-        Err(refused) => {
-            refused.into_packet().ctl.fail(shut_down());
-            false
-        }
+/// Enqueue a task packet. Once the engine is shut down its queues refuse
+/// packets, and the query fails with [`shut_down`] instead of ending
+/// silently short of rows. Every admission goes this way: a leaf's launch
+/// and every wake of a parked packet.
+fn submit(runtime: &StagedRuntime<TaskPacket>, stage: StageId, packet: TaskPacket) {
+    if let Err(refused) = runtime.enqueue(stage, packet) {
+        refused.into_packet().ctl.fail(shut_down());
     }
 }
 
@@ -250,28 +333,30 @@ pub(crate) fn shut_down() -> EngineError {
     EngineError::Internal("staged engine is shut down".into())
 }
 
+/// Task packets a worker of every stage but `fscan` may serve per queue
+/// visit (cohort scheduling, §4.2; knob (b) of §4.4); `fscan` serves one.
+/// Gated service: a task that yields mid-visit goes to the back of the
+/// queue and joins the *next* visit, so a cohort never spins on its own
+/// yields.
+pub const COHORT: usize = 8;
+
+/// Pages each exchange buffer holds before its producer parks.
+const BUFFER_DEPTH: usize = 4;
+
 /// Tuning of the staged engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Tuples per exchanged page (knob (c) of §4.4), fixed for the
     /// engine's lifetime (DESIGN.md §12).
     pub batch_capacity: usize,
-    /// Batches each exchange buffer may hold before back-pressure.
-    pub buffer_depth: usize,
     /// Worker threads of every stage but `fscan`, and the least `fscan`
     /// runs ([`EngineConfig::scan_workers`]).
     pub workers_per_stage: usize,
-    /// Task packets a worker of every stage but `fscan` may serve per
-    /// queue visit (cohort scheduling, §4.2; knob (b) of §4.4); `fscan`
-    /// serves one. Gated service: a task requeued mid-visit
-    /// (Working/Blocked yields) goes to the back of the queue and joins
-    /// the *next* visit, so a cohort never spins on its own yields.
-    pub cohort: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self { batch_capacity: 256, buffer_depth: 4, workers_per_stage: 1, cohort: 8 }
+        Self { batch_capacity: 256, workers_per_stage: 1 }
     }
 }
 
@@ -296,6 +381,7 @@ pub struct StagedEngine {
     runtime: StagedRuntime<TaskPacket>,
     ctx: ExecContext,
     config: EngineConfig,
+    live: Arc<LiveQueries>,
 }
 
 impl StagedEngine {
@@ -303,18 +389,16 @@ impl StagedEngine {
     pub fn new(ctx: ExecContext, config: EngineConfig) -> Arc<Self> {
         let mut builder = StagedRuntime::<TaskPacket>::builder();
         for kind in StageKind::ALL {
-            let logic =
-                EngineStageLogic { kind, blocked_streak: std::sync::atomic::AtomicUsize::new(0) };
             // A scan quantum is thousands of rows, far longer than the
             // queue work a cohort would amortize (§4.2), so `fscan` serves
             // one packet per visit: a query's partition packets then go to
             // as many workers as are free, not all to the first one.
             let (workers, cohort) = match kind {
                 StageKind::FScan => (config.scan_workers(), 1),
-                _ => (config.workers_per_stage, config.cohort),
+                _ => (config.workers_per_stage, COHORT),
             };
             let id = builder.add_stage(
-                StageSpec::new(kind.name(), logic)
+                StageSpec::new(kind.name(), EngineStageLogic { kind })
                     .with_queue_capacity(4096)
                     .with_workers(workers)
                     // Gated cohorts: operator tasks yield by requeueing
@@ -328,7 +412,7 @@ impl StagedEngine {
             assert_eq!(id, kind as StageId, "stages register in StageKind::ALL order");
         }
         let runtime = builder.build();
-        Arc::new(Self { runtime, ctx, config })
+        Arc::new(Self { runtime, ctx, config, live: Arc::default() })
     }
 
     /// Stage id for a kind.
@@ -346,11 +430,6 @@ impl StagedEngine {
         &self.ctx
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Exchange page size in tuples: [`EngineConfig::batch_capacity`],
     /// at least 1.
     pub fn page_size(&self) -> usize {
@@ -362,33 +441,25 @@ impl StagedEngine {
     /// every other plan runs on the stage workers (DESIGN.md §11).
     pub fn execute(self: &Arc<Self>, plan: &PhysicalPlan) -> StagedResult {
         let (tx, rx) = unbounded();
-        tasks::compile_and_launch(self, plan, QueryCtl::new(tx));
+        tasks::compile_and_launch(self, plan, QueryCtl::new(tx, &self.live));
         StagedResult { rx }
     }
 
-    /// Shut the stage workers down (drains queues first).
+    /// Shut the stage workers down: wait until no query has a packet left
+    /// — parked ones included — then drain and stop the stages.
     pub fn shutdown(&self) {
+        let mut live = self.live.count.lock();
+        while *live > 0 {
+            self.live.none.wait(&mut live);
+        }
+        drop(live);
         self.runtime.shutdown();
-    }
-
-    pub(crate) fn make_activator(&self) -> Arc<Activator> {
-        Activator::new(self.runtime.clone())
-    }
-
-    /// Enqueue a task packet at `kind`'s stage; `false` when the engine
-    /// is shut down and refused it (the packet's query has been failed).
-    pub(crate) fn enqueue(&self, kind: StageKind, packet: TaskPacket) -> bool {
-        submit(&self.runtime, self.stage_id(kind), packet)
     }
 }
 
 /// One stage's logic: run a quantum of the dequeued task.
 struct EngineStageLogic {
     kind: StageKind,
-    /// Consecutive Blocked results across the whole stage; once a full lap
-    /// of the queue makes no progress, the worker backs off instead of
-    /// spinning through blocked packets at full speed.
-    blocked_streak: std::sync::atomic::AtomicUsize,
 }
 
 impl StageLogic<TaskPacket> for EngineStageLogic {
@@ -402,22 +473,12 @@ impl StageLogic<TaskPacket> for EngineStageLogic {
         }
         // Quota is passed through the task; the stage itself is agnostic.
         match packet.task.step(DEFAULT_QUOTA) {
-            Ok(StepResult::Done) => {
-                self.blocked_streak.store(0, Ordering::Relaxed);
-                Ok(())
-            }
+            Ok(StepResult::Done) => Ok(()),
             Ok(StepResult::Working) => {
-                self.blocked_streak.store(0, Ordering::Relaxed);
-                ctx.requeue_back(packet).map_err(|_| StageError::new("requeue failed"))?;
-                Ok(())
+                ctx.requeue_back(packet).map_err(|_| StageError::new("requeue failed"))
             }
             Ok(StepResult::Blocked) => {
-                let streak = self.blocked_streak.fetch_add(1, Ordering::Relaxed) + 1;
-                if streak > ctx.queue_depth(ctx.stage_id).max(1) {
-                    // A whole lap produced nothing: wait for upstream.
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                ctx.requeue_back(packet).map_err(|_| StageError::new("requeue failed"))?;
+                Arc::clone(&packet.cell).park(ctx.stage_id, packet);
                 Ok(())
             }
             Err(e) => {
@@ -432,15 +493,15 @@ const DEFAULT_QUOTA: usize = 4096;
 
 /// Handle to a staged query's results.
 pub struct StagedResult {
-    rx: Receiver<EngineResult<Tuple>>,
+    rx: Receiver<EngineResult<Vec<Tuple>>>,
 }
 
 impl StagedResult {
     /// Block until the query finishes, collecting all tuples.
     pub fn collect(self) -> EngineResult<Vec<Tuple>> {
         let mut out = Vec::new();
-        for item in self.rx.iter() {
-            out.push(item?);
+        for page in self.rx.iter() {
+            out.extend(page?);
         }
         Ok(out)
     }
@@ -510,36 +571,194 @@ pub(crate) fn prune_scan_columns(ts: &mut Vec<Transform>, arity: usize) -> Optio
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use staged_storage::Value;
+    use crate::volcano;
+    use crossbeam::channel::RecvTimeoutError;
+    use staged_planner::{plan_select, PlannerConfig};
+    use staged_sql::binder::{BindContext, Binder};
+    use staged_sql::parser::parse_statement;
+    use staged_sql::Statement;
+    use staged_storage::{BufferPool, Catalog, Column, DataType, MemDisk, Schema, Value};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
+
+    fn engine(batch_capacity: usize) -> Arc<StagedEngine> {
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 64)));
+        let cfg = EngineConfig { batch_capacity, ..Default::default() };
+        StagedEngine::new(ExecContext::new(cat), cfg)
+    }
+
+    /// A query control block of its own, outside the engine's live count.
+    fn ctl() -> (Arc<QueryCtl>, Receiver<EngineResult<Vec<Tuple>>>) {
+        let (tx, rx) = unbounded();
+        (QueryCtl::new(tx, &Arc::default()), rx)
+    }
+
+    /// A buffer of `capacity` pages between two cells of a query of its own.
+    pub(crate) fn detached_buffer(engine: &StagedEngine, capacity: usize) -> Arc<ExchangeBuffer> {
+        let (ctl, _) = ctl();
+        let cell = || WakeCell::new(engine.runtime(), &ctl);
+        ExchangeBuffer::new(capacity, cell(), cell())
+    }
+
+    fn page() -> Vec<Tuple> {
+        vec![Tuple::new(vec![Value::Int(1)])]
+    }
+
+    /// A task that counts its admissions and blocks every time, so each
+    /// one ends parked in its cell again.
+    struct Stalled(Arc<AtomicUsize>);
+
+    impl OperatorTask for Stalled {
+        fn step(&mut self, _quota: usize) -> EngineResult<StepResult> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(StepResult::Blocked)
+        }
+    }
+
+    /// Park a [`Stalled`] task of `ctl`'s query in `cell`; returns its
+    /// admission count.
+    fn park_stalled(
+        engine: &StagedEngine,
+        ctl: &Arc<QueryCtl>,
+        cell: &Arc<WakeCell>,
+    ) -> Arc<AtomicUsize> {
+        let steps = Arc::new(AtomicUsize::new(0));
+        let task = Box::new(Stalled(Arc::clone(&steps)));
+        let packet = TaskPacket { ctl: Arc::clone(ctl), task, cell: Arc::clone(cell) };
+        cell.park(engine.stage_id(StageKind::Join), packet);
+        steps
+    }
+
+    /// Wait until `steps` reaches `n`, then check it stays there: the
+    /// packet went back to its cell and nothing re-admitted it again.
+    fn admitted(steps: &AtomicUsize, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while steps.load(Ordering::SeqCst) < n {
+            assert!(
+                Instant::now() < deadline,
+                "admitted {} times, want {n}",
+                steps.load(Ordering::SeqCst)
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(steps.load(Ordering::SeqCst), n, "admitted more than once per wake");
+    }
+
+    #[test]
+    fn a_wake_before_the_park_readmits_at_once() {
+        let engine = engine(256);
+        let (ctl, _rx) = ctl();
+        let cell = WakeCell::new(engine.runtime(), &ctl);
+        cell.wake();
+        let steps = park_stalled(&engine, &ctl, &cell);
+        admitted(&steps, 1);
+        // Back in the cell with no wake pending: it stays parked.
+        cell.wake();
+        admitted(&steps, 2);
+        // Failing the query drains it: re-admitted, found cancelled, dropped.
+        ctl.fail(shut_down());
+        drop(ctl);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_pop_from_a_full_buffer_readmits_the_parked_producer_once() {
+        let engine = engine(256);
+        let (ctl, _rx) = ctl();
+        let (producer, consumer) =
+            (WakeCell::new(engine.runtime(), &ctl), WakeCell::new(engine.runtime(), &ctl));
+        let buf = ExchangeBuffer::new(2, Arc::clone(&producer), consumer);
+        buf.try_push(page(), false).unwrap();
+        buf.try_push(page(), false).unwrap();
+        assert!(buf.try_push(page(), false).is_err(), "full at depth 2");
+        let steps = park_stalled(&engine, &ctl, &producer);
+        admitted(&steps, 0);
+        buf.try_pop().unwrap();
+        admitted(&steps, 1);
+        buf.try_pop().unwrap();
+        assert!(buf.try_pop().is_none());
+        admitted(&steps, 1); // neither pop found the buffer full
+        ctl.fail(shut_down());
+        drop(ctl);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_push_readmits_the_parked_consumer_once() {
+        let engine = engine(256);
+        let (ctl, _rx) = ctl();
+        let (producer, consumer) =
+            (WakeCell::new(engine.runtime(), &ctl), WakeCell::new(engine.runtime(), &ctl));
+        let buf = ExchangeBuffer::new(4, producer, Arc::clone(&consumer));
+        let steps = park_stalled(&engine, &ctl, &consumer);
+        admitted(&steps, 0);
+        buf.try_push(page(), false).unwrap();
+        admitted(&steps, 1);
+        buf.try_push(page(), false).unwrap();
+        admitted(&steps, 1); // the buffer was not empty: nobody waits on it
+        buf.try_push(Vec::new(), true).unwrap();
+        admitted(&steps, 2);
+        ctl.fail(shut_down());
+        drop(ctl);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_failed_input_leaves_no_packet_parked() {
+        // Pages of one tuple: the join's other input fills its buffer at
+        // once and parks on it, while the failing input dies at row 400.
+        let cat = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 64)));
+        let schema =
+            |a, b| Schema::new(vec![Column::new(a, DataType::Int), Column::new(b, DataType::Int)]);
+        let t = cat.create_table("t", schema("a", "g")).unwrap();
+        let u = cat.create_table("u", schema("a", "w")).unwrap();
+        for i in 0..500i64 {
+            t.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(i % 7)])).unwrap();
+            u.heap.insert(&Tuple::new(vec![Value::Int(i), Value::Int(i % 3)])).unwrap();
+        }
+        let sql = "SELECT t.a, u.w FROM t, u WHERE t.a = u.a AND 10 / (t.a - 400) < 100";
+        let Statement::Select(sel) = parse_statement(sql).unwrap() else { unreachable!() };
+        let bound = Binder::new(BindContext::new(&cat)).bind_select(sel).unwrap();
+        let plan = plan_select(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let ctx = ExecContext::new(Arc::clone(&cat));
+        assert!(volcano::run(&plan, &ctx).is_err());
+        let engine =
+            StagedEngine::new(ctx, EngineConfig { batch_capacity: 1, ..Default::default() });
+        for _ in 0..20 {
+            let result = engine.execute(&plan);
+            assert!(result.rx.recv_timeout(Duration::from_secs(10)).unwrap().is_err());
+            // The sink closes only when the query's control block drops,
+            // which a packet left in a cell would prevent for ever.
+            loop {
+                match result.rx.recv_timeout(Duration::from_secs(10)) {
+                    Ok(_) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                    Err(RecvTimeoutError::Timeout) => {
+                        panic!("a packet of the failed query is stranded")
+                    }
+                }
+            }
+        }
+        engine.shutdown();
+    }
 
     #[test]
     fn exchange_buffer_backpressure_and_close() {
-        let b = ExchangeBuffer::new(2);
-        assert!(b.try_push(Vec::new()).is_ok());
-        assert!(b.try_push(Vec::new()).is_ok());
-        assert!(b.try_push(Vec::new()).is_err(), "full at depth 2");
+        let engine = engine(256);
+        let b = detached_buffer(&engine, 2);
+        assert!(b.try_push(page(), false).is_ok());
+        assert!(b.try_push(page(), false).is_ok());
+        assert!(b.try_push(page(), false).is_err(), "full at depth 2");
         assert!(!b.is_finished());
-        b.close();
+        b.try_push(Vec::new(), true).unwrap();
         assert!(!b.is_finished(), "still has queued pages");
         b.try_pop().unwrap();
         b.try_pop().unwrap();
         assert!(b.is_finished());
         assert!(b.try_pop().is_none());
-    }
-
-    #[test]
-    fn exchange_buffer_counts_queued_tuples() {
-        let mk = |n: usize| (0..n).map(|i| Tuple::new(vec![Value::Int(i as i64)])).collect();
-        let b = ExchangeBuffer::new(3);
-        assert_eq!(b.queued_tuples(), 0);
-        b.try_push(mk(5)).unwrap();
-        b.try_push(mk(2)).unwrap();
-        assert_eq!(b.queued_tuples(), 7, "backlog is denominated in tuples, not pages");
-        b.try_pop().unwrap();
-        assert_eq!(b.queued_tuples(), 2);
-        b.try_pop().unwrap();
-        assert_eq!(b.queued_tuples(), 0);
+        engine.shutdown();
     }
 }

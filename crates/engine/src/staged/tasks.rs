@@ -5,8 +5,8 @@
 //! [`crate::probe`]).
 
 use super::{
-    prune_scan_columns, shut_down, Activator, ExchangeBuffer, OperatorTask, QueryCtl, StageKind,
-    StagedEngine, StepResult, TaskPacket,
+    prune_scan_columns, shut_down, submit, ExchangeBuffer, OperatorTask, QueryCtl, StageKind,
+    StagedEngine, StepResult, TaskPacket, WakeCell, BUFFER_DEPTH,
 };
 use crate::agg::{AggMerger, GroupTable};
 use crate::context::ExecContext;
@@ -20,15 +20,14 @@ use staged_storage::partition::PartitionedPageScan;
 use staged_storage::{Rid, Tuple};
 use std::sync::Arc;
 
-/// Batch-building output side of a task: stages tuples, flushes pages into
-/// the exchange buffer, activates the parent bottom-up. Pages hold the
+/// Batch-building output side of a task: stages tuples and flushes pages
+/// into the exchange buffer, whose pushes wake the consumer. Pages hold the
 /// engine's fixed page size ([`StagedEngine::page_size`]). All accounting
 /// — the staged backlog, [`Emitter::ready`] — is denominated in *tuples*,
 /// never pages, so back-pressure thresholds mean the same thing at page
 /// size 1 and page size 4096.
 pub struct Emitter {
     out: Arc<ExchangeBuffer>,
-    parent: Arc<Activator>,
     page: usize,
     staging: Vec<Tuple>,
     closed: bool,
@@ -36,8 +35,8 @@ pub struct Emitter {
 
 impl Emitter {
     /// Create an emitter sealing pages of `page` tuples (at least 1).
-    pub fn new(out: Arc<ExchangeBuffer>, parent: Arc<Activator>, page: usize) -> Self {
-        Self { out, parent, page: page.max(1), staging: Vec::new(), closed: false }
+    pub fn new(out: Arc<ExchangeBuffer>, page: usize) -> Self {
+        Self { out, page: page.max(1), staging: Vec::new(), closed: false }
     }
 
     /// The tuples-per-page bound (knob (c)).
@@ -69,15 +68,16 @@ impl Emitter {
         self.staging.len() < self.page_cap() || self.out.has_space()
     }
 
-    fn flush_one(&mut self, force_partial: bool) -> bool {
-        let cap = self.page_cap();
-        if self.staging.is_empty() || (!force_partial && self.staging.len() < cap) {
-            return true;
-        }
-        let n = self.staging.len().min(cap);
-        match self.out.try_push(self.staging.drain(..n).collect()) {
+    /// Push the first page of the staged tuples. With `last` that may be
+    /// a partial page, or none, and when it is all that is staged it
+    /// closes the stream: one wake of the consumer for both. `false` while
+    /// the buffer is full.
+    fn flush_one(&mut self, last: bool) -> bool {
+        let n = self.staging.len().min(self.page);
+        let last = last && n == self.staging.len();
+        match self.out.try_push(self.staging.drain(..n).collect(), last) {
             Ok(()) => {
-                self.parent.activate();
+                self.closed |= last;
                 true
             }
             Err(page) => {
@@ -89,25 +89,16 @@ impl Emitter {
 
     /// Flush as many full pages as the buffer accepts.
     pub fn pump(&mut self) {
-        while self.staging.len() >= self.page_cap() {
-            if !self.flush_one(false) {
-                return;
-            }
-        }
+        while self.staging.len() >= self.page && self.flush_one(false) {}
     }
 
     /// Flush everything and close the stream: `Done`, or `Blocked` while
     /// the buffer is still full (retry next quantum).
     pub fn finish(&mut self) -> StepResult {
-        while !self.staging.is_empty() {
+        while !self.closed {
             if !self.flush_one(true) {
                 return StepResult::Blocked;
             }
-        }
-        if !self.closed {
-            self.out.close();
-            self.parent.activate();
-            self.closed = true;
         }
         StepResult::Done
     }
@@ -139,68 +130,70 @@ pub(super) fn compile_and_launch(
             Ok(out)
         };
         match engine.runtime().serve_inline(engine.stage_id(StageKind::IScan), rows) {
-            Some(Ok(rows)) => rows.into_iter().for_each(|t| ctl.emit(t)),
+            Some(Ok(rows)) => ctl.emit(rows),
             Some(Err(e)) => ctl.fail(e),
             None => ctl.fail(shut_down()),
         }
         return;
     }
-    let root_buf = ExchangeBuffer::new(engine.config().buffer_depth);
-    let send_act = engine.make_activator();
-    let task = Box::new(SendTask { inputs: vec![Arc::clone(&root_buf)], ctl: Arc::clone(&ctl) });
-    send_act.park(engine.stage_id(StageKind::Send), TaskPacket { ctl: Arc::clone(&ctl), task });
-    build(engine, plan, root_buf, transforms, send_act, ctl);
+    let send = WakeCell::new(engine.runtime(), &ctl);
+    let root = build(engine, plan, &send, transforms, &ctl);
+    let task = Box::new(SendTask { inputs: vec![root], ctl: Arc::clone(&ctl) });
+    send.park(engine.stage_id(StageKind::Send), TaskPacket { ctl, task, cell: Arc::clone(&send) });
 }
 
+/// Compile `plan` into the tasks that fill one buffer for `consumer`'s
+/// task, and return that buffer. The plan's top task gets a cell of its
+/// own. A scan or a queued probe is enqueued at once; an operator with
+/// inputs starts out parked in its cell until an input page or close
+/// wakes it (bottom-up activation).
 fn build(
     engine: &Arc<StagedEngine>,
     plan: &PhysicalPlan,
-    out: Arc<ExchangeBuffer>,
+    consumer: &Arc<WakeCell>,
     transforms: Vec<Transform>,
-    parent: Arc<Activator>,
-    ctl: Arc<QueryCtl>,
-) {
+    ctl: &Arc<QueryCtl>,
+) -> Arc<ExchangeBuffer> {
     let (plan, transforms) = fuse(plan, transforms);
-    let emitter = Emitter::new(out, parent, engine.page_size());
-    match plan {
+    let cell = WakeCell::new(engine.runtime(), ctl);
+    let out = ExchangeBuffer::new(BUFFER_DEPTH, Arc::clone(&cell), Arc::clone(consumer));
+    let emitter = Emitter::new(Arc::clone(&out), engine.page_size());
+    // Every input gets a buffer of its own, all feeding this task's cell.
+    let inputs = |plans: Vec<&PhysicalPlan>| -> Vec<Arc<ExchangeBuffer>> {
+        plans.into_iter().map(|p| build(engine, p, &cell, Vec::new(), ctl)).collect()
+    };
+    let (kind, task): (_, Box<dyn OperatorTask>) = match plan {
         PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } | PhysicalPlan::Limit { .. } => {
             unreachable!("fused into the producing task")
         }
         PhysicalPlan::SeqScan { .. } | PhysicalPlan::PartitionScan { .. } => {
-            launch_scan(engine, plan, None, transforms, emitter, ctl);
+            (StageKind::FScan, scan_task(engine, plan, None, transforms, emitter))
         }
-        PhysicalPlan::Exchange { inputs } => {
+        PhysicalPlan::Exchange { inputs: plans } => {
             // N independent partial pipelines converge at one union task on
             // the merge stage; the first page from any child activates it.
-            wire(engine, StageKind::Merge, inputs.iter().collect(), ctl, |inputs| {
-                Box::new(ForwardTask { inputs, distinct: None, transforms, emitter })
-            });
+            let inputs = inputs(plans.iter().collect());
+            (
+                StageKind::Merge,
+                Box::new(ForwardTask { inputs, distinct: None, transforms, emitter }),
+            )
         }
-        PhysicalPlan::MergeAggregate { inputs, group_by_len, aggs } => {
+        PhysicalPlan::MergeAggregate { inputs: plans, group_by_len, aggs } => {
             // Partial-aggregate pipelines (over a partition scan, each one
             // fscan packet folding its rows) converge at the combining task
             // on the merge stage.
             let merger = AggMerger::new(*group_by_len, aggs.clone());
-            wire(
-                engine,
+            (
                 StageKind::Merge,
-                inputs.iter().collect(),
-                ctl,
-                blocking(merger, transforms, emitter),
-            );
+                blocking(merger, inputs(plans.iter().collect()), transforms, emitter),
+            )
         }
         PhysicalPlan::IndexScan { .. } => {
-            let task = blocking(Probe::new(engine.ctx(), plan), transforms, emitter)(Vec::new());
-            engine.enqueue(StageKind::IScan, TaskPacket { ctl, task });
+            let probe = Probe::new(engine.ctx(), plan);
+            (StageKind::IScan, blocking(probe, Vec::new(), transforms, emitter))
         }
         PhysicalPlan::Sort { input, keys } => {
-            wire(
-                engine,
-                StageKind::Sort,
-                vec![&**input],
-                ctl,
-                blocking(Sort::new(keys), transforms, emitter),
-            );
+            (StageKind::Sort, blocking(Sort::new(keys), inputs(vec![input]), transforms, emitter))
         }
         PhysicalPlan::HashAggregate { input, group_by, aggs }
             if matches!(
@@ -211,82 +204,50 @@ fn build(
             // An aggregate directly on a scan gets no packet of its own: the
             // scan folds its rows into the groups where it decodes them.
             let groups = Some(GroupTable::new(group_by, aggs));
-            launch_scan(engine, input, groups, transforms, emitter, ctl);
+            (StageKind::FScan, scan_task(engine, input, groups, transforms, emitter))
         }
         PhysicalPlan::HashAggregate { input, group_by, aggs } => {
             let groups = GroupTable::new(group_by, aggs);
-            wire(
-                engine,
-                StageKind::Aggr,
-                vec![&**input],
-                ctl,
-                blocking(groups, transforms, emitter),
-            );
+            (StageKind::Aggr, blocking(groups, inputs(vec![input]), transforms, emitter))
         }
         PhysicalPlan::Distinct { input } => {
-            wire(engine, StageKind::Aggr, vec![&**input], ctl, |inputs| {
-                Box::new(ForwardTask {
-                    inputs,
-                    distinct: Some(DistinctSet::default()),
-                    transforms,
-                    emitter,
-                })
-            });
+            let inputs = inputs(vec![input]);
+            let distinct = Some(DistinctSet::default());
+            (StageKind::Aggr, Box::new(ForwardTask { inputs, distinct, transforms, emitter }))
         }
         PhysicalPlan::HashJoin { left, right, keys, residual } => {
+            let inputs = inputs(vec![left, right]);
             let table = JoinTable::new(keys, residual);
-            wire(engine, StageKind::Join, vec![&**left, &**right], ctl, |inputs| {
-                Box::new(HashJoinTask { inputs, building: true, table, transforms, emitter })
-            });
+            let task = HashJoinTask { inputs, building: true, table, transforms, emitter };
+            (StageKind::Join, Box::new(task))
         }
         PhysicalPlan::MergeJoin { left, right, keys, residual } => {
             let join = MergeJoin::new(keys, residual);
-            wire(
-                engine,
-                StageKind::Join,
-                vec![&**left, &**right],
-                ctl,
-                blocking(join, transforms, emitter),
-            );
+            (StageKind::Join, blocking(join, inputs(vec![left, right]), transforms, emitter))
         }
         PhysicalPlan::NestedLoopJoin { left, right, predicate } => {
-            wire(engine, StageKind::Join, vec![&**left, &**right], ctl, |inputs| {
-                Box::new(NestedLoopTask {
-                    inputs,
-                    predicate: predicate.clone(),
-                    rows: Default::default(),
-                    i: 0,
-                    j: 0,
-                    transforms,
-                    emitter,
-                })
-            });
+            let task = NestedLoopTask {
+                inputs: inputs(vec![left, right]),
+                predicate: predicate.clone(),
+                rows: Default::default(),
+                i: 0,
+                j: 0,
+                transforms,
+                emitter,
+            };
+            (StageKind::Join, Box::new(task))
         }
+    };
+    let stage = engine.stage_id(kind);
+    let packet = TaskPacket { ctl: Arc::clone(ctl), task, cell: Arc::clone(&cell) };
+    match kind {
+        StageKind::FScan | StageKind::IScan => submit(engine.runtime(), stage, packet),
+        _ => cell.park(stage, packet),
     }
+    out
 }
 
-/// Wire an operator that has inputs: one exchange buffer per input, the
-/// task parked on `kind`'s stage behind one activator (the first page from
-/// any input wakes it), then every input's pipeline built against its
-/// buffer.
-fn wire(
-    engine: &Arc<StagedEngine>,
-    kind: StageKind,
-    inputs: Vec<&PhysicalPlan>,
-    ctl: Arc<QueryCtl>,
-    make_task: impl FnOnce(Vec<Arc<ExchangeBuffer>>) -> Box<dyn OperatorTask>,
-) {
-    let act = engine.make_activator();
-    let bufs: Vec<_> =
-        inputs.iter().map(|_| ExchangeBuffer::new(engine.config().buffer_depth)).collect();
-    let task = make_task(bufs.clone());
-    act.park(engine.stage_id(kind), TaskPacket { ctl: Arc::clone(&ctl), task });
-    for (input, buf) in inputs.into_iter().zip(bufs) {
-        build(engine, input, buf, Vec::new(), Arc::clone(&act), Arc::clone(&ctl));
-    }
-}
-
-/// Compile a `SeqScan` or `PartitionScan` into one `fscan` packet. Without
+/// Compile a `SeqScan` or `PartitionScan` into one `fscan` task. Without
 /// `groups` the scan's predicate and `transforms` run on each row and the
 /// survivors flow on through `emitter`. With `groups` the node is the
 /// input of a `HashAggregate`: the predicate is tested on each row,
@@ -294,20 +255,19 @@ fn wire(
 /// through `transforms`, the operators fused above the aggregate — flow
 /// on. Either way the scan decodes only the columns that are read
 /// (`prune_scan_columns`, [`prune_fold_columns`]).
-fn launch_scan(
+fn scan_task(
     engine: &Arc<StagedEngine>,
     plan: &PhysicalPlan,
     groups: Option<GroupTable>,
     transforms: Vec<Transform>,
     emitter: Emitter,
-    ctl: Arc<QueryCtl>,
-) {
+) -> Box<dyn OperatorTask> {
     let (table, partition, predicate, snapshot) = match plan {
         PhysicalPlan::SeqScan { table, predicate, snapshot } => (table, None, predicate, snapshot),
         PhysicalPlan::PartitionScan { table, partition, predicate, snapshot } => {
             (table, Some(*partition), predicate, snapshot)
         }
-        _ => unreachable!("launch_scan takes a scan node"),
+        _ => unreachable!("scan_task takes a scan node"),
     };
     let arity = table.schema.len();
     let mut filter = predicate.clone().map(Pred::compile);
@@ -332,9 +292,14 @@ fn launch_scan(
     if let Some(view) = snapshot {
         scan = scan.with_snapshot(Arc::clone(&table.versions), *view);
     }
-    let task =
-        ScanTask { ctx: engine.ctx().clone(), scan, page: Vec::new(), transforms, fold, emitter };
-    engine.enqueue(StageKind::FScan, TaskPacket { ctl, task: Box::new(task) });
+    Box::new(ScanTask {
+        ctx: engine.ctx().clone(),
+        scan,
+        page: Vec::new(),
+        transforms,
+        fold,
+        emitter,
+    })
 }
 
 /// Column pruning for a scan that folds its rows into `groups`: when the
@@ -369,10 +334,10 @@ fn prune_fold_columns(
 }
 
 /// The intake loop of every task with inputs: round-robin over `inputs`,
-/// handing each page that is ready to `take` with its input's index, until
-/// `quota` tuples have moved or `take` answers `false` (its output is
-/// full). `None` once every input is closed and drained; otherwise the
-/// step's result.
+/// handing each page that is ready to `take` with its input's index.
+/// `None` once every input is closed and drained; otherwise the step's
+/// result: `Working` when `quota` tuples have moved, `Blocked` when `take`
+/// answers `false` (its output is full) or every input is empty.
 fn pull(
     inputs: &[Arc<ExchangeBuffer>],
     quota: usize,
@@ -385,19 +350,17 @@ fn pull(
             while let Some(page) = input.try_pop() {
                 moved += page.len().max(1);
                 any = true;
-                if !take(i, page)? || moved >= quota {
+                if !take(i, page)? {
+                    return Ok(Some(StepResult::Blocked));
+                }
+                if moved >= quota {
                     return Ok(Some(StepResult::Working));
                 }
             }
         }
         if !any {
-            return Ok(if inputs.iter().all(|b| b.is_finished()) {
-                None
-            } else if moved > 0 {
-                Some(StepResult::Working)
-            } else {
-                Some(StepResult::Blocked)
-            });
+            let finished = inputs.iter().all(|b| b.is_finished());
+            return Ok((!finished).then_some(StepResult::Blocked));
         }
     }
 }
@@ -455,7 +418,7 @@ impl OperatorTask for ScanTask {
         let mut produced = 0usize;
         while produced < quota {
             if !self.emitter.ready() {
-                return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
+                return Ok(StepResult::Blocked);
             }
             // A spent LIMIT ends the scan, unless it sits above a fold,
             // where it counts groups, not rows.
@@ -505,16 +468,15 @@ struct BlockingTask<K> {
     emitter: Emitter,
 }
 
-/// The task maker [`wire`] calls for a [`BlockingTask`] running `op`.
+/// A [`BlockingTask`] running `op` over `inputs`.
 fn blocking<K: Blocking + Send + 'static>(
     op: K,
+    inputs: Vec<Arc<ExchangeBuffer>>,
     transforms: Vec<Transform>,
     emitter: Emitter,
-) -> impl FnOnce(Vec<Arc<ExchangeBuffer>>) -> Box<dyn OperatorTask> {
-    move |inputs| {
-        let rows = Vec::new().into_iter();
-        Box::new(BlockingTask { inputs, op: Some(op), rows, transforms, emitter })
-    }
+) -> Box<dyn OperatorTask> {
+    let rows = Vec::new().into_iter();
+    Box::new(BlockingTask { inputs, op: Some(op), rows, transforms, emitter })
 }
 
 impl<K: Blocking + Send> OperatorTask for BlockingTask<K> {
@@ -534,7 +496,7 @@ impl<K: Blocking + Send> OperatorTask for BlockingTask<K> {
                 return Ok(self.emitter.finish());
             }
             if !self.emitter.ready() {
-                return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
+                return Ok(StepResult::Blocked);
             }
             let n = self.rows.len().min(quota - produced).min(self.emitter.page_cap());
             emit_batch_transformed(
@@ -643,7 +605,7 @@ impl OperatorTask for NestedLoopTask {
                 return Ok(self.emitter.finish());
             }
             if !self.emitter.ready() {
-                return Ok(if produced > 0 { StepResult::Working } else { StepResult::Blocked });
+                return Ok(StepResult::Blocked);
             }
             let pair = join_pair(&outer[self.i], &inner[self.j], &self.predicate)?;
             // Advance the (i, j) cursor.
@@ -668,8 +630,8 @@ struct SendTask {
 
 impl OperatorTask for SendTask {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult> {
-        let deliver = |_, page: Vec<Tuple>| {
-            page.into_iter().for_each(|t| self.ctl.emit(t));
+        let deliver = |_, page| {
+            self.ctl.emit(page);
             Ok(true)
         };
         Ok(pull(&self.inputs, quota, deliver)?.unwrap_or(StepResult::Done))
@@ -679,6 +641,7 @@ impl OperatorTask for SendTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::staged::tests::detached_buffer;
     use crate::staged::EngineConfig;
     use staged_storage::{BufferPool, Catalog, MemDisk, Value};
 
@@ -698,14 +661,14 @@ mod tests {
         // buffer is full AND a full page is staged — and both backlog and
         // the stall threshold must count tuples, not pages.
         let engine = test_engine();
-        let buf = ExchangeBuffer::new(1);
-        let mut e = Emitter::new(Arc::clone(&buf), engine.make_activator(), 4);
+        let buf = detached_buffer(&engine, 1);
+        let mut e = Emitter::new(Arc::clone(&buf), 4);
         for i in 0..4 {
             assert!(e.ready());
             e.emit(tuple(i));
         }
         assert_eq!(e.staging.len(), 0, "a full page flushed into the free buffer");
-        assert_eq!(buf.queued_tuples(), 4);
+        assert!(!buf.has_space());
         for i in 4..8 {
             e.emit(tuple(i));
         }
@@ -717,8 +680,8 @@ mod tests {
         assert_eq!(page.len(), 4);
         assert!(e.ready());
         assert_eq!(e.finish(), StepResult::Done);
-        assert_eq!(buf.queued_tuples(), 4);
-        assert!(buf.is_closed());
+        assert_eq!(buf.try_pop().unwrap().len(), 4);
+        assert!(buf.is_finished(), "closed behind its last page");
         engine.shutdown();
     }
 
@@ -731,8 +694,8 @@ mod tests {
         assert_eq!(tiny.page_size(), 1);
         tiny.shutdown();
         let engine = StagedEngine::new(ExecContext::new(cat), cfg(3));
-        let buf = ExchangeBuffer::new(8);
-        let mut e = Emitter::new(Arc::clone(&buf), engine.make_activator(), engine.page_size());
+        let buf = detached_buffer(&engine, 8);
+        let mut e = Emitter::new(Arc::clone(&buf), engine.page_size());
         e.emit_all((0..7).map(tuple));
         assert_eq!(buf.try_pop().unwrap().len(), 3);
         assert_eq!(buf.try_pop().unwrap().len(), 3);

@@ -1,10 +1,10 @@
 //! The `fscan` stage's shape under the default configuration: one worker
 //! per core (capped) and one packet per visit, so the partition packets of
 //! a scan aggregate can be served at the same time, while the other stages
-//! keep `workers_per_stage` and `cohort`.
+//! keep `workers_per_stage` and `COHORT`.
 
 use staged_engine::context::ExecContext;
-use staged_engine::staged::{EngineConfig, StageKind, StagedEngine, SCAN_MAX_WORKERS};
+use staged_engine::staged::{EngineConfig, StageKind, StagedEngine, COHORT, SCAN_MAX_WORKERS};
 use staged_engine::volcano;
 use staged_planner::{plan_select, PlannerConfig};
 use staged_sql::binder::{BindContext, Binder};
@@ -67,7 +67,7 @@ fn scan_aggregates_run_on_every_scan_worker_one_packet_per_visit() {
                     "fscan at {parts} partitions"
                 );
             } else {
-                assert_eq!((st.workers, st.batch_limit), (cfg.workers_per_stage, cfg.cohort));
+                assert_eq!((st.workers, st.batch_limit), (cfg.workers_per_stage, COHORT));
             }
         }
     }
