@@ -9,7 +9,7 @@
 //! (`ServerConfig::max_cohort`) sweeps 1 → 32. Cohort size 1 is the
 //! pre-cohort one-packet-per-visit semantics; every other column is pure
 //! batching, same threads, same queues, same queries. SELECTs run in
-//! Volcano mode on the execute stage's workers, deliberately: the sweep
+//! Volcano mode on the execute stage's worker, deliberately: the sweep
 //! isolates the *pipeline* cohorts being ablated (the engine's stages
 //! run the fixed `staged::COHORT`, covered by the differential suite in
 //! `crates/engine/tests/equivalence.rs`).
@@ -50,13 +50,7 @@ fn run_cell(k: &Knobs, cohort: usize) -> Cell {
     load_wisconsin_table_partitioned(&catalog, "big", k.rows, 5, 1).unwrap();
     let server = StagedServer::new(
         Arc::clone(&catalog),
-        ServerConfig {
-            mode: ExecutionMode::Volcano,
-            control_workers: 1,
-            execute_workers: 4,
-            max_cohort: cohort,
-            ..Default::default()
-        },
+        ServerConfig { mode: ExecutionMode::Volcano, max_cohort: cohort, ..Default::default() },
     );
     let mut qps = f64::MIN;
     for _ in 0..k.reps {

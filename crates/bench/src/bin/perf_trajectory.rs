@@ -259,13 +259,7 @@ fn batch_queries(parts: usize) -> f64 {
     load_wisconsin_table_partitioned(&catalog, "big", 100, 5, parts).unwrap();
     let server = StagedServer::new(
         Arc::clone(&catalog),
-        ServerConfig {
-            mode: ExecutionMode::Volcano,
-            control_workers: 1,
-            execute_workers: 4,
-            partitions: parts,
-            ..Default::default()
-        },
+        ServerConfig { mode: ExecutionMode::Volcano, partitions: parts, ..Default::default() },
     );
     let rate = best_rate((CLIENTS * ROUNDS * BURST) as f64, || {
         staged_bench::drive_scan_bursts(&server, CLIENTS, ROUNDS, BURST);

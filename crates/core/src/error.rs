@@ -19,11 +19,6 @@ impl<P> EnqueueError<P> {
             EnqueueError::Closed(p) | EnqueueError::Full(p) => p,
         }
     }
-
-    /// True if the error indicates a closed queue.
-    pub fn is_closed(&self) -> bool {
-        matches!(self, EnqueueError::Closed(_))
-    }
 }
 
 impl<P> fmt::Display for EnqueueError<P> {

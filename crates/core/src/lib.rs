@@ -46,7 +46,7 @@ pub mod stage;
 pub use error::{EnqueueError, StageError};
 pub use policy::Policy;
 pub use queue::StageQueue;
-pub use runtime::{RuntimeBuilder, StagedRuntime};
+pub use runtime::{Reservation, RuntimeBuilder, StagedRuntime};
 pub use stage::{BatchPolicy, StageCtx, StageId, StageLogic, StageSpec};
 
 /// Convenient glob import for downstream crates.
@@ -56,6 +56,6 @@ pub mod prelude {
     pub use crate::monitor::StageStats;
     pub use crate::policy::Policy;
     pub use crate::queue::StageQueue;
-    pub use crate::runtime::{RuntimeBuilder, StagedRuntime};
+    pub use crate::runtime::{Reservation, RuntimeBuilder, StagedRuntime};
     pub use crate::stage::{BatchPolicy, StageCtx, StageId, StageLogic, StageSpec};
 }

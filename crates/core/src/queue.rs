@@ -7,9 +7,15 @@
 //! subsequently freeze the query's execution thread in that stage). The rest
 //! of the queries that do not output to the blocked stage will continue to
 //! run."
+//!
+//! A slot can also be *reserved* ahead of its packet ([`StageQueue::reserve`]):
+//! a stage that lets a packet leave the pipeline to wait elsewhere — a
+//! staged `SELECT` running in the engine — keeps its place downstream, so
+//! the wait stays bounded by the queue's capacity and `shutdown` cannot
+//! close the queue under it.
 
 use crate::error::EnqueueError;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -47,6 +53,16 @@ struct Inner<P> {
     /// [`StageQueue::end_visit`]. Kept under the queue lock so "nothing
     /// queued and nobody serving" is one exact test.
     serving: usize,
+    /// Slots held for packets still on their way ([`StageQueue::reserve`]).
+    /// Each counts against the capacity and keeps the queue from being
+    /// quiet until it is filled or released.
+    reserved: usize,
+}
+
+impl<P> Inner<P> {
+    fn quiet(&self) -> bool {
+        self.items.is_empty() && self.serving == 0 && self.reserved == 0
+    }
 }
 
 /// A bounded MPMC queue of packets.
@@ -54,6 +70,8 @@ pub struct StageQueue<P> {
     inner: Mutex<Inner<P>>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Signalled when the queue goes quiet ([`StageQueue::wait_quiet`]).
+    quiet: Condvar,
     capacity: usize,
     counters: QueueCounters,
 }
@@ -84,18 +102,15 @@ fn notify_n(cv: &Condvar, n: usize) {
 impl<P> StageQueue<P> {
     /// Create a queue holding at most `capacity` packets (min 1).
     pub fn new(capacity: usize) -> Self {
+        let inner = Inner { items: VecDeque::new(), closed: false, serving: 0, reserved: 0 };
         Self {
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false, serving: 0 }),
+            inner: Mutex::new(inner),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            quiet: Condvar::new(),
             capacity: capacity.max(1),
             counters: QueueCounters::default(),
         }
-    }
-
-    /// Maximum number of packets the queue holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of queued packets.
@@ -113,38 +128,24 @@ impl<P> StageQueue<P> {
     /// Returns the packet inside `EnqueueError::Closed` if the queue was (or
     /// becomes) closed while waiting.
     pub fn enqueue(&self, packet: P) -> Result<(), EnqueueError<P>> {
-        let mut inner = self.inner.lock();
-        if inner.items.len() >= self.capacity && !inner.closed {
-            self.counters.blocked_enqueues.fetch_add(1, Ordering::Relaxed);
-            while inner.items.len() >= self.capacity && !inner.closed {
-                self.not_full.wait(&mut inner);
-            }
-        }
+        let inner = self.wait_for_room();
         if inner.closed {
             return Err(EnqueueError::Closed(packet));
         }
-        inner.items.push_back(packet);
-        self.note_depth(inner.items.len());
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        self.not_empty.notify_one();
+        self.push(inner, [packet]);
         Ok(())
     }
 
     /// Add a packet without blocking; fails with `Full` when at capacity.
     pub fn try_enqueue(&self, packet: P) -> Result<(), EnqueueError<P>> {
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         if inner.closed {
             return Err(EnqueueError::Closed(packet));
         }
-        if inner.items.len() >= self.capacity {
+        if self.full(&inner) {
             return Err(EnqueueError::Full(packet));
         }
-        inner.items.push_back(packet);
-        self.note_depth(inner.items.len());
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        self.not_empty.notify_one();
+        self.push(inner, [packet]);
         Ok(())
     }
 
@@ -166,7 +167,7 @@ impl<P> StageQueue<P> {
                 return Err(iter.count());
             }
             let mut pushed = 0usize;
-            while inner.items.len() < self.capacity && iter.peek().is_some() {
+            while !self.full(&inner) && iter.peek().is_some() {
                 inner.items.push_back(iter.next().expect("peeked"));
                 pushed += 1;
             }
@@ -181,25 +182,76 @@ impl<P> StageQueue<P> {
             }
             // Full mid-batch: wake consumers for what went in, then wait
             // for space (back-pressure on the flushing worker).
-            self.counters.blocked_enqueues.fetch_add(1, Ordering::Relaxed);
             drop(inner);
             notify_n(&self.not_empty, pushed);
-            inner = self.inner.lock();
-            while inner.items.len() >= self.capacity && !inner.closed {
+            inner = self.wait_for_room();
+        }
+    }
+
+    /// Append `packets` under the held lock, then wake a consumer for each.
+    fn push(&self, mut inner: MutexGuard<'_, Inner<P>>, packets: impl IntoIterator<Item = P>) {
+        let before = inner.items.len();
+        inner.items.extend(packets);
+        let n = inner.items.len() - before;
+        self.note_depth(inner.items.len());
+        self.counters.enqueued.fetch_add(n as u64, Ordering::Relaxed);
+        drop(inner);
+        notify_n(&self.not_empty, n);
+    }
+
+    /// True when queued packets and reserved slots fill the capacity.
+    fn full(&self, inner: &Inner<P>) -> bool {
+        inner.items.len() + inner.reserved >= self.capacity
+    }
+
+    /// Lock the queue once it has room or is closed, blocking meanwhile
+    /// (back-pressure, counted once per blocked call).
+    fn wait_for_room(&self) -> MutexGuard<'_, Inner<P>> {
+        let mut inner = self.inner.lock();
+        if self.full(&inner) && !inner.closed {
+            self.counters.blocked_enqueues.fetch_add(1, Ordering::Relaxed);
+            while self.full(&inner) && !inner.closed {
                 self.not_full.wait(&mut inner);
             }
         }
+        inner
+    }
+
+    /// Hold one slot for a packet that is not here yet, blocking while the
+    /// queue is full exactly as [`enqueue`](Self::enqueue) does. False once
+    /// the queue is closed. The slot counts against the capacity, and the
+    /// queue is not quiet, until [`fill`](Self::fill) or
+    /// [`release`](Self::release) gives it back.
+    pub fn reserve(&self) -> bool {
+        let mut inner = self.wait_for_room();
+        if inner.closed {
+            return false;
+        }
+        inner.reserved += 1;
+        true
+    }
+
+    /// Put `packet` in a slot [`reserve`](Self::reserve) held: never
+    /// blocks, and a queue with a slot held is never closed.
+    pub fn fill(&self, packet: P) {
+        let mut inner = self.inner.lock();
+        inner.reserved -= 1;
+        self.push(inner, [packet]);
+    }
+
+    /// Give back a slot [`reserve`](Self::reserve) held, unused.
+    pub fn release(&self) {
+        let mut inner = self.inner.lock();
+        inner.reserved -= 1;
+        self.signal_quiet(&inner);
+        drop(inner);
+        self.not_full.notify_one();
     }
 
     /// [`requeue_back_batch`](Self::requeue_back_batch) for one packet,
     /// without the `Vec`.
     pub fn requeue_back(&self, packet: P) {
-        let mut inner = self.inner.lock();
-        inner.items.push_back(packet);
-        self.note_depth(inner.items.len());
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        self.not_empty.notify_one();
+        self.push(self.inner.lock(), [packet]);
     }
 
     /// Append a batch to the *back* of this stage's own queue, exempt from
@@ -207,37 +259,7 @@ impl<P> StageQueue<P> {
     /// admitted once — this is how a visit's buffered self-requeues
     /// rejoin the queue without deadlocking the stage against itself).
     pub fn requeue_back_batch(&self, packets: Vec<P>) {
-        if packets.is_empty() {
-            return;
-        }
-        let n = packets.len();
-        let mut inner = self.inner.lock();
-        for p in packets {
-            inner.items.push_back(p);
-        }
-        self.note_depth(inner.items.len());
-        self.counters.enqueued.fetch_add(n as u64, Ordering::Relaxed);
-        drop(inner);
-        notify_n(&self.not_empty, n);
-    }
-
-    /// Remove a packet, blocking while the queue is empty.
-    ///
-    /// Returns `None` once the queue is closed *and* drained.
-    pub fn dequeue(&self) -> Option<P> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(p) = inner.items.pop_front() {
-                self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(p);
-            }
-            if inner.closed {
-                return None;
-            }
-            self.not_empty.wait(&mut inner);
-        }
+        self.push(self.inner.lock(), packets);
     }
 
     /// Remove up to `max` packets in one queue visit, waiting at most
@@ -278,7 +300,9 @@ impl<P> StageQueue<P> {
     /// Close a visit opened by [`dequeue_batch`](Self::dequeue_batch) or
     /// [`try_begin_visit`](Self::try_begin_visit).
     pub fn end_visit(&self) {
-        self.inner.lock().serving -= 1;
+        let mut inner = self.inner.lock();
+        inner.serving -= 1;
+        self.signal_quiet(&inner);
     }
 
     /// Open a visit with no packets, but only on an *idle* stage: nothing
@@ -295,10 +319,26 @@ impl<P> StageQueue<P> {
         idle
     }
 
-    /// True when nothing is queued and no visit is in progress.
+    /// True when nothing is queued, no visit is in progress and no slot
+    /// is reserved.
     pub fn is_quiet(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.items.is_empty() && inner.serving == 0
+        self.inner.lock().quiet()
+    }
+
+    /// Block until the queue is quiet ([`is_quiet`](Self::is_quiet)).
+    pub fn wait_quiet(&self) {
+        let mut inner = self.inner.lock();
+        while !inner.quiet() {
+            self.quiet.wait(&mut inner);
+        }
+    }
+
+    /// Wake [`wait_quiet`](Self::wait_quiet) callers if `inner` is quiet;
+    /// called, under the lock, wherever a visit or a slot ends.
+    fn signal_quiet(&self, inner: &Inner<P>) {
+        if inner.quiet() {
+            self.quiet.notify_all();
+        }
     }
 
     /// Close the queue: pending packets can still be dequeued, new enqueues
@@ -338,6 +378,21 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Take one packet as a visit of one, waiting for it; `None` once the
+    /// queue is closed and drained.
+    fn pop<P>(q: &StageQueue<P>) -> Option<P> {
+        loop {
+            match q.dequeue_batch(1, Duration::from_millis(50)) {
+                DequeuedCohort::Cohort(mut c) => {
+                    q.end_visit();
+                    return c.pop();
+                }
+                DequeuedCohort::TimedOut => continue,
+                DequeuedCohort::Closed => return None,
+            }
+        }
+    }
+
     #[test]
     fn fifo_order() {
         let q = StageQueue::new(8);
@@ -345,7 +400,7 @@ mod tests {
             q.enqueue(i).unwrap();
         }
         for i in 0..5 {
-            assert_eq!(q.dequeue(), Some(i));
+            assert_eq!(pop(&q), Some(i));
         }
     }
 
@@ -366,8 +421,8 @@ mod tests {
         q.enqueue("a").unwrap();
         q.close();
         assert!(q.enqueue("b").is_err());
-        assert_eq!(q.dequeue(), Some("a"));
-        assert_eq!(q.dequeue(), None);
+        assert_eq!(pop(&q), Some("a"));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
@@ -378,9 +433,9 @@ mod tests {
         let producer = thread::spawn(move || q2.enqueue(1).is_ok());
         // Give the producer time to block, then free a slot.
         thread::sleep(Duration::from_millis(30));
-        assert_eq!(q.dequeue(), Some(0));
+        assert_eq!(pop(&q), Some(0));
         assert!(producer.join().unwrap());
-        assert_eq!(q.dequeue(), Some(1));
+        assert_eq!(pop(&q), Some(1));
         assert!(q.stats().blocked_enqueues >= 1);
     }
 
@@ -390,7 +445,7 @@ mod tests {
         for i in 0..7 {
             q.enqueue(i).unwrap();
         }
-        q.dequeue();
+        pop(&q);
         let s = q.stats();
         assert_eq!(s.enqueued, 7);
         assert_eq!(s.dequeued, 1);
@@ -447,7 +502,36 @@ mod tests {
         // A lone capacity-exempt requeue lands at the back.
         q.enqueue(2).unwrap();
         q.requeue_back(3);
-        assert_eq!((q.dequeue(), q.dequeue()), (Some(2), Some(3)));
+        assert_eq!((pop(&q), pop(&q)), (Some(2), Some(3)));
+    }
+
+    #[test]
+    fn a_reserved_slot_holds_capacity_and_quiet_until_filled_or_released() {
+        let q = Arc::new(StageQueue::new(2));
+        assert!(q.reserve());
+        q.enqueue(1).unwrap();
+        assert!(matches!(q.try_enqueue(2), Err(EnqueueError::Full(2))), "the slot is held");
+        let (q2, (tx, rx)) = (Arc::clone(&q), std::sync::mpsc::channel());
+        let waiter = thread::spawn(move || {
+            q2.wait_quiet();
+            tx.send(()).unwrap();
+        });
+        assert_eq!(pop(&q), Some(1));
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "a held slot is not quiet");
+        q.fill(3);
+        assert_eq!(q.stats().depth, 1);
+        assert_eq!(pop(&q), Some(3));
+        rx.recv_timeout(Duration::from_secs(5)).expect("quiet once the filled slot is served");
+        waiter.join().unwrap();
+        // A slot given back unused frees its room and the quiet state.
+        assert!(q.reserve() && q.reserve());
+        assert!(matches!(q.try_enqueue(4), Err(EnqueueError::Full(4))));
+        q.release();
+        q.release();
+        assert!(q.is_quiet());
+        q.try_enqueue(5).unwrap();
+        q.close();
+        assert!(!q.reserve(), "a closed queue holds no slot");
     }
 
     #[test]
@@ -468,7 +552,7 @@ mod tests {
             let q = Arc::clone(&q);
             consumers.push(thread::spawn(move || {
                 let mut n = 0u64;
-                while q.dequeue().is_some() {
+                while pop(&q).is_some() {
                     n += 1;
                 }
                 n

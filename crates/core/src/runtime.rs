@@ -21,6 +21,11 @@
 //! it — a hand-off buys no locality and costs a thread wake-up, so the
 //! worker *follows* a lone forward into an idle, cheap destination and
 //! runs that stage's code itself (`take_lone_forward`, DESIGN.md §11).
+//!
+//! A packet that must wait on something outside the pipeline leaves it
+//! with a [`Reservation`] of its next stage's queue, and comes back into
+//! that slot when the wait ends, so no worker waits with it (§4.1.1 case
+//! iii).
 
 use crate::error::EnqueueError;
 use crate::monitor::{snapshot, StageMonitor, StageStats};
@@ -92,6 +97,35 @@ impl<P: Send + 'static> RuntimeShared<P> {
 
     pub(crate) fn try_enqueue(&self, dest: StageId, packet: P) -> Result<(), EnqueueError<P>> {
         self.stages[dest].queue.try_enqueue(packet)
+    }
+}
+
+/// A slot held in a stage's queue ([`StageQueue::reserve`]) for a packet
+/// that is waiting outside the pipeline and will come back into that
+/// stage: [`fill`](Self::fill) puts it there from whichever thread sees
+/// the wait end. The slot counts against the queue's capacity, which
+/// bounds how many packets wait outside at once, and keeps the queue from
+/// going quiet, so `shutdown` waits for the packet before it closes the
+/// stage. Dropped unfilled, it gives the slot back.
+pub struct Reservation<P: Send + 'static> {
+    pub(crate) shared: Arc<RuntimeShared<P>>,
+    pub(crate) stage: StageId,
+    pub(crate) held: bool,
+}
+
+impl<P: Send + 'static> Reservation<P> {
+    /// Put `packet` in the held slot. Never blocks.
+    pub fn fill(mut self, packet: P) {
+        self.held = false;
+        self.shared.stage(self.stage).queue.fill(packet);
+    }
+}
+
+impl<P: Send + 'static> Drop for Reservation<P> {
+    fn drop(&mut self) {
+        if self.held {
+            self.shared.stage(self.stage).queue.release();
+        }
     }
 }
 
@@ -172,16 +206,6 @@ impl<P: Send + 'static> StagedRuntime<P> {
         RuntimeBuilder::default()
     }
 
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.shared.stages.len()
-    }
-
-    /// Resolve a stage name to its id.
-    pub fn stage_id(&self, name: &str) -> Option<StageId> {
-        self.shared.stage_id(name)
-    }
-
     /// Inject a packet into a stage from outside the pipeline (blocking under
     /// back-pressure). This is how clients submit work.
     pub fn enqueue(&self, dest: StageId, packet: P) -> Result<(), EnqueueError<P>> {
@@ -241,14 +265,14 @@ impl<P: Send + 'static> StagedRuntime<P> {
     /// Drain and stop the runtime. Stages are drained and closed in
     /// registration order (for servers this is pipeline order), so packets
     /// in flight — including producers blocked on a downstream queue under
-    /// back-pressure — complete before their stage closes.
+    /// back-pressure, and packets waiting outside on a [`Reservation`] —
+    /// complete before their stage closes.
     pub fn shutdown(&self) {
         for s in &self.shared.stages {
-            // Wait until nothing is queued and no visit is open (a worker
-            // following a packet keeps its home visit open throughout).
-            while !s.queue.is_quiet() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Wait until nothing is queued, no visit is open (a worker
+            // following a packet keeps its home visit open throughout) and
+            // no slot is held.
+            s.queue.wait_quiet();
             s.queue.close();
         }
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
@@ -533,6 +557,54 @@ mod tests {
         rt.shutdown();
         let got: Vec<u32> = rx.try_iter().collect();
         assert_eq!(got.len(), 20, "all packets processed before shutdown returns");
+    }
+
+    #[test]
+    fn a_packet_out_on_a_reservation_holds_shutdown_and_comes_back() {
+        // `a` lets each packet leave with a slot held in `b`; the test
+        // thread plays the outside wait and fills the slot later.
+        let (out_tx, out) = mpsc::channel::<(u32, Reservation<u32>)>();
+        let (done_tx, done) = mpsc::channel::<u32>();
+        let (out_tx, done_tx) = (Mutex::new(out_tx), Mutex::new(done_tx));
+        let mut b = StagedRuntime::<u32>::builder();
+        let a = b.add_stage(StageSpec::new(
+            "a",
+            ok_stage(move |p: u32, ctx: &StageCtx<'_, u32>| {
+                let slot = ctx.reserve(1).expect("b is open");
+                out_tx.lock().send((p, slot)).unwrap();
+            }),
+        ));
+        b.add_stage(
+            StageSpec::new(
+                "b",
+                ok_stage(move |p: u32, _: &StageCtx<'_, u32>| done_tx.lock().send(p).unwrap()),
+            )
+            .with_queue_capacity(2),
+        );
+        let rt = b.build();
+        for i in 0..3 {
+            rt.enqueue(a, i).unwrap();
+        }
+        let wait = Duration::from_secs(5);
+        let (p0, s0) = out.recv_timeout(wait).unwrap();
+        let (p1, s1) = out.recv_timeout(wait).unwrap();
+        // Two slots fill `b`: the third packet's reservation waits for room.
+        assert!(out.recv_timeout(Duration::from_millis(50)).is_err(), "b's capacity bounds them");
+        drop(s1); // given back unused: room for the third
+        let (p2, s2) = out.recv_timeout(wait).unwrap();
+        let stopper = {
+            let rt = rt.clone();
+            std::thread::spawn(move || rt.shutdown())
+        };
+        s0.fill(p0 + 10);
+        assert_eq!(done.recv_timeout(wait).unwrap(), p0 + 10);
+        assert!(done.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(!stopper.is_finished(), "shutdown waits for the held slot");
+        s2.fill(p2 + 10);
+        stopper.join().unwrap();
+        assert_eq!(done.try_recv(), Ok(p2 + 10), "served before b closed");
+        assert_eq!(p1, 1);
+        assert_eq!(rt.stats()[1].processed, 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! other stages through a well-defined interface" (paper §4.1).
 
 use crate::error::{EnqueueError, StageError};
-use crate::runtime::RuntimeShared;
+use crate::runtime::{Reservation, RuntimeShared};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -196,6 +196,15 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
             return Ok(());
         }
         self.shared.enqueue(self.stage_id, packet)
+    }
+
+    /// Hold a slot in `dest`'s queue for this packet, which leaves the
+    /// pipeline to wait elsewhere and comes back through the
+    /// [`Reservation`]. Blocks while `dest` is full, like a forward under
+    /// back-pressure; `None` once `dest` is closed.
+    pub fn reserve(&self, dest: StageId) -> Option<Reservation<P>> {
+        let held = self.shared.stage(dest).queue.reserve();
+        held.then(|| Reservation { shared: Arc::clone(self.shared), stage: dest, held })
     }
 
     /// Look up a stage id by name.

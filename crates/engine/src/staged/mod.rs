@@ -17,6 +17,11 @@
 //! that made progress and has more to do requeues itself at the back of
 //! its stage queue, which is the cooperative yield of §4.3.
 //!
+//! A query ends in one call: its control block collects the result pages
+//! and, when the query's last packet lets it go, hands the rows or the
+//! first error to the `done` it was launched with ([`StagedEngine::launch`]).
+//! Nobody waits on a running query.
+//!
 //! Every scan is a dedicated page scan owned by one query, filtered
 //! through that query's snapshot when it has one (DESIGN.md §3 on why the
 //! §5.4 shared scans are not implemented). A hash aggregate directly on a
@@ -27,12 +32,13 @@ mod tasks;
 use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::transform::Transform;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use staged_core::prelude::*;
 use staged_planner::PhysicalPlan;
 use staged_storage::Tuple;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -253,9 +259,18 @@ struct LiveQueries {
     none: Condvar,
 }
 
-/// Per-query control block: result sink + cancellation.
+/// What a query ends with: its result rows, or its first error.
+pub type QueryResult = EngineResult<Vec<Tuple>>;
+
+/// The call a launched query ends in ([`StagedEngine::launch`]).
+type Done = Box<dyn FnOnce(QueryResult) + Send>;
+
+/// Per-query control block: the result so far, the call it ends in, and
+/// cancellation.
 pub struct QueryCtl {
-    sink: Sender<EngineResult<Vec<Tuple>>>,
+    /// The pages delivered so far, or the first error.
+    result: Mutex<QueryResult>,
+    done: Mutex<Option<Done>>,
     cancelled: AtomicBool,
     /// Every task's cell, so a failure can wake whatever is parked.
     cells: Mutex<Vec<Arc<WakeCell>>>,
@@ -263,20 +278,22 @@ pub struct QueryCtl {
 }
 
 impl QueryCtl {
-    fn new(sink: Sender<EngineResult<Vec<Tuple>>>, live: &Arc<LiveQueries>) -> Arc<Self> {
+    fn new(live: &Arc<LiveQueries>, done: Done) -> Arc<Self> {
         *live.count.lock() += 1;
         Arc::new(Self {
-            sink,
+            result: Mutex::new(Ok(Vec::new())),
+            done: Mutex::new(Some(done)),
             cancelled: AtomicBool::new(false),
             cells: Mutex::new(Vec::new()),
             live: Arc::clone(live),
         })
     }
 
-    /// Deliver a page of result tuples: one hand-off to the client for
-    /// the whole page.
-    pub fn emit(&self, rows: Vec<Tuple>) {
-        let _ = self.sink.send(Ok(rows));
+    /// Add a page of result tuples (dropped once the query has failed).
+    pub fn emit(&self, page: Vec<Tuple>) {
+        if let Ok(rows) = &mut *self.result.lock() {
+            rows.extend(page);
+        }
     }
 
     /// Abort the query with an error (first error wins). The query's
@@ -285,7 +302,7 @@ impl QueryCtl {
     /// cancelled and is dropped.
     pub fn fail(&self, e: EngineError) {
         if !self.cancelled.swap(true, Ordering::SeqCst) {
-            let _ = self.sink.send(Err(e));
+            *self.result.lock() = Err(e);
             let cells = std::mem::take(&mut *self.cells.lock());
             cells.iter().for_each(|c| c.wake());
         }
@@ -297,12 +314,20 @@ impl QueryCtl {
     }
 }
 
+/// The query's last packet let go: it ends. It is counted out first, so a
+/// `done` that hands the query's slot on (the server's `disconnect`
+/// reservation) can never let a new query start while this one still
+/// counts as live.
 impl Drop for QueryCtl {
     fn drop(&mut self) {
         let mut live = self.live.count.lock();
         *live -= 1;
         if *live == 0 {
             self.live.none.notify_all();
+        }
+        drop(live);
+        if let Some(done) = self.done.get_mut().take() {
+            done(std::mem::replace(self.result.get_mut(), Ok(Vec::new())));
         }
     }
 }
@@ -436,13 +461,39 @@ impl StagedEngine {
         self.config.batch_capacity.max(1)
     }
 
-    /// Submit a plan; returns a handle delivering result tuples. A lone
-    /// index probe is answered on the calling thread before this returns;
-    /// every other plan runs on the stage workers (DESIGN.md §11).
+    /// Launch a plan. A lone index probe is answered on the calling thread
+    /// before this returns: it hands back `payload` with the result, and
+    /// `done` is dropped unused. Every other plan runs on the stage
+    /// workers and `None` comes back at once; when the query ends, on
+    /// whichever thread lets it go last, `done` gets `payload` and the
+    /// rows or the first error (DESIGN.md §3, §11).
+    pub fn launch<T: Send + 'static>(
+        self: &Arc<Self>,
+        plan: &PhysicalPlan,
+        payload: T,
+        done: impl FnOnce(T, QueryResult) + Send + 'static,
+    ) -> Option<(T, QueryResult)> {
+        if let Some(result) = tasks::lone_probe(self, plan) {
+            return Some((payload, result));
+        }
+        let ctl = QueryCtl::new(&self.live, Box::new(move |r| done(payload, r)));
+        tasks::compile_and_launch(self, plan, ctl);
+        None
+    }
+
+    /// Submit a plan; returns a handle to wait on its result with.
     pub fn execute(self: &Arc<Self>, plan: &PhysicalPlan) -> StagedResult {
-        let (tx, rx) = unbounded();
-        tasks::compile_and_launch(self, plan, QueryCtl::new(tx, &self.live));
+        let (tx, rx) = bounded(1);
+        let deliver = |tx: Sender<_>, result| tx.send(result).unwrap_or(());
+        if let Some((tx, result)) = self.launch(plan, tx, deliver) {
+            deliver(tx, result);
+        }
         StagedResult { rx }
+    }
+
+    /// Queries launched and not yet ended.
+    pub fn live_queries(&self) -> usize {
+        *self.live.count.lock()
     }
 
     /// Shut the stage workers down: wait until no query has a packet left
@@ -472,7 +523,11 @@ impl StageLogic<TaskPacket> for EngineStageLogic {
             return Ok(()); // drop the packet; query aborted
         }
         // Quota is passed through the task; the stage itself is agnostic.
-        match packet.task.step(DEFAULT_QUOTA) {
+        // A task that panics fails its query: its packet is gone, and the
+        // rest would otherwise wait in their cells for it for ever.
+        let step = catch_unwind(AssertUnwindSafe(|| packet.task.step(DEFAULT_QUOTA)))
+            .unwrap_or_else(|_| Err(EngineError::Internal("operator task panicked".into())));
+        match step {
             Ok(StepResult::Done) => Ok(()),
             Ok(StepResult::Working) => {
                 ctx.requeue_back(packet).map_err(|_| StageError::new("requeue failed"))
@@ -491,19 +546,15 @@ impl StageLogic<TaskPacket> for EngineStageLogic {
 
 const DEFAULT_QUOTA: usize = 4096;
 
-/// Handle to a staged query's results.
+/// Handle to a staged query's result.
 pub struct StagedResult {
-    rx: Receiver<EngineResult<Vec<Tuple>>>,
+    rx: Receiver<QueryResult>,
 }
 
 impl StagedResult {
-    /// Block until the query finishes, collecting all tuples.
-    pub fn collect(self) -> EngineResult<Vec<Tuple>> {
-        let mut out = Vec::new();
-        for page in self.rx.iter() {
-            out.extend(page?);
-        }
-        Ok(out)
+    /// Block until the query ends, returning all its tuples.
+    pub fn collect(self) -> QueryResult {
+        self.rx.recv().unwrap_or_else(|_| Err(shut_down()))
     }
 }
 
@@ -574,7 +625,6 @@ pub(crate) fn prune_scan_columns(ts: &mut Vec<Transform>, arity: usize) -> Optio
 pub(crate) mod tests {
     use super::*;
     use crate::volcano;
-    use crossbeam::channel::RecvTimeoutError;
     use staged_planner::{plan_select, PlannerConfig};
     use staged_sql::binder::{BindContext, Binder};
     use staged_sql::parser::parse_statement;
@@ -590,9 +640,18 @@ pub(crate) mod tests {
     }
 
     /// A query control block of its own, outside the engine's live count.
-    fn ctl() -> (Arc<QueryCtl>, Receiver<EngineResult<Vec<Tuple>>>) {
-        let (tx, rx) = unbounded();
-        (QueryCtl::new(tx, &Arc::default()), rx)
+    fn ctl() -> (Arc<QueryCtl>, Receiver<QueryResult>) {
+        ctl_of(&Arc::default())
+    }
+
+    /// A query control block counted in `live`; its result arrives on the
+    /// receiver.
+    fn ctl_of(live: &Arc<LiveQueries>) -> (Arc<QueryCtl>, Receiver<QueryResult>) {
+        let (tx, rx) = bounded(1);
+        let done = move |result| {
+            let _ = tx.send(result);
+        };
+        (QueryCtl::new(live, Box::new(done)), rx)
     }
 
     /// A buffer of `capacity` pages between two cells of a query of its own.
@@ -728,21 +787,46 @@ pub(crate) mod tests {
         let engine =
             StagedEngine::new(ctx, EngineConfig { batch_capacity: 1, ..Default::default() });
         for _ in 0..20 {
-            let result = engine.execute(&plan);
-            assert!(result.rx.recv_timeout(Duration::from_secs(10)).unwrap().is_err());
-            // The sink closes only when the query's control block drops,
-            // which a packet left in a cell would prevent for ever.
-            loop {
-                match result.rx.recv_timeout(Duration::from_secs(10)) {
-                    Ok(_) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                    Err(RecvTimeoutError::Timeout) => {
-                        panic!("a packet of the failed query is stranded")
-                    }
-                }
+            // The result arrives only when the query's control block
+            // drops, which a packet left in a cell would prevent for ever.
+            match engine.execute(&plan).rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(result) => assert!(result.is_err()),
+                Err(_) => panic!("a packet of the failed query is stranded"),
             }
         }
         engine.shutdown();
+    }
+
+    /// A task whose every quantum panics.
+    struct Panics;
+
+    impl OperatorTask for Panics {
+        fn step(&mut self, _quota: usize) -> EngineResult<StepResult> {
+            panic!("a planted operator bug")
+        }
+    }
+
+    #[test]
+    fn a_task_that_panics_fails_its_query_and_leaves_nothing_parked() {
+        let engine = engine(256);
+        let (ctl, rx) = ctl_of(&engine.live);
+        // One task of the query waits parked for input from the one that
+        // panics.
+        let waiting = WakeCell::new(engine.runtime(), &ctl);
+        let steps = park_stalled(&engine, &ctl, &waiting);
+        let cell = WakeCell::new(engine.runtime(), &ctl);
+        let task = Box::new(Panics);
+        submit(engine.runtime(), engine.stage_id(StageKind::Join), TaskPacket { ctl, task, cell });
+        let result = rx.recv_timeout(Duration::from_secs(10)).expect("the query ended");
+        assert!(
+            matches!(&result, Err(EngineError::Internal(m)) if m.contains("panicked")),
+            "{result:?}"
+        );
+        assert_eq!(steps.load(Ordering::SeqCst), 0, "the waiting task was dropped, not run");
+        assert_eq!(engine.live_queries(), 0);
+        engine.shutdown();
+        // The panic was booked as one failed packet of the stage.
+        assert_eq!(engine.runtime().stats()[engine.stage_id(StageKind::Join)].errors, 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! [`crate::probe`]).
 
 use super::{
-    prune_scan_columns, shut_down, submit, ExchangeBuffer, OperatorTask, QueryCtl, StageKind,
-    StagedEngine, StepResult, TaskPacket, WakeCell, BUFFER_DEPTH,
+    prune_scan_columns, shut_down, submit, ExchangeBuffer, OperatorTask, QueryCtl, QueryResult,
+    StageKind, StagedEngine, StepResult, TaskPacket, WakeCell, BUFFER_DEPTH,
 };
 use crate::agg::{AggMerger, GroupTable};
 use crate::context::ExecContext;
@@ -104,40 +104,38 @@ impl Emitter {
     }
 }
 
-/// The engine's one entry point: run `plan` for the query behind `ctl`.
-///
-/// A *lone probe* — an `IndexScan` under nothing but fused
-/// `Filter`/`Project`/`Limit` transforms — runs to completion on the
-/// calling thread: the submitter blocks in `collect()` until the answer
-/// arrives, so the probe could never join a cohort and the `iscan` → `send`
+/// Answer a *lone probe* — an `IndexScan` under nothing but fused
+/// `Filter`/`Project`/`Limit` transforms — to completion on the calling
+/// thread, or `None` for any other plan. The probe finishes before a
+/// hand-off would: it could never join a cohort, and the `iscan` → `send`
 /// hand-offs would buy nothing (DESIGN.md §3, §11). It runs the same
 /// [`Probe`] and transform chain the queued `iscan` task runs and is
-/// booked on the `iscan` stage as a followed visit of one. Every other plan
-/// is compiled into tasks whose leaves are enqueued (bottom-up activation).
+/// booked on the `iscan` stage as a followed visit of one.
+pub(super) fn lone_probe(engine: &StagedEngine, plan: &PhysicalPlan) -> Option<QueryResult> {
+    let (plan, transforms) = fuse(plan, Vec::new());
+    let PhysicalPlan::IndexScan { .. } = plan else { return None };
+    let probe = Probe::new(engine.ctx(), plan);
+    let rows = || -> QueryResult {
+        let mut out = Vec::new();
+        for t in probe.run()? {
+            out.extend(apply_transforms(&transforms, t)?);
+        }
+        Ok(out)
+    };
+    let served = engine.runtime().serve_inline(engine.stage_id(StageKind::IScan), rows);
+    Some(served.unwrap_or_else(|| Err(shut_down())))
+}
+
+/// Compile `plan` into tasks for the query behind `ctl` and launch them:
+/// the leaves are enqueued (bottom-up activation), everything above them
+/// starts out parked.
 pub(super) fn compile_and_launch(
     engine: &Arc<StagedEngine>,
     plan: &PhysicalPlan,
     ctl: Arc<QueryCtl>,
 ) {
-    let (plan, transforms) = fuse(plan, Vec::new());
-    if let PhysicalPlan::IndexScan { .. } = plan {
-        let probe = Probe::new(engine.ctx(), plan);
-        let rows = || -> EngineResult<Vec<Tuple>> {
-            let mut out = Vec::new();
-            for t in probe.run()? {
-                out.extend(apply_transforms(&transforms, t)?);
-            }
-            Ok(out)
-        };
-        match engine.runtime().serve_inline(engine.stage_id(StageKind::IScan), rows) {
-            Some(Ok(rows)) => ctl.emit(rows),
-            Some(Err(e)) => ctl.fail(e),
-            None => ctl.fail(shut_down()),
-        }
-        return;
-    }
     let send = WakeCell::new(engine.runtime(), &ctl);
-    let root = build(engine, plan, &send, transforms, &ctl);
+    let root = build(engine, plan, &send, Vec::new(), &ctl);
     let task = Box::new(SendTask { inputs: vec![root], ctl: Arc::clone(&ctl) });
     send.park(engine.stage_id(StageKind::Send), TaskPacket { ctl, task, cell: Arc::clone(&send) });
 }

@@ -23,13 +23,12 @@ use std::net::TcpListener;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: dbserver [--port N] [--mode staged|threaded] [--partitions N]
-                [--max-connections N] [--execute-workers N] [--pool N]
+                [--max-connections N] [--pool N]
                 [--replica-of HOST:PORT]
   --port N             TCP port to listen on (default 5433; 0 = ephemeral)
   --mode M             staged (default) or threaded
   --partitions N       staged mode: hash partitions for tables created via DDL (default 1)
   --max-connections N  admission limit; extra clients get ERR OVERLOADED (default 64)
-  --execute-workers N  staged mode: workers on the execute stage (default 4)
   --pool N             threaded mode: worker-pool size; every statement, from the
                        network or in-process, runs on a pool worker (default 4)
   --replica-of ADDR    run as a read-only replica of the primary at ADDR
@@ -41,7 +40,6 @@ fn main() {
     let mut mode = "staged".to_string();
     let mut partitions = 1usize;
     let mut max_connections = 64usize;
-    let mut execute_workers = 4usize;
     let mut pool = 4usize;
     let mut replica_of: Option<String> = None;
     let mut i = 0;
@@ -52,7 +50,6 @@ fn main() {
             "--mode" => mode = value(i),
             "--partitions" => partitions = parse(&value(i)),
             "--max-connections" => max_connections = parse(&value(i)),
-            "--execute-workers" => execute_workers = parse(&value(i)),
             "--pool" => pool = parse(&value(i)),
             "--replica-of" => replica_of = Some(value(i)),
             "--help" | "-h" => {
@@ -85,10 +82,8 @@ fn main() {
 
     let handle = match mode.as_str() {
         "staged" => {
-            let server = StagedServer::new(
-                catalog,
-                ServerConfig { partitions, execute_workers, ..Default::default() },
-            );
+            let server =
+                StagedServer::new(catalog, ServerConfig { partitions, ..Default::default() });
             net::serve(listener, server, net_config)
         }
         "threaded" => {

@@ -5,7 +5,7 @@
 //!
 //! * [`StagedServer`] — the paper's design (Figure 3): client requests are
 //!   encapsulated into packets that flow through nine registered stages,
-//!   each an independent queue + worker pool on a
+//!   each an independent queue + one worker on a
 //!   [`staged_core::StagedRuntime`]: the statement path **net → connect →
 //!   parse → optimize → lock → execute → disconnect**, plus the
 //!   **checkpoint** and **replication** maintenance stages. DDL and

@@ -382,8 +382,7 @@ pub fn execute_stage(
                 Exec::Volcano => volcano::run(&plan, ctx).map_err(exec_err)?,
                 Exec::Staged(engine) => engine.execute(&plan).collect().map_err(exec_err)?,
             };
-            let n = rows.len();
-            Ok(QueryOutput { rows, schema: Some(schema), message: format!("SELECT {n}") })
+            Ok(select_output(rows, schema))
         }
         PlannedAction::Explain { text } => Ok(QueryOutput {
             rows: text.lines().map(|l| Tuple::new(vec![Value::Str(l.to_string())])).collect(),
@@ -411,6 +410,12 @@ pub fn execute_stage(
         )),
         PlannedAction::Ddl(stmt) => execute_ddl(stmt, ctx),
     }
+}
+
+/// A `SELECT`'s client output: its rows under their schema.
+pub fn select_output(rows: Vec<Tuple>, schema: Schema) -> QueryOutput {
+    let n = rows.len();
+    QueryOutput { rows, schema: Some(schema), message: format!("SELECT {n}") }
 }
 
 fn execute_ddl(stmt: Statement, ctx: &ExecContext) -> Result<QueryOutput, ServerError> {
@@ -548,23 +553,19 @@ impl Pipeline {
         Ok(slot)
     }
 
-    /// Execute an admitted `action`: transaction control goes to the
-    /// transaction runtime; a SELECT is given a snapshot view from
-    /// `slot.ctx`, pinned as of now (the pin outlives the execution); and
-    /// the execute stage runs it under `slot.xid` (0 = no transaction).
-    pub fn run(
-        &self,
-        mut action: PlannedAction,
-        session: Option<u64>,
-        slot: &TxnSlot,
-        exec: Exec<'_>,
-    ) -> Response {
+    /// Execute an admitted `action` on this thread: transaction control
+    /// goes to the transaction runtime, anything else to the execute stage
+    /// under `slot.xid` (0 = no transaction). A SELECT runs on Volcano
+    /// iterators under a snapshot view from `slot.ctx`, pinned as of now
+    /// (the pin outlives the execution). The staged server launches a
+    /// staged SELECT on its engine instead.
+    pub fn run(&self, mut action: PlannedAction, session: Option<u64>, slot: &TxnSlot) -> Response {
         if let PlannedAction::TxnControl(stmt) = &action {
             return execute_txn_control(stmt, session, &self.txn, &self.ctx, &self.wal);
         }
         let _pin = snapshot_select(&mut action, &self.txn, &slot.ctx);
         let txn = (slot.xid != 0).then(|| self.txn.mgr());
-        execute_stage(action, &self.ctx, &self.wal, slot.xid, exec, txn)
+        execute_stage(action, &self.ctx, &self.wal, slot.xid, Exec::Volcano, txn)
     }
 
     /// End of statement: an implicit transaction commits on success (the

@@ -49,7 +49,7 @@
 //! partition files line up (see PROTOCOL.md §7).
 
 use crate::feed::{after, Sink, WalFeed};
-use crate::pipeline::{Exec, Pipeline, PlannedAction};
+use crate::pipeline::{Pipeline, PlannedAction};
 use crate::server_core::answered;
 use crate::session::{Host, Session};
 use crate::types::{Response, ServerError};
@@ -411,7 +411,7 @@ impl ReplicaServer {
         // Reads and bootstrap DDL. DDL touches only the catalog (it is
         // not WAL-logged), so the mirror layout is safe.
         let slot = self.pipe.admit(session, &action)?;
-        self.pipe.run(action, session, &slot, Exec::Volcano)
+        self.pipe.run(action, session, &slot)
     }
 
     // -- the feed ----------------------------------------------------------

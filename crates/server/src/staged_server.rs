@@ -1,14 +1,17 @@
 //! The staged DBMS server (paper Figure 3, top row).
 //!
-//! Everything here is scheduling: nine stages, each a queue plus a worker
-//! pool, and the packets that hop between them. What a stage *does* to a
+//! Everything here is scheduling: nine stages, each a queue plus one
+//! worker, and the packets that hop between them. No stage waits on
+//! another: a lock conflict parks its packet at the lock stage, and a
+//! staged `SELECT` leaves `execute` once its engine query is launched,
+//! coming back at `disconnect` when the query ends. What a stage *does* to a
 //! statement is one `Pipeline` step, and what the server *is* underneath —
 //! recovery, log, feeds, checkpoint body — is the `ServerCore` it shares
 //! with the threaded baseline. Maintenance rides the same stages: a
 //! `CHECKPOINT` is a statement that waits for its locks at the lock stage
 //! like any writer, then runs on the `checkpoint` stage.
 
-use crate::pipeline::{self, Exec, Parsed, Pipeline, PlannedAction, TxnSlot};
+use crate::pipeline::{self, Parsed, Pipeline, PlannedAction, TxnSlot};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
 use crate::server_core::{answered, queued, stats_row, stats_rows, ServerCore};
@@ -20,7 +23,7 @@ use staged_cachesim::tracker::RefTracker;
 use staged_core::monitor::StageStats;
 use staged_core::prelude::*;
 use staged_engine::checkpoint::RecoveryReport;
-use staged_engine::staged::{EngineConfig, StagedEngine};
+use staged_engine::staged::{EngineConfig, QueryResult, StagedEngine};
 use staged_engine::txn::{LockKey, LockMode, LockTable};
 use staged_planner::PhysicalPlan;
 use staged_sql::binder::BoundSelect;
@@ -380,13 +383,46 @@ stage_logic!(ExecuteStage, shared, pkt, ctx, {
     let PacketBody::Action(action) = pkt.take_body() else {
         return misrouted(ctx, pkt, "execute");
     };
-    let exec = match shared.config.mode {
-        ExecutionMode::Volcano => Exec::Volcano,
-        ExecutionMode::Staged => Exec::Staged(&shared.engine),
-    };
-    let res = shared.core.pipe.run(*action, pkt.session, &pkt.slot, exec);
+    if shared.config.mode == ExecutionMode::Staged
+        && matches!(*action, PlannedAction::Select { .. })
+    {
+        return launch_select(shared, ctx, pkt, *action);
+    }
+    let res = shared.core.pipe.run(*action, pkt.session, &pkt.slot);
     finish(ctx, pkt, res)
 });
+
+fn select_answer(res: QueryResult, schema: Schema) -> Response {
+    Ok(pipeline::select_output(res?, schema))
+}
+
+/// Run a `SELECT` on the staged engine without waiting for it (§4.1.1
+/// case iii). The packet first holds a slot in `disconnect`'s queue —
+/// blocking, like any forward, while that queue is full, so at most
+/// `queue_capacity` launched queries run at once, and `shutdown` cannot
+/// close `disconnect` under one. The query's end fills the slot with the
+/// packet and its answer, from whichever engine worker lets the query go.
+/// The snapshot pin rides along, so vacuum cannot pass the view while the
+/// scan runs. A lone index probe is answered before `launch` returns and
+/// is forwarded like any other statement.
+fn launch_select(
+    shared: &ServerShared,
+    ctx: &StageCtx<'_, SPacket>,
+    pkt: SPacket,
+    mut action: PlannedAction,
+) -> Result<(), StageError> {
+    let slot = ctx.reserve(DISCONNECT).ok_or_else(|| StageError::new("pipeline closed"))?;
+    let pin = pipeline::snapshot_select(&mut action, &shared.core.pipe.txn, &pkt.slot.ctx);
+    let PlannedAction::Select { plan, schema } = action else { unreachable!("a SELECT") };
+    let done = |(mut pkt, slot, _pin, schema): (SPacket, Reservation<_>, _, _), res| {
+        pkt.body = PacketBody::Finished(Box::new(select_answer(res, schema)));
+        slot.fill(pkt);
+    };
+    match shared.engine.launch(&plan, (pkt, slot, pin, schema), done) {
+        None => Ok(()),
+        Some(((pkt, _, _, schema), res)) => finish(ctx, pkt, select_answer(res, schema)),
+    }
+}
 
 stage_logic!(DisconnectStage, shared, pkt, _ctx, {
     // "end Xaction, delete state, disconnect": settle the statement's
@@ -411,19 +447,16 @@ fn packet(body: PacketBody, session: Option<u64>) -> (SPacket, Receiver<Response
     (SPacket { session, slot, lock_deadline: None, auto: false, body, reply }, rx)
 }
 
-/// One stage's spec. `cohorts` stages serve gated cohorts of at most
-/// `config.max_cohort` packets (and a lone packet may be followed into
-/// them); the others are [`BatchPolicy::Single`].
+/// One stage's spec: one worker. `cohorts` stages serve gated cohorts of
+/// at most `config.max_cohort` packets (and a lone packet may be followed
+/// into them); the others are [`BatchPolicy::Single`].
 fn spec(
     name: &str,
     logic: impl StageLogic<SPacket>,
-    workers: usize,
     cohorts: bool,
     config: &ServerConfig,
 ) -> StageSpec<SPacket> {
-    let spec = StageSpec::new(name, logic)
-        .with_queue_capacity(config.queue_capacity)
-        .with_workers(workers);
+    let spec = StageSpec::new(name, logic).with_queue_capacity(config.queue_capacity);
     if cohorts {
         spec.with_batch(BatchPolicy::DGated).with_max_cohort(config.max_cohort)
     } else {
@@ -467,7 +500,6 @@ impl StagedServer {
             parked: Mutex::new(Vec::new()),
         });
         let logic = || Arc::clone(&shared);
-        let control = config.control_workers;
         let mut b = StagedRuntime::<SPacket>::builder();
         let mut add = |id: StageId, spec: StageSpec<SPacket>| assert_eq!(b.add_stage(spec), id);
         // Network admissions must drain before the stages they feed close.
@@ -476,25 +508,21 @@ impl StagedServer {
         // into: its bounded queue *is* the server's network admission
         // limit, and a cohort held in a worker's hands would be load
         // admitted past that bound.
-        add(NET, spec("net", NetStage, control, false, &config));
-        add(CONNECT, spec("connect", ConnectStage { shared: logic() }, control, true, &config));
-        add(PARSE, spec("parse", ParseStage { shared: logic() }, control, true, &config));
-        add(OPTIMIZE, spec("optimize", OptimizeStage { shared: logic() }, control, true, &config));
-        add(LOCK, spec("lock", LockStage { shared: logic() }, control, true, &config));
-        // One worker, one packet at a time, never followed into:
-        // checkpoints serialize anyway (on their locks).
-        add(CHECKPOINT, spec("checkpoint", CheckpointStage { shared: logic() }, 1, false, &config));
-        // One worker: the replication stage does all of its work from the
-        // idle hook (no packets are ever routed here), pumping the feeds
-        // on the runtime's idle cadence.
+        add(NET, spec("net", NetStage, false, &config));
+        add(CONNECT, spec("connect", ConnectStage { shared: logic() }, true, &config));
+        add(PARSE, spec("parse", ParseStage { shared: logic() }, true, &config));
+        add(OPTIMIZE, spec("optimize", OptimizeStage { shared: logic() }, true, &config));
+        add(LOCK, spec("lock", LockStage { shared: logic() }, true, &config));
+        // One packet at a time, never followed into: checkpoints
+        // serialize anyway (on their locks).
+        add(CHECKPOINT, spec("checkpoint", CheckpointStage { shared: logic() }, false, &config));
+        // The replication stage does all of its work from the idle hook
+        // (no packets are ever routed here), pumping the feeds on the
+        // runtime's idle cadence.
         let pump = shared.core.feed_pump();
-        add(REPLICATION, spec("replication", pump, 1, false, &config));
-        let workers = config.execute_workers;
-        add(EXECUTE, spec("execute", ExecuteStage { shared: logic() }, workers, true, &config));
-        add(
-            DISCONNECT,
-            spec("disconnect", DisconnectStage { shared: logic() }, control, true, &config),
-        );
+        add(REPLICATION, spec("replication", pump, false, &config));
+        add(EXECUTE, spec("execute", ExecuteStage { shared: logic() }, true, &config));
+        add(DISCONNECT, spec("disconnect", DisconnectStage { shared: logic() }, true, &config));
         let server = Arc::new(Self { shared, runtime: b.build() });
         // The release hook: whichever thread frees a lock puts the parked
         // packets back on the lock stage's queue. Weak, because the lock
@@ -646,9 +674,12 @@ impl StagedServer {
         self.shared.core.served.load(Ordering::Relaxed)
     }
 
-    /// Stop all stage workers (drains in-flight requests first). Packets
-    /// still parked behind a lock when the stages have drained — their
-    /// holders never finished — are refused rather than left unanswered.
+    /// Stop all stage workers (drains in-flight requests first: a launched
+    /// `SELECT` holds its `disconnect` slot until its query ends, so it
+    /// still answers with its rows). Packets still parked behind a lock
+    /// when the stages have drained — their holders never finished — are
+    /// refused rather than left unanswered. The engine stops last, with
+    /// no query left.
     pub fn shutdown(&self) {
         self.runtime.shutdown();
         for pkt in std::mem::take(&mut *self.shared.parked.lock()) {

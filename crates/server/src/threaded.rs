@@ -13,7 +13,7 @@
 //! difference between the two; everything that is not scheduling is the
 //! `ServerCore` they share.
 
-use crate::pipeline::{self, Exec, Pipeline, PlannedAction};
+use crate::pipeline::{self, Pipeline, PlannedAction};
 use crate::reactivity::ReactivityHub;
 use crate::replication::ReplicationHub;
 use crate::server_core::{answered, queued, stats_rows, ServerCore};
@@ -238,7 +238,7 @@ fn process(core: &ServerCore, sql: &str, session: Option<u64>) -> Response {
         .map_err(|_| pipeline::lock_timeout_error())
         .and_then(|()| match action {
             PlannedAction::Checkpoint => core.checkpoint_quiesced(),
-            action => pipe.run(action, session, &slot, Exec::Volcano),
+            action => pipe.run(action, session, &slot),
         });
     pipe.settle(session, &slot, res)
 }

@@ -130,12 +130,9 @@ pub enum ExecutionMode {
 pub struct ServerConfig {
     /// SELECT execution engine.
     pub mode: ExecutionMode,
-    /// Workers for the connect/parse/optimize/disconnect stages.
-    pub control_workers: usize,
-    /// Workers for the execute stage (it hosts the longest operations).
-    pub execute_workers: usize,
     /// Capacity of each top-level stage queue (connect-queue capacity is
-    /// the admission limit under overload).
+    /// the admission limit under overload; `disconnect`'s also bounds the
+    /// staged `SELECT`s running in the engine at once).
     pub queue_capacity: usize,
     /// Packets a pipeline-stage worker may serve per queue visit (cohort
     /// scheduling, paper §4.2): the connect/parse/optimize/lock/execute/
@@ -176,8 +173,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             mode: ExecutionMode::Staged,
-            control_workers: 1,
-            execute_workers: 4,
             queue_capacity: 128,
             max_cohort: 16,
             partitions: 1,

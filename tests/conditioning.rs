@@ -11,15 +11,8 @@ use std::time::Duration;
 #[test]
 fn overloaded_server_rejects_rather_than_collapses() {
     let catalog = Arc::new(Catalog::new(BufferPool::new(Arc::new(MemDisk::new()), 256)));
-    let server = StagedServer::new(
-        catalog,
-        ServerConfig {
-            queue_capacity: 4,
-            control_workers: 1,
-            execute_workers: 1,
-            ..Default::default()
-        },
-    );
+    let server =
+        StagedServer::new(catalog, ServerConfig { queue_capacity: 4, ..Default::default() });
     server.execute_sql("CREATE TABLE t (x INT)").unwrap();
     for i in 0..200 {
         server.execute_sql(&format!("INSERT INTO t VALUES ({i})")).unwrap();

@@ -251,16 +251,15 @@ fn wire_point_lookup_probes_the_index_instead_of_scanning() {
     server.shutdown();
 }
 
-/// Every stage's pool is fixed when the server is built: the `STATS`
-/// `workers` column is the configured size, and no gated visit is ever
-/// cut off, so `preempts` reads 0 on every stage row.
+/// Every stage runs one worker, fixed when the server is built: the
+/// `STATS` `workers` column reads 1 on every stage row, and no gated visit
+/// is ever cut off, so `preempts` reads 0.
 #[test]
 fn stats_report_each_stage_fixed_pool_and_no_preemptions() {
     use staged_db::dbclient::Client;
     use staged_db::server::net::{self, NetConfig};
 
-    let config = ServerConfig { control_workers: 2, execute_workers: 3, ..Default::default() };
-    let server = StagedServer::new(catalog(), config);
+    let server = StagedServer::new(catalog(), ServerConfig::default());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = net::serve(listener, Arc::clone(&server), NetConfig::default()).unwrap();
     let mut client =
@@ -268,14 +267,14 @@ fn stats_report_each_stage_fixed_pool_and_no_preemptions() {
     client.query("SELECT COUNT(*) FROM wisc1").unwrap();
     let stats = client.stats().unwrap();
     let pools = [
-        ("net", 2),
-        ("connect", 2),
-        ("parse", 2),
-        ("optimize", 2),
-        ("lock", 2),
+        ("net", 1),
+        ("connect", 1),
+        ("parse", 1),
+        ("optimize", 1),
+        ("lock", 1),
         ("checkpoint", 1),
-        ("execute", 3),
-        ("disconnect", 2),
+        ("execute", 1),
+        ("disconnect", 1),
     ];
     for (stage, workers) in pools {
         let row = stats.rows.iter().find(|r| r[0].as_deref() == Some(stage)).expect(stage);
