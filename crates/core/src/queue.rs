@@ -8,11 +8,14 @@
 //! of the queries that do not output to the blocked stage will continue to
 //! run."
 //!
-//! A slot can also be *reserved* ahead of its packet ([`StageQueue::reserve`]):
-//! a stage that lets a packet leave the pipeline to wait elsewhere — a
-//! staged `SELECT` running in the engine — keeps its place downstream, so
-//! the wait stays bounded by the queue's capacity and `shutdown` cannot
-//! close the queue under it.
+//! A slot can also be *held* ahead of its packet ([`StageQueue::reserve`]):
+//! a packet that leaves the pipeline to wait elsewhere — an engine task
+//! parked on a buffer, a writer parked on a lock, a staged `SELECT` running
+//! in the engine — holds a slot in the queue it comes back into. The queue
+//! is not quiet while a slot is held, so it cannot close under the waiter,
+//! and the return ([`StageQueue::fill`]) never meets a closed queue. A
+//! *counted* slot also takes room from the capacity, which bounds how many
+//! packets wait outside at once.
 
 use crate::error::EnqueueError;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -42,6 +45,8 @@ pub struct QueueStats {
     pub max_depth: usize,
     /// Current depth.
     pub depth: usize,
+    /// Slots held by packets waiting outside the stage.
+    pub held: usize,
 }
 
 struct Inner<P> {
@@ -53,15 +58,17 @@ struct Inner<P> {
     /// [`StageQueue::end_visit`]. Kept under the queue lock so "nothing
     /// queued and nobody serving" is one exact test.
     serving: usize,
-    /// Slots held for packets still on their way ([`StageQueue::reserve`]).
-    /// Each counts against the capacity and keeps the queue from being
-    /// quiet until it is filled or released.
-    reserved: usize,
+    /// Slots held for packets waiting outside ([`StageQueue::reserve`]).
+    /// Each keeps the queue from being quiet until it is filled or
+    /// released.
+    held: usize,
+    /// The held slots that also count against the capacity.
+    counted: usize,
 }
 
 impl<P> Inner<P> {
     fn quiet(&self) -> bool {
-        self.items.is_empty() && self.serving == 0 && self.reserved == 0
+        self.items.is_empty() && self.serving == 0 && self.held == 0
     }
 }
 
@@ -70,7 +77,7 @@ pub struct StageQueue<P> {
     inner: Mutex<Inner<P>>,
     not_empty: Condvar,
     not_full: Condvar,
-    /// Signalled when the queue goes quiet ([`StageQueue::wait_quiet`]).
+    /// Signalled when the queue goes quiet ([`StageQueue::close_when_quiet`]).
     quiet: Condvar,
     capacity: usize,
     counters: QueueCounters,
@@ -102,7 +109,8 @@ fn notify_n(cv: &Condvar, n: usize) {
 impl<P> StageQueue<P> {
     /// Create a queue holding at most `capacity` packets (min 1).
     pub fn new(capacity: usize) -> Self {
-        let inner = Inner { items: VecDeque::new(), closed: false, serving: 0, reserved: 0 };
+        let inner =
+            Inner { items: VecDeque::new(), closed: false, serving: 0, held: 0, counted: 0 };
         Self {
             inner: Mutex::new(inner),
             not_empty: Condvar::new(),
@@ -199,9 +207,9 @@ impl<P> StageQueue<P> {
         notify_n(&self.not_empty, n);
     }
 
-    /// True when queued packets and reserved slots fill the capacity.
+    /// True when queued packets and counted held slots fill the capacity.
     fn full(&self, inner: &Inner<P>) -> bool {
-        inner.items.len() + inner.reserved >= self.capacity
+        inner.items.len() + inner.counted >= self.capacity
     }
 
     /// Lock the queue once it has room or is closed, blocking meanwhile
@@ -217,32 +225,36 @@ impl<P> StageQueue<P> {
         inner
     }
 
-    /// Hold one slot for a packet that is not here yet, blocking while the
-    /// queue is full exactly as [`enqueue`](Self::enqueue) does. False once
-    /// the queue is closed. The slot counts against the capacity, and the
-    /// queue is not quiet, until [`fill`](Self::fill) or
-    /// [`release`](Self::release) gives it back.
-    pub fn reserve(&self) -> bool {
-        let mut inner = self.wait_for_room();
+    /// Hold one slot for a packet that is not here yet; false once the
+    /// queue is closed. The queue is not quiet until [`fill`](Self::fill)
+    /// or [`release`](Self::release) gives the slot back. A `counted` slot
+    /// also takes room from the capacity, so taking one blocks while the
+    /// queue is full, exactly as [`enqueue`](Self::enqueue) does; an
+    /// uncounted one never blocks.
+    pub fn reserve(&self, counted: bool) -> bool {
+        let mut inner = if counted { self.wait_for_room() } else { self.inner.lock() };
         if inner.closed {
             return false;
         }
-        inner.reserved += 1;
+        inner.held += 1;
+        inner.counted += usize::from(counted);
         true
     }
 
     /// Put `packet` in a slot [`reserve`](Self::reserve) held: never
     /// blocks, and a queue with a slot held is never closed.
-    pub fn fill(&self, packet: P) {
+    pub fn fill(&self, packet: P, counted: bool) {
         let mut inner = self.inner.lock();
-        inner.reserved -= 1;
+        inner.held -= 1;
+        inner.counted -= usize::from(counted);
         self.push(inner, [packet]);
     }
 
     /// Give back a slot [`reserve`](Self::reserve) held, unused.
-    pub fn release(&self) {
+    pub fn release(&self, counted: bool) {
         let mut inner = self.inner.lock();
-        inner.reserved -= 1;
+        inner.held -= 1;
+        inner.counted -= usize::from(counted);
         self.signal_quiet(&inner);
         drop(inner);
         self.not_full.notify_one();
@@ -320,50 +332,49 @@ impl<P> StageQueue<P> {
     }
 
     /// True when nothing is queued, no visit is in progress and no slot
-    /// is reserved.
+    /// is held.
     pub fn is_quiet(&self) -> bool {
         self.inner.lock().quiet()
     }
 
-    /// Block until the queue is quiet ([`is_quiet`](Self::is_quiet)).
-    pub fn wait_quiet(&self) {
+    /// Block until the queue is quiet ([`is_quiet`](Self::is_quiet)), then
+    /// close it in the same critical section, so no packet or slot can
+    /// slip in between the test and the close. New enqueues and slots are
+    /// refused from then on, and idle consumers wake to find it closed.
+    pub fn close_when_quiet(&self) {
         let mut inner = self.inner.lock();
         while !inner.quiet() {
             self.quiet.wait(&mut inner);
         }
+        inner.closed = true;
+        drop(inner);
+        self.not_empty.notify_all();
     }
 
-    /// Wake [`wait_quiet`](Self::wait_quiet) callers if `inner` is quiet;
-    /// called, under the lock, wherever a visit or a slot ends.
+    /// Wake [`close_when_quiet`](Self::close_when_quiet) callers if
+    /// `inner` is quiet; called, under the lock, wherever a visit or a
+    /// slot ends.
     fn signal_quiet(&self, inner: &Inner<P>) {
         if inner.quiet() {
             self.quiet.notify_all();
         }
     }
 
-    /// Close the queue: pending packets can still be dequeued, new enqueues
-    /// fail, blocked producers and consumers wake up.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        inner.closed = true;
-        drop(inner);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// True once [`close`](Self::close) has been called.
+    /// True once the queue is closed.
     pub fn is_closed(&self) -> bool {
         self.inner.lock().closed
     }
 
     /// Snapshot the queue counters.
     pub fn stats(&self) -> QueueStats {
+        let inner = self.inner.lock();
         QueueStats {
             enqueued: self.counters.enqueued.load(Ordering::Relaxed),
             dequeued: self.counters.dequeued.load(Ordering::Relaxed),
             blocked_enqueues: self.counters.blocked_enqueues.load(Ordering::Relaxed),
             max_depth: self.counters.max_depth.load(Ordering::Relaxed),
-            depth: self.len(),
+            depth: inner.items.len(),
+            held: inner.held,
         }
     }
 
@@ -393,6 +404,15 @@ mod tests {
         }
     }
 
+    /// Close `q` whatever it holds, which the runtime never does
+    /// ([`StageQueue::close_when_quiet`]): what is queued can still be
+    /// dequeued, and blocked producers and consumers wake up.
+    fn close<P>(q: &StageQueue<P>) {
+        q.inner.lock().closed = true;
+        q.not_empty.notify_all();
+        q.not_full.notify_all();
+    }
+
     #[test]
     fn fifo_order() {
         let q = StageQueue::new(8);
@@ -419,7 +439,7 @@ mod tests {
     fn close_drains_then_none() {
         let q = StageQueue::new(4);
         q.enqueue("a").unwrap();
-        q.close();
+        close(&q);
         assert!(q.enqueue("b").is_err());
         assert_eq!(pop(&q), Some("a"));
         assert_eq!(pop(&q), None);
@@ -478,7 +498,7 @@ mod tests {
         let q: StageQueue<u8> = StageQueue::new(4);
         assert_eq!(q.dequeue_batch(4, Duration::from_millis(5)), DequeuedCohort::TimedOut);
         q.enqueue(1).unwrap();
-        q.close();
+        close(&q);
         // Closed queues still drain pending cohorts first.
         assert_eq!(q.dequeue_batch(4, Duration::from_millis(5)), DequeuedCohort::Cohort(vec![1]));
         assert_eq!(q.dequeue_batch(4, Duration::from_millis(5)), DequeuedCohort::Closed);
@@ -508,30 +528,43 @@ mod tests {
     #[test]
     fn a_reserved_slot_holds_capacity_and_quiet_until_filled_or_released() {
         let q = Arc::new(StageQueue::new(2));
-        assert!(q.reserve());
+        // A slot given back unused frees its room and the quiet state.
+        assert!(q.reserve(true) && q.reserve(true));
+        assert!(matches!(q.try_enqueue(4), Err(EnqueueError::Full(4))));
+        assert_eq!(q.stats().held, 2);
+        q.release(true);
+        q.release(true);
+        assert!(q.is_quiet() && q.stats().held == 0);
+        // An uncounted hold takes no room: the queue fills to its
+        // capacity beside it, and its fill lands over the bound.
+        assert!(q.reserve(false));
+        q.try_enqueue(5).unwrap();
+        q.try_enqueue(6).unwrap();
+        q.fill(7, false);
+        assert_eq!((pop(&q), pop(&q), pop(&q)), (Some(5), Some(6), Some(7)));
+        assert!(q.is_quiet());
+        // Both kinds keep the queue from going quiet, so it cannot close.
+        assert!(q.reserve(true) && q.reserve(false));
         q.enqueue(1).unwrap();
         assert!(matches!(q.try_enqueue(2), Err(EnqueueError::Full(2))), "the slot is held");
         let (q2, (tx, rx)) = (Arc::clone(&q), std::sync::mpsc::channel());
-        let waiter = thread::spawn(move || {
-            q2.wait_quiet();
+        let closer = thread::spawn(move || {
+            q2.close_when_quiet();
             tx.send(()).unwrap();
         });
         assert_eq!(pop(&q), Some(1));
         assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "a held slot is not quiet");
-        q.fill(3);
+        q.fill(3, true);
         assert_eq!(q.stats().depth, 1);
         assert_eq!(pop(&q), Some(3));
-        rx.recv_timeout(Duration::from_secs(5)).expect("quiet once the filled slot is served");
-        waiter.join().unwrap();
-        // A slot given back unused frees its room and the quiet state.
-        assert!(q.reserve() && q.reserve());
-        assert!(matches!(q.try_enqueue(4), Err(EnqueueError::Full(4))));
-        q.release();
-        q.release();
-        assert!(q.is_quiet());
-        q.try_enqueue(5).unwrap();
-        q.close();
-        assert!(!q.reserve(), "a closed queue holds no slot");
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "nor is an uncounted one");
+        assert_eq!(q.stats().held, 1);
+        q.fill(8, false);
+        assert_eq!(pop(&q), Some(8));
+        rx.recv_timeout(Duration::from_secs(5)).expect("closed once the last slot is served");
+        closer.join().unwrap();
+        assert!(q.is_closed());
+        assert!(!q.reserve(true) && !q.reserve(false), "a closed queue holds no slot");
     }
 
     #[test]
@@ -561,7 +594,7 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        q.close();
+        close(&q);
         let got: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(got, total);
     }

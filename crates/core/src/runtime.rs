@@ -23,9 +23,10 @@
 //! runs that stage's code itself (`take_lone_forward`, DESIGN.md §11).
 //!
 //! A packet that must wait on something outside the pipeline leaves it
-//! with a [`Reservation`] of its next stage's queue, and comes back into
+//! with a [`Reservation`] of the queue it comes back into, and is put into
 //! that slot when the wait ends, so no worker waits with it (§4.1.1 case
-//! iii).
+//! iii). It is the one way to wait: every wake is a
+//! [`fill`](Reservation::fill), and a stage with a slot held does not close.
 
 use crate::error::EnqueueError;
 use crate::monitor::{snapshot, StageMonitor, StageStats};
@@ -98,33 +99,48 @@ impl<P: Send + 'static> RuntimeShared<P> {
     pub(crate) fn try_enqueue(&self, dest: StageId, packet: P) -> Result<(), EnqueueError<P>> {
         self.stages[dest].queue.try_enqueue(packet)
     }
+
+    /// Hold a slot in `stage`'s queue ([`StageQueue::reserve`]); `None`
+    /// once the queue is closed.
+    pub(crate) fn reserve(
+        self: &Arc<Self>,
+        stage: StageId,
+        counted: bool,
+    ) -> Option<Reservation<P>> {
+        let held = self.stages[stage].queue.reserve(counted);
+        held.then(|| Reservation { shared: Arc::clone(self), stage, counted, held })
+    }
 }
 
 /// A slot held in a stage's queue ([`StageQueue::reserve`]) for a packet
 /// that is waiting outside the pipeline and will come back into that
 /// stage: [`fill`](Self::fill) puts it there from whichever thread sees
-/// the wait end. The slot counts against the queue's capacity, which
-/// bounds how many packets wait outside at once, and keeps the queue from
-/// going quiet, so `shutdown` waits for the packet before it closes the
-/// stage. Dropped unfilled, it gives the slot back.
+/// the wait end. The slot keeps the queue from going quiet, so `shutdown`
+/// waits for the packet before it closes the stage and the fill always
+/// finds the stage served. A *counted* slot ([`StageCtx::reserve`]) also
+/// takes room from the queue's capacity, which bounds how many packets
+/// wait outside at once; an uncounted one ([`StageCtx::hold`],
+/// [`StagedRuntime::hold`]) does not. Dropped unfilled, it gives the slot
+/// back.
 pub struct Reservation<P: Send + 'static> {
-    pub(crate) shared: Arc<RuntimeShared<P>>,
-    pub(crate) stage: StageId,
-    pub(crate) held: bool,
+    shared: Arc<RuntimeShared<P>>,
+    stage: StageId,
+    counted: bool,
+    held: bool,
 }
 
 impl<P: Send + 'static> Reservation<P> {
     /// Put `packet` in the held slot. Never blocks.
     pub fn fill(mut self, packet: P) {
         self.held = false;
-        self.shared.stage(self.stage).queue.fill(packet);
+        self.shared.stage(self.stage).queue.fill(packet, self.counted);
     }
 }
 
 impl<P: Send + 'static> Drop for Reservation<P> {
     fn drop(&mut self) {
         if self.held {
-            self.shared.stage(self.stage).queue.release();
+            self.shared.stage(self.stage).queue.release(self.counted);
         }
     }
 }
@@ -218,13 +234,10 @@ impl<P: Send + 'static> StagedRuntime<P> {
         self.shared.try_enqueue(dest, packet)
     }
 
-    /// Put packets that were admitted once already back on `stage`'s queue
-    /// (at the back, exempt from the capacity bound and the closed flag).
-    /// This is how a stage that parked packets *outside* its queue to wait
-    /// on a condition (§4.1.1 case iii) re-admits them when the condition
-    /// changes — from whichever thread saw it change.
-    pub fn readmit(&self, stage: StageId, packets: Vec<P>) {
-        self.shared.stages[stage].queue.requeue_back_batch(packets);
+    /// Hold an uncounted slot in `stage`'s queue for a packet that waits
+    /// outside it ([`Reservation`]); `None` once the stage is closed.
+    pub fn hold(&self, stage: StageId) -> Option<Reservation<P>> {
+        self.shared.reserve(stage, false)
     }
 
     /// Run one packet's worth of `stage`'s work, `f`, on the calling thread
@@ -269,11 +282,10 @@ impl<P: Send + 'static> StagedRuntime<P> {
     /// complete before their stage closes.
     pub fn shutdown(&self) {
         for s in &self.shared.stages {
-            // Wait until nothing is queued, no visit is open (a worker
+            // Close once nothing is queued, no visit is open (a worker
             // following a packet keeps its home visit open throughout) and
             // no slot is held.
-            s.queue.wait_quiet();
-            s.queue.close();
+            s.queue.close_when_quiet();
         }
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
         for h in handles {
@@ -817,8 +829,8 @@ mod tests {
             .with_max_cohort(max_cohort),
         );
         let rt = b.build();
-        // Both are queued before any worker's grab.
-        rt.readmit(s, vec![1, 2]);
+        // Both are queued under one lock, before any worker's grab.
+        rt.shared.stage(s).queue.enqueue_batch(vec![1, 2]).unwrap();
         rt.shutdown();
         met.load(Ordering::SeqCst) == 2
     }

@@ -198,13 +198,20 @@ impl<'a, P: Send + 'static> StageCtx<'a, P> {
         self.shared.enqueue(self.stage_id, packet)
     }
 
-    /// Hold a slot in `dest`'s queue for this packet, which leaves the
-    /// pipeline to wait elsewhere and comes back through the
+    /// Hold a counted slot in `dest`'s queue for this packet, which leaves
+    /// the pipeline to wait elsewhere and comes back through the
     /// [`Reservation`]. Blocks while `dest` is full, like a forward under
     /// back-pressure; `None` once `dest` is closed.
     pub fn reserve(&self, dest: StageId) -> Option<Reservation<P>> {
-        let held = self.shared.stage(dest).queue.reserve();
-        held.then(|| Reservation { shared: Arc::clone(self.shared), stage: dest, held })
+        self.shared.reserve(dest, true)
+    }
+
+    /// Hold an uncounted slot in `dest`'s queue: like
+    /// [`reserve`](Self::reserve), but it takes no room from the capacity
+    /// and never blocks, so a stage may hold one in its own queue for a
+    /// packet it parks.
+    pub fn hold(&self, dest: StageId) -> Option<Reservation<P>> {
+        self.shared.reserve(dest, false)
     }
 
     /// Look up a stage id by name.

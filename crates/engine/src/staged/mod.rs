@@ -7,9 +7,11 @@
 //!
 //! A task waits in one way only. When it cannot make progress — output
 //! buffer full or every input empty — its packet leaves the queues (§4.1.1
-//! case iii) and parks in the task's [`WakeCell`]; the buffer end that
-//! moves — a page pushed into an empty input, an input closed, a page
-//! popped from a full output — re-admits it to its stage's queue.
+//! case iii) and parks in the task's [`WakeCell`], holding a slot in its
+//! stage's queue (a [`Reservation`]); the buffer end that moves — a page
+//! pushed into an empty input, an input closed, a page popped from a full
+//! output — fills that slot with it. A stage with a task parked cannot
+//! close, so [`StagedEngine::shutdown`] is the runtime's own drain.
 //! Activation is the first use of the same cell: leaf (scan) packets are
 //! enqueued when the query arrives, and every operator above them starts
 //! out parked until its first input page or close ("activation occurs in
@@ -33,13 +35,13 @@ use crate::context::ExecContext;
 use crate::error::{EngineError, EngineResult};
 use crate::transform::Transform;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use staged_core::prelude::*;
 use staged_planner::PhysicalPlan;
 use staged_storage::Tuple;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The execution-engine stages of Figure 3.
@@ -111,14 +113,15 @@ pub trait OperatorTask: Send {
     fn step(&mut self, quota: usize) -> EngineResult<StepResult>;
 }
 
-/// A task's one wake cell: where its packet waits, in no queue, whenever
-/// the task cannot progress — for its first input at activation (§4.3)
-/// and every time it blocks after that (§4.1.1 case iii). A wake
-/// re-admits the parked packet to its stage's queue or, when nothing is
-/// parked, leaves a *notified* mark that the next park consumes at once,
-/// so a wake that races ahead of the park is never lost. The buffers on
-/// either side of a task wake its cell ([`ExchangeBuffer`]), and a failing
-/// query wakes every cell it has ([`QueryCtl::fail`]).
+/// A task's one wake cell: where its packet waits, in no queue but with a
+/// slot held in its stage's, whenever the task cannot progress — for its
+/// first input at activation (§4.3) and every time it blocks after that
+/// (§4.1.1 case iii). A wake fills the slot with the parked packet or,
+/// when nothing is parked, leaves a *notified* mark that the next park
+/// consumes at once, so a wake that races ahead of the park is never
+/// lost. The buffers on either side of a task wake its cell
+/// ([`ExchangeBuffer`]), and a failing query wakes every cell it has
+/// ([`QueryCtl::fail`]).
 pub struct WakeCell {
     state: Mutex<Wake>,
     runtime: StagedRuntime<TaskPacket>,
@@ -127,8 +130,8 @@ pub struct WakeCell {
 enum Wake {
     /// Nothing parked, no wake pending.
     Idle,
-    /// The task's packet and the stage it re-enters.
-    Parked(StageId, TaskPacket),
+    /// The task's packet and its slot in the stage it re-enters.
+    Parked(Reservation<TaskPacket>, TaskPacket),
     /// Woken while nothing was parked: the next park re-admits at once.
     Notified,
 }
@@ -150,28 +153,32 @@ impl WakeCell {
         cell
     }
 
-    /// Park `packet` until the next wake — or re-admit it to `stage` now
-    /// if a wake came since the last park.
+    /// Park `packet` with a slot held in `stage` until the next wake — or
+    /// fill the slot now if a wake came since the last park. A closed
+    /// stage holds no slot: the query fails with [`shut_down`].
     fn park(&self, stage: StageId, packet: TaskPacket) {
+        let Some(slot) = self.runtime.hold(stage) else {
+            return packet.ctl.fail(shut_down());
+        };
         let mut state = self.state.lock();
         match std::mem::replace(&mut *state, Wake::Idle) {
-            Wake::Idle => *state = Wake::Parked(stage, packet),
+            Wake::Idle => *state = Wake::Parked(slot, packet),
             Wake::Notified => {
                 drop(state);
-                submit(&self.runtime, stage, packet);
+                slot.fill(packet);
             }
             Wake::Parked(..) => unreachable!("a task has one packet"),
         }
     }
 
-    /// Re-admit the parked packet, or mark the cell notified when none is
-    /// parked.
+    /// Fill the parked packet's slot, or mark the cell notified when none
+    /// is parked.
     pub fn wake(&self) {
         let mut state = self.state.lock();
-        if let Wake::Parked(stage, packet) = std::mem::replace(&mut *state, Wake::Notified) {
+        if let Wake::Parked(slot, packet) = std::mem::replace(&mut *state, Wake::Notified) {
             *state = Wake::Idle;
             drop(state);
-            submit(&self.runtime, stage, packet);
+            slot.fill(packet);
         }
     }
 }
@@ -249,16 +256,6 @@ impl ExchangeBuffer {
     }
 }
 
-/// The queries of one engine that still have a packet — queued, in
-/// service or parked. A parked packet is in no queue, so
-/// [`StagedEngine::shutdown`] waits for this count, not for quiet queues,
-/// before it stops the stages.
-#[derive(Default)]
-struct LiveQueries {
-    count: Mutex<usize>,
-    none: Condvar,
-}
-
 /// What a query ends with: its result rows, or its first error.
 pub type QueryResult = EngineResult<Vec<Tuple>>;
 
@@ -274,12 +271,13 @@ pub struct QueryCtl {
     cancelled: AtomicBool,
     /// Every task's cell, so a failure can wake whatever is parked.
     cells: Mutex<Vec<Arc<WakeCell>>>,
-    live: Arc<LiveQueries>,
+    /// The engine's count of live queries ([`StagedEngine::live_queries`]).
+    live: Arc<AtomicUsize>,
 }
 
 impl QueryCtl {
-    fn new(live: &Arc<LiveQueries>, done: Done) -> Arc<Self> {
-        *live.count.lock() += 1;
+    fn new(live: &Arc<AtomicUsize>, done: Done) -> Arc<Self> {
+        live.fetch_add(1, Ordering::SeqCst);
         Arc::new(Self {
             result: Mutex::new(Ok(Vec::new())),
             done: Mutex::new(Some(done)),
@@ -298,7 +296,7 @@ impl QueryCtl {
 
     /// Abort the query with an error (first error wins). The query's
     /// parked packets wait for buffers that will not move now, so every
-    /// cell is woken: each packet is re-admitted, finds the query
+    /// cell is woken: each packet fills its slot, finds the query
     /// cancelled and is dropped.
     pub fn fail(&self, e: EngineError) {
         if !self.cancelled.swap(true, Ordering::SeqCst) {
@@ -320,12 +318,7 @@ impl QueryCtl {
 /// counts as live.
 impl Drop for QueryCtl {
     fn drop(&mut self) {
-        let mut live = self.live.count.lock();
-        *live -= 1;
-        if *live == 0 {
-            self.live.none.notify_all();
-        }
-        drop(live);
+        self.live.fetch_sub(1, Ordering::SeqCst);
         if let Some(done) = self.done.get_mut().take() {
             done(std::mem::replace(self.result.get_mut(), Ok(Vec::new())));
         }
@@ -342,10 +335,10 @@ pub struct TaskPacket {
     cell: Arc<WakeCell>,
 }
 
-/// Enqueue a task packet. Once the engine is shut down its queues refuse
-/// packets, and the query fails with [`shut_down`] instead of ending
-/// silently short of rows. Every admission goes this way: a leaf's launch
-/// and every wake of a parked packet.
+/// Enqueue a leaf task packet at its query's launch. Once the engine is
+/// shut down its queues refuse packets, and the query fails with
+/// [`shut_down`] instead of ending silently short of rows. Every other
+/// admission is the fill of a slot its packet holds ([`WakeCell`]).
 fn submit(runtime: &StagedRuntime<TaskPacket>, stage: StageId, packet: TaskPacket) {
     if let Err(refused) = runtime.enqueue(stage, packet) {
         refused.into_packet().ctl.fail(shut_down());
@@ -406,7 +399,7 @@ pub struct StagedEngine {
     runtime: StagedRuntime<TaskPacket>,
     ctx: ExecContext,
     config: EngineConfig,
-    live: Arc<LiveQueries>,
+    live: Arc<AtomicUsize>,
 }
 
 impl StagedEngine {
@@ -493,17 +486,16 @@ impl StagedEngine {
 
     /// Queries launched and not yet ended.
     pub fn live_queries(&self) -> usize {
-        *self.live.count.lock()
+        self.live.load(Ordering::SeqCst)
     }
 
-    /// Shut the stage workers down: wait until no query has a packet left
-    /// — parked ones included — then drain and stop the stages.
+    /// Drain and stop the stages in `StageKind::ALL` order, the contract
+    /// every server's `shutdown` keeps: a stage closes only when nothing
+    /// is queued or in service there and no parked task holds a slot in
+    /// it, so every query running when this is called ends with its rows
+    /// or its error before it returns. A query launched after a stage it
+    /// needs has closed fails with a shut-down error.
     pub fn shutdown(&self) {
-        let mut live = self.live.count.lock();
-        while *live > 0 {
-            self.live.none.wait(&mut live);
-        }
-        drop(live);
         self.runtime.shutdown();
     }
 }
@@ -630,7 +622,6 @@ pub(crate) mod tests {
     use staged_sql::parser::parse_statement;
     use staged_sql::Statement;
     use staged_storage::{BufferPool, Catalog, Column, DataType, MemDisk, Schema, Value};
-    use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 
     fn engine(batch_capacity: usize) -> Arc<StagedEngine> {
@@ -646,7 +637,7 @@ pub(crate) mod tests {
 
     /// A query control block counted in `live`; its result arrives on the
     /// receiver.
-    fn ctl_of(live: &Arc<LiveQueries>) -> (Arc<QueryCtl>, Receiver<QueryResult>) {
+    fn ctl_of(live: &Arc<AtomicUsize>) -> (Arc<QueryCtl>, Receiver<QueryResult>) {
         let (tx, rx) = bounded(1);
         let done = move |result| {
             let _ = tx.send(result);

@@ -89,9 +89,10 @@ struct ServerShared {
     /// disconnect stage settles it; stops the hook stacking duplicates.
     auto_pending: AtomicBool,
     /// The lock stage's parked list: packets that hit a lock conflict
-    /// wait here, outside the stage's queue, until a release re-admits
-    /// them or their deadline passes (docs/CONCURRENCY.md, "Lock waits").
-    parked: Mutex<Vec<SPacket>>,
+    /// wait here, outside the stage's queue but each with a slot held in
+    /// it, until a release or their deadline fills the slot with them
+    /// (docs/CONCURRENCY.md, "Lock waits").
+    parked: Mutex<Vec<(SPacket, Reservation<SPacket>)>>,
 }
 
 /// The staged server.
@@ -156,19 +157,20 @@ fn try_acquire(locks: &LockTable, xid: u64, keys: &mut Vec<LockKey>) -> bool {
     keys.is_empty()
 }
 
-/// Fail parked packets whose lock deadline has passed: the statement
-/// answers `lock timeout` and the disconnect stage aborts its transaction
-/// (timeout-abort deadlock resolution).
+/// Put parked packets whose lock deadline has passed back in the lock
+/// stage's queue, where a last try either grants their locks or fails the
+/// statement with `lock timeout`, and the disconnect stage aborts its
+/// transaction (timeout-abort deadlock resolution).
 ///
 /// Sweeps are coarse (an idle tick can be hundreds of milliseconds), so
 /// both sides of a deadlock are usually overdue by the time one runs;
 /// failing both would resolve the deadlock with no survivor. A waiter
-/// whose transaction holds no lock is in no cycle and always fails. Of the
-/// overdue waiters that do hold locks, a sweep fails only the one with
-/// the earliest deadline: its abort releases its locks, the release hook
-/// re-admits the rest, and each of those either gets its lock or — still
-/// conflicted and overdue — fails on that retry.
-fn expire_parked(shared: &ServerShared, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
+/// whose transaction holds no lock is in no cycle and always goes back.
+/// Of the overdue waiters that do hold locks, a sweep sends back only the
+/// one with the earliest deadline: its abort releases its locks, the
+/// release hook sends back the rest, and each of those either gets its
+/// lock or — still conflicted and overdue — fails on that retry.
+fn expire_parked(shared: &ServerShared) {
     let now = Instant::now();
     let locks = shared.core.pipe.txn.mgr().locks();
     let mut expired = Vec::new();
@@ -177,13 +179,13 @@ fn expire_parked(shared: &ServerShared, ctx: &StageCtx<'_, SPacket>) -> Result<(
         let mut victim: Option<usize> = None;
         let mut i = 0;
         while i < parked.len() {
-            let pkt = &parked[i];
+            let (pkt, _) = &parked[i];
             if pkt.timed_out(now) {
                 if locks.held_by(pkt.slot.xid) == 0 {
                     expired.push(parked.remove(i));
                     continue;
                 }
-                if victim.is_none_or(|v| pkt.lock_deadline < parked[v].lock_deadline) {
+                if victim.is_none_or(|v| pkt.lock_deadline < parked[v].0.lock_deadline) {
                     victim = Some(i);
                 }
             }
@@ -194,7 +196,7 @@ fn expire_parked(shared: &ServerShared, ctx: &StageCtx<'_, SPacket>) -> Result<(
             expired.push(parked.remove(v));
         }
     }
-    expired.into_iter().try_for_each(|pkt| finish(ctx, pkt, Err(pipeline::lock_timeout_error())))
+    expired.into_iter().for_each(|(pkt, slot)| slot.fill(pkt));
 }
 
 /// The network admission stage. Statements arriving over TCP enter the
@@ -277,13 +279,15 @@ stage_logic!(ParseStage, shared, pkt, ctx, {
 /// deadline. It acquires locks incrementally in sorted key order, and once
 /// it holds them all goes on to execute (a `CHECKPOINT`, to the checkpoint
 /// stage). A packet that hits a conflict *parks*: it leaves the queue for
-/// the stage's parked list and the worker moves on.
-/// `LockTable::release_all` re-admits every parked packet when it frees
-/// something (the hook `with_stores` installs), and a packet still parked
-/// at its deadline fails with `lock timeout` — swept from the idle hook,
-/// and on every visit so a busy stage sweeps too. Nothing here sleeps or
-/// blocks, so the stage serves cohorts and can be followed into like any
-/// other.
+/// the stage's parked list, holding an uncounted slot in the queue, and
+/// the worker moves on. `LockTable::release_all` fills every parked
+/// packet's slot when it frees something (the hook `with_stores`
+/// installs), and a packet still parked at its deadline goes back to fail
+/// with `lock timeout` — swept from the idle hook, and before every packet
+/// that is not overdue itself so a busy stage sweeps too. A held slot
+/// keeps the stage open through `shutdown` until every parked packet has
+/// been answered. Nothing here sleeps or blocks, so the stage serves
+/// cohorts and can be followed into like any other.
 struct LockStage {
     shared: Arc<ServerShared>,
 }
@@ -292,7 +296,12 @@ impl StageLogic<SPacket> for LockStage {
     fn process(&self, mut pkt: SPacket, ctx: &StageCtx<'_, SPacket>) -> Result<(), StageError> {
         let shared = &*self.shared;
         let core = &shared.core;
-        expire_parked(shared, ctx)?;
+        // An overdue packet is back for its last try. No sweep runs before
+        // it: a deadlock's victim would otherwise send the survivor back
+        // as the next victim before its own abort freed the survivor's lock.
+        if !pkt.timed_out(Instant::now()) {
+            expire_parked(shared);
+        }
         pkt.lock_deadline.get_or_insert_with(|| Instant::now() + core.lock_timeout);
         // Try and park are one critical section of the parked list, and
         // the release hook drains the list under the same mutex *after*
@@ -310,24 +319,25 @@ impl StageLogic<SPacket> for LockStage {
             drop(parked);
             finish(ctx, pkt, Err(pipeline::lock_timeout_error()))
         } else {
+            // The stage is serving this visit, so its queue is open.
+            let slot = ctx.hold(LOCK).ok_or_else(|| StageError::new("pipeline closed"))?;
             ctx.record_retry();
-            parked.push(pkt);
+            parked.push((pkt, slot));
             Ok(())
         }
     }
 
-    fn on_idle(&self, ctx: &StageCtx<'_, SPacket>) {
-        // `finish` only buffers into the worker's outbox; it cannot fail.
-        let _ = expire_parked(&self.shared, ctx);
+    fn on_idle(&self, _ctx: &StageCtx<'_, SPacket>) {
+        expire_parked(&self.shared);
     }
 }
 
 /// The checkpoint stage: the maintenance counterpart of the execute
 /// stage. A `CHECKPOINT` statement reaches it from the lock stage once its
 /// transaction holds every partition lock — it waited there like any
-/// writer, parked until a release re-admitted it — so the stage only runs
+/// writer, parked until a release sent it back — so the stage only runs
 /// the core's checkpoint body; the disconnect stage's commit then releases
-/// the locks, re-admitting the writers parked behind it. Its idle hook
+/// the locks, sending back the writers parked behind it. Its idle hook
 /// raises a checkpoint on its own when the live log grows past
 /// `config.checkpoint_segments`.
 struct CheckpointStage {
@@ -523,19 +533,16 @@ impl StagedServer {
         add(REPLICATION, spec("replication", pump, false, &config));
         add(EXECUTE, spec("execute", ExecuteStage { shared: logic() }, true, &config));
         add(DISCONNECT, spec("disconnect", DisconnectStage { shared: logic() }, true, &config));
-        let server = Arc::new(Self { shared, runtime: b.build() });
-        // The release hook: whichever thread frees a lock puts the parked
-        // packets back on the lock stage's queue. Weak, because the lock
-        // table lives inside the server the hook would otherwise own.
-        let weak = Arc::downgrade(&server);
-        server.shared.core.pipe.txn.mgr().locks().set_release_hook(move || {
-            let Some(server) = weak.upgrade() else { return };
-            let woken = std::mem::take(&mut *server.shared.parked.lock());
-            if !woken.is_empty() {
-                server.runtime.readmit(LOCK, woken);
-            }
+        // The release hook: whichever thread frees a lock fills the parked
+        // packets' slots in the lock stage's queue. Weak, because the lock
+        // table lives inside the state the hook would otherwise own.
+        let weak = Arc::downgrade(&shared);
+        shared.core.pipe.txn.mgr().locks().set_release_hook(move || {
+            let Some(shared) = weak.upgrade() else { return };
+            let woken = std::mem::take(&mut *shared.parked.lock());
+            woken.into_iter().for_each(|(pkt, slot)| slot.fill(pkt));
         });
-        Ok(server)
+        Ok(Arc::new(Self { shared, runtime: b.build() }))
     }
 
     /// Put one packet on `stage`'s queue — waiting for room when `wait`,
@@ -674,17 +681,17 @@ impl StagedServer {
         self.shared.core.served.load(Ordering::Relaxed)
     }
 
-    /// Stop all stage workers (drains in-flight requests first: a launched
-    /// `SELECT` holds its `disconnect` slot until its query ends, so it
-    /// still answers with its rows). Packets still parked behind a lock
-    /// when the stages have drained — their holders never finished — are
-    /// refused rather than left unanswered. The engine stops last, with
-    /// no query left.
+    /// Stop all stage workers once every statement admitted before the
+    /// call is answered — the contract the threaded baseline's `shutdown`
+    /// keeps too. Stages drain and close in pipeline order, and a packet
+    /// waiting outside a stage holds a slot that keeps that stage open: a
+    /// launched `SELECT` answers with its rows, and a writer parked behind
+    /// a lock is granted once its holder ends or answers `lock timeout` at
+    /// its deadline, as the baseline's blocked `lock_all` call does.
+    /// Statements submitted after their entry stage closed are refused
+    /// with `ShuttingDown`. The engine stops last, with no query left.
     pub fn shutdown(&self) {
         self.runtime.shutdown();
-        for pkt in std::mem::take(&mut *self.shared.parked.lock()) {
-            let _ = pkt.reply.send(Err(ServerError::ShuttingDown));
-        }
         self.shared.engine.shutdown();
     }
 }
